@@ -10,9 +10,10 @@
 //! * **batched**: [`pfv::batch::log_densities`] over the same leaves in
 //!   [`ColumnarLeaf`] struct-of-arrays form with precomputed σ² columns —
 //!   the exact refine tier, bit-identical to scalar;
-//! * **fast**: [`pfv::batch::log_densities_upper`] — the aligned
-//!   fixed-width screen tier over padded lane blocks with the polynomial
-//!   `fast_ln`, producing conservative upper bounds;
+//! * **fast**: [`pfv::batch::log_densities_upper`] — the screen tier over
+//!   padded lane blocks with no threshold to abandon on, so its full
+//!   price: one divide per dimension and one `ln` per entry, producing
+//!   conservative upper bounds;
 //! * **quantised**: the batched kernel over leaves whose parameters went
 //!   through the `pfv::quant` ingest rounding (what a
 //!   `LeafFormat::Quantised` tree evaluates after decode).

@@ -335,21 +335,21 @@ impl<S: PageStore> Plane<'_, S> {
             match &*self.read_node_cached(top.page)? {
                 CachedNode::Leaf(leaf) => {
                     if best.len() == target {
-                        // Fast tier: the heap is full, so a conservative
+                        // Screen tier: the heap is full, so a conservative
                         // upper bound below the worst kept density rules an
                         // entry out without the exact kernel. The bounds
                         // never undershoot the exact value (overflow turns
                         // them NaN, which fails the `<` screen), and ties
                         // fall through to exact evaluation, so the result
-                        // set is identical to the unscreened path.
+                        // set is identical to the unscreened path. The
+                        // kernel leaves each lane block as soon as no
+                        // dimension prefix can reach `worst` — before the
+                        // first dimension, on the stored peak bounds alone.
                         // lint: allow(no-panic) -- best.len() == target > 0, so the heap is non-empty
                         let worst = best.peek().expect("non-empty").0.log_density;
-                        // Query-independent precomputed peak bounds first:
-                        // if no entry's peak clears the bar, skip the leaf.
-                        if leaf.columns.log_norm_col().iter().all(|&p| p < worst) {
+                        if !batch::screen_densities(mode, q, &leaf.columns, worst, &mut fast) {
                             continue;
                         }
-                        batch::log_densities_upper(mode, q, &leaf.columns, &mut fast);
                         for (e, &id) in leaf.ids.iter().enumerate() {
                             if fast.upper()[e] < worst || skip(id) {
                                 continue;

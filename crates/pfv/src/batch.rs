@@ -11,11 +11,11 @@
 //! [`ColumnarLeaf`] stores the same data struct-of-arrays: one contiguous
 //! per-dimension column for the means, one for the sigmas, and one for the
 //! **precomputed variances** `σv²`. Columns are padded to a multiple of
-//! [`LANE_WIDTH`](crate::batch::LANE_WIDTH) entries with benign values so kernels can run fixed-width
-//! blocks with no scalar tail. Construction additionally precomputes
-//! `ln σv` per value and a conservative per-entry peak bound (the
-//! log-normalisation constant `Σ −ln σv − d·ln √(2π)`, rounded outward) —
-//! see [`ColumnarLeaf::ln_sigma_col`] and [`ColumnarLeaf::log_norm_col`].
+//! [`LANE_WIDTH`](crate::batch::LANE_WIDTH) entries so kernels can run fixed-width
+//! blocks with no scalar tail. Construction additionally precomputes a
+//! conservative per-entry peak bound (the log-normalisation constant
+//! `Σ −ln σv − d·ln √(2π)`, rounded outward) — see
+//! [`ColumnarLeaf::log_norm_col`].
 //!
 //! # The two kernel tiers
 //!
@@ -23,14 +23,39 @@
 //!   scalar path (contract below). This is the refinement tier: every
 //!   density that reaches a query result went through it (or through its
 //!   single-entry twin [`log_density_one`](crate::batch::log_density_one)).
-//! * [`log_densities_upper`](crate::batch::log_densities_upper) — the **fast** tier: conservative per-entry
-//!   *upper bounds* on the same densities, built from straight-line
-//!   arithmetic ([`crate::fastlog::fast_ln`], reciprocal instead of
-//!   `sqrt`+divide) that the auto-vectorizer can keep in SIMD registers.
-//!   A bound may overshoot, but it never undershoots: an entry whose bound
-//!   falls below the current candidate threshold provably cannot enter the
+//! * [`screen_densities`](crate::batch::screen_densities) — the **screen** tier: conservative per-entry
+//!   *upper bounds* on the same densities, measured against a candidate
+//!   threshold. A bound may overshoot, but it never undershoots: an entry
+//!   whose bound falls below the threshold provably cannot enter the
 //!   result, so k-MLIQ can skip its exact evaluation (the paper's
 //!   filter-refine design applied at entry granularity).
+//!   [`log_densities_upper`](crate::batch::log_densities_upper) is the same kernel with threshold `−∞`.
+//!
+//! # How the screen tier gets cheap
+//!
+//! Two facts carry it.
+//!
+//! **One `ln` per entry, not per dimension.** The log-normalisation part
+//! of a density is `−Σ_d ln s_d` with `s_d² = σv² + σq²`. Writing each
+//! `t_d = mant(t_d) · 2^exp(t_d)` gives
+//! `Σ_d ln t_d = ln Π_d mant(t_d) + ln 2 · Σ_d exp(t_d)`: per dimension
+//! the kernel only masks the mantissa out of the bit pattern, shifts the
+//! biased exponent down, multiplies and integer-adds — all of which pack
+//! into baseline SIMD — and takes a single real [`f64::ln`] per entry at
+//! the very end (the private `LnFold`; the running mantissa product is
+//! re-folded every 512 factors so it cannot overflow). The `z²` part
+//! keeps one divide per dimension.
+//!
+//! **Every dimension prefix is already a bound.** With the stored peak
+//! bound `P ≥ −Σ_d ln s_d − d·ln √(2π)` (the combined spread can only
+//! exceed σv), `P − ½·Σ_{j<d} z_j²` bounds the density from above for
+//! every prefix length `d`: the omitted `z²` terms could only lower it.
+//! So each [`LANE_WIDTH`](crate::batch::LANE_WIDTH) block of entries is checked every
+//! couple of dimensions, and abandoned as soon as no lane's
+//! prefix bound can still reach the threshold — at `d = 0` that is the
+//! query-independent peak screen. Abandoned lanes report their prefix
+//! bound, which is itself a valid (looser) upper bound, so callers see one
+//! contract whether or not a lane ran to the end.
 //!
 //! # Bit-identity contract
 //!
@@ -49,49 +74,125 @@
 //!   exactly like the scalar loop.
 //!
 //! This is also why the exact kernel keeps the per-entry `ln` and division:
-//! rewriting `-ln √(σv²+σq²)` as `-½·ln(σv²+σq²)` or multiplying by a
-//! precomputed reciprocal would be faster still but changes rounding, and
+//! rewriting `-ln √(σv²+σq²)` as `-½·ln(σv²+σq²)`, folding the logarithms
+//! or dropping the `sqrt` would be faster still but changes rounding, and
 //! the equivalence tests (and the refinement algorithms' determinism
 //! guarantees) demand exact agreement with the scalar path. Those faster
-//! rewrites are exactly what the *fast tier* does — which is why it
+//! rewrites are exactly what the *screen tier* does — which is why it
 //! produces bounds, not answers, and why the bit-identity contract lives
 //! on the refine tier.
 
 use crate::combine::CombineMode;
-use crate::fastlog::{fast_ln, FAST_LN_ABS_ERROR};
 use crate::vector::Pfv;
 use crate::LN_SQRT_2PI;
+use core::f64::consts::LN_2;
 
 /// Leaf columns are padded to a multiple of this many entries so the
-/// kernels see fixed-width blocks (a full number of 512-bit lanes of f64).
-pub const LANE_WIDTH: usize = 8;
+/// kernels see fixed-width blocks. The screen tier carries one such block
+/// through the dimensions at a time: four lanes keep its running state in
+/// registers under baseline SIMD (two f64 each) and waste at most three
+/// lanes on a ragged leaf.
+pub const LANE_WIDTH: usize = 4;
 
 /// Per-dimension outward rounding added to the precomputed peak bound
-/// ([`ColumnarLeaf::log_norm_col`]): covers the at-most-few-ulp deviation
-/// between `-0.5·ln(σ²)` over the stored (possibly rounded-up) variance
-/// and the exact kernel's `-ln s` terms. `|ln σ| ≤ 21` for any admissible
-/// σ, so true per-term rounding is `≲ 1e-14`; `1e-12` holds a 100×
-/// margin.
+/// ([`ColumnarLeaf::log_norm_col`]). It covers what separates the stored
+/// value from the real-valued `Σ −ln σv − d·ln √(2π)`: the rounding of
+/// `ln 2 · Σ exp` (relative `2⁻⁵³` of at most `709·d`, i.e. `< 8e-14` per
+/// dimension), of the final subtraction (as much again), of the mantissa
+/// product and of its one `ln`. `1e-12` holds a 5× margin.
 pub const PEAK_SLACK_PER_DIM: f64 = 1e-12;
 
-/// Relative slack of the fast-tier upper bound: the bound adds
-/// `FAST_TIER_REL_SLACK × Σ|per-dim terms|` on top of the approximate
-/// sum. The fast and exact tiers differ by a handful of roundings per
-/// term (reciprocal-vs-sqrt, changed association), each `≤ 2⁻⁵²`
-/// relative, so `1e-12` exceeds the worst accumulated deviation by more
-/// than three orders of magnitude.
-pub const FAST_TIER_REL_SLACK: f64 = 1e-12;
+/// Largest magnitude a single dimension's `−ln s − ln √(2π)` term can
+/// take: `s` ranges over `[MIN_SIGMA, f64::MAX]`, so `|ln s| ≤ 709.8`.
+/// The screen tier's absolute slack is proportional to it (see `Slack`).
+const LN_TERM_MAX: f64 = 712.0;
+
+/// The screen tier re-checks a lane block's prefix bounds after every
+/// this many dimensions.
+const CHECK_DIMS: usize = 2;
+
+/// The mantissa product of an `LnFold` is reduced back to `[1, 2)` after
+/// this many factors, each below 2 — so it stays below `2⁵¹³`.
+const REFOLD_FACTORS: usize = 512;
+
+/// Mantissa field of an IEEE-754 double.
+const MANT_MASK: u64 = (1 << 52) - 1;
+/// Exponent field of `1.0`: or-ed over a bare mantissa it yields `[1, 2)`.
+const ONE_BITS: u64 = 1023 << 52;
+
+/// `ln` of a per-lane running product of positive normal doubles, at the
+/// price of one real `ln` per lane however many factors went in:
+/// `ln Π t = ln Π mant(t) + ln 2 · Σ exp(t)`.
+///
+/// Every factor must be positive and not subnormal; `+∞` is read as
+/// `2¹⁰²⁴`, i.e. *below* its value.
+struct LnFold {
+    mant: [f64; LANE_WIDTH],
+    /// Sum of the factors' *biased* exponents.
+    exp: [u64; LANE_WIDTH],
+    /// Number of biased exponents in each `exp` lane.
+    folded: u64,
+    /// Factors multiplied into `mant` since it was last in `[1, 2)`.
+    pending: usize,
+}
+
+impl LnFold {
+    fn new() -> Self {
+        Self {
+            mant: [1.0; LANE_WIDTH],
+            exp: [0; LANE_WIDTH],
+            folded: 0,
+            pending: 0,
+        }
+    }
+
+    /// Makes room for `n ≤ REFOLD_FACTORS − 1` more [`mul`](Self::mul)
+    /// calls: reduces the mantissa products back to `[1, 2)` if `n` more
+    /// factors could take them past `2^REFOLD_FACTORS`.
+    #[inline]
+    fn reserve(&mut self, n: usize) {
+        if self.pending + n > REFOLD_FACTORS {
+            let product = std::mem::replace(&mut self.mant, [1.0; LANE_WIDTH]);
+            self.pending = 0;
+            self.mul(&product);
+        }
+    }
+
+    /// Multiplies lane `l` by `t[l]`; `t` holds [`LANE_WIDTH`] values.
+    #[inline(always)]
+    fn mul(&mut self, t: &[f64]) {
+        debug_assert_eq!(t.len(), LANE_WIDTH);
+        debug_assert!(self.pending < REFOLD_FACTORS);
+        for ((m, e), t) in self.mant.iter_mut().zip(&mut self.exp).zip(t) {
+            let bits = t.to_bits();
+            *m *= f64::from_bits(bits & MANT_MASK | ONE_BITS);
+            *e += bits >> 52;
+        }
+        self.folded += 1;
+        self.pending += 1;
+    }
+
+    /// `ln` of lane `l`'s product.
+    #[inline]
+    fn ln(&self, l: usize) -> f64 {
+        // Both operands are integers far below 2⁵³: the difference is exact.
+        #[allow(clippy::cast_precision_loss)]
+        let exp = self.exp[l] as f64 - (1023 * self.folded) as f64;
+        self.mant[l].ln() + LN_2 * exp
+    }
+}
 
 /// A struct-of-arrays view of a leaf's probabilistic feature vectors.
 ///
 /// Layout is dimension-major with a padded stride: column `d` of the means
 /// occupies `mu[d·stride .. d·stride + len]` where
 /// `stride = len.next_multiple_of(LANE_WIDTH)`; the `len..stride` tail of
-/// every column holds benign padding (`μ = 0`, `σ = σ² = 1`) that kernels
-/// may read but whose results callers must ignore. The `var` column caches
-/// `σv²` for the [`CombineMode::Convolution`] spread; the raw `sigma`
-/// column serves [`CombineMode::AdditiveSigma`]; `ln_sigma` and the
-/// per-entry `log_norm` peak bound serve the fast tier.
+/// every column repeats the leaf's last entry, so a padding lane behaves
+/// like a twin of a real entry: kernels may read it, it can never outlive
+/// that entry in a screen, and callers must ignore its results. The `var`
+/// column caches `σv²` for the [`CombineMode::Convolution`] spread; the raw
+/// `sigma` column serves [`CombineMode::AdditiveSigma`]; the per-entry
+/// `log_norm` peak bound serves the screen tier.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarLeaf {
     len: usize,
@@ -100,14 +201,13 @@ pub struct ColumnarLeaf {
     mu: Box<[f64]>,
     sigma: Box<[f64]>,
     var: Box<[f64]>,
-    ln_sigma: Box<[f64]>,
     log_norm: Box<[f64]>,
 }
 
 impl ColumnarLeaf {
     /// Transposes `vs` into columnar form, padding each column to a
-    /// [`LANE_WIDTH`] multiple and precomputing `σv²`, `ln σv` and the
-    /// per-entry peak bound.
+    /// [`LANE_WIDTH`] multiple and precomputing `σv²` and the per-entry
+    /// peak bound.
     ///
     /// # Panics
     /// Panics if any pfv's dimensionality differs from `dims`.
@@ -116,24 +216,41 @@ impl ColumnarLeaf {
         let len = vs.len();
         let stride = len.next_multiple_of(LANE_WIDTH);
         let mut mu = vec![0.0f64; dims * stride].into_boxed_slice();
-        let mut sigma = vec![1.0f64; dims * stride].into_boxed_slice();
-        let mut var = vec![1.0f64; dims * stride].into_boxed_slice();
-        let mut ln_sigma = vec![0.0f64; dims * stride].into_boxed_slice();
-        let mut log_norm = vec![f64::NEG_INFINITY; stride].into_boxed_slice();
-        #[allow(clippy::cast_precision_loss)] // dims is a small page fan-in
-        let norm_base = dims as f64 * (PEAK_SLACK_PER_DIM - LN_SQRT_2PI);
+        let mut sigma = vec![0.0f64; dims * stride].into_boxed_slice();
+        let mut var = vec![0.0f64; dims * stride].into_boxed_slice();
+        let mut log_norm = vec![0.0f64; stride].into_boxed_slice();
         for (e, v) in vs.enumerate() {
             assert_eq!(v.dims(), dims, "dimensionality mismatch in leaf");
-            let mut norm = norm_base;
             for (d, (&m, &s)) in v.means().iter().zip(v.sigmas().iter()).enumerate() {
                 mu[d * stride + e] = m;
                 sigma[d * stride + e] = s;
                 var[d * stride + e] = s * s;
-                let ls = s.ln();
-                ln_sigma[d * stride + e] = ls;
-                norm -= ls;
             }
-            log_norm[e] = norm;
+        }
+        if len > 0 {
+            for col in [&mut mu, &mut sigma, &mut var] {
+                for col in col.chunks_exact_mut(stride) {
+                    let last = col[len - 1];
+                    col[len..].fill(last);
+                }
+            }
+        }
+        // Peak bounds, a lane block at a time: Σ_d ln σ through one `ln`
+        // per entry.
+        #[allow(clippy::cast_precision_loss)] // dims is a small page fan-in
+        let norm_base = dims as f64 * (PEAK_SLACK_PER_DIM - LN_SQRT_2PI);
+        for (base, norm) in (0..stride)
+            .step_by(LANE_WIDTH)
+            .zip(log_norm.chunks_exact_mut(LANE_WIDTH))
+        {
+            let mut ln_sigma = LnFold::new();
+            for col in sigma.chunks_exact(stride) {
+                ln_sigma.reserve(1);
+                ln_sigma.mul(&col[base..base + LANE_WIDTH]);
+            }
+            for (l, n) in norm.iter_mut().enumerate() {
+                *n = norm_base - ln_sigma.ln(l);
+            }
         }
         Self {
             len,
@@ -142,7 +259,6 @@ impl ColumnarLeaf {
             mu,
             sigma,
             var,
-            ln_sigma,
             log_norm,
         }
     }
@@ -169,7 +285,7 @@ impl ColumnarLeaf {
     }
 
     /// Column length including the lane padding (a [`LANE_WIDTH`]
-    /// multiple) — the size fast-tier scratch buffers must have.
+    /// multiple) — the length of [`FastScratch::upper`] after a screen.
     #[inline]
     #[must_use]
     pub fn padded_len(&self) -> usize {
@@ -199,36 +315,16 @@ impl ColumnarLeaf {
         &self.var[d * self.stride..d * self.stride + self.len]
     }
 
-    /// The contiguous precomputed `ln σ` column of dimension `d` (padding
-    /// excluded). Computed with `f64::ln` at construction.
-    #[inline]
-    #[must_use]
-    pub fn ln_sigma_col(&self, d: usize) -> &[f64] {
-        &self.ln_sigma[d * self.stride..d * self.stride + self.len]
-    }
-
     /// Per-entry conservative **peak bound**: index `e` holds
-    /// `Σ_d −ln σv − d·ln √(2π) + d·`[`PEAK_SLACK_PER_DIM`] — an upper
-    /// bound on `ln p(q|v)` for *any* query (the combined spread can only
-    /// exceed σv, under either [`CombineMode`]). Query-independent, so a
-    /// single comparison screens an entry before any kernel work.
-    /// Padding lanes hold `-inf` (an absent entry can never qualify).
+    /// `Σ_d −ln σv − d·ln √(2π) + d·`[`PEAK_SLACK_PER_DIM`], never below
+    /// the real-valued sum — an upper bound on `ln p(q|v)` for *any* query
+    /// (the combined spread can only exceed σv, under either
+    /// [`CombineMode`]). Query-independent: it is the screen tier's bound
+    /// before the first dimension.
     #[inline]
     #[must_use]
     pub fn log_norm_col(&self) -> &[f64] {
         &self.log_norm[..self.len]
-    }
-
-    fn mu_padded(&self, d: usize) -> &[f64] {
-        &self.mu[d * self.stride..(d + 1) * self.stride]
-    }
-
-    fn sigma_padded(&self, d: usize) -> &[f64] {
-        &self.sigma[d * self.stride..(d + 1) * self.stride]
-    }
-
-    fn var_padded(&self, d: usize) -> &[f64] {
-        &self.var[d * self.stride..(d + 1) * self.stride]
     }
 
     /// Reassembles entry `e` as a [`Pfv`] (diagnostics / round-trip tests;
@@ -321,12 +417,11 @@ pub fn log_density_one(mode: CombineMode, q: &Pfv, leaf: &ColumnarLeaf, e: usize
     acc
 }
 
-/// Reusable scratch for [`log_densities_upper`] (one per query loop; the
-/// buffers grow to the largest leaf seen and are then reused).
+/// Reusable output buffer of the screen tier (one per query loop; it
+/// grows to the largest leaf seen and is then reused).
 #[derive(Debug, Clone, Default)]
 pub struct FastScratch {
-    acc: Vec<f64>,
-    mag: Vec<f64>,
+    bounds: Vec<f64>,
 }
 
 impl FastScratch {
@@ -336,102 +431,204 @@ impl FastScratch {
         Self::default()
     }
 
-    /// The bounds computed by the last [`log_densities_upper`] call:
-    /// index `e < leaf.len()` holds a value `hi` with the guarantee
-    /// `!(hi < exact)` — either a finite conservative upper bound on the
-    /// exact log density, or NaN when the magnitudes overflowed (NaN
-    /// compares false, so a `hi < threshold` screen never skips such an
-    /// entry). Padding lanes hold meaningless values.
+    /// The bounds computed by the last [`screen_densities`] /
+    /// [`log_densities_upper`] call: index `e < leaf.len()` holds a value
+    /// `hi` with the guarantee `!(hi < exact)` — either a finite
+    /// conservative upper bound on the exact log density, or NaN when the
+    /// `z²` sum overflowed (NaN compares false, so a `hi < threshold`
+    /// screen never skips such an entry). Padding lanes hold meaningless
+    /// values.
     #[must_use]
     pub fn upper(&self) -> &[f64] {
-        &self.acc
+        &self.bounds
     }
 }
 
-/// The fast tier: computes, for every entry of `leaf`, a **conservative
-/// upper bound** on `ln p(q|v)` — never below the exact kernel's value —
-/// using straight-line vectorisable arithmetic.
+/// The two slack terms that make a screen-tier bound conservative against
+/// the *floating-point* result of the exact kernel, for one
+/// dimensionality. With `u = 2⁻⁵³`:
 ///
-/// Per dimension the bound evaluates the same mathematical term as the
-/// exact kernel but with `-½·fast_ln(σv²+σq²)` in place of
-/// `-ln √(σv²+σq²)` and a reciprocal multiply in place of the division
-/// (for [`CombineMode::AdditiveSigma`], `fast_ln(σv+σq)` in place of
-/// `ln`). Conservativeness comes from three mechanisms, each of which can
-/// only *raise* the bound or disable the screen:
+/// * the exact kernel sums `d` terms `a_j − ½z_j²` recursively, so its
+///   result is within `(d + c)·u·Σ(|a_j| + ½z_j²)` of the real-valued sum
+///   (`c ≈ 6` covers each term's own `sqrt`, divide, `ln` and
+///   multiplies);
+/// * the screen's `Σ z²` (one divide, one multiply, `d − 1` adds) is
+///   within `(d + 2)·u` relative of the real-valued one, its folded `ln`
+///   part within `4u·d·`[`LN_TERM_MAX`], and assembling a bound — or
+///   the rearranged comparison of the block check — costs four more
+///   roundings.
 ///
-/// * an additive `dims ×` [`FAST_LN_ABS_ERROR`] term covers the pinned
-///   polynomial error of every [`fast_ln`] call;
-/// * a relative [`FAST_TIER_REL_SLACK`] `× Σ|terms|` term covers the
-///   few-ulp rounding divergence between the two expression trees
-///   (reciprocal vs sqrt-divide, different association), with orders of
-///   magnitude of margin;
-/// * overflow safety: the `ln` argument is clamped to `f64::MAX` (the
-///   exact term would be `-inf`, so a finite bound is conservative), a
-///   `z²` that overflows to `+inf` drives the magnitude accumulator to
-///   `+inf` and the final bound to NaN — and NaN fails every
-///   `hi < threshold` comparison, so the entry is refined exactly rather
-///   than skipped. Underflow in the reciprocal path only shrinks `z²`,
-///   which raises the bound.
-///
-/// Results land in `scratch` (see [`FastScratch::upper`]); the scratch is
-/// resized to [`ColumnarLeaf::padded_len`] and the kernel runs over full
-/// padded lanes, so the entry-inner loop has no tail.
+/// Bounding `Σ|a_j| ≤ d·`[`LN_TERM_MAX`], a relative slack
+/// `ρ = (2d + 16)·u` on `½Σz²` and an absolute slack
+/// `ρ·d·`[`LN_TERM_MAX`] dominate all of it with room to spare. The
+/// absolute term is `3e-11` at `d = 10` and `2e-10` at `d = 27` — far
+/// below any density gap worth screening on.
+#[derive(Clone, Copy)]
+struct Slack {
+    abs: f64,
+    half_rel: f64,
+}
+
+impl Slack {
+    fn new(dims: usize) -> Self {
+        #[allow(clippy::cast_precision_loss)] // dims is a small page fan-in
+        let d = dims as f64;
+        let rel = (d + 8.0) * f64::EPSILON;
+        Self {
+            abs: rel * d * LN_TERM_MAX,
+            half_rel: 0.5 * rel,
+        }
+    }
+
+    /// How far a `z2 = Σ z²` over any prefix of the dimensions is sure to
+    /// pull a density down: `½·z2`, less the relative slack. An overflowed
+    /// `z2 = +∞` yields `∞ − ∞ =` NaN, which fails every comparison.
+    #[inline(always)]
+    fn fall(self, z2: f64) -> f64 {
+        0.5 * z2 - self.half_rel * z2
+    }
+
+    /// The bound from an upper bound `ln_part` on `Σ_j a_j` and the
+    /// screen's `z2`; NaN if `z2` overflowed, which keeps the entry.
+    #[inline(always)]
+    fn bound(self, ln_part: f64, z2: f64) -> f64 {
+        (ln_part + self.abs) - self.fall(z2)
+    }
+}
+
+/// The screen tier with no threshold: computes, for every entry of `leaf`,
+/// a **conservative upper bound** on `ln p(q|v)` — never below the exact
+/// kernel's value. This is [`screen_densities`] with threshold `−∞`, so no
+/// lane is abandoned and every bound carries the entry's own `ln` part.
 ///
 /// # Panics
 /// Panics if `q.dims() != leaf.dims()`.
 pub fn log_densities_upper(mode: CombineMode, q: &Pfv, leaf: &ColumnarLeaf, out: &mut FastScratch) {
+    screen_densities(mode, q, leaf, f64::NEG_INFINITY, out);
+}
+
+/// The screen tier: bounds `ln p(q|v)` from above for every entry of
+/// `leaf`, doing only as much work per [`LANE_WIDTH`] block as it takes to
+/// show that none of its lanes can reach `threshold`. Returns `false` only
+/// if that was shown for every block, i.e. every entry's exact density is
+/// below `threshold`.
+///
+/// Results land in `out` (see [`FastScratch::upper`]), resized to
+/// [`ColumnarLeaf::padded_len`]. Every reported bound `hi` satisfies
+/// `!(hi < exact)`, so `hi < threshold` proves `exact < threshold`:
+///
+/// * a block starts from the stored peak bounds and subtracts `½·Σ z²`
+///   dimension by dimension; after every couple of dimensions it stops if
+///   every lane has fallen below `threshold`, and its lanes report that
+///   prefix bound. The omitted terms are `≤ 0`, so a prefix bound is a
+///   bound (module docs);
+/// * lanes that survive every dimension swap the peak for their own
+///   `−½·ln Π(σv²+σq²) − d·ln √(2π)` (for
+///   [`CombineMode::AdditiveSigma`], `−ln Π(σv+σq)`), taken through one
+///   `ln` per entry;
+/// * rounding: the private `Slack` terms cover every divergence
+///   between this expression tree and the exact kernel's;
+/// * overflow: a spread that overflows to `+∞` is read as `2¹⁰²⁴` (the
+///   exact term is `−∞`, so any finite bound is conservative) and its
+///   `z²` becomes 0; a `z²` sum that overflows turns the bound NaN, which
+///   fails every `<` comparison — the entry is refined exactly rather
+///   than skipped. Underflow only shrinks `z²`, which raises the bound.
+///
+/// # Panics
+/// Panics if `q.dims() != leaf.dims()`.
+pub fn screen_densities(
+    mode: CombineMode,
+    q: &Pfv,
+    leaf: &ColumnarLeaf,
+    threshold: f64,
+    out: &mut FastScratch,
+) -> bool {
     assert_eq!(q.dims(), leaf.dims(), "dimensionality mismatch");
-    let stride = leaf.padded_len();
-    out.acc.clear();
-    out.acc.resize(stride, 0.0);
-    out.mag.clear();
-    out.mag.resize(stride, 0.0);
-    for d in 0..leaf.dims() {
-        let (mq, sq) = q.component(d);
-        let mu = leaf.mu_padded(d);
-        match mode {
-            CombineMode::Convolution => {
-                let sq2 = sq * sq;
-                let var = leaf.var_padded(d);
-                for ((a, g), (&m, &va)) in out
-                    .acc
+    // Every lane is written below, so stale contents need no clearing.
+    out.bounds.resize(leaf.padded_len(), 0.0);
+    match mode {
+        CombineMode::Convolution => screen::<true>(q, leaf, threshold, &mut out.bounds),
+        CombineMode::AdditiveSigma => screen::<false>(q, leaf, threshold, &mut out.bounds),
+    }
+}
+
+/// The one screen-kernel body; `CONVOLUTION` picks the spread column and
+/// how `z²` and the `ln` part derive from `t = spread ⊕ query spread`.
+fn screen<const CONVOLUTION: bool>(
+    q: &Pfv,
+    leaf: &ColumnarLeaf,
+    threshold: f64,
+    out: &mut [f64],
+) -> bool {
+    let stride = leaf.stride;
+    let spread = if CONVOLUTION { &leaf.var } else { &leaf.sigma };
+    let ln_scale = if CONVOLUTION { 0.5 } else { 1.0 };
+    #[allow(clippy::cast_precision_loss)] // dims is a small page fan-in
+    let norm_base = -(leaf.dims as f64) * LN_SQRT_2PI;
+    let slack = Slack::new(leaf.dims);
+    let mut all_below = true;
+    for ((base, peak), out) in (0..stride)
+        .step_by(LANE_WIDTH)
+        .zip(leaf.log_norm.chunks_exact(LANE_WIDTH))
+        .zip(out.chunks_exact_mut(LANE_WIDTH))
+    {
+        // How far each lane's peak bound lies above the threshold: the
+        // lane is out once `slack.fall(z2)` exceeds it. Against `−∞` the
+        // gap is `+∞` and nothing ever does.
+        let mut gap = [0.0f64; LANE_WIDTH];
+        for (g, &p) in gap.iter_mut().zip(peak) {
+            *g = (p + slack.abs) - threshold;
+        }
+        let mut ln_t = LnFold::new();
+        let mut z2 = [0.0f64; LANE_WIDTH];
+        let mut columns = (leaf.mu.chunks_exact(stride))
+            .zip(spread.chunks_exact(stride))
+            .zip(q.means().iter().zip(q.sigmas()));
+        let mut left = leaf.dims;
+        let dead = loop {
+            let mut dead = true;
+            for (&g, &z) in gap.iter().zip(&z2) {
+                dead &= slack.fall(z) > g;
+            }
+            if dead || left == 0 {
+                for ((o, &p), &z) in out.iter_mut().zip(peak).zip(&z2) {
+                    *o = slack.bound(p, z);
+                }
+                break dead;
+            }
+            ln_t.reserve(CHECK_DIMS);
+            for ((mu, spread), (&mq, &sq)) in columns.by_ref().take(CHECK_DIMS) {
+                let qs = if CONVOLUTION { sq * sq } else { sq };
+                let mut t = [0.0f64; LANE_WIDTH];
+                for (((t, z), &m), &s) in t
                     .iter_mut()
-                    .zip(out.mag.iter_mut())
-                    .zip(mu.iter().zip(var))
+                    .zip(&mut z2)
+                    .zip(&mu[base..base + LANE_WIDTH])
+                    .zip(&spread[base..base + LANE_WIDTH])
                 {
-                    let t = (va + sq2).min(f64::MAX);
-                    let l = 0.5 * fast_ln(t) + LN_SQRT_2PI;
-                    let u = 1.0 / t;
+                    *t = s + qs;
                     let dm = mq - m;
-                    let z2h = 0.5 * ((dm * u) * dm);
-                    *a -= l + z2h;
-                    *g += l.abs() + z2h;
+                    let r = dm / *t;
+                    *z += r * if CONVOLUTION { dm } else { r };
                 }
+                ln_t.mul(&t);
             }
-            CombineMode::AdditiveSigma => {
-                let sigma = leaf.sigma_padded(d);
-                for ((a, g), (&m, &sv)) in out
-                    .acc
-                    .iter_mut()
-                    .zip(out.mag.iter_mut())
-                    .zip(mu.iter().zip(sigma))
-                {
-                    let t = (sv + sq).min(f64::MAX);
-                    let l = fast_ln(t) + LN_SQRT_2PI;
-                    let u = 1.0 / t;
-                    let zq = (mq - m) * u;
-                    let z2h = 0.5 * (zq * zq);
-                    *a -= l + z2h;
-                    *g += l.abs() + z2h;
-                }
+            left = left.saturating_sub(CHECK_DIMS);
+        };
+        if dead {
+            continue;
+        }
+        // Every dimension is in. A lane whose prefix bound is out keeps it
+        // and pays no `ln`; the others swap the peak for their own ln part.
+        for (l, (o, &z)) in out.iter_mut().zip(&z2).enumerate() {
+            if *o < threshold {
+                continue;
             }
+            *o = slack.bound(norm_base - ln_scale * ln_t.ln(l), z);
+            all_below &= *o < threshold;
         }
     }
-    #[allow(clippy::cast_precision_loss)] // dims is a small page fan-in
-    let abs_slack = leaf.dims() as f64 * FAST_LN_ABS_ERROR;
-    for (a, &g) in out.acc.iter_mut().zip(out.mag.iter()) {
-        *a += abs_slack + FAST_TIER_REL_SLACK * g;
-    }
+    !all_below
 }
 
 #[cfg(test)]
@@ -459,6 +656,48 @@ mod tests {
     }
 
     #[test]
+    fn ln_fold_matches_the_sum_of_lns_across_refolds() {
+        // Mantissas just below 2 overflow an unreduced product after 1024
+        // factors; exponents sweep the whole normal range and +∞.
+        let mut fold = LnFold::new();
+        let mut want = [0.0f64; LANE_WIDTH];
+        for i in 0..3000i32 {
+            let mut t = [0.0f64; LANE_WIDTH];
+            for (l, (t, w)) in t.iter_mut().zip(&mut want).enumerate() {
+                let mant = 2.0 - f64::from(1 + l as i32) * 1e-3;
+                *t = mant * 2f64.powi((i * 37 + l as i32 * 101) % 2040 - 1020);
+                *w += t.ln();
+            }
+            fold.reserve(1);
+            fold.mul(&t);
+        }
+        for (l, &w) in want.iter().enumerate() {
+            assert!(
+                (fold.ln(l) - w).abs() <= 1e-12 * w.abs().max(1.0),
+                "lane {l}"
+            );
+        }
+        let mut fold = LnFold::new();
+        fold.mul(&[f64::INFINITY; LANE_WIDTH]);
+        assert_eq!(fold.ln(0), 1024.0 * LN_2);
+    }
+
+    #[test]
+    fn padding_lanes_repeat_the_last_entry() {
+        let (vs, leaf) = sample_leaf(3, 5, 31);
+        let last = &vs[4];
+        for d in 0..3 {
+            let at = d * leaf.padded_len();
+            for e in 5..leaf.padded_len() {
+                assert_eq!(leaf.mu[at + e], last.means()[d]);
+                assert_eq!(leaf.sigma[at + e], last.sigmas()[d]);
+                assert_eq!(leaf.var[at + e], leaf.var[at + 4]);
+            }
+        }
+        assert!(leaf.log_norm[5..].iter().all(|&p| p == leaf.log_norm[4]));
+    }
+
+    #[test]
     fn columns_are_a_transpose() {
         let (vs, leaf) = sample_leaf(4, 7, 99);
         assert_eq!(leaf.len(), 7);
@@ -468,7 +707,6 @@ mod tests {
                 assert_eq!(leaf.mu_col(d)[e], v.means()[d]);
                 assert_eq!(leaf.sigma_col(d)[e], v.sigmas()[d]);
                 assert_eq!(leaf.var_col(d)[e], v.sigmas()[d] * v.sigmas()[d]);
-                assert_eq!(leaf.ln_sigma_col(d)[e], v.sigmas()[d].ln());
             }
             assert_eq!(leaf.pfv(e), *v);
         }
@@ -486,7 +724,6 @@ mod tests {
                 assert_eq!(leaf.mu_col(d).len(), n);
                 assert_eq!(leaf.sigma_col(d).len(), n);
                 assert_eq!(leaf.var_col(d).len(), n);
-                assert_eq!(leaf.ln_sigma_col(d).len(), n);
             }
             assert_eq!(leaf.log_norm_col().len(), n);
         }

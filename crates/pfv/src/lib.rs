@@ -24,8 +24,8 @@
 //!   vectorized Lemma-1 kernels: the exact batch kernel
 //!   [`batch::log_densities`] (bit-identical to the scalar path — the
 //!   *refine* tier) and the conservative-bounds kernel
-//!   [`batch::log_densities_upper`] (the *fast* tier, built on
-//!   [`fastlog`]);
+//!   [`batch::screen_densities`] (the *screen* tier: one `ln` per entry,
+//!   abandoned as soon as a dimension prefix rules a lane block out);
 //! * [`quant`] — checked `f64 → f32` quantisation for compressed leaves
 //!   and the outward-rounded hull correction that keeps pruning over
 //!   quantised parameters conservative.
@@ -44,8 +44,6 @@ pub mod bayes;
 pub mod combine;
 /// Distributional distance measures between Gaussians.
 pub mod divergence;
-/// Vectorisable `ln` approximation for the fast density tier.
-pub mod fastlog;
 /// Univariate Gaussian parameters and densities.
 pub mod gaussian;
 /// Piecewise hull bounds on the Gaussian density term.

@@ -18,10 +18,11 @@ Gating rules (see README "Performance tracking"):
   more than the threshold above the baseline;
 * within the PR file alone, the batched kernel must beat the scalar one
   (``kernel_bench.batched_ns_per_entry < kernel_bench.scalar_ns_per_entry``)
-  — the whole point of the columnar path — and the fast screen tier must
-  beat the batched kernel at the paper's two dimensionalities
-  (``kernel_bench.d10.fast_ns_per_entry < …d10.batched_ns_per_entry``,
-  same at ``d27``);
+  — the whole point of the columnar path — and the fast screen tier, at
+  its full no-threshold price, must cost at most half the batched kernel
+  at the paper's two dimensionalities
+  (``kernel_bench.d10.fast_ns_per_entry <= 0.5 x …d10.batched_ns_per_entry``,
+  same at ``d27``; a same-machine ratio, so it gates robustly);
 * within the PR file alone, the quantised leaf format must earn its keep:
   fewer physical page reads than the exact format on the fig7-style
   datapoint (``kernel_bench.quantised_physical_reads <
@@ -55,6 +56,11 @@ import argparse
 import json
 import os
 import sys
+
+
+# The fast screen tier may cost at most this share of the batched exact
+# kernel (kernel_bench, d10 and d27).
+FAST_TIER_MAX_SHARE = 0.5
 
 
 def flatten(obj, prefix=""):
@@ -173,23 +179,25 @@ def cmd_compare(args):
             f"scalar {scalar:.2f} ns/entry ({scalar / batched:.2f}x)"
         )
 
-    # The fast screen tier must beat the exact batched kernel at both of
-    # the paper's dimensionalities (data set 2: d=10, data set 1: d=27) —
-    # otherwise the two-tier screen is pure overhead.
+    # The fast screen tier — one divide per dimension, one ln per entry —
+    # must cost at most half the exact batched kernel at both of the
+    # paper's dimensionalities (data set 2: d=10, data set 1: d=27), even
+    # with no threshold to abandon on. A same-machine ratio.
     for d in ("d10", "d27"):
         fast = require(pr, f"kernel_bench.{d}.fast_ns_per_entry", args.pr)
         batched_d = require(pr, f"kernel_bench.{d}.batched_ns_per_entry", args.pr)
         if fast is None or batched_d is None:
             pass
-        elif not fast < batched_d:
+        elif not fast <= FAST_TIER_MAX_SHARE * batched_d:
             failures.append(
-                f"fast screen tier does not beat the batched kernel at {d}: "
+                f"fast screen tier costs more than {FAST_TIER_MAX_SHARE:.0%} of "
+                f"the batched kernel at {d}: "
                 f"{fast:.2f} ns/entry vs {batched_d:.2f} ns/entry"
             )
         else:
             print(
                 f"kernel invariant ok ({d}): fast tier {fast:.2f} ns/entry "
-                f"beats batched {batched_d:.2f} ({batched_d / fast:.2f}x)"
+                f"is {fast / batched_d:.0%} of batched {batched_d:.2f}"
             )
 
     # The quantised leaf format must pay off in the paper's fig7 metric:

@@ -1,4 +1,4 @@
-//! Property-based bit-identity of the batched columnar kernel.
+//! Property-based contracts of the columnar leaf kernels.
 //!
 //! The columnar read path (`pfv::batch::log_densities`, the fused hull
 //! sweep, the tree's decoded-node cache) promises results **bit-identical**
@@ -6,12 +6,21 @@
 //! contract down across random databases, both [`CombineMode`]s, and
 //! underflow-to-`-inf` regimes — any reassociation or "faster math" snuck
 //! into the kernel fails here immediately.
+//!
+//! The screen tier (`pfv::batch::screen_densities`) promises the opposite
+//! kind of thing: bounds, not answers. Its properties are that no bound
+//! ever compares below the exact density, that nothing it drops — a lane,
+//! a block or a whole leaf — could have reached the threshold, and that
+//! k-MLIQ through it returns exactly what brute force returns.
 
-use gausstree::pfv::batch::{log_densities, ColumnarLeaf};
+use gausstree::pfv::batch::{
+    log_densities, log_densities_upper, screen_densities, ColumnarLeaf, FastScratch, LANE_WIDTH,
+};
 use gausstree::pfv::{combine, CombineMode, ParamRect, Pfv};
-use gausstree::storage::{AccessStats, BufferPool, MemStore};
+use gausstree::storage::{AccessStats, BufferPool, MemStore, DEFAULT_PAGE_SIZE};
 use gausstree::tree::ReadView;
 use gausstree::tree::{GaussTree, TreeConfig};
+use gausstree::workloads::{generate_queries, uniform_dataset, SigmaSpec};
 use proptest::prelude::*;
 
 const MODES: [CombineMode; 2] = [CombineMode::Convolution, CombineMode::AdditiveSigma];
@@ -41,6 +50,230 @@ fn leaf_and_query(
             (leaf, Pfv::new(q.0, q.1).unwrap())
         })
     })
+}
+
+/// Where the query of a screen case sits relative to the leaf.
+#[derive(Debug, Clone, Copy)]
+enum QueryAt {
+    /// A re-observation of one entry, a few σ away.
+    Near,
+    /// Anywhere in the leaf's bounding box.
+    Far,
+    /// Every mean at `1e200`: `z²` overflows against ordinary entries.
+    Astronomic,
+}
+
+/// Strategy: a ragged leaf and a query for the screen tier. `dims` covers
+/// the tiny, the paper's two, a wide one and one past the 512-factor
+/// re-fold of the mantissa product; σ is log-uniform over a case-chosen
+/// slice of `[1e-9, 1e150]`; means live on a case-chosen scale.
+fn screen_case() -> impl Strategy<Value = (Vec<Pfv>, Pfv)> {
+    let dims = prop_oneof![
+        3 => Just(1usize), 3 => Just(2usize), 3 => Just(10usize),
+        3 => Just(27usize), 2 => Just(64usize), 1 => Just(600usize),
+    ];
+    let sigma_decades = prop_oneof![
+        Just((-9.0, 150.0)),
+        Just((-2.5, 0.5)),
+        Just((-9.0, -6.0)),
+        Just((100.0, 150.0)),
+    ];
+    let mean_scale = prop_oneof![Just(1.0), Just(1e4), Just(1e155), Just(1e200)];
+    let query_at = prop_oneof![
+        3 => Just(QueryAt::Near), 3 => Just(QueryAt::Far), 1 => Just(QueryAt::Astronomic),
+    ];
+    (dims, sigma_decades, mean_scale, query_at, 1usize..=21).prop_flat_map(
+        |(dims, (lo, hi), scale, at, n)| {
+            let pfv = move || {
+                (
+                    prop::collection::vec(-1.0..1.0f64, dims),
+                    prop::collection::vec(lo..hi, dims),
+                )
+            };
+            (prop::collection::vec(pfv(), n), pfv(), 0..n).prop_map(move |(vs, q, pick)| {
+                let build = |(m, s): &(Vec<f64>, Vec<f64>)| {
+                    let means: Vec<f64> = m.iter().map(|x| x * scale).collect();
+                    let sigmas: Vec<f64> = s.iter().map(|&x| 10f64.powf(x)).collect();
+                    Pfv::new(means, sigmas).unwrap()
+                };
+                let leaf: Vec<Pfv> = vs.iter().map(build).collect();
+                let drawn = build(&q);
+                let means: Vec<f64> = match at {
+                    QueryAt::Far => drawn.means().to_vec(),
+                    QueryAt::Astronomic => vec![1e200; dims],
+                    QueryAt::Near => {
+                        let (mu, sigma) = (leaf[pick].means(), leaf[pick].sigmas());
+                        (mu.iter().zip(sigma).zip(&q.0))
+                            .map(|((m, s), x)| m + 3.0 * s * x)
+                            .collect()
+                    }
+                };
+                (leaf, Pfv::new(means, drawn.sigmas().to_vec()).unwrap())
+            })
+        },
+    )
+}
+
+/// The screen contract `!(hi < want)`: a NaN on either side never compares
+/// below.
+fn never_below(hi: f64, want: f64) -> bool {
+    hi.is_nan() || want.is_nan() || hi >= want
+}
+
+/// Thresholds worth screening `exact` against: each density itself, a
+/// hair above and below it, and the ends of the line.
+fn thresholds(exact: &[f64]) -> Vec<f64> {
+    let mut out = vec![f64::NEG_INFINITY, f64::INFINITY, f64::MAX, f64::MIN, 0.0];
+    for &x in exact {
+        out.extend([x, x + 1e-9 * (1.0 + x.abs()), x - 1e-9 * (1.0 + x.abs())]);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// No screen-tier bound ever compares below the exact density — with
+    /// or without a threshold, whether the lane ran to its own `ln` or was
+    /// abandoned on a dimension prefix — and a leaf the screen reports
+    /// empty holds nothing that reaches the threshold.
+    #[test]
+    fn screen_never_drops_what_reaches_the_threshold((leaf, q) in screen_case()) {
+        let columnar = ColumnarLeaf::from_pfvs(q.dims(), leaf.iter());
+        let mut exact = vec![0.0f64; leaf.len()];
+        let mut fast = FastScratch::new();
+        for mode in MODES {
+            log_densities(mode, &q, &columnar, &mut exact);
+            log_densities_upper(mode, &q, &columnar, &mut fast);
+            prop_assert_eq!(fast.upper().len(), columnar.padded_len());
+            for (e, &want) in exact.iter().enumerate() {
+                let hi = fast.upper()[e];
+                prop_assert!(never_below(hi, want), "bound {hi} under exact {want} (entry {e}, {mode:?})");
+            }
+            for threshold in thresholds(&exact) {
+                let alive = screen_densities(mode, &q, &columnar, threshold, &mut fast);
+                for (e, &want) in exact.iter().enumerate() {
+                    let hi = fast.upper()[e];
+                    prop_assert!(never_below(hi, want), "bound {hi} under exact {want} (entry {e}, {mode:?})");
+                    if !alive || hi < threshold {
+                        prop_assert!(
+                            want < threshold,
+                            "dropped entry {e} with exact {want} at threshold {threshold} ({mode:?})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Padding lanes never keep a leaf alive: a ragged leaf screens exactly
+    /// like the same leaf filled up to the lane width with real copies of
+    /// its last entry — same bounds for the shared entries, same verdict.
+    #[test]
+    fn padding_lanes_never_keep_a_leaf_alive((leaf, q) in screen_case()) {
+        let mut filled = leaf.clone();
+        filled.resize(leaf.len().next_multiple_of(LANE_WIDTH), leaf[leaf.len() - 1].clone());
+        let ragged = ColumnarLeaf::from_pfvs(q.dims(), leaf.iter());
+        let full = ColumnarLeaf::from_pfvs(q.dims(), filled.iter());
+        let mut exact = vec![0.0f64; leaf.len()];
+        let (mut fr, mut ff) = (FastScratch::new(), FastScratch::new());
+        for mode in MODES {
+            log_densities(mode, &q, &ragged, &mut exact);
+            for threshold in thresholds(&exact) {
+                let alive_ragged = screen_densities(mode, &q, &ragged, threshold, &mut fr);
+                let alive_full = screen_densities(mode, &q, &full, threshold, &mut ff);
+                prop_assert_eq!(alive_ragged, alive_full);
+                for e in 0..leaf.len() {
+                    prop_assert_eq!(fr.upper()[e].to_bits(), ff.upper()[e].to_bits());
+                }
+            }
+        }
+    }
+}
+
+/// The screen must actually screen: on an ordinary leaf a threshold above
+/// every density empties the leaf, one below every density keeps it, and a
+/// leaf of far-away entries is left on the peak bounds or a short prefix.
+#[test]
+fn screen_abandons_whole_leaves() {
+    let dataset = uniform_dataset(37, 10, SigmaSpec::log_uniform(0.005, 0.3), 11);
+    let leaf = ColumnarLeaf::from_pfvs(10, dataset.objects.iter());
+    let q = generate_queries(&dataset, 1, SigmaSpec::uniform(0.01, 0.02), 3)
+        .remove(0)
+        .query;
+    let mut exact = vec![0.0f64; leaf.len()];
+    let mut fast = FastScratch::new();
+    for mode in MODES {
+        log_densities(mode, &q, &leaf, &mut exact);
+        let best = exact.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let worst = exact.iter().copied().fold(f64::INFINITY, f64::min);
+        assert!(!screen_densities(mode, &q, &leaf, best + 1.0, &mut fast));
+        assert!(fast.upper()[..leaf.len()].iter().all(|&hi| hi < best + 1.0));
+        assert!(screen_densities(mode, &q, &leaf, worst, &mut fast));
+        assert!(fast.upper()[..leaf.len()].iter().all(|&hi| hi >= worst));
+        // At the best density exactly, its entry survives (ties refine).
+        assert!(screen_densities(mode, &q, &leaf, best, &mut fast));
+        let kept = (0..leaf.len()).filter(|&e| fast.upper()[e] >= best).count();
+        assert!(
+            (1..leaf.len()).contains(&kept),
+            "kept {kept} of {}",
+            leaf.len()
+        );
+    }
+}
+
+/// Entries and query both at `1e200`: every real lane is finite and a
+/// `+∞` threshold rules it out, so the leaf must come back empty however
+/// the padding lanes of the ragged tail fare against that query.
+#[test]
+fn astronomic_leaf_with_ragged_tail_is_still_abandoned() {
+    let vs: Vec<Pfv> = (0..5)
+        .map(|i| Pfv::new(vec![1e200 + f64::from(i) * 1e185; 3], vec![1e184; 3]).unwrap())
+        .collect();
+    let leaf = ColumnarLeaf::from_pfvs(3, vs.iter());
+    let q = Pfv::new(vec![1e200; 3], vec![1e184; 3]).unwrap();
+    let mut fast = FastScratch::new();
+    for mode in MODES {
+        assert!(!screen_densities(mode, &q, &leaf, f64::INFINITY, &mut fast));
+        assert!(fast.upper()[..5].iter().all(|hi| hi.is_finite()));
+    }
+}
+
+/// k-MLIQ through the threshold-fed screen on a bulk-loaded 5 000 × d10
+/// tree: ids and densities bit-identical to brute force under the total
+/// `(density desc, id asc)` order, for k below, at and above a leaf's worth.
+#[test]
+fn tree_k_mliq_bit_identical_to_brute_force() {
+    let sigma = SigmaSpec::log_uniform(0.005, 0.3).with_object_scale(0.5, 3.0);
+    let dataset = uniform_dataset(5000, 10, sigma, 2006);
+    let queries = generate_queries(&dataset, 24, SigmaSpec::uniform(0.01, 0.02), 14);
+    for mode in MODES {
+        let pool = BufferPool::new(
+            MemStore::new(DEFAULT_PAGE_SIZE),
+            4096,
+            AccessStats::new_shared(),
+        );
+        let config = TreeConfig::new(10).with_combine(mode);
+        let tree = GaussTree::bulk_load(pool, config, dataset.items()).unwrap();
+        for q in &queries {
+            let mut brute: Vec<(f64, u64)> = (dataset.objects.iter().zip(0u64..))
+                .map(|(v, id)| (combine::log_joint(mode, v, &q.query), id))
+                .collect();
+            brute.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            for k in [1usize, 5, 50] {
+                let hits = tree.k_mliq(&q.query, k).unwrap();
+                assert_eq!(hits.len(), k);
+                for (hit, want) in hits.iter().zip(&brute) {
+                    assert_eq!(hit.id, want.1, "k={k} {mode:?}");
+                    assert_eq!(
+                        hit.log_density.to_bits(),
+                        want.0.to_bits(),
+                        "k={k} {mode:?}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {
