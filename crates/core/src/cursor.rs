@@ -9,26 +9,28 @@
 //! batched columnar kernel ([`pfv::batch::log_densities`]), so the cursor's
 //! per-hit densities are bit-identical to the scalar per-entry path.
 //!
-//! Over a [`crate::ForestSnapshot`] the same frontier simply spans every
-//! component: memtable entries enter as ready objects, each component
-//! contributes its root, and node bounds carry their component index so
-//! expansion reads the right tree (shadowed ids are skipped). Because
-//! emission is ordered by exact density, the ranking equals the
-//! single-tree ranking over the live set.
+//! The frontier spans the whole view (`ViewPlane`): memtable entries
+//! enter as ready objects, every component contributes its root, and node
+//! bounds carry their component index so expansion reads the right tree
+//! and skips the ids shadowed in it. A single tree is the view with one
+//! component and nothing else, so there is one constructor and one loop.
+//! Emission follows a strict total order on exact densities (see the
+//! `Ord` impl below), so the ranking is that of one tree holding the same
+//! live set, whatever the component boundaries.
 
 use crate::node::CachedNode;
-use crate::query::MliqResult;
+use crate::query::{leaf_objects, MliqResult};
 use crate::tree::TreeError;
-use crate::view::{Plane, ViewPlane};
+use crate::view::ViewPlane;
 use gauss_storage::store::PageStore;
 use gauss_storage::PageId;
-use pfv::{batch, combine, Pfv};
+use pfv::Pfv;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// An element of the traversal frontier: either an unexpanded node (tagged
-/// with the component it belongs to; 0 for a single tree) or a concrete
-/// object, ordered by its (bound on the) log density.
+/// with the component it belongs to) or a concrete object, ordered by its
+/// (bound on the) log density.
 #[derive(Debug, Clone, Copy)]
 enum Frontier {
     NodeBound {
@@ -119,23 +121,6 @@ impl<'t, S: PageStore> RankingCursor<'t, S> {
         self.emitted
     }
 
-    /// The component plane and shadow set behind frontier entry `comp`.
-    fn comp_plane(
-        &self,
-        comp: usize,
-    ) -> (Plane<'t, S>, Option<&'t std::collections::HashSet<u64>>) {
-        match &self.view {
-            ViewPlane::Tree(plane) => (*plane, None),
-            ViewPlane::Forest(fp) => {
-                let c = &fp.comps()[comp];
-                (
-                    c.snap.tree_plane(),
-                    (!c.hidden.is_empty()).then_some(&c.hidden),
-                )
-            }
-        }
-    }
-
     /// Returns the next-most-likely object, or `None` when the database is
     /// exhausted.
     ///
@@ -150,17 +135,16 @@ impl<'t, S: PageStore> RankingCursor<'t, S> {
                     return Ok(Some(MliqResult { id, log_density }));
                 }
                 Frontier::NodeBound { comp, page, .. } => {
-                    let (plane, hidden) = self.comp_plane(comp);
+                    let (plane, hidden) = self.view.comp(comp);
                     match &*plane.read_node_cached(page)? {
                         CachedNode::Leaf(leaf) => {
-                            self.dens.resize(leaf.columns.len(), 0.0);
-                            batch::log_densities(mode, &self.query, &leaf.columns, &mut self.dens);
-                            for (&id, &log_density) in leaf.ids.iter().zip(self.dens.iter()) {
-                                if hidden.is_some_and(|h| h.contains(&id)) {
-                                    continue;
-                                }
-                                self.heap.push(Frontier::Object { log_density, id });
-                            }
+                            let heap = &mut self.heap;
+                            leaf_objects(leaf, hidden, mode, &self.query, &mut self.dens, |c| {
+                                heap.push(Frontier::Object {
+                                    log_density: c.log_density,
+                                    id: c.id,
+                                });
+                            });
                         }
                         CachedNode::Inner(es) => {
                             // The cursor only orders by the upper bound, so no
@@ -206,35 +190,21 @@ impl<'t, S: PageStore> ViewPlane<'t, S> {
     /// [`crate::view::ReadView::ranking_cursor`].
     pub(crate) fn ranking_cursor(self, q: &Pfv) -> Result<RankingCursor<'t, S>, TreeError> {
         self.check_dims(q.dims())?;
-        let mut heap = BinaryHeap::new();
-        match &self {
-            ViewPlane::Tree(plane) => {
-                if !plane.is_empty() {
-                    heap.push(Frontier::NodeBound {
-                        log_upper: f64::INFINITY,
-                        comp: 0,
-                        page: plane.root_page(),
-                    });
-                }
-            }
-            ViewPlane::Forest(fp) => {
-                let mode = fp.config().combine;
-                for (id, v) in fp.mem() {
-                    heap.push(Frontier::Object {
-                        log_density: combine::log_joint(mode, v, q),
-                        id: *id,
-                    });
-                }
-                for (ci, c) in fp.comps().iter().enumerate() {
-                    let plane = c.snap.tree_plane();
-                    if !plane.is_empty() {
-                        heap.push(Frontier::NodeBound {
-                            log_upper: f64::INFINITY,
-                            comp: ci,
-                            page: plane.root_page(),
-                        });
-                    }
-                }
+        let mut heap: BinaryHeap<Frontier> = self
+            .mem_objects(q)
+            .map(|c| Frontier::Object {
+                log_density: c.log_density,
+                id: c.id,
+            })
+            .collect();
+        for comp in 0..self.comp_count() {
+            let (plane, _) = self.comp(comp);
+            if !plane.is_empty() {
+                heap.push(Frontier::NodeBound {
+                    log_upper: f64::INFINITY,
+                    comp,
+                    page: plane.root_page(),
+                });
             }
         }
         Ok(RankingCursor {
@@ -254,7 +224,7 @@ mod tests {
     use crate::tree::GaussTree;
     use crate::view::ReadView;
     use gauss_storage::{AccessStats, BufferPool, MemStore};
-    use pfv::CombineMode;
+    use pfv::{combine, CombineMode};
 
     fn build(n: u64) -> (GaussTree<MemStore>, Vec<Pfv>) {
         let pool = BufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());

@@ -26,16 +26,17 @@
 //! Newer data shadows older: a component's entry or tombstone for id `x`
 //! hides any entry for `x` in an older component, and the memtable hides
 //! everything. Queries run on [`ForestSnapshot`]s — epoch-pinned views
-//! implementing [`crate::ReadView`] that fan k-MLIQ/TIQ out across the
-//! memtable and every component, merge candidate sets through one shared
-//! heap and aggregate the Bayes denominator from per-component partial
-//! sums. k-MLIQ, ranking and box-query answers are **bit-identical** to
-//! a single Gauss-tree holding the same live set (see `ForestPlane` in
-//! the private `query` module).
+//! implementing [`crate::ReadView`]. There is no forest query engine: the
+//! algorithms in [`crate::query`] are written for "memtable + components
+//! with shadow sets", a snapshot hands them its memtable image and pinned
+//! components, and a single tree is the same thing with one component and
+//! nothing else. Ids, order and density bits of every answer equal those
+//! of one Gauss-tree holding the same live set; reported probability
+//! intervals are guaranteed brackets that may differ within the requested
+//! accuracy (see the [`crate::query`] module docs for both arguments).
 
 pub(crate) mod manifest;
 pub(crate) mod memtable;
-pub(crate) mod query;
 
 use crate::bulk::BulkLoadOptions;
 use crate::config::TreeConfig;

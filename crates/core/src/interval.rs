@@ -16,7 +16,7 @@
 
 use crate::node::Node;
 use crate::tree::TreeError;
-use crate::view::Plane;
+use crate::view::{Plane, ViewPlane};
 use gauss_storage::store::PageStore;
 use pfv::hull::DimBounds;
 use pfv::Pfv;
@@ -69,9 +69,12 @@ pub fn mass_upper_1d(bounds: &DimBounds, lo: f64, hi: f64) -> f64 {
     ((hi - lo) * bounds.upper(x_star)).min(1.0)
 }
 
-impl<S: PageStore> Plane<'_, S> {
+impl<S: PageStore> ViewPlane<'_, S> {
     /// Probabilistic box threshold query — the algorithm behind
-    /// [`crate::view::ReadView::probabilistic_box_query`].
+    /// [`crate::view::ReadView::probabilistic_box_query`]: an exact filter
+    /// of the memtable plus every component's pruned descent with its
+    /// shadow set. Each live object is tested exactly once with the same
+    /// arithmetic, so the answer does not depend on component boundaries.
     pub(crate) fn probabilistic_box_query(
         &self,
         lo: &[f64],
@@ -79,17 +82,25 @@ impl<S: PageStore> Plane<'_, S> {
         tau: f64,
     ) -> Result<Vec<BoxQueryResult>, TreeError> {
         assert!(tau > 0.0 && tau <= 1.0, "tau must be in (0,1], got {tau}");
-        if lo.len() != self.dims() || hi.len() != self.dims() {
-            return Err(TreeError::DimMismatch {
-                expected: self.dims(),
-                got: lo.len(),
-            });
-        }
+        self.check_dims(lo.len())?;
+        self.check_dims(hi.len())?;
         for i in 0..lo.len() {
             assert!(lo[i] <= hi[i], "reversed box in dim {i}");
         }
         let mut out = Vec::new();
-        self.box_query_scan(lo, hi, tau, None, &mut out)?;
+        for (id, v) in self.mem() {
+            let p = containment_probability(v, lo, hi);
+            if p >= tau {
+                out.push(BoxQueryResult {
+                    id: *id,
+                    probability: p,
+                });
+            }
+        }
+        for i in 0..self.comp_count() {
+            let (plane, hidden) = self.comp(i);
+            plane.box_query_scan(lo, hi, tau, hidden, &mut out)?;
+        }
         out.sort_by(|a, b| {
             b.probability
                 .total_cmp(&a.probability)
@@ -97,10 +108,12 @@ impl<S: PageStore> Plane<'_, S> {
         });
         Ok(out)
     }
+}
 
+impl<S: PageStore> Plane<'_, S> {
     /// The pruned box-query descent over *this* tree, appending qualifying
     /// objects to a caller-owned vector (unsorted). `hidden` names entry
-    /// ids to skip — the forest passes ids shadowed by newer components.
+    /// ids to skip — those shadowed by newer components.
     /// Inputs are assumed validated by the caller.
     pub(crate) fn box_query_scan(
         &self,
@@ -269,6 +282,20 @@ mod tests {
         let items = grid_items();
         let tree = build(&items);
         assert!(tree.probabilistic_box_query(&[0.0], &[1.0], 0.5).is_err());
+        // Only `hi` is wrong: the error must name the offending length.
+        let err = tree
+            .probabilistic_box_query(&[0.0, 0.0], &[1.0], 0.5)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TreeError::DimMismatch {
+                    expected: 2,
+                    got: 1
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -1,15 +1,19 @@
-//! Query processing on the Gauss-tree (paper §5.2).
+//! Query processing on the Gauss-tree (paper §5.2) — the one read engine.
 //!
-//! All three algorithms run best-first over a priority queue of *active
-//! nodes* ordered by the conservative upper bound `N̂` of the node's
-//! Gaussians evaluated for the query (Hjaltason–Samet, as in §5.2.1).
-//! They are implemented once against the shared read-plane
-//! ([`crate::view::Plane`]) and surface on both the writer handle and
-//! pinned snapshots through [`crate::view::ReadView`]:
+//! All algorithms run best-first over a priority queue of *active nodes*
+//! ordered by the conservative upper bound `N̂` of the node's Gaussians
+//! evaluated for the query (Hjaltason–Samet, as in §5.2.1). They are
+//! written once, against `ViewPlane`: a memtable slice plus component
+//! trees with per-component shadow sets, of which a single tree
+//! (`&GaussTree`, `Snapshot`) is the one-component, empty-memtable,
+//! nothing-shadowed case. They surface on every view through
+//! [`crate::view::ReadView`]:
 //!
 //! * [`ReadView::k_mliq`] — the plain k-most-likely identification query:
-//!   finds the k objects with maximal relative probability (density); stops
-//!   when every candidate beats the bound of the best unexplored node;
+//!   memtable densities and every component's best-first descent
+//!   (`Plane::k_mliq_scan`) push into one shared top-k heap; a descent
+//!   stops when every kept candidate beats the bound of its best
+//!   unexplored node, and a fuller shared heap only tightens that bound;
 //! * [`ReadView::k_mliq_refined`] — §5.2.2: additionally reports the
 //!   *actual* identification probability `P(v|q)` by maintaining lower and
 //!   upper bounds `n·Ň ≤ Σ ≤ n·N̂` on the contribution of unexplored
@@ -20,19 +24,42 @@
 //!   below the threshold, and processing stops when no unexplored node can
 //!   contain a qualifying object and every candidate is decided.
 //!
+//! **Why the answer does not depend on component boundaries.** Candidate
+//! selection is a pure function of the multiset of `(id, density)` pairs
+//! of the live set under a strict total order. Densities come from the
+//! same kernels everywhere ([`pfv::combine::log_joint`] ≡ [`pfv::batch`],
+//! and memtable values are pre-quantised), ids are unique across the live
+//! set, shadowed ids never enter a heap or the exact sum, and every
+//! pruning test is strict on ties — so ids, order and density bits equal
+//! those of one tree bulk-loaded from the same live set, however the set
+//! is cut into components and in whichever order they are scanned.
+//!
+//! **Why the probability intervals do depend on exploration order.** One
+//! `DenomBounds` serves the whole view: exact densities for memtable
+//! entries and expanded leaves, and per unexpanded node a remainder term
+//! priced with *asymmetric counts* — the upper term uses the node's full
+//! entry count (valid even when newer data shadows some entries), the
+//! lower discounts every id its component hides (never over-counts what
+//! is visible). The bounds always bracket the exact live-set denominator
+//! and close on it as nodes expand, but *where* inside the requested
+//! accuracy they stand when the loop stops depends on which nodes were
+//! open then. Membership and densities are contractual; `prob_lo` /
+//! `prob_hi` are guaranteed brackets of width ≤ accuracy, bit-equal only
+//! between views with the same component layout.
+//!
 //! [`ReadView::k_mliq`]: crate::view::ReadView::k_mliq
 //! [`ReadView::k_mliq_refined`]: crate::view::ReadView::k_mliq_refined
 //! [`ReadView::tiq`]: crate::view::ReadView::tiq
 
-use crate::node::CachedNode;
+use crate::node::{CachedNode, ColumnarLeafNode};
 use crate::tree::TreeError;
-use crate::view::Plane;
+use crate::view::{Plane, ViewPlane};
 use gauss_storage::store::PageStore;
 use gauss_storage::PageId;
 use pfv::logsum::{log_add_exp, LogSumAcc, ScaledSum};
-use pfv::{batch, Pfv};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use pfv::{batch, combine, CombineMode, Pfv};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, HashSet};
 
 /// Result of a plain k-MLIQ: ranked by relative probability.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,55 +181,29 @@ impl DenomBounds {
         self.exact.add(log_density);
     }
 
-    pub(crate) fn add_node(&mut self, node: &ActiveNode) {
-        self.add_node_counts(
-            node.log_lower,
-            node.count as f64,
-            node.log_upper,
-            node.count as f64,
-        );
-    }
-
-    /// Like [`DenomBounds::add_node`] but with distinct entry counts for
-    /// the lower and upper remainder terms. The forest query path prices a
-    /// component node with `hi_count` = all stored entries (a correct
-    /// upper bound even when some are shadowed by newer components) and
-    /// `lo_count` = entries guaranteed visible.
-    pub(crate) fn add_node_counts(
-        &mut self,
-        log_lower: f64,
-        lo_count: f64,
-        log_upper: f64,
-        hi_count: f64,
-    ) {
+    /// Adds the remainder terms of an unexpanded node whose component
+    /// hides `shadowed` ids (0 for a single tree). The upper term prices
+    /// all stored entries — shadowed ones only loosen it upward; the lower
+    /// discounts every id the component hides, since the node cannot hide
+    /// more than the whole component does.
+    pub(crate) fn add_node(&mut self, node: &ActiveNode, shadowed: f64) {
         // Re-anchor before a term that would overflow the current scale.
-        if log_upper - self.max_rem.anchor() > 600.0 {
-            self.min_rem.reanchor(log_upper);
-            self.max_rem.reanchor(log_upper);
+        if node.log_upper - self.max_rem.anchor() > 600.0 {
+            self.min_rem.reanchor(node.log_upper);
+            self.max_rem.reanchor(node.log_upper);
         }
-        self.min_rem.add(log_lower, lo_count);
-        self.max_rem.add(log_upper, hi_count);
+        let stored = node.count as f64;
+        self.min_rem
+            .add(node.log_lower, (stored - shadowed).max(0.0));
+        self.max_rem.add(node.log_upper, stored);
     }
 
-    pub(crate) fn remove_node(&mut self, node: &ActiveNode) {
-        self.remove_node_counts(
-            node.log_lower,
-            node.count as f64,
-            node.log_upper,
-            node.count as f64,
-        );
-    }
-
-    /// Inverse of [`DenomBounds::add_node_counts`].
-    pub(crate) fn remove_node_counts(
-        &mut self,
-        log_lower: f64,
-        lo_count: f64,
-        log_upper: f64,
-        hi_count: f64,
-    ) {
-        self.min_rem.sub(log_lower, lo_count);
-        self.max_rem.sub(log_upper, hi_count);
+    /// Inverse of [`DenomBounds::add_node`].
+    pub(crate) fn remove_node(&mut self, node: &ActiveNode, shadowed: f64) {
+        let stored = node.count as f64;
+        self.min_rem
+            .sub(node.log_lower, (stored - shadowed).max(0.0));
+        self.max_rem.sub(node.log_upper, stored);
     }
 
     /// `ln` of the guaranteed lower bound on the denominator.
@@ -257,40 +258,42 @@ pub(crate) fn clamped_probs(ld: f64, log_lo: f64, log_hi: f64, log_mid: f64) -> 
     (p, p_lo, p_hi)
 }
 
-impl<S: PageStore> Plane<'_, S> {
-    /// k-most-likely identification query (§5.2.1, Definition 3) — the
-    /// algorithm behind [`crate::view::ReadView::k_mliq`].
-    pub(crate) fn k_mliq(&self, q: &Pfv, k: usize) -> Result<Vec<MliqResult>, TreeError> {
-        self.check_dims(q.dims())?;
-        if k == 0 || self.is_empty() {
-            return Ok(Vec::new());
-        }
-        let target = k.min(self.len() as usize);
-        // Min-heap keeping the k best candidates.
-        let mut best: BinaryHeap<std::cmp::Reverse<Candidate>> = BinaryHeap::new();
-        self.k_mliq_scan(q, target, None, &mut best)?;
+/// Queue entry of the view-level best-first loops: an active node tagged
+/// with its component index (part of the `Ord` key only to keep the order
+/// total across components).
+struct CompNode {
+    node: ActiveNode,
+    comp: usize,
+}
 
-        let mut out: Vec<MliqResult> = best
-            .into_iter()
-            .map(|std::cmp::Reverse(c)| MliqResult {
-                id: c.id,
-                log_density: c.log_density,
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            b.log_density
-                .total_cmp(&a.log_density)
-                .then_with(|| a.id.cmp(&b.id))
-        });
-        Ok(out)
+impl PartialEq for CompNode {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
     }
+}
+impl Eq for CompNode {}
+impl PartialOrd for CompNode {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for CompNode {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.node
+            .log_upper
+            .total_cmp(&other.node.log_upper)
+            .then_with(|| self.comp.cmp(&other.comp))
+            .then_with(|| self.node.page.cmp(&other.node.page))
+    }
+}
 
+impl<S: PageStore> Plane<'_, S> {
     /// The best-first k-MLIQ descent over *this* tree, pushing candidates
     /// into a caller-owned heap capped at `target`.
     ///
-    /// `hidden` names entry ids to skip — the forest query path passes the
-    /// ids shadowed by newer components / tombstones; `None` is the plain
-    /// single-tree scan. The heap may arrive pre-populated (memtable
+    /// `hidden` names entry ids to skip — the ids newer components and
+    /// tombstones shadow in this one; `None` when nothing is hidden (always
+    /// so for a single tree). The heap may arrive pre-populated (memtable
     /// entries, other components): a fuller heap only tightens the pruning
     /// bound, and because candidate selection is a pure top-`target` under
     /// the total `(density, id)` order, the surviving set is independent
@@ -299,8 +302,8 @@ impl<S: PageStore> Plane<'_, S> {
         &self,
         q: &Pfv,
         target: usize,
-        hidden: Option<&std::collections::HashSet<u64>>,
-        best: &mut BinaryHeap<std::cmp::Reverse<Candidate>>,
+        hidden: Option<&HashSet<u64>>,
+        best: &mut BinaryHeap<Reverse<Candidate>>,
     ) -> Result<(), TreeError> {
         if self.is_empty() {
             return Ok(());
@@ -320,17 +323,14 @@ impl<S: PageStore> Plane<'_, S> {
         let mut fast = batch::FastScratch::new();
 
         while let Some(top) = active.pop() {
-            if best.len() == target {
-                // lint: allow(no-panic) -- best.len() == target > 0, so the heap is non-empty
-                let worst = best.peek().expect("non-empty").0.log_density;
-                // Strict: a subtree whose upper bound exactly equals the
-                // worst kept density may still hold an equal-density entry
-                // with a smaller id, which wins the (density, id) tie —
-                // pruning on equality would make the result depend on scan
-                // order (and across forest components, on component order).
-                if worst > top.log_upper {
-                    break;
-                }
+            let worst = kth_density(best, target);
+            // Strict: a subtree whose upper bound exactly equals the worst
+            // kept density may still hold an equal-density entry with a
+            // smaller id, which wins the (density, id) tie — pruning on
+            // equality would make the result depend on scan order (and
+            // across forest components, on component order).
+            if worst > top.log_upper {
+                break;
             }
             match &*self.read_node_cached(top.page)? {
                 CachedNode::Leaf(leaf) => {
@@ -345,8 +345,6 @@ impl<S: PageStore> Plane<'_, S> {
                         // kernel leaves each lane block as soon as no
                         // dimension prefix can reach `worst` — before the
                         // first dimension, on the stored peak bounds alone.
-                        // lint: allow(no-panic) -- best.len() == target > 0, so the heap is non-empty
-                        let worst = best.peek().expect("non-empty").0.log_density;
                         if !batch::screen_densities(mode, q, &leaf.columns, worst, &mut fast) {
                             continue;
                         }
@@ -377,10 +375,7 @@ impl<S: PageStore> Plane<'_, S> {
                         let up = e.rect.log_upper_for_query(q, mode);
                         // Strict for the same reason as the break above: an
                         // exactly-tied child may contain the tie-winning id.
-                        if best.len() == target
-                            // lint: allow(no-panic) -- best.len() == target > 0, so the heap is non-empty
-                            && up < best.peek().expect("non-empty").0.log_density
-                        {
+                        if up < worst {
                             continue;
                         }
                         active.push(ActiveNode {
@@ -394,6 +389,180 @@ impl<S: PageStore> Plane<'_, S> {
             }
         }
         Ok(())
+    }
+}
+
+/// Number of ids a component hides, as the remainder terms price it.
+fn shadowed_count(hidden: Option<&HashSet<u64>>) -> f64 {
+    hidden.map_or(0.0, |h| h.len() as f64)
+}
+
+/// Evaluates a leaf with the batched kernel and hands every entry not in
+/// `hidden` to `found`.
+pub(crate) fn leaf_objects(
+    leaf: &ColumnarLeafNode,
+    hidden: Option<&HashSet<u64>>,
+    mode: CombineMode,
+    q: &Pfv,
+    dens: &mut Vec<f64>,
+    mut found: impl FnMut(Candidate),
+) {
+    dens.resize(leaf.columns.len(), 0.0);
+    batch::log_densities(mode, q, &leaf.columns, dens);
+    for (&id, &log_density) in leaf.ids.iter().zip(dens.iter()) {
+        if !hidden.is_some_and(|h| h.contains(&id)) {
+            found(Candidate { log_density, id });
+        }
+    }
+}
+
+/// The state the two denominator-tracking searches (refined k-MLIQ and
+/// TIQ) share: the best-first frontier of unexpanded nodes across every
+/// component, and the running bounds on `Σ p(q|w)` over the live set.
+/// This is the one place where memtable entries and shadowed ids meet
+/// the Bayes denominator.
+struct DenomSearch<'a, 'q, S: PageStore> {
+    view: ViewPlane<'a, S>,
+    q: &'q Pfv,
+    active: BinaryHeap<CompNode>,
+    denom: DenomBounds,
+    /// Scratch buffer for the batched leaf kernel, reused across leaves.
+    dens: Vec<f64>,
+}
+
+impl<'a, 'q, S: PageStore> DenomSearch<'a, 'q, S> {
+    /// Evaluates the memtable and expands every component root eagerly,
+    /// so an anchor for the scaled accumulators is known before anything
+    /// enters the queue. Returns the search and the exact objects found
+    /// so far (memtable entries, then root-leaf entries, shadowed ids
+    /// excluded), already counted in the denominator.
+    fn start(view: ViewPlane<'a, S>, q: &'q Pfv) -> Result<(Self, Vec<Candidate>), TreeError> {
+        let mode = view.config().combine;
+        let mut dens = Vec::new();
+        let mut objects: Vec<Candidate> = view.mem_objects(q).collect();
+        let mut nodes: Vec<CompNode> = Vec::new();
+        for comp in 0..view.comp_count() {
+            let (plane, hidden) = view.comp(comp);
+            if plane.is_empty() {
+                continue;
+            }
+            match &*plane.read_node_cached(plane.root_page())? {
+                CachedNode::Leaf(leaf) => {
+                    leaf_objects(leaf, hidden, mode, q, &mut dens, |c| objects.push(c));
+                }
+                CachedNode::Inner(es) => nodes.extend(
+                    active_children(es, q, mode)
+                        .into_iter()
+                        .map(|node| CompNode { node, comp }),
+                ),
+            }
+        }
+
+        let anchor = nodes
+            .iter()
+            .map(|n| n.node.log_upper)
+            .chain(objects.iter().map(|c| c.log_density))
+            .fold(f64::NEG_INFINITY, f64::max);
+        let mut denom = DenomBounds::new(if anchor.is_finite() { anchor } else { 0.0 });
+        for c in &objects {
+            denom.add_object(c.log_density);
+        }
+        let mut active = BinaryHeap::new();
+        for cn in nodes {
+            denom.add_node(&cn.node, shadowed_count(view.comp(cn.comp).1));
+            active.push(cn);
+        }
+        let search = Self {
+            view,
+            q,
+            active,
+            denom,
+            dens,
+        };
+        Ok((search, objects))
+    }
+
+    /// Upper bound of the best unexpanded node, `None` once all are
+    /// expanded.
+    fn top_upper(&self) -> Option<f64> {
+        self.active.peek().map(|t| t.node.log_upper)
+    }
+
+    /// Expands the best unexpanded node: its remainder terms leave the
+    /// denominator and either its children's terms or its visible
+    /// entries' exact densities enter. `found` sees each such entry, and
+    /// the bounds with that entry already counted. Returns `false` when
+    /// no node was left.
+    fn expand(
+        &mut self,
+        mut found: impl FnMut(&DenomBounds, Candidate),
+    ) -> Result<bool, TreeError> {
+        let Some(top) = self.active.pop() else {
+            return Ok(false);
+        };
+        let mode = self.view.config().combine;
+        let (plane, hidden) = self.view.comp(top.comp);
+        let shadowed = shadowed_count(hidden);
+        self.denom.remove_node(&top.node, shadowed);
+        match &*plane.read_node_cached(top.node.page)? {
+            CachedNode::Leaf(leaf) => {
+                let denom = &mut self.denom;
+                leaf_objects(leaf, hidden, mode, self.q, &mut self.dens, |c| {
+                    denom.add_object(c.log_density);
+                    found(denom, c);
+                });
+            }
+            CachedNode::Inner(es) => {
+                for node in active_children(es, self.q, mode) {
+                    self.denom.add_node(&node, shadowed);
+                    self.active.push(CompNode {
+                        node,
+                        comp: top.comp,
+                    });
+                }
+            }
+        }
+        Ok(true)
+    }
+}
+
+impl<'a, S: PageStore> ViewPlane<'a, S> {
+    /// The memtable's entries as exact objects for `q`, ascending id.
+    pub(crate) fn mem_objects<'q>(
+        &self,
+        q: &'q Pfv,
+    ) -> impl Iterator<Item = Candidate> + use<'a, 'q, S> {
+        let mode = self.config().combine;
+        self.mem().iter().map(move |(id, v)| Candidate {
+            log_density: combine::log_joint(mode, v, q),
+            id: *id,
+        })
+    }
+
+    /// k-most-likely identification query (§5.2.1, Definition 3) — the
+    /// algorithm behind [`crate::view::ReadView::k_mliq`]: one shared
+    /// top-k heap over the memtable and every component's descent.
+    pub(crate) fn k_mliq(&self, q: &Pfv, k: usize) -> Result<Vec<MliqResult>, TreeError> {
+        self.check_dims(q.dims())?;
+        if k == 0 || self.is_empty() {
+            return Ok(Vec::new());
+        }
+        let target = k.min(self.len() as usize);
+        // Min-heap keeping the k best candidates.
+        let mut best: BinaryHeap<Reverse<Candidate>> = BinaryHeap::new();
+        for c in self.mem_objects(q) {
+            push_candidate(&mut best, target, c.log_density, c.id);
+        }
+        for i in 0..self.comp_count() {
+            let (plane, hidden) = self.comp(i);
+            plane.k_mliq_scan(q, target, hidden, &mut best)?;
+        }
+        Ok(ranked(best)
+            .map(|c| MliqResult {
+                id: c.id,
+                log_density: c.log_density,
+            })
+            .collect())
     }
 
     /// Probability-refined k-MLIQ (§5.2.2) — the algorithm behind
@@ -409,79 +578,36 @@ impl<S: PageStore> Plane<'_, S> {
         if k == 0 || self.is_empty() {
             return Ok(Vec::new());
         }
-        let mode = self.config().combine;
         let target = k.min(self.len() as usize);
-
-        // Expand the root eagerly so an anchor for the scaled accumulators
-        // is known before anything enters the queue.
-        let root = self.read_node_cached(self.root_page())?;
-        let mut active: BinaryHeap<ActiveNode> = BinaryHeap::new();
-        let mut best: BinaryHeap<std::cmp::Reverse<Candidate>> = BinaryHeap::new();
+        let (mut search, objects) = DenomSearch::start(*self, q)?;
+        let mut best: BinaryHeap<Reverse<Candidate>> = BinaryHeap::new();
         let mut best_ld = f64::NEG_INFINITY;
-        // Scratch buffer for the batched leaf kernel, reused across leaves.
-        let mut dens: Vec<f64> = Vec::new();
-
-        let mut denom;
-        match &*root {
-            CachedNode::Leaf(leaf) => {
-                denom = DenomBounds::new(0.0);
-                dens.resize(leaf.columns.len(), 0.0);
-                batch::log_densities(mode, q, &leaf.columns, &mut dens);
-                for (&id, &ld) in leaf.ids.iter().zip(dens.iter()) {
-                    denom.add_object(ld);
-                    push_candidate(&mut best, target, ld, id);
-                    best_ld = best_ld.max(ld);
-                }
-            }
-            CachedNode::Inner(es) => {
-                let children: Vec<ActiveNode> = active_children(es, q, mode);
-                let anchor = children
-                    .iter()
-                    .map(|c| c.log_upper)
-                    .fold(f64::NEG_INFINITY, f64::max);
-                denom = DenomBounds::new(if anchor.is_finite() { anchor } else { 0.0 });
-                for c in children {
-                    denom.add_node(&c);
-                    active.push(c);
-                }
-            }
+        for c in objects {
+            push_candidate(&mut best, target, c.log_density, c.id);
+            best_ld = best_ld.max(c.log_density);
         }
-        drop(root);
 
         loop {
             let settled = best.len() == target
-                && active
-                    .peek()
-                    // lint: allow(no-panic) -- guarded by best.len() == target > 0 earlier in the condition chain
-                    .is_none_or(|t| best.peek().expect("non-empty").0.log_density >= t.log_upper);
-            if settled && denom.prob_width(best_ld) <= accuracy {
+                && search
+                    .top_upper()
+                    .is_none_or(|up| kth_density(&best, target) >= up);
+            if settled && search.denom.prob_width(best_ld) <= accuracy {
                 break;
             }
-            let Some(top) = active.pop() else { break };
-            denom.remove_node(&top);
-            match &*self.read_node_cached(top.page)? {
-                CachedNode::Leaf(leaf) => {
-                    dens.resize(leaf.columns.len(), 0.0);
-                    batch::log_densities(mode, q, &leaf.columns, &mut dens);
-                    for (&id, &ld) in leaf.ids.iter().zip(dens.iter()) {
-                        denom.add_object(ld);
-                        push_candidate(&mut best, target, ld, id);
-                        best_ld = best_ld.max(ld);
-                    }
-                }
-                CachedNode::Inner(es) => {
-                    for child in active_children(es, q, mode) {
-                        denom.add_node(&child);
-                        active.push(child);
-                    }
-                }
+            let expanded = search.expand(|_, c| {
+                push_candidate(&mut best, target, c.log_density, c.id);
+                best_ld = best_ld.max(c.log_density);
+            })?;
+            if !expanded {
+                break;
             }
         }
 
+        let denom = &search.denom;
         let (lo, hi, mid) = (denom.log_lo(), denom.log_hi(), denom.log_mid());
-        let mut out: Vec<RefinedResult> = best
-            .into_iter()
-            .map(|std::cmp::Reverse(c)| {
+        Ok(ranked(best)
+            .map(|c| {
                 let (probability, prob_lo, prob_hi) = clamped_probs(c.log_density, lo, hi, mid);
                 RefinedResult {
                     id: c.id,
@@ -491,33 +617,14 @@ impl<S: PageStore> Plane<'_, S> {
                     prob_hi,
                 }
             })
-            .collect();
-        out.sort_by(|a, b| {
-            b.log_density
-                .total_cmp(&a.log_density)
-                .then_with(|| a.id.cmp(&b.id))
-        });
-        Ok(out)
+            .collect())
     }
 
     /// Threshold identification query (§5.2.3, Figure 5, Definition 2) —
-    /// the algorithm behind [`crate::view::ReadView::tiq`].
-    pub(crate) fn tiq(
-        &self,
-        q: &Pfv,
-        p_theta: f64,
-        accuracy: f64,
-    ) -> Result<Vec<TiqResult>, TreeError> {
-        self.tiq_impl(q, p_theta, Some(accuracy))
-    }
-
-    /// The literal Figure-5 anytime algorithm — behind
-    /// [`crate::view::ReadView::tiq_anytime`].
-    pub(crate) fn tiq_anytime(&self, q: &Pfv, p_theta: f64) -> Result<Vec<TiqResult>, TreeError> {
-        self.tiq_impl(q, p_theta, None)
-    }
-
-    fn tiq_impl(
+    /// the algorithm behind [`crate::view::ReadView::tiq`] (`accuracy`
+    /// given) and the literal Figure-5 anytime variant behind
+    /// [`crate::view::ReadView::tiq_anytime`] (`None`).
+    pub(crate) fn tiq_impl(
         &self,
         q: &Pfv,
         p_theta: f64,
@@ -535,61 +642,29 @@ impl<S: PageStore> Plane<'_, S> {
         if self.is_empty() {
             return Ok(Vec::new());
         }
-        let mode = self.config().combine;
         let ln_theta = p_theta.ln();
-
-        let root = self.read_node_cached(self.root_page())?;
-        let mut active: BinaryHeap<ActiveNode> = BinaryHeap::new();
-        let mut cands: Vec<(u64, f64)> = Vec::new();
-        // Scratch buffer for the batched leaf kernel, reused across leaves.
-        let mut dens: Vec<f64> = Vec::new();
-
-        let mut denom;
-        match &*root {
-            CachedNode::Leaf(leaf) => {
-                denom = DenomBounds::new(0.0);
-                dens.resize(leaf.columns.len(), 0.0);
-                batch::log_densities(mode, q, &leaf.columns, &mut dens);
-                for (&id, &ld) in leaf.ids.iter().zip(dens.iter()) {
-                    denom.add_object(ld);
-                    cands.push((id, ld));
-                }
-            }
-            CachedNode::Inner(es) => {
-                let children: Vec<ActiveNode> = active_children(es, q, mode);
-                let anchor = children
-                    .iter()
-                    .map(|c| c.log_upper)
-                    .fold(f64::NEG_INFINITY, f64::max);
-                denom = DenomBounds::new(if anchor.is_finite() { anchor } else { 0.0 });
-                for c in children {
-                    denom.add_node(&c);
-                    active.push(c);
-                }
-            }
-        }
-        drop(root);
+        let (mut search, mut cands) = DenomSearch::start(*self, q)?;
 
         loop {
-            let denom_lo = denom.log_lo();
-            let denom_hi = denom.log_hi();
+            let denom_lo = search.denom.log_lo();
+            let denom_hi = search.denom.log_hi();
             // Figure 5's "delete unnecessary candidates": prune every
             // candidate whose probability upper bound is below the threshold.
-            cands.retain(|&(_, ld)| ld - denom_lo >= ln_theta);
+            cands.retain(|c| c.log_density - denom_lo >= ln_theta);
 
-            let explore_more = active
-                .peek()
-                .is_some_and(|t| t.log_upper - denom_lo >= ln_theta);
+            let explore_more = search
+                .top_upper()
+                .is_some_and(|up| up - denom_lo >= ln_theta);
             let refine_more = match accuracy {
                 // Exact mode: also decide every boundary candidate and meet
                 // the probability accuracy.
                 Some(acc) => {
-                    let any_undecided = cands
-                        .iter()
-                        .any(|&(_, ld)| ld - denom_hi < ln_theta && ld - denom_lo >= ln_theta);
+                    let any_undecided = cands.iter().any(|c| {
+                        c.log_density - denom_hi < ln_theta && c.log_density - denom_lo >= ln_theta
+                    });
                     let max_width = cands
                         .iter()
-                        .map(|&(_, ld)| denom.prob_width(ld))
+                        .map(|c| search.denom.prob_width(c.log_density))
                         .fold(0.0, f64::max);
                     any_undecided || max_width > acc
                 }
@@ -599,44 +674,34 @@ impl<S: PageStore> Plane<'_, S> {
             if !explore_more && !refine_more {
                 break;
             }
-            let Some(top) = active.pop() else { break };
-            denom.remove_node(&top);
-            match &*self.read_node_cached(top.page)? {
-                CachedNode::Leaf(leaf) => {
-                    dens.resize(leaf.columns.len(), 0.0);
-                    batch::log_densities(mode, q, &leaf.columns, &mut dens);
-                    for (&id, &ld) in leaf.ids.iter().zip(dens.iter()) {
-                        denom.add_object(ld);
-                        // Admit only candidates that could still qualify —
-                        // the retain step above keeps this set tight.
-                        if ld - denom.log_lo() >= ln_theta {
-                            cands.push((id, ld));
-                        }
-                    }
+            let expanded = search.expand(|denom, c| {
+                // Admit only candidates that could still qualify — the
+                // retain step above keeps this set tight.
+                if c.log_density - denom.log_lo() >= ln_theta {
+                    cands.push(c);
                 }
-                CachedNode::Inner(es) => {
-                    for child in active_children(es, q, mode) {
-                        denom.add_node(&child);
-                        active.push(child);
-                    }
-                }
+            })?;
+            if !expanded {
+                break;
             }
         }
 
+        let denom = &search.denom;
         let (lo, hi, mid) = (denom.log_lo(), denom.log_hi(), denom.log_mid());
-        let mut out: Vec<TiqResult> = cands
+        cands.retain(|c| match accuracy {
+            // Exact mode: the candidate provably reaches the threshold.
+            Some(_) => c.log_density - hi >= ln_theta,
+            // Anytime mode: keep candidates that could reach it.
+            None => c.log_density - lo >= ln_theta,
+        });
+        cands.sort_unstable_by(|a, b| b.cmp(a));
+        Ok(cands
             .into_iter()
-            .filter(|&(_, ld)| match accuracy {
-                // Exact mode: the candidate provably reaches the threshold.
-                Some(_) => ld - hi >= ln_theta,
-                // Anytime mode: keep candidates that could reach it.
-                None => ld - lo >= ln_theta,
-            })
-            .map(|(id, ld)| {
-                let (mid_p, prob_lo, prob_hi) = clamped_probs(ld, lo, hi, mid);
+            .map(|c| {
+                let (mid_p, prob_lo, prob_hi) = clamped_probs(c.log_density, lo, hi, mid);
                 TiqResult {
-                    id,
-                    log_density: ld,
+                    id: c.id,
+                    log_density: c.log_density,
                     probability: if accuracy.is_some() {
                         mid_p
                     } else {
@@ -647,13 +712,7 @@ impl<S: PageStore> Plane<'_, S> {
                     prob_hi,
                 }
             })
-            .collect();
-        out.sort_by(|a, b| {
-            b.log_density
-                .total_cmp(&a.log_density)
-                .then_with(|| a.id.cmp(&b.id))
-        });
-        Ok(out)
+            .collect())
     }
 }
 
@@ -679,19 +738,34 @@ pub(crate) fn active_children(
 }
 
 pub(crate) fn push_candidate(
-    best: &mut BinaryHeap<std::cmp::Reverse<Candidate>>,
+    best: &mut BinaryHeap<Reverse<Candidate>>,
     target: usize,
     log_density: f64,
     id: u64,
 ) {
     let cand = Candidate { log_density, id };
     if best.len() < target {
-        best.push(std::cmp::Reverse(cand));
-    // lint: allow(no-panic) -- the else branch runs only when best.len() >= target > 0
-    } else if cand > best.peek().expect("non-empty").0 {
+        best.push(Reverse(cand));
+    } else if best.peek().is_some_and(|worst| cand > worst.0) {
         best.pop();
-        best.push(std::cmp::Reverse(cand));
+        best.push(Reverse(cand));
     }
+}
+
+/// Density of the worst kept candidate once `target` are kept, `−∞`
+/// before: `−∞ > bound` and `bound < −∞` are both false, so a pruning
+/// comparison against it never fires while the heap still has room.
+fn kth_density(best: &BinaryHeap<Reverse<Candidate>>, target: usize) -> f64 {
+    match best.peek() {
+        Some(Reverse(worst)) if best.len() == target => worst.log_density,
+        _ => f64::NEG_INFINITY,
+    }
+}
+
+/// The kept candidates in reporting order — density descending, ties by
+/// ascending id — which is [`Candidate`]'s own order, best first.
+fn ranked(best: BinaryHeap<Reverse<Candidate>>) -> impl Iterator<Item = Candidate> {
+    best.into_sorted_vec().into_iter().map(|Reverse(c)| c)
 }
 
 #[cfg(test)]
@@ -922,8 +996,8 @@ mod tests {
         };
         denom.add_object(-0.1);
         for _ in 0..1000 {
-            denom.add_node(&node);
-            denom.remove_node(&node);
+            denom.add_node(&node, 0.0);
+            denom.remove_node(&node, 0.0);
         }
         let w = denom.prob_width(-0.1);
         assert!(w >= 0.0, "width {w} must be clamped at zero");

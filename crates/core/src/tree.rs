@@ -401,9 +401,8 @@ impl<S: PageStore> Snapshot<S> {
             .map(|(errs, _)| errs)
     }
 
-    /// The raw single-tree read-plane of this pinned epoch — for the
-    /// in-crate algorithms (structure checks, forest fan-out) that need
-    /// a [`Plane`] rather than the [`ReadView`] dispatch enum.
+    /// The single-tree read-plane of this pinned epoch: what structure
+    /// checks run on, and one component of a forest snapshot's view.
     pub(crate) fn tree_plane(&self) -> Plane<'_, S> {
         Plane {
             pool: &self.pool,
@@ -444,7 +443,7 @@ impl<S: PageStore> Drop for Snapshot<S> {
 
 impl<S: PageStore> ReadView<S> for Snapshot<S> {
     fn plane(&self) -> crate::view::ViewPlane<'_, S> {
-        crate::view::ViewPlane::Tree(self.tree_plane())
+        crate::view::ViewPlane::single(self.tree_plane())
     }
 }
 

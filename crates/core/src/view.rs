@@ -1,24 +1,27 @@
-//! The shared read-plane: one implementation of every read-only tree
-//! operation, consumed through the [`ReadView`] trait by both the writer
-//! handle ([`GaussTree`], which reads its *working* state) and the pinned
-//! [`Snapshot`](crate::tree::Snapshot) view (which reads a *committed*
-//! epoch).
+//! The shared read-plane: one implementation of every read-only
+//! operation, consumed through the [`ReadView`] trait by the writer handle
+//! ([`GaussTree`], which reads its *working* state), the pinned
+//! [`Snapshot`](crate::tree::Snapshot) (one *committed* epoch) and the
+//! [`ForestSnapshot`] (one committed forest manifest plus its memtable
+//! image).
 //!
-//! The paper's query algorithms (§5.2) only ever need five things: the
-//! tree configuration, the root page, the height, the length, and a way to
-//! read node pages. `Plane` packages exactly that, so the k-MLIQ / TIQ /
-//! cursor / box-query / traversal / structural-check code exists once —
-//! `query.rs`, `cursor.rs`, `interval.rs` and `check.rs` all implement
-//! against `Plane` — and every public entry point is a provided method of
-//! [`ReadView`]. Callers learn one new concept
-//! ([`GaussTree::snapshot`](crate::tree::GaussTree::snapshot)) and keep
-//! calling the same query methods on whichever view they hold.
+//! Two layers. `Plane` is one tree: configuration, root, height, length
+//! and a way to read node pages — the per-tree primitives (node reads,
+//! the k-MLIQ and box descents, traversal, structural checks in
+//! `check.rs`). `ViewPlane` is the live set a view answers for: a
+//! memtable slice plus component `Plane`s, each with the ids newer data
+//! shadows in it. **A single tree is a one-component forest with an empty
+//! memtable**, so k-MLIQ, refined k-MLIQ, TIQ, the ranking cursor and the
+//! box query are written once against `ViewPlane` (`query.rs`, `cursor.rs`,
+//! `interval.rs`), and how memtable entries and shadowed ids enter the
+//! candidate set and the Bayes denominator is decided in one place. Every
+//! public entry point is a provided method of [`ReadView`]; implementors
+//! only supply [`ReadView::plane`].
 
 use crate::config::TreeConfig;
 use crate::cursor::RankingCursor;
 use crate::executor::BatchExecutor;
-use crate::forest::query::ForestPlane;
-use crate::forest::ForestSnapshot;
+use crate::forest::{ForestSnapshot, SnapComponent};
 use crate::interval::BoxQueryResult;
 use crate::node::{CachedNode, Node};
 use crate::query::{MliqResult, RefinedResult, TiqResult};
@@ -26,13 +29,13 @@ use crate::tree::{GaussTree, TreeError};
 use gauss_storage::store::PageStore;
 use gauss_storage::{PageId, SharedBufferPool, SideCache};
 use pfv::Pfv;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A borrowed, read-only view of one tree state (root + height + length +
-/// page access) — the substrate every query algorithm runs against.
+/// page access) — one component of a [`ViewPlane`].
 ///
-/// Obtained through [`ReadView::plane`]; not constructed directly. All
-/// fields borrow from the owning [`GaussTree`] or
+/// Not constructed outside the crate. All fields borrow from the owning [`GaussTree`] or
 /// [`Snapshot`](crate::tree::Snapshot), so a `Plane` is a cheap `Copy`
 /// token, not a pinned state by itself.
 #[doc(hidden)]
@@ -60,10 +63,6 @@ impl<S: PageStore> Copy for Plane<'_, S> {}
 impl<'a, S: PageStore> Plane<'a, S> {
     pub(crate) fn config(&self) -> &'a TreeConfig {
         self.config
-    }
-
-    pub(crate) fn dims(&self) -> usize {
-        self.config.dims
     }
 
     pub(crate) fn len(&self) -> u64 {
@@ -115,16 +114,6 @@ impl<'a, S: PageStore> Plane<'a, S> {
         Ok(cached)
     }
 
-    pub(crate) fn check_dims(&self, got: usize) -> Result<(), TreeError> {
-        if got != self.dims() {
-            return Err(TreeError::DimMismatch {
-                expected: self.dims(),
-                got,
-            });
-        }
-        Ok(())
-    }
-
     /// Visits every stored `(id, pfv)` pair (in tree order).
     pub(crate) fn for_each_entry(&self, mut f: impl FnMut(u64, &Pfv)) -> Result<(), TreeError> {
         let mut stack = vec![(self.root, self.height)];
@@ -149,17 +138,27 @@ impl<'a, S: PageStore> Plane<'a, S> {
     }
 }
 
-/// The read-plane behind any [`ReadView`]: either one tree state or a
-/// whole forest snapshot (memtable + components). Every provided query
-/// method dispatches through this enum, so the single-tree algorithms in
-/// `query.rs` / `cursor.rs` / `interval.rs` stay untouched and the
-/// forest fan-out lives in [`crate::forest::query`].
+/// Where a [`ViewPlane`]'s component trees come from.
+enum Comps<'a, S: PageStore> {
+    /// One tree state with nothing shadowed (`&GaussTree`, `Snapshot`).
+    One(Plane<'a, S>),
+    /// A forest snapshot's pinned components, newest first.
+    Pinned(&'a [SnapComponent<S>]),
+}
+
+/// The read-plane behind every [`ReadView`]: the live set as a memtable
+/// image plus component trees, each with the ids newer data shadows in
+/// it. A single tree is the one-component case — empty memtable, nothing
+/// shadowed — so the query algorithms in `query.rs`, `cursor.rs` and
+/// `interval.rs` exist once, written against this type.
 #[doc(hidden)]
-pub enum ViewPlane<'a, S: PageStore> {
-    /// One tree state (working state or pinned snapshot).
-    Tree(Plane<'a, S>),
-    /// A pinned forest manifest: memtable image + component snapshots.
-    Forest(ForestPlane<'a, S>),
+pub struct ViewPlane<'a, S: PageStore> {
+    config: &'a TreeConfig,
+    /// Objects visible through this view.
+    live: u64,
+    /// Memtable entries (ascending id); empty for a single tree.
+    mem: &'a [(u64, Pfv)],
+    comps: Comps<'a, S>,
 }
 
 impl<S: PageStore> Clone for ViewPlane<'_, S> {
@@ -168,77 +167,89 @@ impl<S: PageStore> Clone for ViewPlane<'_, S> {
     }
 }
 impl<S: PageStore> Copy for ViewPlane<'_, S> {}
+impl<S: PageStore> Clone for Comps<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<S: PageStore> Copy for Comps<'_, S> {}
 
 impl<'a, S: PageStore> ViewPlane<'a, S> {
+    /// The view over one tree state: a one-component forest with an
+    /// empty memtable.
+    pub(crate) fn single(plane: Plane<'a, S>) -> Self {
+        Self {
+            config: plane.config,
+            live: plane.len,
+            mem: &[],
+            comps: Comps::One(plane),
+        }
+    }
+
     pub(crate) fn config(&self) -> &'a TreeConfig {
-        match self {
-            ViewPlane::Tree(p) => p.config(),
-            ViewPlane::Forest(p) => p.config(),
+        self.config
+    }
+
+    pub(crate) fn len(&self) -> u64 {
+        self.live
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    pub(crate) fn mem(&self) -> &'a [(u64, Pfv)] {
+        self.mem
+    }
+
+    pub(crate) fn comp_count(&self) -> usize {
+        match self.comps {
+            Comps::One(_) => 1,
+            Comps::Pinned(cs) => cs.len(),
+        }
+    }
+
+    /// Component `i` (newest first) and the ids shadowed inside it —
+    /// `None` when nothing is, so scans test the option once per node
+    /// instead of probing a set per entry.
+    pub(crate) fn comp(&self, i: usize) -> (Plane<'a, S>, Option<&'a HashSet<u64>>) {
+        match self.comps {
+            Comps::One(plane) => (plane, None),
+            Comps::Pinned(cs) => {
+                let c = &cs[i];
+                (
+                    c.snap.tree_plane(),
+                    (!c.hidden.is_empty()).then_some(&c.hidden),
+                )
+            }
         }
     }
 
     pub(crate) fn check_dims(&self, got: usize) -> Result<(), TreeError> {
-        match self {
-            ViewPlane::Tree(p) => p.check_dims(got),
-            ViewPlane::Forest(p) => p.check_dims(got),
+        if got != self.config.dims {
+            return Err(TreeError::DimMismatch {
+                expected: self.config.dims,
+                got,
+            });
         }
+        Ok(())
     }
 
-    pub(crate) fn k_mliq(&self, q: &Pfv, k: usize) -> Result<Vec<MliqResult>, TreeError> {
-        match self {
-            ViewPlane::Tree(p) => p.k_mliq(q, k),
-            ViewPlane::Forest(p) => p.k_mliq(q, k),
+    /// Visits every live entry: memtable first (ascending id), then each
+    /// component newest-first in tree order, shadowed ids skipped.
+    pub(crate) fn for_each_entry(&self, mut f: impl FnMut(u64, &Pfv)) -> Result<(), TreeError> {
+        for (id, v) in self.mem {
+            f(*id, v);
         }
-    }
-
-    pub(crate) fn k_mliq_refined(
-        &self,
-        q: &Pfv,
-        k: usize,
-        accuracy: f64,
-    ) -> Result<Vec<RefinedResult>, TreeError> {
-        match self {
-            ViewPlane::Tree(p) => p.k_mliq_refined(q, k, accuracy),
-            ViewPlane::Forest(p) => p.k_mliq_refined(q, k, accuracy),
+        for i in 0..self.comp_count() {
+            let (plane, hidden) = self.comp(i);
+            plane.for_each_entry(|id, v| {
+                if !hidden.is_some_and(|h| h.contains(&id)) {
+                    f(id, v);
+                }
+            })?;
         }
-    }
-
-    pub(crate) fn tiq(
-        &self,
-        q: &Pfv,
-        p_theta: f64,
-        accuracy: f64,
-    ) -> Result<Vec<TiqResult>, TreeError> {
-        match self {
-            ViewPlane::Tree(p) => p.tiq(q, p_theta, accuracy),
-            ViewPlane::Forest(p) => p.tiq(q, p_theta, accuracy),
-        }
-    }
-
-    pub(crate) fn tiq_anytime(&self, q: &Pfv, p_theta: f64) -> Result<Vec<TiqResult>, TreeError> {
-        match self {
-            ViewPlane::Tree(p) => p.tiq_anytime(q, p_theta),
-            ViewPlane::Forest(p) => p.tiq_anytime(q, p_theta),
-        }
-    }
-
-    pub(crate) fn probabilistic_box_query(
-        &self,
-        lo: &[f64],
-        hi: &[f64],
-        tau: f64,
-    ) -> Result<Vec<BoxQueryResult>, TreeError> {
-        match self {
-            ViewPlane::Tree(p) => p.probabilistic_box_query(lo, hi, tau),
-            ViewPlane::Forest(p) => p.probabilistic_box_query(lo, hi, tau),
-        }
-    }
-
-    pub(crate) fn for_each_entry(&self, f: impl FnMut(u64, &Pfv)) -> Result<(), TreeError> {
-        match self {
-            ViewPlane::Tree(p) => p.for_each_entry(f),
-            ViewPlane::Forest(p) => p.for_each_entry(f),
-        }
+        Ok(())
     }
 }
 
@@ -301,7 +312,7 @@ pub trait ReadView<S: PageStore> {
     /// # Panics
     /// Panics unless `0 < p_theta <= 1` and `accuracy > 0`.
     fn tiq(&self, q: &Pfv, p_theta: f64, accuracy: f64) -> Result<Vec<TiqResult>, TreeError> {
-        self.plane().tiq(q, p_theta, accuracy)
+        self.plane().tiq_impl(q, p_theta, Some(accuracy))
     }
 
     /// The literal Figure-5 algorithm: stops as soon as no unexplored node
@@ -317,7 +328,7 @@ pub trait ReadView<S: PageStore> {
     /// # Panics
     /// Panics unless `0 < p_theta <= 1`.
     fn tiq_anytime(&self, q: &Pfv, p_theta: f64) -> Result<Vec<TiqResult>, TreeError> {
-        self.plane().tiq_anytime(q, p_theta)
+        self.plane().tiq_impl(q, p_theta, None)
     }
 
     /// Starts a lazy best-first ranking for `q` (highest relative
@@ -372,12 +383,17 @@ pub trait ReadView<S: PageStore> {
 
 impl<S: PageStore> ReadView<S> for GaussTree<S> {
     fn plane(&self) -> ViewPlane<'_, S> {
-        ViewPlane::Tree(self.working_plane())
+        ViewPlane::single(self.working_plane())
     }
 }
 
 impl<S: PageStore> ReadView<S> for ForestSnapshot<S> {
     fn plane(&self) -> ViewPlane<'_, S> {
-        ViewPlane::Forest(ForestPlane { snap: self })
+        ViewPlane {
+            config: &self.config,
+            live: self.live,
+            mem: &self.mem,
+            comps: Comps::Pinned(&self.comps),
+        }
     }
 }

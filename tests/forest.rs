@@ -12,16 +12,24 @@
 //!   to well under the query accuracy (the interval *bounds* may close in
 //!   different exploration orders across component forests, so only the
 //!   settled answer is contractual);
+//! * refined k-MLIQ ids and density bits are asserted identical, and every
+//!   reported `[prob_lo, prob_hi]` must contain the brute-force posterior
+//!   and be no wider than the accuracy; `tiq_anytime` must report a
+//!   superset of the exact TIQ; box-query answers are bit-identical;
+//! * a forest flushed once into a single component with an empty memtable
+//!   is asserted bit-equal to the bulk-loaded tree on *every* entry point,
+//!   interval bounds included — the contract that lets one read engine
+//!   serve both (`one_component_forest_is_bit_equal_to_the_tree`);
 //! * `contains`/`len` bookkeeping matches a plain map replay, and both
 //!   leaf formats are exercised (the memtable pre-quantises, so flushing
 //!   must never re-round).
 
 use gausstree::pfv::Pfv;
 use gausstree::storage::MemComponentStores;
-use gausstree::storage::{AccessStats, BufferPool, MemStore};
+use gausstree::storage::{AccessStats, BufferPool, MemStore, PageStore};
 use gausstree::tree::{ForestOptions, GaussForest, GaussTree, LeafFormat, ReadView, TreeConfig};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One step of the interleaved workload.
 #[derive(Debug, Clone)]
@@ -107,6 +115,15 @@ fn check_equivalence(ops: &[Op], dims: usize, format: LeafFormat, queries: &[Pfv
         assert!(forest.contains(*id));
     }
 
+    // The stored live set (the quantised image under `Quantised`), id
+    // ascending: what the brute-force Bayes oracle sums over.
+    let mut stored: Vec<(u64, Pfv)> = Vec::new();
+    reference
+        .for_each_entry(|id, v| stored.push((id, v.clone())))
+        .expect("reference entries");
+    stored.sort_by_key(|(id, _)| *id);
+    let stored_pfvs: Vec<Pfv> = stored.iter().map(|(_, v)| v.clone()).collect();
+
     for q in queries {
         // k-MLIQ: bit-identical ids, order and densities.
         let k = 5;
@@ -147,6 +164,66 @@ fn check_equivalence(ops: &[Op], dims: usize, format: LeafFormat, queries: &[Pfv
                 fa,
                 fb
             );
+        }
+
+        // Refined k-MLIQ: ids and density bits as the reference tree; the
+        // intervals are exploration-order dependent, so each side answers
+        // to the brute-force posterior instead of to the other.
+        let accuracy = 1e-6;
+        let ra = snap.k_mliq_refined(q, k, accuracy).expect("forest refined");
+        let rb = reference
+            .k_mliq_refined(q, k, accuracy)
+            .expect("reference refined");
+        let key = |r: &gausstree::tree::RefinedResult| (r.id, r.log_density.to_bits());
+        assert_eq!(
+            ra.iter().map(key).collect::<Vec<_>>(),
+            rb.iter().map(key).collect::<Vec<_>>(),
+            "refined k-MLIQ diverged"
+        );
+        let truth = gausstree::pfv::posteriors(config.combine, &stored_pfvs, q);
+        for r in &ra {
+            let at = stored
+                .binary_search_by_key(&r.id, |(id, _)| *id)
+                .expect("refined hit is live");
+            let want = truth[at].probability;
+            assert!(
+                r.prob_lo <= want + 1e-9 && want <= r.prob_hi + 1e-9,
+                "posterior {want} of id {} outside [{}, {}]",
+                r.id,
+                r.prob_lo,
+                r.prob_hi
+            );
+            assert!(
+                r.prob_hi - r.prob_lo <= accuracy + 1e-9,
+                "interval of id {} wider than the accuracy: [{}, {}]",
+                r.id,
+                r.prob_lo,
+                r.prob_hi
+            );
+        }
+
+        // Anytime TIQ never dismisses what the exact TIQ reports.
+        let anytime: BTreeSet<u64> = snap
+            .tiq_anytime(q, theta)
+            .expect("forest anytime tiq")
+            .iter()
+            .map(|h| h.id)
+            .collect();
+        for id in &ids_a {
+            assert!(anytime.contains(id), "tiq_anytime dismissed id {id}");
+        }
+
+        // Box query: bit-identical ids, order and probabilities.
+        for (half, tau) in [(1.5, 0.2), (6.0, 0.01)] {
+            let lo: Vec<f64> = q.means().iter().map(|m| m - half).collect();
+            let hi: Vec<f64> = q.means().iter().map(|m| m + half).collect();
+            let ba = snap
+                .probabilistic_box_query(&lo, &hi, tau)
+                .expect("forest box query");
+            let bb = reference
+                .probabilistic_box_query(&lo, &hi, tau)
+                .expect("reference box query");
+            assert_eq!(ba, bb, "box query diverged");
         }
     }
 
@@ -220,4 +297,99 @@ fn deep_churn_matches_reference() {
     ops.push(Op::Flush);
     ops.push(Op::Maintain);
     check_equivalence(&ops, dims, LeafFormat::Exact, &queries_for(dims));
+}
+
+/// Every field of every entry point's answer for `q`, by bits: one row
+/// `(entry point, id, [fields])` per reported object.
+fn answer_bits<S: PageStore, V: ReadView<S>>(view: &V, q: &Pfv) -> Vec<(String, u64, Vec<u64>)> {
+    let mut rows = Vec::new();
+    let mut row = |what: &str, id: u64, fields: &[f64]| {
+        rows.push((
+            what.to_string(),
+            id,
+            fields.iter().map(|f| f.to_bits()).collect(),
+        ));
+    };
+    for h in view.k_mliq(q, 7).expect("k-mliq") {
+        row("k_mliq", h.id, &[h.log_density]);
+    }
+    for accuracy in [1e-2, 1e-7] {
+        for h in view.k_mliq_refined(q, 7, accuracy).expect("refined") {
+            let fields = [h.log_density, h.probability, h.prob_lo, h.prob_hi];
+            row(&format!("refined a={accuracy}"), h.id, &fields);
+        }
+        for theta in [0.05, 0.2, 0.7] {
+            for h in view.tiq(q, theta, accuracy).expect("tiq") {
+                let fields = [h.log_density, h.probability, h.prob_lo, h.prob_hi];
+                row(&format!("tiq t={theta} a={accuracy}"), h.id, &fields);
+            }
+        }
+    }
+    for theta in [0.05, 0.2, 0.7] {
+        for h in view.tiq_anytime(q, theta).expect("anytime tiq") {
+            let fields = [h.log_density, h.probability, h.prob_lo, h.prob_hi];
+            row(&format!("tiq_anytime t={theta}"), h.id, &fields);
+        }
+    }
+    let lo: Vec<f64> = q.means().iter().map(|m| m - 2.0).collect();
+    let hi: Vec<f64> = q.means().iter().map(|m| m + 2.0).collect();
+    for h in view
+        .probabilistic_box_query(&lo, &hi, 0.05)
+        .expect("box query")
+    {
+        row("box", h.id, &[h.probability]);
+    }
+    let mut cursor = view.ranking_cursor(q).expect("cursor");
+    for _ in 0..20 {
+        match cursor.next_hit().expect("cursor hit") {
+            Some(h) => row("cursor", h.id, &[h.log_density]),
+            None => break,
+        }
+    }
+    rows
+}
+
+/// All inserts, one flush, empty memtable: the forest *is* one bulk-loaded
+/// tree, so every entry point — interval bounds and the ranking cursor
+/// included — must agree with the bulk-loaded reference bit for bit.
+#[test]
+fn one_component_forest_is_bit_equal_to_the_tree() {
+    for (dims, format) in [(2, LeafFormat::Exact), (3, LeafFormat::Quantised)] {
+        let config = TreeConfig::new(dims)
+            .with_capacities(6, 4)
+            .with_leaf_format(format);
+        let mut forest = GaussForest::create(
+            MemComponentStores::new(4096),
+            config,
+            ForestOptions::new().memtable_capacity(10_000),
+        )
+        .expect("create forest");
+        let mut model: BTreeMap<u64, Pfv> = BTreeMap::new();
+        for id in 0..300u64 {
+            let t = id as f64;
+            let means: Vec<f64> = (0..dims)
+                .map(|j| ((t + 1.0) * (0.37 + j as f64 * 0.21)).sin() * 12.0)
+                .collect();
+            let sigmas: Vec<f64> = (0..dims)
+                .map(|j| 0.1 + ((id + j as u64) % 7) as f64 * 0.25)
+                .collect();
+            let v = Pfv::new(means, sigmas).expect("valid pfv");
+            forest.insert(id, &v).expect("insert");
+            model.insert(id, v);
+        }
+        assert!(forest.flush().expect("flush"));
+        assert_eq!(forest.component_stats().len(), 1);
+        assert_eq!(forest.memtable_len(), 0);
+        let snap = forest.snapshot().expect("snapshot");
+        let reference = reference_tree(&model, config);
+
+        let mut queries = queries_for(dims);
+        // Near stored objects, so TIQ and the intervals are non-trivial.
+        for id in [7u64, 150, 299] {
+            queries.push(Pfv::new(model[&id].means().to_vec(), vec![0.3; dims]).expect("query"));
+        }
+        for q in &queries {
+            assert_eq!(answer_bits(&snap, q), answer_bits(&reference, q));
+        }
+    }
 }
