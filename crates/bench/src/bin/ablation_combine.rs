@@ -2,7 +2,7 @@
 //! (`√(σv²+σq²)`) versus the paper's literal additive σ (`σv+σq`).
 //! Compares the Figure-1 example probabilities and the Figure-6 recall.
 //!
-//! Run: `cargo run --release -p gauss-bench --bin ablation_combine [-- --quick]`
+//! Run: `cargo run --release -p gauss_bench --bin ablation_combine [-- --quick]`
 
 use gauss_baselines::PfvFile;
 use gauss_bench::{build_pfv_file, has_flag, ExperimentSpec};

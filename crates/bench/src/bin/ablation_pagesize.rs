@@ -4,7 +4,7 @@
 //! narrower parameter rectangles) but more pages overall; larger pages
 //! amortise header overhead but dilute selectivity. Sweeps 2–32 KiB.
 //!
-//! Run: `cargo run --release -p gauss-bench --bin ablation_pagesize [-- --quick]`
+//! Run: `cargo run --release -p gauss_bench --bin ablation_pagesize [-- --quick]`
 
 use gauss_bench::{has_flag, ExperimentSpec, CACHE_BYTES};
 use gauss_storage::{AccessStats, BufferPool, MemStore};

@@ -2,7 +2,7 @@
 //! the erf-based Φ versus the paper's degree-5 polynomial sigmoid
 //! approximation — and their effect on the split cost metric.
 //!
-//! Run: `cargo run --release -p gauss-bench --bin ablation_phi`
+//! Run: `cargo run --release -p gauss_bench --bin ablation_phi`
 
 use pfv::hull::DimBounds;
 use pfv::phi::{phi, phi_poly5, PhiImpl};

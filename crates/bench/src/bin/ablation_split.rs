@@ -2,7 +2,7 @@
 //! conventional widest-μ median split and an R\*-style volume split.
 //! Reports page accesses per 1-MLIQ and TIQ query for each strategy.
 //!
-//! Run: `cargo run --release -p gauss-bench --bin ablation_split [-- --quick]`
+//! Run: `cargo run --release -p gauss_bench --bin ablation_split [-- --quick]`
 
 use gauss_bench::{build_gauss_tree, has_flag, ExperimentSpec};
 use gauss_tree::ReadView;

@@ -9,7 +9,7 @@
 //! diffuse and reports TIQ(0.8) pages, result sizes, and the top-1
 //! identification probability.
 //!
-//! Run: `cargo run --release -p gauss-bench --bin ablation_tiq_regime [-- --quick]`
+//! Run: `cargo run --release -p gauss_bench --bin ablation_tiq_regime [-- --quick]`
 
 use gauss_bench::{build_gauss_tree, build_pfv_file, has_flag};
 use gauss_tree::ReadView;

@@ -1,0 +1,266 @@
+//! Bit-level differential of the read engine: every field of every answer
+//! of every [`ReadView`] entry point, printed as raw bits for fixed seeds.
+//!
+//! A read-path change that claims "same answers" proves it by building this
+//! binary in two checkouts and comparing the outputs byte for byte:
+//!
+//! ```sh
+//! cargo run --release -q -p gauss_bench --bin answer_bits > /tmp/change.bits
+//! (cd ../parent && cargo run --release -q -p gauss_bench --bin answer_bits) > /tmp/parent.bits
+//! cmp /tmp/parent.bits /tmp/change.bits && sha256sum /tmp/change.bits
+//! ```
+//!
+//! Coverage: data sets d2–d27 with tight and wide σ (plus leaf-root and
+//! height-1 trees) × both [`CombineMode`]s × both [`LeafFormat`]s × page-
+//! sized and tiny node capacities (height ≥ 3) × {bulk-loaded tree, pinned
+//! `Snapshot`, multi-component forest with live memtable, upserts and
+//! tombstones} × `k_mliq`, `k_mliq_refined` (3 accuracies), `tiq` (θ down
+//! to 1e-40, 2 accuracies), `tiq_anytime`, a box query and 20 cursor hits.
+//! The binary uses public API only, so the same source builds in an older
+//! checkout. `--quick` shrinks data and query counts for CI (a few seconds).
+//!
+//! Run: `cargo run --release -p gauss_bench --bin answer_bits [-- --quick]`
+
+use gauss_bench::has_flag;
+use gauss_storage::{
+    AccessStats, BufferPool, MemComponentStores, MemStore, PageStore, DEFAULT_PAGE_SIZE,
+};
+use gauss_tree::{ForestOptions, GaussForest, GaussTree, LeafFormat, ReadView, TreeConfig};
+use gauss_workloads::{generate_queries, histogram_dataset, uniform_dataset, Dataset, SigmaSpec};
+use pfv::{CombineMode, Pfv};
+use std::io::{BufWriter, Write};
+
+/// One fixed-seed data set with its query σ.
+struct Case {
+    name: &'static str,
+    data: Dataset,
+    query_sigma: SigmaSpec,
+    queries: usize,
+}
+
+fn cases(quick: bool) -> Vec<Case> {
+    let n = |full: usize, small: usize| if quick { small } else { full };
+    let tight = SigmaSpec::uniform(0.005, 0.05);
+    let wide = SigmaSpec::uniform(0.1, 0.4);
+    let drift = SigmaSpec::uniform(0.05, 0.4);
+    let u10 = SigmaSpec::log_uniform(0.005, 0.3).with_object_scale(0.5, 3.0);
+    let h27 = SigmaSpec::log_uniform(0.05, 0.9)
+        .with_object_scale(0.5, 2.0)
+        .relative_to_value(0.01);
+    let mut cases = vec![
+        Case {
+            name: "u2_leafroot",
+            data: uniform_dataset(4, 2, tight, 11),
+            query_sigma: tight,
+            queries: 2,
+        },
+        Case {
+            name: "u2_height1",
+            data: uniform_dataset(16, 2, wide, 12),
+            query_sigma: wide,
+            queries: 2,
+        },
+        Case {
+            name: "u2_tight",
+            data: uniform_dataset(n(4000, 600), 2, tight, 13),
+            query_sigma: tight,
+            queries: n(5, 2),
+        },
+        Case {
+            name: "h27",
+            data: histogram_dataset(n(3000, 500), 27, h27, 14),
+            query_sigma: h27,
+            queries: n(5, 2),
+        },
+    ];
+    if !quick {
+        cases.push(Case {
+            name: "u2_wide",
+            data: uniform_dataset(4000, 2, wide, 15),
+            query_sigma: wide,
+            queries: 5,
+        });
+        cases.push(Case {
+            name: "u8_drift",
+            data: uniform_dataset(6000, 8, drift, 16),
+            query_sigma: drift,
+            queries: 5,
+        });
+        cases.push(Case {
+            name: "u10",
+            data: uniform_dataset(12_000, 10, u10, 17),
+            query_sigma: SigmaSpec::log_uniform(0.005, 0.3).with_object_scale(0.5, 1.5),
+            queries: 5,
+        });
+    }
+    cases
+}
+
+fn pool() -> BufferPool<MemStore> {
+    BufferPool::new(
+        MemStore::new(DEFAULT_PAGE_SIZE),
+        8192,
+        AccessStats::new_shared(),
+    )
+}
+
+/// A forest over the same objects as the tree, cut into about five
+/// components, with every 7th id deleted and every 11th upserted (wider σ)
+/// afterwards — so components carry shadowed ids and tombstones, and the
+/// tail of the stream is still in the memtable.
+fn build_forest(data: &Dataset, config: TreeConfig) -> GaussForest<MemComponentStores> {
+    let items = data.items();
+    let capacity = (items.len() / 5).max(3);
+    let opts = ForestOptions::new()
+        .memtable_capacity(capacity)
+        .merge_factor(64);
+    let mut forest = GaussForest::create(MemComponentStores::new(DEFAULT_PAGE_SIZE), config, opts)
+        .expect("create forest");
+    for (id, v) in &items {
+        forest.insert(*id, v).expect("forest insert");
+    }
+    for (id, v) in &items {
+        if id % 7 == 3 {
+            forest.delete(*id).expect("forest delete");
+        } else if id % 11 == 5 {
+            let sigmas: Vec<f64> = v.sigmas().iter().map(|s| s * 1.5).collect();
+            let wider = Pfv::new(v.means().to_vec(), sigmas).expect("valid pfv");
+            forest.insert(*id, &wider).expect("forest upsert");
+        }
+    }
+    forest
+}
+
+/// Every entry point for every query, one line per answer row.
+fn dump<S: PageStore>(
+    out: &mut impl Write,
+    tag: &str,
+    view: &impl ReadView<S>,
+    queries: &[Pfv],
+) -> std::io::Result<()> {
+    for (qi, q) in queries.iter().enumerate() {
+        for k in [1usize, 5, 40] {
+            for r in view.k_mliq(q, k).expect("k_mliq") {
+                writeln!(
+                    out,
+                    "{tag} q{qi} mliq k{k} {} {:016x}",
+                    r.id,
+                    r.log_density.to_bits()
+                )?;
+            }
+            for acc in [1e-2, 1e-6, 1e-10] {
+                for r in view.k_mliq_refined(q, k, acc).expect("refined") {
+                    writeln!(
+                        out,
+                        "{tag} q{qi} refined k{k} a{acc:e} {} {:016x} {:016x} {:016x} {:016x}",
+                        r.id,
+                        r.log_density.to_bits(),
+                        r.probability.to_bits(),
+                        r.prob_lo.to_bits(),
+                        r.prob_hi.to_bits()
+                    )?;
+                }
+            }
+        }
+        for theta in [0.7, 0.2, 0.05, 1e-12, 1e-20, 1e-40] {
+            for acc in [Some(1e-3), Some(1e-9), None] {
+                let (label, rows) = match acc {
+                    Some(a) => (format!("tiq a{a:e}"), view.tiq(q, theta, a).expect("tiq")),
+                    None => (
+                        "anytime".to_string(),
+                        view.tiq_anytime(q, theta).expect("anytime"),
+                    ),
+                };
+                writeln!(out, "{tag} q{qi} {label} t{theta:e} n{}", rows.len())?;
+                for r in rows {
+                    writeln!(
+                        out,
+                        "{tag} q{qi} {label} t{theta:e} {} {:016x} {:016x} {:016x} {:016x}",
+                        r.id,
+                        r.log_density.to_bits(),
+                        r.probability.to_bits(),
+                        r.prob_lo.to_bits(),
+                        r.prob_hi.to_bits()
+                    )?;
+                }
+            }
+        }
+        let corner = |k: f64| -> Vec<f64> {
+            (q.means().iter().zip(q.sigmas()))
+                .map(|(m, s)| m + k * s)
+                .collect()
+        };
+        let (lo, hi) = (corner(-3.0), corner(3.0));
+        for r in view.probabilistic_box_query(&lo, &hi, 0.05).expect("box") {
+            writeln!(
+                out,
+                "{tag} q{qi} box {} {:016x}",
+                r.id,
+                r.probability.to_bits()
+            )?;
+        }
+        let mut cursor = view.ranking_cursor(q).expect("cursor");
+        for _ in 0..20 {
+            let Some(hit) = cursor.next_hit().expect("cursor hit") else {
+                break;
+            };
+            writeln!(
+                out,
+                "{tag} q{qi} cursor {} {:016x}",
+                hit.id,
+                hit.log_density.to_bits()
+            )?;
+        }
+    }
+    Ok(())
+}
+
+fn main() -> std::io::Result<()> {
+    let args: Vec<String> = std::env::args().collect();
+    let quick = has_flag(&args, "--quick");
+    let stdout = std::io::stdout();
+    let mut out = BufWriter::new(stdout.lock());
+
+    for case in cases(quick) {
+        let dims = case.data.dims();
+        let queries: Vec<Pfv> = generate_queries(&case.data, case.queries, case.query_sigma, 99)
+            .into_iter()
+            .map(|q| q.query)
+            .collect();
+        for mode in [CombineMode::Convolution, CombineMode::AdditiveSigma] {
+            for format in [LeafFormat::Exact, LeafFormat::Quantised] {
+                for tiny in [false, true] {
+                    let mut config = TreeConfig::new(dims)
+                        .with_combine(mode)
+                        .with_leaf_format(format);
+                    if tiny {
+                        config = config.with_capacities(6, 4);
+                    }
+                    let tag = format!(
+                        "{} {mode:?} {format:?} {}",
+                        case.name,
+                        if tiny { "cap6x4" } else { "page" }
+                    );
+                    let tree =
+                        GaussTree::bulk_load(pool(), config, case.data.items()).expect("bulk load");
+                    writeln!(out, "{tag} tree n{} height{}", tree.len(), tree.height())?;
+                    dump(&mut out, &format!("{tag} tree"), &tree, &queries)?;
+                    let snap = tree.snapshot().expect("snapshot");
+                    dump(&mut out, &format!("{tag} snap"), &snap, &queries)?;
+
+                    let forest = build_forest(&case.data, config);
+                    let view = forest.snapshot().expect("forest snapshot");
+                    writeln!(
+                        out,
+                        "{tag} forest n{} comps{} mem{}",
+                        view.len(),
+                        forest.component_stats().len(),
+                        forest.memtable_len()
+                    )?;
+                    dump(&mut out, &format!("{tag} forest"), &view, &queries)?;
+                }
+            }
+        }
+    }
+    out.flush()
+}

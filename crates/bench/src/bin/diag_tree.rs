@@ -2,7 +2,7 @@
 //! set 1. Compares bulk-loaded against incrementally inserted trees and
 //! prints node statistics that explain pruning quality.
 //!
-//! Run: `cargo run --release -p gauss-bench --bin diag_tree [-- --quick]`
+//! Run: `cargo run --release -p gauss_bench --bin diag_tree [-- --quick]`
 
 use gauss_bench::{build_gauss_tree, has_flag, ExperimentSpec, CACHE_BYTES};
 use gauss_storage::{AccessStats, BufferPool, MemStore, DEFAULT_PAGE_SIZE};

@@ -2,7 +2,7 @@
 //! images and one query. Prints the Euclidean distances and identification
 //! probabilities next to the paper's numbers.
 //!
-//! Run: `cargo run --release -p gauss-bench --bin fig1_example`
+//! Run: `cargo run --release -p gauss_bench --bin fig1_example`
 
 use gauss_workloads::figure1;
 use pfv::CombineMode;

@@ -2,7 +2,7 @@
 //! mean vectors versus 3-MLIQ on probabilistic feature vectors, with the
 //! result-set size scaled ×1…×9.
 //!
-//! Run: `cargo run --release -p gauss-bench --bin fig6_effectiveness -- --dataset 1`
+//! Run: `cargo run --release -p gauss_bench --bin fig6_effectiveness -- --dataset 1`
 //! Flags: `--dataset 1|2` (default 1), `--quick` for a reduced size.
 
 use gauss_baselines::euclidean_knn;

@@ -3,7 +3,7 @@
 //! over 95 %-quantile boxes, and the Gauss-tree — all normalised to the
 //! sequential scan (=100 %).
 //!
-//! Run: `cargo run --release -p gauss-bench --bin fig7_efficiency -- --dataset 1`
+//! Run: `cargo run --release -p gauss_bench --bin fig7_efficiency -- --dataset 1`
 //! Flags: `--dataset 1|2` (default 1), `--quick`.
 
 use gauss_bench::{

@@ -2,7 +2,7 @@
 //! and speedup versus the sequential scan as functions of database size,
 //! dimensionality, and k.
 //!
-//! Run: `cargo run --release -p gauss-bench --bin scaling [-- --quick]`
+//! Run: `cargo run --release -p gauss_bench --bin scaling [-- --quick]`
 
 use gauss_bench::{build_gauss_tree, build_pfv_file, has_flag};
 use gauss_tree::ReadView;

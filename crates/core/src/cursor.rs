@@ -19,7 +19,7 @@
 //! live set, whatever the component boundaries.
 
 use crate::node::CachedNode;
-use crate::query::{leaf_objects, MliqResult};
+use crate::query::{leaf_objects, LeafScratch, MliqResult, NO_FLOOR};
 use crate::tree::TreeError;
 use crate::view::ViewPlane;
 use gauss_storage::store::PageStore;
@@ -101,8 +101,8 @@ pub struct RankingCursor<'t, S: PageStore> {
     query: Pfv,
     heap: BinaryHeap<Frontier>,
     emitted: u64,
-    /// Scratch buffer for the batched leaf kernel, reused across leaves.
-    dens: Vec<f64>,
+    /// Scratch buffers for the leaf kernel, reused across leaves.
+    scratch: LeafScratch,
 }
 
 impl<S: PageStore> std::fmt::Debug for RankingCursor<'_, S> {
@@ -138,13 +138,23 @@ impl<'t, S: PageStore> RankingCursor<'t, S> {
                     let (plane, hidden) = self.view.comp(comp);
                     match &*plane.read_node_cached(page)? {
                         CachedNode::Leaf(leaf) => {
+                            // The cursor must be able to emit every entry,
+                            // so no floor: one batched sweep per leaf.
                             let heap = &mut self.heap;
-                            leaf_objects(leaf, hidden, mode, &self.query, &mut self.dens, |c| {
-                                heap.push(Frontier::Object {
-                                    log_density: c.log_density,
-                                    id: c.id,
-                                });
-                            });
+                            leaf_objects(
+                                leaf,
+                                hidden,
+                                mode,
+                                &self.query,
+                                NO_FLOOR,
+                                &mut self.scratch,
+                                |c| {
+                                    heap.push(Frontier::Object {
+                                        log_density: c.log_density,
+                                        id: c.id,
+                                    });
+                                },
+                            );
                         }
                         CachedNode::Inner(es) => {
                             // The cursor only orders by the upper bound, so no
@@ -212,7 +222,7 @@ impl<'t, S: PageStore> ViewPlane<'t, S> {
             query: q.clone(),
             heap,
             emitted: 0,
-            dens: Vec::new(),
+            scratch: LeafScratch::default(),
         })
     }
 }

@@ -47,6 +47,48 @@
 //! `prob_hi` are guaranteed brackets of width ≤ accuracy, bit-equal only
 //! between views with the same component layout.
 //!
+//! **Why skipping below the floor is exact, not approximate.** All three
+//! queries open a leaf through one loop, `leaf_objects`: with a *floor* it
+//! bounds every entry from above with the screen kernel
+//! ([`pfv::batch::screen_densities`]) and pays the exact kernel only for
+//! entries whose bound reaches the floor. For k-MLIQ the floor is the k-th
+//! kept density. The denominator searches need more, because every entry
+//! also feeds `Σ p(q|w)` — and get it from how the exact part of that sum
+//! is held: [`pfv::logsum::LogSumAcc`] scales its terms to the largest one
+//! seen, so the scaled sum is `≥ 1`, and a term `38` nats below the
+//! largest adds at most `e⁻³⁸ ≈ 3.1e-17`, less than half an ulp
+//! (`2⁻⁵³ ≈ 1.1e-16`) of any double `≥ 1`: round-to-nearest returns the
+//! old sum, bit for bit. (The
+//! true edge is `ln 2⁵³ = 36.7`; at 36 nats the sum does move, and the
+//! nat in between covers the roundings of `exp` and of the floor itself —
+//! `pfv::logsum` pins both.) So `DenomSearch::expand` skips an entry only
+//! if its bound is below `min(exact_max − 38, caller's floor)`, where the
+//! caller's floor is a density below which it provably ignores entries:
+//! the k-th kept density for refined k-MLIQ, `exact_max − (1 − ln θ)` for
+//! TIQ (admission needs `ld − log_lo ≥ ln θ` and `log_lo ≥ exact_max`, in
+//! floating point too). A candidate cannot hide below the floor, a skipped
+//! term cannot change `exact`, survivors are evaluated, added and offered
+//! in entry order by a kernel bit-identical to the batched one — hence the
+//! same candidate list, the same `DenomBounds` after every expansion, the
+//! same loop decisions and the same `[prob_lo, prob_hi]` bits as opening
+//! every leaf with the batched kernel. With nothing exact yet, or all
+//! densities underflowed, there is no floor and the batched kernel runs.
+//!
+//! **Which path a leaf takes** is decided by the query's own running
+//! tally, not by an option: the screen costs about 40 % of the batched
+//! kernel per entry plus a scalar exact evaluation per survivor, so it
+//! loses where densities are flat. Both paths count how many entries
+//! reached the floor (`kept`) of those opened under a finite floor
+//! (`seen`) — the same numbers either way — and the next leaf is screened
+//! while `2·kept ≤ seen`. Measured on 30 000 uniform d-8 objects, TIQ at
+//! θ = 0.2, always-on against never-on: 897 vs 1162 µs at 14 % kept,
+//! 1429 vs 1431 µs at 38 % (the crossover), 1086 vs 921 µs at 57 %, 227 vs
+//! 164 µs at 100 %; the per-leaf rule read at or below both at every point
+//! (889, 1282, 877, 167 µs), because the share varies within a query —
+//! best-first opens the leaves around the peak, where everything is kept,
+//! first. Since both paths produce the same bits, the choice is invisible
+//! in every answer.
+//!
 //! [`ReadView::k_mliq`]: crate::view::ReadView::k_mliq
 //! [`ReadView::k_mliq_refined`]: crate::view::ReadView::k_mliq_refined
 //! [`ReadView::tiq`]: crate::view::ReadView::tiq
@@ -60,6 +102,14 @@ use pfv::logsum::{log_add_exp, LogSumAcc, ScaledSum};
 use pfv::{batch, combine, CombineMode, Pfv};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
+
+/// How far below the largest exact term of the Bayes denominator a density
+/// has to lie to leave the exact sum **bit-unchanged**: [`LogSumAcc`]
+/// keeps its sum scaled to the largest term, hence `≥ 1`, and
+/// `e⁻³⁸ ≈ 3.1e-17` is under half an ulp (`2⁻⁵³`) of any such number. Not
+/// tunable — at 36 nats the sum does move (both pinned by tests in
+/// `pfv::logsum`).
+const NO_OP_GAP: f64 = 38.0;
 
 /// Result of a plain k-MLIQ: ranked by relative probability.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -230,15 +280,29 @@ impl DenomBounds {
         log_add_exp(self.log_lo(), self.log_hi()) - std::f64::consts::LN_2
     }
 
-    /// Width of the probability interval of an object with log density `ld`.
-    ///
-    /// Clamped at zero: `ScaledSum` subtraction can leave the upper
-    /// accumulator a cancellation residue *below* the lower one, which would
-    /// otherwise make the width slightly negative and `width <= accuracy`
-    /// comparisons vacuously true for negative widths only.
-    pub(crate) fn prob_width(&self, ld: f64) -> f64 {
-        ((ld - self.log_lo()).exp() - (ld - self.log_hi()).exp()).max(0.0)
+    /// The largest exact density counted so far, `−∞` before the first.
+    /// Never above [`DenomBounds::log_lo`] — in floating point too: the
+    /// exact sum is `max + ln(scaled sum ≥ 1)` and `log_add_exp` only adds
+    /// a non-negative term to its larger argument.
+    pub(crate) fn exact_max(&self) -> f64 {
+        self.exact.max_term()
     }
+
+    /// [`prob_width`] at the current bounds.
+    pub(crate) fn prob_width(&self, ld: f64) -> f64 {
+        prob_width(ld, self.log_lo(), self.log_hi())
+    }
+}
+
+/// Width of the probability interval of an object with log density `ld`
+/// under denominator bounds `[log_lo, log_hi]`.
+///
+/// Clamped at zero: `ScaledSum` subtraction can leave the upper
+/// accumulator a cancellation residue *below* the lower one, which would
+/// otherwise make the width slightly negative and `width <= accuracy`
+/// comparisons vacuously true for negative widths only.
+fn prob_width(ld: f64, log_lo: f64, log_hi: f64) -> f64 {
+    ((ld - log_lo).exp() - (ld - log_hi).exp()).max(0.0)
 }
 
 /// Turns a log density and denominator bounds into clamped probabilities.
@@ -309,7 +373,6 @@ impl<S: PageStore> Plane<'_, S> {
             return Ok(());
         }
         let mode = self.config().combine;
-        let skip = |id: u64| hidden.is_some_and(|h| h.contains(&id));
 
         let mut active: BinaryHeap<ActiveNode> = BinaryHeap::new();
         active.push(ActiveNode {
@@ -318,9 +381,7 @@ impl<S: PageStore> Plane<'_, S> {
             count: self.len(),
             page: self.root_page(),
         });
-        // Scratch buffers for the batched leaf kernels, reused across leaves.
-        let mut dens: Vec<f64> = Vec::new();
-        let mut fast = batch::FastScratch::new();
+        let mut scratch = LeafScratch::default();
 
         while let Some(top) = active.pop() {
             let worst = kth_density(best, target);
@@ -333,40 +394,13 @@ impl<S: PageStore> Plane<'_, S> {
                 break;
             }
             match &*self.read_node_cached(top.page)? {
+                // `worst` is the floor: `−∞` while the heap has room (every
+                // entry is evaluated), the k-th kept density once it is
+                // full (entries that provably cannot enter are skipped).
                 CachedNode::Leaf(leaf) => {
-                    if best.len() == target {
-                        // Screen tier: the heap is full, so a conservative
-                        // upper bound below the worst kept density rules an
-                        // entry out without the exact kernel. The bounds
-                        // never undershoot the exact value (overflow turns
-                        // them NaN, which fails the `<` screen), and ties
-                        // fall through to exact evaluation, so the result
-                        // set is identical to the unscreened path. The
-                        // kernel leaves each lane block as soon as no
-                        // dimension prefix can reach `worst` — before the
-                        // first dimension, on the stored peak bounds alone.
-                        if !batch::screen_densities(mode, q, &leaf.columns, worst, &mut fast) {
-                            continue;
-                        }
-                        for (e, &id) in leaf.ids.iter().enumerate() {
-                            if fast.upper()[e] < worst || skip(id) {
-                                continue;
-                            }
-                            // Refine tier: exact, bit-identical to the
-                            // batched kernel for this entry.
-                            let ld = batch::log_density_one(mode, q, &leaf.columns, e);
-                            push_candidate(best, target, ld, id);
-                        }
-                    } else {
-                        dens.resize(leaf.columns.len(), 0.0);
-                        batch::log_densities(mode, q, &leaf.columns, &mut dens);
-                        for (&id, &ld) in leaf.ids.iter().zip(dens.iter()) {
-                            if skip(id) {
-                                continue;
-                            }
-                            push_candidate(best, target, ld, id);
-                        }
-                    }
+                    leaf_objects(leaf, hidden, mode, q, worst, &mut scratch, |c| {
+                        push_candidate(best, target, c.log_density, c.id);
+                    });
                 }
                 CachedNode::Inner(es) => {
                     // Plain k-MLIQ never consults the lower bound, so price
@@ -397,21 +431,59 @@ fn shadowed_count(hidden: Option<&HashSet<u64>>) -> f64 {
     hidden.map_or(0.0, |h| h.len() as f64)
 }
 
-/// Evaluates a leaf with the batched kernel and hands every entry not in
-/// `hidden` to `found`.
+/// The floor that skips nothing: [`leaf_objects`] evaluates every entry
+/// with the batched kernel.
+pub(crate) const NO_FLOOR: f64 = f64::NEG_INFINITY;
+
+/// Scratch buffers of the two leaf kernels, reused across leaves.
+#[derive(Default)]
+pub(crate) struct LeafScratch {
+    dens: Vec<f64>,
+    screen: batch::FastScratch,
+}
+
+/// The one screen-then-refine leaf loop: hands `found`, in entry order and
+/// with their exact densities, the entries of `leaf` that are not in
+/// `hidden` — all of them under [`NO_FLOOR`] (one batched kernel sweep),
+/// otherwise at least every one whose density reaches `floor`.
+///
+/// With a floor, the screen tier bounds every entry from above, leaving
+/// each lane block as soon as no dimension prefix can reach `floor`
+/// (before the first dimension, on the stored peak bounds alone), and
+/// only entries whose bound is not below the floor pay the exact kernel —
+/// [`batch::log_density_one`], bit-identical to the batched sweep. The
+/// bounds never undershoot the exact value (overflow turns them NaN,
+/// which fails the `<` test) and a bound equal to the floor is refined, so
+/// for a caller that would ignore every density below `floor` anyway the
+/// two paths are indistinguishable.
 pub(crate) fn leaf_objects(
     leaf: &ColumnarLeafNode,
     hidden: Option<&HashSet<u64>>,
     mode: CombineMode,
     q: &Pfv,
-    dens: &mut Vec<f64>,
+    floor: f64,
+    scratch: &mut LeafScratch,
     mut found: impl FnMut(Candidate),
 ) {
-    dens.resize(leaf.columns.len(), 0.0);
-    batch::log_densities(mode, q, &leaf.columns, dens);
-    for (&id, &log_density) in leaf.ids.iter().zip(dens.iter()) {
-        if !hidden.is_some_and(|h| h.contains(&id)) {
+    let visible = |id: u64| !hidden.is_some_and(|h| h.contains(&id));
+    if floor > NO_FLOOR {
+        if !batch::screen_densities(mode, q, &leaf.columns, floor, &mut scratch.screen) {
+            return;
+        }
+        for (e, (&id, &upper)) in leaf.ids.iter().zip(scratch.screen.upper()).enumerate() {
+            if upper < floor || !visible(id) {
+                continue;
+            }
+            let log_density = batch::log_density_one(mode, q, &leaf.columns, e);
             found(Candidate { log_density, id });
+        }
+    } else {
+        scratch.dens.resize(leaf.columns.len(), 0.0);
+        batch::log_densities(mode, q, &leaf.columns, &mut scratch.dens);
+        for (&id, &log_density) in leaf.ids.iter().zip(&scratch.dens) {
+            if visible(id) {
+                found(Candidate { log_density, id });
+            }
         }
     }
 }
@@ -426,8 +498,11 @@ struct DenomSearch<'a, 'q, S: PageStore> {
     q: &'q Pfv,
     active: BinaryHeap<CompNode>,
     denom: DenomBounds,
-    /// Scratch buffer for the batched leaf kernel, reused across leaves.
-    dens: Vec<f64>,
+    scratch: LeafScratch,
+    /// The running tally that picks each leaf's path: entries `expand` has
+    /// opened under a finite floor, and how many of them reached it.
+    seen: usize,
+    kept: usize,
 }
 
 impl<'a, 'q, S: PageStore> DenomSearch<'a, 'q, S> {
@@ -438,7 +513,7 @@ impl<'a, 'q, S: PageStore> DenomSearch<'a, 'q, S> {
     /// excluded), already counted in the denominator.
     fn start(view: ViewPlane<'a, S>, q: &'q Pfv) -> Result<(Self, Vec<Candidate>), TreeError> {
         let mode = view.config().combine;
-        let mut dens = Vec::new();
+        let mut scratch = LeafScratch::default();
         let mut objects: Vec<Candidate> = view.mem_objects(q).collect();
         let mut nodes: Vec<CompNode> = Vec::new();
         for comp in 0..view.comp_count() {
@@ -448,13 +523,13 @@ impl<'a, 'q, S: PageStore> DenomSearch<'a, 'q, S> {
             }
             match &*plane.read_node_cached(plane.root_page())? {
                 CachedNode::Leaf(leaf) => {
-                    leaf_objects(leaf, hidden, mode, q, &mut dens, |c| objects.push(c));
+                    leaf_objects(leaf, hidden, mode, q, NO_FLOOR, &mut scratch, |c| {
+                        objects.push(c);
+                    });
                 }
-                CachedNode::Inner(es) => nodes.extend(
-                    active_children(es, q, mode)
-                        .into_iter()
-                        .map(|node| CompNode { node, comp }),
-                ),
+                CachedNode::Inner(es) => {
+                    nodes.extend(active_children(es, q, mode).map(|node| CompNode { node, comp }));
+                }
             }
         }
 
@@ -477,7 +552,9 @@ impl<'a, 'q, S: PageStore> DenomSearch<'a, 'q, S> {
             q,
             active,
             denom,
-            dens,
+            scratch,
+            seen: 0,
+            kept: 0,
         };
         Ok((search, objects))
     }
@@ -490,11 +567,17 @@ impl<'a, 'q, S: PageStore> DenomSearch<'a, 'q, S> {
 
     /// Expands the best unexpanded node: its remainder terms leave the
     /// denominator and either its children's terms or its visible
-    /// entries' exact densities enter. `found` sees each such entry, and
-    /// the bounds with that entry already counted. Returns `false` when
-    /// no node was left.
+    /// entries' exact densities enter. `found` sees such an entry, and the
+    /// bounds with that entry already counted — every entry, or only those
+    /// that matter: the caller vouches that it ignores every density below
+    /// `cand_floor`, and an entry [`NO_OP_GAP`] below the largest exact
+    /// term cannot change the exact sum by a bit, so a leaf opened through
+    /// the screen tier skips whatever is below both without `found`, the
+    /// sum or any later bound being able to tell (module docs). Returns
+    /// `false` when no node was left.
     fn expand(
         &mut self,
+        cand_floor: f64,
         mut found: impl FnMut(&DenomBounds, Candidate),
     ) -> Result<bool, TreeError> {
         let Some(top) = self.active.pop() else {
@@ -506,11 +589,32 @@ impl<'a, 'q, S: PageStore> DenomSearch<'a, 'q, S> {
         self.denom.remove_node(&top.node, shadowed);
         match &*plane.read_node_cached(top.node.page)? {
             CachedNode::Leaf(leaf) => {
+                // `−∞` while nothing exact is known, or no candidate floor.
+                let floor = (self.denom.exact_max() - NO_OP_GAP).min(cand_floor);
+                // The screen pays only where it discards most entries; both
+                // paths report how many reached the floor, so the query's
+                // own history decides, leaf by leaf.
+                let screen = 2 * self.kept <= self.seen;
+                let path_floor = if screen { floor } else { NO_FLOOR };
                 let denom = &mut self.denom;
-                leaf_objects(leaf, hidden, mode, self.q, &mut self.dens, |c| {
-                    denom.add_object(c.log_density);
-                    found(denom, c);
-                });
+                let mut kept = 0;
+                leaf_objects(
+                    leaf,
+                    hidden,
+                    mode,
+                    self.q,
+                    path_floor,
+                    &mut self.scratch,
+                    |c| {
+                        kept += usize::from(c.log_density >= floor);
+                        denom.add_object(c.log_density);
+                        found(denom, c);
+                    },
+                );
+                if floor > NO_FLOOR {
+                    self.seen += leaf.ids.len();
+                    self.kept += kept;
+                }
             }
             CachedNode::Inner(es) => {
                 for node in active_children(es, self.q, mode) {
@@ -595,7 +699,10 @@ impl<'a, S: PageStore> ViewPlane<'a, S> {
             if settled && search.denom.prob_width(best_ld) <= accuracy {
                 break;
             }
-            let expanded = search.expand(|_, c| {
+            // A density below the k-th kept one neither enters the heap nor
+            // raises `best_ld`.
+            let floor = kth_density(&best, target);
+            let expanded = search.expand(floor, |_, c| {
                 push_candidate(&mut best, target, c.log_density, c.id);
                 best_ld = best_ld.max(c.log_density);
             })?;
@@ -656,28 +763,31 @@ impl<'a, S: PageStore> ViewPlane<'a, S> {
                 .top_upper()
                 .is_some_and(|up| up - denom_lo >= ln_theta);
             let refine_more = match accuracy {
-                // Exact mode: also decide every boundary candidate and meet
-                // the probability accuracy.
-                Some(acc) => {
-                    let any_undecided = cands.iter().any(|c| {
-                        c.log_density - denom_hi < ln_theta && c.log_density - denom_lo >= ln_theta
-                    });
-                    let max_width = cands
-                        .iter()
-                        .map(|c| search.denom.prob_width(c.log_density))
-                        .fold(0.0, f64::max);
-                    any_undecided || max_width > acc
-                }
+                // Exact mode: also decide every boundary candidate (all of
+                // them passed the `retain` above) and meet the probability
+                // accuracy.
+                Some(acc) => cands.iter().any(|c| {
+                    c.log_density - denom_hi < ln_theta
+                        || prob_width(c.log_density, denom_lo, denom_hi) > acc
+                }),
                 // Anytime mode (Figure 5 verbatim): no further refinement.
                 None => false,
             };
             if !explore_more && !refine_more {
                 break;
             }
-            let expanded = search.expand(|denom, c| {
+            // Admission needs `ld − log_lo ≥ ln θ`, and `log_lo` never falls
+            // below the largest exact term — so one nat further down (room
+            // for the roundings of the floor itself) nothing can qualify.
+            let floor = search.denom.exact_max() - (1.0 - ln_theta);
+            let expanded = search.expand(floor, |denom, c| {
                 // Admit only candidates that could still qualify — the
-                // retain step above keeps this set tight.
-                if c.log_density - denom.log_lo() >= ln_theta {
+                // retain step above keeps this set tight. The first test
+                // is implied by the second (`log_lo ≥ exact_max`) and
+                // spares nearly every entry the `ln`s and `exp` of `log_lo`.
+                if c.log_density - denom.exact_max() >= ln_theta
+                    && c.log_density - denom.log_lo() >= ln_theta
+                {
                     cands.push(c);
                 }
             })?;
@@ -719,22 +829,22 @@ impl<'a, S: PageStore> ViewPlane<'a, S> {
 /// Prices every child of an inner node in one fused hull sweep (the same
 /// per-child evaluation as [`children_log_hulls`], without materializing
 /// the intermediate bounds vector) and wraps them as queue entries.
-pub(crate) fn active_children(
-    es: &[crate::node::InnerEntry],
-    q: &Pfv,
-    mode: pfv::CombineMode,
-) -> Vec<ActiveNode> {
-    es.iter()
-        .map(|e| {
-            let (up, lo) = e.rect.log_bounds_for_query(q, mode);
-            ActiveNode {
-                log_upper: up,
-                log_lower: lo,
-                count: e.count,
-                page: e.child,
-            }
-        })
-        .collect()
+///
+/// [`children_log_hulls`]: crate::node::children_log_hulls
+fn active_children<'a>(
+    es: &'a [crate::node::InnerEntry],
+    q: &'a Pfv,
+    mode: CombineMode,
+) -> impl Iterator<Item = ActiveNode> + 'a {
+    es.iter().map(move |e| {
+        let (up, lo) = e.rect.log_bounds_for_query(q, mode);
+        ActiveNode {
+            log_upper: up,
+            log_lower: lo,
+            count: e.count,
+            page: e.child,
+        }
+    })
 }
 
 pub(crate) fn push_candidate(
@@ -771,7 +881,7 @@ fn ranked(best: BinaryHeap<Reverse<Candidate>>) -> impl Iterator<Item = Candidat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TreeConfig;
+    use crate::config::{LeafFormat, TreeConfig};
     use crate::tree::GaussTree;
     use crate::view::ReadView;
     use gauss_storage::{AccessStats, BufferPool, MemStore};
@@ -789,18 +899,28 @@ mod tests {
     }
 
     fn random_db(n: usize, dims: usize, seed: u64) -> Vec<(u64, Pfv)> {
+        spread_db(n, dims, seed, 0.05, 1.05)
+    }
+
+    /// Means uniform in `[0, 10]^dims`, σ uniform in `[s_lo, s_hi]`.
+    fn spread_db(n: usize, dims: usize, seed: u64, s_lo: f64, s_hi: f64) -> Vec<(u64, Pfv)> {
         let mut rng = Rng(seed | 1);
         (0..n as u64)
             .map(|id| {
                 let means: Vec<f64> = (0..dims).map(|_| rng.next_f64() * 10.0).collect();
-                let sigmas: Vec<f64> = (0..dims).map(|_| 0.05 + rng.next_f64()).collect();
+                let sigmas: Vec<f64> = (0..dims)
+                    .map(|_| s_lo + (s_hi - s_lo) * rng.next_f64())
+                    .collect();
                 (id, Pfv::new(means, sigmas).unwrap())
             })
             .collect()
     }
 
     fn build_tree(items: &[(u64, Pfv)], dims: usize) -> GaussTree<MemStore> {
-        let config = TreeConfig::new(dims).with_capacities(6, 4);
+        build_tree_with(items, TreeConfig::new(dims).with_capacities(6, 4))
+    }
+
+    fn build_tree_with(items: &[(u64, Pfv)], config: TreeConfig) -> GaussTree<MemStore> {
         let pool = BufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
         let mut tree = GaussTree::create(pool, config).unwrap();
         for (id, v) in items {
@@ -979,6 +1099,313 @@ mod tests {
             accessed * 3 < total_pages,
             "k-MLIQ accessed {accessed} of {total_pages} pages — no pruning?"
         );
+    }
+
+    /// What a caller of `DenomSearch::expand` does with the entries it is
+    /// shown, and the floor it vouches for.
+    #[derive(Clone, Copy)]
+    enum Caller {
+        /// TIQ: admit what could reach `θ`.
+        Tiq { ln_theta: f64 },
+        /// Refined k-MLIQ: keep the `k` best.
+        TopK { k: usize },
+    }
+
+    /// Everything observable about one exhaustive search: the bounds after
+    /// every expansion and the candidates the caller ended up with, by
+    /// bits.
+    #[derive(Debug, PartialEq)]
+    struct SearchTrace {
+        bounds: Vec<(u64, u64)>,
+        kept: Vec<(u64, u64)>,
+    }
+
+    /// Expands every node of `view` for `q`, opening each leaf through the
+    /// screen tier (`Some(true)`), the batched kernel (`Some(false)`) or
+    /// whichever the tally picks (`None`). Also returns how many leaf
+    /// entries `expand` showed the caller.
+    fn trace_search<S: PageStore>(
+        view: ViewPlane<'_, S>,
+        q: &Pfv,
+        force_screen: Option<bool>,
+        caller: Caller,
+    ) -> (SearchTrace, usize) {
+        let (mut search, objects) = DenomSearch::start(view, q).unwrap();
+        let mut best: BinaryHeap<Reverse<Candidate>> = BinaryHeap::new();
+        let mut cands: Vec<Candidate> = Vec::new();
+        for c in objects {
+            match caller {
+                Caller::Tiq { .. } => cands.push(c),
+                Caller::TopK { k } => push_candidate(&mut best, k, c.log_density, c.id),
+            }
+        }
+        let mut bounds = Vec::new();
+        let mut shown = 0;
+        loop {
+            let tally = (search.kept, search.seen);
+            // `2·kept ≤ seen` holds for (0, 0) and fails for (1, 0).
+            match force_screen {
+                Some(true) => (search.kept, search.seen) = (0, 0),
+                Some(false) => (search.kept, search.seen) = (1, 0),
+                None => {}
+            }
+            let expanded = match caller {
+                Caller::Tiq { ln_theta } => {
+                    let floor = search.denom.exact_max() - (1.0 - ln_theta);
+                    search.expand(floor, |denom, c| {
+                        shown += 1;
+                        if c.log_density - denom.log_lo() >= ln_theta {
+                            cands.push(c);
+                        }
+                    })
+                }
+                Caller::TopK { k } => search.expand(kth_density(&best, k), |_, c| {
+                    shown += 1;
+                    push_candidate(&mut best, k, c.log_density, c.id);
+                }),
+            }
+            .unwrap();
+            if !expanded {
+                break;
+            }
+            if force_screen.is_some() {
+                (search.kept, search.seen) = tally;
+            }
+            bounds.push((
+                search.denom.log_lo().to_bits(),
+                search.denom.log_hi().to_bits(),
+            ));
+        }
+        cands.extend(ranked(best));
+        let kept = cands
+            .iter()
+            .map(|c| (c.id, c.log_density.to_bits()))
+            .collect();
+        (SearchTrace { bounds, kept }, shown)
+    }
+
+    /// Asserts that the forced screen path and the forced batched path
+    /// cannot be told apart, and returns how many entries each showed the
+    /// caller.
+    fn assert_paths_agree<S: PageStore>(
+        view: ViewPlane<'_, S>,
+        q: &Pfv,
+        caller: Caller,
+        what: &str,
+    ) -> (usize, usize) {
+        let (screened, shown_screened) = trace_search(view, q, Some(true), caller);
+        let (batched, shown_batched) = trace_search(view, q, Some(false), caller);
+        assert_eq!(screened, batched, "{what}");
+        assert!(shown_screened <= shown_batched, "{what}");
+        (shown_screened, shown_batched)
+    }
+
+    /// A forest over `items` in several components, with deletes and
+    /// upserts applied afterwards so components carry hidden ids and the
+    /// memtable is live.
+    fn shadowed_forest(
+        items: &[(u64, Pfv)],
+        config: TreeConfig,
+    ) -> crate::forest::GaussForest<gauss_storage::MemComponentStores> {
+        let opts = crate::forest::ForestOptions::new()
+            .memtable_capacity(items.len() / 3 + 1)
+            .merge_factor(64);
+        let stores = gauss_storage::MemComponentStores::new(8192);
+        let mut forest = crate::forest::GaussForest::create(stores, config, opts).unwrap();
+        for (id, v) in items {
+            forest.insert(*id, v).unwrap();
+        }
+        for (id, v) in items {
+            match id % 5 {
+                1 => drop(forest.delete(*id).unwrap()),
+                2 => {
+                    let sigmas: Vec<f64> = v.sigmas().iter().map(|s| s * 1.25).collect();
+                    let moved = Pfv::new(v.means().to_vec(), sigmas).unwrap();
+                    forest.insert(*id, &moved).unwrap();
+                }
+                _ => {}
+            }
+        }
+        forest
+    }
+
+    #[test]
+    fn screen_and_batched_leaf_paths_are_indistinguishable() {
+        // Every leaf of every search, opened both ways: the caller ends up
+        // with the same candidates and the denominator bounds agree to the
+        // bit after every expansion — on a tree and on a forest with hidden
+        // ids and a live memtable, in both combine modes and leaf formats,
+        // for thresholds down to 1e-40 (floor 93 nats below the peak).
+        let mut items = spread_db(240, 3, 17, 0.02, 0.3);
+        // One entry so far out that its `Σ z²` overflows: the screen bound
+        // is NaN, which no floor may skip (exact formats only — an f32
+        // mean cannot get that far).
+        let far = Pfv::new(vec![1e200, 5.0, 5.0], vec![0.1, 0.1, 0.1]).unwrap();
+        let (mut shown_screened, mut shown_batched) = (0, 0);
+        for mode in [CombineMode::Convolution, CombineMode::AdditiveSigma] {
+            for format in [LeafFormat::Exact, LeafFormat::Quantised] {
+                let config = TreeConfig::new(3)
+                    .with_capacities(6, 4)
+                    .with_combine(mode)
+                    .with_leaf_format(format);
+                if format == LeafFormat::Exact {
+                    items.push((240, far.clone()));
+                }
+                let tree = build_tree_with(&items, config);
+                let forest = shadowed_forest(&items, config);
+                let snap = forest.snapshot().unwrap();
+                items.truncate(240);
+                for target in [3usize, 77, 150] {
+                    let q = Pfv::new(items[target].1.means().to_vec(), vec![0.05; 3]).unwrap();
+                    for caller in [
+                        Caller::Tiq {
+                            ln_theta: 0.3f64.ln(),
+                        },
+                        Caller::Tiq {
+                            ln_theta: 1e-20f64.ln(),
+                        },
+                        Caller::Tiq {
+                            ln_theta: 1e-40f64.ln(),
+                        },
+                        Caller::TopK { k: 1 },
+                        Caller::TopK { k: 7 },
+                    ] {
+                        let what = format!("{mode:?} {format:?} q{target}");
+                        for (s, b) in [
+                            assert_paths_agree(tree.plane(), &q, caller, &what),
+                            assert_paths_agree(snap.plane(), &q, caller, &what),
+                        ] {
+                            shown_screened += s;
+                            shown_batched += b;
+                        }
+                    }
+                }
+            }
+        }
+        // The two paths did differ in what they evaluated: the batched one
+        // showed every visible entry, the screen a small part of them.
+        assert!(shown_batched > 20_000, "{shown_batched}");
+        assert!(
+            4 * shown_screened < shown_batched,
+            "{shown_screened} of {shown_batched}"
+        );
+    }
+
+    #[test]
+    fn an_all_underflow_search_has_no_floor_and_takes_the_batched_path() {
+        // Every density underflows to −∞, so the exact sum stays empty,
+        // `exact_max − 38` is −∞ and no leaf may be screened — whatever
+        // the tally says.
+        let items = random_db(60, 2, 13);
+        let tree = build_tree(&items, 2);
+        let q = Pfv::new(vec![1e200, 1e200], vec![0.1, 0.1]).unwrap();
+        for caller in [
+            Caller::Tiq {
+                ln_theta: 0.5f64.ln(),
+            },
+            Caller::TopK { k: 3 },
+        ] {
+            let (shown_screened, shown_batched) =
+                assert_paths_agree(tree.plane(), &q, caller, "all-underflow");
+            assert_eq!((shown_screened, shown_batched), (60, 60));
+        }
+        let (mut search, _) = DenomSearch::start(tree.plane(), &q).unwrap();
+        while search.expand(f64::INFINITY, |_, _| {}).unwrap() {}
+        assert_eq!((search.seen, search.kept), (0, 0), "no floor, no tally");
+    }
+
+    /// Runs a TIQ-style search under the real tally and reports, per leaf
+    /// opened under a finite floor, whether the *next* leaf would be
+    /// screened.
+    fn tally_decisions(tree: &GaussTree<MemStore>, q: &Pfv) -> Vec<bool> {
+        let ln_theta = 0.2f64.ln();
+        let (mut search, _) = DenomSearch::start(tree.plane(), q).unwrap();
+        let mut decisions = Vec::new();
+        loop {
+            let seen = search.seen;
+            let floor = search.denom.exact_max() - (1.0 - ln_theta);
+            if !search.expand(floor, |_, _| {}).unwrap() {
+                return decisions;
+            }
+            if search.seen > seen {
+                decisions.push(2 * search.kept <= search.seen);
+            }
+        }
+    }
+
+    #[test]
+    fn the_tally_keeps_the_screen_on_for_peaked_data_and_turns_it_off_for_flat() {
+        let check = |items: &[(u64, Pfv)], q_sigma: f64, expect_screen: bool| {
+            let dims = items[0].1.dims();
+            let tree = build_tree(items, dims);
+            let q = Pfv::new(items[9].1.means().to_vec(), vec![q_sigma; dims]).unwrap();
+            let decisions = tally_decisions(&tree, &q);
+            assert!(decisions.len() > 20);
+            assert!(
+                decisions.iter().all(|&screen| screen == expect_screen),
+                "{decisions:?}"
+            );
+            // Whichever way the tally went, the answer is the forced one.
+            let caller = Caller::Tiq {
+                ln_theta: 0.2f64.ln(),
+            };
+            let (free, shown) = trace_search(tree.plane(), &q, None, caller);
+            let (batched, all) = trace_search(tree.plane(), &q, Some(false), caller);
+            assert_eq!(free, batched);
+            assert_eq!(shown < all, expect_screen, "{shown} of {all} entries shown");
+        };
+        // Tight σ: all but a few entries lie far more than 38 nats below
+        // the peak, so every leaf is screened.
+        check(&spread_db(400, 3, 5, 0.01, 0.05), 0.02, true);
+        // Wide σ: every density is within 38 nats of the peak, the first
+        // leaf reports all of its entries kept, and the screen is off from
+        // the second leaf on (the first screened nothing out either).
+        check(&spread_db(400, 2, 6, 2.0, 4.0), 2.0, false);
+    }
+
+    #[test]
+    fn screened_tiq_and_refined_match_brute_force() {
+        // The callers' own floors (k-th kept density; `exact_max − (1 −
+        // ln θ)`) against the oracle, on data where the screen runs for all
+        // but the first few (nearest) leaves and several objects share
+        // each posterior.
+        let items = spread_db(500, 2, 21, 0.05, 0.15);
+        let tree = build_tree(&items, 2);
+        let db: Vec<Pfv> = items.iter().map(|(_, v)| v.clone()).collect();
+        let mut multi_hit_queries = 0;
+        for target in [4usize, 99, 250, 311, 480] {
+            let q = Pfv::new(items[target].1.means().to_vec(), vec![0.1, 0.1]).unwrap();
+            let decisions = tally_decisions(&tree, &q);
+            let screened = decisions.iter().filter(|&&screen| screen).count();
+            assert!(4 * screened > 3 * decisions.len(), "{decisions:?}");
+            let truth = pfv::posteriors(CombineMode::Convolution, &db, &q);
+
+            for theta in [0.3, 0.01, 1e-6, 1e-20] {
+                let mut got: Vec<u64> = (tree.tiq(&q, theta, 1e-9).unwrap().iter())
+                    .map(|r| r.id)
+                    .collect();
+                got.sort_unstable();
+                let want: Vec<u64> = (truth.iter())
+                    .filter(|p| p.probability >= theta)
+                    .map(|p| p.index as u64)
+                    .collect();
+                assert_eq!(got, want, "q{target} theta={theta}");
+                multi_hit_queries += usize::from(got.len() > 3);
+            }
+
+            for k in [1, 5, 20] {
+                let got = tree.k_mliq_refined(&q, k, 1e-9).unwrap();
+                let want = scan_k_mliq(&items, &q, k);
+                assert_eq!(got.len(), k);
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!((g.id, g.log_density.to_bits()), (w.0, w.1.to_bits()));
+                    let p = truth[g.id as usize].probability;
+                    assert!(g.prob_lo <= p + 1e-12 && p <= g.prob_hi + 1e-12);
+                    assert!(g.prob_hi - g.prob_lo <= 1e-9 + 1e-12);
+                }
+            }
+        }
+        assert!(multi_hit_queries >= 5, "{multi_hit_queries}");
     }
 
     #[test]

@@ -39,7 +39,9 @@ pub fn log_sum_exp(log_terms: &[f64]) -> f64 {
 /// Streaming add-only log-sum-exp accumulator.
 ///
 /// Maintains the running sum as `(max, Σ exp(lᵢ − max))`, rescaling whenever
-/// a new maximum arrives.
+/// a new maximum arrives. The term that set the maximum contributes exactly
+/// `1`, so the scaled sum is never below `1` — which is what makes "a term
+/// 38 nats below the maximum is a no-op" a fact about bits, not a tolerance.
 #[derive(Debug, Clone, Default)]
 pub struct LogSumAcc {
     max: Option<f64>,
@@ -47,13 +49,23 @@ pub struct LogSumAcc {
 }
 
 impl LogSumAcc {
+    /// A term at least this many nats below the running maximum leaves the
+    /// accumulator **bit-unchanged**: its scaled value is at most
+    /// `e⁻³⁸ ≈ 3.1e-17`, under half an ulp (`2⁻⁵³ ≈ 1.1e-16`) of a scaled
+    /// sum that is at least `1`, so round-to-nearest returns the old sum.
+    /// Not tunable: at 36 nats (`e⁻³⁶ ≈ 2.3e-16`) the sum does change.
+    const NO_OP_GAP: f64 = 38.0;
+
     /// Creates an empty accumulator (`value() == -∞`).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Adds a term with log value `l`.
+    /// Adds a term with log value `l`. A term 38 nats or more below
+    /// [`LogSumAcc::max_term`] cannot change a bit of the sum (the scaled
+    /// sum is at least `1` and `e⁻³⁸ < 2⁻⁵³`), so it costs no `exp` — and a
+    /// caller that knows `l ≤ max_term() − 38` may skip the call.
     pub fn add(&mut self, l: f64) {
         if l == f64::NEG_INFINITY {
             return;
@@ -64,7 +76,12 @@ impl LogSumAcc {
                 self.scaled_sum = 1.0;
             }
             Some(m) if l <= m => {
-                self.scaled_sum += (l - m).exp();
+                let gap = l - m;
+                // Written so a NaN gap still takes the arithmetic path.
+                if gap <= -Self::NO_OP_GAP {
+                    return;
+                }
+                self.scaled_sum += gap.exp();
             }
             Some(m) => {
                 // New maximum: rescale the accumulated sum.
@@ -95,6 +112,13 @@ impl LogSumAcc {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.max.is_none()
+    }
+
+    /// The largest term added so far, `-∞` while empty. Never above
+    /// [`LogSumAcc::value`].
+    #[must_use]
+    pub fn max_term(&self) -> f64 {
+        self.max.unwrap_or(f64::NEG_INFINITY)
     }
 }
 
@@ -332,6 +356,131 @@ mod tests {
         acc.add(1.0);
         acc.add(f64::NEG_INFINITY);
         assert!((acc.value() - 1.0).abs() < 1e-15);
+    }
+
+    /// The accumulator's arithmetic with no shortcut: every finite term
+    /// pays its `exp` and its add.
+    #[derive(Default)]
+    struct NaiveAcc {
+        max: Option<f64>,
+        scaled_sum: f64,
+    }
+
+    impl NaiveAcc {
+        fn add(&mut self, l: f64) {
+            if l == f64::NEG_INFINITY {
+                return;
+            }
+            match self.max {
+                None => (self.max, self.scaled_sum) = (Some(l), 1.0),
+                Some(m) if l <= m => self.scaled_sum += (l - m).exp(),
+                Some(m) => {
+                    self.scaled_sum = self.scaled_sum * (m - l).exp() + 1.0;
+                    self.max = Some(l);
+                }
+            }
+        }
+
+        fn value(&self) -> f64 {
+            self.max
+                .map_or(f64::NEG_INFINITY, |m| m + self.scaled_sum.ln())
+        }
+    }
+
+    /// Deterministic xorshift in `[0, 1)`.
+    fn unit(state: &mut u64) -> f64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        (*state >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    #[test]
+    fn terms_38_nats_below_the_maximum_never_change_a_bit() {
+        // What the Gauss-tree's denominator screen rests on. Three
+        // accumulators see the same stream: the naive arithmetic, `add`
+        // (which skips the `exp` of a far-below term) and `add` behind a
+        // caller that drops such terms outright. Bits must agree after
+        // every step — for streams of d-27-sized log densities, spreads of
+        // 0 to 800 nats, maxima that keep arriving late, and `−∞` terms.
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut dropped = 0usize;
+        for stream in 0..400 {
+            let base = -300.0 + 400.0 * unit(&mut rng);
+            let spread = [0.0, 1.0, 30.0, 39.0, 80.0, 800.0][stream % 6] * unit(&mut rng);
+            let mut naive = NaiveAcc::default();
+            let mut acc = LogSumAcc::new();
+            let mut screened = LogSumAcc::new();
+            for step in 0..300 {
+                let l = match step % 17 {
+                    0 => f64::NEG_INFINITY,
+                    // A late maximum, up to 60 nats above everything so far.
+                    1 => naive.max.unwrap_or(base) + 60.0 * unit(&mut rng),
+                    // Right at the edge of the no-op zone.
+                    2 => naive.max.unwrap_or(base) - 38.0 - unit(&mut rng) * 1e-9,
+                    _ => base - spread * unit(&mut rng),
+                };
+                naive.add(l);
+                acc.add(l);
+                if l - screened.max_term() <= -38.0 {
+                    dropped += 1;
+                } else {
+                    screened.add(l);
+                }
+                let want = naive.value().to_bits();
+                assert_eq!(
+                    acc.value().to_bits(),
+                    want,
+                    "add: stream {stream} step {step}"
+                );
+                assert_eq!(
+                    screened.value().to_bits(),
+                    want,
+                    "dropped terms: stream {stream} step {step}"
+                );
+                assert_eq!(acc.scaled_sum.to_bits(), naive.scaled_sum.to_bits());
+                assert_eq!(screened.scaled_sum.to_bits(), naive.scaled_sum.to_bits());
+                assert_eq!(acc.max_term().to_bits(), naive.max.unwrap_or(l).to_bits());
+            }
+        }
+        assert!(
+            dropped > 10_000,
+            "the streams must exercise the drop ({dropped})"
+        );
+    }
+
+    #[test]
+    fn the_no_op_gap_is_38_because_36_is_not_one() {
+        // The constant is a property of f64, not a knob. The scaled sum is
+        // at least 1, where half an ulp is 2⁻⁵³ = e^−36.74: a term 36 nats
+        // down still moves a sum of exactly 1 …
+        let half_ulp = 2f64.powi(-53);
+        assert!((-36.0f64).exp() > half_ulp);
+        let (mut with, mut without) = (NaiveAcc::default(), NaiveAcc::default());
+        for acc in [&mut with, &mut without] {
+            acc.add(0.0);
+        }
+        with.add(-36.0);
+        assert_ne!(with.scaled_sum.to_bits(), without.scaled_sum.to_bits());
+        assert_ne!(with.value().to_bits(), without.value().to_bits());
+
+        // … while 38 nats down, with more than a nat to spare for the
+        // roundings of `exp` and of a caller's `max − 38`, no scaled sum
+        // from 1 upward moves — not even across a binade boundary.
+        assert!((-LogSumAcc::NO_OP_GAP).exp() < half_ulp / 3.0);
+        let tiny = (-LogSumAcc::NO_OP_GAP).exp();
+        for sum in [
+            1.0,
+            1.0 + f64::EPSILON,
+            1.5,
+            2.0 - f64::EPSILON,
+            2.0,
+            3.0,
+            1e6,
+            1e300,
+        ] {
+            assert_eq!((sum + tiny).to_bits(), sum.to_bits(), "scaled sum {sum}");
+        }
     }
 
     #[test]
