@@ -1,13 +1,14 @@
 //! Criterion microbenchmarks for the core operations on the query path:
 //! hull-bound evaluation (Lemma 2/3), Lemma-1 combination, node splits,
-//! incremental insert, and end-to-end k-MLIQ / TIQ on a mid-sized tree.
+//! incremental insert, page decode (row form then transpose against
+//! straight to columns), and end-to-end k-MLIQ / TIQ on a mid-sized tree.
 #![allow(missing_docs)]
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use gauss_baselines::PfvFile;
 use gauss_storage::{AccessStats, BufferPool, MemStore, DEFAULT_PAGE_SIZE};
-use gauss_tree::ReadView;
-use gauss_tree::{GaussTree, SplitStrategy, TreeConfig};
+use gauss_tree::node::Node;
+use gauss_tree::{CachedNode, GaussTree, LeafFormat, ReadView, SplitStrategy, TreeConfig};
 use gauss_workloads::{generate_queries, uniform_dataset, SigmaSpec};
 use pfv::hull::{DimBounds, ParamRect};
 use pfv::{combine, CombineMode, Pfv};
@@ -123,6 +124,49 @@ fn bench_insert(c: &mut Criterion) {
     });
 }
 
+/// ns per leaf page of the two ways to a query-ready leaf: the reference
+/// `Node::read_from(..).into_cached(..)` and the read path's
+/// `CachedNode::read_from(..)`, over the leaves of a bulk-loaded tree.
+fn bench_decode(c: &mut Criterion) {
+    for (dims, name) in [(10usize, "d10"), (27, "d27")] {
+        let dataset = uniform_dataset(12_000, dims, SigmaSpec::uniform(0.02, 0.25), 7);
+        for format in [LeafFormat::Exact, LeafFormat::Quantised] {
+            let pool = BufferPool::new(
+                MemStore::new(DEFAULT_PAGE_SIZE),
+                1 << 14,
+                AccessStats::new_shared(),
+            );
+            let config = TreeConfig::new(dims).with_leaf_format(format);
+            let tree = GaussTree::bulk_load(pool, config, dataset.items()).unwrap();
+            let mut leaves = Vec::new();
+            let mut stack = vec![tree.root_page()];
+            while let Some(page) = stack.pop() {
+                let bytes = tree.pool().page(page).unwrap();
+                match Node::read_from(dims, format, &bytes).unwrap() {
+                    Node::Leaf(_) => leaves.push(bytes),
+                    Node::Inner(es) => stack.extend(es.iter().map(|e| e.child)),
+                }
+            }
+            leaves.truncate(256);
+            let mut at = 0usize;
+            let mut next = || {
+                at = (at + 1) % leaves.len();
+                &leaves[at]
+            };
+            c.bench_function(&format!("node/two_step_{name}_{format:?}"), |bench| {
+                bench.iter(|| {
+                    Node::read_from(dims, format, black_box(next()))
+                        .unwrap()
+                        .into_cached(dims)
+                })
+            });
+            c.bench_function(&format!("node/direct_{name}_{format:?}"), |bench| {
+                bench.iter(|| CachedNode::read_from(dims, format, black_box(next())).unwrap())
+            });
+        }
+    }
+}
+
 fn bench_queries(c: &mut Criterion) {
     let dataset = uniform_dataset(10_000, 10, SigmaSpec::uniform(0.02, 0.25), 7);
     let queries = generate_queries(&dataset, 16, SigmaSpec::uniform(0.02, 0.25), 9);
@@ -169,6 +213,6 @@ criterion_group! {
         .sample_size(20)
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_hull, bench_combine, bench_split, bench_insert, bench_queries
+    targets = bench_hull, bench_combine, bench_split, bench_insert, bench_decode, bench_queries
 }
 criterion_main!(benches);

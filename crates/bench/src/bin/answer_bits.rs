@@ -14,18 +14,25 @@
 //! height-1 trees) × both [`CombineMode`]s × both [`LeafFormat`]s × page-
 //! sized and tiny node capacities (height ≥ 3) × {bulk-loaded tree, pinned
 //! `Snapshot`, multi-component forest with live memtable, upserts and
-//! tombstones} × `k_mliq`, `k_mliq_refined` (3 accuracies), `tiq` (θ down
-//! to 1e-40, 2 accuracies), `tiq_anytime`, a box query and 20 cursor hits.
-//! The binary uses public API only, so the same source builds in an older
-//! checkout. `--quick` shrinks data and query counts for CI (a few seconds).
+//! tombstones, the tree again through a 16-frame pool and a 16-node cache
+//! cold-started before every query} × `k_mliq`, `k_mliq_refined` (3
+//! accuracies), `tiq` (θ down to 1e-40, 2 accuracies), `tiq_anytime`, a box
+//! query and 20 cursor hits. The cold view is what drives page read →
+//! decode → evict → decode again; the large-cache views decode each node
+//! once. The binary uses public API only, so the same source builds in an
+//! older checkout. `--quick` shrinks data and query counts for CI (a few
+//! seconds).
 //!
 //! Run: `cargo run --release -p gauss_bench --bin answer_bits [-- --quick]`
 
 use gauss_bench::has_flag;
 use gauss_storage::{
-    AccessStats, BufferPool, MemComponentStores, MemStore, PageStore, DEFAULT_PAGE_SIZE,
+    AccessStats, BufferPool, MemComponentStores, MemStore, PageStore, SharedBufferPool,
+    DEFAULT_PAGE_SIZE,
 };
-use gauss_tree::{ForestOptions, GaussForest, GaussTree, LeafFormat, ReadView, TreeConfig};
+use gauss_tree::{
+    ForestOptions, GaussForest, GaussTree, LeafFormat, ReadView, TreeConfig, TreeOptions,
+};
 use gauss_workloads::{generate_queries, histogram_dataset, uniform_dataset, Dataset, SigmaSpec};
 use pfv::{CombineMode, Pfv};
 use std::io::{BufWriter, Write};
@@ -131,15 +138,31 @@ fn build_forest(data: &Dataset, config: TreeConfig) -> GaussForest<MemComponentS
     forest
 }
 
-/// Every entry point for every query, one line per answer row.
+/// Frames of the cold view's buffer pool and nodes of its decoded-node
+/// cache: one frame per pool shard, far below any tree here that has inner
+/// nodes, so a query evicts and re-decodes what it read a moment ago.
+const COLD_FRAMES: usize = 16;
+
+/// The tree's committed pages behind a [`COLD_FRAMES`]-frame pool and node
+/// cache.
+fn reopen_cold(tree: GaussTree<MemStore>) -> GaussTree<MemStore> {
+    let pool = SharedBufferPool::new(tree.into_store(), COLD_FRAMES, AccessStats::new_shared());
+    let opts = TreeOptions::new().node_cache_capacity(COLD_FRAMES);
+    GaussTree::open_with(pool, &opts).expect("reopen on a small pool")
+}
+
+/// Every entry point for every query, one line per answer row; `before`
+/// runs ahead of each query.
 fn dump<S: PageStore>(
     out: &mut impl Write,
     tag: &str,
     view: &impl ReadView<S>,
     queries: &[Pfv],
+    before: impl Fn(),
 ) -> std::io::Result<()> {
     for (qi, q) in queries.iter().enumerate() {
         for k in [1usize, 5, 40] {
+            before();
             for r in view.k_mliq(q, k).expect("k_mliq") {
                 writeln!(
                     out,
@@ -149,6 +172,7 @@ fn dump<S: PageStore>(
                 )?;
             }
             for acc in [1e-2, 1e-6, 1e-10] {
+                before();
                 for r in view.k_mliq_refined(q, k, acc).expect("refined") {
                     writeln!(
                         out,
@@ -164,6 +188,7 @@ fn dump<S: PageStore>(
         }
         for theta in [0.7, 0.2, 0.05, 1e-12, 1e-20, 1e-40] {
             for acc in [Some(1e-3), Some(1e-9), None] {
+                before();
                 let (label, rows) = match acc {
                     Some(a) => (format!("tiq a{a:e}"), view.tiq(q, theta, a).expect("tiq")),
                     None => (
@@ -191,6 +216,7 @@ fn dump<S: PageStore>(
                 .collect()
         };
         let (lo, hi) = (corner(-3.0), corner(3.0));
+        before();
         for r in view.probabilistic_box_query(&lo, &hi, 0.05).expect("box") {
             writeln!(
                 out,
@@ -199,6 +225,7 @@ fn dump<S: PageStore>(
                 r.probability.to_bits()
             )?;
         }
+        before();
         let mut cursor = view.ranking_cursor(q).expect("cursor");
         for _ in 0..20 {
             let Some(hit) = cursor.next_hit().expect("cursor hit") else {
@@ -244,9 +271,14 @@ fn main() -> std::io::Result<()> {
                     let tree =
                         GaussTree::bulk_load(pool(), config, case.data.items()).expect("bulk load");
                     writeln!(out, "{tag} tree n{} height{}", tree.len(), tree.height())?;
-                    dump(&mut out, &format!("{tag} tree"), &tree, &queries)?;
+                    dump(&mut out, &format!("{tag} tree"), &tree, &queries, || ())?;
                     let snap = tree.snapshot().expect("snapshot");
-                    dump(&mut out, &format!("{tag} snap"), &snap, &queries)?;
+                    dump(&mut out, &format!("{tag} snap"), &snap, &queries, || ())?;
+                    drop(snap);
+                    let cold = reopen_cold(tree);
+                    dump(&mut out, &format!("{tag} cold"), &cold, &queries, || {
+                        cold.cold_start();
+                    })?;
 
                     let forest = build_forest(&case.data, config);
                     let view = forest.snapshot().expect("forest snapshot");
@@ -257,7 +289,7 @@ fn main() -> std::io::Result<()> {
                         forest.component_stats().len(),
                         forest.memtable_len()
                     )?;
-                    dump(&mut out, &format!("{tag} forest"), &view, &queries)?;
+                    dump(&mut out, &format!("{tag} forest"), &view, &queries, || ())?;
                 }
             }
         }

@@ -151,17 +151,14 @@ impl TreeConfig {
     /// (8 bytes per value in the exact format, 4 in the quantised one).
     #[must_use]
     pub fn leaf_entry_bytes(&self) -> usize {
-        match self.leaf_format {
-            LeafFormat::Exact => 8 + 16 * self.dims,
-            LeafFormat::Quantised => 8 + 8 * self.dims,
-        }
+        crate::node::leaf_entry_bytes(self.dims, self.leaf_format)
     }
 
     /// Bytes of one serialised inner entry: child page + subtree count +
     /// `4d` bounds.
     #[must_use]
     pub fn inner_entry_bytes(&self) -> usize {
-        16 + 32 * self.dims
+        crate::node::inner_entry_bytes(self.dims)
     }
 
     /// Maximum leaf entries for a given page size (paper: `2M`).

@@ -14,11 +14,12 @@
 //!   hull the identification queries use, so subtrees whose bound falls
 //!   below τ are pruned.
 
-use crate::node::Node;
+use crate::node::CachedNode;
 use crate::tree::TreeError;
 use crate::view::{Plane, ViewPlane};
 use gauss_storage::store::PageStore;
 use pfv::hull::DimBounds;
+use pfv::phi::phi;
 use pfv::Pfv;
 
 /// One result of a probabilistic box query.
@@ -38,11 +39,18 @@ pub struct BoxQueryResult {
 pub fn containment_probability(v: &Pfv, lo: &[f64], hi: &[f64]) -> f64 {
     assert_eq!(v.dims(), lo.len(), "box dimensionality mismatch");
     assert_eq!(lo.len(), hi.len(), "box corners mismatch");
+    containment((0..v.dims()).map(|i| v.component(i)), lo, hi)
+}
+
+/// The one containment expression, over the `(μ, σ)` pairs of an object
+/// wherever they live — a [`Pfv`] or the columns of a cached leaf — so
+/// every caller rounds alike. `σ` is at least `MIN_SIGMA`, as a stored
+/// pfv's always is.
+fn containment(params: impl Iterator<Item = (f64, f64)>, lo: &[f64], hi: &[f64]) -> f64 {
     let mut p = 1.0;
-    for i in 0..v.dims() {
+    for (i, (mu, sigma)) in params.enumerate() {
         assert!(lo[i] <= hi[i], "reversed box in dim {i}");
-        let g = v.gaussian(i);
-        p *= (g.cdf(hi[i]) - g.cdf(lo[i])).max(0.0);
+        p *= (phi((hi[i] - mu) / sigma) - phi((lo[i] - mu) / sigma)).max(0.0);
         if p == 0.0 {
             return 0.0;
         }
@@ -129,23 +137,23 @@ impl<S: PageStore> Plane<'_, S> {
         let skip = |id: u64| hidden.is_some_and(|h| h.contains(&id));
         let mut stack = vec![self.root_page()];
         while let Some(page) = stack.pop() {
-            match self.read_node(page)? {
-                Node::Leaf(es) => {
-                    for e in &es {
-                        if skip(e.id) {
+            match &*self.read_node_cached(page)? {
+                CachedNode::Leaf(leaf) => {
+                    let cols = &leaf.columns;
+                    for (e, &id) in leaf.ids.iter().enumerate() {
+                        if skip(id) {
                             continue;
                         }
-                        let p = containment_probability(&e.pfv, lo, hi);
+                        let params =
+                            (0..cols.dims()).map(|d| (cols.mu_col(d)[e], cols.sigma_col(d)[e]));
+                        let p = containment(params, lo, hi);
                         if p >= tau {
-                            out.push(BoxQueryResult {
-                                id: e.id,
-                                probability: p,
-                            });
+                            out.push(BoxQueryResult { id, probability: p });
                         }
                     }
                 }
-                Node::Inner(es) => {
-                    for e in &es {
+                CachedNode::Inner(es) => {
+                    for e in es {
                         let mut bound = 1.0;
                         for (i, d) in e.rect.as_slice().iter().enumerate() {
                             bound *= mass_upper_1d(d, lo[i], hi[i]);

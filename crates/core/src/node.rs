@@ -17,11 +17,47 @@
 //! narrow with [`pfv::quant::to_f32_exact`] — ingest already stored the
 //! widened `f32` value, so encoding is lossless and a decoded node
 //! compares equal to the staged one.
+//!
+//! # Decoding: one parser, two sinks
+//!
+//! Everything that can be wrong with a page is checked in one place. The
+//! private `Entries::parse` reads the header, matches the kind byte
+//! against the tree's [`LeafFormat`] and makes the **one** length check —
+//! `NODE_HEADER_BYTES + count × entry_bytes ≤ page.len()`, before anything
+//! is allocated for a count that came from disk — and hands out the page
+//! as exactly-one-entry slices. `leaf_entry` and `inner_entries` turn such
+//! a slice into values with fixed-width little-endian loads and apply the
+//! value rules: those of [`Pfv::new`](pfv::Pfv::new) for a leaf (finite `μ`
+//! and `σ`, `σ ≥ 0`, `σ` raised to `MIN_SIGMA`), a valid child pointer and
+//! finite, ordered bounds for an inner entry. Two sinks receive the values:
+//!
+//! * [`Node::read_from`](crate::node::Node::read_from) — the **row form**,
+//!   a `Vec` of [`LeafEntry`](crate::node::LeafEntry) or
+//!   [`InnerEntry`](crate::node::InnerEntry). For whoever edits or walks
+//!   entries: insert, split and delete, `check.rs`, `for_each_entry`, the
+//!   repo benchmark's probes.
+//! * [`CachedNode::read_from`] — the **query form**. A leaf's `μ`/`σ` go
+//!   from the page bytes straight to their slots in a
+//!   [`ColumnarLeaf`](pfv::batch::ColumnarLeaf) (which derives `σ²`,
+//!   padding and peak bounds itself): no `LeafEntry`, no `Pfv`, no
+//!   per-entry allocation. This is what a query pays on a node-cache miss —
+//!   every page of a cold query, the first touch of every node of a warm
+//!   one — and the only decoder on the read path
+//!   (`Plane::read_node_cached`).
+//!
+//! The two agree by construction where they share code and by test where
+//! they do not: `CachedNode::read_from(page)` equals
+//! `Node::read_from(page)?.into_cached(dims)` to the bit, and is an error
+//! exactly when that is one
+//! ([`Node::into_cached`](crate::node::Node::into_cached) stays as that
+//! reference).
 
 use crate::config::LeafFormat;
-use gauss_storage::{PageId, Reader, Writer};
+use gauss_storage::codec::ShortBuffer;
+use gauss_storage::{PageId, Writer};
 use pfv::batch::ColumnarLeaf;
-use pfv::{quant, CombineMode, DimBounds, ParamRect, Pfv};
+use pfv::{quant, CombineMode, DimBounds, ParamRect, Pfv, MIN_SIGMA};
+use std::slice::ChunksExact;
 
 /// Bytes reserved at the start of every node page.
 pub const NODE_HEADER_BYTES: usize = 8;
@@ -132,7 +168,10 @@ impl Node {
     }
 
     /// Converts the node into its cached, query-ready representation,
-    /// materializing leaves as [`ColumnarLeafNode`]s.
+    /// materializing leaves as [`ColumnarLeafNode`]s. The read path decodes
+    /// pages with [`CachedNode::read_from`] instead; this transpose is the
+    /// reference that decoder is tested against, and what a caller holding
+    /// a row-form node uses.
     #[must_use]
     pub fn into_cached(self, dims: usize) -> CachedNode {
         match self {
@@ -257,19 +296,111 @@ impl Node {
     }
 
     /// Deserialises a node from a page buffer, validating the node kind
-    /// against the tree's leaf `format`.
+    /// against the tree's leaf `format` — the row-form sink of the page
+    /// parser (see the [module docs](self)).
     ///
     /// # Errors
     /// [`NodeCodecError`] on malformed pages, including a leaf kind byte
-    /// that does not match `format`.
+    /// that does not match `format` and an entry count the page cannot
+    /// hold.
     pub fn read_from(dims: usize, format: LeafFormat, page: &[u8]) -> Result<Node, NodeCodecError> {
-        let mut r = Reader::new(page);
-        let kind = r.get_u8()?;
-        let count = r.get_u16()? as usize;
-        for _ in 0..(NODE_HEADER_BYTES - 3) {
-            let _ = r.get_u8()?;
+        match Entries::parse(dims, format, page)? {
+            Entries::Leaf(entries) => {
+                let mut es = Vec::with_capacity(entries.len());
+                for entry in entries {
+                    let (mut means, mut sigmas) = (vec![0.0; dims], vec![0.0; dims]);
+                    let id = leaf_entry(entry, format, |d, m, s| {
+                        means[d] = m;
+                        sigmas[d] = s;
+                    })?;
+                    let pfv = Pfv::new(means, sigmas).map_err(|_| INVALID_PFV)?;
+                    es.push(LeafEntry { id, pfv });
+                }
+                Ok(Node::Leaf(es))
+            }
+            Entries::Inner(entries) => inner_entries(entries).map(Node::Inner),
         }
-        match kind {
+    }
+}
+
+impl CachedNode {
+    /// Decodes a page straight into query-ready form — the columnar sink
+    /// of the page parser (see the [module docs](self)): `μ`/`σ` go from
+    /// the page bytes to their column slots with no [`LeafEntry`], no
+    /// [`Pfv`] and no per-entry allocation. Equal, to the bit, to
+    /// `Node::read_from(dims, format, page)?.into_cached(dims)`, and an
+    /// error exactly when that is one.
+    ///
+    /// # Errors
+    /// As [`Node::read_from`].
+    pub fn read_from(
+        dims: usize,
+        format: LeafFormat,
+        page: &[u8],
+    ) -> Result<CachedNode, NodeCodecError> {
+        match Entries::parse(dims, format, page)? {
+            Entries::Leaf(entries) => {
+                let mut ids = Vec::with_capacity(entries.len());
+                let columns = ColumnarLeaf::try_fill(dims, entries.len(), |mu, sigma, stride| {
+                    for (e, entry) in entries.enumerate() {
+                        // Reborrowed and moved in: a closure that captured
+                        // `mu`/`sigma` by reference would reload both slice
+                        // headers per value (measured: +25 % per leaf).
+                        let (mu, sigma) = (&mut *mu, &mut *sigma);
+                        ids.push(leaf_entry(entry, format, move |d, m, s| {
+                            mu[d * stride + e] = m;
+                            sigma[d * stride + e] = s;
+                        })?);
+                    }
+                    Ok::<(), NodeCodecError>(())
+                })?;
+                Ok(CachedNode::Leaf(ColumnarLeafNode {
+                    ids: ids.into_boxed_slice(),
+                    columns,
+                }))
+            }
+            Entries::Inner(entries) => inner_entries(entries).map(CachedNode::Inner),
+        }
+    }
+}
+
+const INVALID_PFV: NodeCodecError = NodeCodecError::Corrupt("invalid pfv in leaf");
+
+/// Bytes of one leaf entry: the id plus `d` means and `d` sigmas, `f64`
+/// ([`LeafFormat::Exact`]) or `f32` ([`LeafFormat::Quantised`]).
+pub(crate) const fn leaf_entry_bytes(dims: usize, format: LeafFormat) -> usize {
+    match format {
+        LeafFormat::Exact => 8 + 16 * dims,
+        LeafFormat::Quantised => 8 + 8 * dims,
+    }
+}
+
+/// Bytes of one inner entry: child pointer, subtree count and four `f64`
+/// bounds per dimension.
+pub(crate) const fn inner_entry_bytes(dims: usize) -> usize {
+    16 + 32 * dims
+}
+
+/// The one page parser: a node page whose header, kind byte and length
+/// have been checked, as the entry slices both decoders iterate. Every
+/// slice is exactly one entry long, so nothing downstream can run short.
+enum Entries<'a> {
+    /// Leaf entries, in the layout of the `format` that was asked for.
+    Leaf(ChunksExact<'a, u8>),
+    Inner(ChunksExact<'a, u8>),
+}
+
+impl<'a> Entries<'a> {
+    fn parse(dims: usize, format: LeafFormat, page: &'a [u8]) -> Result<Self, NodeCodecError> {
+        let Some((&[kind, count_lo, count_hi, ..], body)) =
+            page.split_first_chunk::<NODE_HEADER_BYTES>()
+        else {
+            return Err(NodeCodecError::Short(ShortBuffer {
+                wanted: NODE_HEADER_BYTES,
+                remaining: page.len(),
+            }));
+        };
+        let entry_bytes = match kind {
             KIND_LEAF | KIND_LEAF_Q => {
                 let expected = match format {
                     LeafFormat::Exact => KIND_LEAF,
@@ -280,66 +411,110 @@ impl Node {
                         "leaf kind does not match tree leaf format",
                     ));
                 }
-                let mut es = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let id = r.get_u64()?;
-                    let (means, sigmas) = if kind == KIND_LEAF_Q {
-                        // f32 → f64 widening is exact: the decoded node is
-                        // bit-identical to the staged one.
-                        let mut means = Vec::with_capacity(dims);
-                        for _ in 0..dims {
-                            means.push(f64::from(r.get_f32()?));
-                        }
-                        let mut sigmas = Vec::with_capacity(dims);
-                        for _ in 0..dims {
-                            sigmas.push(f64::from(r.get_f32()?));
-                        }
-                        (means, sigmas)
-                    } else {
-                        (r.get_f64_vec(dims)?, r.get_f64_vec(dims)?)
-                    };
-                    let pfv = Pfv::new(means, sigmas)
-                        .map_err(|_| NodeCodecError::Corrupt("invalid pfv in leaf"))?;
-                    es.push(LeafEntry { id, pfv });
-                }
-                Ok(Node::Leaf(es))
+                leaf_entry_bytes(dims, format)
             }
-            KIND_INNER => {
-                let mut es = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let child = PageId(r.get_u64()?);
-                    if !child.is_valid() {
-                        return Err(NodeCodecError::Corrupt("invalid child pointer"));
-                    }
-                    let node_count = r.get_u64()?;
-                    let mut ds = Vec::with_capacity(dims);
-                    for _ in 0..dims {
-                        let mu_lo = r.get_f64()?;
-                        let mu_hi = r.get_f64()?;
-                        let sigma_lo = r.get_f64()?;
-                        let sigma_hi = r.get_f64()?;
-                        if !(mu_lo.is_finite()
-                            && mu_hi.is_finite()
-                            && sigma_lo.is_finite()
-                            && sigma_hi.is_finite())
-                            || mu_lo > mu_hi
-                            || sigma_lo > sigma_hi
-                        {
-                            return Err(NodeCodecError::Corrupt("invalid bounds"));
-                        }
-                        ds.push(DimBounds::new(mu_lo, mu_hi, sigma_lo, sigma_hi));
-                    }
-                    es.push(InnerEntry {
-                        child,
-                        count: node_count,
-                        rect: ParamRect::from_dims(ds),
-                    });
-                }
-                Ok(Node::Inner(es))
-            }
-            _ => Err(NodeCodecError::Corrupt("unknown node kind")),
-        }
+            KIND_INNER => inner_entry_bytes(dims),
+            _ => return Err(NodeCodecError::Corrupt("unknown node kind")),
+        };
+        // The one length check, before anything is sized by a count that
+        // came from disk.
+        let wanted =
+            usize::from(u16::from_le_bytes([count_lo, count_hi])).saturating_mul(entry_bytes);
+        let Some(entries) = body.get(..wanted) else {
+            return Err(NodeCodecError::Short(ShortBuffer {
+                wanted,
+                remaining: body.len(),
+            }));
+        };
+        let entries = entries.chunks_exact(entry_bytes);
+        Ok(if kind == KIND_INNER {
+            Entries::Inner(entries)
+        } else {
+            Entries::Leaf(entries)
+        })
     }
+}
+
+/// Decodes one leaf entry: returns its id and hands `put` each dimension's
+/// `(d, μ, σ)` under exactly [`Pfv::new`]'s rules — a non-finite value or a
+/// negative `σ` is an error, a `σ` below [`MIN_SIGMA`] is raised to it.
+/// Quantised values widen `f32 → f64` exactly, so the decoded entry is
+/// bit-identical to the staged one. On an error `put` may have seen some
+/// of the entry's values; the caller discards what it built.
+fn leaf_entry(
+    entry: &[u8],
+    format: LeafFormat,
+    put: impl FnMut(usize, f64, f64),
+) -> Result<u64, NodeCodecError> {
+    // `entry` is one whole entry (`Entries::parse`), so the id is there.
+    let Some((id, params)) = entry.split_first_chunk::<8>() else {
+        return Err(INVALID_PFV);
+    };
+    let valid = match format {
+        LeafFormat::Exact => leaf_params(params.as_chunks().0, f64::from_le_bytes, put),
+        LeafFormat::Quantised => {
+            let widen = |w: [u8; 4]| f64::from(f32::from_le_bytes(w));
+            leaf_params(params.as_chunks().0, widen, put)
+        }
+    };
+    if valid {
+        Ok(u64::from_le_bytes(*id))
+    } else {
+        Err(INVALID_PFV)
+    }
+}
+
+/// The body of [`leaf_entry`] for one stored width: `words` holds the `d`
+/// means, then the `d` sigmas. Returns whether every value was valid.
+fn leaf_params<const W: usize>(
+    words: &[[u8; W]],
+    widen: impl Fn([u8; W]) -> f64,
+    mut put: impl FnMut(usize, f64, f64),
+) -> bool {
+    let (means, sigmas) = words.split_at(words.len() / 2);
+    let mut valid = true;
+    for (d, (&m, &s)) in means.iter().zip(sigmas).enumerate() {
+        let (m, s) = (widen(m), widen(s));
+        valid &= m.is_finite() && s.is_finite() && s >= 0.0;
+        put(d, m, if s < MIN_SIGMA { MIN_SIGMA } else { s });
+    }
+    valid
+}
+
+/// Decodes the entries of an inner page.
+fn inner_entries(entries: ChunksExact<'_, u8>) -> Result<Vec<InnerEntry>, NodeCodecError> {
+    let mut es = Vec::with_capacity(entries.len());
+    for entry in entries {
+        // `entry` is one whole entry (`Entries::parse`): both words are there.
+        let ([child, count, bounds @ ..], _) = entry.as_chunks::<8>() else {
+            return Err(NodeCodecError::Corrupt("invalid bounds"));
+        };
+        let child = PageId(u64::from_le_bytes(*child));
+        if !child.is_valid() {
+            return Err(NodeCodecError::Corrupt("invalid child pointer"));
+        }
+        let (bounds, _) = bounds.as_chunks::<4>();
+        let mut ds = Vec::with_capacity(bounds.len());
+        for dim in bounds {
+            let [mu_lo, mu_hi, sigma_lo, sigma_hi] = dim.map(f64::from_le_bytes);
+            if !(mu_lo.is_finite()
+                && mu_hi.is_finite()
+                && sigma_lo.is_finite()
+                && sigma_hi.is_finite())
+                || mu_lo > mu_hi
+                || sigma_lo > sigma_hi
+            {
+                return Err(NodeCodecError::Corrupt("invalid bounds"));
+            }
+            ds.push(DimBounds::new(mu_lo, mu_hi, sigma_lo, sigma_hi));
+        }
+        es.push(InnerEntry {
+            child,
+            count: u64::from_le_bytes(*count),
+            rect: ParamRect::from_dims(ds),
+        });
+    }
+    Ok(es)
 }
 
 #[cfg(test)]
@@ -590,5 +765,303 @@ mod tests {
         node.write_to(2, LeafFormat::Exact, &mut page);
         let r = Node::read_from(2, LeafFormat::Exact, &page).unwrap();
         assert!(r.is_empty());
+    }
+}
+
+/// The two sinks of the page parser against each other:
+/// `CachedNode::read_from(page)` must equal
+/// `Node::read_from(page)?.into_cached(dims)` on every page, valid or not.
+#[cfg(test)]
+mod decoder_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    const PAGE: usize = 8192;
+    const DIMS: [usize; 5] = [1, 2, 10, 27, 64];
+    const FORMATS: [LeafFormat; 2] = [LeafFormat::Exact, LeafFormat::Quantised];
+
+    /// Entry counts that leave lane blocks empty, ragged and full: 0, 1, 3,
+    /// 4, 5 and the page capacity (`choice` 5), all capped by the capacity.
+    fn count_for(choice: usize, entry_bytes: usize) -> usize {
+        let cap = (PAGE - NODE_HEADER_BYTES) / entry_bytes;
+        [0, 1, 3, 4, 5, cap][choice].min(cap)
+    }
+
+    /// A xorshift stream of uniform values in `[0, 1)`.
+    fn uniform(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// A zeroed page and a writer past its header. Tests write raw values
+    /// so they can plant what `Node::write_to` would refuse to encode.
+    fn raw_page(page: &mut [u8], kind: u8, count: usize) -> Writer<'_> {
+        let mut w = Writer::new(page);
+        w.put_u8(kind);
+        w.put_u16(u16::try_from(count).unwrap());
+        for _ in 3..NODE_HEADER_BYTES {
+            w.put_u8(0);
+        }
+        w
+    }
+
+    fn put_param(w: &mut Writer<'_>, format: LeafFormat, v: f64) {
+        match format {
+            LeafFormat::Exact => w.put_f64(v),
+            LeafFormat::Quantised => w.put_f32(v as f32),
+        }
+    }
+
+    /// A leaf page of random means and of sigmas drawn from the clamp's
+    /// edge cases (0, −0.0, below and at `MIN_SIGMA`) and ordinary values.
+    fn leaf_page(dims: usize, format: LeafFormat, count: usize, seed: u64) -> Vec<u8> {
+        let mut next = uniform(seed);
+        let kind = match format {
+            LeafFormat::Exact => KIND_LEAF,
+            LeafFormat::Quantised => KIND_LEAF_Q,
+        };
+        let mut page = vec![0u8; PAGE];
+        let mut w = raw_page(&mut page, kind, count);
+        for _ in 0..count {
+            w.put_u64((next() * 1e6) as u64);
+            for _ in 0..dims {
+                put_param(&mut w, format, next() * 200.0 - 100.0);
+            }
+            for _ in 0..dims {
+                let edges = [0.0, -0.0, MIN_SIGMA / 2.0, MIN_SIGMA, 1e-3 + next()];
+                put_param(&mut w, format, edges[(next() * 8.0) as usize % edges.len()]);
+            }
+        }
+        page
+    }
+
+    fn inner_page(dims: usize, count: usize, seed: u64) -> Vec<u8> {
+        let mut next = uniform(seed);
+        let mut page = vec![0u8; PAGE];
+        let mut w = raw_page(&mut page, KIND_INNER, count);
+        for _ in 0..count {
+            w.put_u64((next() * 1e6) as u64);
+            w.put_u64((next() * 1e6) as u64);
+            for _ in 0..dims {
+                let (mu, sigma) = (next() * 200.0 - 100.0, next());
+                w.put_f64_slice(&[mu, mu + next(), sigma, sigma + next()]);
+            }
+        }
+        page
+    }
+
+    /// Both decoders on one page: equal content (returns `true`) or both
+    /// an error (`false`); anything else fails the test.
+    fn decoders_agree(dims: usize, format: LeafFormat, page: &[u8]) -> bool {
+        let direct = CachedNode::read_from(dims, format, page);
+        let two_step = Node::read_from(dims, format, page).map(|n| n.into_cached(dims));
+        match (direct, two_step) {
+            (Ok(direct), Ok(two_step)) => {
+                // Every column, padding lanes included, by value ...
+                assert_eq!(direct, two_step);
+                // ... and what a query can read, by bits.
+                if let (CachedNode::Leaf(a), CachedNode::Leaf(b)) = (&direct, &two_step) {
+                    let bits = |col: &[f64]| col.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    for d in 0..dims {
+                        assert_eq!(bits(a.columns.mu_col(d)), bits(b.columns.mu_col(d)));
+                        assert_eq!(bits(a.columns.sigma_col(d)), bits(b.columns.sigma_col(d)));
+                        assert_eq!(bits(a.columns.var_col(d)), bits(b.columns.var_col(d)));
+                    }
+                    assert_eq!(
+                        bits(a.columns.log_norm_col()),
+                        bits(b.columns.log_norm_col())
+                    );
+                }
+                true
+            }
+            (Err(_), Err(_)) => false,
+            (direct, two_step) => {
+                panic!("decoders disagree: direct {direct:?}, two-step {two_step:?}")
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        #[test]
+        fn direct_leaf_decode_equals_decode_then_transpose(
+            (dims, format, count, seed) in (0usize..5, 0usize..2, 0usize..6, 0u64..u64::MAX)
+        ) {
+            let (dims, format) = (DIMS[dims], FORMATS[format]);
+            let count = count_for(count, leaf_entry_bytes(dims, format));
+            let page = leaf_page(dims, format, count, seed);
+            prop_assert!(decoders_agree(dims, format, &page), "a valid leaf must decode");
+            let CachedNode::Leaf(leaf) = CachedNode::read_from(dims, format, &page).unwrap() else {
+                panic!("a leaf page decodes as a leaf");
+            };
+            prop_assert_eq!(leaf.ids.len(), count);
+            prop_assert_eq!(leaf.columns.len(), count);
+            for d in 0..dims {
+                prop_assert!(leaf.columns.sigma_col(d).iter().all(|&s| s >= MIN_SIGMA));
+            }
+        }
+
+        #[test]
+        fn direct_inner_decode_equals_row_decode(
+            (dims, count, seed) in (0usize..5, 0usize..6, 0u64..u64::MAX)
+        ) {
+            let dims = DIMS[dims];
+            let count = count_for(count, inner_entry_bytes(dims));
+            let page = inner_page(dims, count, seed);
+            // Inner pages do not depend on the leaf format.
+            for format in FORMATS {
+                prop_assert!(decoders_agree(dims, format, &page), "a valid inner node must decode");
+            }
+        }
+
+        /// Hostile bytes: whatever is done to a page, the two decoders
+        /// both decode it to the same content or both refuse it — and
+        /// neither panics.
+        #[test]
+        fn decoders_agree_on_mutated_pages(
+            (dims, kind, seed, mutation) in (0usize..5, 0usize..3, 0u64..u64::MAX, 0usize..6)
+        ) {
+            let dims = DIMS[dims];
+            let format = FORMATS[kind % 2];
+            let (mut page, entry_bytes, words) = if kind == 2 {
+                let bytes = inner_entry_bytes(dims);
+                (inner_page(dims, count_for(5, bytes), seed), bytes, 8)
+            } else {
+                let bytes = leaf_entry_bytes(dims, format);
+                let width = if format == LeafFormat::Exact { 8 } else { 4 };
+                (leaf_page(dims, format, count_for(5, bytes), seed), bytes, width)
+            };
+            let count = count_for(5, entry_bytes);
+            let mut next = uniform(seed ^ 0x9E37_79B9_7F4A_7C15);
+            let mut pick = |n: usize| (next() * n as f64) as usize % n;
+            match mutation {
+                // Byte flips anywhere, header included.
+                0 => for _ in 0..1 + pick(8) {
+                    let at = pick(PAGE);
+                    page[at] ^= 1 << pick(8);
+                },
+                // Truncation: mid-header, mid-entry, between entries.
+                1 => page.truncate(pick(PAGE)),
+                // NaN, ±∞ or a negative value planted in any value slot.
+                2 => {
+                    let slots = (entry_bytes - 8) / words;
+                    let at = NODE_HEADER_BYTES + pick(count) * entry_bytes + 8 + pick(slots) * words;
+                    let v = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -f64::MIN_POSITIVE][pick(5)];
+                    if words == 8 {
+                        page[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                    } else {
+                        page[at..at + 4].copy_from_slice(&(v as f32).to_le_bytes());
+                    }
+                }
+                // Any kind byte, the other formats' included.
+                3 => page[0] = pick(5) as u8,
+                // A count the page cannot hold, up to all of `u16`.
+                4 => {
+                    let count = (count + 1 + pick(usize::from(u16::MAX) - count)) as u16;
+                    page[1..3].copy_from_slice(&count.to_le_bytes());
+                }
+                // A count below the written one: the tail is ignored.
+                _ => page[1..3].copy_from_slice(&(pick(count + 1) as u16).to_le_bytes()),
+            }
+            let decoded = decoders_agree(dims, format, &page);
+            if mutation == 4 {
+                prop_assert!(!decoded, "an oversized count must be refused");
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_counts_are_refused_by_the_length_check() {
+        // 65 535 entries announced on an 8 KiB page: refused as a short
+        // buffer from the header alone, in both sinks, whatever the kind.
+        for kind in [KIND_LEAF, KIND_INNER] {
+            let mut page = vec![0u8; PAGE];
+            page[0] = kind;
+            page[1..3].copy_from_slice(&u16::MAX.to_le_bytes());
+            let want = usize::from(u16::MAX)
+                * if kind == KIND_LEAF {
+                    leaf_entry_bytes(10, LeafFormat::Exact)
+                } else {
+                    inner_entry_bytes(10)
+                };
+            let direct = CachedNode::read_from(10, LeafFormat::Exact, &page).unwrap_err();
+            let row = Node::read_from(10, LeafFormat::Exact, &page).unwrap_err();
+            for err in [direct, row] {
+                let NodeCodecError::Short(short) = err else {
+                    panic!("expected a short-buffer error, got {err:?}");
+                };
+                assert_eq!(short.wanted, want);
+                assert_eq!(short.remaining, PAGE - NODE_HEADER_BYTES);
+            }
+        }
+        // One entry too many for the bytes that are there.
+        let page = leaf_page(2, LeafFormat::Exact, 3, 5);
+        let cut = NODE_HEADER_BYTES + 3 * leaf_entry_bytes(2, LeafFormat::Exact) - 1;
+        assert!(!decoders_agree(2, LeafFormat::Exact, &page[..cut]));
+        assert!(decoders_agree(2, LeafFormat::Exact, &page[..=cut]));
+    }
+
+    #[test]
+    fn header_and_kind_errors_are_the_same_in_both_sinks() {
+        let text = |page: &[u8], format| {
+            let direct = CachedNode::read_from(2, format, page)
+                .unwrap_err()
+                .to_string();
+            let row = Node::read_from(2, format, page).unwrap_err().to_string();
+            assert_eq!(direct, row);
+            direct
+        };
+        let leaf = leaf_page(2, LeafFormat::Exact, 3, 9);
+        for len in 0..NODE_HEADER_BYTES {
+            assert!(text(&leaf[..len], LeafFormat::Exact).contains("short buffer"));
+        }
+        assert!(text(&leaf, LeafFormat::Quantised).contains("leaf format"));
+        let mut unknown = leaf.clone();
+        unknown[0] = 9;
+        assert!(text(&unknown, LeafFormat::Exact).contains("unknown node kind"));
+        let mut inner = inner_page(2, 2, 9);
+        inner[NODE_HEADER_BYTES..NODE_HEADER_BYTES + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(text(&inner, LeafFormat::Exact).contains("invalid child pointer"));
+    }
+
+    #[test]
+    fn sigma_rules_are_those_of_pfv_new() {
+        let at = NODE_HEADER_BYTES + 8 + 8; // σ of the only entry, d = 1
+        let decode = |sigma: f64| {
+            let mut page = leaf_page(1, LeafFormat::Exact, 1, 3);
+            page[at..at + 8].copy_from_slice(&sigma.to_le_bytes());
+            assert_eq!(
+                decoders_agree(1, LeafFormat::Exact, &page),
+                Pfv::new(vec![0.0], vec![sigma]).is_ok(),
+                "σ = {sigma:e}"
+            );
+            CachedNode::read_from(1, LeafFormat::Exact, &page)
+        };
+        for raised in [0.0, -0.0, f64::MIN_POSITIVE, MIN_SIGMA / 2.0, MIN_SIGMA] {
+            let CachedNode::Leaf(leaf) = decode(raised).unwrap() else {
+                panic!("leaf");
+            };
+            assert_eq!(leaf.columns.sigma_col(0)[0].to_bits(), MIN_SIGMA.to_bits());
+        }
+        let CachedNode::Leaf(leaf) = decode(MIN_SIGMA * 1.5).unwrap() else {
+            panic!("leaf");
+        };
+        assert_eq!(leaf.columns.sigma_col(0)[0], MIN_SIGMA * 1.5);
+        for refused in [
+            -f64::MIN_POSITIVE,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            let err = decode(refused).unwrap_err();
+            assert!(err.to_string().contains("invalid pfv in leaf"), "{err}");
+        }
     }
 }

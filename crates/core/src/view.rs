@@ -99,17 +99,24 @@ impl<'a, S: PageStore> Plane<'a, S> {
         )?)
     }
 
-    /// Reads the node stored at `page` in query-ready cached form. The
-    /// page is *always* requested from the buffer pool first — access
-    /// accounting is identical to [`Plane::read_node`] — and only the
-    /// decode step is skipped on a node-cache hit.
+    /// Reads the node stored at `page` in query-ready cached form — what
+    /// every query (k-MLIQ, the denominator searches, the cursor, the box
+    /// query) reads nodes through. The page is *always* requested from the
+    /// buffer pool first — access accounting is identical to
+    /// [`Plane::read_node`] — and only the decode step is skipped on a
+    /// node-cache hit. A miss decodes the page bytes straight into the
+    /// cached form ([`CachedNode::read_from`]); the row form
+    /// ([`Node::read_from`]) is for callers that edit or walk entries.
     pub(crate) fn read_node_cached(&self, page: PageId) -> Result<Arc<CachedNode>, TreeError> {
         let bytes = self.pool.page(page)?;
         if let Some(cached) = self.node_cache.get(page) {
             return Ok(cached);
         }
-        let node = Node::read_from(self.config.dims, self.config.leaf_format, &bytes)?;
-        let cached = Arc::new(node.into_cached(self.config.dims));
+        let cached = Arc::new(CachedNode::read_from(
+            self.config.dims,
+            self.config.leaf_format,
+            &bytes,
+        )?);
         self.node_cache.insert(page, Arc::clone(&cached));
         Ok(cached)
     }

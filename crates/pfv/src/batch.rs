@@ -198,42 +198,76 @@ pub struct ColumnarLeaf {
     len: usize,
     dims: usize,
     stride: usize,
-    mu: Box<[f64]>,
-    sigma: Box<[f64]>,
-    var: Box<[f64]>,
-    log_norm: Box<[f64]>,
+    /// The `μ`, `σ` and `σ²` columns (`dims · stride` each) and the
+    /// `log_norm` column (`stride`), in that order, in one allocation.
+    cols: Box<[f64]>,
 }
 
 impl ColumnarLeaf {
-    /// Transposes `vs` into columnar form, padding each column to a
-    /// [`LANE_WIDTH`] multiple and precomputing `σv²` and the per-entry
-    /// peak bound.
+    /// Transposes `vs` into columnar form — a caller of
+    /// [`ColumnarLeaf::try_fill`], so padding, `σv²` and the per-entry peak
+    /// bound come from the same body as a leaf decoded straight from page
+    /// bytes.
     ///
     /// # Panics
     /// Panics if any pfv's dimensionality differs from `dims`.
     #[must_use]
     pub fn from_pfvs<'a>(dims: usize, vs: impl ExactSizeIterator<Item = &'a Pfv>) -> Self {
-        let len = vs.len();
-        let stride = len.next_multiple_of(LANE_WIDTH);
-        let mut mu = vec![0.0f64; dims * stride].into_boxed_slice();
-        let mut sigma = vec![0.0f64; dims * stride].into_boxed_slice();
-        let mut var = vec![0.0f64; dims * stride].into_boxed_slice();
-        let mut log_norm = vec![0.0f64; stride].into_boxed_slice();
-        for (e, v) in vs.enumerate() {
-            assert_eq!(v.dims(), dims, "dimensionality mismatch in leaf");
-            for (d, (&m, &s)) in v.means().iter().zip(v.sigmas().iter()).enumerate() {
-                mu[d * stride + e] = m;
-                sigma[d * stride + e] = s;
-                var[d * stride + e] = s * s;
-            }
-        }
-        if len > 0 {
-            for col in [&mut mu, &mut sigma, &mut var] {
-                for col in col.chunks_exact_mut(stride) {
-                    let last = col[len - 1];
-                    col[len..].fill(last);
+        let filled = Self::try_fill(dims, vs.len(), |mu, sigma, stride| {
+            for (e, v) in vs.enumerate() {
+                assert_eq!(v.dims(), dims, "dimensionality mismatch in leaf");
+                for (d, (&m, &s)) in v.means().iter().zip(v.sigmas()).enumerate() {
+                    mu[d * stride + e] = m;
+                    sigma[d * stride + e] = s;
                 }
             }
+            Ok::<(), std::convert::Infallible>(())
+        });
+        match filled {
+            Ok(leaf) => leaf,
+            Err(never) => match never {},
+        }
+    }
+
+    /// Builds a leaf of `len` entries whose raw columns the caller writes
+    /// in place: `fill(mu, sigma, stride)` receives both columns zeroed,
+    /// `dims · stride` long with `stride = len.next_multiple_of(LANE_WIDTH)`,
+    /// and stores entry `e`'s dimension `d` at `d · stride + e` — no
+    /// per-entry [`Pfv`] in between. This body then derives everything
+    /// else, for every way a leaf comes into being: the lane padding
+    /// (each column's tail repeats its last entry), the `σv²` column and
+    /// the [`log_norm_col`](Self::log_norm_col) peak bound (one `ln` per
+    /// entry).
+    ///
+    /// `fill` must leave the values a [`Pfv`] could hold — finite `μ`,
+    /// finite `σ ≥` [`MIN_SIGMA`](crate::MIN_SIGMA) — in all `len` entries
+    /// of every column; the kernels rely on it as they rely on `Pfv`'s own
+    /// invariant.
+    ///
+    /// # Errors
+    /// Whatever `fill` returns; no leaf is built then.
+    pub fn try_fill<E>(
+        dims: usize,
+        len: usize,
+        fill: impl FnOnce(&mut [f64], &mut [f64], usize) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        let stride = len.next_multiple_of(LANE_WIDTH);
+        let mut cols = vec![0.0f64; (3 * dims + 1) * stride].into_boxed_slice();
+        let (mu, rest) = cols.split_at_mut(dims * stride);
+        let (sigma, rest) = rest.split_at_mut(dims * stride);
+        let (var, log_norm) = rest.split_at_mut(dims * stride);
+        fill(mu, sigma, stride)?;
+        if len > 0 {
+            for col in mu
+                .chunks_exact_mut(stride)
+                .chain(sigma.chunks_exact_mut(stride))
+            {
+                let last = col[len - 1];
+                col[len..].fill(last);
+            }
+        }
+        for (v, &s) in var.iter_mut().zip(&*sigma) {
+            *v = s * s;
         }
         // Peak bounds, a lane block at a time: Σ_d ln σ through one `ln`
         // per entry.
@@ -252,15 +286,40 @@ impl ColumnarLeaf {
                 *n = norm_base - ln_sigma.ln(l);
             }
         }
-        Self {
+        Ok(Self {
             len,
             dims,
             stride,
-            mu,
-            sigma,
-            var,
-            log_norm,
-        }
+            cols,
+        })
+    }
+
+    /// Feature column `i` (`μ`, `σ`, `σ²`) of every dimension, padding
+    /// included.
+    #[inline]
+    fn column(&self, i: usize) -> &[f64] {
+        let width = self.dims * self.stride;
+        &self.cols[i * width..(i + 1) * width]
+    }
+
+    #[inline]
+    fn mu(&self) -> &[f64] {
+        self.column(0)
+    }
+
+    #[inline]
+    fn sigma(&self) -> &[f64] {
+        self.column(1)
+    }
+
+    #[inline]
+    fn var(&self) -> &[f64] {
+        self.column(2)
+    }
+
+    #[inline]
+    fn log_norm(&self) -> &[f64] {
+        &self.cols[3 * self.dims * self.stride..]
     }
 
     /// Number of entries in the leaf.
@@ -297,14 +356,14 @@ impl ColumnarLeaf {
     #[inline]
     #[must_use]
     pub fn mu_col(&self, d: usize) -> &[f64] {
-        &self.mu[d * self.stride..d * self.stride + self.len]
+        &self.mu()[d * self.stride..d * self.stride + self.len]
     }
 
     /// The contiguous sigma column of dimension `d` (padding excluded).
     #[inline]
     #[must_use]
     pub fn sigma_col(&self, d: usize) -> &[f64] {
-        &self.sigma[d * self.stride..d * self.stride + self.len]
+        &self.sigma()[d * self.stride..d * self.stride + self.len]
     }
 
     /// The contiguous precomputed `σ²` column of dimension `d` (padding
@@ -312,7 +371,7 @@ impl ColumnarLeaf {
     #[inline]
     #[must_use]
     pub fn var_col(&self, d: usize) -> &[f64] {
-        &self.var[d * self.stride..d * self.stride + self.len]
+        &self.var()[d * self.stride..d * self.stride + self.len]
     }
 
     /// Per-entry conservative **peak bound**: index `e` holds
@@ -324,7 +383,7 @@ impl ColumnarLeaf {
     #[inline]
     #[must_use]
     pub fn log_norm_col(&self) -> &[f64] {
-        &self.log_norm[..self.len]
+        &self.log_norm()[..self.len]
     }
 
     /// Reassembles entry `e` as a [`Pfv`] (diagnostics / round-trip tests;
@@ -336,10 +395,10 @@ impl ColumnarLeaf {
     pub fn pfv(&self, e: usize) -> Pfv {
         assert!(e < self.len, "entry index out of range");
         let means: Vec<f64> = (0..self.dims)
-            .map(|d| self.mu[d * self.stride + e])
+            .map(|d| self.mu()[d * self.stride + e])
             .collect();
         let sigmas: Vec<f64> = (0..self.dims)
-            .map(|d| self.sigma[d * self.stride + e])
+            .map(|d| self.sigma()[d * self.stride + e])
             .collect();
         // lint: allow(no-panic) -- the columnar leaf was built from Pfvs validated at insertion
         Pfv::new(means, sigmas).expect("columnar leaf holds valid pfv")
@@ -358,13 +417,19 @@ pub fn log_densities(mode: CombineMode, q: &Pfv, leaf: &ColumnarLeaf, out: &mut 
     assert_eq!(q.dims(), leaf.dims(), "dimensionality mismatch");
     assert_eq!(out.len(), leaf.len(), "output buffer length mismatch");
     out.fill(0.0);
+    // The three columns once per call, not through `mu_col(d)` and its
+    // siblings per dimension: a dimension is then one slice of a column,
+    // as it was when each column was its own allocation (going through
+    // the accessors measured +3 % on `log_density_one`).
+    let (mus, sigmas, vars) = (leaf.mu(), leaf.sigma(), leaf.var());
     for d in 0..leaf.dims() {
         let (mq, sq) = q.component(d);
-        let mu = leaf.mu_col(d);
+        let dim = d * leaf.stride..d * leaf.stride + leaf.len;
+        let mu = &mus[dim.clone()];
         match mode {
             CombineMode::Convolution => {
                 let sq2 = sq * sq;
-                let var = leaf.var_col(d);
+                let var = &vars[dim];
                 for ((o, &m), &va) in out.iter_mut().zip(mu).zip(var) {
                     let s = (va + sq2).sqrt();
                     let z = (mq - m) / s;
@@ -372,7 +437,7 @@ pub fn log_densities(mode: CombineMode, q: &Pfv, leaf: &ColumnarLeaf, out: &mut 
                 }
             }
             CombineMode::AdditiveSigma => {
-                let sigma = leaf.sigma_col(d);
+                let sigma = &sigmas[dim];
                 for ((o, &m), &sv) in out.iter_mut().zip(mu).zip(sigma) {
                     let s = sv + sq;
                     let z = (mq - m) / s;
@@ -395,19 +460,21 @@ pub fn log_density_one(mode: CombineMode, q: &Pfv, leaf: &ColumnarLeaf, e: usize
     assert_eq!(q.dims(), leaf.dims(), "dimensionality mismatch");
     assert!(e < leaf.len(), "entry index out of range");
     let mut acc = 0.0;
+    let (mus, sigmas, vars) = (leaf.mu(), leaf.sigma(), leaf.var());
     for d in 0..leaf.dims() {
         let (mq, sq) = q.component(d);
-        let m = leaf.mu_col(d)[e];
+        let at = d * leaf.stride + e;
+        let m = mus[at];
         match mode {
             CombineMode::Convolution => {
                 let sq2 = sq * sq;
-                let va = leaf.var_col(d)[e];
+                let va = vars[at];
                 let s = (va + sq2).sqrt();
                 let z = (mq - m) / s;
                 acc += -s.ln() - LN_SQRT_2PI - 0.5 * z * z;
             }
             CombineMode::AdditiveSigma => {
-                let sv = leaf.sigma_col(d)[e];
+                let sv = sigmas[at];
                 let s = sv + sq;
                 let z = (mq - m) / s;
                 acc += -s.ln() - LN_SQRT_2PI - 0.5 * z * z;
@@ -561,7 +628,11 @@ fn screen<const CONVOLUTION: bool>(
     out: &mut [f64],
 ) -> bool {
     let stride = leaf.stride;
-    let spread = if CONVOLUTION { &leaf.var } else { &leaf.sigma };
+    let spread = if CONVOLUTION {
+        leaf.var()
+    } else {
+        leaf.sigma()
+    };
     let ln_scale = if CONVOLUTION { 0.5 } else { 1.0 };
     #[allow(clippy::cast_precision_loss)] // dims is a small page fan-in
     let norm_base = -(leaf.dims as f64) * LN_SQRT_2PI;
@@ -569,7 +640,7 @@ fn screen<const CONVOLUTION: bool>(
     let mut all_below = true;
     for ((base, peak), out) in (0..stride)
         .step_by(LANE_WIDTH)
-        .zip(leaf.log_norm.chunks_exact(LANE_WIDTH))
+        .zip(leaf.log_norm().chunks_exact(LANE_WIDTH))
         .zip(out.chunks_exact_mut(LANE_WIDTH))
     {
         // How far each lane's peak bound lies above the threshold: the
@@ -581,7 +652,7 @@ fn screen<const CONVOLUTION: bool>(
         }
         let mut ln_t = LnFold::new();
         let mut z2 = [0.0f64; LANE_WIDTH];
-        let mut columns = (leaf.mu.chunks_exact(stride))
+        let mut columns = (leaf.mu().chunks_exact(stride))
             .zip(spread.chunks_exact(stride))
             .zip(q.means().iter().zip(q.sigmas()));
         let mut left = leaf.dims;
@@ -689,12 +760,14 @@ mod tests {
         for d in 0..3 {
             let at = d * leaf.padded_len();
             for e in 5..leaf.padded_len() {
-                assert_eq!(leaf.mu[at + e], last.means()[d]);
-                assert_eq!(leaf.sigma[at + e], last.sigmas()[d]);
-                assert_eq!(leaf.var[at + e], leaf.var[at + 4]);
+                assert_eq!(leaf.mu()[at + e], last.means()[d]);
+                assert_eq!(leaf.sigma()[at + e], last.sigmas()[d]);
+                assert_eq!(leaf.var()[at + e], leaf.var()[at + 4]);
             }
         }
-        assert!(leaf.log_norm[5..].iter().all(|&p| p == leaf.log_norm[4]));
+        assert!(leaf.log_norm()[5..]
+            .iter()
+            .all(|&p| p == leaf.log_norm()[4]));
     }
 
     #[test]

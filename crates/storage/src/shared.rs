@@ -299,9 +299,12 @@ impl<S: PageStore> SharedBufferPool<S> {
             }
         }
         self.stats.record_physical_read();
-        let mut buf = vec![0u8; self.page_size];
-        store.read_page(id, &mut buf)?;
-        let data: Arc<[u8]> = Arc::from(buf);
+        // The frame is allocated once, as the `Arc` it will be cached as,
+        // and the store reads straight into it: `make_mut` on an `Arc` no
+        // one else holds yet hands out its buffer without a copy. A read
+        // that fails returns here and installs nothing.
+        let mut data: Arc<[u8]> = std::iter::repeat_n(0u8, self.page_size).collect();
+        store.read_page(id, Arc::make_mut(&mut data))?;
         let mut shard = self.shard_of(id).lock();
         if shard.insert(id, Arc::clone(&data), self.shard_cap) {
             self.stats.record_eviction();
@@ -564,6 +567,80 @@ mod tests {
             let _ = p.page(id).unwrap(); // evicts ids[0] eventually
         }
         assert_eq!(handle[0], 0, "Arc handle must outlive eviction");
+    }
+
+    /// A `MemStore` whose next `fail_reads` reads fail as I/O errors.
+    struct FlakyStore {
+        inner: MemStore,
+        fail_reads: usize,
+    }
+
+    impl PageStore for FlakyStore {
+        fn page_size(&self) -> usize {
+            self.inner.page_size()
+        }
+        fn num_pages(&self) -> u64 {
+            self.inner.num_pages()
+        }
+        fn allocate(&mut self) -> Result<PageId, StoreError> {
+            self.inner.allocate()
+        }
+        fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<(), StoreError> {
+            if self.fail_reads > 0 {
+                self.fail_reads -= 1;
+                // A torn read: bytes arrive, then the error.
+                buf.fill(0xEE);
+                return Err(StoreError::Io(std::io::Error::other("injected read fault")));
+            }
+            self.inner.read_page(id, buf)
+        }
+        fn write_page(&mut self, id: PageId, buf: &[u8]) -> Result<(), StoreError> {
+            self.inner.write_page(id, buf)
+        }
+    }
+
+    #[test]
+    fn a_failed_store_read_installs_no_frame() {
+        let store = FlakyStore {
+            inner: MemStore::new(64),
+            fail_reads: 0,
+        };
+        let p = SharedBufferPool::new(store, 64, AccessStats::new_shared());
+        let ids: Vec<PageId> = (0..4u8)
+            .map(|i| {
+                let id = p.allocate().unwrap();
+                p.write(id, &[i + 1; 64]).unwrap();
+                id
+            })
+            .collect();
+        p.clear_cache_and_stats();
+        let _ = p.page(ids[0]).unwrap();
+        assert_eq!(p.cached_pages(), 1);
+
+        // An id the store never allocated: an error, counted as the
+        // physical read it attempted, and nothing cached.
+        assert!(p.page(PageId(99)).is_err());
+        assert_eq!(p.cached_pages(), 1);
+        assert!(
+            p.page(PageId(99)).is_err(),
+            "no frame of a failed read is served"
+        );
+        assert_eq!(p.stats().snapshot().physical_reads, 3);
+
+        // A read that fails inside the store after bytes arrived: the
+        // half-filled buffer is dropped, not installed, and the next read
+        // of the page goes to the store again and gets the real bytes.
+        p.store.lock().fail_reads = 1;
+        assert!(p.page(ids[1]).is_err());
+        assert_eq!(p.cached_pages(), 1);
+        let before = p.stats().snapshot();
+        assert_eq!(&p.page(ids[1]).unwrap()[..], &[2u8; 64]);
+        let after = p.stats().snapshot();
+        assert_eq!(after.physical_reads, before.physical_reads + 1);
+        assert_eq!(p.cached_pages(), 2);
+        // And from then on it is a hit.
+        assert_eq!(&p.page(ids[1]).unwrap()[..], &[2u8; 64]);
+        assert_eq!(p.stats().snapshot().physical_reads, after.physical_reads);
     }
 
     #[test]

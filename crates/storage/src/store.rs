@@ -2,7 +2,9 @@
 
 use crate::page::PageId;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+#[cfg(not(unix))]
+use std::io::Read;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Errors surfaced by page stores.
@@ -326,8 +328,16 @@ impl PageStore for FileStore {
     fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<(), StoreError> {
         assert_eq!(buf.len(), self.page_size, "buffer/page size mismatch");
         let off = self.check(id)?;
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.read_exact(buf)?;
+        // One positional read. It neither uses nor moves the file cursor,
+        // and every write and allocation seeks before it transfers, so
+        // reads and writes cannot disturb each other.
+        #[cfg(unix)]
+        std::os::unix::fs::FileExt::read_exact_at(&self.file, buf, off)?;
+        #[cfg(not(unix))]
+        {
+            self.file.seek(SeekFrom::Start(off))?;
+            self.file.read_exact(buf)?;
+        }
         Ok(())
     }
 
@@ -451,6 +461,61 @@ mod tests {
             assert_eq!(buf[0], 42);
             assert_eq!(buf[255], 7);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn file_store_reads_are_positional() {
+        // Reads interleaved with writes and allocations elsewhere in the
+        // file, and a read that fails its range check, must neither see nor
+        // leave a cursor: every read returns its own page, every write
+        // lands on its own page.
+        let dir = std::env::temp_dir().join(format!("gauss-store-pread-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut s = FileStore::create(dir.join("pages.bin"), 64).unwrap();
+        let first = s.allocate_many(8).unwrap();
+        assert_eq!(first, PageId(0));
+        let image = |i: u64, gen: u8| vec![gen.wrapping_mul(31).wrapping_add(i as u8); 64];
+        for i in 0..8 {
+            s.write_page(PageId(i), &image(i, 0)).unwrap();
+        }
+        let mut buf = vec![0u8; 64];
+        for i in 0..8u64 {
+            // Write page 7 − i, then read page i: the read must not follow
+            // the write's cursor. Pages 7, 6, .., 7 − i are rewritten so far.
+            s.write_page(PageId(7 - i), &image(7 - i, 1)).unwrap();
+            s.read_page(PageId(i), &mut buf).unwrap();
+            let gen = u8::from(i >= 4);
+            assert_eq!(buf, image(i, gen), "page {i}");
+            // A failed read changes nothing for whoever comes next ...
+            assert!(s.read_page(PageId(99), &mut buf).is_err());
+            assert_eq!(
+                buf,
+                image(i, gen),
+                "a refused read must not touch the buffer"
+            );
+            s.read_page(PageId(i), &mut buf).unwrap();
+            assert_eq!(buf, image(i, gen));
+            // ... nor does a read in front of an allocation or a run write.
+            if i == 3 {
+                s.read_page(PageId(0), &mut buf).unwrap();
+                assert_eq!(s.allocate().unwrap(), PageId(8));
+                s.read_page(PageId(1), &mut buf).unwrap();
+                let run = [image(8, 2), image(9, 2)];
+                assert_eq!(s.allocate().unwrap(), PageId(9));
+                s.read_page(PageId(2), &mut buf).unwrap();
+                s.write_pages(PageId(8), &[&run[0], &run[1]]).unwrap();
+            }
+        }
+        for i in 0..8 {
+            s.read_page(PageId(i), &mut buf).unwrap();
+            assert_eq!(buf, image(i, 1), "page {i} after all writes");
+        }
+        for i in 8..10 {
+            s.read_page(PageId(i), &mut buf).unwrap();
+            assert_eq!(buf, image(i, 2), "page {i} of the run");
+        }
+        assert_eq!(s.num_pages(), 10);
         std::fs::remove_dir_all(&dir).ok();
     }
 
