@@ -218,7 +218,7 @@ impl NodeEmitter {
             }
             Ok(())
         } else {
-            tree.write_node_pub(page, node)
+            tree.write_node(page, node)
         }
     }
 

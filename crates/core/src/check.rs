@@ -83,8 +83,7 @@ pub enum InvariantError {
         reachable: u64,
         /// Pages parked on the free list.
         freed: u64,
-        /// Pages owned by the tree's metadata (1 legacy slot or 2
-        /// versioned slots).
+        /// Pages owned by the tree's metadata (the two commit slots).
         meta: u64,
     },
     /// A page on the free list is still reachable from the root (a reuse
@@ -193,7 +192,7 @@ impl<S: PageStore> GaussTree<S> {
                 errors.push(InvariantError::FreedPageReachable { page: p.index() });
             }
         }
-        let meta = self.meta_page_count();
+        let meta = crate::tree::META_PAGES;
         let allocated = self.pool().num_pages();
         let accounted = meta + reachable_set.len() as u64 + freed.len() as u64;
         if accounted != allocated {

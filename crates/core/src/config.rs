@@ -1,5 +1,6 @@
 //! Tree configuration: dimensionality, capacities, strategies.
 
+use gauss_storage::{Reader, Writer};
 use pfv::CombineMode;
 
 /// Split strategies for node overflow (paper §5.3 plus two ablation
@@ -62,7 +63,7 @@ pub enum LeafFormat {
 }
 
 impl LeafFormat {
-    /// Stable on-disk tag (persisted in the meta page, format v3).
+    /// Stable on-disk tag (persisted in the meta page).
     #[must_use]
     pub fn to_tag(self) -> u8 {
         match self {
@@ -145,6 +146,45 @@ impl TreeConfig {
         self.max_leaf_entries = Some(leaf);
         self.max_inner_entries = Some(inner);
         self
+    }
+
+    /// Bytes [`TreeConfig::write_tags`] writes.
+    pub(crate) const TAG_BYTES: usize = 4 + 1 + 1 + 1;
+
+    /// Writes the persisted part of the configuration — dims, combine
+    /// mode, split strategy, leaf format — as both commit payloads (tree
+    /// meta, forest manifest) carry it. Capacities are not part of it.
+    pub(crate) fn write_tags(&self, w: &mut Writer<'_>) {
+        // lint: allow(no-panic) -- dims are bounded by the page capacity asserts, far below u32::MAX
+        w.put_u32(u32::try_from(self.dims).expect("dims fit u32"));
+        w.put_u8(match self.combine {
+            CombineMode::Convolution => 0,
+            CombineMode::AdditiveSigma => 1,
+        });
+        w.put_u8(self.split.to_tag());
+        w.put_u8(self.leaf_format.to_tag());
+    }
+
+    /// Reads what [`TreeConfig::write_tags`] wrote; `None` for zero dims,
+    /// an unknown tag or a short buffer.
+    pub(crate) fn read_tags(r: &mut Reader<'_>) -> Option<Self> {
+        let dims = usize::try_from(r.get_u32().ok()?).ok()?;
+        let combine = match r.get_u8().ok()? {
+            0 => CombineMode::Convolution,
+            1 => CombineMode::AdditiveSigma,
+            _ => return None,
+        };
+        let split = SplitStrategy::from_tag(r.get_u8().ok()?)?;
+        let leaf_format = LeafFormat::from_tag(r.get_u8().ok()?)?;
+        if dims == 0 {
+            return None;
+        }
+        Some(
+            Self::new(dims)
+                .with_combine(combine)
+                .with_split(split)
+                .with_leaf_format(leaf_format),
+        )
     }
 
     /// Bytes of one serialised leaf entry: object id + `d` means + `d` σs
@@ -244,6 +284,24 @@ mod tests {
             assert_eq!(LeafFormat::from_tag(f.to_tag()), Some(f));
         }
         assert_eq!(LeafFormat::from_tag(9), None);
+    }
+
+    #[test]
+    fn persisted_tags_round_trip_and_refuse_unknown_values() {
+        let config = TreeConfig::new(27)
+            .with_combine(CombineMode::AdditiveSigma)
+            .with_split(SplitStrategy::MinVolume)
+            .with_leaf_format(LeafFormat::Quantised);
+        let mut buf = [0u8; TreeConfig::TAG_BYTES];
+        config.write_tags(&mut Writer::new(&mut buf));
+        assert_eq!(buf, [27, 0, 0, 0, 1, 2, 1], "the persisted layout");
+        assert_eq!(TreeConfig::read_tags(&mut Reader::new(&buf)), Some(config));
+        for (at, bad) in [(0, 0), (4, 2), (5, 3), (6, 2)] {
+            let mut hostile = buf;
+            hostile[at] = bad;
+            assert_eq!(TreeConfig::read_tags(&mut Reader::new(&hostile)), None);
+        }
+        assert_eq!(TreeConfig::read_tags(&mut Reader::new(&buf[..6])), None);
     }
 
     #[test]

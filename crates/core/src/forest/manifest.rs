@@ -1,25 +1,23 @@
-//! The forest manifest: an epoch-tagged component list committed through
-//! the same dual-slot checksummed protocol the single tree uses for its
-//! meta pages.
+//! The forest manifest: what one forest commit records — the persisted
+//! knobs and the component list, newest first.
 //!
-//! Two fixed slots alternate by epoch parity. A commit writes the slot
-//! `epoch % 2` *after* a data barrier on every component's pages, so a
-//! crash at any point leaves at least one slot describing a fully
-//! durable forest. On open both slots are parsed and the valid one with
-//! the higher epoch wins — exactly the recovery rule of
-//! [`crate::GaussTree`]'s meta slots, lifted from pages inside one file
-//! to files inside one directory.
+//! This module owns the manifest *payload* only. How a payload is sealed
+//! into a slot, which of the two slots it goes to, how the newest valid
+//! slot is found again and in what order barriers and the slot write run
+//! is [`gauss_storage::commit`]'s business — the same protocol the single
+//! tree's meta pages go through, with two manifest files as the slots.
+//! [`super::GaussForest`] owns where the slots live and what the barriers
+//! are.
 
-use crate::config::{LeafFormat, SplitStrategy, TreeConfig};
-use gauss_storage::{fnv1a64, Reader, Writer};
-use pfv::CombineMode;
+use crate::config::TreeConfig;
+use gauss_storage::commit::{self, SlotKind, HEADER_BYTES};
+use gauss_storage::{Reader, Writer};
 
-/// Magic number identifying a forest manifest slot ("GFor").
-const MANIFEST_MAGIC: u32 = 0x4746_6F72;
-/// Manifest format version.
-const MANIFEST_VERSION: u32 = 1;
-/// Byte offset of the checksum field (after magic + version).
-const CHECKSUM_OFFSET: usize = 8;
+/// A forest manifest slot: magic "GFor", format version 1.
+pub(crate) const MANIFEST_KIND: SlotKind = SlotKind {
+    magic: 0x4746_6F72,
+    version: 1,
+};
 
 /// One immutable component as recorded in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,27 +53,18 @@ pub(crate) struct ForestManifest {
 }
 
 impl ForestManifest {
-    /// Serialises the manifest with its checksum patched in.
+    /// The unsealed slot image of this manifest: [`HEADER_BYTES`] left for
+    /// [`commit::commit`] to fill, then the payload, exact length.
     pub fn encode(&self) -> Vec<u8> {
-        let fixed = 4 + 4 + 8 + 8 + 4 + 4 + 8 + 4 + 8 + 4;
+        let fixed = HEADER_BYTES + TreeConfig::TAG_BYTES + 1 + 8 + 4 + 8 + 4;
         let per_comp: usize = self
             .components
             .iter()
             .map(|c| 8 + 4 + 8 + 4 + 8 * c.tombstones.len())
             .sum();
         let mut buf = vec![0u8; fixed + per_comp];
-        let mut w = Writer::new(&mut buf);
-        w.put_u32(MANIFEST_MAGIC);
-        w.put_u32(MANIFEST_VERSION);
-        w.put_u64(0); // checksum, patched below
-        w.put_u64(self.epoch);
-        w.put_u32(u32::try_from(self.config.dims).unwrap_or(u32::MAX));
-        w.put_u8(match self.config.combine {
-            CombineMode::Convolution => 0,
-            CombineMode::AdditiveSigma => 1,
-        });
-        w.put_u8(self.config.split.to_tag());
-        w.put_u8(self.config.leaf_format.to_tag());
+        let mut w = Writer::new(&mut buf[HEADER_BYTES..]);
+        self.config.write_tags(&mut w);
         w.put_u8(0); // reserved
         w.put_u64(self.memtable_capacity);
         w.put_u32(self.merge_factor);
@@ -91,40 +80,22 @@ impl ForestManifest {
             }
         }
         debug_assert_eq!(w.remaining(), 0, "manifest size mis-computed");
-        let sum = fnv1a64(&buf);
-        buf[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&sum.to_le_bytes());
         buf
     }
 
-    /// Parses one slot image. Any validation failure — bad magic,
-    /// version, checksum, or tag — returns `None` so the caller can
-    /// fall back to the other slot.
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader::new(bytes);
-        if r.get_u32().ok()? != MANIFEST_MAGIC || r.get_u32().ok()? != MANIFEST_VERSION {
-            return None;
-        }
-        let stored_sum = r.get_u64().ok()?;
-        let mut image = bytes.to_vec();
-        image[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].fill(0);
-        if fnv1a64(&image) != stored_sum {
-            return None;
-        }
-        let epoch = r.get_u64().ok()?;
-        let dims = r.get_u32().ok()? as usize;
-        let combine = match r.get_u8().ok()? {
-            0 => CombineMode::Convolution,
-            1 => CombineMode::AdditiveSigma,
-            _ => return None,
-        };
-        let split = SplitStrategy::from_tag(r.get_u8().ok()?)?;
-        let leaf_format = LeafFormat::from_tag(r.get_u8().ok()?)?;
+    /// Parses the payload of a slot that [`commit::valid_slots`] found
+    /// valid at `epoch`. `None` for a payload this version does not
+    /// accept — a bad tag, a short buffer, components out of order — so
+    /// the caller can fall back to the older slot.
+    pub fn decode(epoch: u64, payload: &[u8]) -> Option<Self> {
+        let mut r = Reader::new(payload);
+        let config = TreeConfig::read_tags(&mut r)?;
         let _reserved = r.get_u8().ok()?;
         let memtable_capacity = r.get_u64().ok()?;
         let merge_factor = r.get_u32().ok()?;
         let next_component_id = r.get_u64().ok()?;
         let n_comps = r.get_u32().ok()? as usize;
-        if epoch == 0 || dims == 0 || merge_factor < 2 {
+        if merge_factor < 2 {
             return None;
         }
         let mut components = Vec::with_capacity(n_comps.min(1024));
@@ -151,10 +122,6 @@ impl ForestManifest {
         if components.windows(2).any(|w| w[0].level > w[1].level) {
             return None;
         }
-        let config = TreeConfig::new(dims)
-            .with_combine(combine)
-            .with_split(split)
-            .with_leaf_format(leaf_format);
         Some(Self {
             epoch,
             config,
@@ -165,29 +132,22 @@ impl ForestManifest {
         })
     }
 
-    /// Picks the winning manifest from the two slot images: valid slots
-    /// only, higher epoch wins.
-    pub fn choose(slots: [Option<&[u8]>; 2]) -> Option<Self> {
-        let mut best: Option<Self> = None;
-        for bytes in slots.into_iter().flatten() {
-            if let Some(m) = Self::decode(bytes) {
-                if best.as_ref().is_none_or(|b| m.epoch > b.epoch) {
-                    best = Some(m);
-                }
-            }
-        }
-        best
-    }
-
-    /// The slot index the *next* commit of `epoch` writes to.
-    pub fn slot_for(epoch: u64) -> usize {
-        (epoch % 2) as usize
+    /// The newest manifest the two slot images hold: valid slots newest
+    /// first, the first whose payload decodes.
+    pub fn newest(slots: [Option<&[u8]>; 2]) -> Option<Self> {
+        commit::valid_slots(MANIFEST_KIND, slots)
+            .valid
+            .into_iter()
+            .find_map(|(epoch, payload)| Self::decode(epoch, payload))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LeafFormat;
+    use pfv::CombineMode;
+    use proptest::prelude::*;
 
     fn sample() -> ForestManifest {
         ForestManifest {
@@ -215,57 +175,105 @@ mod tests {
         }
     }
 
+    /// The sealed slot image a commit of `m` writes.
+    fn slot(m: &ForestManifest) -> Vec<u8> {
+        let mut image = m.encode();
+        commit::seal(MANIFEST_KIND, m.epoch, &mut image);
+        image
+    }
+
+    fn load(image: &[u8]) -> Option<ForestManifest> {
+        ForestManifest::newest([Some(image), None])
+    }
+
     #[test]
     fn roundtrip() {
         let m = sample();
-        let bytes = m.encode();
-        let back = ForestManifest::decode(&bytes).expect("decodes");
-        assert_eq!(back, m);
+        assert_eq!(load(&slot(&m)), Some(m));
     }
 
     #[test]
     fn corruption_rejected() {
         let m = sample();
-        let bytes = m.encode();
+        let bytes = slot(&m);
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0xFF;
-            let got = ForestManifest::decode(&bad);
-            assert!(
-                got.is_none() || got == Some(m.clone()),
-                "flipped byte {i} produced a different valid manifest"
-            );
+            assert_eq!(load(&bad), None, "flipped byte {i} still loads");
         }
-        assert!(ForestManifest::decode(&bytes[..bytes.len() - 1]).is_none());
-        assert!(ForestManifest::decode(&[]).is_none());
-    }
-
-    #[test]
-    fn choose_prefers_higher_epoch() {
-        let mut a = sample();
-        let mut b = sample();
-        a.epoch = 3;
-        b.epoch = 4;
-        let (ea, eb) = (a.encode(), b.encode());
-        let got = ForestManifest::choose([Some(&ea), Some(&eb)]).expect("one wins");
-        assert_eq!(got.epoch, 4);
-        let got = ForestManifest::choose([Some(&ea), None]).expect("one valid");
-        assert_eq!(got.epoch, 3);
-        assert!(ForestManifest::choose([None, None]).is_none());
-        // A corrupt higher slot must lose to a valid lower one.
-        let mut bad = eb.clone();
-        bad[20] ^= 1;
-        let got = ForestManifest::choose([Some(&ea), Some(&bad)]).expect("valid slot wins");
-        assert_eq!(got.epoch, 3);
+        assert!(load(&bytes[..bytes.len() - 1]).is_none());
+        assert!(load(&[]).is_none());
     }
 
     #[test]
     fn order_violations_rejected() {
-        let mut m = sample();
-        m.components.swap(0, 1); // level 1 before level 0
-        assert!(ForestManifest::decode(&m.encode()).is_none());
+        let mut swapped = sample();
+        swapped.components.swap(0, 1); // level 1 before level 0
+        assert!(load(&slot(&swapped)).is_none());
         let mut m = sample();
         m.components[0].id = 99; // >= next_component_id
-        assert!(ForestManifest::decode(&m.encode()).is_none());
+        assert!(load(&slot(&m)).is_none());
+        // A newer slot whose payload is refused loses to the older one,
+        // checksum-valid though it is.
+        swapped.epoch = 8;
+        let (newer, older) = (slot(&swapped), slot(&sample()));
+        let got = ForestManifest::newest([Some(&newer), Some(&older)]);
+        assert_eq!(got, Some(sample()));
+    }
+
+    /// Offsets of the two kinds of count field in `sample()`'s image.
+    const N_COMPS_AT: usize = HEADER_BYTES + TreeConfig::TAG_BYTES + 1 + 8 + 4 + 8;
+    const N_TOMBS_AT: usize = N_COMPS_AT + 4 + 8 + 4 + 8;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Hostile bytes in the newer of two manifest slots: the forest
+        /// gets the same manifest, the older epoch or nothing — never a
+        /// different manifest, a panic or an allocation sized by the slot.
+        #[test]
+        fn mutated_manifest_slot_is_refused_or_equal(
+            (mutation, a, b, flips) in (0usize..5, 0usize..4096, 0u64..u64::MAX, 1usize..9)
+        ) {
+            let mut newer = sample();
+            newer.epoch = 8;
+            let (clean, older) = (slot(&newer), slot(&sample()));
+            let mut image = clean.clone();
+            match mutation {
+                // 1–8 bit flips anywhere, header included.
+                0 => for k in 0..flips {
+                    let at = (a + k * 977) % image.len();
+                    image[at] ^= 1 << ((b >> (3 * k)) & 7);
+                },
+                1 => image.truncate(a % image.len()),
+                // A zeroed run, as a hole in a torn write would leave.
+                2 => {
+                    let from = a % image.len();
+                    let to = (from + 1 + (b as usize) % 64).min(image.len());
+                    image[from..to].fill(0);
+                }
+                // Oversized counts behind a *valid* checksum.
+                3 | 4 => {
+                    let at = if mutation == 3 { N_COMPS_AT } else { N_TOMBS_AT };
+                    let count = [u32::MAX, u32::MAX / 8, 3 + (b as u32 >> 8)][a % 3];
+                    image[at..at + 4].copy_from_slice(&count.to_le_bytes());
+                    commit::seal(MANIFEST_KIND, 8, &mut image);
+                }
+                _ => unreachable!(),
+            }
+            let got = ForestManifest::newest([Some(&image), Some(&older)]);
+            if image == clean {
+                prop_assert_eq!(got, Some(newer));
+            } else {
+                prop_assert_eq!(got, Some(sample()), "a damaged slot must lose to the older one");
+            }
+        }
+    }
+
+    #[test]
+    fn count_offsets_are_the_encoded_ones() {
+        let image = slot(&sample());
+        assert_eq!(image[N_COMPS_AT..N_COMPS_AT + 4], 2u32.to_le_bytes());
+        assert_eq!(image[N_TOMBS_AT..N_TOMBS_AT + 4], 2u32.to_le_bytes());
     }
 }

@@ -18,10 +18,12 @@
 //!   a level deeper, rewriting the union newest-wins and compacting
 //!   tombstones away; with the default factor 2 component sizes double
 //!   per level, bounding both component count and write amplification.
-//! * **Manifest** — the component list is committed through dual
-//!   checksummed slots with a data barrier first (the single tree's meta
-//!   protocol lifted to the directory level), so a crash at any point
-//!   recovers to the last committed forest.
+//! * **Manifest** — the component list is committed through
+//!   [`gauss_storage::commit`], the protocol the single tree's meta pages
+//!   use: this module supplies the two slots (the backend's manifest
+//!   files), the data barrier (a sync of every component's pages) and the
+//!   commit barrier; `forest/manifest.rs` supplies the payload. A crash
+//!   at any point recovers to the last committed forest.
 //!
 //! Newer data shadows older: a component's entry or tombstone for id `x`
 //! hides any entry for `x` in an older component, and the memtable hides
@@ -42,10 +44,11 @@ use crate::bulk::BulkLoadOptions;
 use crate::config::TreeConfig;
 use crate::tree::{GaussTree, Snapshot, TreeError, TreeOptions};
 use crate::view::ReadView;
+use gauss_storage::commit;
 use gauss_storage::forest::ComponentStores;
 use gauss_storage::store::{Durability, PageStore};
 use gauss_storage::{AccessStats, BufferPool};
-use manifest::{ForestManifest, ManifestComponent};
+use manifest::{ForestManifest, ManifestComponent, MANIFEST_KIND};
 use memtable::Memtable;
 use pfv::Pfv;
 use std::collections::HashSet;
@@ -186,12 +189,8 @@ impl<B: ComponentStores> GaussForest<B> {
     /// Fails if the backend already holds a valid forest manifest, or on
     /// store errors.
     pub fn create(backend: B, config: TreeConfig, opts: ForestOptions) -> Result<Self, TreeError> {
-        for slot in 0..gauss_storage::MANIFEST_SLOTS {
-            if let Some(bytes) = backend.read_manifest_slot(slot)? {
-                if ForestManifest::decode(&bytes).is_some() {
-                    return Err(TreeError::Corrupt("backend already holds a forest"));
-                }
-            }
+        if Self::committed_manifest(&backend)?.is_some() {
+            return Err(TreeError::Corrupt("backend already holds a forest"));
         }
         // Stray components with no manifest are debris of an aborted
         // create; clear them so ids can be reused.
@@ -228,10 +227,7 @@ impl<B: ComponentStores> GaussForest<B> {
     /// [`TreeError::Corrupt`] if a component disagrees with the
     /// manifest; store errors otherwise.
     pub fn open(backend: B, opts: ForestOptions) -> Result<Self, TreeError> {
-        let slot0 = backend.read_manifest_slot(0)?;
-        let slot1 = backend.read_manifest_slot(1)?;
-        let m = ForestManifest::choose([slot0.as_deref(), slot1.as_deref()])
-            .ok_or(TreeError::NotAGaussTree)?;
+        let m = Self::committed_manifest(&backend)?.ok_or(TreeError::NotAGaussTree)?;
         let manifest_ids: HashSet<u64> = m.components.iter().map(|c| c.id).collect();
         for cid in backend.list_components()? {
             if !manifest_ids.contains(&cid) {
@@ -282,6 +278,18 @@ impl<B: ComponentStores> GaussForest<B> {
             pool_frames: opts.pool_frames,
             threads: opts.threads,
         })
+    }
+
+    /// The newest manifest committed on `backend`, if there is one.
+    fn committed_manifest(backend: &B) -> Result<Option<ForestManifest>, TreeError> {
+        let slots = [
+            backend.read_manifest_slot(0)?,
+            backend.read_manifest_slot(1)?,
+        ];
+        Ok(ForestManifest::newest([
+            slots[0].as_deref(),
+            slots[1].as_deref(),
+        ]))
     }
 
     /// Live objects visible in the forest.
@@ -543,7 +551,9 @@ impl<B: ComponentStores> GaussForest<B> {
         self.next_component_id += 1;
         let store = self.backend.create_component(id)?;
         let pool = BufferPool::new(store, self.pool_frames, Arc::clone(&self.stats));
-        let mut tree = if entries.is_empty() {
+        // Both constructors end with a commit, so the tree is ready to be
+        // pinned by snapshots as returned.
+        let tree = if entries.is_empty() {
             GaussTree::create_with(
                 pool,
                 self.config,
@@ -555,8 +565,6 @@ impl<B: ComponentStores> GaussForest<B> {
                 .with_durability(self.durability);
             GaussTree::bulk_load_with(pool, self.config, entries, &opts)?.0
         };
-        // Commit the component so snapshots can pin it immediately.
-        tree.flush()?;
         Ok(Component {
             id,
             level,
@@ -566,9 +574,10 @@ impl<B: ComponentStores> GaussForest<B> {
         })
     }
 
-    /// Commits the current component list: data barrier on every
-    /// component's pages, then the manifest slot for the next epoch,
-    /// then a manifest barrier.
+    /// Commits the current component list as the next epoch through
+    /// [`commit::commit`]: the data barrier syncs every component's pages,
+    /// the slot is the backend's manifest file of that parity, the commit
+    /// barrier is the backend's manifest sync.
     fn commit_manifest(&mut self) -> Result<(), TreeError> {
         let next_epoch = self.epoch + 1;
         let m = ForestManifest {
@@ -592,15 +601,18 @@ impl<B: ComponentStores> GaussForest<B> {
                 })
                 .collect(),
         };
-        let bytes = m.encode();
-        // Data barrier: every page the new manifest references must be
-        // durable before the slot commits to them.
-        for c in &self.comps {
-            c.tree.pool().sync(self.durability)?;
-        }
-        let slot = ForestManifest::slot_for(next_epoch);
-        self.backend.write_manifest_slot(slot, &bytes)?;
-        self.backend.sync_manifest(self.durability)?;
+        commit::commit(
+            MANIFEST_KIND,
+            next_epoch,
+            &mut m.encode(),
+            || {
+                self.comps
+                    .iter()
+                    .try_for_each(|c| c.tree.pool().sync(self.durability))
+            },
+            |slot, image| self.backend.write_manifest_slot(slot, image),
+            || self.backend.sync_manifest(self.durability),
+        )?;
         self.epoch = next_epoch;
         Ok(())
     }
@@ -763,6 +775,24 @@ mod tests {
         assert_eq!(stats.len(), 1, "stats: {stats:?}");
         assert_eq!(stats[0].tombstones, 0);
         assert_eq!(stats[0].len, 49);
+    }
+
+    #[test]
+    fn a_component_is_committed_once_and_pinnable() {
+        let mut f = small_forest(8);
+        for i in 0..8u64 {
+            f.insert(i, &v(i)).unwrap(); // the eighth insert flushes
+        }
+        assert_eq!(f.component_stats().len(), 1);
+        // `create_with` commits the empty tree (epoch 1), the bulk load
+        // the built one (epoch 2); the forest adds no commit of its own.
+        assert_eq!(f.comps[0].tree.epoch(), 2);
+        assert_eq!(f.comps[0].tree.snapshot().unwrap().len(), 8);
+        // A component of nothing but tombstones is the committed empty tree.
+        f.delete(3).unwrap();
+        assert!(f.flush().unwrap());
+        assert_eq!(f.comps[0].tree.epoch(), 1);
+        assert_eq!(f.snapshot().unwrap().len(), 7);
     }
 
     #[test]

@@ -435,13 +435,13 @@ pub(crate) fn partition_into_n_parallel<T: Splittable + Clone + Send>(
         .collect()
 }
 
-/// Splits an overflowing set into as many groups of at most `cap` items as
-/// the recursive median splits produce (at least two) — the multi-way
-/// counterpart of [`split_items`] used when a batch insert overfills one
-/// node by more than a single split's worth.
+/// Splits a set into as many groups of at most `cap` items as the
+/// recursive median splits produce — one group, untouched, if it already
+/// fits; exactly one [`split_items`] at `cap + 1` items (a single insert's
+/// overflow); more when a batch insert overfills a node further.
 ///
 /// # Panics
-/// Panics if `cap < 2` or `items.len() < 2`.
+/// Panics if `cap < 2`.
 #[must_use]
 pub fn split_many<T: Splittable + Clone>(
     strategy: SplitStrategy,

@@ -1,50 +1,48 @@
 //! The Gauss-tree structure: creation, persistence, insertion, bulk loading.
+//!
+//! Persistence: pages 0–1 of the store are the two slots of
+//! [`gauss_storage::commit`], which owns the slot header, the checksum,
+//! the choice of the newest valid slot and the barrier → slot write →
+//! barrier order. This module owns what a tree commits — the *payload*
+//! (configuration, capacities, root / height / length, the store size and
+//! the free list with its overflow carrier pages; see
+//! [`GaussTree::flush`]) — and what it means to recover from one
+//! (bounds-checking every page id against the store, reclaiming orphans).
 
 use crate::bulk::{BulkLoadOptions, BulkLoadReport};
 use crate::config::{LeafFormat, TreeConfig};
 use crate::node::{CachedNode, InnerEntry, LeafEntry, Node, NodeCodecError};
-use crate::split::{group_rect, node_cost, split_items, split_many};
+use crate::split::{group_rect, node_cost, split_many, Splittable};
 use crate::view::{Plane, ReadView};
+use gauss_storage::commit::{self, SlotKind, HEADER_BYTES};
 use gauss_storage::store::{Durability, PageStore, StoreError};
 use gauss_storage::{
-    fnv1a64, EpochRegistry, PageId, Reader, SharedBufferPool, SideCache, WriteBatch, Writer,
+    EpochRegistry, PageId, Reader, SharedBufferPool, SideCache, WriteBatch, Writer,
 };
-use pfv::{quant, CombineMode, ParamRect, Pfv};
+use pfv::{quant, Pfv};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-const META_MAGIC: u32 = 0x4754_5245; // "GTRE"
-/// Current metadata format: two versioned, checksummed slots (pages 0–1)
-/// committed alternately — see the `flush` docs for the protocol. v3 adds
-/// the leaf-format tag byte to the v2 layout; everything else is
-/// identical.
-const META_VERSION: u32 = 3;
-/// The dual-slot format without the leaf-format byte; still readable
-/// (such trees are [`LeafFormat::Exact`]), rewritten as v3 on commit.
-const META_VERSION_V2: u32 = 2;
-/// The pre-durability single-slot format; still readable (and writable,
-/// in place) for files created before the dual-slot commit existed.
-const META_VERSION_V1: u32 = 1;
+/// A tree meta slot: magic "GTRE", format version 3 — the only version
+/// read or written. Versions 1 (a single unchecksummed meta page) and 2
+/// (no leaf-format byte) are refused like any other foreign header.
+const META_KIND: SlotKind = SlotKind {
+    magic: 0x4754_5245,
+    version: 3,
+};
 
-/// The two metadata slots of a v2 tree.
-const META_SLOT_A: PageId = PageId(0);
-const META_SLOT_B: PageId = PageId(1);
+/// Pages 0 and 1 hold commit slots 0 and 1; node pages start behind them.
+pub(crate) const META_PAGES: u64 = 2;
 
 /// Fill factor applied by the bulk loader so bulk-built nodes can absorb a
 /// few inserts before splitting.
 const BULK_FILL: f64 = 0.75;
 
-/// Base metadata bytes in a v3 meta slot before the persisted free-list
-/// ids: magic + version + checksum + epoch + allocated-page count, the
-/// fixed tree fields (including the leaf-format byte added in v3), the
-/// in-meta id count (u32) and the overflow chain pointer (u64).
-const META_BASE_BYTES: usize = 4 + 4 + 8 + 8 + 8 + 4 + 1 + 1 + 1 + 4 + 4 + 8 + 4 + 8 + 4 + 8;
-
-/// Byte offset of the checksum field inside a v2 meta slot.
-const META_CHECKSUM_OFFSET: usize = 8;
-
-/// v1 equivalent of [`META_BASE_BYTES`] (no checksum/epoch/allocation).
-const META_BASE_BYTES_V1: usize = 4 + 4 + 4 + 1 + 1 + 4 + 4 + 8 + 4 + 8 + 4 + 8;
+/// Bytes of a meta slot before the persisted free-list ids: the commit
+/// header, the allocated-page count, the configuration tags, the two
+/// capacities, root / height / length, the in-meta id count (u32) and the
+/// overflow chain pointer (u64).
+const META_BASE_BYTES: usize = HEADER_BYTES + 8 + TreeConfig::TAG_BYTES + 4 + 4 + 8 + 4 + 8 + 4 + 8;
 
 /// Bytes of a free-list overflow carrier page consumed by its header
 /// (next-pointer u64 + id count u32).
@@ -86,10 +84,9 @@ pub enum TreeError {
         /// The unquantisable value.
         value: f64,
     },
-    /// No committed epoch is available to pin as a [`Snapshot`] — either
-    /// the file uses the legacy v1 format (no epochs), or uncommitted
-    /// in-place writes have diverged the store from the last commit (call
-    /// [`GaussTree::flush`] first).
+    /// No committed epoch is available to pin as a [`Snapshot`]:
+    /// uncommitted in-place writes have diverged the store from the last
+    /// commit (call [`GaussTree::flush`] first).
     SnapshotUnavailable(&'static str),
 }
 
@@ -170,14 +167,12 @@ pub struct GaussTree<S: PageStore> {
     config: TreeConfig,
     leaf_cap: usize,
     inner_cap: usize,
-    /// On-disk metadata layout this tree was opened with (see `flush`).
-    format: MetaFormat,
-    /// Crash-safety policy. [`Durability::None`] keeps the fast legacy
+    /// Crash-safety policy. [`Durability::None`] keeps the fast
     /// write path (in-place node updates, no barriers); `Flush`/`Fsync`
     /// switch mutation to shadow paging so the last committed epoch is
     /// never overwritten, and order data barriers before meta commits.
     durability: Durability,
-    /// Last committed epoch (v2 format; 0 before the first commit).
+    /// Last committed epoch (0 before the first commit).
     epoch: u64,
     root: PageId,
     height: u32,
@@ -214,7 +209,7 @@ pub struct GaussTree<S: PageStore> {
     /// Entry count as of the last committed epoch.
     committed_len: u64,
     /// Whether an in-place write has diverged the store from the last
-    /// committed epoch (legacy-speed mutation under [`Durability::None`]
+    /// committed epoch (in-place mutation under [`Durability::None`]
     /// with no live snapshots). While set, [`GaussTree::snapshot`] refuses
     /// to pin the stale committed root.
     dirty_since_commit: bool,
@@ -225,22 +220,10 @@ pub struct GaussTree<S: PageStore> {
     free_aging: VecDeque<(u64, Vec<PageId>)>,
 }
 
-/// On-disk metadata layout of an opened tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MetaFormat {
-    /// Single meta page at page 0, no epoch/checksum. Files from before
-    /// the dual-slot commit open (and keep flushing) in this format —
-    /// page 1 holds a node in those files, so the second slot can never
-    /// be claimed in place. Rebuild to upgrade.
-    V1,
-    /// Dual-slot versioned commit (pages 0–1).
-    V2,
-}
-
 /// What [`GaussTree::open_with_recovery`] found and decided.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Epoch of the slot the tree was opened from (0 for legacy files).
+    /// Epoch of the slot the tree was opened from.
     pub epoch: u64,
     /// Whether the newest slot was rejected (torn/corrupt/invariant
     /// failure) and an older epoch was used instead.
@@ -248,8 +231,6 @@ pub struct RecoveryReport {
     /// Pages allocated after the chosen epoch's commit (an interrupted
     /// mutation's shadow pages), reclaimed onto the free list.
     pub orphaned_pages: u64,
-    /// Whether the file uses the legacy single-slot format.
-    pub legacy: bool,
 }
 
 /// Builder-style construction options for [`GaussTree::create_with`],
@@ -447,7 +428,7 @@ impl<S: PageStore> ReadView<S> for Snapshot<S> {
     }
 }
 
-/// One parsed v2 meta slot, pending validation against the store.
+/// One parsed meta slot payload, bounds-checked against the store.
 struct ParsedMeta {
     epoch: u64,
     allocated: u64,
@@ -457,28 +438,6 @@ struct ParsedMeta {
     len: u64,
     free_ids: Vec<PageId>,
     carriers: Vec<PageId>,
-}
-
-/// Descriptor of one subtree produced by a batch merge ([`GaussTree::extend`]).
-struct SubtreeDesc {
-    page: PageId,
-    rect: ParamRect,
-    count: u64,
-}
-
-/// Result of a recursive insert below some node. Carries the child's page
-/// id because shadow paging may relocate a node on write — the parent must
-/// re-point at wherever the child landed.
-enum ChildUpdate {
-    /// Child absorbed the entry; (possibly new) page, new rect and count.
-    Updated(PageId, ParamRect, u64),
-    /// Child split in two.
-    Split {
-        left_page: PageId,
-        left: (ParamRect, u64),
-        right_page: PageId,
-        right: (ParamRect, u64),
-    },
 }
 
 /// Quantises an ingested pfv to the stored representation of a
@@ -539,9 +498,8 @@ impl<S: PageStore> GaussTree<S> {
         let page_size = pool.page_size();
         let leaf_cap = config.leaf_capacity(page_size);
         let inner_cap = config.inner_capacity(page_size);
-        let slot_a = pool.allocate()?;
-        let slot_b = pool.allocate()?;
-        debug_assert_eq!((slot_a, slot_b), (META_SLOT_A, META_SLOT_B));
+        let slots = (pool.allocate()?, pool.allocate()?);
+        debug_assert_eq!(slots, (PageId(0), PageId(1)));
         let root = pool.allocate()?;
         let node_cache = SideCache::new(opts.cache_cap(pool.capacity()));
         let mut tree = Self {
@@ -551,7 +509,6 @@ impl<S: PageStore> GaussTree<S> {
             config,
             leaf_cap,
             inner_cap,
-            format: MetaFormat::V2,
             durability: opts.durability,
             epoch: 0,
             root,
@@ -579,7 +536,7 @@ impl<S: PageStore> GaussTree<S> {
         self.durability
     }
 
-    /// Last committed epoch (0 for legacy-format trees).
+    /// Last committed epoch.
     #[must_use]
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -594,16 +551,10 @@ impl<S: PageStore> GaussTree<S> {
     /// and defers page reuse, so the pinned state is never overwritten.
     ///
     /// # Errors
-    /// [`TreeError::SnapshotUnavailable`] if the file uses the legacy v1
-    /// format (no committed epochs) or if in-place writes since the last
+    /// [`TreeError::SnapshotUnavailable`] if in-place writes since the last
     /// [`GaussTree::flush`] have diverged the store from the committed
     /// epoch — flush first, then snapshot.
     pub fn snapshot(&self) -> Result<Snapshot<S>, TreeError> {
-        if self.format == MetaFormat::V1 {
-            return Err(TreeError::SnapshotUnavailable(
-                "legacy v1 files have no committed epochs",
-            ));
-        }
         if self.dirty_since_commit {
             return Err(TreeError::SnapshotUnavailable(
                 "in-place writes since the last commit",
@@ -634,19 +585,17 @@ impl<S: PageStore> GaussTree<S> {
     /// always under a durable policy, and whenever a live [`Snapshot`]
     /// pins a committed epoch that in-place writes would tear up.
     pub(crate) fn is_shadowing(&self) -> bool {
-        self.format == MetaFormat::V2
-            && (self.durability != Durability::None || self.registry.has_pins())
+        self.durability != Durability::None || self.registry.has_pins()
     }
 
     /// Opens an existing Gauss-tree from its store.
     ///
-    /// v2 files (dual-slot commit): both meta slots are parsed and
-    /// validated — magic, version, checksum, and every referenced page id
+    /// Both meta slots are validated — magic, version, checksum
+    /// ([`gauss_storage::commit`]), then every page id the payload names
     /// bounds-checked against the store — and the highest valid epoch
     /// wins, so a torn meta write falls back to the previous commit.
     /// Pages allocated after that commit (an interrupted mutation's
-    /// shadow writes) are reclaimed onto the free list. v1 files (single
-    /// meta page) keep opening as before.
+    /// shadow writes) are reclaimed onto the free list.
     ///
     /// The opened tree uses default [`TreeOptions`] ([`Durability::None`]);
     /// use [`GaussTree::open_with`] when crash safety or cache sizing is
@@ -705,60 +654,31 @@ impl<S: PageStore> GaussTree<S> {
         opts: &TreeOptions,
     ) -> Result<(Self, RecoveryReport), TreeError> {
         let allocated_now = pool.num_pages();
-        if allocated_now == 0 {
-            return Err(TreeError::NotAGaussTree);
+        // A slot page the store does not have was never written.
+        let mut pages = [None, None];
+        for (slot, page) in (0..allocated_now).zip(&mut pages) {
+            *page = Some(pool.page(PageId(slot))?);
         }
-        // Legacy single-slot format?
-        {
-            let page = pool.page(PageId(0))?;
-            let mut r = Reader::new(&page);
-            let magic = r.get_u32().unwrap_or(0);
-            let version = r.get_u32().unwrap_or(0);
-            if magic == META_MAGIC && version == META_VERSION_V1 {
-                let tree = Self::open_v1(pool, opts)?;
-                if verify {
-                    match tree.check_invariants(false) {
-                        Ok(errs) if errs.is_empty() => {}
-                        _ => return Err(TreeError::NotAGaussTree),
-                    }
-                }
-                let report = RecoveryReport {
-                    legacy: true,
-                    ..RecoveryReport::default()
-                };
-                return Ok((tree, report));
-            }
-        }
-        // v2: parse both slots, try them in descending epoch order. A
-        // slot that holds data but does not validate (torn write, stale
-        // garbage) counts as a fallback even though its epoch is
-        // unknowable — an all-zero slot is just a commit that never
-        // happened (epoch 1 only ever writes one slot).
-        let mut torn_slot = false;
+        let slots = commit::valid_slots(META_KIND, [pages[0].as_deref(), pages[1].as_deref()]);
+        // A slot that holds data but does not validate (torn write, stale
+        // garbage, a payload out of bounds for this store) counts as a
+        // fallback even though its epoch may be unknowable.
+        let mut rejected_slot = slots.torn;
         let mut candidates: Vec<ParsedMeta> = Vec::new();
-        for slot in [META_SLOT_A, META_SLOT_B] {
-            if slot.index() >= allocated_now {
-                continue;
-            }
-            match Self::parse_slot(&pool, slot, allocated_now) {
+        for (epoch, payload) in slots.valid {
+            match Self::parse_meta(&pool, epoch, payload, allocated_now) {
                 Some(meta) => candidates.push(meta),
-                None => {
-                    if pool.page(slot)?.iter().any(|&b| b != 0) {
-                        torn_slot = true;
-                    }
-                }
+                None => rejected_slot = true,
             }
         }
-        candidates.sort_by_key(|m| std::cmp::Reverse(m.epoch));
         let newest = candidates.first().map(|m| m.epoch);
         let mut pool = pool;
         for meta in candidates {
-            let fell_back = torn_slot || Some(meta.epoch) != newest;
+            let fell_back = rejected_slot || Some(meta.epoch) != newest;
             let report = RecoveryReport {
                 epoch: meta.epoch,
                 fell_back,
                 orphaned_pages: allocated_now - meta.allocated,
-                legacy: false,
             };
             let mut tree = Self::from_meta(pool, meta, opts);
             if !verify {
@@ -787,42 +707,24 @@ impl<S: PageStore> GaussTree<S> {
         Err(TreeError::NotAGaussTree)
     }
 
-    /// Parses and validates one v2/v3 meta slot; `None` if the slot is not
-    /// a committed epoch (torn, stale, out of bounds, or plain garbage).
-    fn parse_slot(
+    /// Parses the payload of a meta slot that is a valid commit of `epoch`
+    /// and checks it against the store; `None` if this store cannot be the
+    /// one it was committed on (truncated, out of bounds, a bad tag).
+    fn parse_meta(
         pool: &SharedBufferPool<S>,
-        slot: PageId,
+        epoch: u64,
+        payload: &[u8],
         allocated_now: u64,
     ) -> Option<ParsedMeta> {
-        let page = pool.page(slot).ok()?;
-        let mut r = Reader::new(&page);
-        let magic = r.get_u32().ok()?;
-        let version = r.get_u32().ok()?;
-        if magic != META_MAGIC || !(version == META_VERSION || version == META_VERSION_V2) {
-            return None;
-        }
-        let stored_sum = r.get_u64().ok()?;
-        let mut image = page.to_vec();
-        image[META_CHECKSUM_OFFSET..META_CHECKSUM_OFFSET + 8].fill(0);
-        if fnv1a64(&image) != stored_sum {
-            return None;
-        }
-        let epoch = r.get_u64().ok()?;
+        let mut r = Reader::new(payload);
         let allocated = r.get_u64().ok()?;
-        let dims = r.get_u32().ok()? as usize;
-        let combine = match r.get_u8().ok()? {
-            0 => CombineMode::Convolution,
-            1 => CombineMode::AdditiveSigma,
-            _ => return None,
-        };
-        let split = crate::config::SplitStrategy::from_tag(r.get_u8().ok()?)?;
-        // v3 appends the leaf-format byte here; v2 slots predate the
-        // quantised format and are always exact.
-        let leaf_format = if version == META_VERSION_V2 {
-            crate::config::LeafFormat::Exact
-        } else {
-            crate::config::LeafFormat::from_tag(r.get_u8().ok()?)?
-        };
+        let mut config = TreeConfig::read_tags(&mut r)?;
+        // A node of this dimensionality must hold two entries on a page
+        // of this store (`leaf_capacity` / `inner_capacity` assert it).
+        let widest = config.inner_entry_bytes().max(config.leaf_entry_bytes());
+        if crate::node::NODE_HEADER_BYTES + 2 * widest > pool.page_size() {
+            return None;
+        }
         let leaf_cap = r.get_u32().ok()? as usize;
         let inner_cap = r.get_u32().ok()? as usize;
         let root = PageId(r.get_u64().ok()?);
@@ -832,19 +734,22 @@ impl<S: PageStore> GaussTree<S> {
         // allocation*, which itself must fit the store — a truncated file
         // fails here with a clean rejection instead of a decode error
         // deep inside `read_node`.
-        if epoch == 0
-            || dims == 0
-            || leaf_cap < 2
+        if leaf_cap < 2
             || inner_cap < 2
-            || allocated < 3
+            || allocated <= META_PAGES
             || allocated > allocated_now
-            || root.index() < 2
+            || root.index() < META_PAGES
             || root.index() >= allocated
         {
             return None;
         }
         let free_count = r.get_u32().ok()? as usize;
         let mut free_next = PageId(r.get_u64().ok()?);
+        // The count sizes an allocation: refuse one the slot cannot hold
+        // (a valid checksum does not make a number plausible).
+        if free_count > r.remaining() / 8 {
+            return None;
+        }
         let mut free_ids = Vec::with_capacity(free_count);
         for _ in 0..free_count {
             free_ids.push(PageId(r.get_u64().ok()?));
@@ -855,7 +760,7 @@ impl<S: PageStore> GaussTree<S> {
         // would otherwise never trip the id-count guard.
         let mut carriers = Vec::new();
         while free_next.is_valid() {
-            if free_next.index() < 2
+            if free_next.index() < META_PAGES
                 || free_next.index() >= allocated
                 || free_ids.len() as u64 > allocated
                 || carriers.len() as u64 > allocated
@@ -879,17 +784,13 @@ impl<S: PageStore> GaussTree<S> {
         // slots; the carriers must themselves be persisted as free.
         let mut seen = HashSet::with_capacity(free_ids.len());
         for id in &free_ids {
-            if id.index() < 2 || id.index() >= allocated || !seen.insert(id.index()) {
+            if id.index() < META_PAGES || id.index() >= allocated || !seen.insert(id.index()) {
                 return None;
             }
         }
         if !carriers.iter().all(|c| seen.contains(&c.index())) {
             return None;
         }
-        let mut config = TreeConfig::new(dims)
-            .with_combine(combine)
-            .with_split(split)
-            .with_leaf_format(leaf_format);
         config.max_leaf_entries = Some(leaf_cap);
         config.max_inner_entries = Some(inner_cap);
         Some(ParsedMeta {
@@ -931,7 +832,6 @@ impl<S: PageStore> GaussTree<S> {
             config: meta.config,
             leaf_cap,
             inner_cap,
-            format: MetaFormat::V2,
             durability: opts.durability,
             epoch: meta.epoch,
             root: meta.root,
@@ -948,111 +848,6 @@ impl<S: PageStore> GaussTree<S> {
             dirty_since_commit: false,
             free_aging: VecDeque::new(),
         }
-    }
-
-    /// Opens a legacy v1 (single meta slot) file.
-    fn open_v1(pool: SharedBufferPool<S>, opts: &TreeOptions) -> Result<Self, TreeError> {
-        let allocated = pool.num_pages();
-        let page = pool.page(PageId(0))?;
-        let mut r = Reader::new(&page);
-        type MetaFields = (TreeConfig, PageId, u32, u64, Vec<PageId>, PageId);
-        let parse = (|| -> Result<MetaFields, NodeCodecError> {
-            let magic = r.get_u32()?;
-            let version = r.get_u32()?;
-            if magic != META_MAGIC || version != META_VERSION_V1 {
-                return Err(NodeCodecError::Corrupt("bad magic/version"));
-            }
-            let dims = r.get_u32()? as usize;
-            let combine = match r.get_u8()? {
-                0 => CombineMode::Convolution,
-                1 => CombineMode::AdditiveSigma,
-                _ => return Err(NodeCodecError::Corrupt("bad combine mode")),
-            };
-            let split = crate::config::SplitStrategy::from_tag(r.get_u8()?)
-                .ok_or(NodeCodecError::Corrupt("bad split strategy"))?;
-            let leaf_cap = r.get_u32()? as usize;
-            let inner_cap = r.get_u32()? as usize;
-            let root = PageId(r.get_u64()?);
-            let height = r.get_u32()?;
-            let len = r.get_u64()?;
-            if dims == 0 || leaf_cap < 2 || inner_cap < 2 || root.index() >= allocated {
-                return Err(NodeCodecError::Corrupt("bad metadata values"));
-            }
-            let free_count = r.get_u32()? as usize;
-            let free_next = PageId(r.get_u64()?);
-            let mut free_list = Vec::with_capacity(free_count);
-            for _ in 0..free_count {
-                free_list.push(PageId(r.get_u64()?));
-            }
-            let mut config = TreeConfig::new(dims)
-                .with_combine(combine)
-                .with_split(split);
-            config.max_leaf_entries = Some(leaf_cap);
-            config.max_inner_entries = Some(inner_cap);
-            Ok((config, root, height, len, free_list, free_next))
-        })();
-        let (config, root, height, len, mut free_list, mut free_next) =
-            parse.map_err(|_| TreeError::NotAGaussTree)?;
-        // Follow the overflow chain through the freed carrier pages
-        // (`chain_len` bounds a garbage cycle of zero-count carriers).
-        let mut chain_len = 0u64;
-        while free_next.is_valid() {
-            chain_len += 1;
-            if free_next.index() >= allocated
-                || free_list.len() as u64 > allocated
-                || chain_len > allocated
-            {
-                return Err(TreeError::NotAGaussTree);
-            }
-            let page = pool.page(free_next)?;
-            let mut r = Reader::new(&page);
-            let chain = (|| -> Result<(PageId, Vec<PageId>), NodeCodecError> {
-                let next = PageId(r.get_u64()?);
-                let count = r.get_u32()? as usize;
-                let mut ids = Vec::with_capacity(count);
-                for _ in 0..count {
-                    ids.push(PageId(r.get_u64()?));
-                }
-                Ok((next, ids))
-            })();
-            let (next, ids) = chain.map_err(|_| TreeError::NotAGaussTree)?;
-            free_list.extend(ids);
-            free_next = next;
-        }
-        if free_list
-            .iter()
-            .any(|p| p.index() == 0 || p.index() >= allocated)
-        {
-            return Err(TreeError::NotAGaussTree);
-        }
-        let leaf_cap = config.leaf_capacity(pool.page_size());
-        let inner_cap = config.inner_capacity(pool.page_size());
-        let node_cache = SideCache::new(opts.cache_cap(pool.capacity()));
-        let free_set = free_list.iter().map(|p| p.index()).collect();
-        Ok(Self {
-            pool: Arc::new(pool),
-            node_cache: Arc::new(node_cache),
-            registry: Arc::new(EpochRegistry::new()),
-            config,
-            leaf_cap,
-            inner_cap,
-            format: MetaFormat::V1,
-            durability: opts.durability,
-            epoch: 0,
-            root,
-            height,
-            len,
-            free_committed: free_list,
-            free_pending: Vec::new(),
-            carriers_live: Vec::new(),
-            free_set,
-            shadowed: HashSet::new(),
-            committed_root: root,
-            committed_height: height,
-            committed_len: len,
-            dirty_since_commit: false,
-            free_aging: VecDeque::new(),
-        })
     }
 
     /// Gives the pool back (recovery's slot-fallback path; no snapshot can
@@ -1206,34 +1001,23 @@ impl<S: PageStore> GaussTree<S> {
         self.pool.stats()
     }
 
-    /// Commits the tree's metadata. Call after building; queries never
-    /// dirty the tree.
+    /// Commits the tree as the next epoch. Call after building; queries
+    /// never dirty the tree.
     ///
-    /// v2 format: an atomic dual-slot commit. The full free list is
-    /// persisted first (overflow chained through committed-free carrier
-    /// pages the previous epoch does not reference), then a data barrier
-    /// is issued at the tree's [`Durability`] level, then the inactive
-    /// meta slot is written with a bumped epoch and a checksum, then a
-    /// second barrier makes the commit durable. Open picks the highest
-    /// valid epoch, so a crash anywhere in this sequence — or in the
-    /// shadow-paged mutations before it — falls back to the previous
-    /// commit intact.
-    ///
-    /// Legacy v1 files keep their single in-place meta page (their commit
-    /// is not atomic; rebuild to upgrade).
+    /// The full free list is persisted first (overflow chained through
+    /// committed-free carrier pages the previous epoch does not
+    /// reference), then the meta payload goes through
+    /// [`commit::commit`]: a data barrier at the tree's [`Durability`]
+    /// level, the write of the meta slot that does not hold the current
+    /// epoch, a second barrier. Open picks the highest valid epoch, so a
+    /// crash anywhere in this sequence — or in the shadow-paged mutations
+    /// before it — falls back to the previous commit intact.
     ///
     /// # Errors
     /// Propagates store errors. After an error the in-memory tree may be
     /// mid-commit and should be dropped; the on-disk state remains
     /// recoverable.
     pub fn flush(&mut self) -> Result<(), TreeError> {
-        match self.format {
-            MetaFormat::V1 => self.flush_v1(),
-            MetaFormat::V2 => self.flush_v2(),
-        }
-    }
-
-    fn flush_v2(&mut self) -> Result<(), TreeError> {
         let page_size = self.pool.page_size();
         let meta_cap = page_size.saturating_sub(META_BASE_BYTES) / 8;
         let per_carrier = ((page_size - FREE_CHAIN_HEADER_BYTES) / 8).max(1);
@@ -1298,31 +1082,11 @@ impl<S: PageStore> GaussTree<S> {
             self.pool.write(carrier, &buf)?;
         }
 
-        // Data barrier: every node page and carrier the new meta slot
-        // will reference must be durable before the slot commits to them.
-        self.pool.sync(self.durability)?;
-
         let new_epoch = self.epoch + 1;
-        let slot = if new_epoch.is_multiple_of(2) {
-            META_SLOT_A
-        } else {
-            META_SLOT_B
-        };
         let mut page = vec![0u8; page_size];
-        let mut w = Writer::new(&mut page);
-        w.put_u32(META_MAGIC);
-        w.put_u32(META_VERSION);
-        w.put_u64(0); // checksum, patched below
-        w.put_u64(new_epoch);
+        let mut w = Writer::new(&mut page[HEADER_BYTES..]);
         w.put_u64(self.pool.num_pages());
-        // lint: allow(no-panic) -- dims are validated at TreeConfig construction, far below u32::MAX
-        w.put_u32(u32::try_from(self.config.dims).expect("dims fit u32"));
-        w.put_u8(match self.config.combine {
-            CombineMode::Convolution => 0,
-            CombineMode::AdditiveSigma => 1,
-        });
-        w.put_u8(self.config.split.to_tag());
-        w.put_u8(self.config.leaf_format.to_tag());
+        self.config.write_tags(&mut w);
         // lint: allow(no-panic) -- leaf capacity derives from the page size, far below u32::MAX
         w.put_u32(u32::try_from(self.leaf_cap).expect("leaf cap fits u32"));
         // lint: allow(no-panic) -- node capacities derive from the page size, far below u32::MAX
@@ -1342,11 +1106,17 @@ impl<S: PageStore> GaussTree<S> {
         for id in &all_ids[..in_meta] {
             w.put_u64(id.index());
         }
-        let sum = fnv1a64(&page);
-        page[META_CHECKSUM_OFFSET..META_CHECKSUM_OFFSET + 8].copy_from_slice(&sum.to_le_bytes());
-        self.pool.write(slot, &page)?;
-        // Commit barrier: the new epoch is durable before flush returns.
-        self.pool.sync(self.durability)?;
+        // The data barrier covers every node page and carrier the new
+        // slot refers to; slot `n` of the protocol is page `n`.
+        let sync = || self.pool.sync(self.durability);
+        commit::commit(
+            META_KIND,
+            new_epoch,
+            &mut page,
+            sync,
+            |slot, image| self.pool.write(PageId(slot as u64), image),
+            sync,
+        )?;
 
         // The commit succeeded: this epoch's deferred frees and the
         // superseded chain's carriers become reusable — except that pages
@@ -1389,62 +1159,6 @@ impl<S: PageStore> GaussTree<S> {
                 break;
             }
         }
-    }
-
-    fn flush_v1(&mut self) -> Result<(), TreeError> {
-        // Legacy trees never shadow-page, so all frees sit in
-        // `free_committed` and the v1 carrier scheme (carriers drawn from
-        // the overflow ids themselves) still applies.
-        debug_assert!(self.free_pending.is_empty() && self.carriers_live.is_empty());
-        let mut page = vec![0u8; self.pool.page_size()];
-        let mut w = Writer::new(&mut page);
-        w.put_u32(META_MAGIC);
-        w.put_u32(META_VERSION_V1);
-        // lint: allow(no-panic) -- dims are validated at TreeConfig construction, far below u32::MAX
-        w.put_u32(u32::try_from(self.config.dims).expect("dims fit u32"));
-        w.put_u8(match self.config.combine {
-            CombineMode::Convolution => 0,
-            CombineMode::AdditiveSigma => 1,
-        });
-        w.put_u8(self.config.split.to_tag());
-        // lint: allow(no-panic) -- leaf capacity derives from the page size, far below u32::MAX
-        w.put_u32(u32::try_from(self.leaf_cap).expect("leaf cap fits u32"));
-        // lint: allow(no-panic) -- node capacities derive from the page size, far below u32::MAX
-        w.put_u32(u32::try_from(self.inner_cap).expect("inner cap fits u32"));
-        w.put_u64(self.root.index());
-        w.put_u32(self.height);
-        w.put_u64(self.len);
-        let page_size = self.pool.page_size();
-        let meta_cap = page_size.saturating_sub(META_BASE_BYTES_V1) / 8;
-        let in_meta = self.free_committed.len().min(meta_cap);
-        let rest = &self.free_committed[in_meta..];
-        let per_carrier = ((page_size - FREE_CHAIN_HEADER_BYTES) / 8).max(1);
-        let chunks: Vec<&[PageId]> = rest.chunks(per_carrier).collect();
-        let first_carrier = chunks.first().map_or(PageId::INVALID, |c| c[0]);
-        // lint: allow(no-panic) -- in_meta is capped by the meta page capacity, far below u32::MAX
-        w.put_u32(u32::try_from(in_meta).expect("free count fits u32"));
-        w.put_u64(first_carrier.index());
-        for id in &self.free_committed[..in_meta] {
-            w.put_u64(id.index());
-        }
-        self.pool.sync(self.durability)?;
-        self.pool.write(PageId(0), &page)?;
-        for (i, chunk) in chunks.iter().enumerate() {
-            let carrier = chunk[0];
-            let next = chunks.get(i + 1).map_or(PageId::INVALID, |c| c[0]);
-            let mut buf = vec![0u8; page_size];
-            let mut cw = Writer::new(&mut buf);
-            cw.put_u64(next.index());
-            // lint: allow(no-panic) -- free-list chunks are capped by per_carrier, far below u32::MAX
-            cw.put_u32(u32::try_from(chunk.len()).expect("chunk fits u32"));
-            for id in *chunk {
-                cw.put_u64(id.index());
-            }
-            self.node_cache.remove(carrier);
-            self.pool.write(carrier, &buf)?;
-        }
-        self.pool.sync(self.durability)?;
-        Ok(())
     }
 
     /// Allocates a page for a new node, reusing a committed-free page when
@@ -1515,14 +1229,6 @@ impl<S: PageStore> GaussTree<S> {
         out
     }
 
-    /// Number of pages owned by the tree's metadata (slot pages).
-    pub(crate) fn meta_page_count(&self) -> u64 {
-        match self.format {
-            MetaFormat::V1 => 1,
-            MetaFormat::V2 => 2,
-        }
-    }
-
     /// Bulk-loader leaf fill target (`BULK_FILL` of the capacity).
     pub(crate) fn bulk_leaf_target(&self) -> usize {
         ((self.leaf_cap as f64 * BULK_FILL) as usize).max(2)
@@ -1553,138 +1259,14 @@ impl<S: PageStore> GaussTree<S> {
         Ok(())
     }
 
-    /// Inserts one pfv with external id `id` (paper §5.3 descent rules).
+    /// Inserts one pfv with external id `id` (paper §5.3 descent rules) —
+    /// the one-item case of [`GaussTree::extend`]: a batch of one takes
+    /// the same path down, and a node it overflows splits in two.
     ///
     /// # Errors
     /// [`TreeError::DimMismatch`] for wrong dimensionality; store errors.
     pub fn insert(&mut self, id: u64, v: &Pfv) -> Result<(), TreeError> {
-        if v.dims() != self.config.dims {
-            return Err(TreeError::DimMismatch {
-                expected: self.config.dims,
-                got: v.dims(),
-            });
-        }
-        let v = &quantise_for(self.config.leaf_format, v)?.unwrap_or_else(|| v.clone());
-        match self.insert_rec(self.root, self.height, id, v)? {
-            ChildUpdate::Updated(page, ..) => self.root = page,
-            ChildUpdate::Split {
-                left_page,
-                left,
-                right_page,
-                right,
-            } => {
-                // Grow a new root.
-                let new_root = self.alloc_page()?;
-                let node = Node::Inner(vec![
-                    InnerEntry {
-                        child: left_page,
-                        count: left.1,
-                        rect: left.0,
-                    },
-                    InnerEntry {
-                        child: right_page,
-                        count: right.1,
-                        rect: right.0,
-                    },
-                ]);
-                self.write_node(new_root, &node)?;
-                self.root = new_root;
-                self.height += 1;
-            }
-        }
-        self.len += 1;
-        Ok(())
-    }
-
-    fn insert_rec(
-        &mut self,
-        page: PageId,
-        level: u32,
-        id: u64,
-        v: &Pfv,
-    ) -> Result<ChildUpdate, TreeError> {
-        let node = self.read_node(page)?;
-        if level == 0 {
-            let Node::Leaf(mut entries) = node else {
-                return Err(TreeError::Corrupt("expected leaf at level 0"));
-            };
-            entries.push(LeafEntry { id, pfv: v.clone() });
-            if entries.len() <= self.leaf_cap {
-                let rect = group_rect(&entries);
-                let count = entries.len() as u64;
-                let page = self.write_node_shadow(page, &Node::Leaf(entries))?;
-                Ok(ChildUpdate::Updated(page, rect, count))
-            } else {
-                let out = split_items(self.config.split, entries);
-                let right_page = self.alloc_page()?;
-                let left_rect = group_rect(&out.left);
-                let right_rect = group_rect(&out.right);
-                let left_count = out.left.len() as u64;
-                let right_count = out.right.len() as u64;
-                let left_page = self.write_node_shadow(page, &Node::Leaf(out.left))?;
-                self.write_node(right_page, &Node::Leaf(out.right))?;
-                Ok(ChildUpdate::Split {
-                    left_page,
-                    left: (left_rect, left_count),
-                    right_page,
-                    right: (right_rect, right_count),
-                })
-            }
-        } else {
-            let Node::Inner(mut entries) = node else {
-                return Err(TreeError::Corrupt("expected inner node above level 0"));
-            };
-            if entries.is_empty() {
-                return Err(TreeError::Corrupt("empty inner node"));
-            }
-            let idx = self.choose_subtree(&entries, v);
-            let child_page = entries[idx].child;
-            match self.insert_rec(child_page, level - 1, id, v)? {
-                ChildUpdate::Updated(new_child, rect, count) => {
-                    entries[idx].child = new_child;
-                    entries[idx].rect = rect;
-                    entries[idx].count = count;
-                }
-                ChildUpdate::Split {
-                    left_page,
-                    left,
-                    right_page,
-                    right,
-                } => {
-                    entries[idx] = InnerEntry {
-                        child: left_page,
-                        count: left.1,
-                        rect: left.0,
-                    };
-                    entries.push(InnerEntry {
-                        child: right_page,
-                        count: right.1,
-                        rect: right.0,
-                    });
-                }
-            }
-            if entries.len() <= self.inner_cap {
-                let rect = group_rect(&entries);
-                let count = entries.iter().map(|e| e.count).sum();
-                let page = self.write_node_shadow(page, &Node::Inner(entries))?;
-                Ok(ChildUpdate::Updated(page, rect, count))
-            } else {
-                let out = split_items(self.config.split, entries);
-                let right_page = self.alloc_page()?;
-                let left_rect = group_rect(&out.left);
-                let right_rect = group_rect(&out.right);
-                let left_count = out.left.iter().map(|e| e.count).sum();
-                let right_count = out.right.iter().map(|e| e.count).sum();
-                let left_page = self.write_node_shadow(page, &Node::Inner(out.left))?;
-                self.write_node(right_page, &Node::Inner(out.right))?;
-                Ok(ChildUpdate::Split {
-                    left_page,
-                    left: (left_rect, left_count),
-                    right_page,
-                    right: (right_rect, right_count),
-                })
-            }
-        }
+        self.extend(std::iter::once((id, v.clone()))).map(|_| ())
     }
 
     /// Batch-inserts a run of `(id, pfv)` pairs into an existing tree — the
@@ -1718,86 +1300,35 @@ impl<S: PageStore> GaussTree<S> {
             return Ok(0);
         }
         let added = batch.len() as u64;
-        let mut descs = self.extend_rec(self.root, self.height, batch)?;
+        let mut roots = self.extend_rec(self.root, self.height, batch)?;
         // Grow new levels until a single root covers every sibling the
         // batch created (a large run can overflow the old root multi-way,
         // raising the height by more than one).
-        while descs.len() > 1 {
-            let entries: Vec<InnerEntry> = descs
-                .iter()
-                .map(|d| InnerEntry {
-                    child: d.page,
-                    count: d.count,
-                    rect: d.rect.clone(),
-                })
-                .collect();
-            if entries.len() <= self.inner_cap {
-                let page = self.alloc_page()?;
-                let rect = group_rect(&entries);
-                let count = entries.iter().map(|e| e.count).sum();
-                self.write_node(page, &Node::Inner(entries))?;
-                self.height += 1;
-                descs = vec![SubtreeDesc { page, rect, count }];
-            } else {
-                let groups = split_many(self.config.split, entries, self.inner_cap);
-                let mut next = Vec::with_capacity(groups.len());
-                for g in groups {
-                    let page = self.alloc_page()?;
-                    let rect = group_rect(&g);
-                    let count = g.iter().map(|e| e.count).sum();
-                    self.write_node(page, &Node::Inner(g))?;
-                    next.push(SubtreeDesc { page, rect, count });
-                }
-                self.height += 1;
-                descs = next;
-            }
+        while roots.len() > 1 {
+            roots = self.write_groups(None, roots, self.inner_cap, Node::Inner)?;
+            self.height += 1;
         }
-        self.root = descs[0].page;
+        self.root = roots[0].child;
         self.len += added;
         Ok(added)
     }
 
     /// Merges `items` into the subtree rooted at `page`, returning the
-    /// descriptors of the subtree(s) that replace it (more than one when
-    /// the node overflowed and split).
+    /// entries a parent must hold for the subtree(s) that replace it (more
+    /// than one when the node overflowed and split).
     fn extend_rec(
         &mut self,
         page: PageId,
         level: u32,
         items: Vec<LeafEntry>,
-    ) -> Result<Vec<SubtreeDesc>, TreeError> {
+    ) -> Result<Vec<InnerEntry>, TreeError> {
         let node = self.read_node(page)?;
         if level == 0 {
             let Node::Leaf(mut entries) = node else {
                 return Err(TreeError::Corrupt("expected leaf at level 0"));
             };
             entries.extend(items);
-            return if entries.len() <= self.leaf_cap {
-                let rect = group_rect(&entries);
-                let count = entries.len() as u64;
-                let page = self.write_node_shadow(page, &Node::Leaf(entries))?;
-                Ok(vec![SubtreeDesc { page, rect, count }])
-            } else {
-                let groups = split_many(self.config.split, entries, self.leaf_cap);
-                let mut descs = Vec::with_capacity(groups.len());
-                for (i, g) in groups.into_iter().enumerate() {
-                    let rect = group_rect(&g);
-                    let count = g.len() as u64;
-                    let target = if i == 0 {
-                        self.write_node_shadow(page, &Node::Leaf(g))?
-                    } else {
-                        let t = self.alloc_page()?;
-                        self.write_node(t, &Node::Leaf(g))?;
-                        t
-                    };
-                    descs.push(SubtreeDesc {
-                        page: target,
-                        rect,
-                        count,
-                    });
-                }
-                Ok(descs)
-            };
+            return self.write_groups(Some(page), entries, self.leaf_cap, Node::Leaf);
         }
         let Node::Inner(mut entries) = node else {
             return Err(TreeError::Corrupt("expected inner node above level 0"));
@@ -1816,48 +1347,49 @@ impl<S: PageStore> GaussTree<S> {
         let mut extra: Vec<InnerEntry> = Vec::new();
         for (idx, group) in groups {
             let child = entries[idx].child;
-            let descs = self.extend_rec(child, level - 1, group)?;
-            let mut it = descs.into_iter();
-            // lint: allow(no-panic) -- extend_rec returns one desc per created node and creates at least one
-            let first = it.next().expect("extend_rec returns at least one desc");
-            entries[idx] = InnerEntry {
-                child: first.page,
-                count: first.count,
-                rect: first.rect,
+            let mut replaced = self.extend_rec(child, level - 1, group)?.into_iter();
+            let Some(first) = replaced.next() else {
+                return Err(TreeError::Corrupt("batch merge wrote no node"));
             };
-            extra.extend(it.map(|d| InnerEntry {
-                child: d.page,
-                count: d.count,
-                rect: d.rect,
-            }));
+            entries[idx] = first;
+            extra.extend(replaced);
         }
         entries.extend(extra);
-        if entries.len() <= self.inner_cap {
-            let rect = group_rect(&entries);
-            let count = entries.iter().map(|e| e.count).sum();
-            let page = self.write_node_shadow(page, &Node::Inner(entries))?;
-            Ok(vec![SubtreeDesc { page, rect, count }])
-        } else {
-            let groups = split_many(self.config.split, entries, self.inner_cap);
-            let mut descs = Vec::with_capacity(groups.len());
-            for (i, g) in groups.into_iter().enumerate() {
-                let rect = group_rect(&g);
-                let count = g.iter().map(|e| e.count).sum();
-                let target = if i == 0 {
-                    self.write_node_shadow(page, &Node::Inner(g))?
-                } else {
-                    let t = self.alloc_page()?;
-                    self.write_node(t, &Node::Inner(g))?;
-                    t
-                };
-                descs.push(SubtreeDesc {
-                    page: target,
-                    rect,
-                    count,
-                });
-            }
-            Ok(descs)
+        self.write_groups(Some(page), entries, self.inner_cap, Node::Inner)
+    }
+
+    /// Writes `entries` as one node if they fit `cap`, split multi-way
+    /// ([`split_many`]) otherwise, and returns the parent's entry for each
+    /// node written. The first takes the place of the node at `page` under
+    /// the shadow-paging rules; the others — all of them for `None`, a new
+    /// level above the old root — go to fresh pages.
+    fn write_groups<T: Splittable + Clone>(
+        &mut self,
+        page: Option<PageId>,
+        entries: Vec<T>,
+        cap: usize,
+        node_of: fn(Vec<T>) -> Node,
+    ) -> Result<Vec<InnerEntry>, TreeError> {
+        let groups = split_many(self.config.split, entries, cap);
+        let mut written = Vec::with_capacity(groups.len());
+        for (i, group) in groups.into_iter().enumerate() {
+            let rect = group_rect(&group);
+            let node = node_of(group);
+            let child = match page {
+                Some(page) if i == 0 => self.write_node_shadow(page, &node)?,
+                _ => {
+                    let fresh = self.alloc_page()?;
+                    self.write_node(fresh, &node)?;
+                    fresh
+                }
+            };
+            written.push(InnerEntry {
+                child,
+                count: node.subtree_count(),
+                rect,
+            });
         }
+        Ok(written)
     }
 
     /// Insertion path selection (paper §5.3):
@@ -1900,12 +1432,7 @@ impl<S: PageStore> GaussTree<S> {
     /// # Errors
     /// Store / codec errors.
     pub(crate) fn read_node(&self, page: PageId) -> Result<Node, TreeError> {
-        let bytes = self.pool.page(page)?;
-        Ok(Node::read_from(
-            self.config.dims,
-            self.config.leaf_format,
-            &bytes,
-        )?)
+        self.working_plane().read_node(page)
     }
 
     /// The decoded-node companion cache (size/occupancy introspection).
@@ -1923,11 +1450,6 @@ impl<S: PageStore> GaussTree<S> {
     pub fn cold_start(&self) {
         self.pool.clear_cache_and_stats();
         self.node_cache.clear();
-    }
-
-    /// Serialises `node` into `page` (crate-internal; used by deletion).
-    pub(crate) fn write_node_pub(&mut self, page: PageId, node: &Node) -> Result<(), TreeError> {
-        self.write_node(page, node)
     }
 
     /// Minimum fill of a non-root leaf (`M` in the paper's `[M, 2M]`).
@@ -1951,7 +1473,8 @@ impl<S: PageStore> GaussTree<S> {
         self.height = height;
     }
 
-    fn write_node(&mut self, page: PageId, node: &Node) -> Result<(), TreeError> {
+    /// Serialises `node` into `page`, in place.
+    pub(crate) fn write_node(&mut self, page: PageId, node: &Node) -> Result<(), TreeError> {
         // An in-place write to a page the committed epoch references
         // diverges the store from that epoch: snapshots are blocked until
         // the next flush re-commits. Shadow pages are invisible to the
@@ -2020,6 +1543,59 @@ mod tests {
 
     fn pfv1(mu: f64, sigma: f64) -> Pfv {
         Pfv::new(vec![mu], vec![sigma]).unwrap()
+    }
+
+    /// Byte offsets of payload fields inside a meta slot page.
+    const ALLOCATED_AT: usize = HEADER_BYTES;
+    const DIMS_AT: usize = ALLOCATED_AT + 8;
+    const LEAF_CAP_AT: usize = DIMS_AT + TreeConfig::TAG_BYTES;
+    const ROOT_AT: usize = LEAF_CAP_AT + 4 + 4;
+    const FREE_COUNT_AT: usize = META_BASE_BYTES - 8 - 4;
+
+    /// Every page of the store under `t`.
+    fn pages_of(t: GaussTree<MemStore>) -> Vec<Vec<u8>> {
+        let mut store = t.into_store();
+        (0..store.num_pages())
+            .map(|i| {
+                let mut page = vec![0u8; store.page_size()];
+                store.read_page(PageId(i), &mut page).unwrap();
+                page
+            })
+            .collect()
+    }
+
+    /// A pool over a fresh store holding exactly `pages` (1 KiB each; an
+    /// empty list is a store cut down to nothing).
+    fn pool_of(pages: &[Vec<u8>]) -> BufferPool<MemStore> {
+        let mut store = MemStore::new(1024);
+        for page in pages {
+            let id = store.allocate().unwrap();
+            store.write_page(id, page).unwrap();
+        }
+        BufferPool::new(store, 64, AccessStats::new_shared())
+    }
+
+    /// The pages of a shadow-paged tree on 1 KiB pages with two commits to
+    /// fall between: epoch 2 (slot page 0) holds ids 0..60, epoch 3 (slot
+    /// page 1, the newest) ids 30..60 and a free list of the pages the
+    /// deletes released.
+    fn two_epoch_pages() -> Vec<Vec<u8>> {
+        let config = TreeConfig::new(1).with_capacities(4, 4);
+        let pool = BufferPool::new(MemStore::new(1024), 1024, AccessStats::new_shared());
+        let opts = TreeOptions::new().durability(Durability::Flush);
+        let mut t = GaussTree::create_with(pool, config, &opts).unwrap();
+        let items: Vec<(u64, Pfv)> = (0..60u64).map(|i| (i, pfv1(i as f64, 0.15))).collect();
+        for (id, v) in &items {
+            t.insert(*id, v).unwrap();
+        }
+        t.flush().unwrap();
+        for (id, v) in items.iter().take(30) {
+            t.delete(*id, v).unwrap();
+        }
+        t.flush().unwrap();
+        assert_eq!(t.epoch(), 3);
+        assert!(t.free_page_count() > 0, "epoch 3 must persist a free list");
+        pages_of(t)
     }
 
     #[test]
@@ -2296,7 +1872,7 @@ mod tests {
         let (t2, report) = GaussTree::open_with_recovery(pool).unwrap();
         assert_eq!(t2.epoch(), 3);
         assert_eq!(report.epoch, 3);
-        assert!(!report.fell_back && !report.legacy);
+        assert!(!report.fell_back);
         assert_eq!(report.orphaned_pages, 0);
         assert_eq!(t2.len(), 10);
     }
@@ -2416,69 +1992,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_file_opens_flushes_and_stays_v1() {
-        // Hand-build a v1-format file: single meta page at 0, root leaf at
-        // page 1 — the layout every pre-dual-slot release wrote.
-        let dims = 1usize;
-        let config = TreeConfig::new(dims).with_capacities(4, 4);
-        let entries = vec![
-            LeafEntry {
-                id: 7,
-                pfv: pfv1(1.0, 0.2),
-            },
-            LeafEntry {
-                id: 9,
-                pfv: pfv1(-2.0, 0.4),
-            },
-        ];
-        let mut store = MemStore::new(1024);
-        {
-            use gauss_storage::store::PageStore as _;
-            let meta = store.allocate().unwrap();
-            let root = store.allocate().unwrap();
-            let mut page = vec![0u8; 1024];
-            let mut w = Writer::new(&mut page);
-            w.put_u32(META_MAGIC);
-            w.put_u32(META_VERSION_V1);
-            w.put_u32(dims as u32);
-            w.put_u8(0); // Convolution
-            w.put_u8(config.split.to_tag());
-            w.put_u32(4);
-            w.put_u32(4);
-            w.put_u64(root.index());
-            w.put_u32(0); // height
-            w.put_u64(entries.len() as u64);
-            w.put_u32(0); // free count
-            w.put_u64(PageId::INVALID.index());
-            store.write_page(meta, &page).unwrap();
-            let mut node_page = vec![0u8; 1024];
-            Node::Leaf(entries.clone()).write_to(dims, LeafFormat::Exact, &mut node_page);
-            store.write_page(root, &node_page).unwrap();
-        }
-        let pool = BufferPool::new(store, 64, AccessStats::new_shared());
-        let (mut t, report) = GaussTree::open_with_recovery(pool).unwrap();
-        assert!(report.legacy);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.root_page(), PageId(1));
-        assert!(t.check_invariants(false).unwrap().is_empty());
-        let mut ids = Vec::new();
-        t.for_each_entry(|id, _| ids.push(id)).unwrap();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![7, 9]);
-
-        // Mutating and flushing keeps the v1 format (page 1 is a node, so
-        // the second slot can never be claimed) and the file reopens.
-        t.insert(11, &pfv1(4.0, 0.3)).unwrap();
-        t.flush().unwrap();
-        let store = t.into_store();
-        let pool = BufferPool::new(store, 64, AccessStats::new_shared());
-        let t2 = GaussTree::open(pool).unwrap();
-        assert_eq!(t2.len(), 3);
-        assert_eq!(t2.epoch(), 0, "legacy files have no epochs");
-        assert!(t2.check_invariants(false).unwrap().is_empty());
-    }
-
-    #[test]
     fn truncated_store_is_rejected_cleanly() {
         // A store cut below what the meta commits to must fail with
         // NotAGaussTree (bounds validation), not a decode error deep in
@@ -2574,10 +2087,8 @@ mod tests {
         let slot = PageId(1);
         let mut bytes = t.pool().page(slot).unwrap().to_vec();
         let bogus_root = t.pool().num_pages() - 1;
-        bytes[46..54].copy_from_slice(&bogus_root.to_le_bytes());
-        bytes[8..16].fill(0);
-        let sum = gauss_storage::fnv1a64(&bytes);
-        bytes[8..16].copy_from_slice(&sum.to_le_bytes());
+        bytes[ROOT_AT..ROOT_AT + 8].copy_from_slice(&bogus_root.to_le_bytes());
+        commit::seal(META_KIND, 3, &mut bytes);
         t.pool().write(slot, &bytes).unwrap();
 
         let store = t.into_store();
@@ -2773,48 +2284,154 @@ mod tests {
     }
 
     #[test]
-    fn v2_meta_slots_open_as_exact_trees() {
-        // Reconstruct a v2 slot from a v3 one: drop the leaf-format byte,
-        // set the version back, and re-checksum. Opening must still work
-        // and classify the tree as LeafFormat::Exact.
-        let mut t = mem_tree(1, 4, 4);
-        for i in 0..20u64 {
-            t.insert(i, &pfv1(i as f64, 0.1)).unwrap();
-        }
-        t.flush().unwrap();
-        let epoch = t.epoch();
-        let slot = if epoch.is_multiple_of(2) {
-            META_SLOT_A
-        } else {
-            META_SLOT_B
-        };
-        let other = if slot == META_SLOT_A {
-            META_SLOT_B
-        } else {
-            META_SLOT_A
-        };
-        let v3 = t.pool().page(slot).unwrap();
-        // Offset of the leaf-format byte: everything up to and including
-        // the split-strategy byte.
-        let fmt_off = 4 + 4 + 8 + 8 + 8 + 4 + 1 + 1;
-        let mut v2 = Vec::with_capacity(v3.len());
-        v2.extend_from_slice(&v3[..fmt_off]);
-        v2.extend_from_slice(&v3[fmt_off + 1..]);
-        v2.push(0);
-        v2[4..8].copy_from_slice(&META_VERSION_V2.to_le_bytes());
-        v2[META_CHECKSUM_OFFSET..META_CHECKSUM_OFFSET + 8].fill(0);
-        let sum = fnv1a64(&v2);
-        v2[META_CHECKSUM_OFFSET..META_CHECKSUM_OFFSET + 8].copy_from_slice(&sum.to_le_bytes());
-        t.pool().write(slot, &v2).unwrap();
-        // Wipe the other slot so the v2 one is the only candidate.
-        t.pool().write(other, &vec![0u8; v3.len()]).unwrap();
+    fn v1_and_v2_headers_are_refused() {
+        // The pre-dual-slot layout: one unchecksummed meta page at page 0,
+        // the root leaf at page 1 — here with a free count that a reader
+        // trusting it would turn into a 34 GB allocation.
+        let mut v1 = vec![0u8; 1024];
+        let mut w = Writer::new(&mut v1);
+        w.put_u32(META_KIND.magic);
+        w.put_u32(1);
+        TreeConfig::new(1).write_tags(&mut w);
+        w.put_u32(4); // leaf cap
+        w.put_u32(4); // inner cap
+        w.put_u64(1); // root
+        w.put_u32(0); // height
+        w.put_u64(0); // len
+        w.put_u32(u32::MAX); // free count
+        w.put_u64(PageId::INVALID.index());
+        let mut leaf = vec![0u8; 1024];
+        Node::Leaf(Vec::new()).write_to(1, LeafFormat::Exact, &mut leaf);
+        let pages = [v1, leaf];
+        assert!(matches!(
+            GaussTree::open(pool_of(&pages)),
+            Err(TreeError::NotAGaussTree)
+        ));
+        assert!(matches!(
+            GaussTree::open_with_recovery(pool_of(&pages)),
+            Err(TreeError::NotAGaussTree)
+        ));
 
-        let store = t.into_store();
-        let pool = BufferPool::new(store, 1024, AccessStats::new_shared());
-        let t2 = GaussTree::open(pool).unwrap();
-        assert_eq!(t2.config().leaf_format, LeafFormat::Exact);
-        assert_eq!(t2.epoch(), epoch);
-        assert_eq!(t2.len(), 20);
-        assert!(t2.check_invariants(false).unwrap().is_empty());
+        // A current slot relabelled as version 2, 1 or 4 under a checksum
+        // that is valid for that label: not a commit this code reads.
+        let clean = two_epoch_pages();
+        for version in [1, 2, 4] {
+            let mut pages = clean.clone();
+            let other = SlotKind {
+                version,
+                ..META_KIND
+            };
+            commit::seal(other, 3, &mut pages[1]);
+            let t = GaussTree::open(pool_of(&pages)).unwrap();
+            assert_eq!(t.epoch(), 2, "version {version} must lose to epoch 2");
+            commit::seal(other, 2, &mut pages[0]);
+            assert!(matches!(
+                GaussTree::open(pool_of(&pages)),
+                Err(TreeError::NotAGaussTree)
+            ));
+        }
+    }
+
+    #[test]
+    fn hostile_free_count_behind_a_valid_checksum_is_refused() {
+        let clean = two_epoch_pages();
+        let plant = |page: &mut Vec<u8>, epoch: u64, count: u32| {
+            page[FREE_COUNT_AT..FREE_COUNT_AT + 4].copy_from_slice(&count.to_le_bytes());
+            commit::seal(META_KIND, epoch, page);
+        };
+        let fits = u32::try_from((1024 - META_BASE_BYTES) / 8).unwrap();
+        for count in [u32::MAX, u32::MAX / 8, fits + 1] {
+            let mut pages = clean.clone();
+            plant(&mut pages[1], 3, count);
+            let (t, report) = GaussTree::open_with_recovery(pool_of(&pages)).unwrap();
+            assert_eq!((report.epoch, report.fell_back), (2, true), "count {count}");
+            assert_eq!(t.len(), 60);
+            plant(&mut pages[0], 2, count);
+            assert!(matches!(
+                GaussTree::open(pool_of(&pages)),
+                Err(TreeError::NotAGaussTree)
+            ));
+        }
+        // The largest count the slot can hold is read (and then refused
+        // for what it lists: page 0 is not a free page).
+        let mut pages = clean.clone();
+        plant(&mut pages[1], 3, fits);
+        assert_eq!(GaussTree::open(pool_of(&pages)).unwrap().epoch(), 2);
+    }
+
+    mod meta_slot_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(192))]
+
+            /// Hostile bytes in the newest meta slot, hostile numbers behind
+            /// a recomputed checksum, a store cut short: open answers with
+            /// the same tree, the older epoch or `NotAGaussTree` — it does
+            /// not panic, and it allocates nothing a slot merely asks for.
+            #[test]
+            fn mutated_meta_slot_is_refused_or_equal(
+                (mutation, a, b, flips) in (0usize..5, 0usize..4096, 0u64..u64::MAX, 1usize..9)
+            ) {
+                let clean = two_epoch_pages();
+                let mut pages = clean.clone();
+                let slot = &mut pages[1];
+                match mutation {
+                    // 1–8 bit flips anywhere in the slot page.
+                    0 => for k in 0..flips {
+                        slot[(a + k * 131) % 1024] ^= 1 << ((b >> (3 * k)) & 7);
+                    },
+                    // A zeroed run, as a hole in a torn write would leave.
+                    1 => {
+                        let from = a % 1024;
+                        slot[from..(from + 1 + b as usize % 256).min(1024)].fill(0);
+                    }
+                    // The store cut short, slot pages included.
+                    2 => pages.truncate(a % clean.len()),
+                    // A free count the slot cannot hold, checksum valid.
+                    3 => {
+                        let fits = (1024 - META_BASE_BYTES) / 8;
+                        let count = [u32::MAX, (fits + 1 + a) as u32][b as usize % 2];
+                        slot[FREE_COUNT_AT..FREE_COUNT_AT + 4].copy_from_slice(&count.to_le_bytes());
+                        commit::seal(META_KIND, 3, slot);
+                    }
+                    // Any other number of the payload, checksum valid.
+                    _ => {
+                        let at = [ALLOCATED_AT, DIMS_AT, LEAF_CAP_AT, LEAF_CAP_AT + 4, ROOT_AT,
+                            ROOT_AT + 8, ROOT_AT + 12, FREE_COUNT_AT + 4][a % 8];
+                        let v = [u64::MAX, u64::from(u32::MAX), 0, b][b as usize % 4];
+                        let width = if at == DIMS_AT || at == LEAF_CAP_AT || at == LEAF_CAP_AT + 4 { 4 } else { 8 };
+                        slot[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
+                        commit::seal(META_KIND, 3, slot);
+                    }
+                }
+                let damaged = pages != clean;
+                match GaussTree::open(pool_of(&pages)) {
+                    Err(TreeError::NotAGaussTree) => prop_assert!(mutation == 2, "epoch 2 was intact"),
+                    Err(e) => prop_assert!(false, "untyped failure: {e}"),
+                    Ok(t) if t.epoch() == 2 => {
+                        prop_assert!(damaged);
+                        prop_assert_eq!(t.len(), 60);
+                    }
+                    Ok(t) => {
+                        prop_assert_eq!(t.epoch(), 3);
+                        // Only a resealed payload can differ and still be
+                        // taken at its word.
+                        prop_assert!(!damaged || mutation == 4);
+                        prop_assert!(mutation == 4 || t.len() == 30);
+                    }
+                }
+                // The verified open holds what it returns to the invariants.
+                match GaussTree::open_with_recovery(pool_of(&pages)) {
+                    Err(TreeError::NotAGaussTree) => prop_assert!(mutation == 2),
+                    Err(e) => prop_assert!(false, "untyped failure: {e}"),
+                    Ok((t, report)) => {
+                        prop_assert!(t.check_invariants(false).unwrap().is_empty());
+                        prop_assert_eq!(t.len(), if report.epoch == 3 { 30 } else { 60 });
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Fixture: durability-protocol violations in the commit path.
+//! Fixture: durability-protocol violations in the tree's free lists.
 
 struct ShadowTree {
     free_pending: Vec<u32>,
@@ -6,11 +6,6 @@ struct ShadowTree {
 }
 
 impl ShadowTree {
-    fn broken_flush(&mut self, pool: &Pool, slot: u32, meta: Page) {
-        pool.write(slot, &meta);
-        pool.sync(0);
-    }
-
     fn broken_alloc(&mut self) -> Option<u32> {
         self.free_pending.pop()
     }

@@ -13,3 +13,6 @@ pub mod locks;
 pub fn sloppy_sync(pool: &Disk) {
     let _ = pool.sync(0);
 }
+
+/// Commit-order fixture.
+pub mod commit;

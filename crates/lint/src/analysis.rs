@@ -9,7 +9,8 @@
 //!    which guards are live, and emits the findings that need no other
 //!    file: direct rank inversions, guards held across `PageStore` I/O in
 //!    query-path modules (`guard-across-call`), the `durability-protocol`
-//!    statement-order checks in `core/src/tree.rs`/`bulk.rs`, and
+//!    statement-order checks (the slot write of `storage/src/commit.rs`,
+//!    the free lists of `core/src/tree.rs`/`bulk.rs`), and
 //!    `ignored-io-result`.
 //! 2. **Global propagation** ([`global_findings`]) — builds the
 //!    intra-workspace call graph from the per-file facts, computes for
@@ -372,13 +373,15 @@ fn query_path_module(file: &SourceFile) -> bool {
 }
 
 /// Modules under the durability-protocol statement-order checks: the
-/// single-tree commit path and the forest's manifest-commit path.
+/// commit protocol itself (the workspace's one slot write) and the tree's
+/// free-list bookkeeping around it.
 fn durability_module(file: &SourceFile) -> bool {
-    file.crate_name == "core"
-        && (matches!(
-            file.rel_path.rsplit('/').next(),
-            Some("tree.rs" | "bulk.rs")
-        ) || file.rel_path.ends_with("forest/mod.rs"))
+    let name = file.rel_path.rsplit('/').next();
+    match file.crate_name.as_str() {
+        "storage" => name == Some("commit.rs"),
+        "core" => matches!(name, Some("tree.rs" | "bulk.rs")),
+        _ => false,
+    }
 }
 
 /// Extracts [`FileFacts`] for one file: token-level rule findings (via
@@ -594,7 +597,7 @@ fn analyze_body(
     let durability = durability_module(file);
     let query_path = query_path_module(file);
     let mut frames: Vec<Frame> = Vec::new();
-    let mut sync_seen = false;
+    let mut data_barrier_seen = false;
     let mut epoch_assigned = false;
     let mut min_pinned_seen = false;
     let mut report = |rule: &'static str, line: usize, message: String, chain: Vec<String>| {
@@ -710,8 +713,8 @@ fn analyze_body(
                     .collect();
                 let line = blanked.line_of(pos);
                 if durability {
-                    if name == "sync" {
-                        sync_seen = true;
+                    if name == "data_barrier" {
+                        data_barrier_seen = true;
                     }
                     if name == "min_pinned" {
                         min_pinned_seen = true;
@@ -721,7 +724,7 @@ fn analyze_body(
                         j,
                         name,
                         method,
-                        sync_seen,
+                        data_barrier_seen,
                         epoch_assigned,
                         min_pinned_seen,
                         line,
@@ -888,38 +891,28 @@ fn durability_checks(
     j: usize,
     name: &str,
     method: bool,
-    sync_seen: bool,
+    data_barrier_seen: bool,
     epoch_assigned: bool,
     min_pinned_seen: bool,
     line: usize,
     report: &mut impl FnMut(&'static str, usize, String, Vec<String>),
 ) {
-    if method && matches!(name, "write" | "write_page") && is_meta_slot_arg(toks, j + 1) {
-        if !sync_seen {
+    // The workspace's one slot write, `write_slot(…)` in
+    // `gauss_storage::commit::commit` (tree meta pages and forest manifest
+    // both commit through it): what the new slot names must be durable
+    // before the slot can become the newest valid one.
+    if name == "write_slot" {
+        if !data_barrier_seen {
             report(
                 DURABILITY_PROTOCOL,
                 line,
-                "meta-slot write is not dominated by a data `sync` barrier in this \
-                 function: carriers must be durable before the commit record"
+                "slot write is not dominated by the `data_barrier` call in this \
+                 function: what a commit record names must be durable before the \
+                 record is"
                     .to_string(),
                 Vec::new(),
             );
         }
-        return;
-    }
-    // Forest commit record: the manifest slot names component pages, so
-    // every component must be synced before the slot write — the
-    // multi-file analogue of the meta-slot rule above.
-    if method && name == "write_manifest_slot" && !sync_seen {
-        report(
-            DURABILITY_PROTOCOL,
-            line,
-            "manifest-slot write is not dominated by a component `sync` barrier in \
-             this function: component pages must be durable before the manifest \
-             commits to them"
-                .to_string(),
-            Vec::new(),
-        );
         return;
     }
     if method
@@ -971,19 +964,6 @@ fn durability_checks(
             ),
             Vec::new(),
         );
-    }
-}
-
-/// Whether the first argument of the call whose `(` is at token `open`
-/// names the meta slot (`slot`, `META_SLOT_A/B`, or `PageId(0)`).
-fn is_meta_slot_arg(toks: &[(usize, Tok<'_>)], open: usize) -> bool {
-    match toks.get(open + 1).map(|&(_, t)| t) {
-        Some(Tok::Ident("slot" | "META_SLOT_A" | "META_SLOT_B")) => true,
-        Some(Tok::Ident("PageId")) => {
-            toks.get(open + 2).map(|&(_, t)| t) == Some(Tok::Punct(b'('))
-                && toks.get(open + 3).map(|&(_, t)| t) == Some(Tok::Ident("0"))
-        }
-        _ => false,
     }
 }
 
@@ -1442,48 +1422,44 @@ pub fn scan(pool: &P) -> u32 {\n\
     #[test]
     fn durability_meta_write_needs_sync() {
         let bad = "\
-impl T {\n    pub fn flush(&mut self) {\n        self.pool.write(slot, &page);\n        self.pool.sync(d);\n    }\n}\n";
-        let f = facts_for("crates/core/src/tree.rs", bad);
+pub fn commit(data_barrier: impl FnOnce(), write_slot: impl FnOnce(usize), commit_barrier: impl FnOnce()) {\n    write_slot(slot_of(epoch));\n    data_barrier();\n    commit_barrier();\n}\n";
+        let f = facts_for("crates/storage/src/commit.rs", bad);
         let d: Vec<_> = f
             .local
             .iter()
             .filter(|f| f.rule == DURABILITY_PROTOCOL)
             .collect();
         assert_eq!(d.len(), 1, "{:?}", f.local);
-        assert_eq!(d[0].line, 3);
+        assert_eq!(d[0].line, 2);
 
         let good = "\
-impl T {\n    pub fn flush(&mut self) {\n        self.pool.sync(d);\n        self.pool.write(slot, &page);\n    }\n}\n";
-        let f = facts_for("crates/core/src/tree.rs", good);
+pub fn commit(data_barrier: impl FnOnce(), write_slot: impl FnOnce(usize), commit_barrier: impl FnOnce()) {\n    data_barrier();\n    write_slot(slot_of(epoch));\n    commit_barrier();\n}\n";
+        let f = facts_for("crates/storage/src/commit.rs", good);
         assert!(f.local.iter().all(|f| f.rule != DURABILITY_PROTOCOL));
 
-        // Outside tree.rs/bulk.rs the rule does not apply.
-        let f = facts_for("crates/core/src/node.rs", bad);
-        assert!(f.local.iter().all(|f| f.rule != DURABILITY_PROTOCOL));
-    }
+        // The commit barrier does not stand in for the data barrier.
+        let late = "\
+pub fn commit(write_slot: impl FnOnce(usize), commit_barrier: impl FnOnce()) {\n    commit_barrier();\n    write_slot(slot_of(epoch));\n}\n";
+        let f = facts_for("crates/storage/src/commit.rs", late);
+        assert_eq!(
+            f.local
+                .iter()
+                .filter(|f| f.rule == DURABILITY_PROTOCOL)
+                .count(),
+            1
+        );
 
-    #[test]
-    fn durability_manifest_write_needs_component_sync() {
-        let bad = "\
-impl T {\n    fn commit_manifest(&mut self) {\n        self.backend.write_manifest_slot(slot, &bytes);\n        self.backend.sync_manifest(d);\n    }\n}\n";
-        let f = facts_for("crates/core/src/forest/mod.rs", bad);
-        let d: Vec<_> = f
-            .local
-            .iter()
-            .filter(|f| f.rule == DURABILITY_PROTOCOL)
-            .collect();
-        assert_eq!(d.len(), 1, "{:?}", f.local);
-        assert_eq!(d[0].line, 3);
-
-        let good = "\
-impl T {\n    fn commit_manifest(&mut self) {\n        for c in &self.comps {\n            c.tree.pool().sync(d);\n        }\n        self.backend.write_manifest_slot(slot, &bytes);\n        self.backend.sync_manifest(d);\n    }\n}\n";
-        let f = facts_for("crates/core/src/forest/mod.rs", good);
-        assert!(f.local.iter().all(|f| f.rule != DURABILITY_PROTOCOL));
-
-        // Backend *implementations* of the slot write are not in scope —
-        // ordering is the committer's obligation, not the store's.
-        let f = facts_for("crates/storage/src/forest.rs", bad);
-        assert!(f.local.iter().all(|f| f.rule != DURABILITY_PROTOCOL));
+        // Callers hand `commit` closures and are not in scope; neither
+        // are backend *implementations* of a slot write — ordering is the
+        // protocol's obligation, not the store's.
+        for path in [
+            "crates/core/src/forest/mod.rs",
+            "crates/core/src/node.rs",
+            "crates/storage/src/forest.rs",
+        ] {
+            let f = facts_for(path, bad);
+            assert!(f.local.iter().all(|f| f.rule != DURABILITY_PROTOCOL));
+        }
     }
 
     #[test]

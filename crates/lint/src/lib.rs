@@ -22,10 +22,9 @@
 //!   happen to execute; this rule sees every path),
 //! * **guard-across-call**: no guard live across a call that can
 //!   re-acquire its rank, nor across `PageStore` I/O on the query path,
-//! * **durability-protocol**: `tree.rs`/`bulk.rs` must sync data pages
-//!   before the meta-slot commit and must not recycle `free_pending`
-//!   pages before the epoch bump; the forest's `commit_manifest` must
-//!   sync every component before the manifest-slot write,
+//! * **durability-protocol**: `gauss_storage::commit::commit` must run
+//!   its data barrier before its slot write, and `tree.rs`/`bulk.rs`
+//!   must not recycle `free_pending` pages before the epoch bump,
 //! * **ignored-io-result**: no `let _ =`/`drop(…)` of a storage I/O
 //!   `Result`.
 //!

@@ -98,9 +98,9 @@ pub fn all_rules() -> &'static [(&'static str, &'static str)] {
         ),
         (
             DURABILITY_PROTOCOL,
-            "in tree.rs/bulk.rs/forest/mod.rs, meta-slot and manifest-slot writes \
-             need a preceding data sync barrier and free_pending pages must not be \
-             reused before the epoch commit",
+            "the slot write of storage/src/commit.rs needs its data barrier first, \
+             and in tree.rs/bulk.rs free_pending pages must not be reused before \
+             the epoch commit",
         ),
         (
             IGNORED_IO_RESULT,

@@ -86,11 +86,13 @@ fn durability_protocol_violations_pinned() {
         .filter(|f| f.rule == DURABILITY_PROTOCOL)
         .collect();
     assert_eq!(dur.len(), 2, "{dur:?}");
+    assert!(dur
+        .iter()
+        .any(|f| f.rel_path == "crates/storage/src/commit.rs"
+            && f.line == 9
+            && f.message.contains("data_barrier")));
     assert!(dur.iter().any(|f| f.rel_path == "crates/core/src/tree.rs"
         && f.line == 10
-        && f.message.contains("sync")));
-    assert!(dur.iter().any(|f| f.rel_path == "crates/core/src/tree.rs"
-        && f.line == 15
         && f.message.contains("free_pending.pop")));
 }
 

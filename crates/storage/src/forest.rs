@@ -6,8 +6,8 @@
 //! single-tree split between [`PageStore`] and its backends:
 //!
 //! * [`ComponentStores`] — the backend abstraction: create / open / remove
-//!   component page stores by numeric id, plus dual-slot manifest blob IO
-//!   (the forest's analogue of the tree's dual-slot meta pages);
+//!   component page stores by numeric id, plus blob IO for the two
+//!   manifest slots of [`crate::commit`] (what pages 0–1 are to a tree);
 //! * [`SharedMemStore`] — a heap page store whose clones share one page
 //!   array, so an in-memory component can be "reopened" after the writer
 //!   handle is dropped (crash-recovery tests need exactly this);
@@ -19,12 +19,12 @@
 //!   kill point can land anywhere inside a multi-file flush or merge —
 //!   the forest counterpart of [`crate::FaultStore`].
 //!
-//! Crash-safety contract (enforced by the forest core in `gauss_tree`, and
-//! by the `gauss-lint` durability rule): component data must be made
-//! durable *before* the manifest slot naming it is written, and the slot
-//! write must be followed by its own barrier ([`ComponentStores::sync_manifest`]).
-//! A manifest slot is self-checksummed by the forest core, so a torn slot
-//! write is detected at open and the previous slot wins.
+//! Crash-safety contract: the forest core writes manifest slots only
+//! through [`crate::commit::commit`], which makes component data durable
+//! *before* the slot naming it is written, follows the slot write with its
+//! own barrier ([`ComponentStores::sync_manifest`]) and checksums the slot
+//! image, so a torn slot write is detected at open and the previous slot
+//! wins.
 
 use crate::page::PageId;
 use crate::store::{Durability, FileStore, PageStore, StoreError};

@@ -17,6 +17,10 @@
 //! * [`side_cache`] — a sharded `PageId → Arc<T>` LRU companion cache for
 //!   values derived from page bytes (decoded nodes, columnar leaves);
 //! * [`stats`] — shared access counters;
+//! * [`commit`] — the checksummed dual-slot epoch commit: slot header,
+//!   checksum, newest-valid-slot selection and the barrier → slot write →
+//!   barrier order, used by the tree's meta pages and the forest's
+//!   manifest alike;
 //! * [`disk`] — a disk cost model (seek + transfer + fsync) used to
 //!   translate page accesses into the paper's "overall time" on hardware
 //!   we do not have;
@@ -41,7 +45,9 @@
 pub mod buffer;
 /// Little-endian page (de)serialization primitives.
 pub mod codec;
-/// The on-disk page file with its dual-slot crash-safe meta.
+/// The checksummed dual-slot epoch commit protocol.
+pub mod commit;
+/// The disk cost model (seek + transfer + fsync) behind "overall time".
 pub mod disk;
 /// Fault-injection hooks for crash-safety tests.
 pub mod fault;
