@@ -235,83 +235,6 @@ pub fn scan_bytes_for_faults(
     full_scans * file_bytes + rem_pages * page_size as u64
 }
 
-/// Minimal JSON object builder for the bench bins' machine-readable output
-/// (`BENCH_*.json` — consumed by `scripts/bench_compare.py`). Supports the
-/// small subset the perf pipeline needs: string/integer/float fields and
-/// one level of nested objects, insertion-ordered, no external deps.
-#[derive(Debug, Clone, Default)]
-pub struct JsonObj {
-    fields: Vec<(String, String)>,
-}
-
-impl JsonObj {
-    /// An empty object.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn push(mut self, key: &str, rendered: String) -> Self {
-        self.fields.push((key.to_string(), rendered));
-        self
-    }
-
-    /// Adds a float field (non-finite values are emitted as `null` so the
-    /// output stays strict JSON).
-    #[must_use]
-    pub fn num(self, key: &str, v: f64) -> Self {
-        let r = if v.is_finite() {
-            format!("{v}")
-        } else {
-            "null".to_string()
-        };
-        self.push(key, r)
-    }
-
-    /// Adds an integer field.
-    #[must_use]
-    pub fn int(self, key: &str, v: u64) -> Self {
-        self.push(key, format!("{v}"))
-    }
-
-    /// Adds a string field (keys and values must not need escaping beyond
-    /// quotes/backslashes, which are handled).
-    #[must_use]
-    pub fn str(self, key: &str, v: &str) -> Self {
-        let escaped = v.replace('\\', "\\\\").replace('"', "\\\"");
-        self.push(key, format!("\"{escaped}\""))
-    }
-
-    /// Adds a nested object field.
-    #[must_use]
-    pub fn obj(self, key: &str, v: JsonObj) -> Self {
-        let r = v.render();
-        self.push(key, r)
-    }
-
-    /// Renders the object as a JSON string.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut s = String::from("{");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{k}\":{v}"));
-        }
-        s.push('}');
-        s
-    }
-
-    /// Writes the rendered object (plus a trailing newline) to `path`.
-    ///
-    /// # Errors
-    /// I/O errors from the filesystem.
-    pub fn write_to(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.render() + "\n")
-    }
-}
-
 /// Simple `--flag value` argument scraper for the harness binaries.
 #[must_use]
 pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -387,20 +310,6 @@ mod tests {
         // Sequential base streams; random access pays a seek per fault.
         assert!(base.io_s(&disk) < m.io_s(&disk) * 2.0);
         assert!(m.overall_s(&disk) > m.cpu_s);
-    }
-
-    #[test]
-    fn json_obj_renders_strict_json() {
-        let j = JsonObj::new()
-            .str("name", "kernel \"bench\"")
-            .int("entries", 48)
-            .num("ns", 12.5)
-            .num("bad", f64::NAN)
-            .obj("nested", JsonObj::new().num("qps", 1000.0));
-        assert_eq!(
-            j.render(),
-            r#"{"name":"kernel \"bench\"","entries":48,"ns":12.5,"bad":null,"nested":{"qps":1000}}"#
-        );
     }
 
     #[test]

@@ -30,10 +30,10 @@
 //!    coalescing factor).
 //!
 //! Every stage is deterministic: the produced tree is **byte-identical**
-//! to the serial, fully-resident, per-node-write build for any thread
-//! count, chunk size, memory budget and write mode. (The only theoretical
-//! exception is inputs containing IEEE negative zero, where min/max union
-//! order could differ; finite datasets in practice never hit it.)
+//! to the serial, fully-resident build for any thread count, chunk size
+//! and memory budget. (The only theoretical exception is inputs containing
+//! IEEE negative zero, where min/max union order could differ; finite
+//! datasets in practice never hit it.)
 //!
 //! [`SharedBufferPool::write_batch`]: gauss_storage::SharedBufferPool::write_batch
 //! [`AccessStats::write_calls`]: gauss_storage::StatsSnapshot
@@ -95,7 +95,7 @@ pub enum SpillKind {
 }
 
 /// Knobs of the bulk-load pipeline. All combinations produce byte-identical
-/// trees; they only trade memory, parallelism and write patterns.
+/// trees; they only trade memory and parallelism.
 #[derive(Debug, Clone)]
 pub struct BulkLoadOptions {
     /// Worker threads for the partitioning fan-out (clamped to ≥ 1).
@@ -105,9 +105,6 @@ pub struct BulkLoadOptions {
     pub mem_budget_entries: Option<usize>,
     /// Streaming ingest granularity once spilling has started.
     pub chunk_entries: usize,
-    /// Stage node pages in a [`WriteBatch`] (group commit) instead of one
-    /// write call per node.
-    pub batched_writes: bool,
     /// Spill backend used when the budget overflows.
     pub spill: SpillKind,
     /// Crash-safety policy of the produced tree (see
@@ -123,7 +120,6 @@ impl Default for BulkLoadOptions {
             threads: 1,
             mem_budget_entries: None,
             chunk_entries: 8192,
-            batched_writes: true,
             spill: SpillKind::TempFile,
             durability: Durability::None,
         }
@@ -152,13 +148,6 @@ impl BulkLoadOptions {
         self
     }
 
-    /// Enables or disables batched page writes.
-    #[must_use]
-    pub fn with_batched_writes(mut self, batched: bool) -> Self {
-        self.batched_writes = batched;
-        self
-    }
-
     /// Sets the crash-safety policy of the produced tree.
     #[must_use]
     pub fn with_durability(mut self, durability: Durability) -> Self {
@@ -167,7 +156,7 @@ impl BulkLoadOptions {
     }
 }
 
-/// What one bulk load did — the ingest metrics `build_bench` tracks.
+/// What one bulk load did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BulkLoadReport {
     /// Items loaded into the tree.
@@ -190,36 +179,24 @@ impl BulkLoadReport {
     }
 }
 
-/// Stages node pages for group commit, or writes them through one by one —
-/// the two write modes whose byte-for-byte equality `build_bench` asserts.
+/// Stages node pages and group-commits them every [`FLUSH_PAGES`].
+#[derive(Default)]
 struct NodeEmitter {
     batch: WriteBatch,
-    batched: bool,
 }
 
 impl NodeEmitter {
-    fn new(batched: bool) -> Self {
-        Self {
-            batch: WriteBatch::new(),
-            batched,
-        }
-    }
-
     fn emit<S: PageStore>(
         &mut self,
         tree: &mut GaussTree<S>,
         page: PageId,
         node: &Node,
     ) -> Result<(), TreeError> {
-        if self.batched {
-            tree.stage_node(&mut self.batch, page, node);
-            if self.batch.len() >= FLUSH_PAGES {
-                tree.commit_batch(&mut self.batch)?;
-            }
-            Ok(())
-        } else {
-            tree.write_node(page, node)
+        tree.stage_node(&mut self.batch, page, node);
+        if self.batch.len() >= FLUSH_PAGES {
+            tree.commit_batch(&mut self.batch)?;
         }
+        Ok(())
     }
 
     fn finish<S: PageStore>(&mut self, tree: &GaussTree<S>) -> Result<(), TreeError> {
@@ -335,7 +312,7 @@ pub(crate) fn run<S: PageStore>(
         first_page,
         extra_base,
     };
-    let mut emitter = NodeEmitter::new(opts.batched_writes);
+    let mut emitter = NodeEmitter::default();
     let mut slots: Vec<Option<InnerEntry>> = (0..n_groups).map(|_| None).collect();
     match spill {
         None => emit_leaf_groups(
@@ -1009,32 +986,6 @@ mod tests {
             let (tree, _) = GaussTree::bulk_load_with(pool(), config, data.clone(), &opts).unwrap();
             assert_eq!(store_image(&tree), ref_image, "threads {threads}");
         }
-    }
-
-    #[test]
-    fn per_node_and_batched_writes_produce_identical_stores_with_fewer_calls() {
-        let data = items(2000, 2);
-        let config = TreeConfig::new(2).with_capacities(8, 6);
-        let (batched, _) =
-            GaussTree::bulk_load_with(pool(), config, data.clone(), &BulkLoadOptions::default())
-                .unwrap();
-        let (per_node, _) = GaussTree::bulk_load_with(
-            pool(),
-            config,
-            data,
-            &BulkLoadOptions::default().with_batched_writes(false),
-        )
-        .unwrap();
-        assert_eq!(store_image(&batched), store_image(&per_node));
-        let b = batched.stats().snapshot();
-        let p = per_node.stats().snapshot();
-        assert_eq!(b.physical_writes, p.physical_writes, "same pages written");
-        assert!(
-            b.write_calls * 4 <= p.write_calls,
-            "batched {} vs per-node {} write calls",
-            b.write_calls,
-            p.write_calls
-        );
     }
 
     #[test]

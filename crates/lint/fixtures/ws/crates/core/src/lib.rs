@@ -1,5 +1,3 @@
-// Deliberately missing #![forbid(unsafe_code)]  → forbid-unsafe.
-
 mod bad;
 mod allowed;
 mod tree;

@@ -1,7 +1,7 @@
 //! Flow-aware analysis: lock facts, call graph, and the protocol rules.
 //!
 //! This module implements the four rules that need more than token
-//! matching, split into two phases so results can be cached per file:
+//! matching, in two phases:
 //!
 //! 1. **Fact extraction** ([`file_facts`]) — purely intraprocedural. For
 //!    every function (via the [`crate::parse`] item tree) it records which
@@ -329,7 +329,7 @@ pub struct AllowFact {
     pub standalone: bool,
 }
 
-/// Everything the linter knows about one file, cacheable between runs.
+/// Everything the linter knows about one file.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FileFacts {
     /// Workspace-relative path.

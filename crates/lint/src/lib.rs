@@ -16,7 +16,6 @@
 //! * no float `==`/`!=` against literals in `pfv` kernel code,
 //! * no bare narrowing `as` casts in page-id/byte-count code,
 //! * doc comments on public items in `core`/`pfv`/`storage`,
-//! * `#![forbid(unsafe_code)]` on every crate root,
 //! * **static-lock-order**: no call path may acquire a `LockRank` below
 //!   one already held (the runtime tracker only sees interleavings tests
 //!   happen to execute; this rule sees every path),
@@ -39,14 +38,12 @@
 //! mandatory and malformed annotations are themselves findings. For
 //! call-graph rules the annotation goes on the *call site* the finding
 //! points at. The lint is self-hosting: `cargo run -p gauss_lint` must
-//! exit 0 on this workspace, and CI runs it as a gating job. Results are
-//! cached per file ([`cache`]) and renderable as JSON or SARIF
-//! ([`output`]).
+//! exit 0 on this workspace, and CI runs it as a gating job. Findings
+//! print as text or as JSON ([`output`]).
 
 #![forbid(unsafe_code)]
 
 pub mod analysis;
-pub mod cache;
 pub mod lexer;
 pub mod output;
 pub mod parse;
@@ -56,36 +53,11 @@ pub mod walk;
 use std::io;
 use std::path::Path;
 
-use analysis::FileFacts;
-use cache::{fnv1a, Cache, Stamp};
 use rules::Finding;
 use walk::workspace_files;
 
-/// Counters from one lint run, for the `--stats` line and the warm-cache
-/// acceptance test.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunStats {
-    /// Files considered.
-    pub files: usize,
-    /// Files actually re-parsed this run.
-    pub parsed: usize,
-    /// Files served from the incremental cache.
-    pub cached: usize,
-}
-
-fn finish(mut per_file: Vec<FileFacts>) -> Vec<Finding> {
-    let mut findings: Vec<Finding> = per_file
-        .iter_mut()
-        .flat_map(|f| std::mem::take(&mut f.local))
-        .collect();
-    findings.extend(analysis::global_findings(&per_file));
-    findings.sort_by(|a, b| (&a.rel_path, a.line, a.rule).cmp(&(&b.rel_path, b.line, b.rule)));
-    findings.dedup();
-    findings
-}
-
 /// Lints every workspace `.rs` file under `root`, returning all findings
-/// sorted by path and line. No cache is read or written.
+/// sorted by path and line.
 ///
 /// # Errors
 /// Propagates I/O errors from the directory walk or file reads.
@@ -95,47 +67,14 @@ pub fn run(root: &Path) -> io::Result<Vec<Finding>> {
         let src = std::fs::read_to_string(&file.abs_path)?;
         per_file.push(analysis::file_facts(&file, &src));
     }
-    Ok(finish(per_file))
-}
-
-/// Like [`run`], but with the incremental fact cache at `cache_path`:
-/// unchanged files (same mtime+size, else same content hash) reuse their
-/// cached facts without re-parsing. The updated cache is written back.
-///
-/// # Errors
-/// Propagates I/O errors from the walk or file reads (cache read/write
-/// failures are non-fatal: a cache is only ever an optimisation).
-pub fn run_with(root: &Path, cache_path: &Path) -> io::Result<(Vec<Finding>, RunStats)> {
-    let mut cache = Cache::load(cache_path);
-    let mut per_file = Vec::new();
-    let mut stats = RunStats::default();
-    let files = workspace_files(root)?;
-    let live: Vec<String> = files.iter().map(|f| f.rel_path.clone()).collect();
-    for file in &files {
-        stats.files += 1;
-        let stamp = Stamp::of(&file.abs_path).unwrap_or_default();
-        if let Some(facts) = cache.by_stamp(&file.rel_path, stamp) {
-            stats.cached += 1;
-            per_file.push(facts.clone());
-            continue;
-        }
-        let src = std::fs::read_to_string(&file.abs_path)?;
-        let hash = fnv1a(src.as_bytes());
-        if let Some(facts) = cache.by_hash(&file.rel_path, hash) {
-            stats.cached += 1;
-            let facts = facts.clone();
-            cache.put(file.rel_path.clone(), stamp, hash, facts.clone());
-            per_file.push(facts);
-            continue;
-        }
-        stats.parsed += 1;
-        let facts = analysis::file_facts(file, &src);
-        cache.put(file.rel_path.clone(), stamp, hash, facts.clone());
-        per_file.push(facts);
-    }
-    cache.retain_files(&live);
-    let _ = cache.save(cache_path);
-    Ok((finish(per_file), stats))
+    let mut findings: Vec<Finding> = per_file
+        .iter_mut()
+        .flat_map(|f| std::mem::take(&mut f.local))
+        .collect();
+    findings.extend(analysis::global_findings(&per_file));
+    findings.sort_by(|a, b| (&a.rel_path, a.line, a.rule).cmp(&(&b.rel_path, b.line, b.rule)));
+    findings.dedup();
+    Ok(findings)
 }
 
 #[cfg(test)]

@@ -3,10 +3,9 @@
 //! Exits 0 when the workspace is clean, 1 when findings exist, 2 on usage
 //! or I/O errors. The default `text` format prints findings as
 //! `path:line: [rule] message` (plus an indented `chain:` line for
-//! call-graph findings); `--format json` and `--format sarif` emit the
-//! machine-readable feeds CI turns into inline annotations. Runs are
-//! incremental by default via a per-file fact cache under `target/`
-//! (`--no-cache` bypasses it, `--cache-path` relocates it).
+//! call-graph findings); `--format json` emits the machine-readable feed
+//! CI turns into inline annotations. Every run is one full pass over the
+//! workspace.
 
 #![forbid(unsafe_code)]
 
@@ -16,28 +15,22 @@ use std::process::ExitCode;
 enum Format {
     Text,
     Json,
-    Sarif,
 }
 
 fn usage() -> &'static str {
-    "usage: gauss_lint [--root <dir>] [--format text|json|sarif] [--no-cache]\n\
-     \x20                 [--cache-path <file>] [--list-rules]\n\
+    "usage: gauss_lint [--root <dir>] [--format text|json] [--list-rules]\n\
      \n\
      Lints every .rs file in the workspace rooted at <dir> (default: the\n\
      nearest ancestor of the current directory whose Cargo.toml declares\n\
-     [workspace]). Results are cached per file in\n\
-     <root>/target/gauss-lint-cache.txt. Silence a finding with\n\
+     [workspace]). Silence a finding with\n\
      `// lint: allow(<rule>) -- <reason>` on or directly above its line\n\
      (for call-graph rules: on the flagged call site)."
 }
 
-#[allow(clippy::too_many_lines)]
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut root: Option<PathBuf> = None;
     let mut format = Format::Text;
-    let mut use_cache = true;
-    let mut cache_path: Option<PathBuf> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => match args.next() {
@@ -50,17 +43,8 @@ fn main() -> ExitCode {
             "--format" => match args.next().as_deref() {
                 Some("text") => format = Format::Text,
                 Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
                 _ => {
-                    eprintln!("--format needs text|json|sarif\n{}", usage());
-                    return ExitCode::from(2);
-                }
-            },
-            "--no-cache" => use_cache = false,
-            "--cache-path" => match args.next() {
-                Some(p) => cache_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--cache-path needs a file\n{}", usage());
+                    eprintln!("--format needs text|json\n{}", usage());
                     return ExitCode::from(2);
                 }
             },
@@ -102,19 +86,7 @@ fn main() -> ExitCode {
             }
         }
     };
-    let result = if use_cache {
-        let cache = cache_path.unwrap_or_else(|| root.join("target/gauss-lint-cache.txt"));
-        gauss_lint::run_with(&root, &cache).map(|(findings, stats)| {
-            eprintln!(
-                "gauss_lint: {} files ({} parsed, {} cached)",
-                stats.files, stats.parsed, stats.cached
-            );
-            findings
-        })
-    } else {
-        gauss_lint::run(&root)
-    };
-    match result {
+    match gauss_lint::run(&root) {
         Ok(findings) => {
             match format {
                 Format::Text => {
@@ -128,7 +100,6 @@ fn main() -> ExitCode {
                     }
                 }
                 Format::Json => print!("{}", gauss_lint::output::to_json(&findings)),
-                Format::Sarif => print!("{}", gauss_lint::output::to_sarif(&findings)),
             }
             if findings.is_empty() {
                 ExitCode::SUCCESS

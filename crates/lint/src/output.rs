@@ -1,14 +1,10 @@
-//! Machine-readable output: `--format json` and `--format sarif`.
-//!
-//! Both renderers are hand-rolled over the stdlib (this crate takes no
-//! dependencies). JSON is the compact CI-annotation feed; SARIF follows
-//! the minimal SARIF 2.1.0 shape GitHub code scanning ingests: a single
-//! run with a tool driver, one `reportingDescriptor` per rule, and one
-//! `result` per finding with a physical location.
+//! Machine-readable output: `--format json`, the compact feed
+//! `scripts/lint_annotations.py` turns into CI annotations. Hand-rolled
+//! over the stdlib (this crate takes no dependencies).
 
 use std::fmt::Write as _;
 
-use crate::rules::{all_rules, Finding};
+use crate::rules::Finding;
 
 /// Escapes `s` for a JSON string literal (quotes not included).
 #[must_use]
@@ -59,50 +55,6 @@ pub fn to_json(findings: &[Finding]) -> String {
     out
 }
 
-/// Renders findings as a SARIF 2.1.0 log with a single run.
-#[must_use]
-pub fn to_sarif(findings: &[Finding]) -> String {
-    let mut out = String::from(
-        "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-         \"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\
-         \"name\":\"gauss-lint\",\"informationUri\":\
-         \"https://example.invalid/gauss-lint\",\"rules\":[",
-    );
-    for (i, (name, desc)) in all_rules().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"id\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}}}}",
-            json_escape(name),
-            json_escape(desc),
-        );
-    }
-    out.push_str("]}},\"results\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let mut text = f.message.clone();
-        if !f.chain.is_empty() {
-            let _ = write!(text, " [chain: {}]", f.chain.join(" -> "));
-        }
-        let _ = write!(
-            out,
-            "{{\"ruleId\":\"{}\",\"level\":\"error\",\"message\":{{\"text\":\"{}\"}},\
-             \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\
-             \"uri\":\"{}\"}},\"region\":{{\"startLine\":{}}}}}}}]}}",
-            json_escape(f.rule),
-            json_escape(&text),
-            json_escape(&f.rel_path),
-            f.line.max(1),
-        );
-    }
-    out.push_str("]}]}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,21 +83,7 @@ mod tests {
     }
 
     #[test]
-    fn sarif_carries_schema_rules_and_locations() {
-        let s = to_sarif(&sample());
-        assert!(s.contains("\"version\":\"2.1.0\""));
-        assert!(s.contains("sarif-2.1.0.json"));
-        assert!(s.contains("\"name\":\"gauss-lint\""));
-        assert!(s.contains("\"id\":\"no-panic\""), "all rules declared");
-        assert!(s.contains("\"ruleId\":\"static-lock-order\""));
-        assert!(s.contains("\"startLine\":7"));
-        assert!(s.contains("[chain: A::f -> A::g]"));
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
-    }
-
-    #[test]
     fn empty_findings_still_valid_logs() {
         assert!(to_json(&[]).contains("\"findings\":[]"));
-        assert!(to_sarif(&[]).contains("\"results\":[]"));
     }
 }

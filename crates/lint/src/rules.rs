@@ -14,7 +14,6 @@
 //! | `float-eq`      | `pfv` lib code                     | `==`/`!=` against a float literal (use `to_bits()` for bit identity) |
 //! | `cast-truncation` | `pfv`/`storage`/`core` lib code  | bare `as u8/u16/u32/i8/i16/i32` narrowing (use `try_from`) and `as f32` rounding outside `pfv/src/quant.rs` (use the checked quantisation helpers) |
 //! | `missing-docs`  | `pfv`/`storage`/`core` lib code    | undocumented `pub` items at module/impl scope |
-//! | `forbid-unsafe` | every crate root                   | missing `#![forbid(unsafe_code)]` / `#![deny(unsafe_code)]` |
 //! | `bad-allow`     | everywhere                         | malformed `lint:` comments, unknown rule names in `allow(...)` |
 //!
 //! The flow-aware rules — `static-lock-order`, `guard-across-call`,
@@ -35,8 +34,6 @@ pub const FLOAT_EQ: &str = "float-eq";
 pub const CAST_TRUNCATION: &str = "cast-truncation";
 /// Machine name of the public-docs rule.
 pub const MISSING_DOCS: &str = "missing-docs";
-/// Machine name of the crate-root `forbid(unsafe_code)` rule.
-pub const FORBID_UNSAFE: &str = "forbid-unsafe";
 /// Machine name of the malformed-annotation rule.
 pub const BAD_ALLOW: &str = "bad-allow";
 /// Machine name of the call-graph lock-rank inversion rule.
@@ -77,10 +74,6 @@ pub fn all_rules() -> &'static [(&'static str, &'static str)] {
         (
             MISSING_DOCS,
             "public items in core/pfv/storage need doc comments",
-        ),
-        (
-            FORBID_UNSAFE,
-            "every crate root must carry #![forbid(unsafe_code)] (or deny, with a reason)",
         ),
         (
             BAD_ALLOW,
@@ -250,21 +243,7 @@ pub fn lint_blanked(
         cast_truncation_rule(&cx, &toks, &mut out);
         missing_docs_rule(&cx, &toks, &mut out);
     }
-    if is_crate_root(&file.rel_path) {
-        forbid_unsafe_rule(&cx, &mut out);
-    }
     out
-}
-
-/// Whether `rel` is a crate-root file that must carry the unsafe attribute.
-fn is_crate_root(rel: &str) -> bool {
-    let parts: Vec<&str> = rel.split('/').collect();
-    matches!(
-        parts.as_slice(),
-        ["crates", _, "src", "lib.rs" | "main.rs"]
-            | ["shims", _, "src", "lib.rs"]
-            | ["src", "lib.rs"]
-    )
 }
 
 fn bad_allow_rule(cx: &FileCx<'_>, out: &mut Vec<Finding>) {
@@ -494,25 +473,6 @@ fn cast_truncation_rule(cx: &FileCx<'_>, toks: &[(usize, &str)], out: &mut Vec<F
                     .to_string(),
             );
         }
-    }
-}
-
-fn forbid_unsafe_rule(cx: &FileCx<'_>, out: &mut Vec<Finding>) {
-    let compact: String = cx
-        .blanked
-        .code
-        .chars()
-        .filter(|c| !c.is_whitespace())
-        .collect();
-    if !compact.contains("#![forbid(unsafe_code)]") && !compact.contains("#![deny(unsafe_code)]") {
-        cx.report(
-            out,
-            FORBID_UNSAFE,
-            0,
-            "crate root lacks #![forbid(unsafe_code)] (use deny + a lint allow if a shim \
-             genuinely needs unsafe)"
-                .to_string(),
-        );
     }
 }
 
@@ -857,18 +817,6 @@ impl S {\n    pub fn method(&self) {}\n}\n";
     }
 
     #[test]
-    fn forbid_unsafe_required_on_crate_roots() {
-        let f = lint_str("crates/pfv/src/lib.rs", "//! Crate docs.\n");
-        assert!(rules_of(&f).contains(&FORBID_UNSAFE));
-        let ok = "//! Crate docs.\n#![forbid(unsafe_code)]\n";
-        assert!(!rules_of(&lint_str("crates/pfv/src/lib.rs", ok)).contains(&FORBID_UNSAFE));
-        let deny = "//! Crate docs.\n#![deny(unsafe_code)]\n";
-        assert!(!rules_of(&lint_str("crates/pfv/src/lib.rs", deny)).contains(&FORBID_UNSAFE));
-        // Non-root files are exempt.
-        assert!(lint_str("crates/pfv/src/other.rs", "fn f() {}\n").is_empty());
-    }
-
-    #[test]
     fn bad_allow_reported() {
         let f = lint_str(
             "crates/core/src/x.rs",
@@ -887,10 +835,9 @@ impl S {\n    pub fn method(&self) {}\n}\n";
     }
 
     #[test]
-    fn shims_only_checked_for_unsafe_attr() {
+    fn shims_are_exempt_from_code_rules() {
         let src = "pub fn f() { x.unwrap(); let m = Mutex::new(0); }\n";
         assert!(lint_str("shims/rand/src/helpers.rs", src).is_empty());
-        let root = lint_str("shims/rand/src/lib.rs", src);
-        assert_eq!(rules_of(&root), vec![FORBID_UNSAFE]);
+        assert!(lint_str("shims/rand/src/lib.rs", src).is_empty());
     }
 }

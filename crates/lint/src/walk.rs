@@ -3,8 +3,8 @@
 //! Rules apply to different slices of the tree: the panic and mutex rules
 //! police first-party *library* code, the float rule only the `pfv` kernel
 //! crate, and vendored shims are exempt from everything except the
-//! `forbid-unsafe` crate-root check. This module walks the workspace once
-//! and hands every `.rs` file to the rule engine with a [`FileKind`]
+//! `bad-allow` annotation check. This module walks the workspace once and
+//! hands every `.rs` file to the rule engine with a [`FileKind`]
 //! classification derived from its path.
 
 use std::fs;
@@ -160,7 +160,7 @@ mod tests {
         );
         assert_eq!(classify("crates/cli/src/main.rs").0, FileKind::Bin);
         assert_eq!(
-            classify("crates/bench/src/bin/throughput.rs").0,
+            classify("crates/bench/src/bin/answer_bits.rs").0,
             FileKind::Bin
         );
         assert_eq!(

@@ -42,8 +42,6 @@ pub mod batch;
 pub mod bayes;
 /// Combining per-dimension bounds into pfv scores.
 pub mod combine;
-/// Distributional distance measures between Gaussians.
-pub mod divergence;
 /// Univariate Gaussian parameters and densities.
 pub mod gaussian;
 /// Piecewise hull bounds on the Gaussian density term.

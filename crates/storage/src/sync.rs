@@ -52,8 +52,8 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 /// Whether lock-order tracking is compiled into this build.
 ///
 /// `true` under `debug_assertions` or the `lock-tracking` feature; release
-/// bench builds must report `false` (the CI perf gate checks this through
-/// the `throughput` bench's JSON output).
+/// builds must report `false` (the `answer_bits` binary CI runs refuses to
+/// start otherwise).
 pub const LOCK_TRACKING: bool = cfg!(any(debug_assertions, feature = "lock-tracking"));
 
 /// Static acquisition rank of a [`TrackedMutex`], outermost first.

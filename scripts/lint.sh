@@ -5,8 +5,7 @@
 #   --fix    run `cargo fmt` (write mode) instead of --check
 #
 # Mirrors what CI gates on, so a clean run here means the lint and format
-# jobs will pass. The gauss-lint step uses the incremental cache under
-# target/, so repeat runs are fast.
+# jobs will pass.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,7 +29,7 @@ echo "==> gauss-lint (self-hosted static analysis)"
 cargo run -q -p gauss_lint
 
 echo "==> gauss-lint fixture self-test (must fail on the fixture)"
-if cargo run -q -p gauss_lint -- --root crates/lint/fixtures/ws --no-cache >/dev/null 2>&1; then
+if cargo run -q -p gauss_lint -- --root crates/lint/fixtures/ws >/dev/null 2>&1; then
   echo "error: gauss-lint reported a clean fixture workspace (dead linter?)" >&2
   exit 1
 fi

@@ -373,48 +373,43 @@ fn extend_batch_is_crash_atomic_at_every_kill_point() {
 fn bulk_load_crashes_recover_to_empty_or_full() {
     // A bulk load into a fresh durable store: any kill point must recover
     // to nothing-committed-yet, the committed empty tree, or the fully
-    // loaded tree — both write modes.
+    // loaded tree.
     let data = items(150, 2, 9);
     let config = TreeConfig::new(2).with_capacities(4, 4);
-    for batched in [true, false] {
-        let opts = BulkLoadOptions::default()
-            .with_spill(SpillKind::Memory)
-            .with_batched_writes(batched)
-            .with_durability(Durability::Fsync);
+    let opts = BulkLoadOptions::default()
+        .with_spill(SpillKind::Memory)
+        .with_durability(Durability::Fsync);
 
-        let mem = SharedMem::new(1024);
-        let pool = BufferPool::new(FaultStore::unlimited(mem), 4096, AccessStats::new_shared());
-        let (tree, _) =
-            GaussTree::bulk_load_with(pool, config, data.clone(), &opts).expect("dry bulk");
-        let post = logical_state(&tree);
-        let total_ops = tree.stats().snapshot().physical_writes;
-        let empty: LogicalState = (0, Vec::new());
+    let mem = SharedMem::new(1024);
+    let pool = BufferPool::new(FaultStore::unlimited(mem), 4096, AccessStats::new_shared());
+    let (tree, _) = GaussTree::bulk_load_with(pool, config, data.clone(), &opts).expect("dry bulk");
+    let post = logical_state(&tree);
+    let total_ops = tree.stats().snapshot().physical_writes;
+    let empty: LogicalState = (0, Vec::new());
 
-        for n in 0..=total_ops {
-            for mode in [KillMode::Drop, KillMode::Tear] {
-                let mem = SharedMem::new(1024);
-                let pool = BufferPool::new(
-                    FaultStore::new(mem.clone(), n, mode),
-                    4096,
-                    AccessStats::new_shared(),
-                );
-                let r = GaussTree::bulk_load_with(pool, config, data.clone(), &opts);
-                drop(r);
-                let pool = BufferPool::new(mem, 4096, AccessStats::new_shared());
-                match GaussTree::open_with_recovery(pool) {
-                    Err(TreeError::NotAGaussTree) => {}
-                    Err(e) => panic!("bulk kill at {n} ({mode:?}): {e}"),
-                    Ok((tree, _)) => {
-                        let errs = tree.check_invariants(false).unwrap();
-                        assert!(errs.is_empty(), "bulk kill at {n} ({mode:?}): {errs:?}");
-                        let state = logical_state(&tree);
-                        assert!(
-                            state == empty || state == post,
-                            "bulk kill at {n}/{total_ops} ({mode:?}, batched={batched}): \
-                             torn state of len {}",
-                            state.0
-                        );
-                    }
+    for n in 0..=total_ops {
+        for mode in [KillMode::Drop, KillMode::Tear] {
+            let mem = SharedMem::new(1024);
+            let pool = BufferPool::new(
+                FaultStore::new(mem.clone(), n, mode),
+                4096,
+                AccessStats::new_shared(),
+            );
+            let r = GaussTree::bulk_load_with(pool, config, data.clone(), &opts);
+            drop(r);
+            let pool = BufferPool::new(mem, 4096, AccessStats::new_shared());
+            match GaussTree::open_with_recovery(pool) {
+                Err(TreeError::NotAGaussTree) => {}
+                Err(e) => panic!("bulk kill at {n} ({mode:?}): {e}"),
+                Ok((tree, _)) => {
+                    let errs = tree.check_invariants(false).unwrap();
+                    assert!(errs.is_empty(), "bulk kill at {n} ({mode:?}): {errs:?}");
+                    let state = logical_state(&tree);
+                    assert!(
+                        state == empty || state == post,
+                        "bulk kill at {n}/{total_ops} ({mode:?}): torn state of len {}",
+                        state.0
+                    );
                 }
             }
         }

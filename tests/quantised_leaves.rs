@@ -10,7 +10,9 @@
 //!   deep-underflow regime of astronomically spread means;
 //! * on already-`f32`-exact data, an exact-format and a quantised-format
 //!   tree return bit-identical k-MLIQ densities and identical TIQ id
-//!   sets — compression changes the leaf bytes, not one result bit;
+//!   sets — compression changes the leaf bytes, not one result bit — and
+//!   at page-derived capacities the quantised tree does so from fewer
+//!   pages and fewer physical reads;
 //! * the `pfv::quant` helpers round in pinned directions: widening is a
 //!   fixpoint, σ never lands below the floor, and the outward interval
 //!   always brackets the original pre-rounding value.
@@ -18,6 +20,7 @@
 use gausstree::pfv::{combine, quant, CombineMode, Pfv};
 use gausstree::storage::{AccessStats, BufferPool, MemStore};
 use gausstree::tree::{GaussTree, LeafFormat, ReadView, TreeConfig};
+use gausstree::workloads::{generate_query_batch, uniform_dataset, SigmaSpec};
 use proptest::prelude::*;
 
 const MODES: [CombineMode; 2] = [CombineMode::Convolution, CombineMode::AdditiveSigma];
@@ -143,6 +146,58 @@ fn assert_true_top_k(
             assert_eq!(g.0, w.0, "k-MLIQ id diverged from brute force");
         }
     }
+}
+
+/// At page-derived capacities the 88-byte entries pack more objects per
+/// leaf than the 168-byte ones, so on the same pre-rounded d10 data the
+/// quantised tree answers identically from fewer pages and — behind a
+/// pool far smaller than either tree — fewer physical reads.
+#[test]
+fn quantised_format_reads_fewer_pages_for_identical_answers() {
+    let dims = 10;
+    let sigma = SigmaSpec::log_uniform(0.005, 0.3);
+    let data = uniform_dataset(3000, dims, sigma, 2006);
+    let stored: Vec<(u64, Pfv)> = data
+        .items()
+        .into_iter()
+        .map(|(id, v)| (id, stored_pfv(&v)))
+        .collect();
+    let queries = generate_query_batch(&data, 16, sigma, 7);
+
+    // Per format: pages allocated, physical reads of the cold workload,
+    // and every answer as (id, density bits) / sorted TIQ ids.
+    let run = |format: LeafFormat| {
+        let pool = BufferPool::new(MemStore::new(8192), 32, AccessStats::new_shared());
+        let config = TreeConfig::new(dims).with_leaf_format(format);
+        let tree = GaussTree::bulk_load(pool, config, stored.iter().cloned()).unwrap();
+        tree.cold_start();
+        let before = tree.stats().snapshot();
+        let mut answers = Vec::new();
+        for q in &queries {
+            let mliq: Vec<(u64, u64)> = tree
+                .k_mliq(q, 3)
+                .unwrap()
+                .iter()
+                .map(|h| (h.id, h.log_density.to_bits()))
+                .collect();
+            let mut tiq: Vec<u64> = tree
+                .tiq_anytime(q, 0.2)
+                .unwrap()
+                .iter()
+                .map(|r| r.id)
+                .collect();
+            tiq.sort_unstable();
+            answers.push((mliq, tiq));
+        }
+        let reads = tree.stats().snapshot().since(&before).physical_reads;
+        (tree.pool().num_pages(), reads, answers)
+    };
+    let (exact_pages, exact_reads, exact_answers) = run(LeafFormat::Exact);
+    let (quant_pages, quant_reads, quant_answers) = run(LeafFormat::Quantised);
+
+    assert_eq!(exact_answers, quant_answers);
+    assert!(quant_pages < exact_pages, "{quant_pages} vs {exact_pages}");
+    assert!(quant_reads < exact_reads, "{quant_reads} vs {exact_reads}");
 }
 
 proptest! {
