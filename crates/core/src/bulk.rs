@@ -236,11 +236,10 @@ pub(crate) fn run<S: PageStore>(
 ) -> Result<BulkLoadReport, TreeError> {
     let dims = tree.dims();
     let strategy = tree.config().split;
-    let leaf_target = tree.bulk_leaf_target();
-    let inner_target = tree.bulk_inner_target();
+    let leaf_cap = tree.leaf_capacity();
     let threads = opts.threads.max(1);
     // A budget below one leaf group could never materialise a group.
-    let budget = opts.mem_budget_entries.map(|b| b.max(leaf_target).max(16));
+    let budget = opts.mem_budget_entries.map(|b| b.max(leaf_cap).max(16));
     let mut report = BulkLoadReport::default();
 
     // Stage 1: streaming ingest under the budget.
@@ -298,7 +297,9 @@ pub(crate) fn run<S: PageStore>(
     };
     // lint: allow(no-panic) -- u64 entry count to usize; the documented assumption is a 64-bit build
     let n = usize::try_from(total).expect("entry count fits usize");
-    let n_groups = n.div_ceil(leaf_target);
+    // Packed: the fewest leaves that hold `n`, sized within one entry of
+    // each other, so each is at least half full.
+    let n_groups = n.div_ceil(leaf_cap);
     let extra_base = if n_groups > 1 {
         tree.pool().allocate_many(n_groups as u64 - 1)?
     } else {
@@ -343,8 +344,7 @@ pub(crate) fn run<S: PageStore>(
         .map(|s| s.expect("every leaf slot filled"))
         .collect();
 
-    let (root, height) =
-        build_upper_levels(tree, &mut emitter, strategy, inner_target, threads, level)?;
+    let (root, height) = build_upper_levels(tree, &mut emitter, strategy, threads, level)?;
     emitter.finish(tree)?;
     tree.set_root(root, height);
     tree.flush()?;
@@ -512,26 +512,21 @@ fn external_split(
 }
 
 /// Builds the inner levels bottom-up until one root remains; returns
-/// `(root page, height)`. Identical page-id sequence to the serial loader:
+/// `(root page, height)`. Each level is packed into `⌈len / inner
+/// capacity⌉` nodes. Identical page-id sequence to the serial loader:
 /// every level's pages are allocated in group order before the next
 /// level's.
 fn build_upper_levels<S: PageStore>(
     tree: &mut GaussTree<S>,
     emitter: &mut NodeEmitter,
     strategy: SplitStrategy,
-    inner_target: usize,
     threads: usize,
     mut level: Vec<InnerEntry>,
 ) -> Result<(PageId, u32), TreeError> {
     let mut height = 0u32;
     while level.len() > 1 {
         height += 1;
-        if level.len() <= tree.inner_capacity() {
-            let page = tree.pool().allocate()?;
-            emitter.emit(tree, page, &Node::Inner(level))?;
-            return Ok((page, height));
-        }
-        let n_groups = level.len().div_ceil(inner_target);
+        let n_groups = level.len().div_ceil(tree.inner_capacity());
         let base = tree.pool().allocate_many(n_groups as u64)?;
         let groups = partition_into_n_parallel(strategy, level, n_groups, threads);
         let mut next = Vec::with_capacity(groups.len());
@@ -548,7 +543,7 @@ fn build_upper_levels<S: PageStore>(
         }
         level = next;
     }
-    Ok((level[0].child, 0))
+    Ok((level[0].child, height))
 }
 
 /// Stable argsort: the permutation that stable-sorts `keys` ascending.
@@ -967,7 +962,7 @@ mod tests {
             if budget < 1200 {
                 assert_eq!(report.spilled_entries, 1200, "budget {budget}");
                 assert!(
-                    report.peak_resident_entries <= budget.max(tree.bulk_leaf_target()).max(16),
+                    report.peak_resident_entries <= budget.max(tree.leaf_capacity()).max(16),
                     "budget {budget}: peak {}",
                     report.peak_resident_entries
                 );
@@ -1000,6 +995,30 @@ mod tests {
         assert_eq!(store_image(&tree), store_image(&reference));
         assert!(report.spilled_entries > 0);
         assert!(report.external_splits > 0);
+    }
+
+    #[test]
+    fn packed_builds_use_the_fewest_pages_and_meet_strict_fill() {
+        let data = items(300, 2);
+        for (leaf, inner) in [(2, 2), (3, 2), (4, 3), (5, 4), (7, 5), (8, 6), (16, 9)] {
+            let config = TreeConfig::new(2).with_capacities(leaf, inner);
+            for n in 1..=data.len() {
+                let tree = GaussTree::bulk_load(pool(), config, data[..n].to_vec()).unwrap();
+                let errs = tree.check_invariants(true).unwrap();
+                assert!(errs.is_empty(), "({leaf}, {inner}) n={n}: {errs:?}");
+                let mut level = n.div_ceil(leaf);
+                let mut minimal = level;
+                while level > 1 {
+                    level = level.div_ceil(inner);
+                    minimal += level;
+                }
+                assert_eq!(
+                    tree.pool().num_pages() - crate::tree::META_PAGES,
+                    minimal as u64,
+                    "({leaf}, {inner}) n={n}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   **tight** (equal to the union of the children);
 //! * subtree counts add up and match the tree's `len()`.
 //!
-//! Incremental insertion keeps these exactly; the bulk loader targets a 75 %
-//! fill, which still satisfies the bounds for the default capacities.
+//! Incremental insertion keeps these exactly; the bulk loader packs its
+//! pages, which meets the strict bounds for every capacity ≥ 2.
 
 use crate::node::Node;
 use crate::tree::{GaussTree, TreeError};
@@ -167,8 +167,8 @@ impl<S: PageStore> GaussTree<S> {
     /// Verifies all structural invariants; returns every violation found.
     ///
     /// An empty vector means the tree is structurally sound. `strict_fanout`
-    /// additionally enforces the minimum fill of non-root nodes (disable it
-    /// for bulk-loaded trees with unusual capacities).
+    /// additionally enforces the minimum fill of non-root nodes, which
+    /// packed bulk-loaded trees meet for every capacity ≥ 2.
     ///
     /// # Errors
     /// Storage/codec errors while traversing.
@@ -428,7 +428,7 @@ mod tests {
         let config = TreeConfig::new(2).with_capacities(8, 6);
         let pool = BufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
         let tree = GaussTree::bulk_load(pool, config, items).unwrap();
-        let errs = tree.check_invariants(false).unwrap();
+        let errs = tree.check_invariants(true).unwrap();
         assert!(errs.is_empty(), "violations: {errs:?}");
     }
 

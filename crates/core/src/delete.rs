@@ -61,7 +61,9 @@ impl<S: PageStore> GaussTree<S> {
         self.set_len(self.len() - 1);
 
         // Root adjustments: collapse an inner root with a single child
-        // (the abandoned root page goes back to the free list).
+        // (the abandoned root page goes back to the free list); a root
+        // whose last child was dissolved becomes an empty leaf, which the
+        // orphans below then refill.
         loop {
             let root = self.root_page();
             match self.read_node(root)? {
@@ -69,6 +71,11 @@ impl<S: PageStore> GaussTree<S> {
                     let only = es[0].child;
                     self.set_root(only, self.height() - 1);
                     self.free_page(root)?;
+                }
+                Node::Inner(es) if es.is_empty() => {
+                    let page = self.write_node_shadow(root, &Node::Leaf(Vec::new()))?;
+                    self.set_root(page, 0);
+                    break;
                 }
                 _ => break,
             }
@@ -121,23 +128,21 @@ impl<S: PageStore> GaussTree<S> {
                         underflow,
                         page: child_page,
                     } => {
-                        if underflow && entries.len() > 1 {
+                        if underflow {
                             // Dissolve the child: collect every entry below
                             // it for re-insertion, free the branch's pages
-                            // and drop it from the parent.
+                            // and drop it from the parent — even its only
+                            // child, in which case this node empties and
+                            // underflows in turn.
                             self.collect_subtree(child_page, level - 1, orphans)?;
                             entries.remove(idx);
                         } else {
-                            // Refresh rect and count from the child.
+                            // Refresh rect and count from the child (never
+                            // empty: an empty node always underflows).
                             let child_node = self.read_node(child_page)?;
-                            if child_node.is_empty() {
-                                entries.remove(idx);
-                                self.free_page(child_page)?;
-                            } else {
-                                entries[idx].child = child_page;
-                                entries[idx].rect = child_node.bounding_rect();
-                                entries[idx].count = child_node.subtree_count();
-                            }
+                            entries[idx].child = child_page;
+                            entries[idx].rect = child_node.bounding_rect();
+                            entries[idx].count = child_node.subtree_count();
                         }
                         let underflow = entries.len() < self.inner_min_fill();
                         let page = self.write_node_shadow(page, &Node::Inner(entries))?;
@@ -292,6 +297,59 @@ mod tests {
         tree.for_each_entry(|id, _| ids.push(id)).unwrap();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 2, 3, 5, 6, 7, 8, 9]);
+    }
+
+    /// An underflowing child under a single-child parent (legal when the
+    /// inner capacity is ≤ 3, where the minimum inner fill is 1) must be
+    /// condensed like any other, not left underfull.
+    #[test]
+    fn underflow_under_single_child_parent_is_condensed() {
+        let item = |i: u64| {
+            (
+                i,
+                pfv2(
+                    (i as f64 * 0.61).sin() * 20.0,
+                    (i as f64 * 0.23).cos() * 20.0,
+                ),
+            )
+        };
+        let assert_sound = |tree: &GaussTree<MemStore>, phase: &str| {
+            let errs = tree.check_invariants(true).unwrap();
+            assert!(errs.is_empty(), "{phase}: {errs:?}");
+        };
+        for inner in [2usize, 3, 4] {
+            let config = TreeConfig::new(2).with_capacities(4, inner);
+            let pool = BufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
+            let mut tree = GaussTree::bulk_load(pool, config, (0..300).map(item)).unwrap();
+            assert_sound(&tree, "bulk load");
+            for (id, v) in (300..360).map(item) {
+                tree.insert(id, &v).unwrap();
+            }
+            assert_sound(&tree, "insert");
+            tree.extend((360..460).map(item)).unwrap();
+            assert_sound(&tree, "extend");
+            for (id, v) in (0..300).step_by(2).map(item) {
+                assert_eq!(tree.delete(id, &v).unwrap(), DeleteOutcome::Deleted);
+            }
+            assert_sound(&tree, "delete");
+            assert_eq!(tree.len(), 460 - 150);
+
+            let survivors: Vec<Pfv> = (0..460)
+                .filter(|i| i >= &300 || i % 2 == 1)
+                .map(|i| item(i).1)
+                .collect();
+            let q = Pfv::new(vec![5.0, -3.0], vec![0.3, 0.3]).unwrap();
+            let got = tree.k_mliq(&q, 5).unwrap();
+            let mut want: Vec<f64> = survivors
+                .iter()
+                .map(|v| pfv::combine::log_joint(CombineMode::Convolution, v, &q))
+                .collect();
+            want.sort_by(|a, b| b.total_cmp(a));
+            assert_eq!(got.len(), 5);
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.log_density, *w, "inner capacity {inner}");
+            }
+        }
     }
 
     #[test]

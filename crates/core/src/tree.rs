@@ -34,10 +34,6 @@ const META_KIND: SlotKind = SlotKind {
 /// Pages 0 and 1 hold commit slots 0 and 1; node pages start behind them.
 pub(crate) const META_PAGES: u64 = 2;
 
-/// Fill factor applied by the bulk loader so bulk-built nodes can absorb a
-/// few inserts before splitting.
-const BULK_FILL: f64 = 0.75;
-
 /// Bytes of a meta slot before the persisted free-list ids: the commit
 /// header, the allocated-page count, the configuration tags, the two
 /// capacities, root / height / length, the in-meta id count (u32) and the
@@ -879,6 +875,11 @@ impl<S: PageStore> GaussTree<S> {
     /// partitioning driven by the configured split cost — an extension over
     /// the paper's incremental insertion).
     ///
+    /// Pages are packed: `⌈n / leaf_capacity⌉` leaves and `⌈len /
+    /// inner_capacity⌉` nodes per level above, so a later
+    /// [`insert`](Self::insert) or [`extend`](Self::extend) splits a full
+    /// leaf on its first touch.
+    ///
     /// Runs the pipeline of [`GaussTree::bulk_load_with`] with
     /// [`BulkLoadOptions::default`]: single-threaded, fully resident,
     /// batched page writes.
@@ -897,9 +898,10 @@ impl<S: PageStore> GaussTree<S> {
     /// [`crate::bulk`]): streaming chunked consumption of `items` under an
     /// optional memory budget with runs spilled through a page store,
     /// partitioning fanned across worker threads, and node pages written in
-    /// coalesced batches. The produced tree is **byte-identical** to the
-    /// serial fully-resident build for every thread count, memory budget
-    /// and write mode.
+    /// coalesced batches. Pages are packed as in
+    /// [`bulk_load`](Self::bulk_load). The produced tree is
+    /// **byte-identical** to the serial fully-resident build for every
+    /// thread count, memory budget and write mode.
     ///
     /// # Errors
     /// Propagates store errors; rejects dimensionality mismatches.
@@ -1229,16 +1231,6 @@ impl<S: PageStore> GaussTree<S> {
         out
     }
 
-    /// Bulk-loader leaf fill target (`BULK_FILL` of the capacity).
-    pub(crate) fn bulk_leaf_target(&self) -> usize {
-        ((self.leaf_cap as f64 * BULK_FILL) as usize).max(2)
-    }
-
-    /// Bulk-loader inner fill target.
-    pub(crate) fn bulk_inner_target(&self) -> usize {
-        ((self.inner_cap as f64 * BULK_FILL) as usize).max(2)
-    }
-
     /// Serialises `node` into a fresh page-sized buffer.
     pub(crate) fn encode_node(&self, node: &Node) -> Vec<u8> {
         let mut buf = vec![0u8; self.pool.page_size()];
@@ -1533,6 +1525,7 @@ impl<S: PageStore> GaussTree<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DeleteOutcome;
     use gauss_storage::{AccessStats, BufferPool, MemStore};
 
     fn mem_tree(dims: usize, leaf: usize, inner: usize) -> GaussTree<MemStore> {
@@ -2138,14 +2131,28 @@ mod tests {
         let items: Vec<(u64, Pfv)> = (0..100u64).map(|i| (i, pfv1(i as f64, 0.1))).collect();
         let config = TreeConfig::new(1).with_capacities(8, 6);
         let pool = BufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
-        let mut t = GaussTree::bulk_load(pool, config, items).unwrap();
+        let mut t = GaussTree::bulk_load(pool, config, items.clone()).unwrap();
+        // Packed: 13 leaves of 7–8 entries under 3 inner nodes and a root.
+        assert_eq!(t.pool().num_pages() - META_PAGES, 13 + 3 + 1);
+        assert!(t.check_invariants(true).unwrap().is_empty());
+        // The first insert into a full leaf splits it.
         for i in 100..150u64 {
             t.insert(i, &pfv1(i as f64 * 0.5, 0.2)).unwrap();
+            assert!(t.check_invariants(true).unwrap().is_empty(), "insert {i}");
         }
         assert_eq!(t.len(), 150);
+        t.extend((150..230u64).map(|i| (i, pfv1(i as f64 * 0.3 - 20.0, 0.15))))
+            .unwrap();
+        assert_eq!(t.len(), 230);
+        assert!(t.check_invariants(true).unwrap().is_empty(), "extend");
+        for (id, v) in items.iter().step_by(3) {
+            assert_eq!(t.delete(*id, v).unwrap(), DeleteOutcome::Deleted);
+            assert!(t.check_invariants(true).unwrap().is_empty(), "delete {id}");
+        }
+        assert_eq!(t.len(), 230 - 34);
         let mut n = 0;
         t.for_each_entry(|_, _| n += 1).unwrap();
-        assert_eq!(n, 150);
+        assert_eq!(n, 230 - 34);
     }
 
     fn quantised_mem_tree(dims: usize, leaf: usize, inner: usize) -> GaussTree<MemStore> {
