@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks for the core operations on the query path:
-//! hull-bound evaluation (Lemma 2/3), Lemma-1 combination, node splits,
-//! incremental insert, page decode (row form then transpose against
-//! straight to columns), and end-to-end k-MLIQ / TIQ on a mid-sized tree.
+//! hull-bound evaluation (Lemma 2/3, and the inner screen's brackets),
+//! Lemma-1 combination, node splits, incremental insert, page decode (row
+//! form then transpose against straight to columns), and end-to-end k-MLIQ
+//! / TIQ on a mid-sized tree.
 #![allow(missing_docs)]
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
@@ -11,7 +12,7 @@ use gauss_tree::node::Node;
 use gauss_tree::{CachedNode, GaussTree, LeafFormat, ReadView, SplitStrategy, TreeConfig};
 use gauss_workloads::{generate_queries, uniform_dataset, SigmaSpec};
 use pfv::hull::{DimBounds, ParamRect};
-use pfv::{combine, CombineMode, Pfv};
+use pfv::{combine, ColumnarRects, CombineMode, Pfv};
 use std::hint::black_box;
 
 fn bench_hull(c: &mut Criterion) {
@@ -50,6 +51,28 @@ fn bench_hull(c: &mut Criterion) {
     .unwrap();
     c.bench_function("hull/27d_query_upper", |bench| {
         bench.iter(|| rect.log_upper_for_query(black_box(&q), CombineMode::Convolution))
+    });
+
+    // The children of one d27 inner node (capacity 9) as the read path
+    // holds them: the screen's bracket for all nine in one call, against
+    // nine times `hull/27d_query_upper` for the exact bounds.
+    let children: Vec<ParamRect> = (0..9)
+        .map(|c| {
+            let shift = f64::from(c) * 0.25;
+            ParamRect::from_dims(
+                (0..27)
+                    .map(|i| DimBounds::new(i as f64 + shift, i as f64 + shift + 1.0, 0.1, 0.5))
+                    .collect(),
+            )
+        })
+        .collect();
+    let columns = ColumnarRects::from_rects(27, children.iter());
+    let mut brackets = Vec::new();
+    c.bench_function("hull/27d_screen_children", |bench| {
+        bench.iter(|| {
+            columns.screen_upper_for_query(black_box(&q), CombineMode::Convolution, &mut brackets);
+            brackets.len()
+        })
     });
 }
 
@@ -126,7 +149,8 @@ fn bench_insert(c: &mut Criterion) {
 
 /// ns per leaf page of the two ways to a query-ready leaf: the reference
 /// `Node::read_from(..).into_cached(..)` and the read path's
-/// `CachedNode::read_from(..)`, over the leaves of a bulk-loaded tree.
+/// `CachedNode::read_from(..)`, over the leaves of a bulk-loaded tree; and
+/// the read path's decode of that tree's inner pages at d27.
 fn bench_decode(c: &mut Criterion) {
     for (dims, name) in [(10usize, "d10"), (27, "d27")] {
         let dataset = uniform_dataset(12_000, dims, SigmaSpec::uniform(0.02, 0.25), 7);
@@ -138,16 +162,28 @@ fn bench_decode(c: &mut Criterion) {
             );
             let config = TreeConfig::new(dims).with_leaf_format(format);
             let tree = GaussTree::bulk_load(pool, config, dataset.items()).unwrap();
-            let mut leaves = Vec::new();
+            let (mut leaves, mut inners) = (Vec::new(), Vec::new());
             let mut stack = vec![tree.root_page()];
             while let Some(page) = stack.pop() {
                 let bytes = tree.pool().page(page).unwrap();
                 match Node::read_from(dims, format, &bytes).unwrap() {
                     Node::Leaf(_) => leaves.push(bytes),
-                    Node::Inner(es) => stack.extend(es.iter().map(|e| e.child)),
+                    Node::Inner(es) => {
+                        stack.extend(es.iter().map(|e| e.child));
+                        inners.push(bytes);
+                    }
                 }
             }
             leaves.truncate(256);
+            if dims == 27 && format == LeafFormat::Exact {
+                let mut at = 0usize;
+                c.bench_function("node/direct_inner_d27", |bench| {
+                    bench.iter(|| {
+                        at = (at + 1) % inners.len();
+                        CachedNode::read_from(dims, format, black_box(&inners[at])).unwrap()
+                    })
+                });
+            }
             let mut at = 0usize;
             let mut next = || {
                 at = (at + 1) % leaves.len();

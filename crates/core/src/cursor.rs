@@ -14,76 +14,22 @@
 //! bounds carry their component index so expansion reads the right tree
 //! and skips the ids shadowed in it. A single tree is the view with one
 //! component and nothing else, so there is one constructor and one loop.
-//! Emission follows a strict total order on exact densities (see the
-//! `Ord` impl below), so the ranking is that of one tree holding the same
-//! live set, whatever the component boundaries.
+//! Emission follows a strict total order on exact densities (the `Ord` of
+//! the shared queue entry, `query::Pending`), so the ranking is that of one
+//! tree holding the same live set, whatever the component boundaries.
+//!
+//! Inner children enter the frontier under the screen's bracket and are
+//! priced exactly only when that could change which node is expanded next
+//! — the k-MLIQ descent's rule with no candidate floor (see "Why lazy
+//! pricing opens the same pages" in [`crate::query`]) — so the cursor
+//! reads the pages an eagerly priced frontier would.
 
 use crate::node::CachedNode;
-use crate::query::{leaf_objects, LeafScratch, MliqResult, NO_FLOOR};
+use crate::query::{leaf_objects, Frontier, LeafScratch, MliqResult, NO_FLOOR};
 use crate::tree::TreeError;
 use crate::view::ViewPlane;
 use gauss_storage::store::PageStore;
-use gauss_storage::PageId;
 use pfv::Pfv;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-/// An element of the traversal frontier: either an unexpanded node (tagged
-/// with the component it belongs to) or a concrete object, ordered by its
-/// (bound on the) log density.
-#[derive(Debug, Clone, Copy)]
-enum Frontier {
-    NodeBound {
-        log_upper: f64,
-        comp: usize,
-        page: PageId,
-    },
-    Object {
-        log_density: f64,
-        id: u64,
-    },
-}
-
-impl Frontier {
-    fn key(&self) -> f64 {
-        match self {
-            Frontier::NodeBound { log_upper, .. } => *log_upper,
-            Frontier::Object { log_density, .. } => *log_density,
-        }
-    }
-}
-
-impl PartialEq for Frontier {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Frontier {}
-impl PartialOrd for Frontier {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Frontier {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on the key. On exact key ties node bounds win, so a
-        // node whose upper bound equals a ready object's density is
-        // expanded *before* that object is emitted — it may hide an
-        // equal-density entry with a smaller id, which the (density desc,
-        // id asc) contract must rank first. Tied objects then emit in
-        // ascending id order. Together this is a strict total order, so
-        // emission is independent of heap arrival order — and over a
-        // forest, of component order.
-        self.key()
-            .total_cmp(&other.key())
-            .then_with(|| match (self, other) {
-                (Frontier::NodeBound { .. }, Frontier::Object { .. }) => Ordering::Greater,
-                (Frontier::Object { .. }, Frontier::NodeBound { .. }) => Ordering::Less,
-                (Frontier::Object { id: a, .. }, Frontier::Object { id: b, .. }) => b.cmp(a),
-                (Frontier::NodeBound { .. }, Frontier::NodeBound { .. }) => Ordering::Equal,
-            })
-    }
-}
 
 /// Lazy best-first ranking over one view state.
 ///
@@ -99,7 +45,7 @@ impl Ord for Frontier {
 pub struct RankingCursor<'t, S: PageStore> {
     view: ViewPlane<'t, S>,
     query: Pfv,
-    heap: BinaryHeap<Frontier>,
+    frontier: Frontier,
     emitted: u64,
     /// Scratch buffers for the leaf kernel, reused across leaves.
     scratch: LeafScratch,
@@ -109,7 +55,7 @@ impl<S: PageStore> std::fmt::Debug for RankingCursor<'_, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RankingCursor")
             .field("emitted", &self.emitted)
-            .field("frontier", &self.heap.len())
+            .field("frontier", &self.frontier.len())
             .finish_non_exhaustive()
     }
 }
@@ -128,46 +74,33 @@ impl<'t, S: PageStore> RankingCursor<'t, S> {
     /// Storage / codec errors while expanding nodes.
     pub fn next_hit(&mut self) -> Result<Option<MliqResult>, TreeError> {
         let mode = self.view.config().combine;
-        while let Some(top) = self.heap.pop() {
-            match top {
-                Frontier::Object { log_density, id } => {
-                    self.emitted += 1;
-                    return Ok(Some(MliqResult { id, log_density }));
+        // The cursor must be able to emit every entry: no floor anywhere.
+        while let Some(top) = self.frontier.next(&self.query, mode, NO_FLOOR) {
+            if let Some(c) = top.object() {
+                self.emitted += 1;
+                return Ok(Some(MliqResult {
+                    id: c.id,
+                    log_density: c.log_density,
+                }));
+            }
+            let (plane, hidden) = self.view.comp(self.frontier.comp(&top));
+            let node = plane.read_node_cached(top.page())?;
+            match &*node {
+                CachedNode::Leaf(leaf) => {
+                    let frontier = &mut self.frontier;
+                    leaf_objects(
+                        leaf,
+                        hidden,
+                        mode,
+                        &self.query,
+                        NO_FLOOR,
+                        &mut self.scratch,
+                        |c| frontier.push_object(c),
+                    );
                 }
-                Frontier::NodeBound { comp, page, .. } => {
-                    let (plane, hidden) = self.view.comp(comp);
-                    match &*plane.read_node_cached(page)? {
-                        CachedNode::Leaf(leaf) => {
-                            // The cursor must be able to emit every entry,
-                            // so no floor: one batched sweep per leaf.
-                            let heap = &mut self.heap;
-                            leaf_objects(
-                                leaf,
-                                hidden,
-                                mode,
-                                &self.query,
-                                NO_FLOOR,
-                                &mut self.scratch,
-                                |c| {
-                                    heap.push(Frontier::Object {
-                                        log_density: c.log_density,
-                                        id: c.id,
-                                    });
-                                },
-                            );
-                        }
-                        CachedNode::Inner(es) => {
-                            // The cursor only orders by the upper bound, so no
-                            // fused lower-bound evaluation is needed here.
-                            for e in es {
-                                self.heap.push(Frontier::NodeBound {
-                                    log_upper: e.rect.log_upper_for_query(&self.query, mode),
-                                    comp,
-                                    page: e.child,
-                                });
-                            }
-                        }
-                    }
+                CachedNode::Inner(inner) => {
+                    self.frontier
+                        .push_children(&top, &node, inner, &self.query, mode, NO_FLOOR)?;
                 }
             }
         }
@@ -200,27 +133,20 @@ impl<'t, S: PageStore> ViewPlane<'t, S> {
     /// [`crate::view::ReadView::ranking_cursor`].
     pub(crate) fn ranking_cursor(self, q: &Pfv) -> Result<RankingCursor<'t, S>, TreeError> {
         self.check_dims(q.dims())?;
-        let mut heap: BinaryHeap<Frontier> = self
-            .mem_objects(q)
-            .map(|c| Frontier::Object {
-                log_density: c.log_density,
-                id: c.id,
-            })
-            .collect();
+        let mut frontier = Frontier::default();
+        for c in self.mem_objects(q) {
+            frontier.push_object(c);
+        }
         for comp in 0..self.comp_count() {
             let (plane, _) = self.comp(comp);
             if !plane.is_empty() {
-                heap.push(Frontier::NodeBound {
-                    log_upper: f64::INFINITY,
-                    comp,
-                    page: plane.root_page(),
-                });
+                frontier.push_root(plane.root_page(), comp)?;
             }
         }
         Ok(RankingCursor {
             view: self,
             query: q.clone(),
-            heap,
+            frontier,
             emitted: 0,
             scratch: LeafScratch::default(),
         })
@@ -308,6 +234,36 @@ mod tests {
             lazy * 3 < total,
             "first hit read {lazy} of {total} pages — not lazy"
         );
+    }
+
+    #[test]
+    fn the_first_k_hits_read_the_pages_k_mliq_reads() {
+        // Both open exactly the nodes whose exact bound reaches the k-th
+        // density (module docs of `query`): a cursor that expanded on its
+        // screen keys alone, or past the k-th hit, would read more.
+        let (tree, db) = build(1500);
+        let reads = || tree.stats().snapshot();
+        for (i, v) in db.iter().enumerate().step_by(97) {
+            for sigma in [0.05, 0.6] {
+                let q = Pfv::new(v.means().to_vec(), vec![sigma, sigma]).unwrap();
+                for k in [1usize, 4, 30] {
+                    let before = reads();
+                    let fixed = tree.k_mliq(&q, k).unwrap();
+                    let between = reads();
+                    let mut cursor = tree.ranking_cursor(&q).unwrap();
+                    let hits: Vec<MliqResult> = (0..k)
+                        .map(|_| cursor.next_hit().unwrap().unwrap())
+                        .collect();
+                    let after = reads();
+                    assert_eq!(hits, fixed, "q{i} σ={sigma} k={k}");
+                    assert_eq!(
+                        after.since(&between).logical_reads,
+                        between.since(&before).logical_reads,
+                        "q{i} σ={sigma} k={k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -152,17 +152,17 @@ impl<S: PageStore> Plane<'_, S> {
                         }
                     }
                 }
-                CachedNode::Inner(es) => {
-                    for e in es {
+                CachedNode::Inner(inner) => {
+                    for (e, &(child, _)) in inner.children.iter().enumerate() {
                         let mut bound = 1.0;
-                        for (i, d) in e.rect.as_slice().iter().enumerate() {
-                            bound *= mass_upper_1d(d, lo[i], hi[i]);
+                        for (d, (&l, &h)) in lo.iter().zip(hi).enumerate() {
+                            bound *= mass_upper_1d(&inner.rects.bounds(e, d), l, h);
                             if bound < tau {
                                 break;
                             }
                         }
                         if bound >= tau {
-                            stack.push(e.child);
+                            stack.push(child);
                         }
                     }
                 }

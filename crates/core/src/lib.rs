@@ -32,9 +32,11 @@
 //! * a columnar read hot path: decoded nodes are cached next to their pages
 //!   ([`CachedNode`] behind a [`gauss_storage::SideCache`]), leaves are
 //!   materialized struct-of-arrays and evaluated with the batched Lemma-1
-//!   kernel [`pfv::batch::log_densities`], and inner children are priced in
-//!   one fused hull sweep ([`children_log_hulls`]) — all bit-identical to
-//!   the scalar per-entry path.
+//!   kernel [`pfv::batch::log_densities`], inner nodes as columns of
+//!   parameter rectangles ([`ColumnarInnerNode`]) whose children k-MLIQ and
+//!   the ranking cursor queue under a screened bracket and price exactly
+//!   only when that could change the order — answers, page reads and
+//!   densities bit-identical to the scalar per-entry path.
 //!
 //! Nodes live in fixed-size pages behind a [`gauss_storage::SharedBufferPool`],
 //! so every query reports the same page-access statistics the paper measures
@@ -113,7 +115,7 @@ pub use delete::DeleteOutcome;
 pub use executor::BatchExecutor;
 pub use forest::{ComponentInfo, ForestOptions, ForestSnapshot, GaussForest, MaintainReport};
 pub use interval::BoxQueryResult;
-pub use node::{children_log_hulls, CachedNode, ColumnarLeafNode};
+pub use node::{children_log_hulls, CachedNode, ColumnarInnerNode, ColumnarLeafNode};
 pub use query::{MliqResult, RefinedResult, TiqResult};
 pub use tree::{GaussTree, RecoveryReport, Snapshot, TreeError, TreeOptions};
 pub use view::ReadView;

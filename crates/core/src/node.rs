@@ -39,11 +39,12 @@
 //! * [`CachedNode::read_from`] — the **query form**. A leaf's `μ`/`σ` go
 //!   from the page bytes straight to their slots in a
 //!   [`ColumnarLeaf`](pfv::batch::ColumnarLeaf) (which derives `σ²`,
-//!   padding and peak bounds itself): no `LeafEntry`, no `Pfv`, no
-//!   per-entry allocation. This is what a query pays on a node-cache miss —
-//!   every page of a cold query, the first touch of every node of a warm
-//!   one — and the only decoder on the read path
-//!   (`Plane::read_node_cached`).
+//!   padding and peak bounds itself), an inner node's bounds to theirs in
+//!   a [`ColumnarRects`](pfv::ColumnarRects) (which derives `σ²` and
+//!   padding): no `LeafEntry`, no `Pfv`, no `InnerEntry`, no per-entry
+//!   allocation. This is what a query pays on a node-cache miss — every
+//!   page of a cold query, the first touch of every node of a warm one —
+//!   and the only decoder on the read path (`Plane::read_node_cached`).
 //!
 //! The two agree by construction where they share code and by test where
 //! they do not: `CachedNode::read_from(page)` equals
@@ -56,7 +57,7 @@ use crate::config::LeafFormat;
 use gauss_storage::codec::ShortBuffer;
 use gauss_storage::{PageId, Writer};
 use pfv::batch::ColumnarLeaf;
-use pfv::{quant, CombineMode, DimBounds, ParamRect, Pfv, MIN_SIGMA};
+use pfv::{quant, ColumnarRects, CombineMode, DimBounds, ParamRect, Pfv, MIN_SIGMA};
 use std::slice::ChunksExact;
 
 /// Bytes reserved at the start of every node page.
@@ -108,15 +109,35 @@ pub struct ColumnarLeafNode {
     pub columns: ColumnarLeaf,
 }
 
+/// A decoded inner node in query-ready columnar form: the children's pages
+/// and subtree counts, and their parameter rectangles as the columns the
+/// screen and exact hull kernels of [`pfv::rects`] read.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnarInnerNode {
+    /// `(child page, subtree count)` of every entry, in entry order.
+    pub children: Box<[(PageId, u64)]>,
+    /// The entries' parameter rectangles, in entry order.
+    pub rects: ColumnarRects,
+}
+
+impl ColumnarInnerNode {
+    fn from_entries(dims: usize, es: &[InnerEntry]) -> Self {
+        Self {
+            children: es.iter().map(|e| (e.child, e.count)).collect(),
+            rects: ColumnarRects::from_rects(dims, es.iter().map(|e| &e.rect)),
+        }
+    }
+}
+
 /// A node decoded once and cached for the read path (see
-/// [`crate::GaussTree`]'s node cache): leaves are materialized as columnar
-/// scans, inner nodes keep their entry vector for hull sweeps.
+/// [`crate::GaussTree`]'s node cache): both levels are materialized as
+/// columns.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CachedNode {
     /// Leaf level, columnar.
     Leaf(ColumnarLeafNode),
-    /// Inner level.
-    Inner(Vec<InnerEntry>),
+    /// Inner level, columnar.
+    Inner(ColumnarInnerNode),
 }
 
 /// Conservative bounds `(ln N̂, ln Ň)` of every child of an inner node for
@@ -168,10 +189,11 @@ impl Node {
     }
 
     /// Converts the node into its cached, query-ready representation,
-    /// materializing leaves as [`ColumnarLeafNode`]s. The read path decodes
-    /// pages with [`CachedNode::read_from`] instead; this transpose is the
-    /// reference that decoder is tested against, and what a caller holding
-    /// a row-form node uses.
+    /// materializing leaves as [`ColumnarLeafNode`]s and inner nodes as
+    /// [`ColumnarInnerNode`]s. The read path decodes pages with
+    /// [`CachedNode::read_from`] instead; this transpose is the reference
+    /// that decoder is tested against, and what a caller holding a
+    /// row-form node uses.
     #[must_use]
     pub fn into_cached(self, dims: usize) -> CachedNode {
         match self {
@@ -179,7 +201,7 @@ impl Node {
                 ids: es.iter().map(|e| e.id).collect(),
                 columns: ColumnarLeaf::from_pfvs(dims, es.iter().map(|e| &e.pfv)),
             }),
-            Node::Inner(es) => CachedNode::Inner(es),
+            Node::Inner(es) => CachedNode::Inner(ColumnarInnerNode::from_entries(dims, &es)),
         }
     }
 
@@ -325,9 +347,10 @@ impl Node {
 
 impl CachedNode {
     /// Decodes a page straight into query-ready form — the columnar sink
-    /// of the page parser (see the [module docs](self)): `μ`/`σ` go from
-    /// the page bytes to their column slots with no [`LeafEntry`], no
-    /// [`Pfv`] and no per-entry allocation. Equal, to the bit, to
+    /// of the page parser (see the [module docs](self)): `μ`/`σ` and an
+    /// inner node's bounds go from the page bytes to their column slots
+    /// with no [`LeafEntry`], no [`Pfv`], no [`InnerEntry`] and no
+    /// per-entry allocation. Equal, to the bit, to
     /// `Node::read_from(dims, format, page)?.into_cached(dims)`, and an
     /// error exactly when that is one.
     ///
@@ -359,7 +382,19 @@ impl CachedNode {
                     columns,
                 }))
             }
-            Entries::Inner(entries) => inner_entries(entries).map(CachedNode::Inner),
+            Entries::Inner(entries) => {
+                let mut children = Vec::with_capacity(entries.len());
+                let rects = ColumnarRects::try_fill(dims, entries.len(), |fill| {
+                    for (e, entry) in entries.enumerate() {
+                        children.push(inner_entry(entry, |d, bounds| fill.put(e, d, bounds))?);
+                    }
+                    Ok::<(), NodeCodecError>(())
+                })?;
+                Ok(CachedNode::Inner(ColumnarInnerNode {
+                    children: children.into_boxed_slice(),
+                    rects,
+                }))
+            }
         }
     }
 }
@@ -481,40 +516,48 @@ fn leaf_params<const W: usize>(
     valid
 }
 
-/// Decodes the entries of an inner page.
+/// Decodes the entries of an inner page into the row form.
 fn inner_entries(entries: ChunksExact<'_, u8>) -> Result<Vec<InnerEntry>, NodeCodecError> {
     let mut es = Vec::with_capacity(entries.len());
     for entry in entries {
-        // `entry` is one whole entry (`Entries::parse`): both words are there.
-        let ([child, count, bounds @ ..], _) = entry.as_chunks::<8>() else {
-            return Err(NodeCodecError::Corrupt("invalid bounds"));
-        };
-        let child = PageId(u64::from_le_bytes(*child));
-        if !child.is_valid() {
-            return Err(NodeCodecError::Corrupt("invalid child pointer"));
-        }
-        let (bounds, _) = bounds.as_chunks::<4>();
-        let mut ds = Vec::with_capacity(bounds.len());
-        for dim in bounds {
-            let [mu_lo, mu_hi, sigma_lo, sigma_hi] = dim.map(f64::from_le_bytes);
-            if !(mu_lo.is_finite()
-                && mu_hi.is_finite()
-                && sigma_lo.is_finite()
-                && sigma_hi.is_finite())
-                || mu_lo > mu_hi
-                || sigma_lo > sigma_hi
-            {
-                return Err(NodeCodecError::Corrupt("invalid bounds"));
-            }
+        let mut ds = Vec::with_capacity(entry.len() / 32);
+        let (child, count) = inner_entry(entry, |_, [mu_lo, mu_hi, sigma_lo, sigma_hi]| {
             ds.push(DimBounds::new(mu_lo, mu_hi, sigma_lo, sigma_hi));
-        }
+        })?;
         es.push(InnerEntry {
             child,
-            count: u64::from_le_bytes(*count),
+            count,
             rect: ParamRect::from_dims(ds),
         });
     }
     Ok(es)
+}
+
+/// Decodes one inner entry: returns its child page and subtree count and
+/// hands `put` each dimension's `(d, [μ̌, μ̂, σ̌, σ̂])` once it has checked
+/// what [`DimBounds::new`] asserts — finite and ordered bounds. On an error
+/// `put` may have seen some of the entry's dimensions; the caller discards
+/// what it built.
+fn inner_entry(
+    entry: &[u8],
+    mut put: impl FnMut(usize, [f64; 4]),
+) -> Result<(PageId, u64), NodeCodecError> {
+    // `entry` is one whole entry (`Entries::parse`): both words are there.
+    let ([child, count, bounds @ ..], _) = entry.as_chunks::<8>() else {
+        return Err(NodeCodecError::Corrupt("invalid bounds"));
+    };
+    let child = PageId(u64::from_le_bytes(*child));
+    if !child.is_valid() {
+        return Err(NodeCodecError::Corrupt("invalid child pointer"));
+    }
+    for (d, dim) in bounds.as_chunks::<4>().0.iter().enumerate() {
+        let bounds @ [mu_lo, mu_hi, sigma_lo, sigma_hi] = dim.map(f64::from_le_bytes);
+        if !bounds.iter().all(|b| b.is_finite()) || mu_lo > mu_hi || sigma_lo > sigma_hi {
+            return Err(NodeCodecError::Corrupt("invalid bounds"));
+        }
+        put(d, bounds);
+    }
+    Ok((child, u64::from_le_bytes(*count)))
 }
 
 #[cfg(test)]
@@ -732,7 +775,14 @@ mod tests {
         let CachedNode::Inner(cached) = node.into_cached(2) else {
             panic!("inner must cache as inner");
         };
-        assert_eq!(cached, es);
+        assert_eq!(cached.children.len(), es.len());
+        assert_eq!(cached.rects.len(), es.len());
+        for (i, e) in es.iter().enumerate() {
+            assert_eq!(cached.children[i], (e.child, e.count));
+            for d in 0..2 {
+                assert_eq!(cached.rects.bounds(i, d), *e.rect.dim(d));
+            }
+        }
     }
 
     #[test]
@@ -876,6 +926,15 @@ mod decoder_props {
                         bits(a.columns.log_norm_col()),
                         bits(b.columns.log_norm_col())
                     );
+                }
+                if let (CachedNode::Inner(a), CachedNode::Inner(b)) = (&direct, &two_step) {
+                    for (e, d) in (0..a.rects.len()).flat_map(|e| (0..dims).map(move |d| (e, d))) {
+                        let (x, y) = (a.rects.bounds(e, d), b.rects.bounds(e, d));
+                        let bits = |b: DimBounds| {
+                            [b.mu_lo, b.mu_hi, b.sigma_lo, b.sigma_hi].map(f64::to_bits)
+                        };
+                        assert_eq!(bits(x), bits(y));
+                    }
                 }
                 true
             }

@@ -24,6 +24,41 @@
 //!   below the threshold, and processing stops when no unexplored node can
 //!   contain a qualifying object and every candidate is decided.
 //!
+//! **Why lazy pricing opens the same pages.** The two loops that order by
+//! the upper bound alone — `Plane::k_mliq_scan` and the
+//! [`RankingCursor`](crate::RankingCursor) — do not price an inner node's
+//! children exactly when they open it. The screen of [`pfv::rects`]
+//! brackets every child's exact Lemma-2 bound `N̂`, `low ≤ N̂ ≤ key`, for
+//! one `ln` per child; the child is queued under `key` (k-MLIQ drops it
+//! at once if `key` is below the k-th kept density `worst`), and the loop
+//! keeps the parent's decoded node, so pricing the child later reads
+//! nothing. With `t` the popped entry and `next` the best key left:
+//!
+//! 1. `worst > t.key`: stop — every exact bound left is below `worst`.
+//! 2. `t` unpriced and `!(t.low > next) || worst > t.low`: price `t`
+//!    exactly from its parent's columns; drop it if that is below
+//!    `worst`, else queue it again, priced.
+//! 3. Otherwise expand `t`.
+//!
+//! So a node is expanded only when its exact bound is provably the largest
+//! left and at least `worst`: a priced entry's key *is* its bound and
+//! bounds every other exact bound from above; an unpriced one has
+//! `N̂ ≥ low > next`. Ties go by page either way — an unpriced entry whose
+//! key ties the top's is priced when it pops, before anything is expanded.
+//! That is the choice of the eager loop, which prices every child when its
+//! parent opens, queues those not below `worst` and pops the best
+//! `(N̂, page)` until one is below `worst`. The children the lazy loop
+//! queues and the eager one does not have bounds below a `worst` that only
+//! rises, so rule 2 drops them; and where the eager loop stops, the lazy
+//! one only prices and drops. Same expansions in the same order, so the
+//! same leaves through the same kernel, the same `worst` after each, the
+//! same stopping point — the same pages, ids and density bits. The cursor
+//! is the case `worst = −∞`: nothing is dropped, and a node out-ranks an
+//! object of equal key, so every node whose exact bound reaches a hit's
+//! density is expanded before the hit is emitted, as in the eager cursor.
+//! A test keeps the eager k-MLIQ loop as the oracle of reads and answer
+//! bits.
+//!
 //! **Why the answer does not depend on component boundaries.** Candidate
 //! selection is a pure function of the multiset of `(id, density)` pairs
 //! of the live set under a strict total order. Densities come from the
@@ -93,7 +128,7 @@
 //! [`ReadView::k_mliq_refined`]: crate::view::ReadView::k_mliq_refined
 //! [`ReadView::tiq`]: crate::view::ReadView::tiq
 
-use crate::node::{CachedNode, ColumnarLeafNode};
+use crate::node::{CachedNode, ColumnarInnerNode, ColumnarLeafNode};
 use crate::tree::TreeError;
 use crate::view::{Plane, ViewPlane};
 use gauss_storage::store::PageStore;
@@ -102,6 +137,7 @@ use pfv::logsum::{log_add_exp, LogSumAcc, ScaledSum};
 use pfv::{batch, combine, CombineMode, Pfv};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
+use std::sync::Arc;
 
 /// How far below the largest exact term of the Bayes denominator a density
 /// has to lie to leave the exact sum **bit-unchanged**: [`LogSumAcc`]
@@ -150,33 +186,14 @@ pub struct TiqResult {
     pub prob_hi: f64,
 }
 
-/// Priority-queue entry: an active node ordered by its upper bound.
+/// An unexpanded node of a denominator search: its exact bounds, the
+/// entries below it and its page.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ActiveNode {
     pub(crate) log_upper: f64,
     pub(crate) log_lower: f64,
     pub(crate) count: u64,
     pub(crate) page: PageId,
-}
-
-impl PartialEq for ActiveNode {
-    fn eq(&self, other: &Self) -> bool {
-        self.log_upper == other.log_upper && self.page == other.page
-    }
-}
-impl Eq for ActiveNode {}
-impl PartialOrd for ActiveNode {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ActiveNode {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on the upper bound; page id only to make Ord total.
-        self.log_upper
-            .total_cmp(&other.log_upper)
-            .then_with(|| self.page.cmp(&other.page))
-    }
 }
 
 /// Candidate ordered ascending by (density, id) so a `BinaryHeap<Reverse<_>>`
@@ -351,9 +368,229 @@ impl Ord for CompNode {
     }
 }
 
+/// [`Pending::slot`] of a node whose `key` is its exact upper bound.
+const PRICED: u32 = u32::MAX;
+/// [`Pending::slot`] of an object (the cursor's).
+const OBJECT: u32 = u32::MAX - 1;
+
+/// A [`Frontier`] row or slot that does not fit in 32 bits: more than 2³²
+/// nodes opened by one query, or an inner node that wide.
+const FRONTIER_FULL: TreeError = TreeError::Corrupt("best-first frontier past 2^32 rows or slots");
+
+/// Queue entry of the upper-only best-first loops (`Plane::k_mliq_scan`
+/// and the ranking cursor): a child under its screen bracket, a node under
+/// its exact upper bound, or an object under its density. 32 bytes, and
+/// `Copy`: a child refers to its parent by row, not by pointer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pending {
+    /// What the entry is ordered by: the screen's `key` (unpriced child),
+    /// the exact upper bound (priced node) or the density (object).
+    key: f64,
+    /// The screen's lower bound on the exact upper bound; read only while
+    /// the child is unpriced.
+    low: f64,
+    /// Page index of a node, id of an object.
+    id: u64,
+    /// A node's row in [`Frontier::rows`]: its parent's (a child) or its
+    /// own (a root).
+    row: u32,
+    /// An unpriced child's slot in its parent, else [`PRICED`] or
+    /// [`OBJECT`].
+    slot: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Pending>() == 32);
+
+impl Pending {
+    pub(crate) fn page(&self) -> PageId {
+        PageId(self.id)
+    }
+
+    /// The entry as a candidate, if it is an object.
+    pub(crate) fn object(&self) -> Option<Candidate> {
+        (self.slot == OBJECT).then_some(Candidate {
+            log_density: self.key,
+            id: self.id,
+        })
+    }
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Pending {}
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Max-heap on the key. On ties a node out-ranks an object — it may
+        // hide an equal-density entry with a smaller id, which the cursor's
+        // (density desc, id asc) contract ranks first; nodes go by page, as
+        // the eager loop ordered them; objects by ascending id. A strict
+        // total order, so nothing depends on heap arrival order.
+        let object = |p: &Self| p.slot == OBJECT;
+        self.key
+            .total_cmp(&other.key)
+            .then_with(|| match (object(self), object(other)) {
+                (false, false) => self.id.cmp(&other.id),
+                (false, true) => Ordering::Greater,
+                (true, false) => Ordering::Less,
+                (true, true) => other.id.cmp(&self.id),
+            })
+    }
+}
+
+/// A root or an opened inner node, as the frontier remembers it.
+struct Row {
+    /// The decoded inner node, kept so its unpriced children can be priced
+    /// without reading it again; `None` for a root.
+    node: Option<Arc<CachedNode>>,
+    /// The view component the node belongs to.
+    comp: usize,
+}
+
+/// The frontier of an upper-only best-first loop, with inner children
+/// priced lazily (module docs, "Why lazy pricing opens the same pages").
+#[derive(Default)]
+pub(crate) struct Frontier {
+    heap: BinaryHeap<Pending>,
+    rows: Vec<Row>,
+    /// The screen's brackets for the node being opened, reused.
+    brackets: Vec<(f64, f64)>,
+}
+
+impl Frontier {
+    /// Entries queued.
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn next_row(&self) -> Result<u32, TreeError> {
+        u32::try_from(self.rows.len()).map_err(|_| FRONTIER_FULL)
+    }
+
+    /// Queues the root of component `comp`, above everything.
+    pub(crate) fn push_root(&mut self, page: PageId, comp: usize) -> Result<(), TreeError> {
+        let row = self.next_row()?;
+        self.rows.push(Row { node: None, comp });
+        self.heap.push(Pending {
+            key: f64::INFINITY,
+            low: f64::INFINITY,
+            id: page.index(),
+            row,
+            slot: PRICED,
+        });
+        Ok(())
+    }
+
+    /// Queues an object under its density.
+    pub(crate) fn push_object(&mut self, c: Candidate) {
+        self.heap.push(Pending {
+            key: c.log_density,
+            low: c.log_density,
+            id: c.id,
+            row: 0,
+            slot: OBJECT,
+        });
+    }
+
+    /// The view component of the node `p`.
+    pub(crate) fn comp(&self, p: &Pending) -> usize {
+        self.rows[p.row as usize].comp
+    }
+
+    /// Opens `inner` — the decoded `node` of the entry `from` — and queues
+    /// its children under their screen brackets, except those whose `key`
+    /// is below `worst` (strict, as the eager loop's test: an exactly tied
+    /// child may hold the tie-winning id).
+    pub(crate) fn push_children(
+        &mut self,
+        from: &Pending,
+        node: &Arc<CachedNode>,
+        inner: &ColumnarInnerNode,
+        q: &Pfv,
+        mode: CombineMode,
+        worst: f64,
+    ) -> Result<(), TreeError> {
+        let row = self.next_row()?;
+        let slots = u32::try_from(inner.children.len())
+            .ok()
+            .filter(|&n| n < OBJECT)
+            .ok_or(FRONTIER_FULL)?;
+        let comp = self.comp(from);
+        self.rows.push(Row {
+            node: Some(Arc::clone(node)),
+            comp,
+        });
+        inner
+            .rects
+            .screen_upper_for_query(q, mode, &mut self.brackets);
+        for ((slot, &(low, key)), &(page, _)) in
+            (0..slots).zip(&self.brackets).zip(&*inner.children)
+        {
+            if key < worst {
+                continue;
+            }
+            self.heap.push(Pending {
+                key,
+                low,
+                id: page.index(),
+                row,
+                slot,
+            });
+        }
+        Ok(())
+    }
+
+    /// The next entry to act on — an object, or a node to expand — or
+    /// `None` once the frontier is empty or its best bound is below
+    /// `worst` (`NO_FLOOR` keeps everything). Unpriced children met on
+    /// the way are priced exactly, and dropped below `worst`, by rules 1–3
+    /// of the module docs.
+    // The negated tests are the rules as written: a NaN fails them and is
+    // priced, or kept.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    pub(crate) fn next(&mut self, q: &Pfv, mode: CombineMode, worst: f64) -> Option<Pending> {
+        while let Some(top) = self.heap.pop() {
+            if worst > top.key {
+                return None;
+            }
+            if top.slot < OBJECT {
+                let next = self.heap.peek().map_or(f64::NEG_INFINITY, |n| n.key);
+                if !(top.low > next) || worst > top.low {
+                    let exact = match self.rows[top.row as usize].node.as_deref() {
+                        Some(CachedNode::Inner(inner)) => {
+                            inner.rects.log_upper_for_query(top.slot as usize, q, mode)
+                        }
+                        // Only an opened inner node has unpriced children.
+                        _ => f64::INFINITY,
+                    };
+                    if !(exact < worst) {
+                        self.heap.push(Pending {
+                            key: exact,
+                            slot: PRICED,
+                            ..top
+                        });
+                    }
+                    continue;
+                }
+            }
+            return Some(top);
+        }
+        None
+    }
+}
+
 impl<S: PageStore> Plane<'_, S> {
     /// The best-first k-MLIQ descent over *this* tree, pushing candidates
-    /// into a caller-owned heap capped at `target`.
+    /// into a caller-owned heap capped at `target`; inner children are
+    /// priced lazily, opening exactly the pages of the eager descent (module
+    /// docs).
     ///
     /// `hidden` names entry ids to skip — the ids newer components and
     /// tombstones shadow in this one; `None` when nothing is hidden (always
@@ -373,56 +610,33 @@ impl<S: PageStore> Plane<'_, S> {
             return Ok(());
         }
         let mode = self.config().combine;
-
-        let mut active: BinaryHeap<ActiveNode> = BinaryHeap::new();
-        active.push(ActiveNode {
-            log_upper: f64::INFINITY,
-            log_lower: f64::NEG_INFINITY,
-            count: self.len(),
-            page: self.root_page(),
-        });
+        let mut frontier = Frontier::default();
+        frontier.push_root(self.root_page(), 0)?;
         let mut scratch = LeafScratch::default();
-
-        while let Some(top) = active.pop() {
-            let worst = kth_density(best, target);
-            // Strict: a subtree whose upper bound exactly equals the worst
-            // kept density may still hold an equal-density entry with a
+        loop {
+            // `−∞` while the heap has room (nothing is pruned, every leaf
+            // entry is evaluated), the k-th kept density once it is full.
+            // Strict wherever it prunes: a subtree whose bound exactly
+            // equals it may still hold an equal-density entry with a
             // smaller id, which wins the (density, id) tie — pruning on
             // equality would make the result depend on scan order (and
             // across forest components, on component order).
-            if worst > top.log_upper {
-                break;
-            }
-            match &*self.read_node_cached(top.page)? {
-                // `worst` is the floor: `−∞` while the heap has room (every
-                // entry is evaluated), the k-th kept density once it is
-                // full (entries that provably cannot enter are skipped).
+            let worst = kth_density(best, target);
+            let Some(top) = frontier.next(q, mode, worst) else {
+                return Ok(());
+            };
+            let node = self.read_node_cached(top.page())?;
+            match &*node {
                 CachedNode::Leaf(leaf) => {
                     leaf_objects(leaf, hidden, mode, q, worst, &mut scratch, |c| {
                         push_candidate(best, target, c.log_density, c.id);
                     });
                 }
-                CachedNode::Inner(es) => {
-                    // Plain k-MLIQ never consults the lower bound, so price
-                    // the children with upper bounds only.
-                    for e in es {
-                        let up = e.rect.log_upper_for_query(q, mode);
-                        // Strict for the same reason as the break above: an
-                        // exactly-tied child may contain the tie-winning id.
-                        if up < worst {
-                            continue;
-                        }
-                        active.push(ActiveNode {
-                            log_upper: up,
-                            log_lower: f64::NEG_INFINITY,
-                            count: e.count,
-                            page: e.child,
-                        });
-                    }
+                CachedNode::Inner(inner) => {
+                    frontier.push_children(&top, &node, inner, q, mode, worst)?;
                 }
             }
         }
-        Ok(())
     }
 }
 
@@ -499,6 +713,8 @@ struct DenomSearch<'a, 'q, S: PageStore> {
     active: BinaryHeap<CompNode>,
     denom: DenomBounds,
     scratch: LeafScratch,
+    /// The exact bounds of the children of the node being expanded, reused.
+    bounds: Vec<(f64, f64)>,
     /// The running tally that picks each leaf's path: entries `expand` has
     /// opened under a finite floor, and how many of them reached it.
     seen: usize,
@@ -514,6 +730,7 @@ impl<'a, 'q, S: PageStore> DenomSearch<'a, 'q, S> {
     fn start(view: ViewPlane<'a, S>, q: &'q Pfv) -> Result<(Self, Vec<Candidate>), TreeError> {
         let mode = view.config().combine;
         let mut scratch = LeafScratch::default();
+        let mut bounds = Vec::new();
         let mut objects: Vec<Candidate> = view.mem_objects(q).collect();
         let mut nodes: Vec<CompNode> = Vec::new();
         for comp in 0..view.comp_count() {
@@ -527,8 +744,11 @@ impl<'a, 'q, S: PageStore> DenomSearch<'a, 'q, S> {
                         objects.push(c);
                     });
                 }
-                CachedNode::Inner(es) => {
-                    nodes.extend(active_children(es, q, mode).map(|node| CompNode { node, comp }));
+                CachedNode::Inner(inner) => {
+                    nodes.extend(
+                        active_children(inner, q, mode, &mut bounds)
+                            .map(|node| CompNode { node, comp }),
+                    );
                 }
             }
         }
@@ -553,6 +773,7 @@ impl<'a, 'q, S: PageStore> DenomSearch<'a, 'q, S> {
             active,
             denom,
             scratch,
+            bounds,
             seen: 0,
             kept: 0,
         };
@@ -616,8 +837,8 @@ impl<'a, 'q, S: PageStore> DenomSearch<'a, 'q, S> {
                     self.kept += kept;
                 }
             }
-            CachedNode::Inner(es) => {
-                for node in active_children(es, self.q, mode) {
+            CachedNode::Inner(inner) => {
+                for node in active_children(inner, self.q, mode, &mut self.bounds) {
                     self.denom.add_node(&node, shadowed);
                     self.active.push(CompNode {
                         node,
@@ -826,24 +1047,23 @@ impl<'a, S: PageStore> ViewPlane<'a, S> {
     }
 }
 
-/// Prices every child of an inner node in one fused hull sweep (the same
-/// per-child evaluation as [`children_log_hulls`], without materializing
-/// the intermediate bounds vector) and wraps them as queue entries.
+/// Prices every child of an inner node exactly, both bounds per child
+/// (bit-identical to [`children_log_hulls`] on the row form), into
+/// `bounds`, and wraps them as queue entries.
 ///
 /// [`children_log_hulls`]: crate::node::children_log_hulls
 fn active_children<'a>(
-    es: &'a [crate::node::InnerEntry],
-    q: &'a Pfv,
+    inner: &'a ColumnarInnerNode,
+    q: &Pfv,
     mode: CombineMode,
-) -> impl Iterator<Item = ActiveNode> + 'a {
-    es.iter().map(move |e| {
-        let (up, lo) = e.rect.log_bounds_for_query(q, mode);
-        ActiveNode {
-            log_upper: up,
-            log_lower: lo,
-            count: e.count,
-            page: e.child,
-        }
+    bounds: &'a mut Vec<(f64, f64)>,
+) -> impl Iterator<Item = ActiveNode> + use<'a> {
+    inner.rects.log_bounds_for_query_each(q, mode, bounds);
+    (bounds.iter().zip(&*inner.children)).map(|(&(up, lo), &(page, count))| ActiveNode {
+        log_upper: up,
+        log_lower: lo,
+        count,
+        page,
     })
 }
 
@@ -885,7 +1105,7 @@ mod tests {
     use crate::tree::GaussTree;
     use crate::view::ReadView;
     use gauss_storage::{AccessStats, BufferPool, MemStore};
-    use pfv::{combine, CombineMode};
+    use pfv::{combine, CombineMode, ParamRect};
 
     /// Deterministic xorshift so tests need no external RNG.
     struct Rng(u64);
@@ -1289,6 +1509,304 @@ mod tests {
             4 * shown_screened < shown_batched,
             "{shown_screened} of {shown_batched}"
         );
+    }
+
+    impl<S: PageStore> Plane<'_, S> {
+        /// The eager descent the lazy one replaced: every child of an
+        /// opened inner node priced exactly, those not below the k-th kept
+        /// density queued, the best `(N̂, page)` popped until one is below
+        /// it. The oracle of `lazy_pricing_opens_the_pages_eager_pricing_opens`.
+        fn k_mliq_scan_eager(
+            &self,
+            q: &Pfv,
+            target: usize,
+            hidden: Option<&HashSet<u64>>,
+            best: &mut BinaryHeap<Reverse<Candidate>>,
+        ) -> Result<(), TreeError> {
+            if self.is_empty() {
+                return Ok(());
+            }
+            let mode = self.config().combine;
+            let node = |log_upper, page| CompNode {
+                node: ActiveNode {
+                    log_upper,
+                    log_lower: f64::NEG_INFINITY,
+                    count: 0,
+                    page,
+                },
+                comp: 0,
+            };
+            let mut active = BinaryHeap::from([node(f64::INFINITY, self.root_page())]);
+            let mut scratch = LeafScratch::default();
+            while let Some(top) = active.pop() {
+                let worst = kth_density(best, target);
+                if worst > top.node.log_upper {
+                    break;
+                }
+                match &*self.read_node_cached(top.node.page)? {
+                    CachedNode::Leaf(leaf) => {
+                        leaf_objects(leaf, hidden, mode, q, worst, &mut scratch, |c| {
+                            push_candidate(best, target, c.log_density, c.id);
+                        });
+                    }
+                    CachedNode::Inner(inner) => {
+                        for (e, &(page, _)) in inner.children.iter().enumerate() {
+                            let up = inner.rects.log_upper_for_query(e, q, mode);
+                            if up >= worst {
+                                active.push(node(up, page));
+                            }
+                        }
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// k-MLIQ over `view` through the lazy descent or the eager oracle:
+    /// ids and density bits, best first.
+    fn k_mliq_via<S: PageStore>(
+        view: ViewPlane<'_, S>,
+        q: &Pfv,
+        k: usize,
+        eager: bool,
+    ) -> Vec<(u64, u64)> {
+        let target = k.min(view.len() as usize);
+        let mut best = BinaryHeap::new();
+        for c in view.mem_objects(q) {
+            push_candidate(&mut best, target, c.log_density, c.id);
+        }
+        for i in 0..view.comp_count() {
+            let (plane, hidden) = view.comp(i);
+            if eager {
+                plane.k_mliq_scan_eager(q, target, hidden, &mut best)
+            } else {
+                plane.k_mliq_scan(q, target, hidden, &mut best)
+            }
+            .unwrap();
+        }
+        ranked(best)
+            .map(|c| (c.id, c.log_density.to_bits()))
+            .collect()
+    }
+
+    /// Asserts that the lazy and the eager descent answer every query of
+    /// `queries` for k ∈ {1, 3, 17} with the same ids and density bits after
+    /// the same number of logical page reads; returns the reads.
+    fn assert_same_pages<S: PageStore>(
+        view: ViewPlane<'_, S>,
+        stats: &AccessStats,
+        queries: &[Pfv],
+        what: &str,
+    ) -> u64 {
+        let mut reads = 0;
+        for (i, q) in queries.iter().enumerate() {
+            for k in [1, 3, 17] {
+                let before = stats.snapshot();
+                let eager = k_mliq_via(view, q, k, true);
+                let between = stats.snapshot();
+                let lazy = k_mliq_via(view, q, k, false);
+                let after = stats.snapshot();
+                assert_eq!(lazy, eager, "{what}: q{i} k={k}");
+                let eager_reads = between.since(&before).logical_reads;
+                let lazy_reads = after.since(&between).logical_reads;
+                assert_eq!(lazy_reads, eager_reads, "{what}: q{i} k={k} pages");
+                reads += lazy_reads;
+            }
+        }
+        reads
+    }
+
+    #[test]
+    fn the_frontier_expands_in_exact_order_under_any_valid_brackets() {
+        // Brackets far looser than the screen's, and often tight or tied:
+        // whatever order the keys suggest, the frontier hands out exactly
+        // the children whose exact bound reaches `worst`, best `(N̂, page)`
+        // first — the eager loop's order.
+        let mut rng = Rng(77);
+        let q = Pfv::new(vec![0.0], vec![0.2]).unwrap();
+        for trial in 0..200 {
+            let rects: Vec<ParamRect> = (0..24)
+                .map(|i| {
+                    // Every fourth child lies 0.5 from the query: where its
+                    // σ-interval reaches that far, its bound is the ridge's,
+                    // the same for all of them — exact ties.
+                    let x = if i % 4 == 3 {
+                        0.5
+                    } else {
+                        rng.next_f64() * 16.0 - 8.0
+                    };
+                    let w = rng.next_f64();
+                    ParamRect::from_dims(vec![pfv::DimBounds::new(x, x + w, 0.1, 0.1 + w)])
+                })
+                .collect();
+            let inner = ColumnarInnerNode {
+                children: (0..24).map(|i| (PageId(100 + (i * 13) % 24), 1)).collect(),
+                rects: pfv::ColumnarRects::from_rects(1, rects.iter()),
+            };
+            let node = Arc::new(CachedNode::Inner(inner.clone()));
+            for mode in [CombineMode::Convolution, CombineMode::AdditiveSigma] {
+                let exact: Vec<f64> = (0..24)
+                    .map(|e| inner.rects.log_upper_for_query(e, &q, mode))
+                    .collect();
+                let worst = if trial % 2 == 0 {
+                    f64::NEG_INFINITY
+                } else {
+                    exact[trial % 24]
+                };
+                let mut frontier = Frontier::default();
+                frontier.rows.push(Row {
+                    node: Some(Arc::clone(&node)),
+                    comp: 0,
+                });
+                for (slot, &up) in (0u32..).zip(&exact) {
+                    let loose = |rng: &mut Rng| {
+                        if rng.next_f64() < 0.3 {
+                            0.0
+                        } else {
+                            rng.next_f64() * 3.0
+                        }
+                    };
+                    frontier.heap.push(Pending {
+                        key: up + loose(&mut rng),
+                        low: up - loose(&mut rng),
+                        id: inner.children[slot as usize].0.index(),
+                        row: 0,
+                        slot,
+                    });
+                }
+                let mut got = Vec::new();
+                while let Some(top) = frontier.next(&q, mode, worst) {
+                    got.push(top.page());
+                }
+                let mut want: Vec<(f64, PageId)> = (exact.iter().copied())
+                    .zip(inner.children.iter().map(|c| c.0))
+                    .filter(|&(up, _)| up >= worst)
+                    .collect();
+                want.sort_by(|a, b| b.0.total_cmp(&a.0).then(b.1.cmp(&a.1)));
+                let want: Vec<PageId> = want.into_iter().map(|w| w.1).collect();
+                assert_eq!(got, want, "trial {trial} {mode:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_frontier_stops_on_a_priced_bound_and_prices_below_worst() {
+        // The two situations real brackets are too tight to produce: a
+        // child whose bracket is clear of the next key but whose `low` is
+        // below `worst` (priced, and dropped), and nodes priced while
+        // `worst` was lower (the loop stops on the first).
+        let q = Pfv::new(vec![0.0], vec![0.2]).unwrap();
+        let rects = [
+            ParamRect::from_dims(vec![pfv::DimBounds::new(-0.1, 0.1, 0.1, 0.2)]),
+            ParamRect::from_dims(vec![pfv::DimBounds::new(3.0, 3.5, 0.1, 0.2)]),
+        ];
+        let inner = ColumnarInnerNode {
+            children: Box::new([(PageId(1), 1), (PageId(2), 1)]),
+            rects: pfv::ColumnarRects::from_rects(1, rects.iter()),
+        };
+        let mode = CombineMode::Convolution;
+        let (near, far) = (
+            inner.rects.log_upper_for_query(0, &q, mode),
+            inner.rects.log_upper_for_query(1, &q, mode),
+        );
+        let worst = 0.5 * (near + far);
+        let mut frontier = Frontier::default();
+        frontier.rows.push(Row {
+            node: Some(Arc::new(CachedNode::Inner(inner))),
+            comp: 0,
+        });
+        let entry = |key, low, id, slot| Pending {
+            key,
+            low,
+            id,
+            row: 0,
+            slot,
+        };
+        frontier.heap.extend([
+            entry(near, near, 1, 0),
+            entry(worst + 1.0, far, 2, 1),
+            entry(far - 1.0, far - 1.0, 3, PRICED),
+            entry(far - 2.0, far - 2.0, 4, PRICED),
+        ]);
+        let mut got = Vec::new();
+        while let Some(top) = frontier.next(&q, mode, worst) {
+            got.push(top.id);
+        }
+        assert_eq!(got, [1]);
+        assert_eq!(
+            frontier.len(),
+            1,
+            "stopped on the first priced bound below worst"
+        );
+    }
+
+    #[test]
+    fn lazy_pricing_opens_the_pages_eager_pricing_opens() {
+        let mut checked = 0;
+        for (dims, caps) in [
+            (1usize, [Some((4usize, 3usize)), Some((4, 120)), None]),
+            (2, [Some((4, 3)), Some((18, 9)), None]),
+            (27, [Some((4, 3)), Some((18, 9)), None]),
+        ] {
+            let mut items = spread_db(
+                if dims == 27 { 500 } else { 900 },
+                dims,
+                40 + dims as u64,
+                0.02,
+                0.4,
+            );
+            // Twins under other ids: equal densities, so ties at every level.
+            for i in 0..60u64 {
+                items.push((10_000 + i, items[(i * 7) as usize].1.clone()));
+            }
+            let mut queries: Vec<Pfv> = [3usize, 150, 433]
+                .iter()
+                .map(|&t| Pfv::new(items[t].1.means().to_vec(), vec![0.05; dims]).unwrap())
+                .collect();
+            queries.push(Pfv::new(vec![5.0; dims], vec![0.7; dims]).unwrap());
+            queries.push(Pfv::new(vec![-40.0; dims], vec![0.01; dims]).unwrap());
+            for mode in [CombineMode::Convolution, CombineMode::AdditiveSigma] {
+                for cap in caps {
+                    let config = TreeConfig::new(dims).with_combine(mode);
+                    let config =
+                        cap.map_or(config, |(leaf, inner)| config.with_capacities(leaf, inner));
+                    let pool =
+                        BufferPool::new(MemStore::new(8192), 1 << 14, AccessStats::new_shared());
+                    let tree = GaussTree::bulk_load(pool, config, items.iter().cloned()).unwrap();
+                    let what = format!("d{dims} {cap:?} {mode:?}");
+                    if cap == Some((4, 120)) {
+                        let plane = tree.plane().comp(0).0;
+                        let (mut stack, mut widest) = (vec![tree.root_page()], 0);
+                        while let Some(page) = stack.pop() {
+                            if let CachedNode::Inner(inner) =
+                                &*plane.read_node_cached(page).unwrap()
+                            {
+                                widest = widest.max(inner.children.len());
+                                stack.extend(inner.children.iter().map(|c| c.0));
+                            }
+                        }
+                        assert!(widest > 64, "{what}: widest fan-out {widest}");
+                    }
+                    checked += assert_same_pages(tree.plane(), tree.stats(), &queries, &what);
+                }
+                // A forest with shadowed ids and a live memtable.
+                let cap = if dims == 27 { (18, 9) } else { (6, 4) };
+                let config = TreeConfig::new(dims)
+                    .with_combine(mode)
+                    .with_capacities(cap.0, cap.1);
+                let forest = shadowed_forest(&items, config);
+                let snap = forest.snapshot().unwrap();
+                assert!(snap.plane().comp_count() > 1 && !snap.plane().mem().is_empty());
+                checked += assert_same_pages(
+                    snap.plane(),
+                    forest.stats(),
+                    &queries,
+                    &format!("forest d{dims} {mode:?}"),
+                );
+            }
+        }
+        assert!(checked > 10_000, "{checked} pages");
     }
 
     #[test]

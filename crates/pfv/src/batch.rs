@@ -126,7 +126,7 @@ const ONE_BITS: u64 = 1023 << 52;
 ///
 /// Every factor must be positive and not subnormal; `+∞` is read as
 /// `2¹⁰²⁴`, i.e. *below* its value.
-struct LnFold {
+pub(crate) struct LnFold {
     mant: [f64; LANE_WIDTH],
     /// Sum of the factors' *biased* exponents.
     exp: [u64; LANE_WIDTH],
@@ -137,7 +137,7 @@ struct LnFold {
 }
 
 impl LnFold {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             mant: [1.0; LANE_WIDTH],
             exp: [0; LANE_WIDTH],
@@ -150,7 +150,7 @@ impl LnFold {
     /// calls: reduces the mantissa products back to `[1, 2)` if `n` more
     /// factors could take them past `2^REFOLD_FACTORS`.
     #[inline]
-    fn reserve(&mut self, n: usize) {
+    pub(crate) fn reserve(&mut self, n: usize) {
         if self.pending + n > REFOLD_FACTORS {
             let product = std::mem::replace(&mut self.mant, [1.0; LANE_WIDTH]);
             self.pending = 0;
@@ -160,7 +160,7 @@ impl LnFold {
 
     /// Multiplies lane `l` by `t[l]`; `t` holds [`LANE_WIDTH`] values.
     #[inline(always)]
-    fn mul(&mut self, t: &[f64]) {
+    pub(crate) fn mul(&mut self, t: &[f64]) {
         debug_assert_eq!(t.len(), LANE_WIDTH);
         debug_assert!(self.pending < REFOLD_FACTORS);
         for ((m, e), t) in self.mant.iter_mut().zip(&mut self.exp).zip(t) {
@@ -174,7 +174,7 @@ impl LnFold {
 
     /// `ln` of lane `l`'s product.
     #[inline]
-    fn ln(&self, l: usize) -> f64 {
+    pub(crate) fn ln(&self, l: usize) -> f64 {
         // Both operands are integers far below 2⁵³: the difference is exact.
         #[allow(clippy::cast_precision_loss)]
         let exp = self.exp[l] as f64 - (1023 * self.folded) as f64;
@@ -530,17 +530,35 @@ impl FastScratch {
 /// `ρ·d·`[`LN_TERM_MAX`] dominate all of it with room to spare. The
 /// absolute term is `3e-11` at `d = 10` and `2e-10` at `d = 27` — far
 /// below any density gap worth screening on.
+///
+/// The analysis is symmetric, so the same terms also bound the exact
+/// result from *below* ([`Slack::bound_below`]).
 #[derive(Clone, Copy)]
-struct Slack {
+pub(crate) struct Slack {
     abs: f64,
     half_rel: f64,
 }
 
 impl Slack {
-    fn new(dims: usize) -> Self {
+    pub(crate) fn new(dims: usize) -> Self {
+        Self::with_roundings(dims, 8.0)
+    }
+
+    /// The slack of the inner-node bracket ([`crate::rects`]). Its exact
+    /// side rounds more per dimension than the leaf's exact kernel — the
+    /// combined σ is the square root of the screen's clamp bound, the
+    /// ridge term subtracts a rounded `ln` of a rounded constant — and its
+    /// screen squares `dist` before clamping: four roundings per dimension
+    /// more than [`Slack::new`] allows for, `ρ = (2d + 24)·u`.
+    pub(crate) fn hull(dims: usize) -> Self {
+        Self::with_roundings(dims, 12.0)
+    }
+
+    /// `ρ = (d + c)·2u`.
+    fn with_roundings(dims: usize, c: f64) -> Self {
         #[allow(clippy::cast_precision_loss)] // dims is a small page fan-in
         let d = dims as f64;
-        let rel = (d + 8.0) * f64::EPSILON;
+        let rel = (d + c) * f64::EPSILON;
         Self {
             abs: rel * d * LN_TERM_MAX,
             half_rel: 0.5 * rel,
@@ -558,8 +576,17 @@ impl Slack {
     /// The bound from an upper bound `ln_part` on `Σ_j a_j` and the
     /// screen's `z2`; NaN if `z2` overflowed, which keeps the entry.
     #[inline(always)]
-    fn bound(self, ln_part: f64, z2: f64) -> f64 {
+    pub(crate) fn bound(self, ln_part: f64, z2: f64) -> f64 {
         (ln_part + self.abs) - self.fall(z2)
+    }
+
+    /// The mirror of [`Slack::bound`]: never above the exact result when
+    /// `ln_part` and `z2` are the screen's — `½·z2` plus the relative
+    /// slack, the absolute slack below `ln_part`. An overflowed `z2`
+    /// yields `−∞`.
+    #[inline(always)]
+    pub(crate) fn bound_below(self, ln_part: f64, z2: f64) -> f64 {
+        (ln_part - self.abs) - (0.5 * z2 + self.half_rel * z2)
     }
 }
 

@@ -26,6 +26,10 @@
 //!   *refine* tier) and the conservative-bounds kernel
 //!   [`batch::screen_densities`] (the *screen* tier: one `ln` per entry,
 //!   abandoned as soon as a dimension prefix rules a lane block out);
+//! * [`rects`] — the same layout for an inner node's parameter rectangles
+//!   ([`ColumnarRects`]): the exact Lemma-2/3 bounds bit-identical to
+//!   [`ParamRect`]'s, and a screen that brackets every child's exact upper
+//!   bound for one `ln` per child;
 //! * [`quant`] — checked `f64 → f32` quantisation for compressed leaves
 //!   and the outward-rounded hull correction that keeps pruning over
 //!   quantised parameters conservative.
@@ -54,6 +58,8 @@ pub mod phi;
 pub mod quadrature;
 /// Checked f32 quantisation with outward-rounded hull correction.
 pub mod quant;
+/// Columnar inner-node rectangles with exact and screened hull kernels.
+pub mod rects;
 /// Probabilistic feature vectors (vectors of Gaussians).
 pub mod vector;
 
@@ -63,6 +69,7 @@ pub use combine::CombineMode;
 pub use gaussian::Gaussian;
 pub use hull::{DimBounds, ParamRect};
 pub use logsum::{log_add_exp, log_sum_exp, LogSumAcc, ScaledSum};
+pub use rects::ColumnarRects;
 pub use vector::{Pfv, PfvError};
 
 /// Smallest admissible standard deviation.

@@ -12,11 +12,17 @@
 //! ever compares below the exact density, that nothing it drops — a lane,
 //! a block or a whole leaf — could have reached the threshold, and that
 //! k-MLIQ through it returns exactly what brute force returns.
+//!
+//! Inner nodes have the same two tiers (`pfv::rects`): exact hull bounds
+//! from columns, bit-identical to `ParamRect`'s, and a screen whose
+//! bracket `(low, key)` must hold the exact upper hull between its ends —
+//! tested on every Lemma-2 case boundary, where the seven cases meet, and
+//! where `σ²`, `dist²` or `Σ z²` overflow.
 
 use gausstree::pfv::batch::{
     log_densities, log_densities_upper, screen_densities, ColumnarLeaf, FastScratch, LANE_WIDTH,
 };
-use gausstree::pfv::{combine, CombineMode, ParamRect, Pfv};
+use gausstree::pfv::{combine, ColumnarRects, CombineMode, DimBounds, ParamRect, Pfv};
 use gausstree::storage::{AccessStats, BufferPool, MemStore, DEFAULT_PAGE_SIZE};
 use gausstree::tree::ReadView;
 use gausstree::tree::{GaussTree, TreeConfig};
@@ -191,6 +197,133 @@ proptest! {
     }
 }
 
+/// A xorshift stream of uniform values in `[0, 1)`.
+fn uniform(seed: u64) -> impl FnMut() -> f64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// One inner node's worth of rectangles and a query's `σ`s: `dims` from
+/// the tiny to past the paper's two, σ log-uniform over a slice of
+/// `[1e-9, 1e150]` or up to `1.4e154` (where `σ²` overflows), means on a
+/// scale up to `1e200`, μ-intervals that are points or wide, σ-intervals
+/// that are points or span decades. Returns the seed the query's means are
+/// drawn from, and which rectangle they sit on.
+fn hull_case() -> impl Strategy<Value = (Vec<ParamRect>, Vec<f64>, usize, u64)> {
+    const DIMS: [usize; 5] = [1, 2, 10, 27, 64];
+    const SIGMA_DECADES: [(f64, f64); 5] = [
+        (-9.0, 150.0),
+        (-2.5, 0.5),
+        (-9.0, -6.0),
+        (100.0, 150.0),
+        (150.0, 154.15),
+    ];
+    const MEAN_SCALES: [f64; 4] = [1.0, 1e4, 1e155, 1e200];
+    (0usize..5, 0usize..5, 0usize..4, 1usize..=13, 0u64..u64::MAX).prop_map(
+        |(dims, sigmas, scale, n, seed)| {
+            let (dims, (lo, hi), scale) = (DIMS[dims], SIGMA_DECADES[sigmas], MEAN_SCALES[scale]);
+            let mut next = uniform(seed);
+            let sigma = move |u: f64| 10f64.powf(lo + (hi - lo) * u);
+            let rects = (0..n)
+                .map(|_| {
+                    let bounds = (0..dims)
+                        .map(|_| {
+                            let mu = scale * (2.0 * next() - 1.0);
+                            let width =
+                                [0.0, scale * next(), sigma(next())][(next() * 3.0) as usize];
+                            let s_lo = sigma(next());
+                            let s_hi = match (next() * 4.0) as usize {
+                                0 => s_lo,
+                                1 => 1.4e154f64.max(s_lo),
+                                _ => s_lo.max(sigma(next())),
+                            };
+                            DimBounds::new(mu, mu + width, s_lo, s_hi)
+                        })
+                        .collect();
+                    ParamRect::from_dims(bounds)
+                })
+                .collect();
+            let q_sigmas = (0..dims).map(|_| sigma(next())).collect();
+            (
+                rects,
+                q_sigmas,
+                (next() * n as f64) as usize,
+                next().to_bits(),
+            )
+        },
+    )
+}
+
+/// A query on `rect`'s Lemma-2 case boundaries under `mode` — per
+/// dimension one of `μ̌ − ŝ, μ̌ − s̃, μ̌, μ̂, μ̂ + s̃, μ̂ + ŝ` (the combined
+/// σ-interval `[s̃, ŝ]`), moved by −1, 0 or +1 ulp — or at `±1e200`.
+fn query_on_boundaries(rect: &ParamRect, sigmas: &[f64], mode: CombineMode, seed: u64) -> Pfv {
+    let mut next = uniform(seed);
+    let means: Vec<f64> = (rect.as_slice().iter().zip(sigmas))
+        .map(|(b, &sq)| {
+            let (s_lo, s_hi) = (
+                mode.combine_sigma(b.sigma_lo, sq),
+                mode.combine_sigma(b.sigma_hi, sq),
+            );
+            let edges = [
+                b.mu_lo - s_hi,
+                b.mu_lo - s_lo,
+                b.mu_lo,
+                b.mu_hi,
+                b.mu_hi + s_lo,
+                b.mu_hi + s_hi,
+            ];
+            let x = edges[(next() * 6.0) as usize];
+            let x = match (next() * 8.0) as usize {
+                0 => 1e200,
+                1 => -1e200,
+                2 | 3 => x.next_up(),
+                4 | 5 => x.next_down(),
+                _ => x,
+            };
+            if x.is_finite() {
+                x
+            } else {
+                1e200
+            }
+        })
+        .collect();
+    Pfv::new(means, sigmas.to_vec()).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The inner screen's bracket holds the exact upper hull — `!(key <
+    /// exact)` and `!(low > exact)` (`never_below` both ways), `key` never
+    /// NaN — for every child, with
+    /// the query on any child's case boundaries; and the columns' exact
+    /// kernel is the row form's, bit for bit.
+    #[test]
+    fn inner_screen_brackets_the_exact_upper_hull((rects, sigmas, pick, seed) in hull_case()) {
+        let dims = sigmas.len();
+        let cols = ColumnarRects::from_rects(dims, rects.iter());
+        let mut brackets = Vec::new();
+        for mode in MODES {
+            let q = query_on_boundaries(&rects[pick], &sigmas, mode, seed);
+            cols.screen_upper_for_query(&q, mode, &mut brackets);
+            prop_assert_eq!(brackets.len(), rects.len());
+            for (e, (rect, &(low, key))) in rects.iter().zip(&brackets).enumerate() {
+                let exact = rect.log_upper_for_query(&q, mode);
+                prop_assert_eq!(cols.log_upper_for_query(e, &q, mode).to_bits(), exact.to_bits());
+                prop_assert!(!key.is_nan(), "NaN key (child {e}, {mode:?})");
+                prop_assert!(never_below(key, exact), "key {key} under exact {exact} (child {e}, {mode:?})");
+                prop_assert!(never_below(exact, low), "low {low} over exact {exact} (child {e}, {mode:?})");
+            }
+        }
+    }
+}
+
 /// The screen must actually screen: on an ordinary leaf a threshold above
 /// every density empties the leaf, one below every density keeps it, and a
 /// leaf of far-away entries is left on the peak bounds or a short prefix.
@@ -319,11 +452,24 @@ proptest! {
     /// upper/lower calls.
     #[test]
     fn fused_hull_bounds_bit_identical((leaf, q) in leaf_and_query(20, 4, 50.0)) {
-        let rect = ParamRect::covering(leaf.iter());
+        // The leaf's bounding rectangle and each entry's point rectangle,
+        // also as the columns of one inner node.
+        let rects: Vec<ParamRect> = std::iter::once(ParamRect::covering(leaf.iter()))
+            .chain(leaf.iter().map(ParamRect::from_pfv))
+            .collect();
+        let cols = ColumnarRects::from_rects(q.dims(), rects.iter());
+        let mut each = Vec::new();
         for mode in MODES {
-            let (up, lo) = rect.log_bounds_for_query(&q, mode);
-            prop_assert_eq!(up.to_bits(), rect.log_upper_for_query(&q, mode).to_bits());
-            prop_assert_eq!(lo.to_bits(), rect.log_lower_for_query(&q, mode).to_bits());
+            cols.log_bounds_for_query_each(&q, mode, &mut each);
+            prop_assert_eq!(each.len(), rects.len());
+            for (e, (rect, &(col_up, col_lo))) in rects.iter().zip(&each).enumerate() {
+                let (up, lo) = rect.log_bounds_for_query(&q, mode);
+                prop_assert_eq!(up.to_bits(), rect.log_upper_for_query(&q, mode).to_bits());
+                prop_assert_eq!(lo.to_bits(), rect.log_lower_for_query(&q, mode).to_bits());
+                prop_assert_eq!(col_up.to_bits(), up.to_bits());
+                prop_assert_eq!(col_lo.to_bits(), lo.to_bits());
+                prop_assert_eq!(cols.log_upper_for_query(e, &q, mode).to_bits(), up.to_bits());
+            }
         }
     }
 
