@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks for the core operations on the query path:
 //! hull-bound evaluation (Lemma 2/3, and the inner screen's brackets),
-//! Lemma-1 combination, node splits, incremental insert, page decode (row
-//! form then transpose against straight to columns), and end-to-end k-MLIQ
-//! / TIQ on a mid-sized tree.
+//! Lemma-1 combination, node splits and the split objective's per-node
+//! cost, incremental insert, page decode (row form then transpose against
+//! straight to columns), and end-to-end k-MLIQ / TIQ on a mid-sized tree.
 #![allow(missing_docs)]
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
@@ -85,7 +85,7 @@ fn bench_combine(c: &mut Criterion) {
 }
 
 fn bench_split(c: &mut Criterion) {
-    use gauss_tree::split::split_items;
+    use gauss_tree::split::{split_items, SplitCost};
     let entries: Vec<gauss_tree::node::LeafEntry> = (0..40)
         .map(|i| gauss_tree::node::LeafEntry {
             id: i,
@@ -105,18 +105,35 @@ fn bench_split(c: &mut Criterion) {
         SplitStrategy::WidestMu,
         SplitStrategy::MinVolume,
     ] {
+        // Priced at the entries' own geometric-mean σ, as a node split is.
+        let cost = SplitCost::from_items(strategy, CombineMode::Convolution, &entries);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{strategy:?}")),
-            &strategy,
-            |bench, &strategy| {
+            &cost,
+            |bench, cost| {
                 bench.iter_batched(
                     || entries.clone(),
-                    |es| split_items(strategy, es),
+                    |es| split_items(cost, es),
                     BatchSize::SmallInput,
                 )
             },
         );
     }
+    // One node's hull-integral cost at d27, at a query spread: what every
+    // candidate side of a d27 split pays.
+    let rect = ParamRect::from_dims(
+        (0..27)
+            .map(|i| DimBounds::new(i as f64, i as f64 + 1.0, 0.01, 0.5))
+            .collect(),
+    );
+    let folded = SplitCost::at_spread(
+        SplitStrategy::HullIntegral,
+        CombineMode::Convolution,
+        &[0.1; 27],
+    );
+    group.bench_function("node_cost_d27", |bench| {
+        bench.iter(|| folded.node(black_box(&rect)))
+    });
     group.finish();
 }
 

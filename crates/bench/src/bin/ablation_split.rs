@@ -3,6 +3,8 @@
 //! both paper data sets. Reports page accesses per 1-MLIQ and TIQ query
 //! for each strategy, then names the strategy that read the fewest pages
 //! per data set and query type — computed from the table, not asserted.
+//! The hull integral is priced as every build prices it: at the combined
+//! spread of the input's geometric-mean σ (`gauss_tree::split`).
 //!
 //! Run: `cargo run --release -p gauss_bench --bin ablation_split [-- --quick]`
 

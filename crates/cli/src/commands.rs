@@ -111,6 +111,29 @@ fn parse_durability(args: &Args) -> Result<Durability, ArgError> {
     }
 }
 
+/// Parses the `--split` flag (default `hull`).
+fn parse_split(args: &Args) -> Result<SplitStrategy, ArgError> {
+    match args.get("split").unwrap_or("hull") {
+        "hull" => Ok(SplitStrategy::HullIntegral),
+        "mu" => Ok(SplitStrategy::WidestMu),
+        "volume" => Ok(SplitStrategy::MinVolume),
+        other => Err(ArgError(format!(
+            "unknown split strategy '{other}' (hull|mu|volume)"
+        ))),
+    }
+}
+
+/// Parses the `--leaf-format` flag (default `exact`).
+fn parse_leaf_format(args: &Args) -> Result<LeafFormat, ArgError> {
+    match args.get("leaf-format").unwrap_or("exact") {
+        "exact" => Ok(LeafFormat::Exact),
+        "quantised" | "quantized" => Ok(LeafFormat::Quantised),
+        other => Err(ArgError(format!(
+            "unknown leaf format '{other}' (exact|quantised)"
+        ))),
+    }
+}
+
 /// Whether `--index` names a Gauss-forest directory (vs a single-tree
 /// file). Forests live in directories; trees in flat files.
 fn is_forest_index(index: &str) -> bool {
@@ -176,21 +199,8 @@ fn build(args: &Args) -> Result<(), ArgError> {
         return Err(ArgError("--threads must be at least 1".into()));
     }
     let mem_budget: u64 = args.num("mem-budget", 0)?;
-    let split = match args.get("split").unwrap_or("hull") {
-        "hull" => SplitStrategy::HullIntegral,
-        "mu" => SplitStrategy::WidestMu,
-        "volume" => SplitStrategy::MinVolume,
-        other => return Err(ArgError(format!("unknown split strategy '{other}'"))),
-    };
-    let leaf_format = match args.get("leaf-format").unwrap_or("exact") {
-        "exact" => LeafFormat::Exact,
-        "quantised" | "quantized" => LeafFormat::Quantised,
-        other => {
-            return Err(ArgError(format!(
-                "unknown leaf format '{other}' (exact|quantised)"
-            )))
-        }
-    };
+    let split = parse_split(args)?;
+    let leaf_format = parse_leaf_format(args)?;
 
     let items = csvio::read_csv(Path::new(data))?;
     if items.is_empty() {
@@ -271,21 +281,8 @@ fn build_forest(args: &Args) -> Result<(), ArgError> {
     let data = args.required("data")?;
     let index = args.required("index")?;
     let page_size: usize = args.num("page-size", DEFAULT_PAGE_SIZE)?;
-    let split = match args.get("split").unwrap_or("hull") {
-        "hull" => SplitStrategy::HullIntegral,
-        "mu" => SplitStrategy::WidestMu,
-        "volume" => SplitStrategy::MinVolume,
-        other => return Err(ArgError(format!("unknown split strategy '{other}'"))),
-    };
-    let leaf_format = match args.get("leaf-format").unwrap_or("exact") {
-        "exact" => LeafFormat::Exact,
-        "quantised" | "quantized" => LeafFormat::Quantised,
-        other => {
-            return Err(ArgError(format!(
-                "unknown leaf format '{other}' (exact|quantised)"
-            )))
-        }
-    };
+    let split = parse_split(args)?;
+    let leaf_format = parse_leaf_format(args)?;
     let items = csvio::read_csv(Path::new(data))?;
     if items.is_empty() {
         return Err(ArgError("data file holds no objects".into()));

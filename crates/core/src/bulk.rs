@@ -41,7 +41,7 @@
 use crate::config::SplitStrategy;
 use crate::node::{InnerEntry, LeafEntry, Node};
 use crate::split::{
-    candidate_axes, group_rect, log_add, node_cost, partition_into_n_parallel, Axis,
+    candidate_axes, group_rect, log_add, partition_into_n_parallel, Axis, SplitCost,
 };
 use crate::tree::{GaussTree, TreeError};
 use gauss_storage::store::{Durability, PageStore};
@@ -206,7 +206,7 @@ impl NodeEmitter {
 
 /// Immutable context of the leaf-level build.
 struct LeafCtx {
-    strategy: SplitStrategy,
+    cost: SplitCost,
     dims: usize,
     threads: usize,
     /// Effective resident-entry budget (usize::MAX when unbounded).
@@ -228,21 +228,26 @@ impl LeafCtx {
 }
 
 /// Runs the pipeline over a freshly created tree. Called by
-/// [`GaussTree::bulk_load_with`].
+/// [`GaussTree::bulk_load_with`] with `at_input_spread`, which prices every
+/// split at the input's typical σ (see [`crate::split`]); without it splits
+/// are priced at σ_q = 0, the baseline the page-count tests compare against.
 pub(crate) fn run<S: PageStore>(
     tree: &mut GaussTree<S>,
     items: impl IntoIterator<Item = (u64, Pfv)>,
     opts: &BulkLoadOptions,
+    at_input_spread: bool,
 ) -> Result<BulkLoadReport, TreeError> {
     let dims = tree.dims();
-    let strategy = tree.config().split;
     let leaf_cap = tree.leaf_capacity();
     let threads = opts.threads.max(1);
     // A budget below one leaf group could never materialise a group.
     let budget = opts.mem_budget_entries.map(|b| b.max(leaf_cap).max(16));
     let mut report = BulkLoadReport::default();
 
-    // Stage 1: streaming ingest under the budget.
+    // Stage 1: streaming ingest under the budget. Σ ln σ per dimension is
+    // summed in input order, so σ̄ is the same for every thread count and
+    // budget.
+    let mut log_sigma = vec![0.0f64; dims];
     let mut resident: Vec<LeafEntry> = Vec::new();
     let mut spill: Option<SpillFile> = None;
     let chunk = opts.chunk_entries.max(1);
@@ -253,6 +258,9 @@ pub(crate) fn run<S: PageStore>(
                 expected: dims,
                 got: pfv.dims(),
             });
+        }
+        for (acc, s) in log_sigma.iter_mut().zip(pfv.sigmas()) {
+            *acc += s.ln();
         }
         resident.push(LeafEntry { id, pfv });
         report.observe_resident(resident.len());
@@ -280,6 +288,13 @@ pub(crate) fn run<S: PageStore>(
     }
     report.total_entries = total;
     tree.set_len(total);
+    // σ̄: the geometric mean of the input's σ per dimension, or 0.
+    let sigma_bar: Vec<f64> = if at_input_spread {
+        log_sigma.iter().map(|l| (l / total as f64).exp()).collect()
+    } else {
+        vec![0.0; dims]
+    };
+    let cost = SplitCost::at_spread(tree.config().split, tree.config().combine, &sigma_bar);
 
     // Stage 2+3: leaf level. Group 0 reuses the root page created by
     // `create()` — except under shadow paging, where that page belongs to
@@ -306,7 +321,7 @@ pub(crate) fn run<S: PageStore>(
         PageId::INVALID
     };
     let ctx = LeafCtx {
-        strategy,
+        cost,
         dims,
         threads,
         budget: budget.unwrap_or(usize::MAX),
@@ -344,7 +359,7 @@ pub(crate) fn run<S: PageStore>(
         .map(|s| s.expect("every leaf slot filled"))
         .collect();
 
-    let (root, height) = build_upper_levels(tree, &mut emitter, strategy, threads, level)?;
+    let (root, height) = build_upper_levels(tree, &mut emitter, &ctx.cost, threads, level)?;
     emitter.finish(tree)?;
     tree.set_root(root, height);
     tree.flush()?;
@@ -365,7 +380,7 @@ fn emit_leaf_groups<S: PageStore>(
     report: &mut BulkLoadReport,
 ) -> Result<(), TreeError> {
     report.observe_resident(entries.len());
-    let groups = partition_into_n_parallel(ctx.strategy, entries, n_groups, ctx.threads);
+    let groups = partition_into_n_parallel(&ctx.cost, entries, n_groups, ctx.threads);
     for (i, g) in groups.into_iter().enumerate() {
         let page = ctx.page_for(group_offset + i);
         let rect = group_rect(&g);
@@ -454,12 +469,13 @@ fn external_split(
         u32::try_from(n).is_ok(),
         "external range exceeds u32 indices"
     );
-    let axes = match ctx.strategy {
+    let strategy = ctx.cost.strategy();
+    let axes = match strategy {
         SplitStrategy::WidestMu => {
             let rect = sp.range_rect(range.clone())?;
-            candidate_axes(ctx.strategy, ctx.dims, || rect)
+            candidate_axes(strategy, ctx.dims, || rect)
         }
-        _ => candidate_axes(ctx.strategy, ctx.dims, || {
+        _ => candidate_axes(strategy, ctx.dims, || {
             unreachable!("cost strategies need no covering rect")
         }),
     };
@@ -493,8 +509,8 @@ fn external_split(
     let mut best: Option<(f64, usize)> = None;
     for (a, side) in sides.iter().enumerate() {
         let cost = log_add(
-            node_cost(ctx.strategy, &side.left_rect()),
-            node_cost(ctx.strategy, &side.right_rect()),
+            ctx.cost.node(&side.left_rect()),
+            ctx.cost.node(&side.right_rect()),
         );
         if best.is_none_or(|(c, _)| cost < c) {
             best = Some((cost, a));
@@ -519,7 +535,7 @@ fn external_split(
 fn build_upper_levels<S: PageStore>(
     tree: &mut GaussTree<S>,
     emitter: &mut NodeEmitter,
-    strategy: SplitStrategy,
+    cost: &SplitCost,
     threads: usize,
     mut level: Vec<InnerEntry>,
 ) -> Result<(PageId, u32), TreeError> {
@@ -528,7 +544,7 @@ fn build_upper_levels<S: PageStore>(
         height += 1;
         let n_groups = level.len().div_ceil(tree.inner_capacity());
         let base = tree.pool().allocate_many(n_groups as u64)?;
-        let groups = partition_into_n_parallel(strategy, level, n_groups, threads);
+        let groups = partition_into_n_parallel(cost, level, n_groups, threads);
         let mut next = Vec::with_capacity(groups.len());
         for (i, g) in groups.into_iter().enumerate() {
             let page = PageId(base.index() + i as u64);
@@ -888,7 +904,12 @@ impl SpillFile {
 mod tests {
     use super::*;
     use crate::config::TreeConfig;
-    use gauss_storage::{AccessStats, BufferPool};
+    use crate::ReadView;
+    use gauss_storage::{AccessStats, BufferPool, DEFAULT_PAGE_SIZE};
+    use gauss_workloads::{
+        generate_queries, histogram_dataset, uniform_dataset, Dataset, IdentificationQuery,
+        SigmaSpec,
+    };
 
     fn items(n: u64, dims: usize) -> Vec<(u64, Pfv)> {
         (0..n)
@@ -1018,6 +1039,64 @@ mod tests {
                     "({leaf}, {inner}) n={n}"
                 );
             }
+        }
+    }
+
+    /// 1-MLIQ pages per query, each from a cold cache, of a tree over
+    /// `data` whose splits are priced at the input's σ̄ or at σ_q = 0.
+    fn mliq_pages_per_query(
+        data: &Dataset,
+        queries: &[IdentificationQuery],
+        at_input_spread: bool,
+    ) -> f64 {
+        let pool = BufferPool::new(
+            MemStore::new(DEFAULT_PAGE_SIZE),
+            4096,
+            AccessStats::new_shared(),
+        );
+        let mut tree = GaussTree::create(pool, TreeConfig::new(data.dims())).unwrap();
+        let opts = BulkLoadOptions::default();
+        run(&mut tree, data.items(), &opts, at_input_spread).unwrap();
+        let mut pages = 0;
+        for q in queries {
+            tree.cold_start();
+            let before = tree.stats().snapshot();
+            tree.k_mliq(&q.query, 1).unwrap();
+            pages += tree.stats().snapshot().since(&before).physical_reads;
+        }
+        pages as f64 / queries.len() as f64
+    }
+
+    #[test]
+    fn input_spread_opens_no_more_pages_than_point_pricing() {
+        // Both paper regimes at test size, with the σ models of the
+        // reproduction's data sets: 1500 d27 histograms whose σ scales with
+        // the bin value, 3000 uniform d10 vectors with absolute σ.
+        let hist_sigma = SigmaSpec::log_uniform(0.05, 0.9).relative_to_value(0.01);
+        let uniform_sigma = SigmaSpec::log_uniform(0.005, 0.3);
+        for (data, sigma) in [
+            (
+                histogram_dataset(1500, 27, hist_sigma.with_object_scale(0.5, 2.0), 20060403),
+                hist_sigma.with_object_scale(0.5, 1.5),
+            ),
+            (
+                uniform_dataset(
+                    3000,
+                    10,
+                    uniform_sigma.with_object_scale(0.5, 3.0),
+                    20060404,
+                ),
+                uniform_sigma.with_object_scale(0.5, 1.5),
+            ),
+        ] {
+            let queries = generate_queries(&data, 200, sigma, 0xABCD);
+            let folded = mliq_pages_per_query(&data, &queries, true);
+            let point = mliq_pages_per_query(&data, &queries, false);
+            assert!(
+                folded <= point,
+                "{}: {folded} pages per 1-MLIQ at the input's σ̄, {point} at σ_q = 0",
+                data.name
+            );
         }
     }
 

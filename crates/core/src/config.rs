@@ -10,6 +10,16 @@ pub enum SplitStrategy {
     /// The paper's strategy: tentative median splits in every μ- and
     /// σ-dimension; keep the split minimising the summed hull integrals
     /// `∫ N̂(x) dx` of the two children.
+    ///
+    /// The integrals are priced at the combined spread `c(σ, σ̄)` a query
+    /// of typical spread σ̄ sees (Lemma 1): `√(σ² + σ̄²)` under
+    /// [`CombineMode::Convolution`], `σ + σ̄` under
+    /// [`CombineMode::AdditiveSigma`]. σ̄ is the geometric mean of the σ
+    /// being partitioned, per dimension — the bulk loader's whole input, or
+    /// the entries of one node on the incremental path. At σ̄ = 0 this is
+    /// §5.3's proxy exactly; why σ_q = 0 splits worse, how little the
+    /// choice of σ̄ matters, and what standing σ̄ in for the queries' σ
+    /// assumes of them, is in [`crate::split`].
     #[default]
     HullIntegral,
     /// R-tree-style baseline: median split along the μ-dimension with the

@@ -12,7 +12,7 @@
 use crate::bulk::{BulkLoadOptions, BulkLoadReport};
 use crate::config::{LeafFormat, TreeConfig};
 use crate::node::{CachedNode, InnerEntry, LeafEntry, Node, NodeCodecError};
-use crate::split::{group_rect, node_cost, split_many, Splittable};
+use crate::split::{group_rect, split_many, SplitCost, Splittable};
 use crate::view::{Plane, ReadView};
 use gauss_storage::commit::{self, SlotKind, HEADER_BYTES};
 use gauss_storage::store::{Durability, PageStore, StoreError};
@@ -932,7 +932,7 @@ impl<S: PageStore> GaussTree<S> {
                     None
                 }
             });
-        let report = crate::bulk::run(&mut tree, quantised, opts)?;
+        let report = crate::bulk::run(&mut tree, quantised, opts, true)?;
         if let Some(e) = quant_err {
             return Err(e);
         }
@@ -1331,9 +1331,10 @@ impl<S: PageStore> GaussTree<S> {
         // Route every item with the single-insert descent rule, against the
         // rectangles as they were when the batch arrived, then recurse once
         // per targeted child with its whole group.
+        let objective = SplitCost::from_items(self.config.split, self.config.combine, &entries);
         let mut groups: BTreeMap<usize, Vec<LeafEntry>> = BTreeMap::new();
         for item in items {
-            let idx = self.choose_subtree(&entries, &item.pfv);
+            let idx = choose_subtree(&objective, &entries, &item.pfv);
             groups.entry(idx).or_default().push(item);
         }
         let mut extra: Vec<InnerEntry> = Vec::new();
@@ -1351,10 +1352,11 @@ impl<S: PageStore> GaussTree<S> {
     }
 
     /// Writes `entries` as one node if they fit `cap`, split multi-way
-    /// ([`split_many`]) otherwise, and returns the parent's entry for each
-    /// node written. The first takes the place of the node at `page` under
-    /// the shadow-paging rules; the others — all of them for `None`, a new
-    /// level above the old root — go to fresh pages.
+    /// ([`split_many`], priced at the entries' own σ̄) otherwise, and returns
+    /// the parent's entry for each node written. The first takes the place
+    /// of the node at `page` under the shadow-paging rules; the others — all
+    /// of them for `None`, a new level above the old root — go to fresh
+    /// pages.
     fn write_groups<T: Splittable + Clone>(
         &mut self,
         page: Option<PageId>,
@@ -1362,7 +1364,12 @@ impl<S: PageStore> GaussTree<S> {
         cap: usize,
         node_of: fn(Vec<T>) -> Node,
     ) -> Result<Vec<InnerEntry>, TreeError> {
-        let groups = split_many(self.config.split, entries, cap);
+        let groups = if entries.len() <= cap {
+            vec![entries]
+        } else {
+            let cost = SplitCost::from_items(self.config.split, self.config.combine, &entries);
+            split_many(&cost, entries, cap)
+        };
         let mut written = Vec::with_capacity(groups.len());
         for (i, group) in groups.into_iter().enumerate() {
             let rect = group_rect(&group);
@@ -1382,41 +1389,6 @@ impl<S: PageStore> GaussTree<S> {
             });
         }
         Ok(written)
-    }
-
-    /// Insertion path selection (paper §5.3):
-    /// 1. if exactly one child rectangle contains the new pfv, follow it;
-    /// 2. if several contain it, follow the most selective one (minimal
-    ///    hull cost — the greedy single-path realisation of the paper's
-    ///    "follow all paths and find a node it exactly fits");
-    /// 3. otherwise follow the child whose cost increases least.
-    fn choose_subtree(&self, entries: &[InnerEntry], v: &Pfv) -> usize {
-        debug_assert!(!entries.is_empty());
-        let strategy = self.config.split;
-        let mut best_containing: Option<(f64, usize)> = None;
-        for (i, e) in entries.iter().enumerate() {
-            if e.rect.contains_pfv(v) {
-                let cost = node_cost(strategy, &e.rect);
-                if best_containing.is_none_or(|(c, _)| cost < c) {
-                    best_containing = Some((cost, i));
-                }
-            }
-        }
-        if let Some((_, i)) = best_containing {
-            return i;
-        }
-        // No child contains it: minimal cost increase, ties by smaller cost.
-        let mut best = (f64::INFINITY, f64::INFINITY, 0usize);
-        for (i, e) in entries.iter().enumerate() {
-            let before = node_cost(strategy, &e.rect);
-            let mut extended = e.rect.clone();
-            extended.extend_pfv(v);
-            let delta = node_cost(strategy, &extended) - before;
-            if delta < best.0 || (delta == best.0 && before < best.1) {
-                best = (delta, before, i);
-            }
-        }
-        best.2
     }
 
     /// Reads and decodes the node stored at `page`.
@@ -1520,6 +1492,40 @@ impl<S: PageStore> GaussTree<S> {
             len: self.len,
         }
     }
+}
+
+/// Insertion path selection (paper §5.3), each child priced by `objective`:
+/// 1. if exactly one child rectangle contains the new pfv, follow it;
+/// 2. if several contain it, follow the most selective one (minimal
+///    hull cost — the greedy single-path realisation of the paper's
+///    "follow all paths and find a node it exactly fits");
+/// 3. otherwise follow the child whose cost increases least.
+fn choose_subtree(objective: &SplitCost, entries: &[InnerEntry], v: &Pfv) -> usize {
+    debug_assert!(!entries.is_empty());
+    let mut best_containing: Option<(f64, usize)> = None;
+    for (i, e) in entries.iter().enumerate() {
+        if e.rect.contains_pfv(v) {
+            let cost = objective.node(&e.rect);
+            if best_containing.is_none_or(|(c, _)| cost < c) {
+                best_containing = Some((cost, i));
+            }
+        }
+    }
+    if let Some((_, i)) = best_containing {
+        return i;
+    }
+    // No child contains it: minimal cost increase, ties by smaller cost.
+    let mut best = (f64::INFINITY, f64::INFINITY, 0usize);
+    for (i, e) in entries.iter().enumerate() {
+        let before = objective.node(&e.rect);
+        let mut extended = e.rect.clone();
+        extended.extend_pfv(v);
+        let delta = objective.node(&extended) - before;
+        if delta < best.0 || (delta == best.0 && before < best.1) {
+            best = (delta, before, i);
+        }
+    }
+    best.2
 }
 
 #[cfg(test)]

@@ -551,6 +551,88 @@ mod tests {
         }
     }
 
+    /// `∫ max_{(μ,σ) ∈ b} N(μ, c(σ, σ̄))(x) dx` by adaptive quadrature. The
+    /// integrand is found without Lemma 2's cases — at distance `d` from the
+    /// μ interval the best combined σ is `d` clamped into `[c(σ̌), c(σ̂)]` —
+    /// and each flank is integrated over distance in pieces that end at every
+    /// kink and span at most a factor of two of the ridge, so each piece
+    /// holds an O(1) share of the integral at any σ scale.
+    fn folded_integral_by_quadrature(b: &DimBounds, sigma_bar: f64, mode: CombineMode) -> f64 {
+        let lo = mode.combine_sigma(b.sigma_lo, sigma_bar);
+        let hi = mode.combine_sigma(b.sigma_hi, sigma_bar);
+        let at_distance = |d: f64| pdf(0.0, d.clamp(lo, hi), d);
+        let mut cuts = vec![0.0, lo];
+        while cuts[cuts.len() - 1] < hi {
+            cuts.push((2.0 * cuts[cuts.len() - 1]).min(hi));
+        }
+        cuts.push(40.0 * hi);
+        let flank: f64 = cuts
+            .windows(2)
+            .map(|w| integrate_adaptive(at_distance, w[0], w[1], 1e-12))
+            .sum();
+        let plateau = integrate_adaptive(|_| at_distance(0.0), b.mu_lo, b.mu_hi, 1e-12);
+        2.0 * flank + plateau
+    }
+
+    fn folded_case() -> impl proptest::prelude::Strategy<Value = (DimBounds, f64, CombineMode)> {
+        use proptest::prelude::*;
+        (
+            (-50.0..50.0f64, 0u8..3, 0.0..20.0f64),
+            (0u8..4, -9.0..1.0f64, 0.0..4.0f64),
+            (0u8..4, -3.0..3.0f64),
+            0u8..2,
+        )
+            .prop_map(
+                |((mu_lo, mu_kind, mu_ext), (s_kind, s_exp, ratio), (sb_kind, sb_exp), m)| {
+                    let mu_hi = match mu_kind {
+                        0 => mu_lo,
+                        1 => mu_lo + mu_ext * 1e-6,
+                        _ => mu_lo + mu_ext,
+                    };
+                    // σ̌ down to the MIN_SIGMA clamp, σ̂ up to 10⁴ × σ̌.
+                    let sigma_lo = if s_kind == 0 {
+                        MIN_SIGMA
+                    } else {
+                        10f64.powf(s_exp)
+                    };
+                    let sigma_hi = sigma_lo * 10f64.powf(ratio);
+                    // σ̄ = 0, tiny against σ̌, comparable, or ≫ σ̂.
+                    let sigma_bar = match sb_kind {
+                        0 => 0.0,
+                        1 => sigma_lo * 1e-6 * 10f64.powf(sb_exp),
+                        2 => sigma_lo * 10f64.powf(sb_exp + ratio / 2.0),
+                        _ => sigma_hi * 1e4 * 10f64.powf(sb_exp),
+                    };
+                    let mode = if m == 0 {
+                        CombineMode::Convolution
+                    } else {
+                        CombineMode::AdditiveSigma
+                    };
+                    (
+                        DimBounds::new(mu_lo, mu_hi, sigma_lo, sigma_hi),
+                        sigma_bar,
+                        mode,
+                    )
+                },
+            )
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn folded_hull_integral_matches_quadrature((b, sigma_bar, mode) in folded_case()) {
+            let folded = b.with_query_sigma(sigma_bar, mode).hull_integral();
+            let numeric = folded_integral_by_quadrature(&b, sigma_bar, mode);
+            proptest::prop_assert!(
+                (numeric - folded).abs() <= 1e-7 * folded,
+                "{b:?}, σ̄ {sigma_bar}, {mode:?}: numeric {numeric}, closed {folded}"
+            );
+            // σ̄ = 0 is the paper's σ_q = 0 proxy exactly.
+            if sigma_bar == 0.0 {
+                proptest::prop_assert_eq!(folded.to_bits(), b.hull_integral().to_bits());
+            }
+        }
+    }
+
     #[test]
     fn point_rectangle_integral_is_one() {
         let b = DimBounds::point(2.0, 0.5);

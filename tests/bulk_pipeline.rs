@@ -13,6 +13,7 @@ use gausstree::pfv::Pfv;
 use gausstree::storage::{AccessStats, BufferPool, MemStore, PageId, PageStore};
 use gausstree::tree::ReadView;
 use gausstree::tree::{BulkLoadOptions, GaussTree, SpillKind, TreeConfig};
+use gausstree::workloads::{uniform_dataset, SigmaSpec};
 use proptest::prelude::*;
 
 fn pool_with(page_size: usize) -> BufferPool<MemStore> {
@@ -45,11 +46,21 @@ fn synth_items(n: u64, dims: usize, salt: u64) -> Vec<(u64, Pfv)> {
         .collect()
 }
 
+/// Items whose σ scales with the feature value, spanning four decades: the
+/// loader's σ̄ is a sum of logs that any reordering would round differently.
+fn relative_sigma_items(n: u64, dims: usize, salt: u64) -> Vec<(u64, Pfv)> {
+    let sigma = SigmaSpec::log_uniform(0.05, 0.9)
+        .with_object_scale(0.5, 2.0)
+        .relative_to_value(0.001);
+    uniform_dataset(usize::try_from(n).unwrap(), dims, sigma, salt).items()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any thread count and any memory budget reproduce the serial
-    /// resident build byte for byte, for random shapes and capacities.
+    /// resident build byte for byte, for random shapes and capacities, on
+    /// lattice σ and on value-relative σ.
     #[test]
     fn pipeline_is_byte_identical_to_serial(
         n in 1u64..400,
@@ -60,12 +71,7 @@ proptest! {
         budget_raw in 0usize..200,
         salt in 0u64..1000,
     ) {
-        let items = synth_items(n, dims, salt);
         let config = TreeConfig::new(dims).with_capacities(leaf_cap, inner_cap);
-        let reference =
-            GaussTree::bulk_load(pool_with(2048), config, items.clone()).unwrap();
-        let ref_image = store_image(&reference);
-
         let mut opts = BulkLoadOptions::default()
             .with_threads(threads)
             .with_spill(SpillKind::Memory);
@@ -76,11 +82,15 @@ proptest! {
         }
         // Odd chunk sizes must not matter either.
         opts.chunk_entries = 1 + (salt as usize % 61);
-        let (tree, report) =
-            GaussTree::bulk_load_with(pool_with(2048), config, items, &opts).unwrap();
-        prop_assert_eq!(store_image(&tree), ref_image);
-        prop_assert_eq!(report.total_entries, n);
-        prop_assert!(tree.check_invariants(false).unwrap().is_empty());
+        for items in [synth_items(n, dims, salt), relative_sigma_items(n, dims, salt)] {
+            let reference =
+                GaussTree::bulk_load(pool_with(2048), config, items.clone()).unwrap();
+            let (tree, report) =
+                GaussTree::bulk_load_with(pool_with(2048), config, items, &opts).unwrap();
+            prop_assert_eq!(store_image(&tree), store_image(&reference));
+            prop_assert_eq!(report.total_entries, n);
+            prop_assert!(tree.check_invariants(false).unwrap().is_empty());
+        }
     }
 
     /// The full invariant set (balance, fanout, tightness, counts, page
