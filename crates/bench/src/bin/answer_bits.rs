@@ -12,8 +12,9 @@
 //!
 //! Coverage: data sets d2–d27 with tight and wide σ (plus leaf-root and
 //! height-1 trees) × both [`CombineMode`]s × both [`LeafFormat`]s × page-
-//! sized and tiny node capacities (height ≥ 3) × {bulk-loaded tree, pinned
-//! `Snapshot`, multi-component forest with live memtable, upserts and
+//! sized and tiny node capacities (height ≥ 3) × {bulk-loaded tree, the same
+//! tree shared as an `Arc` and read on another thread, multi-component
+//! forest with live memtable, upserts and
 //! tombstones, the tree again through a 16-frame pool and a 16-node cache
 //! cold-started before every query} × `k_mliq`, `k_mliq_refined` (3
 //! accuracies), `tiq` (θ down to 1e-40, 2 accuracies), `tiq_anytime`, a box
@@ -36,6 +37,7 @@ use gauss_tree::{
 use gauss_workloads::{generate_queries, histogram_dataset, uniform_dataset, Dataset, SigmaSpec};
 use pfv::{CombineMode, Pfv};
 use std::io::{BufWriter, Write};
+use std::sync::Arc;
 
 /// One fixed-seed data set with its query σ.
 struct Case {
@@ -280,9 +282,20 @@ fn main() -> std::io::Result<()> {
                         GaussTree::bulk_load(pool(), config, case.data.items()).expect("bulk load");
                     writeln!(out, "{tag} tree n{} height{}", tree.len(), tree.height())?;
                     dump(&mut out, &format!("{tag} tree"), &tree, &queries, || ())?;
-                    let snap = tree.snapshot().expect("snapshot");
-                    dump(&mut out, &format!("{tag} snap"), &snap, &queries, || ())?;
-                    drop(snap);
+                    // An owning view for another thread is an `Arc` of the tree.
+                    let shared = Arc::new(tree);
+                    let rows = std::thread::scope(|s| {
+                        let (reader, queries) = (Arc::clone(&shared), &queries);
+                        let tag = format!("{tag} snap");
+                        s.spawn(move || {
+                            let mut rows = Vec::new();
+                            dump(&mut rows, &tag, &*reader, queries, || ()).map(|()| rows)
+                        })
+                        .join()
+                        .expect("reader thread")
+                    })?;
+                    out.write_all(&rows)?;
+                    let tree = Arc::try_unwrap(shared).expect("the reader has joined");
                     let cold = reopen_cold(tree);
                     dump(&mut out, &format!("{tag} cold"), &cold, &queries, || {
                         cold.cold_start();

@@ -5,8 +5,8 @@ use crate::csvio;
 use gauss_storage::forest::DirComponentStores;
 use gauss_storage::{AccessStats, BufferPool, Durability, FileStore, DEFAULT_PAGE_SIZE};
 use gauss_tree::{
-    BulkLoadOptions, DeleteOutcome, ForestOptions, GaussForest, GaussTree, LeafFormat, ReadView,
-    SpillKind, SplitStrategy, TreeConfig, TreeOptions,
+    BulkLoadOptions, ForestOptions, GaussForest, GaussTree, LeafFormat, ReadView, SpillKind,
+    SplitStrategy, TreeConfig,
 };
 use gauss_workloads::{
     histogram_dataset, uniform_dataset, DriftConfig, DriftStream, SigmaSpec, StreamOp,
@@ -18,23 +18,23 @@ pub const USAGE: &str = "usage:
   gauss-cli generate --out FILE --kind histogram|uniform --n N --dims D
                      [--seed S] [--sigma-min X] [--sigma-max Y]
   gauss-cli build    --data FILE.csv --index FILE.gtree
-                     [--page-size BYTES] [--split hull|mu|volume] [--bulk true|false]
-                     [--threads N] [--mem-budget BYTES] [--append true|false]
+                     [--page-size BYTES] [--split hull|mu|volume]
+                     [--threads N] [--mem-budget BYTES]
                      [--durability none|flush|fsync] [--leaf-format exact|quantised]
                      [--forest true]  (then --index is a forest DIRECTORY;
                       also [--memtable N] [--merge-factor F])
+                     A tree file is written once; an index that takes inserts
+                     and deletes is a forest (build --forest true, then ingest).
   gauss-cli ingest   --index DIR (--data FILE.csv | --events N [--sensors S]
                      [--dims D] [--seed X] [--update-frac U] [--delete-frac V])
                      [--maintain true]
   gauss-cli compact  --index DIR
-  gauss-cli info     --index FILE.gtree|DIR [--check true] [--recover true]
+  gauss-cli info     --index FILE.gtree|DIR [--check true]
   gauss-cli mliq     --index FILE.gtree|DIR --query 'm1,..;s1,..' [--query ...]
-                     [-k K] [--accuracy A] [--threads N] [--pin-snapshot true]
+                     [-k K] [--accuracy A] [--threads N]
   gauss-cli tiq      --index FILE.gtree|DIR --query 'm1,..;s1,..' [--query ...]
-                     --theta T [--accuracy A] [--threads N] [--pin-snapshot true]
-  gauss-cli boxq     --index FILE.gtree|DIR --lo a,b,.. --hi c,d,.. --tau T
-  gauss-cli delete   --index FILE.gtree --id N --query 'm1,..;s1,..'
-                     (forests delete through ingest streams)";
+                     --theta T [--accuracy A] [--threads N]
+  gauss-cli boxq     --index FILE.gtree|DIR --lo a,b,.. --hi c,d,.. --tau T";
 
 /// Dispatches a full argv (subcommand first).
 ///
@@ -54,8 +54,27 @@ pub fn dispatch(argv: &[String]) -> Result<(), ArgError> {
         "mliq" => mliq(&args),
         "tiq" => tiq(&args),
         "boxq" => boxq(&args),
-        "delete" => delete(&args),
+        "delete" => Err(written_once("the single-tree `delete` command")),
         other => Err(ArgError(format!("unknown subcommand '{other}'"))),
+    }
+}
+
+/// The refusal of a write path a tree file does not have: the file is
+/// written once, and the forest is the durable writer.
+fn written_once(what: &str) -> ArgError {
+    ArgError(format!(
+        "{what} is gone: a tree file is written once; for an index that takes \
+         inserts and deletes, build a forest (`build --forest true`) and write \
+         to it with `ingest`"
+    ))
+}
+
+/// Refuses `cmd --flag` for each removed `flag` given, rather than
+/// silently ignoring it like an unknown flag.
+fn refuse_removed(args: &Args, cmd: &str, flags: &[&str]) -> Result<(), ArgError> {
+    match flags.iter().find(|flag| args.get(flag).is_some()) {
+        Some(flag) => Err(written_once(&format!("`{cmd} --{flag}`"))),
+        None => Ok(()),
     }
 }
 
@@ -81,21 +100,14 @@ fn generate(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// Opens the `--index` file behind the standard 50 MiB buffer pool.
-fn open_pool(args: &Args) -> Result<BufferPool<FileStore>, ArgError> {
+/// Opens the tree in the `--index` file behind the standard 50 MiB buffer
+/// pool.
+fn open_tree(args: &Args) -> Result<GaussTree<FileStore>, ArgError> {
     let index = args.required("index")?;
     let page_size: usize = args.num("page-size", DEFAULT_PAGE_SIZE)?;
     let store = FileStore::open(index, page_size)
         .map_err(|e| ArgError(format!("cannot open {index}: {e}")))?;
-    Ok(BufferPool::with_byte_budget(
-        store,
-        50 * 1024 * 1024,
-        AccessStats::new_shared(),
-    ))
-}
-
-fn open_tree(args: &Args) -> Result<GaussTree<FileStore>, ArgError> {
-    let pool = open_pool(args)?;
+    let pool = BufferPool::with_byte_budget(store, 50 * 1024 * 1024, AccessStats::new_shared());
     GaussTree::open(pool).map_err(|e| ArgError(format!("cannot open index: {e}")))
 }
 
@@ -185,14 +197,13 @@ fn print_forest_stats(forest: &GaussForest<DirComponentStores>) {
 }
 
 fn build(args: &Args) -> Result<(), ArgError> {
+    refuse_removed(args, "build", &["append", "bulk"])?;
     if args.num("forest", false)? {
         return build_forest(args);
     }
     let data = args.required("data")?;
     let index = args.required("index")?;
     let page_size: usize = args.num("page-size", DEFAULT_PAGE_SIZE)?;
-    let bulk: bool = args.num("bulk", true)?;
-    let append: bool = args.num("append", false)?;
     let durability = parse_durability(args)?;
     let threads: usize = args.num("threads", 1)?;
     if threads == 0 {
@@ -207,25 +218,6 @@ fn build(args: &Args) -> Result<(), ArgError> {
         return Err(ArgError("data file holds no objects".into()));
     }
     let dims = items[0].1.dims();
-
-    if append {
-        // Merge the run into an existing index instead of rebuilding it.
-        let pool = open_pool(args)?;
-        let mut tree = GaussTree::open_with(pool, &TreeOptions::new().durability(durability))
-            .map_err(|e| ArgError(format!("cannot open index: {e}")))?;
-        let t0 = std::time::Instant::now();
-        let added = tree.extend(items).map_err(|e| ArgError(e.to_string()))?;
-        tree.flush().map_err(|e| ArgError(e.to_string()))?;
-        println!(
-            "appended {added} objects to {index}: {} total, height {}, {} pages, {:.2}s",
-            tree.len(),
-            tree.height(),
-            tree.pool().num_pages(),
-            t0.elapsed().as_secs_f64()
-        );
-        return Ok(());
-    }
-
     let config = TreeConfig::new(dims)
         .with_split(split)
         .with_leaf_format(leaf_format);
@@ -234,36 +226,23 @@ fn build(args: &Args) -> Result<(), ArgError> {
     let pool = BufferPool::with_byte_budget(store, 50 * 1024 * 1024, AccessStats::new_shared());
 
     let t0 = std::time::Instant::now();
-    let mut tree = if bulk {
-        let mut opts = BulkLoadOptions::default()
-            .with_threads(threads)
-            .with_spill(SpillKind::TempFile)
-            .with_durability(durability);
-        if mem_budget > 0 {
-            opts =
-                opts.with_mem_budget(gauss_tree::bulk::entries_for_byte_budget(mem_budget, dims));
-        }
-        let (tree, report) = GaussTree::bulk_load_with(pool, config, items, &opts)
-            .map_err(|e| ArgError(e.to_string()))?;
-        let writes = tree.stats().snapshot();
-        eprintln!(
-            "(ingest: peak {} resident entries, {} spilled, {} pages in {} write calls)",
-            report.peak_resident_entries,
-            report.spilled_entries,
-            writes.physical_writes,
-            writes.write_calls
-        );
-        tree
-    } else {
-        let mut tree =
-            GaussTree::create_with(pool, config, &TreeOptions::new().durability(durability))
-                .map_err(|e| ArgError(e.to_string()))?;
-        for (id, v) in items {
-            tree.insert(id, &v).map_err(|e| ArgError(e.to_string()))?;
-        }
-        tree
-    };
-    tree.flush().map_err(|e| ArgError(e.to_string()))?;
+    let mut opts = BulkLoadOptions::default()
+        .with_threads(threads)
+        .with_spill(SpillKind::TempFile)
+        .with_durability(durability);
+    if mem_budget > 0 {
+        opts = opts.with_mem_budget(gauss_tree::bulk::entries_for_byte_budget(mem_budget, dims));
+    }
+    let (tree, report) = GaussTree::bulk_load_with(pool, config, items, &opts)
+        .map_err(|e| ArgError(e.to_string()))?;
+    let writes = tree.stats().snapshot();
+    eprintln!(
+        "(ingest: peak {} resident entries, {} spilled, {} pages in {} write calls)",
+        report.peak_resident_entries,
+        report.spilled_entries,
+        writes.physical_writes,
+        writes.write_calls
+    );
     println!(
         "built {index}: {} objects, {} dims, height {}, {} pages, {:.2}s",
         tree.len(),
@@ -381,6 +360,7 @@ fn compact(args: &Args) -> Result<(), ArgError> {
 }
 
 fn info(args: &Args) -> Result<(), ArgError> {
+    refuse_removed(args, "info", &["recover"])?;
     if is_forest_index(args.required("index")?) {
         let forest = open_forest(args)?;
         print_forest_stats(&forest);
@@ -391,23 +371,7 @@ fn info(args: &Args) -> Result<(), ArgError> {
         println!("leaf format:    {:?}", forest.config().leaf_format);
         return Ok(());
     }
-    let recover: bool = args.num("recover", false)?;
-    let tree = if recover {
-        // Verified open: checks invariants and falls back across meta
-        // slots — the post-crash path.
-        let pool = open_pool(args)?;
-        let (tree, report) = GaussTree::open_with_recovery(pool)
-            .map_err(|e| ArgError(format!("cannot recover index: {e}")))?;
-        println!(
-            "recovery:       epoch {}{}, {} orphaned pages reclaimed",
-            report.epoch,
-            if report.fell_back { " (fell back)" } else { "" },
-            report.orphaned_pages
-        );
-        tree
-    } else {
-        open_tree(args)?
-    };
+    let tree = open_tree(args)?;
     println!("objects:        {}", tree.len());
     println!("dimensionality: {}", tree.dims());
     println!("height:         {}", tree.height());
@@ -418,7 +382,6 @@ fn info(args: &Args) -> Result<(), ArgError> {
     println!("split strategy: {:?}", tree.config().split);
     println!("leaf format:    {:?}", tree.config().leaf_format);
     println!("epoch:          {}", tree.epoch());
-    println!("pinned snaps:   {}", tree.pinned_snapshots());
     let check: bool = args.num("check", false)?;
     if check {
         let errors = tree
@@ -438,8 +401,9 @@ fn info(args: &Args) -> Result<(), ArgError> {
 }
 
 /// Parses the repeatable `--query` flag (at least one) and the `--threads`
-/// worker count for the batch executor.
-fn parse_batch(args: &Args) -> Result<(Vec<pfv::Pfv>, usize), ArgError> {
+/// worker count for the batch executor of query command `cmd`.
+fn parse_batch(args: &Args, cmd: &str) -> Result<(Vec<pfv::Pfv>, usize), ArgError> {
+    refuse_removed(args, cmd, &["pin-snapshot"])?;
     let literals = args.get_all("query");
     if literals.is_empty() {
         return Err(ArgError("missing required flag --query".into()));
@@ -455,15 +419,8 @@ fn parse_batch(args: &Args) -> Result<(Vec<pfv::Pfv>, usize), ArgError> {
     Ok((queries, threads))
 }
 
-/// Parses `--pin-snapshot true|false` (default `false`): run the queries on
-/// a pinned committed-epoch [`gauss_tree::Snapshot`] instead of the writer's
-/// working state.
-fn parse_pin(args: &Args) -> Result<bool, ArgError> {
-    args.num("pin-snapshot", false)
-}
-
 fn mliq(args: &Args) -> Result<(), ArgError> {
-    let (queries, threads) = parse_batch(args)?;
+    let (queries, threads) = parse_batch(args, "mliq")?;
     let k: usize = args.num("k", 1)?;
     let accuracy: f64 = args.num("accuracy", 1e-4)?;
     if accuracy.is_nan() || accuracy <= 0.0 {
@@ -485,16 +442,11 @@ fn mliq(args: &Args) -> Result<(), ArgError> {
         return print_mliq(&batches, threads, t0.elapsed(), forest.stats());
     }
     let tree = open_tree(args)?;
-    let pin = parse_pin(args)?;
     let t0 = std::time::Instant::now();
-    let batches = if pin {
-        let snap = tree.snapshot().map_err(|e| ArgError(e.to_string()))?;
-        eprintln!("(pinned snapshot of committed epoch {})", snap.epoch());
-        snap.batch(threads).k_mliq_refined(&queries, k, accuracy)
-    } else {
-        tree.batch(threads).k_mliq_refined(&queries, k, accuracy)
-    }
-    .map_err(|e| ArgError(e.to_string()))?;
+    let batches = tree
+        .batch(threads)
+        .k_mliq_refined(&queries, k, accuracy)
+        .map_err(|e| ArgError(e.to_string()))?;
     print_mliq(&batches, threads, t0.elapsed(), tree.stats())
 }
 
@@ -531,7 +483,7 @@ fn print_mliq(
 }
 
 fn tiq(args: &Args) -> Result<(), ArgError> {
-    let (queries, threads) = parse_batch(args)?;
+    let (queries, threads) = parse_batch(args, "tiq")?;
     let theta: f64 = args.num_required("theta")?;
     if !(theta > 0.0 && theta <= 1.0) {
         return Err(ArgError(format!(
@@ -550,14 +502,9 @@ fn tiq(args: &Args) -> Result<(), ArgError> {
         eprintln!("(forest snapshot of epoch {})", snap.epoch());
         snap.batch(threads).tiq(&queries, theta, accuracy)
     } else {
-        let tree = open_tree(args)?;
-        if parse_pin(args)? {
-            let snap = tree.snapshot().map_err(|e| ArgError(e.to_string()))?;
-            eprintln!("(pinned snapshot of committed epoch {})", snap.epoch());
-            snap.batch(threads).tiq(&queries, theta, accuracy)
-        } else {
-            tree.batch(threads).tiq(&queries, theta, accuracy)
-        }
+        open_tree(args)?
+            .batch(threads)
+            .tiq(&queries, theta, accuracy)
     }
     .map_err(|e| ArgError(e.to_string()))?;
     let mut total = 0usize;
@@ -596,22 +543,6 @@ fn boxq(args: &Args) -> Result<(), ArgError> {
     }
     eprintln!("({} results)", hits.len());
     Ok(())
-}
-
-fn delete(args: &Args) -> Result<(), ArgError> {
-    let mut tree = open_tree(args)?;
-    let id: u64 = args.num_required("id")?;
-    let v = parse_pfv(args.required("query")?)?;
-    match tree.delete(id, &v).map_err(|e| ArgError(e.to_string()))? {
-        DeleteOutcome::Deleted => {
-            tree.flush().map_err(|e| ArgError(e.to_string()))?;
-            println!("deleted id={id}; {} objects remain", tree.len());
-            Ok(())
-        }
-        DeleteOutcome::NotFound => Err(ArgError(format!(
-            "no entry with id={id} and the given parameters"
-        ))),
-    }
 }
 
 #[cfg(test)]
@@ -735,6 +666,15 @@ mod tests {
         .is_err());
     }
 
+    /// Asserts `argv` is refused with an error that points at the forest.
+    fn refused(argv: &[&str]) {
+        let err = run(argv).unwrap_err().0;
+        assert!(
+            err.contains("build --forest true") && err.contains("ingest"),
+            "{argv:?}: {err}"
+        );
+    }
+
     #[test]
     fn incremental_build_and_delete() {
         let tmp = TempDir::new();
@@ -744,45 +684,34 @@ mod tests {
             "generate", "--out", &csv, "--n", "50", "--dims", "2", "--seed", "9",
         ])
         .unwrap();
-        run(&["build", "--data", &csv, "--index", &idx, "--bulk", "false"]).unwrap();
-
-        // Read back the csv to learn object 0's exact parameters.
-        let rows = csvio::read_csv(std::path::Path::new(&csv)).unwrap();
-        let (id, v) = &rows[0];
-        let lit = format!(
-            "{};{}",
-            v.means()
-                .iter()
-                .map(f64::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
-            v.sigmas()
-                .iter()
-                .map(f64::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
+        // The paper's incremental insert builds in-memory trees only; a
+        // tree file is bulk-loaded, and it is never edited in place.
+        refused(&["build", "--data", &csv, "--index", &idx, "--bulk", "false"]);
+        assert!(!std::path::Path::new(&idx).exists(), "nothing was written");
+        run(&["build", "--data", &csv, "--index", &idx]).unwrap();
+        let before = std::fs::read(&idx).unwrap();
+        let q = "0.5,0.5;0.1,0.1";
+        refused(&["delete", "--index", &idx, "--id", "0", "--query", q]);
+        refused(&["info", "--index", &idx, "--recover", "true"]);
+        for cmd in ["mliq", "tiq"] {
+            refused(&[
+                cmd,
+                "--index",
+                &idx,
+                "--query",
+                q,
+                "--theta",
+                "0.1",
+                "--pin-snapshot",
+                "true",
+            ]);
+        }
+        assert_eq!(
+            std::fs::read(&idx).unwrap(),
+            before,
+            "the file is untouched"
         );
-        run(&[
-            "delete",
-            "--index",
-            &idx,
-            "--id",
-            &id.to_string(),
-            "--query",
-            &lit,
-        ])
-        .unwrap();
-        // Deleting again fails cleanly.
-        assert!(run(&[
-            "delete",
-            "--index",
-            &idx,
-            "--id",
-            &id.to_string(),
-            "--query",
-            &lit
-        ])
-        .is_err());
+        run(&["info", "--index", &idx, "--check", "true"]).unwrap();
     }
 
     #[test]
@@ -812,96 +741,92 @@ mod tests {
         .unwrap();
         run(&["info", "--index", &idx, "--check", "true"]).unwrap();
 
-        // Append a second CSV without a rebuild; the index keeps both runs.
+        // Appending to a tree file is refused, and the refusal comes before
+        // the flag could be mistaken for a rebuild that overwrites it.
         run(&[
             "generate", "--out", &more, "--kind", "uniform", "--n", "150", "--dims", "3", "--seed",
             "8",
         ])
         .unwrap();
-        run(&[
+        let before = std::fs::read(&idx).unwrap();
+        refused(&[
             "build", "--data", &more, "--index", &idx, "--append", "true",
-        ])
-        .unwrap();
+        ]);
+        assert_eq!(std::fs::read(&idx).unwrap(), before);
         run(&["info", "--index", &idx, "--check", "true"]).unwrap();
 
-        // --threads 0 rejected; appending to a missing index fails cleanly.
+        // --threads 0 rejected.
         assert!(run(&["build", "--data", &csv, "--index", &idx, "--threads", "0"]).is_err());
-        let missing = tmp.p("missing.gtree");
-        assert!(run(&["build", "--data", &more, "--index", &missing, "--append", "true"]).is_err());
     }
 
     #[test]
-    fn durable_build_append_and_recover() {
+    fn durable_forest_build_ingest_and_reopen() {
         let tmp = TempDir::new();
         let csv = tmp.p("dur.csv");
         let more = tmp.p("dur-more.csv");
-        let idx = tmp.p("dur.gtree");
+        let dir = tmp.p("dur-forest");
         run(&[
             "generate", "--out", &csv, "--kind", "uniform", "--n", "120", "--dims", "2", "--seed",
             "4",
         ])
         .unwrap();
-        run(&[
-            "build",
-            "--data",
-            &csv,
-            "--index",
-            &idx,
-            "--durability",
-            "fsync",
-        ])
-        .unwrap();
-        run(&["info", "--index", &idx, "--check", "true"]).unwrap();
+        let durable = ["--durability", "fsync", "--memtable", "32"];
+        let mut argv = vec!["build", "--forest", "true", "--data", &csv, "--index", &dir];
+        argv.extend(durable);
+        run(&argv).unwrap();
 
-        // Durable append onto the existing index.
+        // Durable upserts from a CSV, then a drift stream with deletes.
         run(&[
             "generate", "--out", &more, "--kind", "uniform", "--n", "40", "--dims", "2", "--seed",
             "5",
         ])
         .unwrap();
-        run(&[
-            "build",
-            "--data",
-            &more,
+        let mut argv = vec!["ingest", "--index", &dir, "--data", &more];
+        argv.extend(durable);
+        run(&argv).unwrap();
+        let mut argv = vec![
+            "ingest",
             "--index",
-            &idx,
-            "--append",
+            &dir,
+            "--events",
+            "300",
+            "--dims",
+            "2",
+            "--delete-frac",
+            "0.2",
+            "--maintain",
             "true",
-            "--durability",
-            "flush",
+        ];
+        argv.extend(durable);
+        run(&argv).unwrap();
+
+        // A fresh open reads the forest back from its directory.
+        let backend = DirComponentStores::new(&dir, DEFAULT_PAGE_SIZE).unwrap();
+        let forest = GaussForest::open(backend, ForestOptions::new()).unwrap();
+        assert!(!forest.is_empty());
+        assert_eq!(forest.memtable_len(), 0, "ingest flushes before it returns");
+        drop(forest);
+        run(&["info", "--index", &dir]).unwrap();
+        run(&[
+            "mliq",
+            "--index",
+            &dir,
+            "--query",
+            "0.5,0.5;0.1,0.1",
+            "-k",
+            "3",
         ])
         .unwrap();
-        // Verified (recovery) open passes and the tree checks out.
-        run(&[
-            "info",
-            "--index",
-            &idx,
-            "--recover",
-            "true",
-            "--check",
-            "true",
-        ])
-        .unwrap();
-        // Incremental durable build works too, and bad levels are caught.
-        let idx2 = tmp.p("dur2.gtree");
-        run(&[
-            "build",
-            "--data",
-            &csv,
-            "--index",
-            &idx2,
-            "--bulk",
-            "false",
-            "--durability",
-            "flush",
-        ])
-        .unwrap();
+        // Bad durability levels are caught.
+        let bad = tmp.p("bad-forest");
         assert!(run(&[
             "build",
+            "--forest",
+            "true",
             "--data",
             &csv,
             "--index",
-            &idx2,
+            &bad,
             "--durability",
             "paranoid"
         ])

@@ -107,10 +107,10 @@ pub struct BulkLoadOptions {
     pub chunk_entries: usize,
     /// Spill backend used when the budget overflows.
     pub spill: SpillKind,
-    /// Crash-safety policy of the produced tree (see
-    /// [`crate::tree::TreeOptions::durability`]). Under `Flush`/`Fsync` a crash
-    /// mid-load recovers to the committed empty tree; the final flush
-    /// commits the loaded tree atomically.
+    /// Barrier level of the load's one commit (see
+    /// [`GaussTree::bulk_load_with`]): under `Flush`/`Fsync` every node page
+    /// is durable before the slot that names it, and the slot before the
+    /// load returns.
     pub durability: Durability,
 }
 
@@ -148,7 +148,7 @@ impl BulkLoadOptions {
         self
     }
 
-    /// Sets the crash-safety policy of the produced tree.
+    /// Sets the barrier level of the load's commit.
     #[must_use]
     pub fn with_durability(mut self, durability: Durability) -> Self {
         self.durability = durability;
@@ -188,7 +188,7 @@ struct NodeEmitter {
 impl NodeEmitter {
     fn emit<S: PageStore>(
         &mut self,
-        tree: &mut GaussTree<S>,
+        tree: &GaussTree<S>,
         page: PageId,
         node: &Node,
     ) -> Result<(), TreeError> {
@@ -211,32 +211,28 @@ struct LeafCtx {
     threads: usize,
     /// Effective resident-entry budget (usize::MAX when unbounded).
     budget: usize,
-    /// Page of group 0 (the reused root page).
-    first_page: PageId,
-    /// First page of groups 1.. (consecutive), INVALID for a single group.
-    extra_base: PageId,
+    /// Page of leaf group 0; group `g` lives `g` pages behind it.
+    base: PageId,
 }
 
 impl LeafCtx {
     fn page_for(&self, group: usize) -> PageId {
-        if group == 0 {
-            self.first_page
-        } else {
-            PageId(self.extra_base.index() + (group as u64 - 1))
-        }
+        PageId(self.base.index() + group as u64)
     }
 }
 
-/// Runs the pipeline over a freshly created tree. Called by
-/// [`GaussTree::bulk_load_with`] with `at_input_spread`, which prices every
-/// split at the input's typical σ (see [`crate::split`]); without it splits
-/// are priced at σ_q = 0, the baseline the page-count tests compare against.
+/// Writes the node pages of a tree over `items` into `tree`'s store and
+/// returns what was loaded with the root page and height; committing them
+/// is the caller's ([`GaussTree::bulk_load_with`]). With `at_input_spread`
+/// every split is priced at the input's typical σ (see [`crate::split`]);
+/// without it at σ_q = 0, the baseline the page-count tests compare
+/// against.
 pub(crate) fn run<S: PageStore>(
-    tree: &mut GaussTree<S>,
+    tree: &GaussTree<S>,
     items: impl IntoIterator<Item = (u64, Pfv)>,
     opts: &BulkLoadOptions,
     at_input_spread: bool,
-) -> Result<BulkLoadReport, TreeError> {
+) -> Result<(BulkLoadReport, PageId, u32), TreeError> {
     let dims = tree.dims();
     let leaf_cap = tree.leaf_capacity();
     let threads = opts.threads.max(1);
@@ -283,11 +279,15 @@ pub(crate) fn run<S: PageStore>(
     }
 
     let total = spill.as_ref().map_or(resident.len() as u64, SpillFile::len);
+    let mut emitter = NodeEmitter::default();
     if total == 0 {
-        return Ok(report);
+        // The empty tree still owns its root: one empty leaf.
+        let root = tree.pool().allocate()?;
+        emitter.emit(tree, root, &Node::Leaf(Vec::new()))?;
+        emitter.finish(tree)?;
+        return Ok((report, root, 0));
     }
     report.total_entries = total;
-    tree.set_len(total);
     // σ̄: the geometric mean of the input's σ per dimension, or 0.
     let sigma_bar: Vec<f64> = if at_input_spread {
         log_sigma.iter().map(|l| (l / total as f64).exp()).collect()
@@ -296,39 +296,20 @@ pub(crate) fn run<S: PageStore>(
     };
     let cost = SplitCost::at_spread(tree.config().split, tree.config().combine, &sigma_bar);
 
-    // Stage 2+3: leaf level. Group 0 reuses the root page created by
-    // `create()` — except under shadow paging, where that page belongs to
-    // the committed empty tree and must survive a crash mid-load, so a
-    // fresh page is used and the old root deferred to the free list. The
-    // rest of the level is allocated in one consecutive run up front, so
+    // Stage 2+3: leaf level, allocated in one consecutive run up front, so
     // page ids do not depend on write order.
-    let first_page = if tree.is_shadowing() {
-        let old_root = tree.root_page();
-        let fresh = tree.alloc_page()?;
-        tree.free_page(old_root)?;
-        fresh
-    } else {
-        tree.root_page()
-    };
     // lint: allow(no-panic) -- u64 entry count to usize; the documented assumption is a 64-bit build
     let n = usize::try_from(total).expect("entry count fits usize");
     // Packed: the fewest leaves that hold `n`, sized within one entry of
     // each other, so each is at least half full.
     let n_groups = n.div_ceil(leaf_cap);
-    let extra_base = if n_groups > 1 {
-        tree.pool().allocate_many(n_groups as u64 - 1)?
-    } else {
-        PageId::INVALID
-    };
     let ctx = LeafCtx {
         cost,
         dims,
         threads,
         budget: budget.unwrap_or(usize::MAX),
-        first_page,
-        extra_base,
+        base: tree.pool().allocate_many(n_groups as u64)?,
     };
-    let mut emitter = NodeEmitter::default();
     let mut slots: Vec<Option<InnerEntry>> = (0..n_groups).map(|_| None).collect();
     match spill {
         None => emit_leaf_groups(
@@ -361,16 +342,14 @@ pub(crate) fn run<S: PageStore>(
 
     let (root, height) = build_upper_levels(tree, &mut emitter, &ctx.cost, threads, level)?;
     emitter.finish(tree)?;
-    tree.set_root(root, height);
-    tree.flush()?;
-    Ok(report)
+    Ok((report, root, height))
 }
 
 /// Partitions an in-memory range into its `n_groups` leaf groups (fanned
 /// across workers) and emits each group to its preassigned page.
 #[allow(clippy::too_many_arguments)]
 fn emit_leaf_groups<S: PageStore>(
-    tree: &mut GaussTree<S>,
+    tree: &GaussTree<S>,
     emitter: &mut NodeEmitter,
     ctx: &LeafCtx,
     entries: Vec<LeafEntry>,
@@ -399,7 +378,7 @@ fn emit_leaf_groups<S: PageStore>(
 /// the (parallel) in-memory partitioner; larger ranges split externally.
 #[allow(clippy::too_many_arguments)]
 fn build_leaves_external<S: PageStore>(
-    tree: &mut GaussTree<S>,
+    tree: &GaussTree<S>,
     emitter: &mut NodeEmitter,
     ctx: &LeafCtx,
     sp: &mut SpillFile,
@@ -533,7 +512,7 @@ fn external_split(
 /// every level's pages are allocated in group order before the next
 /// level's.
 fn build_upper_levels<S: PageStore>(
-    tree: &mut GaussTree<S>,
+    tree: &GaussTree<S>,
     emitter: &mut NodeEmitter,
     cost: &SplitCost,
     threads: usize,
@@ -1054,9 +1033,10 @@ mod tests {
             4096,
             AccessStats::new_shared(),
         );
-        let mut tree = GaussTree::create(pool, TreeConfig::new(data.dims())).unwrap();
         let opts = BulkLoadOptions::default();
-        run(&mut tree, data.items(), &opts, at_input_spread).unwrap();
+        let config = TreeConfig::new(data.dims());
+        let (tree, _) =
+            GaussTree::build(pool.into(), config, data.items(), &opts, at_input_spread).unwrap();
         let mut pages = 0;
         for q in queries {
             tree.cold_start();

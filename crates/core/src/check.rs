@@ -75,19 +75,21 @@ pub enum InvariantError {
         actual: u64,
     },
     /// Allocated pages are neither reachable from the root, nor metadata
-    /// pages, nor on the free list — the store is leaking pages.
+    /// pages, nor dead pages an earlier version's slot lists as free — the
+    /// store is leaking pages.
     PageLeak {
         /// Pages allocated in the store.
         allocated: u64,
         /// Node pages reachable from the root (excluding metadata pages).
         reachable: u64,
-        /// Pages parked on the free list.
+        /// Dead pages: the committed slot's free ids and pages past its
+        /// allocation.
         freed: u64,
         /// Pages owned by the tree's metadata (the two commit slots).
         meta: u64,
     },
-    /// A page on the free list is still reachable from the root (a reuse
-    /// of it would corrupt the tree).
+    /// A page the committed slot lists as free is still reachable from the
+    /// root.
     FreedPageReachable {
         /// The doubly-owned page.
         page: u64,
@@ -173,21 +175,20 @@ impl<S: PageStore> GaussTree<S> {
     /// # Errors
     /// Storage/codec errors while traversing.
     pub fn check_invariants(&self, strict_fanout: bool) -> Result<Vec<InvariantError>, TreeError> {
-        let (mut errors, reachable) = self.working_plane().check_structure(strict_fanout)?;
+        let (mut errors, reachable) = self.tree_plane().check_structure(strict_fanout)?;
         self.check_page_accounting(&reachable, &mut errors);
         Ok(errors)
     }
 
-    /// Allocation-leak assertion: every page of the store is either the
-    /// meta page, reachable from the root, or parked on the free list —
-    /// nothing more, nothing less. Bulk loading, insertion, batch merges
-    /// and deletion (which returns dissolved pages to the free list) all
-    /// preserve this; a violation means some code path dropped or
-    /// double-owned a page.
+    /// Allocation-leak assertion: every page of the store is a meta slot,
+    /// reachable from the root, or dead — nothing more, nothing less. Bulk
+    /// loading and in-memory insertion leave no dead page; a file of an
+    /// earlier version may list some. A violation means some code path
+    /// dropped or double-owned a page.
     fn check_page_accounting(&self, reachable: &[u64], errors: &mut Vec<InvariantError>) {
         let reachable_set: std::collections::HashSet<u64> = reachable.iter().copied().collect();
-        let freed = self.free_pages();
-        for p in &freed {
+        let freed = self.dead_pages();
+        for p in freed {
             if reachable_set.contains(&p.index()) {
                 errors.push(InvariantError::FreedPageReachable { page: p.index() });
             }
@@ -209,11 +210,8 @@ impl<S: PageStore> GaussTree<S> {
 impl<S: PageStore> Plane<'_, S> {
     /// Structural half of the invariant check: balance, fanout bounds,
     /// rectangle containment/tightness and count consistency — everything
-    /// that can be verified from one frozen root, so both the writer's
-    /// working state and a pinned snapshot can run it. Returns the
-    /// violations plus every page reachable from the root (the writer's
-    /// [`GaussTree::check_invariants`] feeds the latter into its page
-    /// accounting, which needs the free lists only the writer knows).
+    /// that can be verified from the root. Returns the violations plus every page reachable from the root (for
+    /// [`GaussTree::check_invariants`]' page accounting).
     pub(crate) fn check_structure(
         &self,
         strict_fanout: bool,
@@ -223,7 +221,7 @@ impl<S: PageStore> Plane<'_, S> {
         if self.is_empty() {
             // The empty tree still owns its root leaf — which must decode
             // and actually be empty, so a clobbered root page cannot hide
-            // behind `len == 0` (crash recovery relies on this check).
+            // behind `len == 0`.
             reachable.push(self.root_page().index());
             let root = self.read_node(self.root_page())?;
             if !root.is_empty() {
@@ -450,47 +448,6 @@ mod tests {
                 .any(|e| matches!(e, InvariantError::PageLeak { .. })),
             "expected a PageLeak violation, got {errs:?}"
         );
-    }
-
-    #[test]
-    fn deletion_keeps_page_accounting_exact() {
-        let config = TreeConfig::new(2).with_capacities(6, 4);
-        let pool = BufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
-        let mut tree = GaussTree::create(pool, config).unwrap();
-        let items: Vec<(u64, Pfv)> = (0..300u64)
-            .map(|i| {
-                (
-                    i,
-                    pfv2(
-                        (i as f64 * 0.73).sin() * 15.0,
-                        (i as f64 * 0.41).cos() * 15.0,
-                        0.05 + (i % 7) as f64 * 0.1,
-                    ),
-                )
-            })
-            .collect();
-        for (id, v) in &items {
-            tree.insert(*id, v).unwrap();
-        }
-        // Mass deletion dissolves nodes and collapses the root; every
-        // dropped page must land on the free list, not leak.
-        for (id, v) in items.iter().take(280) {
-            tree.delete(*id, v).unwrap();
-        }
-        let errs = tree.check_invariants(false).unwrap();
-        assert!(errs.is_empty(), "violations after deletes: {errs:?}");
-        assert!(tree.free_page_count() > 0, "deletes must free pages");
-        // Reinsertion reuses freed pages before growing the store.
-        let pages_before = tree.pool().num_pages();
-        for (id, v) in items.iter().take(40) {
-            tree.insert(*id, v).unwrap();
-        }
-        assert_eq!(
-            tree.pool().num_pages(),
-            pages_before,
-            "freed pages must be reused before the store grows"
-        );
-        assert!(tree.check_invariants(false).unwrap().is_empty());
     }
 
     #[test]

@@ -34,8 +34,7 @@ use pfv::Pfv;
 /// Lazy best-first ranking over one view state.
 ///
 /// Created by [`ReadView::ranking_cursor`] — on a
-/// [`GaussTree`](crate::tree::GaussTree) (working state), a pinned
-/// [`Snapshot`](crate::tree::Snapshot) (committed epoch) or a
+/// [`GaussTree`](crate::tree::GaussTree) or a
 /// [`ForestSnapshot`](crate::ForestSnapshot) (committed forest manifest);
 /// call [`RankingCursor::next_hit`] repeatedly. Holds the query and
 /// frontier; borrows the view *shared*, so several cursors (even on

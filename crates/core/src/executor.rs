@@ -1,6 +1,6 @@
 //! Multi-threaded batch-query execution over one shared read view — a
-//! [`GaussTree`](crate::tree::GaussTree) or a pinned
-//! [`Snapshot`](crate::tree::Snapshot).
+//! [`GaussTree`](crate::tree::GaussTree) or a
+//! [`ForestSnapshot`](crate::ForestSnapshot).
 //!
 //! The storage layer's [`gauss_storage::SharedBufferPool`] makes every
 //! read-only tree operation `&self`, so a batch of queries can fan out
@@ -51,7 +51,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Fans batches of queries across worker threads over one shared view —
 /// either a [`GaussTree`](crate::tree::GaussTree) borrowed shared or a
-/// pinned [`Snapshot`](crate::tree::Snapshot).
+/// [`ForestSnapshot`](crate::ForestSnapshot).
 ///
 /// Created by [`BatchExecutor::new`] or [`ReadView::batch`].
 #[derive(Debug)]

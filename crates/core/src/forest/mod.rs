@@ -1,10 +1,9 @@
 //! The Gauss-forest: an LSM-style write-optimized store of Gauss-trees.
 //!
-//! The paper's Gauss-tree is bulk-built and read-optimized; per-object
-//! inserts pay a full descent plus shadow page writes each, so sustained
-//! ingest can never approach the bulk loader's throughput. The forest
-//! closes that gap the way LSM-trees (O'Neil et al.) and bkd-style
-//! stores layer writes over a static spatial index:
+//! A Gauss-tree file is written once, by the bulk loader (see
+//! [`crate::tree`]); the forest is the durable writer on top of it. It
+//! takes sustained inserts, upserts and deletes the way LSM-trees (O'Neil
+//! et al.) and bkd-style stores layer writes over a static spatial index:
 //!
 //! * **Memtable** — an in-memory buffer absorbs [`GaussForest::insert`]
 //!   and [`GaussForest::delete`] (deletes as tombstones). Values are
@@ -12,7 +11,7 @@
 //!   densities match post-flush densities bit for bit.
 //! * **Flush** — at [`ForestOptions::memtable_capacity`] records the
 //!   buffer is bulk-loaded (through the parallel pipeline of
-//!   [`crate::bulk`]) into a fresh *immutable* level-0 component tree.
+//!   [`crate::bulk`]) into a fresh write-once level-0 component tree.
 //! * **Merge** — [`GaussForest::maintain`] merges every level holding at
 //!   least [`ForestOptions::merge_factor`] components into one component
 //!   a level deeper, rewriting the union newest-wins and compacting
@@ -27,8 +26,12 @@
 //!
 //! Newer data shadows older: a component's entry or tombstone for id `x`
 //! hides any entry for `x` in an older component, and the memtable hides
-//! everything. Queries run on [`ForestSnapshot`]s — epoch-pinned views
-//! implementing [`crate::ReadView`]. There is no forest query engine: the
+//! everything. Queries run on [`ForestSnapshot`]s — the memtable image
+//! plus an `Arc` of every component tree, implementing
+//! [`crate::ReadView`]. A component is never written after its commit, so
+//! holding it is all a snapshot needs to keep answering for its live set
+//! while the forest flushes, merges and drops components. There is no
+//! forest query engine: the
 //! algorithms in [`crate::query`] are written for "memtable + components
 //! with shadow sets", a snapshot hands them its memtable image and pinned
 //! components, and a single tree is the same thing with one component and
@@ -42,7 +45,7 @@ pub(crate) mod memtable;
 
 use crate::bulk::BulkLoadOptions;
 use crate::config::TreeConfig;
-use crate::tree::{GaussTree, Snapshot, TreeError, TreeOptions};
+use crate::tree::{GaussTree, TreeError};
 use crate::view::ReadView;
 use gauss_storage::commit;
 use gauss_storage::forest::ComponentStores;
@@ -55,7 +58,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Tuning knobs for a [`GaussForest`], builder-style like
-/// [`TreeOptions`].
+/// [`crate::TreeOptions`].
 #[derive(Debug, Clone, Copy)]
 pub struct ForestOptions {
     pub(crate) memtable_capacity: usize,
@@ -123,12 +126,13 @@ impl ForestOptions {
     }
 }
 
-/// One immutable component: a bulk-built Gauss-tree plus the shadowing
-/// metadata the forest keeps in memory.
+/// One immutable component: a bulk-built Gauss-tree, shared with every
+/// snapshot that pinned it, plus the shadowing metadata the forest keeps
+/// in memory.
 struct Component<S: PageStore> {
     id: u64,
     level: u32,
-    tree: GaussTree<S>,
+    tree: Arc<GaussTree<S>>,
     /// Ids stored in `tree` — shadow same-id entries in older components.
     ids: HashSet<u64>,
     /// Deleted ids this component records against older components.
@@ -235,12 +239,11 @@ impl<B: ComponentStores> GaussForest<B> {
             }
         }
         let stats = AccessStats::new_shared();
-        let topts = TreeOptions::new().durability(opts.durability);
         let mut comps = Vec::with_capacity(m.components.len());
         for mc in &m.components {
             let store = backend.open_component(mc.id)?;
             let pool = BufferPool::new(store, opts.pool_frames, Arc::clone(&stats));
-            let tree = GaussTree::open_with(pool, &topts)?;
+            let tree = GaussTree::open(pool)?;
             if tree.len() != mc.len || tree.config().dims != m.config.dims {
                 return Err(TreeError::Corrupt("component disagrees with manifest"));
             }
@@ -251,7 +254,7 @@ impl<B: ComponentStores> GaussForest<B> {
             comps.push(Component {
                 id: mc.id,
                 level: mc.level,
-                tree,
+                tree: Arc::new(tree),
                 ids,
                 tombstones: mc.tombstones.iter().copied().collect(),
             });
@@ -551,24 +554,16 @@ impl<B: ComponentStores> GaussForest<B> {
         self.next_component_id += 1;
         let store = self.backend.create_component(id)?;
         let pool = BufferPool::new(store, self.pool_frames, Arc::clone(&self.stats));
-        // Both constructors end with a commit, so the tree is ready to be
-        // pinned by snapshots as returned.
-        let tree = if entries.is_empty() {
-            GaussTree::create_with(
-                pool,
-                self.config,
-                &TreeOptions::new().durability(self.durability),
-            )?
-        } else {
-            let opts = BulkLoadOptions::default()
-                .with_threads(self.threads)
-                .with_durability(self.durability);
-            GaussTree::bulk_load_with(pool, self.config, entries, &opts)?.0
-        };
+        // The bulk load commits the component once (an empty one — a
+        // component of nothing but tombstones — as an empty root leaf).
+        let opts = BulkLoadOptions::default()
+            .with_threads(self.threads)
+            .with_durability(self.durability);
+        let tree = GaussTree::bulk_load_with(pool, self.config, entries, &opts)?.0;
         Ok(Component {
             id,
             level,
-            tree,
+            tree: Arc::new(tree),
             ids,
             tombstones,
         })
@@ -618,29 +613,32 @@ impl<B: ComponentStores> GaussForest<B> {
     }
 
     /// Pins a consistent, epoch-tagged view of the whole forest:
-    /// memtable contents plus a [`Snapshot`] of every component, with
+    /// memtable contents plus an `Arc` of every component tree, with
     /// per-component shadow sets precomputed. The snapshot implements
     /// [`crate::ReadView`] and stays valid across later flushes, merges
     /// and reopens of the forest.
     ///
     /// # Errors
-    /// Store errors while pinning component snapshots.
+    /// None: pinning reads nothing. The `Result` stays so that callers
+    /// written against it (`?`) keep compiling.
     pub fn snapshot(&self) -> Result<ForestSnapshot<B::Store>, TreeError> {
         let mem = self.mem.live_entries();
         let mut newer: HashSet<u64> = self.mem.ids().collect();
         let mut comps = Vec::with_capacity(self.comps.len());
         for c in &self.comps {
-            let snap = c.tree.snapshot()?;
             let hidden: HashSet<u64> = c.ids.intersection(&newer).copied().collect();
             newer.extend(c.ids.iter().copied());
             newer.extend(c.tombstones.iter().copied());
-            comps.push(SnapComponent { snap, hidden });
+            comps.push(SnapComponent {
+                tree: Arc::clone(&c.tree),
+                hidden,
+            });
         }
         debug_assert_eq!(
             mem.len() as u64
                 + comps
                     .iter()
-                    .map(|c| c.snap.len() - c.hidden.len() as u64)
+                    .map(|c| c.tree.len() - c.hidden.len() as u64)
                     .sum::<u64>(),
             self.live,
             "forest live count diverged from snapshot visibility"
@@ -660,17 +658,17 @@ impl<B: ComponentStores> GaussForest<B> {
     }
 }
 
-/// One component pinned by a [`ForestSnapshot`]: an epoch-pinned tree
-/// snapshot plus the ids newer data shadows inside it.
+/// One component pinned by a [`ForestSnapshot`]: the component tree plus
+/// the ids newer data shadows inside it.
 pub(crate) struct SnapComponent<S: PageStore> {
-    pub(crate) snap: Snapshot<S>,
+    pub(crate) tree: Arc<GaussTree<S>>,
     pub(crate) hidden: HashSet<u64>,
 }
 
 impl<S: PageStore> Clone for SnapComponent<S> {
     fn clone(&self) -> Self {
         Self {
-            snap: self.snap.clone(),
+            tree: Arc::clone(&self.tree),
             hidden: self.hidden.clone(),
         }
     }
@@ -784,15 +782,19 @@ mod tests {
             f.insert(i, &v(i)).unwrap(); // the eighth insert flushes
         }
         assert_eq!(f.component_stats().len(), 1);
-        // `create_with` commits the empty tree (epoch 1), the bulk load
-        // the built one (epoch 2); the forest adds no commit of its own.
-        assert_eq!(f.comps[0].tree.epoch(), 2);
-        assert_eq!(f.comps[0].tree.snapshot().unwrap().len(), 8);
+        // The bulk load commits the component once (epoch 1); the forest
+        // adds no commit of its own.
+        assert_eq!(f.comps[0].tree.epoch(), 1);
+        let pinned = f.snapshot().unwrap();
+        assert!(Arc::ptr_eq(&pinned.comps[0].tree, &f.comps[0].tree));
+        assert_eq!(pinned.comps[0].tree.len(), 8);
         // A component of nothing but tombstones is the committed empty tree.
         f.delete(3).unwrap();
         assert!(f.flush().unwrap());
         assert_eq!(f.comps[0].tree.epoch(), 1);
+        assert!(f.comps[0].tree.is_empty());
         assert_eq!(f.snapshot().unwrap().len(), 7);
+        assert_eq!(pinned.len(), 8, "the older snapshot keeps its live set");
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //!   fanned across scoped worker threads (the recursion's sub-ranges are
 //!   independent), and batched page writes group-committed as coalesced
 //!   sequential runs — every combination byte-identical to the serial
-//!   resident build; plus [`GaussTree::extend`], the batched sorted-run
-//!   merge into an existing tree (one descent per batch);
+//!   resident build; plus [`GaussTree::extend`], the batched merge of a run
+//!   into an in-memory tree (one descent per batch);
 //! * [structural invariant checking](GaussTree::check_invariants),
-//!   including exact page accounting: every allocated page is the meta
-//!   page, reachable from the root, or on the free list deletions refill;
+//!   including exact page accounting: every allocated page is a commit
+//!   slot or reachable from the root (files of earlier versions may also
+//!   list dead pages);
 //! * a columnar read hot path: decoded nodes are cached next to their pages
 //!   ([`CachedNode`] behind a [`gauss_storage::SideCache`]), leaves are
 //!   materialized struct-of-arrays and evaluated with the batched Lemma-1
@@ -44,20 +45,24 @@
 //! takes `&self` and can run concurrently with others over one shared tree
 //! (see the [`executor`] module for the multi-threaded batch API).
 //!
-//! Every query entry point is a provided method of the [`ReadView`] trait
-//! (module [`view`]), implemented both by [`GaussTree`] — queries see the
-//! tree's current working state — and by the pinned [`Snapshot`] handed out
-//! by [`GaussTree::snapshot`], which keeps serving one committed epoch
-//! lock-free while a writer shadow-builds the next (see the *Snapshots &
-//! MVCC* section of the README).
+//! **A tree file is written once; the forest is the durable writer.** A
+//! [`GaussTree`] on a page file is built by the bulk loader, committed
+//! once and only read afterwards; the paper's incremental
+//! [`insert`](GaussTree::insert) exists on in-memory trees
+//! (`GaussTree<MemStore>`) only. An index that changes is a
+//! [`GaussForest`] (module [`forest`]): it absorbs inserts, upserts and
+//! deletes in a memtable (deletes as tombstones), flushes it through the
+//! bulk loader into write-once components of doubling sizes, merges them
+//! on [`GaussForest::maintain`], and commits its component list
+//! crash-atomically.
 //!
-//! For write-heavy workloads the [`forest`] module layers an LSM-style
-//! store on top: [`GaussForest`] absorbs inserts/deletes in a memtable
-//! (deletes as tombstones), flushes it through the bulk loader into
-//! immutable components of doubling sizes, and merges components on
-//! [`GaussForest::maintain`]; queries fan out across the memtable and
-//! every component behind the same [`ReadView`] trait and return results
-//! bit-identical to a single tree over the live set.
+//! Every query entry point is a provided method of the [`ReadView`] trait
+//! (module [`view`]), implemented by [`GaussTree`] and by
+//! [`ForestSnapshot`] — the forest's snapshot: its memtable image plus one
+//! `Arc<GaussTree>` per component, which keeps answering for the live set
+//! it was taken at while the forest flushes and merges (see the *Snapshots*
+//! section of the README). Forest answers are bit-identical to a single
+//! tree over the live set.
 //!
 //! # Example
 //!
@@ -88,8 +93,6 @@ pub mod check;
 pub mod config;
 /// Streaming cursors over leaf entries.
 pub mod cursor;
-/// Deletion and node-underflow handling.
-pub mod delete;
 /// Parallel batch-query execution.
 pub mod executor;
 /// The LSM-style Gauss-forest: memtable + immutable component trees.
@@ -102,7 +105,7 @@ pub mod node;
 pub mod query;
 /// Node splitting, including the parallel partition pipeline.
 pub mod split;
-/// The Gauss-tree itself: build, insert, query entry points.
+/// The Gauss-tree itself: bulk load, open, and in-memory insertion.
 pub mod tree;
 /// The shared read-plane: the [`ReadView`] query trait and its substrate.
 pub mod view;
@@ -111,11 +114,10 @@ pub use bulk::{BulkLoadOptions, BulkLoadReport, SpillKind};
 pub use check::InvariantError;
 pub use config::{LeafFormat, SplitStrategy, TreeConfig};
 pub use cursor::RankingCursor;
-pub use delete::DeleteOutcome;
 pub use executor::BatchExecutor;
 pub use forest::{ComponentInfo, ForestOptions, ForestSnapshot, GaussForest, MaintainReport};
 pub use interval::BoxQueryResult;
 pub use node::{children_log_hulls, CachedNode, ColumnarInnerNode, ColumnarLeafNode};
 pub use query::{MliqResult, RefinedResult, TiqResult};
-pub use tree::{GaussTree, RecoveryReport, Snapshot, TreeError, TreeOptions};
+pub use tree::{GaussTree, TreeError, TreeOptions};
 pub use view::ReadView;

@@ -5,7 +5,7 @@
 //! evaluated for the query (Hjaltason–Samet, as in §5.2.1). They are
 //! written once, against `ViewPlane`: a memtable slice plus component
 //! trees with per-component shadow sets, of which a single tree
-//! (`&GaussTree`, `Snapshot`) is the one-component, empty-memtable,
+//! (`&GaussTree`) is the one-component, empty-memtable,
 //! nothing-shadowed case. They surface on every view through
 //! [`crate::view::ReadView`]:
 //!

@@ -1,9 +1,7 @@
 //! The shared read-plane: one implementation of every read-only
-//! operation, consumed through the [`ReadView`] trait by the writer handle
-//! ([`GaussTree`], which reads its *working* state), the pinned
-//! [`Snapshot`](crate::tree::Snapshot) (one *committed* epoch) and the
-//! [`ForestSnapshot`] (one committed forest manifest plus its memtable
-//! image).
+//! operation, consumed through the [`ReadView`] trait by a [`GaussTree`]
+//! and by a [`ForestSnapshot`] (one committed forest manifest plus its
+//! memtable image).
 //!
 //! Two layers. `Plane` is one tree: configuration, root, height, length
 //! and a way to read node pages — the per-tree primitives (node reads,
@@ -35,9 +33,8 @@ use std::sync::Arc;
 /// A borrowed, read-only view of one tree state (root + height + length +
 /// page access) — one component of a [`ViewPlane`].
 ///
-/// Not constructed outside the crate. All fields borrow from the owning [`GaussTree`] or
-/// [`Snapshot`](crate::tree::Snapshot), so a `Plane` is a cheap `Copy`
-/// token, not a pinned state by itself.
+/// Not constructed outside the crate. All fields borrow from the owning
+/// [`GaussTree`], so a `Plane` is a cheap `Copy` token.
 #[doc(hidden)]
 #[derive(Debug)]
 pub struct Plane<'a, S: PageStore> {
@@ -147,7 +144,7 @@ impl<'a, S: PageStore> Plane<'a, S> {
 
 /// Where a [`ViewPlane`]'s component trees come from.
 enum Comps<'a, S: PageStore> {
-    /// One tree state with nothing shadowed (`&GaussTree`, `Snapshot`).
+    /// One tree with nothing shadowed (`&GaussTree`).
     One(Plane<'a, S>),
     /// A forest snapshot's pinned components, newest first.
     Pinned(&'a [SnapComponent<S>]),
@@ -225,7 +222,7 @@ impl<'a, S: PageStore> ViewPlane<'a, S> {
             Comps::Pinned(cs) => {
                 let c = &cs[i];
                 (
-                    c.snap.tree_plane(),
+                    c.tree.tree_plane(),
                     (!c.hidden.is_empty()).then_some(&c.hidden),
                 )
             }
@@ -260,16 +257,11 @@ impl<'a, S: PageStore> ViewPlane<'a, S> {
     }
 }
 
-/// Read-only query surface shared by the writer handle and pinned
-/// snapshots.
+/// Read-only query surface shared by trees and forest snapshots.
 ///
-/// Implemented by [`GaussTree`] (queries run against the tree's *working*
-/// state, exactly as before the snapshot API existed), by
-/// [`Snapshot`](crate::tree::Snapshot) (queries run lock-free against the
-/// pinned *committed* epoch, concurrently with a writer shadow-building
-/// the next one), and by [`ForestSnapshot`] (queries fan out across the
-/// pinned forest manifest). Every method is provided — implementors only
-/// supply [`ReadView::plane`].
+/// Implemented by [`GaussTree`] and by [`ForestSnapshot`] (queries fan out
+/// across the pinned forest manifest and its memtable image). Every method
+/// is provided — implementors only supply [`ReadView::plane`].
 pub trait ReadView<S: PageStore> {
     /// The raw read-plane this view exposes. Implementation detail —
     /// call the query methods instead.
@@ -390,7 +382,7 @@ pub trait ReadView<S: PageStore> {
 
 impl<S: PageStore> ReadView<S> for GaussTree<S> {
     fn plane(&self) -> ViewPlane<'_, S> {
-        ViewPlane::single(self.working_plane())
+        ViewPlane::single(self.tree_plane())
     }
 }
 

@@ -1,4 +1,3 @@
 mod bad;
 mod allowed;
-mod tree;
 mod query;

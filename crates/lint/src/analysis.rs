@@ -9,9 +9,8 @@
 //!    which guards are live, and emits the findings that need no other
 //!    file: direct rank inversions, guards held across `PageStore` I/O in
 //!    query-path modules (`guard-across-call`), the `durability-protocol`
-//!    statement-order checks (the slot write of `storage/src/commit.rs`,
-//!    the free lists of `core/src/tree.rs`/`bulk.rs`), and
-//!    `ignored-io-result`.
+//!    statement-order check (the slot write of `storage/src/commit.rs`),
+//!    and `ignored-io-result`.
 //! 2. **Global propagation** ([`global_findings`]) — builds the
 //!    intra-workspace call graph from the per-file facts, computes for
 //!    every function the minimum lock rank it can transitively acquire,
@@ -36,7 +35,7 @@
 //! those blind spots.
 //!
 //! `LockRank` is the workspace lock hierarchy (rank 0 = Store, 1 = Shard,
-//! 2 = SideCache, 3 = WorkQueue, 4 = ResultSlot, 5 = EpochRegistry; see
+//! 2 = SideCache, 3 = WorkQueue, 4 = ResultSlot; see
 //! `gauss_storage::sync`).
 
 use std::collections::{BTreeSet, HashMap};
@@ -49,14 +48,7 @@ use crate::rules::{
 use crate::walk::{FileKind, SourceFile};
 
 /// Rank names from `gauss_storage::sync::LockRank`, index = rank value.
-const RANK_NAMES: &[&str] = &[
-    "Store",
-    "Shard",
-    "SideCache",
-    "WorkQueue",
-    "ResultSlot",
-    "EpochRegistry",
-];
+const RANK_NAMES: &[&str] = &["Store", "Shard", "SideCache", "WorkQueue", "ResultSlot"];
 
 /// Sentinel "acquires nothing" rank (all real ranks are smaller).
 const NO_RANK: u8 = u8::MAX;
@@ -266,7 +258,7 @@ const SYNC_MODULE: &str = "crates/storage/src/sync.rs";
 /// One direct lock acquisition (or a held guard at a call site).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Acq {
-    /// Lock rank (0 = Store … 5 = EpochRegistry).
+    /// Lock rank (0 = Store … 4 = ResultSlot).
     pub rank: u8,
     /// 1-based line of the acquisition.
     pub line: usize,
@@ -372,16 +364,10 @@ fn query_path_module(file: &SourceFile) -> bool {
         )
 }
 
-/// Modules under the durability-protocol statement-order checks: the
-/// commit protocol itself (the workspace's one slot write) and the tree's
-/// free-list bookkeeping around it.
+/// The module under the durability-protocol statement-order check: the
+/// commit protocol itself, home of the workspace's one slot write.
 fn durability_module(file: &SourceFile) -> bool {
-    let name = file.rel_path.rsplit('/').next();
-    match file.crate_name.as_str() {
-        "storage" => name == Some("commit.rs"),
-        "core" => matches!(name, Some("tree.rs" | "bulk.rs")),
-        _ => false,
-    }
+    file.crate_name == "storage" && file.rel_path.rsplit('/').next() == Some("commit.rs")
 }
 
 /// Extracts [`FileFacts`] for one file: token-level rule findings (via
@@ -598,8 +584,6 @@ fn analyze_body(
     let query_path = query_path_module(file);
     let mut frames: Vec<Frame> = Vec::new();
     let mut data_barrier_seen = false;
-    let mut epoch_assigned = false;
-    let mut min_pinned_seen = false;
     let mut report = |rule: &'static str, line: usize, message: String, chain: Vec<String>| {
         if !blanked.is_allowed(rule, line) {
             facts.local.push(Finding {
@@ -629,15 +613,6 @@ fn analyze_body(
                     f.temps.clear();
                     f.stmt_start = j + 1;
                 }
-            }
-            Tok::Ident("epoch")
-                if toks.get(j + 1).map(|&(_, t)| t) == Some(Tok::Punct(b'='))
-                    && !matches!(
-                        toks.get(j + 2).map(|&(_, t)| t),
-                        Some(Tok::Punct(b'=' | b'>'))
-                    ) =>
-            {
-                epoch_assigned = true;
             }
             Tok::Ident("drop") if toks.get(j + 1).map(|&(_, t)| t) == Some(Tok::Punct(b'(')) => {
                 if let (Some(&(_, Tok::Ident(nm))), Some(&(_, Tok::Punct(b')')))) =
@@ -713,23 +688,23 @@ fn analyze_body(
                     .collect();
                 let line = blanked.line_of(pos);
                 if durability {
-                    if name == "data_barrier" {
-                        data_barrier_seen = true;
+                    data_barrier_seen |= name == "data_barrier";
+                    // The workspace's one slot write, `write_slot(…)` in
+                    // `gauss_storage::commit::commit` (tree meta pages and
+                    // forest manifest both commit through it): what the new
+                    // slot names must be durable before the slot can become
+                    // the newest valid one.
+                    if name == "write_slot" && !data_barrier_seen {
+                        report(
+                            DURABILITY_PROTOCOL,
+                            line,
+                            "slot write is not dominated by the `data_barrier` call in this \
+                             function: what a commit record names must be durable before \
+                             the record is"
+                                .to_string(),
+                            Vec::new(),
+                        );
                     }
-                    if name == "min_pinned" {
-                        min_pinned_seen = true;
-                    }
-                    durability_checks(
-                        toks,
-                        j,
-                        name,
-                        method,
-                        data_barrier_seen,
-                        epoch_assigned,
-                        min_pinned_seen,
-                        line,
-                        &mut report,
-                    );
                 }
                 if query_path && method && IO_NAMES.contains(&name) {
                     for h in &held {
@@ -882,110 +857,6 @@ fn let_binder(toks: &[(usize, Tok<'_>)], frames: &[Frame], _at: usize) -> Option
         },
         _ => None,
     }
-}
-
-/// The statement-order durability checks at one call token.
-#[allow(clippy::too_many_arguments)]
-fn durability_checks(
-    toks: &[(usize, Tok<'_>)],
-    j: usize,
-    name: &str,
-    method: bool,
-    data_barrier_seen: bool,
-    epoch_assigned: bool,
-    min_pinned_seen: bool,
-    line: usize,
-    report: &mut impl FnMut(&'static str, usize, String, Vec<String>),
-) {
-    // The workspace's one slot write, `write_slot(…)` in
-    // `gauss_storage::commit::commit` (tree meta pages and forest manifest
-    // both commit through it): what the new slot names must be durable
-    // before the slot can become the newest valid one.
-    if name == "write_slot" {
-        if !data_barrier_seen {
-            report(
-                DURABILITY_PROTOCOL,
-                line,
-                "slot write is not dominated by the `data_barrier` call in this \
-                 function: what a commit record names must be durable before the \
-                 record is"
-                    .to_string(),
-                Vec::new(),
-            );
-        }
-        return;
-    }
-    if method
-        && matches!(name, "pop" | "drain" | "remove" | "swap_remove")
-        && j >= 2
-        && toks[j - 1].1 == Tok::Punct(b'.')
-        && toks[j - 2].1 == Tok::Ident("free_pending")
-    {
-        report(
-            DURABILITY_PROTOCOL,
-            line,
-            format!(
-                "`free_pending.{name}(…)` reallocates a shadow-freed page before the \
-                 epoch commit: pages freed this epoch are still referenced by the \
-                 last durable tree"
-            ),
-            Vec::new(),
-        );
-    }
-    if matches!(name, "append" | "take")
-        && args_mention(toks, j + 1, "free_pending")
-        && !epoch_assigned
-    {
-        report(
-            DURABILITY_PROTOCOL,
-            line,
-            format!(
-                "`free_pending` drained (`{name}`) before the epoch commit \
-                 (`self.epoch = …`): a crash here would reuse pages the durable tree \
-                 still references"
-            ),
-            Vec::new(),
-        );
-    }
-    if method
-        && matches!(name, "pop_front" | "pop" | "drain" | "remove" | "clear")
-        && j >= 2
-        && toks[j - 1].1 == Tok::Punct(b'.')
-        && toks[j - 2].1 == Tok::Ident("free_aging")
-        && !min_pinned_seen
-    {
-        report(
-            DURABILITY_PROTOCOL,
-            line,
-            format!(
-                "`free_aging.{name}(…)` reclaims epoch-tagged pages without first \
-                 consulting `EpochRegistry::min_pinned`: a live snapshot may still \
-                 read them"
-            ),
-            Vec::new(),
-        );
-    }
-}
-
-/// Whether the argument list opening at token `open` mentions `needle`.
-fn args_mention(toks: &[(usize, Tok<'_>)], open: usize, needle: &str) -> bool {
-    let mut depth = 0i32;
-    let mut k = open;
-    while k < toks.len() {
-        match toks[k].1 {
-            Tok::Punct(b'(') => depth += 1,
-            Tok::Punct(b')') => {
-                depth -= 1;
-                if depth == 0 {
-                    return false;
-                }
-            }
-            Tok::Ident(n) if n == needle => return true,
-            _ => {}
-        }
-        k += 1;
-    }
-    false
 }
 
 /// The `ignored-io-result` rule: `let _ = <io call>;` or
@@ -1460,75 +1331,6 @@ pub fn commit(write_slot: impl FnOnce(usize), commit_barrier: impl FnOnce()) {\n
             let f = facts_for(path, bad);
             assert!(f.local.iter().all(|f| f.rule != DURABILITY_PROTOCOL));
         }
-    }
-
-    #[test]
-    fn durability_free_pending_protection() {
-        let pop = "impl T {\n    fn alloc(&mut self) { self.free_pending.pop(); }\n}\n";
-        let f = facts_for("crates/core/src/tree.rs", pop);
-        assert_eq!(
-            f.local
-                .iter()
-                .filter(|f| f.rule == DURABILITY_PROTOCOL)
-                .count(),
-            1
-        );
-
-        let early = "impl T {\n    fn commit(&mut self) {\n        self.free_committed.append(&mut self.free_pending);\n        self.epoch = e;\n    }\n}\n";
-        let f = facts_for("crates/core/src/tree.rs", early);
-        assert_eq!(
-            f.local
-                .iter()
-                .filter(|f| f.rule == DURABILITY_PROTOCOL)
-                .count(),
-            1,
-            "append before epoch bump must report"
-        );
-
-        let ok = "impl T {\n    fn commit(&mut self) {\n        self.epoch = e;\n        self.free_committed.append(&mut self.free_pending);\n    }\n}\n";
-        let f = facts_for("crates/core/src/tree.rs", ok);
-        assert!(f.local.iter().all(|f| f.rule != DURABILITY_PROTOCOL));
-
-        // `mem::take` is just another way of draining free_pending early.
-        let take_early = "impl T {\n    fn commit(&mut self) {\n        let p = std::mem::take(&mut self.free_pending);\n        self.epoch = e;\n    }\n}\n";
-        let f = facts_for("crates/core/src/tree.rs", take_early);
-        assert_eq!(
-            f.local
-                .iter()
-                .filter(|f| f.rule == DURABILITY_PROTOCOL)
-                .count(),
-            1,
-            "take before epoch bump must report"
-        );
-
-        let take_ok = "impl T {\n    fn commit(&mut self) {\n        self.epoch = e;\n        let p = std::mem::take(&mut self.free_pending);\n    }\n}\n";
-        let f = facts_for("crates/core/src/tree.rs", take_ok);
-        assert!(f.local.iter().all(|f| f.rule != DURABILITY_PROTOCOL));
-    }
-
-    #[test]
-    fn durability_free_aging_requires_min_pinned() {
-        // Reclaiming aged pages without consulting the epoch registry
-        // would hand a pinned snapshot's pages to the allocator.
-        let blind = "impl T {\n    fn reap(&mut self) {\n        let p = self.free_aging.pop_front();\n    }\n}\n";
-        let f = facts_for("crates/core/src/tree.rs", blind);
-        assert_eq!(
-            f.local
-                .iter()
-                .filter(|f| f.rule == DURABILITY_PROTOCOL)
-                .count(),
-            1,
-            "free_aging reclaim without min_pinned must report"
-        );
-
-        let guarded = "impl T {\n    fn reap(&mut self) {\n        let min = self.registry.min_pinned();\n        if min.is_none() {\n            let p = self.free_aging.pop_front();\n        }\n    }\n}\n";
-        let f = facts_for("crates/core/src/tree.rs", guarded);
-        assert!(f.local.iter().all(|f| f.rule != DURABILITY_PROTOCOL));
-
-        // Growing the aging list is always fine — only reclaim is gated.
-        let push = "impl T {\n    fn park(&mut self) {\n        self.free_aging.push_back((e, p));\n    }\n}\n";
-        let f = facts_for("crates/core/src/tree.rs", push);
-        assert!(f.local.iter().all(|f| f.rule != DURABILITY_PROTOCOL));
     }
 
     #[test]

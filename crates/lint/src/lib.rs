@@ -22,8 +22,7 @@
 //! * **guard-across-call**: no guard live across a call that can
 //!   re-acquire its rank, nor across `PageStore` I/O on the query path,
 //! * **durability-protocol**: `gauss_storage::commit::commit` must run
-//!   its data barrier before its slot write, and `tree.rs`/`bulk.rs`
-//!   must not recycle `free_pending` pages before the epoch bump,
+//!   its data barrier before its slot write,
 //! * **ignored-io-result**: no `let _ =`/`drop(…)` of a storage I/O
 //!   `Result`.
 //!

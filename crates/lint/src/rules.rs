@@ -40,8 +40,8 @@ pub const BAD_ALLOW: &str = "bad-allow";
 pub const STATIC_LOCK_ORDER: &str = "static-lock-order";
 /// Machine name of the guard-held-across-call rule.
 pub const GUARD_ACROSS_CALL: &str = "guard-across-call";
-/// Machine name of the commit-ordering rule for `tree.rs`/`bulk.rs` and
-/// the forest manifest-commit path.
+/// Machine name of the commit-ordering rule: the one slot write of
+/// `gauss_storage::commit`, which tree meta and forest manifest share.
 pub const DURABILITY_PROTOCOL: &str = "durability-protocol";
 /// Machine name of the discarded-I/O-`Result` rule.
 pub const IGNORED_IO_RESULT: &str = "ignored-io-result";
@@ -91,9 +91,7 @@ pub fn all_rules() -> &'static [(&'static str, &'static str)] {
         ),
         (
             DURABILITY_PROTOCOL,
-            "the slot write of storage/src/commit.rs needs its data barrier first, \
-             and in tree.rs/bulk.rs free_pending pages must not be reused before \
-             the epoch commit",
+            "the slot write of storage/src/commit.rs needs its data barrier first",
         ),
         (
             IGNORED_IO_RESULT,

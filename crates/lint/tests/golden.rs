@@ -85,15 +85,12 @@ fn durability_protocol_violations_pinned() {
         .iter()
         .filter(|f| f.rule == DURABILITY_PROTOCOL)
         .collect();
-    assert_eq!(dur.len(), 2, "{dur:?}");
+    assert_eq!(dur.len(), 1, "{dur:?}");
     assert!(dur
         .iter()
         .any(|f| f.rel_path == "crates/storage/src/commit.rs"
             && f.line == 9
             && f.message.contains("data_barrier")));
-    assert!(dur.iter().any(|f| f.rel_path == "crates/core/src/tree.rs"
-        && f.line == 10
-        && f.message.contains("free_pending.pop")));
 }
 
 #[test]

@@ -193,15 +193,6 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Reads an `f32` (quantised leaf columns).
-    ///
-    /// # Errors
-    /// [`ShortBuffer`] if the buffer is exhausted.
-    pub fn get_f32(&mut self) -> Result<f32, ShortBuffer> {
-        // lint: allow(no-panic) -- take(4) returned exactly 4 bytes; the array conversion is infallible
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
     /// Reads `n` `f64`s into a fresh vector.
     ///
     /// # Errors
@@ -263,7 +254,7 @@ mod tests {
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), 0x0123_4567_89AB_CDEF);
         assert_eq!(r.get_f64().unwrap(), -1.5e300);
-        assert_eq!(r.get_f32().unwrap(), 2.5e-7);
+        assert_eq!(f32::from_bits(r.get_u32().unwrap()), 2.5e-7);
         assert_eq!(r.get_f64_vec(3).unwrap(), vec![1.0, 2.0, 3.0]);
         assert_eq!(r.remaining(), 0);
     }

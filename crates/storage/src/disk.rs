@@ -16,9 +16,6 @@ pub struct DiskModel {
     pub seek_ms: f64,
     /// Sustained transfer rate in MB/s.
     pub transfer_mb_per_s: f64,
-    /// Cost of one durability barrier (fsync), in milliseconds: the device
-    /// must drain its volatile write cache before acknowledging.
-    pub fsync_ms: f64,
     /// Page size in bytes.
     pub page_size: usize,
 }
@@ -30,7 +27,6 @@ impl DiskModel {
         Self {
             seek_ms: 8.0,
             transfer_mb_per_s: 60.0,
-            fsync_ms: 10.0,
             page_size,
         }
     }
@@ -47,7 +43,6 @@ impl DiskModel {
         Self {
             seek_ms: 0.1,
             transfer_mb_per_s: 500.0,
-            fsync_ms: 0.5,
             page_size,
         }
     }
@@ -100,42 +95,6 @@ impl DiskModel {
     pub fn scan_time_ms(&self, total_bytes: u64) -> f64 {
         self.sequential_scan_s(total_bytes) * 1e3
     }
-
-    /// Simulated time for `pages` random single-page writes, in seconds:
-    /// one positioning operation plus one page transfer each — the
-    /// per-node write storm of an unbatched index build.
-    #[must_use]
-    pub fn random_write_s(&self, pages: u64) -> f64 {
-        self.random_io_s(pages)
-    }
-
-    /// Simulated time for `count` durability barriers (fsyncs), in
-    /// seconds. `count` comes straight from the buffer-pool `syncs`
-    /// counter; adding this to a write-path model prices what a
-    /// [`crate::store::Durability::Fsync`] policy costs over
-    /// [`crate::store::Durability::None`].
-    #[must_use]
-    pub fn fsync_s(&self, count: u64) -> f64 {
-        count as f64 * self.fsync_ms / 1e3
-    }
-
-    /// Simulated time for a batched write workload of `calls` positioning
-    /// operations transferring `total_bytes` in total, in seconds. Mirrors
-    /// the byte-granular scan billing ([`DiskModel::sequential_scan_s`]):
-    /// each coalesced run pays one seek, and transfer is billed by the
-    /// exact bytes moved, not by whole-page counts per call.
-    ///
-    /// `(calls, total_bytes)` come straight from the buffer-pool write
-    /// counters: `write_calls` and `physical_writes × page_size`. With
-    /// `calls == pages` and page-aligned bytes this degenerates to
-    /// [`DiskModel::random_write_s`].
-    #[must_use]
-    pub fn batched_write_s(&self, calls: u64, total_bytes: u64) -> f64 {
-        if calls == 0 && total_bytes == 0 {
-            return 0.0;
-        }
-        calls as f64 * self.seek_ms / 1e3 + total_bytes as f64 / (self.transfer_mb_per_s * 1e6)
-    }
 }
 
 impl Default for DiskModel {
@@ -183,29 +142,6 @@ mod tests {
         // And the ms wrapper is the same quantity scaled by 1e3.
         assert!((m.scan_time_ms(bytes) - t * 1e3).abs() < 1e-12);
         assert_eq!(m.scan_time_ms(0), 0.0);
-    }
-
-    #[test]
-    fn batched_writes_bill_seeks_per_call_and_exact_bytes() {
-        let m = DiskModel::hdd_2006(8192);
-        // 1000 per-page writes vs the same pages in 10 coalesced runs.
-        let per_node = m.random_write_s(1000);
-        let batched = m.batched_write_s(10, 1000 * 8192);
-        assert_eq!(per_node, m.batched_write_s(1000, 1000 * 8192));
-        assert!(batched < per_node / 10.0, "{batched} vs {per_node}");
-        // Byte-granular: a run ending mid-page is not billed the padding.
-        assert!(m.batched_write_s(1, 8192 + 100) < m.batched_write_s(1, 2 * 8192));
-        assert_eq!(m.batched_write_s(0, 0), 0.0);
-    }
-
-    #[test]
-    fn fsyncs_bill_linearly() {
-        let m = DiskModel::hdd_2006(8192);
-        assert_eq!(m.fsync_s(0), 0.0);
-        assert!((m.fsync_s(100) - 1.0).abs() < 1e-12, "100 × 10 ms = 1 s");
-        // An fsync-per-commit policy is visibly more expensive on the 2006
-        // drive than on the NVMe model.
-        assert!(DiskModel::nvme(8192).fsync_s(100) < m.fsync_s(100) / 10.0);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   checksum, newest-valid-slot selection and the barrier → slot write →
 //!   barrier order, used by the tree's meta pages and the forest's
 //!   manifest alike;
-//! * [`disk`] — a disk cost model (seek + transfer + fsync) used to
+//! * [`disk`] — a disk cost model (seek + transfer) used to
 //!   translate page accesses into the paper's "overall time" on hardware
 //!   we do not have;
 //! * [`fault`] — a kill-after-N-writes / torn-page [`PageStore`] wrapper
@@ -47,7 +47,7 @@ pub mod buffer;
 pub mod codec;
 /// The checksummed dual-slot epoch commit protocol.
 pub mod commit;
-/// The disk cost model (seek + transfer + fsync) behind "overall time".
+/// The disk cost model (seek + transfer) behind "overall time".
 pub mod disk;
 /// Fault-injection hooks for crash-safety tests.
 pub mod fault;
@@ -80,6 +80,4 @@ pub use shared::{SharedBufferPool, WriteBatch};
 pub use side_cache::SideCache;
 pub use stats::{AccessStats, StatsSnapshot};
 pub use store::{Durability, FileStore, MemStore, PageStore, StoreError};
-pub use sync::{
-    EpochRegistry, LockRank, TrackedCondvar, TrackedGuard, TrackedMutex, LOCK_TRACKING,
-};
+pub use sync::{LockRank, TrackedCondvar, TrackedGuard, TrackedMutex, LOCK_TRACKING};

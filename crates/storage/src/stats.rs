@@ -61,9 +61,8 @@ impl AccessStats {
 
     /// Records one durability barrier actually issued to the store (a
     /// `flush`/`fsync` — [`crate::store::Durability::None`] barriers are
-    /// free and not counted). The commit protocol pays two per flush, so
-    /// this counter times the disk model's fsync cost is the price of
-    /// durability.
+    /// free and not counted). The commit protocol pays two per commit: a
+    /// data barrier and a commit barrier.
     #[inline]
     pub fn record_sync(&self) {
         self.syncs.fetch_add(1, Ordering::Relaxed);

@@ -13,7 +13,6 @@
 //! | 2    | `SideCache`   | one side-cache shard (`seq` = shard index)        |
 //! | 3    | `WorkQueue`   | the bulk-load partition queue                     |
 //! | 4    | `ResultSlot`  | executor/bulk-load output slots (`seq` = slot)    |
-//! | 5    | `EpochRegistry` | the snapshot epoch-pin registry ([`EpochRegistry`]) |
 //!
 //! A thread may only acquire a lock whose `(rank, seq)` pair is **strictly
 //! greater** than every lock it already holds. Equal ranks are ordered by
@@ -72,17 +71,13 @@ pub enum LockRank {
     SideCache = 2,
     /// A work-distribution queue (bulk-load partitioning).
     WorkQueue = 3,
-    /// A per-result output slot.
+    /// A per-result output slot — the innermost lock.
     ResultSlot = 4,
-    /// The snapshot epoch-pin registry — the innermost lock, always
-    /// acquired alone (pin/unpin/min-query are single short critical
-    /// sections that never call back into any other subsystem).
-    EpochRegistry = 5,
 }
 
 impl LockRank {
     fn as_u8(self) -> u8 {
-        // lint: allow(cast-truncation) -- discriminants are 0..=5, the cast is lossless
+        // lint: allow(cast-truncation) -- discriminants are 0..=4, the cast is lossless
         self as u8
     }
 }
@@ -95,7 +90,6 @@ impl fmt::Display for LockRank {
             LockRank::SideCache => "side-cache",
             LockRank::WorkQueue => "work-queue",
             LockRank::ResultSlot => "result-slot",
-            LockRank::EpochRegistry => "epoch-registry",
         };
         f.write_str(name)
     }
@@ -385,97 +379,6 @@ impl TrackedCondvar {
     }
 }
 
-/// Refcounted registry of *pinned* commit epochs, backing snapshot-isolated
-/// (MVCC) reads.
-///
-/// A reader pins the epoch it wants to observe with [`EpochRegistry::pin`];
-/// the writer consults [`EpochRegistry::min_pinned`] before reusing pages
-/// freed at a later epoch, and [`EpochRegistry::has_pins`] (a lock-free
-/// atomic read, safe on the mutation hot path) to decide whether in-place
-/// page updates are still permissible at all. Pin and unpin counts must
-/// balance: a leaked pin permanently parks every page freed after its
-/// epoch.
-///
-/// The interior map is guarded by a [`TrackedMutex`] at
-/// [`LockRank::EpochRegistry`], the innermost rank — every operation here
-/// is a short, self-contained critical section that acquires nothing else,
-/// so it can be called while any other workspace lock is held.
-#[derive(Debug)]
-pub struct EpochRegistry {
-    /// epoch → number of live pins at that epoch.
-    pins: TrackedMutex<std::collections::BTreeMap<u64, u64>>,
-    /// Total live pins across all epochs, readable without the lock.
-    total: std::sync::atomic::AtomicU64,
-}
-
-impl Default for EpochRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EpochRegistry {
-    /// An empty registry (no pinned epochs).
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            pins: TrackedMutex::new(
-                std::collections::BTreeMap::new(),
-                LockRank::EpochRegistry,
-                0,
-                "epoch-registry",
-            ),
-            total: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Records one additional pin of `epoch`.
-    pub fn pin(&self, epoch: u64) {
-        let mut pins = self.pins.lock();
-        *pins.entry(epoch).or_insert(0) += 1;
-        // Published while the lock is held so `has_pins` can never report
-        // "no pins" after a pin that `min_pinned` would still see.
-        self.total
-            .fetch_add(1, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Releases one pin of `epoch`. Unpinning an epoch that holds no pins
-    /// is a no-op (never a panic): the registry is shared infrastructure
-    /// and a destructor must not take down an unrelated reader.
-    pub fn unpin(&self, epoch: u64) {
-        let mut pins = self.pins.lock();
-        if let Some(n) = pins.get_mut(&epoch) {
-            *n -= 1;
-            if *n == 0 {
-                pins.remove(&epoch);
-            }
-            self.total
-                .fetch_sub(1, std::sync::atomic::Ordering::Release);
-        }
-    }
-
-    /// The smallest currently pinned epoch, or `None` when nothing is
-    /// pinned. Pages freed while building epoch `C` may be reused once
-    /// `min_pinned()` is `None` or `>= C`.
-    #[must_use]
-    pub fn min_pinned(&self) -> Option<u64> {
-        self.pins.lock().keys().next().copied()
-    }
-
-    /// Total number of live pins across all epochs (lock-free).
-    #[must_use]
-    pub fn pinned_count(&self) -> u64 {
-        self.total.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// Whether any epoch is currently pinned (lock-free; the mutation
-    /// hot path's shadow-paging decision).
-    #[must_use]
-    pub fn has_pins(&self) -> bool {
-        self.pinned_count() > 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,41 +484,6 @@ mod tests {
             let _g = store.lock();
             let _h = shard.lock();
         }
-    }
-
-    #[test]
-    fn epoch_registry_tracks_pins_and_minimum() {
-        let reg = EpochRegistry::new();
-        assert!(!reg.has_pins());
-        assert_eq!(reg.min_pinned(), None);
-        reg.pin(5);
-        reg.pin(3);
-        reg.pin(3);
-        assert_eq!(reg.pinned_count(), 3);
-        assert_eq!(reg.min_pinned(), Some(3));
-        reg.unpin(3);
-        assert_eq!(reg.min_pinned(), Some(3), "one pin of epoch 3 remains");
-        reg.unpin(3);
-        assert_eq!(reg.min_pinned(), Some(5));
-        reg.unpin(5);
-        assert!(!reg.has_pins());
-        // Unbalanced unpin is a no-op, not a panic.
-        reg.unpin(99);
-        assert_eq!(reg.pinned_count(), 0);
-    }
-
-    #[test]
-    fn epoch_registry_is_innermost() {
-        // Pinning while holding any other workspace lock must be legal:
-        // the registry's rank is strictly above every other rank.
-        let reg = EpochRegistry::new();
-        let slot = TrackedMutex::new(0u32, LockRank::ResultSlot, 0, "test-slot");
-        let store = store_lock();
-        let _gs = store.lock();
-        let _gr = slot.lock();
-        reg.pin(1);
-        assert_eq!(reg.min_pinned(), Some(1));
-        reg.unpin(1);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! produced it with at least some probability — the TIQ example from the
 //! paper ("all persons that could be shown on the image with ≥ 10 %").
 //!
-//! The index is persisted in a page file, reopened, and queried again —
-//! demonstrating the storage layer end to end.
+//! The index is bulk-loaded into a page file — written once, committed
+//! once — then reopened and queried — demonstrating the storage layer end
+//! to end.
 //!
 //! Run: `cargo run --release --example sensor_fusion`
 
@@ -35,9 +36,7 @@ fn main() {
 
     // Build and persist the index.
     {
-        let store = FileStore::create(&path, DEFAULT_PAGE_SIZE).unwrap();
-        let pool = BufferPool::new(store, 1024, AccessStats::new_shared());
-        let mut tree = GaussTree::create(pool, TreeConfig::new(DIMS)).unwrap();
+        let mut stations = Vec::with_capacity(STATIONS);
         for (id, t) in truths.iter().enumerate() {
             // Freshly calibrated stations report precisely; stale ones noisily.
             let calibration: f64 = rng.random_range(0.05..0.8);
@@ -49,10 +48,11 @@ fn main() {
                 .zip(sigmas.iter())
                 .map(|(&x, &s)| x + s * sample_standard_normal(&mut rng))
                 .collect();
-            tree.insert(id as u64, &Pfv::new(means, sigmas).unwrap())
-                .unwrap();
+            stations.push((id as u64, Pfv::new(means, sigmas).unwrap()));
         }
-        tree.flush().unwrap();
+        let store = FileStore::create(&path, DEFAULT_PAGE_SIZE).unwrap();
+        let pool = BufferPool::new(store, 1024, AccessStats::new_shared());
+        let tree = GaussTree::bulk_load(pool, TreeConfig::new(DIMS), stations).unwrap();
         println!(
             "persisted {} stations into {} ({} pages)",
             tree.len(),

@@ -1,30 +1,33 @@
-//! Crash-injection atomicity suite.
+//! Crash-injection suite for the one durable write a tree file gets: its
+//! bulk load.
 //!
-//! For every page-granular kill point a [`FaultStore`] can inject into a
-//! scenario — base build, insert run, delete run, batch extend, bulk load,
-//! and the meta commits in between — reopening the surviving "disk" with
-//! [`GaussTree::open_with_recovery`] must yield a tree that
+//! A tree file is written once — every node page, then one commit (data
+//! barrier, slot write, commit barrier). For every page-granular kill point
+//! a [`FaultStore`] can inject into a durable bulk load, reopening the
+//! surviving "disk" with [`GaussTree::open`] must either
 //!
-//! 1. passes the full structural invariants including exact page
-//!    accounting, and
-//! 2. is logically identical to a state the scenario *committed*: the one
-//!    before the interrupted operation or (when the kill landed after the
-//!    commit's meta write) the one after it — never a torn in-between.
+//! 1. yield the full tree: structural invariants clean, exact page
+//!    accounting included, the same entries bit for bit and the same
+//!    answers as the unkilled build; or
+//! 2. refuse the store as [`TreeError::NotAGaussTree`] — nothing was
+//!    committed yet.
 //!
-//! Both kill flavours are exercised (the killing write dropped whole, or
-//! torn half-old/half-new), across page sizes and both durable write
-//! modes. The shadow-paging + dual-slot-commit protocol is what makes
-//! this hold; `Durability::None` intentionally provides no such guarantee
-//! and is not tested here.
+//! Never a torn tree, and never an empty one. Both kill flavours (the
+//! killing write dropped whole, or torn half-old/half-new) run across page
+//! sizes, both durable barrier levels, a spilled multi-threaded quantised
+//! build, an empty load, and a real file reopened from its path. The
+//! forest's write path — flushes, merges and manifest commits — has its own
+//! sweep in `tests/forest_crash.rs`.
 
 use gausstree::pfv::Pfv;
 use gausstree::storage::{
     AccessStats, BufferPool, Durability, FaultStore, FileStore, KillMode, MemStore, PageId,
     PageStore, StoreError,
 };
-use gausstree::tree::ReadView;
-use gausstree::tree::{BulkLoadOptions, GaussTree, SpillKind, TreeConfig, TreeError, TreeOptions};
-use proptest::prelude::*;
+use gausstree::tree::{
+    BulkLoadOptions, GaussTree, LeafFormat, MliqResult, ReadView, SpillKind, TiqResult, TreeConfig,
+    TreeError,
+};
 use std::sync::{Arc, Mutex};
 
 /// A heap store whose pages outlive the tree that wrote them — the "disk"
@@ -69,9 +72,25 @@ fn logical_state<S: PageStore>(tree: &GaussTree<S>) -> LogicalState {
             pfv.sigmas().iter().map(|s| s.to_bits()).collect(),
         ));
     })
-    .expect("recovered tree must be fully readable");
+    .expect("an opened tree must be fully readable");
     entries.sort();
     (tree.len(), entries)
+}
+
+/// Every 1-MLIQ top 5 and TIQ answer over `queries`, field for field.
+fn answers<S: PageStore>(
+    tree: &GaussTree<S>,
+    queries: &[Pfv],
+) -> Vec<(Vec<MliqResult>, Vec<TiqResult>)> {
+    queries
+        .iter()
+        .map(|q| {
+            (
+                tree.k_mliq(q, 5).expect("k_mliq"),
+                tree.tiq(q, 0.05, 1e-6).expect("tiq"),
+            )
+        })
+        .collect()
 }
 
 fn items(n: u64, dims: usize, salt: u64) -> Vec<(u64, Pfv)> {
@@ -88,435 +107,137 @@ fn items(n: u64, dims: usize, salt: u64) -> Vec<(u64, Pfv)> {
         .collect()
 }
 
-/// The mutation applied (and committed) after the base state.
-#[derive(Clone, Copy, Debug)]
-enum Op {
-    InsertRun,
-    DeleteRun,
-    Extend,
-}
-
-struct Scenario {
-    dims: usize,
+/// One durable bulk load to kill at every point.
+struct Load {
+    data: Vec<(u64, Pfv)>,
+    config: TreeConfig,
     page_size: usize,
-    durability: Durability,
-    base: Vec<(u64, Pfv)>,
-    extra: Vec<(u64, Pfv)>,
-    op: Op,
-    /// Hold a pinned `Snapshot` of the base commit across the op phase, so
-    /// the kill sweep also covers the epoch-publish / deferred-reclaim
-    /// (`free_aging`) write path a live reader forces.
-    pin_snapshot: bool,
+    opts: BulkLoadOptions,
 }
 
-impl Scenario {
-    fn config(&self) -> TreeConfig {
-        TreeConfig::new(self.dims).with_capacities(4, 4)
-    }
-
-    /// Runs build-base → flush → op → flush on `pool`'s tree. Every write
-    /// goes through the caller's (possibly killing) store.
-    fn run(
-        &self,
-        pool: BufferPool<FaultStore<SharedMem>>,
-    ) -> Result<GaussTree<FaultStore<SharedMem>>, TreeError> {
-        let mut tree = GaussTree::create_with(
-            pool,
-            self.config(),
-            &TreeOptions::new().durability(self.durability),
-        )?;
-        tree.extend(self.base.clone())?;
-        tree.flush()?;
-        let _pin = if self.pin_snapshot {
-            Some(tree.snapshot()?)
-        } else {
-            None
-        };
-        match self.op {
-            Op::InsertRun => {
-                for (id, v) in &self.extra {
-                    tree.insert(*id, v)?;
-                }
-            }
-            Op::DeleteRun => {
-                for (id, v) in self.base.iter().take(self.extra.len().max(8)) {
-                    tree.delete(*id, v)?;
-                }
-            }
-            Op::Extend => {
-                tree.extend(self.extra.clone())?;
-            }
-        }
-        tree.flush()?;
-        Ok(tree)
-    }
-
-    fn pool_over(&self, store: FaultStore<SharedMem>) -> BufferPool<FaultStore<SharedMem>> {
-        BufferPool::new(store, 4096, AccessStats::new_shared())
-    }
-}
-
-/// Dry-runs the scenario to learn its committed states and write count.
-fn dry_run(sc: &Scenario) -> (LogicalState, LogicalState, u64) {
-    // Pre-state: replay only the base phase.
-    let mem = SharedMem::new(sc.page_size);
-    let pool = sc.pool_over(FaultStore::unlimited(mem));
-    let mut tree = GaussTree::create_with(
-        pool,
-        sc.config(),
-        &TreeOptions::new().durability(sc.durability),
-    )
-    .expect("dry create");
-    tree.extend(sc.base.clone()).expect("dry base");
-    tree.flush().expect("dry base flush");
-    let pre = logical_state(&tree);
-    drop(tree);
-
-    // Full run: post-state and the total write-op count. The pool's
-    // physical-write counter matches the fault store's page-write ops one
-    // to one (allocation is charged by neither), so it sizes the budget
-    // space exactly.
-    let mem = SharedMem::new(sc.page_size);
-    let tree = sc
-        .run(sc.pool_over(FaultStore::unlimited(mem)))
-        .expect("dry full run");
-    let post = logical_state(&tree);
-    let total_ops = tree.stats().snapshot().physical_writes;
-    (pre, post, total_ops)
-}
-
-/// Write ops consumed by the base phase alone (create + extend + flush).
-fn base_ops(sc: &Scenario) -> u64 {
-    let mem = SharedMem::new(sc.page_size);
-    let pool = sc.pool_over(FaultStore::unlimited(mem));
-    let mut tree = GaussTree::create_with(
-        pool,
-        sc.config(),
-        &TreeOptions::new().durability(sc.durability),
-    )
-    .expect("base create");
-    tree.extend(sc.base.clone()).expect("base extend");
-    tree.flush().expect("base flush");
-    tree.stats().snapshot().physical_writes
-}
-
-/// Replays the scenario with a kill budget of `n` writes, then recovers
-/// from the surviving store. `None`: nothing was ever committed
-/// (`NotAGaussTree`), only legal before the first commit.
-fn crash_and_recover(sc: &Scenario, n: u64, mode: KillMode) -> Option<LogicalState> {
-    let mem = SharedMem::new(sc.page_size);
-    let result = sc.run(sc.pool_over(FaultStore::new(mem.clone(), n, mode)));
-    drop(result); // tree (if any) and its killed store go away; pages survive
-
-    let pool = BufferPool::new(mem, 4096, AccessStats::new_shared());
-    match GaussTree::open_with_recovery(pool) {
-        Ok((tree, _report)) => {
-            let errs = tree
-                .check_invariants(false)
-                .expect("recovered tree must be traversable");
-            assert!(
-                errs.is_empty(),
-                "kill at {n} ({mode:?}): violations {errs:?}"
-            );
-            Some(logical_state(&tree))
-        }
-        Err(TreeError::NotAGaussTree) => None,
-        Err(e) => panic!("kill at {n} ({mode:?}): recovery failed with {e}"),
-    }
-}
-
-/// The exhaustive sweep: every kill point `0..=total`, both committed
-/// states accepted, tighter acceptance once the base commit is durable.
-fn exhaustive_sweep(sc: &Scenario, mode: KillMode) {
-    let (pre, post, total_ops) = dry_run(sc);
-    assert_ne!(pre, post, "scenario must actually change the tree");
-    let base = base_ops(sc);
-    assert!(total_ops > base, "op phase must write");
-    let empty: LogicalState = (0, Vec::new());
-    let (mut saw_empty, mut saw_pre, mut saw_post) = (0u64, 0u64, 0u64);
-    for n in 0..=total_ops {
-        match crash_and_recover(sc, n, mode) {
-            None => assert!(
-                n < base,
-                "kill at {n}/{total_ops} ({mode:?}): committed base state lost"
-            ),
-            Some(state) => {
-                if state == empty {
-                    saw_empty += 1;
-                } else if state == pre {
-                    saw_pre += 1;
-                } else if state == post {
-                    saw_post += 1;
-                }
-                if n >= base {
-                    assert!(
-                        state == pre || state == post,
-                        "kill at {n}/{total_ops} ({mode:?}): torn state recovered \
-                         (len {} vs pre {} / post {})",
-                        state.0,
-                        pre.0,
-                        post.0
-                    );
-                } else {
-                    assert!(
-                        state == empty || state == pre,
-                        "kill at {n}/{total_ops} ({mode:?}) during base phase: \
-                         unexpected state of len {}",
-                        state.0
-                    );
-                }
-                if n == total_ops {
-                    assert_eq!(state, post, "an unkilled run must land on the post state");
-                }
-            }
+impl Load {
+    fn new(n: u64, page_size: usize, durability: Durability) -> Self {
+        Self {
+            data: items(n, 2, n + page_size as u64),
+            config: TreeConfig::new(2).with_capacities(4, 4),
+            page_size,
+            opts: BulkLoadOptions::default()
+                .with_spill(SpillKind::Memory)
+                .with_durability(durability),
         }
     }
-    // The sweep must have exercised all three recovery targets — an
-    // accidentally write-free phase would make the atomicity claim vacuous.
-    assert!(
-        saw_empty > 0 && saw_pre > 0 && saw_post > 0,
-        "sweep not exhaustive: empty {saw_empty}, pre {saw_pre}, post {saw_post} of {total_ops}"
-    );
-}
 
-fn scenario(op: Op, page_size: usize, durability: Durability, salt: u64) -> Scenario {
-    Scenario {
-        dims: 2,
-        page_size,
-        durability,
-        base: items(40, 2, salt),
-        extra: items(12, 2, salt + 71),
-        op,
-        pin_snapshot: false,
+    fn run<S: PageStore>(&self, store: S) -> Result<GaussTree<S>, TreeError> {
+        let pool = BufferPool::new(store, 4096, AccessStats::new_shared());
+        GaussTree::bulk_load_with(pool, self.config, self.data.clone(), &self.opts).map(|(t, _)| t)
     }
 }
 
-fn pinned_scenario(op: Op, page_size: usize, durability: Durability, salt: u64) -> Scenario {
-    Scenario {
-        pin_snapshot: true,
-        ..scenario(op, page_size, durability, salt)
+/// The exhaustive sweep: the load killed after each of its `0..=total`
+/// writes, the surviving store reopened. Returns how many kill points
+/// opened as the full tree and how many were refused; the unkilled load
+/// must open.
+fn kill_sweep(load: &Load, mode: KillMode) -> (u64, u64) {
+    let queries: Vec<Pfv> = items(6, 2, 777).into_iter().map(|(_, q)| q).collect();
+    let reference = load
+        .run(FaultStore::unlimited(SharedMem::new(load.page_size)))
+        .expect("unkilled load");
+    let full = logical_state(&reference);
+    let want = answers(&reference, &queries);
+    // The pool's physical-write counter matches the fault store's page-write
+    // ops one to one (allocation is charged by neither).
+    let total = reference.stats().snapshot().physical_writes;
+    let (mut opened, mut refused) = (0, 0);
+    for n in 0..=total {
+        let disk = SharedMem::new(load.page_size);
+        drop(load.run(FaultStore::new(disk.clone(), n, mode)));
+        let pool = BufferPool::new(disk, 4096, AccessStats::new_shared());
+        match GaussTree::open(pool) {
+            Ok(tree) => {
+                // The slot write is the load's last write: only a load that
+                // reached it may open (a torn slot write whose image landed
+                // up to its zero padding is a whole one).
+                assert!(n + 1 >= total, "kill at {n}/{total} ({mode:?}) opened");
+                let errs = tree.check_invariants(true).expect("traversable");
+                assert!(errs.is_empty(), "kill at {n} ({mode:?}): {errs:?}");
+                assert_eq!(logical_state(&tree), full, "kill at {n} ({mode:?})");
+                assert_eq!(answers(&tree, &queries), want, "kill at {n} ({mode:?})");
+                opened += 1;
+            }
+            Err(TreeError::NotAGaussTree) => {
+                assert!(n < total, "the unkilled load was refused");
+                refused += 1;
+            }
+            Err(e) => panic!("kill at {n}/{total} ({mode:?}): open failed with {e}"),
+        }
     }
+    (opened, refused)
 }
 
-/// The exhaustive kill sweep again, but with a live snapshot pinning the
-/// base epoch throughout the interrupted mutation: superseded pages age in
-/// `free_aging` instead of being reused, and the commit publishes a new
-/// epoch while the old one is still pinned. Crash atomicity must be
-/// unaffected — every kill point still recovers to exactly the pre- or
-/// post-commit state.
 #[test]
-fn pinned_snapshot_epoch_publish_is_crash_atomic() {
-    for (op, durability, salt) in [
-        (Op::InsertRun, Durability::Fsync, 81),
-        (Op::DeleteRun, Durability::Fsync, 82),
-        (Op::Extend, Durability::Flush, 83),
+fn bulk_load_kill_sweep_opens_full_or_refuses() {
+    for (page_size, durability) in [
+        (1024, Durability::Fsync),
+        (1024, Durability::Flush),
+        (4096, Durability::Fsync),
     ] {
         for mode in [KillMode::Drop, KillMode::Tear] {
-            exhaustive_sweep(&pinned_scenario(op, 1024, durability, salt), mode);
+            let load = Load::new(150, page_size, durability);
+            let (opened, refused) = kill_sweep(&load, mode);
+            assert!(opened >= 1, "{page_size} {durability:?} {mode:?}");
+            assert!(refused > 40, "a vacuous sweep: {refused} kill points");
         }
     }
-}
-
-#[test]
-fn insert_run_is_crash_atomic_at_every_kill_point() {
-    for (page_size, mode) in [
-        (1024, KillMode::Drop),
-        (1024, KillMode::Tear),
-        (4096, KillMode::Tear),
-    ] {
-        exhaustive_sweep(
-            &scenario(Op::InsertRun, page_size, Durability::Fsync, 1),
-            mode,
-        );
+    // Spilled, partitioned on three threads, quantised leaves.
+    let mut load = Load::new(300, 1024, Durability::Fsync);
+    load.config = load.config.with_leaf_format(LeafFormat::Quantised);
+    load.opts = load.opts.clone().with_threads(3).with_mem_budget(40);
+    for mode in [KillMode::Drop, KillMode::Tear] {
+        assert!(kill_sweep(&load, mode).1 > 40);
     }
-    // The Flush level runs the same shadow-paging protocol.
-    exhaustive_sweep(
-        &scenario(Op::InsertRun, 1024, Durability::Flush, 2),
-        KillMode::Tear,
-    );
-}
-
-#[test]
-fn delete_run_is_crash_atomic_at_every_kill_point() {
-    for (page_size, mode) in [
-        (1024, KillMode::Drop),
-        (1024, KillMode::Tear),
-        (4096, KillMode::Drop),
-    ] {
-        exhaustive_sweep(
-            &scenario(Op::DeleteRun, page_size, Durability::Fsync, 3),
-            mode,
-        );
-    }
-    exhaustive_sweep(
-        &scenario(Op::DeleteRun, 1024, Durability::Flush, 4),
-        KillMode::Tear,
-    );
-}
-
-#[test]
-fn extend_batch_is_crash_atomic_at_every_kill_point() {
-    for (page_size, mode) in [
-        (1024, KillMode::Drop),
-        (1024, KillMode::Tear),
-        (4096, KillMode::Tear),
-    ] {
-        exhaustive_sweep(&scenario(Op::Extend, page_size, Durability::Fsync, 5), mode);
-    }
-    exhaustive_sweep(
-        &scenario(Op::Extend, 1024, Durability::Flush, 6),
-        KillMode::Drop,
-    );
-}
-
-#[test]
-fn bulk_load_crashes_recover_to_empty_or_full() {
-    // A bulk load into a fresh durable store: any kill point must recover
-    // to nothing-committed-yet, the committed empty tree, or the fully
-    // loaded tree.
-    let data = items(150, 2, 9);
-    let config = TreeConfig::new(2).with_capacities(4, 4);
-    let opts = BulkLoadOptions::default()
-        .with_spill(SpillKind::Memory)
-        .with_durability(Durability::Fsync);
-
-    let mem = SharedMem::new(1024);
-    let pool = BufferPool::new(FaultStore::unlimited(mem), 4096, AccessStats::new_shared());
-    let (tree, _) = GaussTree::bulk_load_with(pool, config, data.clone(), &opts).expect("dry bulk");
-    let post = logical_state(&tree);
-    let total_ops = tree.stats().snapshot().physical_writes;
-    let empty: LogicalState = (0, Vec::new());
-
-    for n in 0..=total_ops {
-        for mode in [KillMode::Drop, KillMode::Tear] {
-            let mem = SharedMem::new(1024);
-            let pool = BufferPool::new(
-                FaultStore::new(mem.clone(), n, mode),
-                4096,
-                AccessStats::new_shared(),
-            );
-            let r = GaussTree::bulk_load_with(pool, config, data.clone(), &opts);
-            drop(r);
-            let pool = BufferPool::new(mem, 4096, AccessStats::new_shared());
-            match GaussTree::open_with_recovery(pool) {
-                Err(TreeError::NotAGaussTree) => {}
-                Err(e) => panic!("bulk kill at {n} ({mode:?}): {e}"),
-                Ok((tree, _)) => {
-                    let errs = tree.check_invariants(false).unwrap();
-                    assert!(errs.is_empty(), "bulk kill at {n} ({mode:?}): {errs:?}");
-                    let state = logical_state(&tree);
-                    assert!(
-                        state == empty || state == post,
-                        "bulk kill at {n}/{total_ops} ({mode:?}): torn state of len {}",
-                        state.0
-                    );
-                }
-            }
-        }
-    }
+    // An empty load writes its empty root leaf and commits it.
+    let empty = Load::new(0, 1024, Durability::Flush);
+    assert_eq!(kill_sweep(&empty, KillMode::Drop), (1, 2));
 }
 
 #[test]
 fn file_backed_crashes_recover_through_real_reopen() {
-    // Same protocol over an actual file: kill the FileStore mid-scenario,
-    // then reopen the path from scratch like a restarted process would.
+    // Same protocol over an actual file: kill the FileStore mid-load, then
+    // reopen the path from scratch like a restarted process would.
     let dir = std::env::temp_dir().join(format!(
         "gauss-crash-{}-{:?}",
         std::process::id(),
         std::thread::current().id()
     ));
     std::fs::create_dir_all(&dir).unwrap();
-    let config = TreeConfig::new(2).with_capacities(4, 4);
-    let base = items(30, 2, 13);
-    let extra = items(10, 2, 99);
+    let load = Load::new(200, 1024, Durability::Fsync);
 
-    // Dry run to size the kill space.
-    let run =
-        |store: FaultStore<FileStore>| -> Result<GaussTree<FaultStore<FileStore>>, TreeError> {
-            let pool = BufferPool::new(store, 4096, AccessStats::new_shared());
-            let mut tree = GaussTree::create_with(
-                pool,
-                config,
-                &TreeOptions::new().durability(Durability::Fsync),
-            )?;
-            tree.extend(base.clone())?;
-            tree.flush()?;
-            tree.extend(extra.clone())?;
-            tree.flush()?;
-            Ok(tree)
-        };
-    let dry_path = dir.join("dry.gtree");
-    let tree = run(FaultStore::unlimited(
-        FileStore::create(&dry_path, 1024).unwrap(),
-    ))
-    .expect("dry file run");
-    let post = logical_state(&tree);
-    let total_ops = tree.stats().snapshot().physical_writes;
+    let dry = load
+        .run(FaultStore::unlimited(
+            FileStore::create(dir.join("dry.gtree"), 1024).unwrap(),
+        ))
+        .expect("dry file load");
+    let full = logical_state(&dry);
+    let total = dry.stats().snapshot().physical_writes;
 
-    // Sample the kill space densely (every 3rd point) to keep file churn
-    // bounded; the exhaustive sweeps above cover every point in memory.
-    for n in (0..total_ops).step_by(3).chain([total_ops]) {
+    // Sample the kill space (every 3rd point, and the last two) to keep
+    // file churn bounded; the sweeps above cover every point in memory.
+    for n in (0..total).step_by(3).chain([total - 1, total]) {
         let path = dir.join("crash.gtree");
-        let r = run(FaultStore::new(
-            FileStore::create(&path, 1024).unwrap(),
-            n,
-            KillMode::Tear,
-        ));
-        drop(r);
+        let store = FileStore::create(&path, 1024).unwrap();
+        drop(load.run(FaultStore::new(store, n, KillMode::Tear)));
         let store = FileStore::open(&path, 1024).expect("crash file must reopen");
         let pool = BufferPool::new(store, 4096, AccessStats::new_shared());
-        match GaussTree::open_with_recovery(pool) {
-            Err(TreeError::NotAGaussTree) => {}
+        match GaussTree::open(pool) {
+            Err(TreeError::NotAGaussTree) => assert!(n < total, "the full load was refused"),
             Err(e) => panic!("file kill at {n}: {e}"),
-            Ok((tree, _)) => {
-                let errs = tree.check_invariants(false).unwrap();
+            Ok(tree) => {
+                assert!(n + 1 >= total, "file kill at {n}/{total} opened");
+                let errs = tree.check_invariants(true).unwrap();
                 assert!(errs.is_empty(), "file kill at {n}: {errs:?}");
-                if n == total_ops {
-                    assert_eq!(logical_state(&tree), post);
-                }
+                assert_eq!(logical_state(&tree), full);
             }
         }
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Random shapes and salts through the full exhaustive sweep: the
-    /// atomicity property must not depend on any particular tree layout.
-    #[test]
-    fn random_extend_scenarios_are_crash_atomic(
-        n_base in 10u64..60,
-        n_extra in 1u64..20,
-        dims in 1usize..3,
-        salt in 0u64..500,
-        tear in 0u8..2,
-    ) {
-        let sc = Scenario {
-            dims,
-            page_size: 1024,
-            durability: Durability::Fsync,
-            base: items(n_base, dims, salt),
-            extra: items(n_extra, dims, salt + 1000),
-            op: Op::Extend,
-            pin_snapshot: false,
-        };
-        let mode = if tear == 1 { KillMode::Tear } else { KillMode::Drop };
-        let (pre, post, total_ops) = dry_run(&sc);
-        let base = base_ops(&sc);
-        let empty: LogicalState = (0, Vec::new());
-        for n in 0..=total_ops {
-            match crash_and_recover(&sc, n, mode) {
-                None => prop_assert!(n < base),
-                Some(state) => {
-                    if n >= base {
-                        prop_assert!(state == pre || state == post);
-                    } else {
-                        prop_assert!(state == empty || state == pre);
-                    }
-                }
-            }
-        }
-    }
 }

@@ -98,9 +98,6 @@ fn run_ops(
 fn reference_tree(model: &BTreeMap<u64, Pfv>, config: TreeConfig) -> GaussTree<MemStore> {
     let items: Vec<(u64, Pfv)> = model.iter().map(|(id, v)| (*id, v.clone())).collect();
     let pool = BufferPool::new(MemStore::new(4096), 256, AccessStats::new_shared());
-    if items.is_empty() {
-        return GaussTree::create(pool, config).expect("empty reference");
-    }
     GaussTree::bulk_load(pool, config, items).expect("reference bulk load")
 }
 
@@ -235,12 +232,6 @@ fn check_equivalence(ops: &[Op], dims: usize, format: LeafFormat, queries: &[Pfv
     let expect: Vec<(u64, Pfv)> = if format == LeafFormat::Quantised {
         // The tree stores the quantised image of what was inserted; the
         // round-trip through the forest must quantise exactly once.
-        let ref_snap = reference.snapshot().expect("reference snapshot");
-        let mut stored: Vec<(u64, Pfv)> = Vec::new();
-        ref_snap
-            .for_each_entry(|id, v| stored.push((id, v.clone())))
-            .expect("reference entries");
-        stored.sort_by_key(|(id, _)| *id);
         stored
     } else {
         model.iter().map(|(id, v)| (*id, v.clone())).collect()

@@ -46,7 +46,7 @@ fn v(id: u64, round: u64) -> Pfv {
 /// maintains that cascade multi-level merges.
 fn script() -> Vec<Step> {
     let mut steps = Vec::new();
-    for round in 0..4u64 {
+    for round in 0..6u64 {
         for i in 0..6u64 {
             steps.push(Step::Insert((round * 5 + i) % 12, round));
         }

@@ -1,18 +1,21 @@
-//! MVCC snapshot-isolation suite.
+//! Snapshot isolation under a racing writer.
 //!
-//! Pins down the contract of [`GaussTree::snapshot`]: a [`Snapshot`] is a
-//! frozen committed epoch — queries on it are bit-identical to the same
-//! queries on the quiesced tree at commit time, no matter what a concurrent
-//! writer does afterwards — and the pages backing a pinned epoch are only
-//! reclaimed once the last snapshot of it is dropped.
+//! The forest is the durable writer, and [`ForestSnapshot`] is its reader
+//! half: the memtable image plus an `Arc` of every write-once component
+//! tree. This suite pins down its contract while a writer runs on the other
+//! side of a thread boundary: queries on a snapshot are bit-identical to
+//! the same queries on the quiesced forest at pin time — whatever the
+//! writer inserts, deletes, flushes and merges afterwards, components it
+//! drops included — and its k-MLIQ answers equal those of one tree
+//! bulk-loaded over the pinned live set.
 
 use gausstree::pfv::Pfv;
-use gausstree::storage::{AccessStats, BufferPool, Durability, MemStore};
-use gausstree::tree::{GaussTree, ReadView, Snapshot, TreeConfig, TreeError, TreeOptions};
-
-fn mem_pool(cap: usize) -> BufferPool<MemStore> {
-    BufferPool::new(MemStore::new(1024), cap, AccessStats::new_shared())
-}
+use gausstree::storage::{
+    AccessStats, BufferPool, Durability, MemComponentStores, MemStore, PageStore,
+};
+use gausstree::tree::{
+    ForestOptions, ForestSnapshot, GaussForest, GaussTree, ReadView, TreeConfig,
+};
 
 fn pfv2(i: u64, salt: u64) -> Pfv {
     Pfv::new(
@@ -28,22 +31,8 @@ fn pfv2(i: u64, salt: u64) -> Pfv {
     .unwrap()
 }
 
-fn build(n: u64, durability: Durability) -> GaussTree<MemStore> {
-    let mut tree = GaussTree::create_with(
-        mem_pool(4096),
-        TreeConfig::new(2).with_capacities(5, 4),
-        &TreeOptions::new().durability(durability),
-    )
-    .unwrap();
-    for i in 0..n {
-        tree.insert(i, &pfv2(i, 3)).unwrap();
-    }
-    tree.flush().unwrap();
-    tree
-}
-
 /// Order-independent, bit-exact logical content of any read view.
-fn logical_state<V: ReadView<MemStore>>(view: &V) -> Vec<(u64, Vec<u64>, Vec<u64>)> {
+fn logical_state<S: PageStore, V: ReadView<S>>(view: &V) -> Vec<(u64, Vec<u64>, Vec<u64>)> {
     let mut entries = Vec::new();
     view.for_each_entry(|id, pfv| {
         entries.push((
@@ -57,9 +46,9 @@ fn logical_state<V: ReadView<MemStore>>(view: &V) -> Vec<(u64, Vec<u64>, Vec<u64
     entries
 }
 
-/// Every query family on the quiesced committed tree, captured bit-exactly
-/// so snapshot results can be compared for equality, not approximation.
-fn query_fingerprint<V: ReadView<MemStore>>(view: &V, q: &Pfv) -> Vec<(u64, u64)> {
+/// Every query family, captured bit-exactly so racing reads can be
+/// compared for equality, not approximation.
+fn query_fingerprint<S: PageStore, V: ReadView<S>>(view: &V, q: &Pfv) -> Vec<(u64, u64)> {
     let mut out: Vec<(u64, u64)> = view
         .k_mliq(q, 10)
         .unwrap()
@@ -84,21 +73,48 @@ fn query_fingerprint<V: ReadView<MemStore>>(view: &V, q: &Pfv) -> Vec<(u64, u64)
     out
 }
 
+/// A forest of 200 objects with several components, shadowed ids and a
+/// live memtable.
+fn build(durability: Durability) -> GaussForest<MemComponentStores> {
+    let mut forest = GaussForest::create(
+        MemComponentStores::new(1024),
+        TreeConfig::new(2).with_capacities(5, 4),
+        ForestOptions::new()
+            .memtable_capacity(48)
+            .durability(durability),
+    )
+    .unwrap();
+    for i in 0..200 {
+        forest.insert(i, &pfv2(i, 3)).unwrap();
+    }
+    for i in (0..200).step_by(9) {
+        forest.delete(i).unwrap();
+    }
+    for i in (1..200).step_by(13) {
+        forest.insert(i, &pfv2(i, 5)).unwrap();
+    }
+    forest
+}
+
 #[test]
 fn snapshot_matches_quiesced_tree_bit_for_bit_under_racing_writer() {
     for durability in [Durability::None, Durability::Fsync] {
-        let mut tree = build(200, durability);
+        let mut forest = build(durability);
         let q = Pfv::new(vec![1.5, -2.0], vec![0.3, 0.3]).unwrap();
+        let live = forest.len();
+        assert!(forest.component_stats().len() > 1 && forest.memtable_len() > 0);
 
-        // Quiesced ground truth at the commit, then pin it.
-        let want_state = logical_state(&tree);
-        let want_queries = query_fingerprint(&tree, &q);
-        let snap = tree.snapshot().unwrap();
+        // Quiesced ground truth at pin time.
+        let snap: ForestSnapshot<_> = forest.snapshot().unwrap();
         let epoch0 = snap.epoch();
-        assert_eq!(snap.len(), 200);
+        let want_state = logical_state(&snap);
+        let want_queries = query_fingerprint(&snap, &q);
+        assert_eq!(snap.len(), live);
 
-        // Readers race the writer: the writer inserts, extends and commits
-        // new epochs while snapshot readers keep querying the pinned one.
+        // Readers race the writer: the writer inserts, deletes, flushes
+        // and merges (dropping the components the snapshot holds) while
+        // reader threads keep querying their clones of the snapshot.
+        let mut merges = 0;
         std::thread::scope(|scope| {
             let workers: Vec<_> = (0..3)
                 .map(|_| {
@@ -115,16 +131,15 @@ fn snapshot_matches_quiesced_tree_bit_for_bit_under_racing_writer() {
                 .collect();
             for round in 0u64..5 {
                 for i in 0..40 {
-                    tree.insert(1_000 + round * 100 + i, &pfv2(i, round + 11))
+                    forest
+                        .insert(1_000 + round * 100 + i, &pfv2(i, round + 11))
                         .unwrap();
                 }
-                tree.extend(
-                    (0..10u64)
-                        .map(|i| (2_000 + round * 100 + i, pfv2(i, round + 29)))
-                        .collect::<Vec<_>>(),
-                )
-                .unwrap();
-                tree.flush().unwrap();
+                for i in (round * 20..round * 20 + 20).filter(|i| i % 3 == 0) {
+                    forest.delete(i).unwrap();
+                }
+                forest.flush().unwrap();
+                merges += forest.maintain().unwrap().merges;
             }
             for w in workers {
                 for fp in w.join().unwrap() {
@@ -134,125 +149,26 @@ fn snapshot_matches_quiesced_tree_bit_for_bit_under_racing_writer() {
         });
 
         // The writer moved on; the snapshot did not.
-        assert!(tree.epoch() > epoch0, "writer must have committed");
-        assert_eq!(tree.len(), 200 + 5 * 50);
-        assert_eq!(snap.len(), 200);
+        assert!(merges > 0, "the writer must have merged components away");
+        assert!(forest.epoch() > epoch0, "writer must have committed");
+        assert_ne!(forest.len(), live);
+        assert_eq!(snap.len(), live);
         assert_eq!(logical_state(&snap), want_state);
         assert_eq!(query_fingerprint(&snap, &q), want_queries);
 
         // The batch executor fans out over the snapshot too.
         let serial = snap.k_mliq(&q, 5).unwrap();
         let batched = snap.batch(4).k_mliq(&[q.clone(), q.clone()], 5).unwrap();
-        assert_eq!(batched, vec![serial.clone(), serial]);
+        assert_eq!(batched, vec![serial.clone(), serial.clone()]);
 
-        // And the pinned structure itself stays sound.
-        assert!(snap.check_invariants(true).unwrap().is_empty());
+        // And it answers like one tree bulk-loaded over its live set.
+        let mut items: Vec<(u64, Pfv)> = Vec::new();
+        snap.for_each_entry(|id, v| items.push((id, v.clone())))
+            .unwrap();
+        let pool = BufferPool::new(MemStore::new(1024), 1024, AccessStats::new_shared());
+        let reference = GaussTree::bulk_load(pool, *snap.config(), items).unwrap();
+        assert!(reference.check_invariants(true).unwrap().is_empty());
+        assert_eq!(reference.k_mliq(&q, 5).unwrap(), serial);
+        assert_eq!(logical_state(&reference), want_state);
     }
-}
-
-#[test]
-fn page_reclaim_waits_for_the_last_pin() {
-    let mut tree = build(300, Durability::None);
-    let want = logical_state(&tree);
-    let snap = tree.snapshot().unwrap();
-    assert_eq!(tree.pinned_snapshots(), 1);
-
-    // Dissolve most of the tree: the superseded pages of the pinned epoch
-    // park in the aging list instead of becoming reusable.
-    for i in 0..250u64 {
-        tree.delete(i, &pfv2(i, 3)).unwrap();
-    }
-    tree.flush().unwrap();
-    let pages_pinned = tree.pool().num_pages();
-
-    // New growth must not cannibalise the pinned epoch's pages: the store
-    // grows even though plenty of pages were just freed.
-    for i in 0..150u64 {
-        tree.insert(10_000 + i, &pfv2(i, 57)).unwrap();
-    }
-    tree.flush().unwrap();
-    assert!(
-        tree.pool().num_pages() > pages_pinned,
-        "allocation while pinned must grow the store, not reuse pinned pages"
-    );
-    // ... which is exactly what keeps the snapshot intact:
-    assert_eq!(logical_state(&snap), want);
-
-    // Unpin. The aged pages become reusable, so the same amount of new
-    // growth is now served from the free pool without growing the store.
-    drop(snap);
-    assert_eq!(tree.pinned_snapshots(), 0);
-    let pages_unpinned = tree.pool().num_pages();
-    for i in 0..150u64 {
-        tree.insert(20_000 + i, &pfv2(i, 91)).unwrap();
-    }
-    tree.flush().unwrap();
-    assert_eq!(
-        tree.pool().num_pages(),
-        pages_unpinned,
-        "aged pages must be reused once the last pin is gone"
-    );
-    assert!(tree.check_invariants(false).unwrap().is_empty());
-}
-
-#[test]
-fn dirty_working_state_refuses_to_snapshot_until_committed() {
-    let mut tree = build(50, Durability::None);
-    // Clean at the commit: snapshot allowed.
-    let s0 = tree.snapshot().unwrap();
-    let epoch0 = s0.epoch();
-    drop(s0);
-
-    // An in-place write under Durability::None with no pins diverges the
-    // store from the committed epoch — snapshotting that would tear.
-    tree.insert(500, &pfv2(500, 1)).unwrap();
-    assert!(matches!(
-        tree.snapshot(),
-        Err(TreeError::SnapshotUnavailable(_))
-    ));
-
-    // Committing makes it clean again, one epoch later.
-    tree.flush().unwrap();
-    let s1 = tree.snapshot().unwrap();
-    assert!(s1.epoch() > epoch0);
-    assert_eq!(s1.len(), 51);
-}
-
-#[test]
-fn live_pin_forces_shadow_paging_even_without_durability() {
-    let mut tree = build(50, Durability::None);
-    let snap = tree.snapshot().unwrap();
-    // While `snap` lives, mutation shadow-pages, so the working state never
-    // diverges from a committed epoch in place — a second snapshot after a
-    // commit is always possible.
-    for i in 0..40u64 {
-        tree.insert(600 + i, &pfv2(i, 77)).unwrap();
-    }
-    tree.flush().unwrap();
-    let snap2 = tree.snapshot().unwrap();
-    assert!(snap2.epoch() > snap.epoch());
-    assert_eq!(snap.len(), 50);
-    assert_eq!(snap2.len(), 90);
-    assert_eq!(tree.pinned_snapshots(), 2);
-}
-
-#[test]
-fn clone_repins_and_drop_unpins() {
-    let mut tree = build(20, Durability::None);
-    let s1 = tree.snapshot().unwrap();
-    let s2 = s1.clone();
-    let s3 = tree.snapshot().unwrap();
-    assert_eq!(tree.pinned_snapshots(), 3);
-    drop(s1);
-    assert_eq!(tree.pinned_snapshots(), 2);
-
-    // Snapshots survive the writer: they hold shared ownership of the pool.
-    let held: Snapshot<MemStore> = s2;
-    tree.flush().unwrap();
-    drop(tree);
-    assert_eq!(held.len(), 20);
-    assert!(!held.is_empty());
-    assert_eq!(held.dims(), 2);
-    drop(held);
-    drop(s3);
 }

@@ -1,9 +1,9 @@
-//! On-disk persistence: trees written via `FileStore` must survive process
-//! boundaries (simulated by dropping and reopening) with identical query
-//! results.
+//! On-disk persistence: trees bulk-loaded into a `FileStore` must survive
+//! process boundaries (simulated by dropping and reopening) with identical
+//! query results.
 
 use gausstree::pfv::Pfv;
-use gausstree::storage::{AccessStats, BufferPool, FileStore, MemStore, DEFAULT_PAGE_SIZE};
+use gausstree::storage::{AccessStats, BufferPool, FileStore, MemStore, PageId, DEFAULT_PAGE_SIZE};
 use gausstree::tree::ReadView;
 use gausstree::tree::{GaussTree, TreeConfig};
 
@@ -45,6 +45,19 @@ fn sample_items(n: u64, dims: usize) -> Vec<(u64, Pfv)> {
         .collect()
 }
 
+/// Bulk-loads `items` into a fresh page file at `path`.
+fn build_file(path: &std::path::Path, items: Vec<(u64, Pfv)>, dims: usize) -> GaussTree<FileStore> {
+    let store = FileStore::create(path, DEFAULT_PAGE_SIZE).unwrap();
+    let pool = BufferPool::new(store, 256, AccessStats::new_shared());
+    GaussTree::bulk_load(pool, TreeConfig::new(dims), items).unwrap()
+}
+
+fn reopen(path: &std::path::Path) -> GaussTree<FileStore> {
+    let store = FileStore::open(path, DEFAULT_PAGE_SIZE).unwrap();
+    let pool = BufferPool::new(store, 256, AccessStats::new_shared());
+    GaussTree::open(pool).unwrap()
+}
+
 #[test]
 fn queries_identical_after_reopen() {
     let tmp = TempDir::new("reopen");
@@ -52,66 +65,51 @@ fn queries_identical_after_reopen() {
     let items = sample_items(400, 3);
     let q = Pfv::new(vec![1.0, -2.0, 3.0], vec![0.2, 0.3, 0.1]).unwrap();
 
-    let before = {
-        let store = FileStore::create(&path, DEFAULT_PAGE_SIZE).unwrap();
-        let pool = BufferPool::new(store, 256, AccessStats::new_shared());
-        let mut tree = GaussTree::create(pool, TreeConfig::new(3)).unwrap();
-        for (id, v) in &items {
-            tree.insert(*id, v).unwrap();
-        }
-        tree.flush().unwrap();
-        tree.k_mliq_refined(&q, 5, 1e-8).unwrap()
-    };
+    let before = build_file(&path, items, 3)
+        .k_mliq_refined(&q, 5, 1e-8)
+        .unwrap();
 
-    let store = FileStore::open(&path, DEFAULT_PAGE_SIZE).unwrap();
-    let pool = BufferPool::new(store, 256, AccessStats::new_shared());
-    let tree = GaussTree::open(pool).unwrap();
+    let tree = reopen(&path);
     assert_eq!(tree.len(), 400);
     assert_eq!(tree.dims(), 3);
-    let after = tree.k_mliq_refined(&q, 5, 1e-8).unwrap();
-
-    assert_eq!(before.len(), after.len());
-    for (b, a) in before.iter().zip(after.iter()) {
-        assert_eq!(b.id, a.id);
-        assert!((b.log_density - a.log_density).abs() < 1e-12);
-        assert!((b.probability - a.probability).abs() < 1e-9);
-    }
+    assert!(tree.check_invariants(true).unwrap().is_empty());
+    // Same pages, same search: bit-identical answers.
+    assert_eq!(tree.k_mliq_refined(&q, 5, 1e-8).unwrap(), before);
 }
 
 #[test]
-fn bulk_loaded_tree_survives_reopen_and_inserts() {
+fn bulk_loaded_tree_survives_reopen_and_rebuild() {
     let tmp = TempDir::new("bulk");
     let path = tmp.path("bulk.pages");
     let items = sample_items(900, 2);
+    drop(build_file(&path, items, 2));
 
-    {
-        let store = FileStore::create(&path, DEFAULT_PAGE_SIZE).unwrap();
-        let pool = BufferPool::new(store, 256, AccessStats::new_shared());
-        let mut tree = GaussTree::bulk_load(pool, TreeConfig::new(2), items).unwrap();
-        tree.flush().unwrap();
-    }
-
-    let store = FileStore::open(&path, DEFAULT_PAGE_SIZE).unwrap();
-    let pool = BufferPool::new(store, 256, AccessStats::new_shared());
-    let mut tree = GaussTree::open(pool).unwrap();
+    let tree = reopen(&path);
     assert_eq!(tree.len(), 900);
+    assert!(tree.check_invariants(true).unwrap().is_empty());
 
-    // Keep inserting after reopen.
+    // A tree file is written once: more objects mean a new file, loaded
+    // from the reopened tree's entries plus the new ones.
+    let mut grown: Vec<(u64, Pfv)> = Vec::new();
+    tree.for_each_entry(|id, v| grown.push((id, v.clone())))
+        .unwrap();
     for i in 900..1000u64 {
         let v = Pfv::new(vec![i as f64, -(i as f64)], vec![0.4, 0.2]).unwrap();
-        tree.insert(i, &v).unwrap();
+        grown.push((i, v));
     }
-    tree.flush().unwrap();
+    let next = tmp.path("bulk-next.pages");
+    drop(build_file(&next, grown, 2));
+    let tree = reopen(&next);
     assert_eq!(tree.len(), 1000);
-    let errors = tree.check_invariants(false).unwrap();
+    let errors = tree.check_invariants(true).unwrap();
     assert!(
         errors.is_empty(),
-        "violations after reopen+insert: {errors:?}"
+        "violations after reopen and rebuild: {errors:?}"
     );
-
-    let mut count = 0u64;
-    tree.for_each_entry(|_, _| count += 1).unwrap();
-    assert_eq!(count, 1000);
+    let mut ids = Vec::new();
+    tree.for_each_entry(|id, _| ids.push(id)).unwrap();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..1000).collect::<Vec<_>>());
 }
 
 #[test]
@@ -124,26 +122,25 @@ fn mem_and_file_trees_agree() {
         256,
         AccessStats::new_shared(),
     );
-    let mut mem_tree = GaussTree::create(pool, TreeConfig::new(2)).unwrap();
-    for (id, v) in &items {
-        mem_tree.insert(*id, v).unwrap();
-    }
+    let mem_tree = GaussTree::bulk_load(pool, TreeConfig::new(2), items.clone()).unwrap();
 
     let tmp = TempDir::new("agree");
-    let store = FileStore::create(tmp.path("t.pages"), DEFAULT_PAGE_SIZE).unwrap();
-    let pool = BufferPool::new(store, 256, AccessStats::new_shared());
-    let mut file_tree = GaussTree::create(pool, TreeConfig::new(2)).unwrap();
-    for (id, v) in &items {
-        file_tree.insert(*id, v).unwrap();
-    }
+    let file_tree = build_file(&tmp.path("t.pages"), items, 2);
 
-    let a = mem_tree.k_mliq(&q, 10).unwrap();
-    let b = file_tree.k_mliq(&q, 10).unwrap();
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(b.iter()) {
-        assert_eq!(x.id, y.id);
-        assert!((x.log_density - y.log_density).abs() < 1e-12);
+    // The loader writes the same bytes to either store.
+    let pages = mem_tree.pool().num_pages();
+    assert_eq!(file_tree.pool().num_pages(), pages);
+    for i in 0..pages {
+        assert_eq!(
+            mem_tree.pool().page(PageId(i)).unwrap(),
+            file_tree.pool().page(PageId(i)).unwrap(),
+            "page {i}"
+        );
     }
+    assert_eq!(
+        mem_tree.k_mliq(&q, 10).unwrap(),
+        file_tree.k_mliq(&q, 10).unwrap()
+    );
 }
 
 #[test]
