@@ -3,7 +3,7 @@
 //! Page layout: `[count: u16] [entry: id u64, means d×f64, sigmas d×f64]*`.
 
 use gauss_storage::store::{PageStore, StoreError};
-use gauss_storage::{BufferPool, PageId, Reader, Writer};
+use gauss_storage::{PageId, Reader, SharedBufferPool, Writer};
 use pfv::logsum::LogSumAcc;
 use pfv::{combine, CombineMode, Pfv};
 use std::cmp::Reverse;
@@ -61,7 +61,7 @@ pub struct EntryRef {
 /// storage and the refinement source for the X-tree.
 #[derive(Debug)]
 pub struct PfvFile<S: PageStore> {
-    pool: BufferPool<S>,
+    pool: SharedBufferPool<S>,
     dims: usize,
     pages: Vec<PageId>,
     len: u64,
@@ -80,7 +80,7 @@ impl<S: PageStore> PfvFile<S> {
     /// # Errors
     /// Storage errors, or a dimensionality mismatch between items.
     pub fn build(
-        mut pool: BufferPool<S>,
+        pool: SharedBufferPool<S>,
         dims: usize,
         items: impl IntoIterator<Item = (u64, Pfv)>,
     ) -> Result<Self, ScanError> {
@@ -97,7 +97,7 @@ impl<S: PageStore> PfvFile<S> {
         let mut buf = vec![0u8; page_size];
         let mut in_page = 0usize;
 
-        let flush = |pool: &mut BufferPool<S>,
+        let flush = |pool: &SharedBufferPool<S>,
                      buf: &mut [u8],
                      in_page: usize,
                      pages: &mut Vec<PageId>|
@@ -118,7 +118,7 @@ impl<S: PageStore> PfvFile<S> {
                 });
             }
             if in_page == per_page {
-                flush(&mut pool, &mut buf, in_page, &mut pages)?;
+                flush(&pool, &mut buf, in_page, &mut pages)?;
                 buf.iter_mut().for_each(|b| *b = 0);
                 in_page = 0;
             }
@@ -131,7 +131,7 @@ impl<S: PageStore> PfvFile<S> {
             len += 1;
         }
         if in_page > 0 {
-            flush(&mut pool, &mut buf, in_page, &mut pages)?;
+            flush(&pool, &mut buf, in_page, &mut pages)?;
         }
         Ok(Self {
             pool,
@@ -185,7 +185,7 @@ impl<S: PageStore> PfvFile<S> {
     }
 
     /// Buffer pool access (stats, cold start).
-    pub fn pool_mut(&mut self) -> &mut BufferPool<S> {
+    pub fn pool_mut(&mut self) -> &mut SharedBufferPool<S> {
         &mut self.pool
     }
 
@@ -211,9 +211,9 @@ impl<S: PageStore> PfvFile<S> {
     /// Storage errors or corrupt pages.
     pub fn for_each(&mut self, mut f: impl FnMut(EntryRef, u64, &Pfv)) -> Result<(), ScanError> {
         let dims = self.dims;
-        for &page in &self.pages.clone() {
+        for &page in &self.pages {
             let bytes = self.pool.page(page)?;
-            let mut r = Reader::new(bytes);
+            let mut r = Reader::new(&bytes);
             let count = r.get_u16().map_err(|_| ScanError::Corrupt("header"))? as usize;
             if count > self.per_page {
                 return Err(ScanError::Corrupt("entry count exceeds capacity"));
@@ -248,7 +248,7 @@ impl<S: PageStore> PfvFile<S> {
     pub fn fetch(&mut self, at: EntryRef) -> Result<(u64, Pfv), ScanError> {
         let dims = self.dims;
         let bytes = self.pool.page(at.page)?;
-        let mut r = Reader::new(bytes);
+        let mut r = Reader::new(&bytes);
         let count = r.get_u16().map_err(|_| ScanError::Corrupt("header"))? as usize;
         if at.slot as usize >= count {
             return Err(ScanError::Corrupt("slot out of range"));
@@ -411,7 +411,7 @@ mod tests {
                 (i, Pfv::new(means, sigmas).unwrap())
             })
             .collect();
-        let pool = BufferPool::new(MemStore::new(4096), 1024, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(4096), 1024, AccessStats::new_shared());
         let file = PfvFile::build(pool, dims, items.clone()).unwrap();
         (file, items)
     }
@@ -531,7 +531,7 @@ mod tests {
 
     #[test]
     fn empty_file() {
-        let pool = BufferPool::new(MemStore::new(4096), 16, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(4096), 16, AccessStats::new_shared());
         let mut f = PfvFile::build(pool, 2, Vec::new()).unwrap();
         assert!(f.is_empty());
         let q = Pfv::new(vec![0.0, 0.0], vec![0.1, 0.1]).unwrap();

@@ -22,7 +22,7 @@
 use crate::rect::Rect;
 use crate::seqscan::{EntryRef, PfvFile, ScanError};
 use gauss_storage::store::{PageStore, StoreError};
-use gauss_storage::{BufferPool, PageId, Reader, Writer};
+use gauss_storage::{PageId, Reader, SharedBufferPool, Writer};
 use pfv::logsum::LogSumAcc;
 use pfv::{combine, CombineMode, Pfv};
 
@@ -171,7 +171,7 @@ struct RunRef {
 /// The X-tree index.
 #[derive(Debug)]
 pub struct XTree<S: PageStore> {
-    pool: BufferPool<S>,
+    pool: SharedBufferPool<S>,
     config: XTreeConfig,
     root: RunRef,
     height: u32,
@@ -200,7 +200,7 @@ impl<S: PageStore> XTree<S> {
     ///
     /// # Errors
     /// Storage errors; panics if a page cannot hold two entries.
-    pub fn create(mut pool: BufferPool<S>, config: XTreeConfig) -> Result<Self, XTreeError> {
+    pub fn create(pool: SharedBufferPool<S>, config: XTreeConfig) -> Result<Self, XTreeError> {
         let ps = pool.page_size();
         let leaf_per_page = (ps - RUN_HEADER) / Self::leaf_entry_bytes(config.dims);
         let dir_per_page = (ps - RUN_HEADER) / Self::dir_entry_bytes(config.dims);
@@ -233,7 +233,7 @@ impl<S: PageStore> XTree<S> {
     /// # Errors
     /// Storage/scan errors.
     pub fn build_from_file(
-        pool: BufferPool<S>,
+        pool: SharedBufferPool<S>,
         config: XTreeConfig,
         file: &mut PfvFile<impl PageStore>,
     ) -> Result<Self, XTreeError> {
@@ -267,7 +267,7 @@ impl<S: PageStore> XTree<S> {
     }
 
     /// Buffer pool access (stats, cold start).
-    pub fn pool_mut(&mut self) -> &mut BufferPool<S> {
+    pub fn pool_mut(&mut self) -> &mut SharedBufferPool<S> {
         &mut self.pool
     }
 
@@ -292,7 +292,7 @@ impl<S: PageStore> XTree<S> {
         let mut bytes = Vec::with_capacity(ps * run.pages as usize);
         for i in 0..run.pages {
             let page = self.pool.page(PageId(run.first.index() + u64::from(i)))?;
-            bytes.extend_from_slice(page);
+            bytes.extend_from_slice(&page);
         }
         let mut r = Reader::new(&bytes);
         let kind = r.get_u8().map_err(|_| XTreeError::Corrupt("header"))?;
@@ -815,9 +815,9 @@ mod tests {
     }
 
     fn build(items: &[(u64, Pfv)], dims: usize) -> (XTree<MemStore>, PfvFile<MemStore>) {
-        let file_pool = BufferPool::new(MemStore::new(4096), 4096, AccessStats::new_shared());
+        let file_pool = SharedBufferPool::new(MemStore::new(4096), 4096, AccessStats::new_shared());
         let mut file = PfvFile::build(file_pool, dims, items.to_vec()).unwrap();
-        let tree_pool = BufferPool::new(MemStore::new(4096), 4096, AccessStats::new_shared());
+        let tree_pool = SharedBufferPool::new(MemStore::new(4096), 4096, AccessStats::new_shared());
         let tree = XTree::build_from_file(tree_pool, XTreeConfig::new(dims), &mut file).unwrap();
         (tree, file)
     }
@@ -935,7 +935,7 @@ mod tests {
 
     #[test]
     fn empty_tree_queries() {
-        let pool = BufferPool::new(MemStore::new(4096), 64, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(4096), 64, AccessStats::new_shared());
         let mut tree = XTree::create(pool, XTreeConfig::new(2)).unwrap();
         let qbox = Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]);
         assert!(tree.candidates(&qbox).unwrap().is_empty());

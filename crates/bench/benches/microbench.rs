@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use gauss_baselines::PfvFile;
-use gauss_storage::{AccessStats, BufferPool, MemStore, DEFAULT_PAGE_SIZE};
+use gauss_storage::{AccessStats, MemStore, SharedBufferPool, DEFAULT_PAGE_SIZE};
 use gauss_tree::node::Node;
 use gauss_tree::{CachedNode, GaussTree, LeafFormat, ReadView, SplitStrategy, TreeConfig};
 use gauss_workloads::{generate_queries, uniform_dataset, SigmaSpec};
@@ -141,7 +141,7 @@ fn bench_insert(c: &mut Criterion) {
     c.bench_function("tree/insert_1000_x_5d", |bench| {
         bench.iter_batched(
             || {
-                let pool = BufferPool::new(
+                let pool = SharedBufferPool::new(
                     MemStore::new(DEFAULT_PAGE_SIZE),
                     4096,
                     AccessStats::new_shared(),
@@ -172,7 +172,7 @@ fn bench_decode(c: &mut Criterion) {
     for (dims, name) in [(10usize, "d10"), (27, "d27")] {
         let dataset = uniform_dataset(12_000, dims, SigmaSpec::uniform(0.02, 0.25), 7);
         for format in [LeafFormat::Exact, LeafFormat::Quantised] {
-            let pool = BufferPool::new(
+            let pool = SharedBufferPool::new(
                 MemStore::new(DEFAULT_PAGE_SIZE),
                 1 << 14,
                 AccessStats::new_shared(),
@@ -223,13 +223,13 @@ fn bench_decode(c: &mut Criterion) {
 fn bench_queries(c: &mut Criterion) {
     let dataset = uniform_dataset(10_000, 10, SigmaSpec::uniform(0.02, 0.25), 7);
     let queries = generate_queries(&dataset, 16, SigmaSpec::uniform(0.02, 0.25), 9);
-    let pool = BufferPool::new(
+    let pool = SharedBufferPool::new(
         MemStore::new(DEFAULT_PAGE_SIZE),
         1 << 14,
         AccessStats::new_shared(),
     );
     let tree = GaussTree::bulk_load(pool, TreeConfig::new(10), dataset.items()).unwrap();
-    let pool = BufferPool::new(
+    let pool = SharedBufferPool::new(
         MemStore::new(DEFAULT_PAGE_SIZE),
         1 << 14,
         AccessStats::new_shared(),

@@ -7,7 +7,7 @@
 //! Run: `cargo run --release -p gauss_bench --bin ablation_pagesize [-- --quick]`
 
 use gauss_bench::{has_flag, ExperimentSpec, CACHE_BYTES};
-use gauss_storage::{AccessStats, BufferPool, MemStore};
+use gauss_storage::{AccessStats, MemStore, SharedBufferPool};
 use gauss_tree::ReadView;
 use gauss_tree::{GaussTree, TreeConfig};
 
@@ -29,7 +29,7 @@ fn main() {
 
     for page_size in [2048usize, 4096, 8192, 16384, 32768] {
         let config = TreeConfig::new(dataset.dims());
-        let pool = BufferPool::with_byte_budget(
+        let pool = SharedBufferPool::with_byte_budget(
             MemStore::new(page_size),
             CACHE_BYTES,
             AccessStats::new_shared(),

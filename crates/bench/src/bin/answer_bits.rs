@@ -28,8 +28,8 @@
 
 use gauss_bench::has_flag;
 use gauss_storage::{
-    AccessStats, BufferPool, MemComponentStores, MemStore, PageStore, SharedBufferPool,
-    DEFAULT_PAGE_SIZE, LOCK_TRACKING,
+    AccessStats, MemComponentStores, MemStore, PageStore, SharedBufferPool, DEFAULT_PAGE_SIZE,
+    LOCK_TRACKING,
 };
 use gauss_tree::{
     ForestOptions, GaussForest, GaussTree, LeafFormat, ReadView, TreeConfig, TreeOptions,
@@ -105,8 +105,8 @@ fn cases(quick: bool) -> Vec<Case> {
     cases
 }
 
-fn pool() -> BufferPool<MemStore> {
-    BufferPool::new(
+fn pool() -> SharedBufferPool<MemStore> {
+    SharedBufferPool::new(
         MemStore::new(DEFAULT_PAGE_SIZE),
         8192,
         AccessStats::new_shared(),

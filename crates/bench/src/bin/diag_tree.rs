@@ -5,7 +5,7 @@
 //! Run: `cargo run --release -p gauss_bench --bin diag_tree [-- --quick]`
 
 use gauss_bench::{build_gauss_tree, has_flag, ExperimentSpec, CACHE_BYTES};
-use gauss_storage::{AccessStats, BufferPool, MemStore, DEFAULT_PAGE_SIZE};
+use gauss_storage::{AccessStats, MemStore, SharedBufferPool, DEFAULT_PAGE_SIZE};
 use gauss_tree::ReadView;
 use gauss_tree::{GaussTree, TreeConfig};
 
@@ -27,7 +27,7 @@ fn main() {
         let mut bulk = build_gauss_tree(&dataset, TreeConfig::new(dataset.dims()));
         report("bulk-loaded", &mut bulk, &queries);
 
-        let pool = BufferPool::with_byte_budget(
+        let pool = SharedBufferPool::with_byte_budget(
             MemStore::new(DEFAULT_PAGE_SIZE),
             CACHE_BYTES,
             AccessStats::new_shared(),

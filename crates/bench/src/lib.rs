@@ -10,7 +10,7 @@
 #![forbid(unsafe_code)]
 
 use gauss_baselines::{PfvFile, XTree, XTreeConfig};
-use gauss_storage::{AccessStats, BufferPool, DiskModel, MemStore, DEFAULT_PAGE_SIZE};
+use gauss_storage::{AccessStats, DiskModel, MemStore, SharedBufferPool, DEFAULT_PAGE_SIZE};
 use gauss_tree::{GaussTree, TreeConfig};
 use gauss_workloads::{
     generate_queries, histogram_dataset, uniform_dataset, Dataset, IdentificationQuery, SigmaSpec,
@@ -97,7 +97,7 @@ pub const CACHE_BYTES: usize = 50 * 1024 * 1024;
 /// Panics on builder errors (in-memory store cannot fail).
 #[must_use]
 pub fn build_pfv_file(dataset: &Dataset) -> PfvFile<MemStore> {
-    let pool = BufferPool::with_byte_budget(
+    let pool = SharedBufferPool::with_byte_budget(
         MemStore::new(DEFAULT_PAGE_SIZE),
         CACHE_BYTES,
         AccessStats::new_shared(),
@@ -112,7 +112,7 @@ pub fn build_pfv_file(dataset: &Dataset) -> PfvFile<MemStore> {
 /// Panics on builder errors.
 #[must_use]
 pub fn build_gauss_tree(dataset: &Dataset, config: TreeConfig) -> GaussTree<MemStore> {
-    let pool = BufferPool::with_byte_budget(
+    let pool = SharedBufferPool::with_byte_budget(
         MemStore::new(DEFAULT_PAGE_SIZE),
         CACHE_BYTES,
         AccessStats::new_shared(),
@@ -127,7 +127,7 @@ pub fn build_gauss_tree(dataset: &Dataset, config: TreeConfig) -> GaussTree<MemS
 /// Panics on builder errors.
 #[must_use]
 pub fn build_xtree(dataset: &Dataset, file: &mut PfvFile<MemStore>) -> XTree<MemStore> {
-    let pool = BufferPool::with_byte_budget(
+    let pool = SharedBufferPool::with_byte_budget(
         MemStore::new(DEFAULT_PAGE_SIZE),
         CACHE_BYTES,
         AccessStats::new_shared(),

@@ -3,7 +3,7 @@
 use crate::args::{parse_pfv, parse_vec, ArgError, Args};
 use crate::csvio;
 use gauss_storage::forest::DirComponentStores;
-use gauss_storage::{AccessStats, BufferPool, Durability, FileStore, DEFAULT_PAGE_SIZE};
+use gauss_storage::{AccessStats, Durability, FileStore, SharedBufferPool, DEFAULT_PAGE_SIZE};
 use gauss_tree::{
     BulkLoadOptions, ForestOptions, GaussForest, GaussTree, LeafFormat, ReadView, SpillKind,
     SplitStrategy, TreeConfig,
@@ -107,7 +107,8 @@ fn open_tree(args: &Args) -> Result<GaussTree<FileStore>, ArgError> {
     let page_size: usize = args.num("page-size", DEFAULT_PAGE_SIZE)?;
     let store = FileStore::open(index, page_size)
         .map_err(|e| ArgError(format!("cannot open {index}: {e}")))?;
-    let pool = BufferPool::with_byte_budget(store, 50 * 1024 * 1024, AccessStats::new_shared());
+    let pool =
+        SharedBufferPool::with_byte_budget(store, 50 * 1024 * 1024, AccessStats::new_shared());
     GaussTree::open(pool).map_err(|e| ArgError(format!("cannot open index: {e}")))
 }
 
@@ -223,7 +224,8 @@ fn build(args: &Args) -> Result<(), ArgError> {
         .with_leaf_format(leaf_format);
     let store = FileStore::create(index, page_size)
         .map_err(|e| ArgError(format!("cannot create {index}: {e}")))?;
-    let pool = BufferPool::with_byte_budget(store, 50 * 1024 * 1024, AccessStats::new_shared());
+    let pool =
+        SharedBufferPool::with_byte_budget(store, 50 * 1024 * 1024, AccessStats::new_shared());
 
     let t0 = std::time::Instant::now();
     let mut opts = BulkLoadOptions::default()

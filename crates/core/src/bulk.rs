@@ -13,9 +13,10 @@
 //!    input size.
 //! 2. **Partitioning** — the STR-style recursion of
 //!    [`crate::split::partition_groups`] descends into *independent*
-//!    sub-ranges after every split, so in-memory ranges fan out across
-//!    [`std::thread::scope`] workers (same work-stealing scheme as the
-//!    query `BatchExecutor`). Ranges larger than the budget are split
+//!    sub-ranges after every split, so in-memory ranges fork-join across
+//!    [`std::thread::scope`] threads: each split hands its right half to a
+//!    fresh thread with half the thread budget and descends into the left.
+//!    Ranges larger than the budget are split
 //!    **externally**: per candidate axis, one streaming pass extracts the
 //!    axis keys (a plain `Vec<f64>` — the only thing held in memory), a
 //!    stable argsort fixes the exact same stable-median split the
@@ -884,7 +885,7 @@ mod tests {
     use super::*;
     use crate::config::TreeConfig;
     use crate::ReadView;
-    use gauss_storage::{AccessStats, BufferPool, DEFAULT_PAGE_SIZE};
+    use gauss_storage::{AccessStats, SharedBufferPool, DEFAULT_PAGE_SIZE};
     use gauss_workloads::{
         generate_queries, histogram_dataset, uniform_dataset, Dataset, IdentificationQuery,
         SigmaSpec,
@@ -904,8 +905,8 @@ mod tests {
             .collect()
     }
 
-    fn pool() -> BufferPool<MemStore> {
-        BufferPool::new(MemStore::new(4096), 4096, AccessStats::new_shared())
+    fn pool() -> SharedBufferPool<MemStore> {
+        SharedBufferPool::new(MemStore::new(4096), 4096, AccessStats::new_shared())
     }
 
     /// Byte image of every page in a tree's store.
@@ -976,7 +977,7 @@ mod tests {
         let config = TreeConfig::new(3).with_capacities(10, 8);
         let reference = GaussTree::bulk_load(pool(), config, data.clone()).unwrap();
         let ref_image = store_image(&reference);
-        for threads in [2usize, 4, 7] {
+        for threads in [2usize, 3, 4, 7] {
             let opts = BulkLoadOptions::default().with_threads(threads);
             let (tree, _) = GaussTree::bulk_load_with(pool(), config, data.clone(), &opts).unwrap();
             assert_eq!(store_image(&tree), ref_image, "threads {threads}");
@@ -1028,7 +1029,7 @@ mod tests {
         queries: &[IdentificationQuery],
         at_input_spread: bool,
     ) -> f64 {
-        let pool = BufferPool::new(
+        let pool = SharedBufferPool::new(
             MemStore::new(DEFAULT_PAGE_SIZE),
             4096,
             AccessStats::new_shared(),
@@ -1036,7 +1037,7 @@ mod tests {
         let opts = BulkLoadOptions::default();
         let config = TreeConfig::new(data.dims());
         let (tree, _) =
-            GaussTree::build(pool.into(), config, data.items(), &opts, at_input_spread).unwrap();
+            GaussTree::build(pool, config, data.items(), &opts, at_input_spread).unwrap();
         let mut pages = 0;
         for q in queries {
             tree.cold_start();

@@ -381,7 +381,7 @@ impl<S: PageStore> Plane<'_, S> {
 mod tests {
     use super::*;
     use crate::config::TreeConfig;
-    use gauss_storage::{AccessStats, BufferPool, MemStore};
+    use gauss_storage::{AccessStats, MemStore, SharedBufferPool};
     use pfv::Pfv;
 
     fn pfv2(a: f64, b: f64, s: f64) -> Pfv {
@@ -391,7 +391,7 @@ mod tests {
     #[test]
     fn fresh_tree_is_sound() {
         let config = TreeConfig::new(2).with_capacities(4, 4);
-        let pool = BufferPool::new(MemStore::new(8192), 256, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 256, AccessStats::new_shared());
         let tree = GaussTree::create(pool, config).unwrap();
         assert!(tree.check_invariants(true).unwrap().is_empty());
     }
@@ -399,7 +399,7 @@ mod tests {
     #[test]
     fn incrementally_built_tree_is_sound() {
         let config = TreeConfig::new(2).with_capacities(6, 4);
-        let pool = BufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
         let mut tree = GaussTree::create(pool, config).unwrap();
         for i in 0..500u64 {
             let x = (i as f64 * 0.37).sin() * 20.0;
@@ -424,7 +424,7 @@ mod tests {
             })
             .collect();
         let config = TreeConfig::new(2).with_capacities(8, 6);
-        let pool = BufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
         let tree = GaussTree::bulk_load(pool, config, items).unwrap();
         let errs = tree.check_invariants(true).unwrap();
         assert!(errs.is_empty(), "violations: {errs:?}");
@@ -435,7 +435,7 @@ mod tests {
         // Build a sound tree, then allocate a page nobody references: the
         // accounting check must flag exactly one leak.
         let config = TreeConfig::new(2).with_capacities(6, 4);
-        let pool = BufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
         let mut tree = GaussTree::create(pool, config).unwrap();
         for i in 0..80u64 {
             tree.insert(i, &pfv2(i as f64, -(i as f64), 0.1)).unwrap();
@@ -454,7 +454,7 @@ mod tests {
     fn default_page_capacities_stay_sound() {
         // Same but with realistic page-derived capacities and 27 dims.
         let config = TreeConfig::new(5);
-        let pool = BufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
         let mut tree = GaussTree::create(pool, config).unwrap();
         for i in 0..2000u64 {
             let means: Vec<f64> = (0..5)

@@ -158,11 +158,11 @@ mod tests {
     use crate::config::TreeConfig;
     use crate::tree::GaussTree;
     use crate::view::ReadView;
-    use gauss_storage::{AccessStats, BufferPool, MemStore};
+    use gauss_storage::{AccessStats, MemStore, SharedBufferPool};
     use pfv::{combine, CombineMode};
 
     fn build(n: u64) -> (GaussTree<MemStore>, Vec<Pfv>) {
-        let pool = BufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
         let mut tree = GaussTree::create(pool, TreeConfig::new(2).with_capacities(5, 4)).unwrap();
         let mut db = Vec::new();
         for i in 0..n {
@@ -288,7 +288,7 @@ mod tests {
 
     #[test]
     fn empty_tree_cursor() {
-        let pool = BufferPool::new(MemStore::new(8192), 16, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 16, AccessStats::new_shared());
         let tree = GaussTree::create(pool, TreeConfig::new(2).with_capacities(4, 3)).unwrap();
         let q = Pfv::new(vec![0.0, 0.0], vec![0.1, 0.1]).unwrap();
         let mut cursor = tree.ranking_cursor(&q).unwrap();

@@ -8,13 +8,14 @@
 //! no cloning, no per-thread pools, one shared cache and one shared set of
 //! access counters.
 //!
-//! Work distribution is a simple atomic work-stealing counter: each worker
-//! claims the next unprocessed query index until the batch is drained, so
-//! skewed per-query costs (a diffuse TIQ next to a peaked 1-MLIQ) cannot
-//! idle a thread. Results are returned **in input order** regardless of
-//! which worker answered which query, and every individual query computes
-//! exactly what its serial counterpart would — the executor adds
-//! parallelism, not approximation.
+//! Work distribution is a shared atomic claim counter: each worker claims
+//! the next unprocessed query index until the batch is drained, so skewed
+//! per-query costs (a diffuse TIQ next to a peaked 1-MLIQ) cannot idle a
+//! thread. Each worker returns its `(index, result)` pairs (or its error)
+//! through its scoped join handle — no lock is taken — and results are
+//! returned **in input order** regardless of which worker answered which
+//! query. Every individual query computes exactly what its serial
+//! counterpart would — the executor adds parallelism, not approximation.
 //!
 //! Each worker's refinement loop runs the columnar leaf path: visited
 //! leaves come from the tree's shared decoded-node cache and are evaluated
@@ -24,11 +25,11 @@
 //! (`tests/concurrency.rs` pins this down).
 //!
 //! ```
-//! use gauss_storage::{AccessStats, BufferPool, MemStore};
+//! use gauss_storage::{AccessStats, MemStore, SharedBufferPool};
 //! use gauss_tree::{BatchExecutor, GaussTree, TreeConfig};
 //! use pfv::Pfv;
 //!
-//! let pool = BufferPool::new(MemStore::new(4096), 64, AccessStats::new_shared());
+//! let pool = SharedBufferPool::new(MemStore::new(4096), 64, AccessStats::new_shared());
 //! let mut tree = GaussTree::create(pool, TreeConfig::new(1)).unwrap();
 //! for i in 0..100u64 {
 //!     tree.insert(i, &Pfv::new(vec![i as f64], vec![0.2]).unwrap()).unwrap();
@@ -44,7 +45,6 @@ use crate::query::{MliqResult, RefinedResult, TiqResult};
 use crate::tree::TreeError;
 use crate::view::ReadView;
 use gauss_storage::store::PageStore;
-use gauss_storage::sync::{LockRank, TrackedMutex};
 use pfv::Pfv;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -149,56 +149,41 @@ impl<'t, S: PageStore + Send, V: ReadView<S> + Sync> BatchExecutor<'t, S, V> {
 
         let next = AtomicUsize::new(0);
         let failed = AtomicBool::new(false);
-        // Both executor locks sit at the innermost rank: a worker only
-        // touches them after its query (and thus every storage lock it
-        // took) is finished, and never holds one while taking the other.
-        let first_error: TrackedMutex<Option<TreeError>> =
-            TrackedMutex::new(None, LockRank::ResultSlot, 0, "executor-error");
-        let mut slots: Vec<Option<R>> = Vec::new();
-        slots.resize_with(queries.len(), || None);
-        let slots_mutex = TrackedMutex::new(slots, LockRank::ResultSlot, 1, "executor-slots");
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    // Answer locally, publish in one batch at the end, so the
-                    // slots mutex is touched once per worker, not per query.
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        if failed.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= queries.len() {
-                            break;
-                        }
-                        match f(&queries[i]) {
-                            Ok(r) => local.push((i, r)),
-                            Err(e) => {
-                                failed.store(true, Ordering::Relaxed);
-                                let mut slot = first_error.lock();
-                                slot.get_or_insert(e);
-                                break;
+        let answered: Vec<Result<Vec<(usize, R)>, TreeError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut local = Vec::new();
+                        while !failed.load(Ordering::Relaxed) {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(q) = queries.get(i) else { break };
+                            match f(q) {
+                                Ok(r) => local.push((i, r)),
+                                Err(e) => {
+                                    failed.store(true, Ordering::Relaxed);
+                                    return Err(e);
+                                }
                             }
                         }
-                    }
-                    let mut slots = slots_mutex.lock();
-                    for (i, r) in local {
-                        slots[i] = Some(r);
-                    }
-                });
-            }
+                        Ok(local)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
         });
 
-        if let Some(e) = first_error.into_inner() {
-            return Err(e);
+        let mut all = Vec::with_capacity(queries.len());
+        for worker in answered {
+            all.extend(worker?);
         }
-        Ok(slots_mutex
-            .into_inner()
-            .into_iter()
-            // lint: allow(no-panic) -- every index below `next` was claimed by exactly one joined worker, which either filled the slot or set first_error (returned above)
-            .map(|r| r.expect("every claimed index produced a result"))
-            .collect())
+        all.sort_unstable_by_key(|&(i, _)| i);
+        Ok(all.into_iter().map(|(_, r)| r).collect())
     }
 }
 
@@ -207,10 +192,10 @@ mod tests {
     use super::*;
     use crate::config::TreeConfig;
     use crate::tree::GaussTree;
-    use gauss_storage::{AccessStats, BufferPool, MemStore};
+    use gauss_storage::{AccessStats, MemStore, SharedBufferPool};
 
     fn build(n: u64) -> GaussTree<MemStore> {
-        let pool = BufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
         let mut tree = GaussTree::create(pool, TreeConfig::new(2).with_capacities(6, 4)).unwrap();
         for i in 0..n {
             let v = Pfv::new(

@@ -50,7 +50,7 @@ use crate::view::ReadView;
 use gauss_storage::commit;
 use gauss_storage::forest::ComponentStores;
 use gauss_storage::store::{Durability, PageStore};
-use gauss_storage::{AccessStats, BufferPool};
+use gauss_storage::{AccessStats, SharedBufferPool};
 use manifest::{ForestManifest, ManifestComponent, MANIFEST_KIND};
 use memtable::Memtable;
 use pfv::Pfv;
@@ -242,7 +242,7 @@ impl<B: ComponentStores> GaussForest<B> {
         let mut comps = Vec::with_capacity(m.components.len());
         for mc in &m.components {
             let store = backend.open_component(mc.id)?;
-            let pool = BufferPool::new(store, opts.pool_frames, Arc::clone(&stats));
+            let pool = SharedBufferPool::new(store, opts.pool_frames, Arc::clone(&stats));
             let tree = GaussTree::open(pool)?;
             if tree.len() != mc.len || tree.config().dims != m.config.dims {
                 return Err(TreeError::Corrupt("component disagrees with manifest"));
@@ -553,7 +553,7 @@ impl<B: ComponentStores> GaussForest<B> {
         let id = self.next_component_id;
         self.next_component_id += 1;
         let store = self.backend.create_component(id)?;
-        let pool = BufferPool::new(store, self.pool_frames, Arc::clone(&self.stats));
+        let pool = SharedBufferPool::new(store, self.pool_frames, Arc::clone(&self.stats));
         // The bulk load commits the component once (an empty one — a
         // component of nothing but tombstones — as an empty root leaf).
         let opts = BulkLoadOptions::default()

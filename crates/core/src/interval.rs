@@ -178,10 +178,10 @@ mod tests {
     use crate::config::TreeConfig;
     use crate::tree::GaussTree;
     use crate::view::ReadView;
-    use gauss_storage::{AccessStats, BufferPool, MemStore};
+    use gauss_storage::{AccessStats, MemStore, SharedBufferPool};
 
     fn build(items: &[(u64, Pfv)]) -> GaussTree<MemStore> {
-        let pool = BufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
         let mut tree = GaussTree::create(pool, TreeConfig::new(2).with_capacities(5, 4)).unwrap();
         for (id, v) in items {
             tree.insert(*id, v).unwrap();

@@ -68,11 +68,11 @@
 //!
 //! ```
 //! use gauss_tree::{GaussTree, ReadView, TreeConfig};
-//! use gauss_storage::{BufferPool, MemStore, AccessStats};
+//! use gauss_storage::{AccessStats, MemStore, SharedBufferPool};
 //! use pfv::Pfv;
 //!
 //! let config = TreeConfig::new(2);
-//! let pool = BufferPool::new(MemStore::new(4096), 64, AccessStats::new_shared());
+//! let pool = SharedBufferPool::new(MemStore::new(4096), 64, AccessStats::new_shared());
 //! let mut tree = GaussTree::create(pool, config).unwrap();
 //!
 //! tree.insert(1, &Pfv::new(vec![1.0, 2.0], vec![0.1, 0.2]).unwrap()).unwrap();

@@ -1104,7 +1104,7 @@ mod tests {
     use crate::config::{LeafFormat, TreeConfig};
     use crate::tree::GaussTree;
     use crate::view::ReadView;
-    use gauss_storage::{AccessStats, BufferPool, MemStore};
+    use gauss_storage::{AccessStats, MemStore, SharedBufferPool};
     use pfv::{combine, CombineMode, ParamRect};
 
     /// Deterministic xorshift so tests need no external RNG.
@@ -1141,7 +1141,7 @@ mod tests {
     }
 
     fn build_tree_with(items: &[(u64, Pfv)], config: TreeConfig) -> GaussTree<MemStore> {
-        let pool = BufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
         let mut tree = GaussTree::create(pool, config).unwrap();
         for (id, v) in items {
             tree.insert(*id, v).unwrap();
@@ -1200,7 +1200,7 @@ mod tests {
     #[test]
     fn k_mliq_on_empty_tree() {
         let config = TreeConfig::new(2).with_capacities(4, 4);
-        let pool = BufferPool::new(MemStore::new(8192), 64, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 64, AccessStats::new_shared());
         let tree = GaussTree::create(pool, config).unwrap();
         let q = Pfv::new(vec![0.0, 0.0], vec![0.1, 0.1]).unwrap();
         assert!(tree.k_mliq(&q, 5).unwrap().is_empty());
@@ -1771,8 +1771,11 @@ mod tests {
                     let config = TreeConfig::new(dims).with_combine(mode);
                     let config =
                         cap.map_or(config, |(leaf, inner)| config.with_capacities(leaf, inner));
-                    let pool =
-                        BufferPool::new(MemStore::new(8192), 1 << 14, AccessStats::new_shared());
+                    let pool = SharedBufferPool::new(
+                        MemStore::new(8192),
+                        1 << 14,
+                        AccessStats::new_shared(),
+                    );
                     let tree = GaussTree::bulk_load(pool, config, items.iter().cloned()).unwrap();
                     let what = format!("d{dims} {cap:?} {mode:?}");
                     if cap == Some((4, 120)) {
@@ -2033,7 +2036,7 @@ mod tests {
         let config = TreeConfig::new(2)
             .with_capacities(6, 4)
             .with_combine(CombineMode::AdditiveSigma);
-        let pool = BufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
         let mut tree = GaussTree::create(pool, config).unwrap();
         for (id, v) in &items {
             tree.insert(*id, v).unwrap();

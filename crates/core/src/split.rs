@@ -70,7 +70,6 @@
 
 use crate::config::SplitStrategy;
 use crate::node::{InnerEntry, LeafEntry};
-use gauss_storage::sync::{LockRank, TrackedCondvar, TrackedMutex};
 use pfv::{CombineMode, DimBounds, ParamRect};
 
 /// A split axis: the μ or the σ component of one dimension.
@@ -443,20 +442,21 @@ fn partition_rec<T: Splittable + Clone>(
 }
 
 /// Subtrees below this size are partitioned serially by one worker instead
-/// of feeding the shared queue — the lock traffic would cost more than the
+/// of being split across threads — a thread spawn would cost more than the
 /// parallelism buys.
 const PARALLEL_TASK_FLOOR: usize = 2048;
 
 /// [`partition_groups`] fanned across `threads` scoped workers.
 ///
 /// The recursion of [`partition_groups`] descends into two *independent*
-/// sub-ranges after every split, so the right half goes onto a shared
-/// work-stealing queue while the splitting worker keeps descending into the
-/// left — the same claim-next-unit scheme `BatchExecutor` uses for queries.
-/// Every group's final position is fixed by the recursion shape alone
-/// (`n_groups` splits deterministically), so groups land in their slots in
-/// input-recursion order regardless of which worker computed them: the
-/// result is **identical** to the serial partitioning for any thread count.
+/// sub-ranges after every split, so the parallel form is a fork-join over
+/// the same recursion: the right half goes to a fresh scoped thread with
+/// half the thread budget while the splitting thread keeps descending into
+/// the left with the rest, and the right's groups are appended after the
+/// left's when its join handle returns. Every split is the one the serial
+/// recursion makes (`n_groups` splits deterministically) and groups come
+/// back in recursion order, so the result is **identical** to the serial
+/// partitioning for any thread count.
 ///
 /// # Panics
 /// Panics if `cap < 1` or `items` is empty.
@@ -483,83 +483,39 @@ pub(crate) fn partition_into_n_parallel<T: Splittable + Clone + Send>(
     threads: usize,
 ) -> Vec<Vec<T>> {
     assert!(!items.is_empty(), "cannot partition zero items");
-    let threads = threads.max(1);
-    if threads == 1 || total == 1 || items.len() <= PARALLEL_TASK_FLOOR {
-        let mut out = Vec::with_capacity(total);
-        partition_rec(cost, items, total, &mut out);
-        return out;
+    let mut out = Vec::with_capacity(total);
+    partition_fork_join(cost, items, total, threads.max(1), &mut out);
+    out
+}
+
+/// [`partition_rec`] with the right half of every split above
+/// [`PARALLEL_TASK_FLOOR`] handed to its own scoped thread, `threads`
+/// being this call's budget (itself included).
+fn partition_fork_join<T: Splittable + Clone + Send>(
+    cost: &SplitCost,
+    items: Vec<T>,
+    n_groups: usize,
+    threads: usize,
+    out: &mut Vec<Vec<T>>,
+) {
+    if threads == 1 || n_groups <= 1 || items.len() <= PARALLEL_TASK_FLOOR {
+        partition_rec(cost, items, n_groups, out);
+        return;
     }
-
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    // (items, n_groups, slot offset of the sub-range's first group).
-    // Rank WorkQueue: below the result slots, above every storage lock —
-    // though partitioning runs on plain in-memory items and never holds a
-    // pool lock.
-    let queue: TrackedMutex<Vec<(Vec<T>, usize, usize)>> = TrackedMutex::new(
-        vec![(items, total, 0)],
-        LockRank::WorkQueue,
-        0,
-        "partition-queue",
-    );
-    // Idle workers park on this condvar instead of spinning — during the
-    // serial head (first split) and tail (last sub-floor tasks) the
-    // waiting threads must not tax the one that has work.
-    let work_ready = TrackedCondvar::new();
-    let done = AtomicUsize::new(0);
-    let slots: Vec<TrackedMutex<Option<Vec<T>>>> = (0..total)
-        .map(|i| TrackedMutex::new(None, LockRank::ResultSlot, i, "partition-slot"))
-        .collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let task = {
-                    let mut q = queue.lock();
-                    loop {
-                        if done.load(Ordering::Acquire) >= total {
-                            return;
-                        }
-                        if let Some(task) = q.pop() {
-                            break task;
-                        }
-                        q = work_ready.wait(q);
-                    }
-                };
-                let (mut items, mut n, off) = task;
-                // Small sub-ranges finish serially; their groups occupy the
-                // consecutive slots [off, off + n) in recursion order.
-                while n > 1 && items.len() > PARALLEL_TASK_FLOOR {
-                    let g_left = n / 2;
-                    let split_at = items.len() * g_left / n;
-                    let (left, right) = choose_partition_split(cost, items, split_at);
-                    queue.lock().push((right, n - g_left, off + g_left));
-                    work_ready.notify_one();
-                    items = left;
-                    n = g_left;
-                }
-                let mut local = Vec::with_capacity(n);
-                partition_rec(cost, items, n, &mut local);
-                debug_assert_eq!(local.len(), n);
-                for (i, g) in local.into_iter().enumerate() {
-                    *slots[off + i].lock() = Some(g);
-                }
-                if done.fetch_add(n, Ordering::Release) + n >= total {
-                    // All groups are placed: wake every parked worker so
-                    // the scope can close. Take the queue lock so the
-                    // notification cannot slip between a waiter's check of
-                    // `done` and its wait.
-                    let _q = queue.lock();
-                    work_ready.notify_all();
-                }
-            });
-        }
+    let g_left = n_groups / 2;
+    let split_at = items.len() * g_left / n_groups;
+    let (left, right) = choose_partition_split(cost, items, split_at);
+    let right_threads = threads / 2;
+    let right_groups = std::thread::scope(|scope| {
+        let right = scope.spawn(|| {
+            let mut groups = Vec::with_capacity(n_groups - g_left);
+            partition_fork_join(cost, right, n_groups - g_left, right_threads, &mut groups);
+            groups
+        });
+        partition_fork_join(cost, left, g_left, threads - right_threads, out);
+        right.join()
     });
-
-    slots
-        .into_iter()
-        // lint: allow(no-panic) -- the scope above joins every worker, and workers fill exactly the slots [off, off+n) they claimed
-        .map(|m| m.into_inner().expect("every slot filled"))
-        .collect()
+    out.extend(right_groups.unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
 }
 
 /// Splits a set into as many groups of at most `cap` items as the
@@ -884,8 +840,8 @@ mod tests {
 
     #[test]
     fn parallel_partition_identical_to_serial() {
-        // Enough items that the work queue actually fans out (the serial
-        // floor is 2048), on every strategy and several thread counts.
+        // Enough items that the recursion actually forks (the serial floor
+        // is 2048), on every strategy and several thread counts.
         let items: Vec<LeafEntry> = (0..6000)
             .map(|i| {
                 leaf(

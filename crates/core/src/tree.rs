@@ -124,8 +124,7 @@ impl From<NodeCodecError> for TreeError {
 /// [`ReadView`](crate::ReadView) trait) and
 /// [`check_invariants`](GaussTree::check_invariants) take `&self`, and many
 /// threads may query one tree concurrently (see [`crate::executor`]).
-/// Constructors accept anything convertible into a [`SharedBufferPool`] —
-/// in particular a plain [`gauss_storage::BufferPool`].
+/// Every constructor takes the [`SharedBufferPool`] the tree lives in.
 ///
 /// A tree on any store is built by [`GaussTree::bulk_load`] and read back
 /// by [`GaussTree::open`]; an owning view to hand to other threads is just
@@ -368,7 +367,7 @@ impl<S: PageStore> GaussTree<S> {
     /// # Errors
     /// [`TreeError::NotAGaussTree`] if no valid metadata is found; store
     /// errors otherwise.
-    pub fn open(pool: impl Into<SharedBufferPool<S>>) -> Result<Self, TreeError> {
+    pub fn open(pool: SharedBufferPool<S>) -> Result<Self, TreeError> {
         Self::open_with(pool, &TreeOptions::default())
     }
 
@@ -377,11 +376,7 @@ impl<S: PageStore> GaussTree<S> {
     ///
     /// # Errors
     /// As [`GaussTree::open`].
-    pub fn open_with(
-        pool: impl Into<SharedBufferPool<S>>,
-        opts: &TreeOptions,
-    ) -> Result<Self, TreeError> {
-        let pool = pool.into();
+    pub fn open_with(pool: SharedBufferPool<S>, opts: &TreeOptions) -> Result<Self, TreeError> {
         let allocated_now = pool.num_pages();
         // A slot page the store does not have was never written.
         let mut pages = [None, None];
@@ -444,7 +439,7 @@ impl<S: PageStore> GaussTree<S> {
     /// Propagates store errors; rejects dimensionality mismatches and a
     /// non-empty store.
     pub fn bulk_load(
-        pool: impl Into<SharedBufferPool<S>>,
+        pool: SharedBufferPool<S>,
         config: TreeConfig,
         items: impl IntoIterator<Item = (u64, Pfv)>,
     ) -> Result<Self, TreeError> {
@@ -471,12 +466,12 @@ impl<S: PageStore> GaussTree<S> {
     /// Propagates store errors; rejects dimensionality mismatches and a
     /// non-empty store.
     pub fn bulk_load_with(
-        pool: impl Into<SharedBufferPool<S>>,
+        pool: SharedBufferPool<S>,
         config: TreeConfig,
         items: impl IntoIterator<Item = (u64, Pfv)>,
         opts: &BulkLoadOptions,
     ) -> Result<(Self, BulkLoadReport), TreeError> {
-        Self::build(pool.into(), config, items, opts, true)
+        Self::build(pool, config, items, opts, true)
     }
 
     /// [`GaussTree::bulk_load_with`], with splits priced at the input's
@@ -692,10 +687,7 @@ impl GaussTree<MemStore> {
     /// # Errors
     /// Propagates store errors; fails if the page size cannot hold two
     /// entries of the configured dimensionality.
-    pub fn create(
-        pool: impl Into<SharedBufferPool<MemStore>>,
-        config: TreeConfig,
-    ) -> Result<Self, TreeError> {
+    pub fn create(pool: SharedBufferPool<MemStore>, config: TreeConfig) -> Result<Self, TreeError> {
         Self::create_with(pool, config, &TreeOptions::default())
     }
 
@@ -706,11 +698,11 @@ impl GaussTree<MemStore> {
     /// Propagates store errors; rejects a non-empty store (the commit
     /// slots own pages 0–1).
     pub fn create_with(
-        pool: impl Into<SharedBufferPool<MemStore>>,
+        pool: SharedBufferPool<MemStore>,
         config: TreeConfig,
         opts: &TreeOptions,
     ) -> Result<Self, TreeError> {
-        let mut tree = Self::shell(pool.into(), config, opts)?;
+        let mut tree = Self::shell(pool, config, opts)?;
         tree.root = tree.pool.allocate()?;
         tree.write_node(tree.root, &Node::Leaf(Vec::new()))?;
         Ok(tree)
@@ -901,11 +893,11 @@ mod tests {
     use super::*;
     use crate::check::InvariantError;
     use crate::ReadView;
-    use gauss_storage::{AccessStats, BufferPool};
+    use gauss_storage::{AccessStats, SharedBufferPool};
 
     fn mem_tree(dims: usize, leaf: usize, inner: usize) -> GaussTree<MemStore> {
         let config = TreeConfig::new(dims).with_capacities(leaf, inner);
-        let pool = BufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
         GaussTree::create(pool, config).unwrap()
     }
 
@@ -942,13 +934,13 @@ mod tests {
 
     /// A pool over a fresh store holding exactly `pages` (1 KiB each; an
     /// empty list is a store cut down to nothing).
-    fn pool_of(pages: &[Vec<u8>]) -> BufferPool<MemStore> {
+    fn pool_of(pages: &[Vec<u8>]) -> SharedBufferPool<MemStore> {
         let mut store = MemStore::new(1024);
         for page in pages {
             let id = store.allocate().unwrap();
             store.write_page(id, page).unwrap();
         }
-        BufferPool::new(store, 64, AccessStats::new_shared())
+        SharedBufferPool::new(store, 64, AccessStats::new_shared())
     }
 
     /// Writes `ids` as the free list of the slot image `slot` and reseals
@@ -970,7 +962,7 @@ mod tests {
     /// 30..60 on fresh pages and lists epoch 1's pages as free.
     fn two_epoch_pages() -> Vec<Vec<u8>> {
         let config = TreeConfig::new(1).with_capacities(4, 4);
-        let pool = BufferPool::new(MemStore::new(1024), 1024, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(1024), 1024, AccessStats::new_shared());
         let items: Vec<(u64, Pfv)> = (0..60u64).map(|i| (i, pfv1(i as f64, 0.15))).collect();
         let mut t = GaussTree::bulk_load(pool, config, items.clone()).unwrap();
         let epoch1_pages: Vec<u64> = (META_PAGES..t.pool().num_pages()).collect();
@@ -1034,11 +1026,11 @@ mod tests {
                 (i, v)
             })
             .collect();
-        let pool = BufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
         let t = GaussTree::bulk_load(pool, config, items).unwrap();
         let (root, height) = (t.root_page(), t.height());
         let store = t.into_store();
-        let pool = BufferPool::new(store, 1024, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(store, 1024, AccessStats::new_shared());
         let t2 = GaussTree::open(pool).unwrap();
         assert_eq!((t2.len(), t2.dims(), t2.epoch()), (30, 2, 1));
         assert_eq!((t2.root_page(), t2.height()), (root, height));
@@ -1048,21 +1040,21 @@ mod tests {
 
     #[test]
     fn open_rejects_non_tree() {
-        let pool = BufferPool::new(MemStore::new(8192), 16, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 16, AccessStats::new_shared());
         assert!(matches!(
             GaussTree::open(pool),
             Err(TreeError::NotAGaussTree)
         ));
         let mut store = MemStore::new(8192);
         store.allocate().unwrap(); // garbage page 0
-        let pool = BufferPool::new(store, 16, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(store, 16, AccessStats::new_shared());
         assert!(matches!(
             GaussTree::open(pool),
             Err(TreeError::NotAGaussTree)
         ));
         // An in-memory tree never committed: its store is not a tree file.
         let t = mem_tree(1, 4, 4);
-        let pool = BufferPool::new(t.into_store(), 16, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(t.into_store(), 16, AccessStats::new_shared());
         assert!(matches!(
             GaussTree::open(pool),
             Err(TreeError::NotAGaussTree)
@@ -1075,7 +1067,7 @@ mod tests {
             .map(|i| (i, pfv1((i % 37) as f64, 0.05 + (i % 7) as f64 * 0.1)))
             .collect();
         let config = TreeConfig::new(1).with_capacities(8, 6);
-        let pool = BufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
         let t = GaussTree::bulk_load(pool, config, items.clone()).unwrap();
         assert_eq!(t.len(), 200);
         assert_eq!(sorted_ids(&t), (0..200).collect::<Vec<_>>());
@@ -1085,7 +1077,7 @@ mod tests {
     fn bulk_load_single_leaf() {
         let items = vec![(1u64, pfv1(0.0, 0.1)), (2, pfv1(1.0, 0.2))];
         let config = TreeConfig::new(1).with_capacities(8, 6);
-        let pool = BufferPool::new(MemStore::new(8192), 16, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 16, AccessStats::new_shared());
         let t = GaussTree::bulk_load(pool, config, items).unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t.height(), 0);
@@ -1094,12 +1086,12 @@ mod tests {
     #[test]
     fn bulk_load_empty() {
         let config = TreeConfig::new(1).with_capacities(8, 6);
-        let pool = BufferPool::new(MemStore::new(8192), 16, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 16, AccessStats::new_shared());
         let t = GaussTree::bulk_load(pool, config, Vec::new()).unwrap();
         assert!(t.is_empty());
         // Committed like any other build: two slots and the empty root.
         assert_eq!(t.pool().num_pages(), META_PAGES + 1);
-        let pool = BufferPool::new(t.into_store(), 16, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(t.into_store(), 16, AccessStats::new_shared());
         let t = GaussTree::open(pool).unwrap();
         assert!(t.is_empty());
         assert!(t.check_invariants(true).unwrap().is_empty());
@@ -1156,7 +1148,7 @@ mod tests {
             .map(|i| (i, pfv1((i % 31) as f64, 0.05 + (i % 5) as f64 * 0.08)))
             .collect();
         let config = TreeConfig::new(1).with_capacities(6, 4);
-        let pool = BufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
         let mut t = GaussTree::bulk_load(pool, config, items).unwrap();
 
         let run: Vec<(u64, Pfv)> = (200..320u64)
@@ -1257,7 +1249,7 @@ mod tests {
         // NotAGaussTree (bounds validation), not a decode error deep in
         // read_node.
         let config = TreeConfig::new(1).with_capacities(4, 4);
-        let pool = BufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
         let items: Vec<(u64, Pfv)> = (0..40u64).map(|i| (i, pfv1(i as f64, 0.1))).collect();
         let t = GaussTree::bulk_load(pool, config, items).unwrap();
         let full = t.into_store();
@@ -1273,7 +1265,7 @@ mod tests {
                 cut.write_page(id, &buf).unwrap();
             }
         }
-        let pool = BufferPool::new(cut, 64, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(cut, 64, AccessStats::new_shared());
         assert!(matches!(
             GaussTree::open(pool),
             Err(TreeError::NotAGaussTree)
@@ -1318,7 +1310,7 @@ mod tests {
         let config = TreeConfig::new(1).with_capacities(4, 4);
         let items: Vec<(u64, Pfv)> = (0..40u64).map(|i| (i, pfv1(i as f64, 0.1))).collect();
         let opts = BulkLoadOptions::default().with_durability(Durability::Fsync);
-        let pool = BufferPool::new(MemStore::new(4096), 64, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(4096), 64, AccessStats::new_shared());
         let (t, _) = GaussTree::bulk_load_with(pool, config, items.clone(), &opts).unwrap();
         let written = t.stats().snapshot();
         assert_eq!(written.syncs, 2, "one data barrier, one commit barrier");
@@ -1342,7 +1334,7 @@ mod tests {
             PageId::INVALID.index().to_le_bytes()
         );
         // A Durability::None build never syncs.
-        let pool = BufferPool::new(MemStore::new(4096), 64, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(4096), 64, AccessStats::new_shared());
         let t2 = GaussTree::bulk_load(pool, config, items).unwrap();
         assert_eq!(t2.stats().snapshot().syncs, 0);
     }
@@ -1351,7 +1343,7 @@ mod tests {
     fn insert_after_bulk_load() {
         let items: Vec<(u64, Pfv)> = (0..100u64).map(|i| (i, pfv1(i as f64, 0.1))).collect();
         let config = TreeConfig::new(1).with_capacities(8, 6);
-        let pool = BufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
         let mut t = GaussTree::bulk_load(pool, config, items.clone()).unwrap();
         // Packed: 13 leaves of 7–8 entries under 3 inner nodes and a root.
         assert_eq!(t.pool().num_pages() - META_PAGES, 13 + 3 + 1);
@@ -1371,7 +1363,7 @@ mod tests {
 
     fn quantised_mem_tree(dims: usize, leaf: usize, inner: usize) -> GaussTree<MemStore> {
         let config = TreeConfig::new(dims).with_capacities(leaf, inner);
-        let pool = BufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
         GaussTree::create_with(
             pool,
             config,
@@ -1447,10 +1439,10 @@ mod tests {
             .with_capacities(4, 4)
             .with_leaf_format(LeafFormat::Quantised);
         let items: Vec<(u64, Pfv)> = (0..30u64).map(|i| (i, pfv1(i as f64 * 0.3, 0.1))).collect();
-        let pool = BufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
         let t = GaussTree::bulk_load(pool, config, items).unwrap();
         let store = t.into_store();
-        let pool = BufferPool::new(store, 1024, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(store, 1024, AccessStats::new_shared());
         let t2 = GaussTree::open(pool).unwrap();
         assert_eq!(t2.config().leaf_format, LeafFormat::Quantised);
         assert_eq!(t2.len(), 30);
@@ -1488,14 +1480,14 @@ mod tests {
         let config = TreeConfig::new(1)
             .with_capacities(8, 6)
             .with_leaf_format(LeafFormat::Quantised);
-        let pool = BufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
         let t = GaussTree::bulk_load(pool, config, items).unwrap();
         assert_eq!(t.len(), 200);
         assert!(t.check_invariants(false).unwrap().is_empty());
 
         // An unquantisable item surfaces its range error, and nothing is
         // committed.
-        let pool = BufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
         let stats = pool.stats().clone();
         let bad = vec![(0u64, pfv1(0.5, 0.1)), (1, pfv1(-1e39, 0.1))];
         assert!(matches!(

@@ -9,14 +9,14 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use gauss_storage::{AccessStats, BufferPool, MemStore};
+use gauss_storage::{AccessStats, MemStore, SharedBufferPool};
 use gauss_tree::config::TreeConfig;
 use gauss_tree::tree::GaussTree;
 use gauss_tree::ReadView;
 use pfv::vector::Pfv;
 
 fn build(n: u64) -> GaussTree<MemStore> {
-    let pool = BufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
+    let pool = SharedBufferPool::new(MemStore::new(8192), 4096, AccessStats::new_shared());
     let mut tree =
         GaussTree::create(pool, TreeConfig::new(2).with_capacities(8, 6)).expect("create");
     for i in 0..n {

@@ -26,17 +26,23 @@
 //! through `container[index]` bases, and through single-lock helper
 //! functions like `shard_of(id).lock()`.
 //!
+//! A `gauss_storage::SideCache` locks its shards inside its own methods,
+//! at a rank its owner chooses, so its binders get their rank from the
+//! construction instead: `SideCache::with_rank(_, LockRank::<R>, …)` binds
+//! rank `R` (the buffer pool's frames), `SideCache::new(_)` binds
+//! `SideCache`. Every `.get/.insert/.remove/.clear/.len/.is_empty` call on
+//! such a binder counts as a direct acquisition at that rank, released
+//! before the call returns.
+//!
 //! Precision choices (documented limits, all conservative-by-silence):
 //! calls through std-looking method names (`push`, `get`, `insert`, …)
 //! never form call-graph edges, calls on a live guard target the locked
 //! *data* rather than the pool and are excluded, and
-//! `gauss_storage::sync` itself (lock internals, condvar re-acquisition)
-//! is outside the model. The runtime tracker remains the backstop for
-//! those blind spots.
+//! `gauss_storage::sync` itself (lock internals) is outside the model. The
+//! runtime tracker remains the backstop for those blind spots.
 //!
 //! `LockRank` is the workspace lock hierarchy (rank 0 = Store, 1 = Shard,
-//! 2 = SideCache, 3 = WorkQueue, 4 = ResultSlot; see
-//! `gauss_storage::sync`).
+//! 2 = SideCache; see `gauss_storage::sync`).
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -48,7 +54,10 @@ use crate::rules::{
 use crate::walk::{FileKind, SourceFile};
 
 /// Rank names from `gauss_storage::sync::LockRank`, index = rank value.
-const RANK_NAMES: &[&str] = &["Store", "Shard", "SideCache", "WorkQueue", "ResultSlot"];
+const RANK_NAMES: &[&str] = &["Store", "Shard", "SideCache"];
+
+/// `SideCache` methods that lock one or all of its shards.
+const CACHE_METHODS: &[&str] = &["get", "insert", "remove", "clear", "len", "is_empty"];
 
 /// Sentinel "acquires nothing" rank (all real ranks are smaller).
 const NO_RANK: u8 = u8::MAX;
@@ -251,14 +260,14 @@ const HANDLED_MARKS: &[&str] = &[
     "unwrap_or_default",
 ];
 
-/// The lock-tracking internals themselves: raw primitives and condvar
-/// re-acquisition live here by design, so the static model excludes it.
+/// The lock-tracking internals themselves: raw primitives live here by
+/// design, so the static model excludes it.
 const SYNC_MODULE: &str = "crates/storage/src/sync.rs";
 
 /// One direct lock acquisition (or a held guard at a call site).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Acq {
-    /// Lock rank (0 = Store … 4 = ResultSlot).
+    /// Lock rank (0 = Store … 2 = SideCache).
     pub rank: u8,
     /// 1-based line of the acquisition.
     pub line: usize,
@@ -402,6 +411,7 @@ pub fn file_facts(file: &SourceFile, src: &str) -> FileFacts {
         return facts;
     }
     let locks = lock_bindings(&toks);
+    let caches = cache_bindings(&toks);
     let hints = helper_hints(&tree, &toks, &locks);
     let in_test = |pos: usize| test_spans.iter().any(|&(s, e)| s <= pos && pos < e);
     for item in &tree.fns {
@@ -410,7 +420,7 @@ pub fn file_facts(file: &SourceFile, src: &str) -> FileFacts {
             continue;
         }
         let fnf = analyze_body(
-            file, &blanked, &toks, item, body, &locks, &hints, &mut facts,
+            file, &blanked, &toks, item, body, &locks, &caches, &hints, &mut facts,
         );
         facts.fns.push(fnf);
     }
@@ -436,6 +446,35 @@ fn lock_bindings(toks: &[(usize, Tok<'_>)]) -> HashMap<String, u8> {
             i += 5;
         } else {
             i += 1;
+        }
+    }
+    out
+}
+
+/// Builds the per-file cache-binder map: binder name → shard rank, from
+/// every `SideCache::with_rank(_, LockRank::<R>, …)` (rank `R`) and
+/// `SideCache::new(…)` (rank `SideCache`) construction site.
+fn cache_bindings(toks: &[(usize, Tok<'_>)]) -> HashMap<String, u8> {
+    let side_cache = RANK_NAMES
+        .iter()
+        .position(|&r| r == "SideCache")
+        .and_then(|p| u8::try_from(p).ok());
+    let mut out = HashMap::new();
+    for (i, w) in toks.windows(5).enumerate() {
+        if w[0].1 != Tok::Ident("SideCache")
+            || w[1].1 != Tok::Punct(b':')
+            || w[2].1 != Tok::Punct(b':')
+            || w[4].1 != Tok::Punct(b'(')
+        {
+            continue;
+        }
+        let rank = match w[3].1 {
+            Tok::Ident("with_rank") => rank_in_args(toks, i + 4),
+            Tok::Ident("new") => side_cache,
+            _ => None,
+        };
+        if let (Some(rank), Some(binder)) = (rank, binder_before(toks, i)) {
+            out.insert(binder, rank);
         }
     }
     out
@@ -568,6 +607,7 @@ fn analyze_body(
     item: &FnItem,
     body: (usize, usize),
     locks: &HashMap<String, u8>,
+    caches: &HashMap<String, u8>,
     hints: &HashMap<String, u8>,
     facts: &mut FileFacts,
 ) -> FnFacts {
@@ -598,6 +638,48 @@ fn analyze_body(
     let mut j = lo;
     while j < hi {
         let (pos, tok) = toks[j];
+        let method_call = j > lo
+            && toks[j - 1].1 == Tok::Punct(b'.')
+            && toks.get(j + 1).map(|&(_, t)| t) == Some(Tok::Punct(b'('));
+        // A `.lock()` on a known lock, or a locking method on a known
+        // `SideCache`: a direct acquisition at the binder's rank.
+        let acquired = match tok {
+            Tok::Ident("lock") if method_call => receiver_rank(toks, j - 1, locks, hints),
+            Tok::Ident(name) if method_call && CACHE_METHODS.contains(&name) => {
+                match toks[j - 2].1 {
+                    Tok::Ident(recv) => caches.get(recv).map(|&r| (r, recv.to_string())),
+                    _ => None,
+                }
+            }
+            _ => None,
+        };
+        if let Some((rank, lock)) = &acquired {
+            let line = blanked.line_of(pos);
+            // Direct inversion: acquiring strictly below a held rank can
+            // deadlock regardless of interleaving.
+            for g in live_guards(&frames, pos) {
+                if g.rank > *rank {
+                    report(
+                        STATIC_LOCK_ORDER,
+                        line,
+                        format!(
+                            "acquires `{lock}` ({}) while holding `{}` ({}, line {}): \
+                             lock ranks must strictly increase",
+                            rank_label(*rank),
+                            g.lock,
+                            rank_label(g.rank),
+                            g.line
+                        ),
+                        vec![fnf.display()],
+                    );
+                }
+            }
+            fnf.acquires.push(Acq {
+                rank: *rank,
+                line,
+                lock: lock.clone(),
+            });
+        }
         match tok {
             Tok::Punct(b'{') => {
                 frames.push(Frame {
@@ -623,43 +705,15 @@ fn analyze_body(
                     }
                 }
             }
-            Tok::Ident("lock")
-                if j > lo
-                    && toks[j - 1].1 == Tok::Punct(b'.')
-                    && toks.get(j + 1).map(|&(_, t)| t) == Some(Tok::Punct(b'(')) =>
-            {
-                let rank = receiver_rank(toks, j - 1, locks, hints);
-                if let Some((rank, lock)) = rank {
-                    let line = blanked.line_of(pos);
-                    // Direct inversion: acquiring strictly below a held
-                    // rank can deadlock regardless of interleaving.
-                    for g in live_guards(&frames, pos) {
-                        if g.rank > rank {
-                            report(
-                                STATIC_LOCK_ORDER,
-                                line,
-                                format!(
-                                    "acquires `{lock}` ({}) while holding `{}` ({}, line {}): \
-                                     lock ranks must strictly increase",
-                                    rank_label(rank),
-                                    g.lock,
-                                    rank_label(g.rank),
-                                    g.line
-                                ),
-                                vec![fnf.display()],
-                            );
-                        }
-                    }
-                    fnf.acquires.push(Acq {
-                        rank,
-                        line,
-                        lock: lock.clone(),
-                    });
+            Tok::Ident("lock") if method_call => {
+                // The guard lives to the end of its `let` scope or, as a
+                // temporary, of its statement.
+                if let Some((rank, lock)) = acquired {
                     let guard = Guard {
                         name: let_binder(toks, &frames, j).unwrap_or_default(),
                         rank,
                         lock,
-                        line,
+                        line: blanked.line_of(pos),
                         off: pos,
                     };
                     if let Some(f) = frames.last_mut() {
@@ -1244,6 +1298,56 @@ impl Pool {\n\
     }
 
     #[test]
+    fn side_cache_calls_acquire_at_the_constructed_rank() {
+        let src = "\
+use gauss_storage::sync::{LockRank, TrackedMutex};\n\
+pub struct Pool { node: TrackedMutex<u32>, frames: SideCache<[u8]>, derived: SideCache<u32> }\n\
+impl Pool {\n\
+    pub fn fresh() -> Self {\n\
+        Self {\n\
+            node: TrackedMutex::new(0, LockRank::SideCache, 0, \"t-node\"),\n\
+            frames: SideCache::with_rank(8, LockRank::Shard, \"t-frames\"),\n\
+            derived: SideCache::new(8),\n\
+        }\n\
+    }\n\
+    pub fn inverted(&self) {\n\
+        let n = self.node.lock();\n\
+        let _ = self.frames.get(id);\n\
+        let _ = n;\n\
+    }\n\
+    pub fn ascending(&self) {\n\
+        self.frames.insert(id, v);\n\
+        self.derived.clear();\n\
+    }\n\
+    pub fn entry(&self) {\n\
+        let n = self.node.lock();\n\
+        self.refill();\n\
+        let _ = n;\n\
+    }\n\
+    fn refill(&self) { self.frames.remove(id); }\n\
+}\n";
+        let f = facts_for("crates/storage/src/x.rs", src);
+        let ranks_of = |name: &str| -> Vec<u8> {
+            f.fns
+                .iter()
+                .find(|g| g.name == name)
+                .map(|g| g.acquires.iter().map(|a| a.rank).collect())
+                .unwrap_or_default()
+        };
+        assert_eq!(ranks_of("ascending"), vec![1, 2]);
+        assert_eq!(ranks_of("refill"), vec![1]);
+        let all = lint_all(&[("crates/storage/src/x.rs", src)]);
+        let slo: Vec<_> = all.iter().filter(|f| f.rule == STATIC_LOCK_ORDER).collect();
+        assert_eq!(slo.len(), 2, "{all:?}");
+        assert_eq!(slo[0].line, 13, "direct: a shard lock under the node lock");
+        assert!(
+            slo[1].message.contains("Pool::entry -> Pool::refill"),
+            "chained through a cache call: {}",
+            slo[1].message
+        );
+    }
+
+    #[test]
     fn guard_receiver_calls_are_not_edges() {
         // `store.write_pages(...)` on a guard targets the locked data, not
         // the pool — even though a same-named pool method acquires locks.
@@ -1272,7 +1376,7 @@ impl Pool {\n\
         let src = "\
 use gauss_storage::sync::{LockRank, TrackedMutex};\n\
 pub fn scan(pool: &P) -> u32 {\n\
-    let cache = TrackedMutex::new(0u32, LockRank::ResultSlot, 0, \"q\");\n\
+    let cache = TrackedMutex::new(0u32, LockRank::SideCache, 0, \"q\");\n\
     let slot = cache.lock();\n\
     let v = pool.read_page(7);\n\
     *slot + v\n\

@@ -310,8 +310,8 @@ fn raw_mutex_rule(cx: &FileCx<'_>, toks: &[(usize, &str)], out: &mut Vec<Finding
             RAW_MUTEX,
             pos,
             format!(
-                "raw `std::sync::{tok}` outside gauss_storage::sync: use TrackedMutex/\
-                 TrackedCondvar so the lock-order detector sees this lock"
+                "raw `std::sync::{tok}` outside gauss_storage::sync: use TrackedMutex \
+                 so the lock-order detector sees this lock"
             ),
         );
     }

@@ -129,7 +129,10 @@ fn json_output_carries_fixture_findings() {
 #[test]
 fn real_workspace_lock_facts_are_not_vacuous() {
     // Guards against the analysis silently seeing nothing: the real
-    // buffer pool must yield lock facts at both ends of the hierarchy.
+    // buffer pool must yield lock facts at both ends of the hierarchy (its
+    // frame shards through the `SideCache` they are built as), and the
+    // store guard must be seen live across the calls its write path makes
+    // under it.
     let here = Path::new(env!("CARGO_MANIFEST_DIR"));
     let root = gauss_lint::walk::find_root(here).expect("workspace root");
     let shared = root.join("crates/storage/src/shared.rs");
@@ -150,6 +153,17 @@ fn real_workspace_lock_facts_are_not_vacuous() {
     assert!(
         ranks.contains(&0) && ranks.contains(&1),
         "shared.rs must show Store and Shard acquisitions, got {ranks:?}"
+    );
+    let under_store: Vec<&str> = facts
+        .fns
+        .iter()
+        .flat_map(|f| &f.calls)
+        .filter(|c| c.held.iter().any(|h| h.rank == 0))
+        .map(|c| c.name.as_str())
+        .collect();
+    assert!(
+        under_store.contains(&"write_page") && under_store.contains(&"install"),
+        "a write stores and installs under the store guard, got {under_store:?}"
     );
     assert!(
         facts.fns.iter().any(|f| !f.calls.is_empty()),

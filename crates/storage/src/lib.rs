@@ -9,13 +9,13 @@
 //! * [`codec`] — little-endian serialisation helpers for node layouts;
 //! * [`store`] — the [`PageStore`] abstraction with an in-memory and an
 //!   on-disk implementation;
-//! * [`buffer`] — an LRU buffer pool that counts logical and physical page
-//!   accesses (the paper's "page accesses" are the physical ones that miss
-//!   the cache);
-//! * [`shared`] — a sharded, `&self` variant of the buffer pool so many
-//!   threads can read one index concurrently;
-//! * [`side_cache`] — a sharded `PageId → Arc<T>` LRU companion cache for
-//!   values derived from page bytes (decoded nodes, columnar leaves);
+//! * [`shared`] — the buffer pool: a sharded, `&self` LRU page cache that
+//!   counts logical and physical page accesses (the paper's "page
+//!   accesses" are the physical ones that miss the cache), so many threads
+//!   can read one index concurrently;
+//! * [`side_cache`] — the one sharded `PageId → Arc<T>` LRU: it holds the
+//!   pool's page frames, and values derived from page bytes (decoded
+//!   nodes, columnar leaves);
 //! * [`stats`] — shared access counters;
 //! * [`commit`] — the checksummed dual-slot epoch commit: slot header,
 //!   checksum, newest-valid-slot selection and the barrier → slot write →
@@ -28,21 +28,20 @@
 //!   for crash-recovery testing.
 //!
 //! Crash safety: stores expose a [`store::Durability`] policy and a
-//! [`PageStore::sync`] barrier, plumbed through both buffer pools and
+//! [`PageStore::sync`] barrier, plumbed through the buffer pool and
 //! [`WriteBatch`], so an index can order its data writes before its
 //! metadata commit and survive the kill points [`fault::FaultStore`]
 //! injects.
 //!
-//! Concurrency discipline: every mutex in the workspace's concurrent core
-//! is a [`sync::TrackedMutex`] carrying a static [`sync::LockRank`]; under
+//! Concurrency discipline: every mutex in the workspace is a storage lock —
+//! a page store or a cache shard — and a [`sync::TrackedMutex`] carrying a
+//! static [`sync::LockRank`]; under
 //! `debug_assertions` or the `lock-tracking` feature a rank inversion or
 //! lock-order cycle panics immediately with both acquisition sites named,
 //! and in plain release builds the checks compile away (see [`sync`]).
 
 #![forbid(unsafe_code)]
 
-/// Single-threaded LRU page buffer.
-pub mod buffer;
 /// Little-endian page (de)serialization primitives.
 pub mod codec;
 /// The checksummed dual-slot epoch commit protocol.
@@ -58,7 +57,7 @@ mod lru;
 pub mod page;
 /// The sharded, thread-safe buffer pool.
 pub mod shared;
-/// A bounded side cache for derived per-page artifacts.
+/// The sharded `PageId → Arc<T>` LRU cache.
 pub mod side_cache;
 /// Atomic I/O statistics counters.
 pub mod stats;
@@ -67,7 +66,6 @@ pub mod store;
 /// Rank-checked mutexes and the lock-order detector.
 pub mod sync;
 
-pub use buffer::BufferPool;
 pub use codec::{fnv1a64, Reader, Writer};
 pub use disk::DiskModel;
 pub use fault::{FaultStore, KillMode};
@@ -80,4 +78,4 @@ pub use shared::{SharedBufferPool, WriteBatch};
 pub use side_cache::SideCache;
 pub use stats::{AccessStats, StatsSnapshot};
 pub use store::{Durability, FileStore, MemStore, PageStore, StoreError};
-pub use sync::{LockRank, TrackedCondvar, TrackedGuard, TrackedMutex, LOCK_TRACKING};
+pub use sync::{LockRank, TrackedGuard, TrackedMutex, LOCK_TRACKING};

@@ -1,10 +1,7 @@
-//! Crate-internal LRU frame cache shared by [`crate::BufferPool`] and
-//! [`crate::SharedBufferPool`].
-//!
-//! One copy of the frame-map + intrusive-list + eviction logic, generic
-//! over the frame payload (`Box<[u8]>` for the single-threaded pool,
-//! `Arc<[u8]>` for the sharded one), so the two pools can never diverge in
-//! replacement behaviour — they differ only in locking.
+//! Crate-internal LRU core: the frame map, intrusive recency list and
+//! eviction of one [`crate::SideCache`] shard — and so of every
+//! [`crate::SharedBufferPool`] shard, which keeps its page frames in a
+//! side cache.
 
 use crate::page::PageId;
 use std::collections::HashMap;
@@ -43,11 +40,6 @@ impl<T> LruCache<T> {
     /// Number of cached frames.
     pub(crate) fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// Whether `id` is cached (does not refresh its LRU position).
-    pub(crate) fn contains(&self, id: PageId) -> bool {
-        self.map.contains_key(&id)
     }
 
     /// Drops every frame.
@@ -162,9 +154,9 @@ mod tests {
         assert!(!c.insert(PageId(1), 1, 2));
         assert!(c.get(PageId(0)).is_some()); // 0 now most recent
         assert!(c.insert(PageId(2), 2, 2), "must evict page 1");
-        assert!(c.contains(PageId(0)));
-        assert!(!c.contains(PageId(1)));
-        assert!(c.contains(PageId(2)));
+        assert!(c.get(PageId(0)).is_some());
+        assert!(c.get(PageId(1)).is_none());
+        assert!(c.get(PageId(2)).is_some());
         assert_eq!(c.len(), 2);
     }
 
@@ -183,8 +175,8 @@ mod tests {
         c.insert(PageId(1), 11, 4);
         assert_eq!(c.remove(PageId(0)), Some(10));
         assert_eq!(c.remove(PageId(0)), None);
-        assert!(!c.contains(PageId(0)));
-        assert!(c.contains(PageId(1)));
+        assert!(c.get(PageId(0)).is_none());
+        assert!(c.get(PageId(1)).is_some());
         assert_eq!(c.len(), 1);
         // The freed slot is reusable without growing the frame vector.
         c.insert(PageId(2), 12, 4);

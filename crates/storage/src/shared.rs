@@ -1,41 +1,42 @@
-//! A sharded buffer pool with interior mutability for concurrent readers.
+//! The buffer pool: a sharded LRU page cache over a [`PageStore`], with
+//! interior mutability so many threads can read one index concurrently.
 //!
-//! [`crate::BufferPool`] mutates its LRU list on every read, so even a
-//! logically read-only page request needs `&mut self` — which serializes the
-//! whole read path of any index built on top of it. [`SharedBufferPool`]
-//! removes that bottleneck:
+//! Every page request is counted as a *logical* read; requests that miss
+//! the cache are additionally counted as *physical* reads — the paper's
+//! "page accesses". The paper cold-starts a 50 MB cache before each
+//! experiment; [`SharedBufferPool::clear_cache`] reproduces that, and
+//! [`SharedBufferPool::clear_cache_and_stats`] additionally zeroes the
+//! counters so measurement loops cannot carry stale counts across runs.
 //!
-//! * the frame map is split into [`SHARD_COUNT`](crate::shared::SHARD_COUNT) shards, each guarded by its
-//!   own [`TrackedMutex`] and keyed by a multiplicative hash of the
-//!   [`PageId`], so concurrent readers of *different* pages rarely contend;
-//! * all operations take `&self`; the shared [`AccessStats`] counters were
-//!   already atomic;
+//! * Frames live in a [`SideCache<[u8]>`](SideCache): up to 16 shards,
+//!   each guarded by its own [`TrackedMutex`], keyed by a multiplicative
+//!   hash of the [`PageId`] and running its own LRU list over
+//!   `capacity / shards` frames (an approximation of global LRU, as in any
+//!   sharded cache), so concurrent readers of *different* pages rarely
+//!   contend;
+//! * all operations take `&self`; the shared [`AccessStats`] counters are
+//!   atomic;
 //! * the backing [`PageStore`] sits behind a single store mutex that is only
 //!   taken on a cache miss (or a write/allocate). Lock order follows the
 //!   workspace rank table ([`crate::sync::LockRank`]): **store before
-//!   shard**, shards in ascending index order. A miss re-checks its shard
-//!   *under the store lock*, which keeps page-access accounting
-//!   *deterministic*: two threads can never both read the same page from
-//!   the store, so logical/physical totals are independent of the thread
-//!   count whenever the cache is large enough to avoid evictions.
+//!   shard**. A miss re-checks the cache *under the store lock*, which keeps
+//!   page-access accounting *deterministic*: two threads can never both
+//!   read the same page from the store, so logical/physical totals are
+//!   independent of the thread count whenever the cache is large enough to
+//!   avoid evictions.
 //!
-//! Writes stay effectively single-writer by design: the Gauss-tree build
-//! path (`insert`/`delete`/`bulk_load`) takes `&mut` at the tree layer, so
-//! the store mutex never sees write contention in practice — it exists so
-//! the type is sound, not as a concurrency strategy. Writes are
-//! write-through *and* write-allocate: a written page is installed in its
-//! shard so the immediately following read during a build is a cache hit,
-//! not a spurious physical read.
-//!
-//! Each shard runs its own intrusive LRU list over `capacity / SHARD_COUNT`
-//! frames (an approximation of global LRU, as in any sharded cache). The
-//! paper's cold start is [`SharedBufferPool::clear_cache`];
-//! [`SharedBufferPool::clear_cache_and_stats`] additionally zeroes the
-//! counters so measurement loops cannot carry stale counts across runs.
+//! Writes stay effectively single-writer by design: a Gauss-tree is written
+//! by its bulk load (or an in-memory tree's `insert`, which takes `&mut` at
+//! the tree layer), so the store mutex never sees write contention in
+//! practice — it exists so the type is sound, not as a concurrency
+//! strategy. Writes are write-through *and* write-allocate: a written page
+//! is installed in the cache so the immediately following read during a
+//! build is a cache hit, not a spurious physical read. A write the store
+//! fails drops the page's frame, so the cache never serves an image the
+//! store does not hold.
 
-use crate::buffer::BufferPool;
-use crate::lru::LruCache;
 use crate::page::PageId;
+use crate::side_cache::SideCache;
 use crate::stats::AccessStats;
 use crate::store::{Durability, PageStore, StoreError};
 use crate::sync::{LockRank, TrackedMutex};
@@ -103,53 +104,29 @@ impl WriteBatch {
     }
 }
 
-/// Number of independently locked cache shards (a power of two).
-pub const SHARD_COUNT: usize = 16;
-
-/// One independently locked slice of the cache — the same
-/// [`LruCache`] core the single-threaded [`BufferPool`] runs, holding
-/// `Arc<[u8]>` frames so read handles survive eviction.
-type Shard = LruCache<Arc<[u8]>>;
-
 /// Sharded LRU buffer pool over a [`PageStore`], usable from `&self`.
 ///
-/// See the [module docs](self) for the locking design. Converts from a
-/// [`BufferPool`] via `From`, preserving store, capacity and stats handle.
+/// See the [module docs](self) for the locking design.
 #[derive(Debug)]
 pub struct SharedBufferPool<S: PageStore> {
     store: TrackedMutex<S>,
-    shards: Vec<TrackedMutex<Shard>>,
-    shard_cap: usize,
-    capacity: usize,
+    frames: SideCache<[u8]>,
     page_size: usize,
     stats: Arc<AccessStats>,
 }
 
 impl<S: PageStore> SharedBufferPool<S> {
     /// Creates a pool holding at most (approximately) `capacity` pages,
-    /// split evenly across [`SHARD_COUNT`] shards.
+    /// split evenly across up to 16 shards.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
     #[must_use]
     pub fn new(store: S, capacity: usize, stats: Arc<AccessStats>) -> Self {
-        assert!(capacity > 0, "buffer pool capacity must be positive");
-        let page_size = store.page_size();
-        // Halve the shard count (keeping it a power of two) until every
-        // shard holds at least one frame, so a deliberately tiny capacity —
-        // eviction-stress tests, paper configurations — is still honoured.
-        let mut shard_count = SHARD_COUNT;
-        while shard_count > capacity {
-            shard_count /= 2;
-        }
         Self {
+            page_size: store.page_size(),
             store: TrackedMutex::new(store, LockRank::Store, 0, "pool-store"),
-            shards: (0..shard_count)
-                .map(|i| TrackedMutex::new(LruCache::new(), LockRank::Shard, i, "pool-shard"))
-                .collect(),
-            shard_cap: capacity / shard_count,
-            capacity,
-            page_size,
+            frames: SideCache::with_rank(capacity, LockRank::Shard, "pool-shard"),
             stats,
         }
     }
@@ -180,24 +157,18 @@ impl<S: PageStore> SharedBufferPool<S> {
         self.store.lock().num_pages()
     }
 
-    /// Number of pages currently cached (sums all shards).
+    /// Number of pages currently cached.
     #[must_use]
     pub fn cached_pages(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.frames.len()
     }
 
-    /// Maximum number of cached pages across all shards (never exceeds the
-    /// configured capacity; at most `SHARD_COUNT − 1` below it when the
-    /// capacity does not divide evenly).
+    /// Maximum number of cached pages (never exceeds the configured
+    /// capacity; at most `shards − 1` below it when the capacity does not
+    /// divide evenly).
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.shard_cap * self.shards.len()
-    }
-
-    /// The capacity the pool was configured with (before shard rounding).
-    #[must_use]
-    pub fn configured_capacity(&self) -> usize {
-        self.capacity
+        self.frames.capacity()
     }
 
     /// Gives back the underlying store, dropping the cache.
@@ -239,9 +210,7 @@ impl<S: PageStore> SharedBufferPool<S> {
 
     /// Drops every cached frame — the paper's cold start.
     pub fn clear_cache(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
+        self.frames.clear();
     }
 
     /// Cold start *and* zeroed counters: the combination every measurement
@@ -253,15 +222,12 @@ impl<S: PageStore> SharedBufferPool<S> {
         self.stats.reset();
     }
 
-    fn shard_index(&self, id: PageId) -> usize {
-        // Fibonacci hash of the page id; top bits select the shard (the
-        // shard count is always a power of two).
-        let h = id.index().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 60) as usize & (self.shards.len() - 1)
-    }
-
-    fn shard_of(&self, id: PageId) -> &TrackedMutex<Shard> {
-        &self.shards[self.shard_index(id)]
+    /// Caches `data` as the frame of `id`, counting an eviction if it
+    /// displaced one.
+    fn install(&self, id: PageId, data: Arc<[u8]>) {
+        if self.frames.insert(id, data) {
+            self.stats.record_eviction();
+        }
     }
 
     /// Reads page `id`, serving from cache when possible.
@@ -275,14 +241,11 @@ impl<S: PageStore> SharedBufferPool<S> {
     pub fn page(&self, id: PageId) -> Result<Arc<[u8]>, StoreError> {
         self.stats.record_logical_read();
         // Optimistic hit path: the owning shard lock only.
-        {
-            let mut shard = self.shard_of(id).lock();
-            if let Some(data) = shard.get(id) {
-                return Ok(Arc::clone(data));
-            }
+        if let Some(data) = self.frames.get(id) {
+            return Ok(data);
         }
         // Miss path, in rank order: store first, then the shard for a
-        // re-check, dropped again before the store read so that stores
+        // re-check, released again before the store read so that stores
         // with their own Store-ranked internals (e.g. `SharedMemStore`)
         // are never entered with a higher-ranked shard lock held. Holding
         // the pool's store lock across the whole miss means two threads
@@ -292,11 +255,8 @@ impl<S: PageStore> SharedBufferPool<S> {
         // and no frame for `id` can be installed between the re-check and
         // the install below, because every install path takes this lock.
         let mut store = self.store.lock();
-        {
-            let mut shard = self.shard_of(id).lock();
-            if let Some(data) = shard.get(id) {
-                return Ok(Arc::clone(data));
-            }
+        if let Some(data) = self.frames.get(id) {
+            return Ok(data);
         }
         self.stats.record_physical_read();
         // The frame is allocated once, as the `Arc` it will be cached as,
@@ -305,15 +265,13 @@ impl<S: PageStore> SharedBufferPool<S> {
         // that fails returns here and installs nothing.
         let mut data: Arc<[u8]> = std::iter::repeat_n(0u8, self.page_size).collect();
         store.read_page(id, Arc::make_mut(&mut data))?;
-        let mut shard = self.shard_of(id).lock();
-        if shard.insert(id, Arc::clone(&data), self.shard_cap) {
-            self.stats.record_eviction();
-        }
+        self.install(id, Arc::clone(&data));
         Ok(data)
     }
 
     /// Writes `buf` through to the store and installs the page in the cache
-    /// (write-allocate), so the next read of `id` is a hit.
+    /// (write-allocate), so the next read of `id` is a hit. A failed store
+    /// write may have torn the page, so it drops the cached frame instead.
     ///
     /// # Errors
     /// Propagates store errors.
@@ -325,23 +283,26 @@ impl<S: PageStore> SharedBufferPool<S> {
         self.stats.record_physical_write();
         self.stats.record_write_call();
         // Store before shard (rank order); the store lock is held across
-        // the cache install, so a concurrent reader that misses on `id`
+        // the cache update, so a concurrent reader that misses on `id`
         // serializes behind this write and can never install stale bytes
         // over the new frame.
         let mut store = self.store.lock();
-        store.write_page(id, buf)?;
-        let mut shard = self.shard_of(id).lock();
-        if shard.insert(id, Arc::from(buf), self.shard_cap) {
-            self.stats.record_eviction();
+        if let Err(e) = store.write_page(id, buf) {
+            self.frames.remove(id);
+            return Err(e);
         }
+        self.install(id, Arc::from(buf));
         Ok(())
     }
 
     /// Flushes a [`WriteBatch`]: stages are sorted by page id, coalesced
     /// into maximal consecutive runs, and each run goes to the store as one
-    /// [`PageStore::write_pages`] call (one positioning operation). Every
-    /// written page is installed in the cache (write-allocate), exactly as
-    /// [`SharedBufferPool::write`] would. The batch is drained.
+    /// [`PageStore::write_pages`] call (one positioning operation). Each
+    /// run's pages are installed in the cache (write-allocate, exactly as
+    /// [`SharedBufferPool::write`] would) as soon as the store accepts the
+    /// run; a run the store fails drops its pages' frames and ends the
+    /// flush, so earlier runs stay cached with what the store now holds.
+    /// The batch is drained.
     ///
     /// Accounting: `physical_writes` counts pages, `write_calls` counts
     /// runs — their ratio is the coalescing factor of the batch.
@@ -370,66 +331,30 @@ impl<S: PageStore> SharedBufferPool<S> {
             }
         }
         // Rank order: the store lock first, held across both the coalesced
-        // store writes and every cache install, exactly like
+        // store writes and every cache update, exactly like
         // [`SharedBufferPool::write`]. Any concurrent write or miss on one
         // of these pages serializes behind the whole batch, so a stale
-        // frame can never be installed over a staged image. Shards are then
-        // taken one at a time in ascending index order (the rank rule for
-        // siblings), never more than one at once.
+        // frame can never be installed over a staged image.
         let mut store = self.store.lock();
-        let mut run_start = 0usize;
-        for i in 1..=deduped.len() {
-            let run_ends =
-                i == deduped.len() || deduped[i].0.index() != deduped[i - 1].0.index() + 1;
-            if run_ends {
-                let run = &deduped[run_start..i];
-                let bufs: Vec<&[u8]> = run.iter().map(|(_, b)| &b[..]).collect();
-                store.write_pages(run[0].0, &bufs)?;
-                self.stats.record_write_call();
-                self.stats.record_physical_writes(run.len() as u64);
-                run_start = i;
+        for run in deduped.chunk_by(|a, b| b.0.index() == a.0.index() + 1) {
+            let bufs: Vec<&[u8]> = run.iter().map(|(_, b)| &b[..]).collect();
+            if let Err(e) = store.write_pages(run[0].0, &bufs) {
+                for &(id, _) in run {
+                    self.frames.remove(id);
+                }
+                return Err(e);
+            }
+            self.stats.record_write_call();
+            self.stats.record_physical_writes(run.len() as u64);
+            for (id, buf) in run {
+                self.install(*id, Arc::from(&buf[..]));
             }
         }
         if batch.durability != Durability::None {
             self.stats.record_sync();
             store.sync(batch.durability)?;
         }
-        // Install write-allocate frames grouped by shard, ascending.
-        let mut by_shard: Vec<(usize, PageId, Box<[u8]>)> = deduped
-            .into_iter()
-            .map(|(id, buf)| (self.shard_index(id), id, buf))
-            .collect();
-        by_shard.sort_by_key(|(si, id, _)| (*si, id.index()));
-        let mut iter = by_shard.into_iter().peekable();
-        while let Some((si, id, buf)) = iter.next() {
-            let mut shard = self.shards[si].lock();
-            if shard.insert(id, Arc::from(buf), self.shard_cap) {
-                self.stats.record_eviction();
-            }
-            while let Some((next_si, _, _)) = iter.peek() {
-                if *next_si != si {
-                    break;
-                }
-                let Some((_, id, buf)) = iter.next() else {
-                    break;
-                };
-                if shard.insert(id, Arc::from(buf), self.shard_cap) {
-                    self.stats.record_eviction();
-                }
-            }
-        }
-        drop(store);
         Ok(())
-    }
-}
-
-impl<S: PageStore> From<BufferPool<S>> for SharedBufferPool<S> {
-    /// Rewraps a single-threaded pool, keeping its store, capacity and
-    /// stats handle (cached frames are dropped).
-    fn from(pool: BufferPool<S>) -> Self {
-        let capacity = pool.capacity();
-        let stats = Arc::clone(pool.stats());
-        Self::new(pool.into_store(), capacity, stats)
     }
 }
 
@@ -505,8 +430,63 @@ mod tests {
     }
 
     #[test]
+    fn clear_cache_and_stats_zeroes_evictions() {
+        let p = pool(2);
+        let ids = fill(&p, 5);
+        assert!(p.stats().snapshot().evictions > 0);
+        p.clear_cache_and_stats();
+        assert_eq!(p.cached_pages(), 0);
+        assert_eq!(p.stats().snapshot().evictions, 0);
+        let _ = p.page(ids[4]).unwrap();
+        assert_eq!(p.stats().snapshot().physical_reads, 1);
+    }
+
+    #[test]
+    fn clear_cache_keeps_counters() {
+        let p = pool(8);
+        let ids = fill(&p, 4);
+        for &id in &ids {
+            let _ = p.page(id).unwrap();
+        }
+        let before = p.stats().snapshot();
+        p.clear_cache();
+        assert_eq!(p.cached_pages(), 0);
+        assert_eq!(p.stats().snapshot(), before, "only the frames are dropped");
+        p.stats().reset();
+        for &id in &ids {
+            let _ = p.page(id).unwrap();
+        }
+        assert_eq!(p.stats().snapshot().physical_reads, 4);
+    }
+
+    #[test]
+    fn write_allocate_caches_every_written_page() {
+        let p = pool(64);
+        let ids = fill(&p, 8);
+        assert_eq!(p.cached_pages(), 8);
+        assert_eq!(p.stats().snapshot().evictions, 0);
+        p.stats().reset();
+        for &id in &ids {
+            let _ = p.page(id).unwrap();
+        }
+        assert_eq!(p.stats().snapshot().physical_reads, 0);
+    }
+
+    #[test]
+    fn reads_return_written_content_through_eviction() {
+        let p = pool(2);
+        let ids = fill(&p, 10);
+        p.clear_cache_and_stats();
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(p.page(id).unwrap()[0], i as u8);
+        }
+        assert!(p.cached_pages() <= 2);
+        assert!(p.stats().snapshot().evictions > 0);
+    }
+
+    #[test]
     fn per_shard_eviction_bounds_the_cache() {
-        let p = pool(SHARD_COUNT); // one frame per shard
+        let p = pool(16); // one frame per shard
         let ids = fill(&p, 200);
         p.clear_cache();
         for &id in &ids {
@@ -517,17 +497,79 @@ mod tests {
     }
 
     #[test]
-    fn from_buffer_pool_preserves_store_and_stats() {
-        let stats = AccessStats::new_shared();
-        let mut single = BufferPool::new(MemStore::new(64), 32, stats.clone());
-        let id = single.allocate().unwrap();
-        let mut buf = vec![0u8; 64];
-        buf[0] = 77;
-        single.write(id, &buf).unwrap();
+    fn hits_do_not_touch_store() {
+        let p = pool(4);
+        let ids = fill(&p, 2);
+        p.clear_cache_and_stats();
+        for _ in 0..3 {
+            let _ = p.page(ids[0]).unwrap();
+        }
+        let s = p.stats().snapshot();
+        assert_eq!(s.logical_reads, 3);
+        assert_eq!(s.physical_reads, 1, "only the first read misses");
+    }
 
-        let shared: SharedBufferPool<MemStore> = single.into();
-        assert_eq!(shared.page(id).unwrap()[0], 77);
-        assert!(Arc::ptr_eq(shared.stats(), &stats));
+    #[test]
+    fn write_through_updates_cache_and_store() {
+        let p = pool(2);
+        let ids = fill(&p, 1);
+        let _ = p.page(ids[0]).unwrap();
+        let mut buf = vec![0u8; 64];
+        buf[0] = 99;
+        p.write(ids[0], &buf).unwrap();
+        // Served from cache — but must reflect the write.
+        assert_eq!(p.page(ids[0]).unwrap()[0], 99);
+        // And the store has it too.
+        p.clear_cache();
+        assert_eq!(p.page(ids[0]).unwrap()[0], 99);
+    }
+
+    #[test]
+    fn byte_budget_sizing() {
+        let p = SharedBufferPool::with_byte_budget(
+            MemStore::new(8192),
+            50 * 1024 * 1024,
+            AccessStats::new_shared(),
+        );
+        // 6400 frames split evenly across 16 shards.
+        assert_eq!(p.capacity(), 50 * 1024 * 1024 / 8192);
+        let tiny =
+            SharedBufferPool::with_byte_budget(MemStore::new(8192), 100, AccessStats::new_shared());
+        assert_eq!(
+            tiny.capacity(),
+            1,
+            "a budget below one page still holds one"
+        );
+    }
+
+    #[test]
+    fn write_allocate_respects_capacity() {
+        let p = pool(2);
+        let ids = fill(&p, 5);
+        assert!(p.cached_pages() <= 2);
+        assert!(p.stats().snapshot().evictions >= 3);
+        // The last page written is the most recent frame of its shard.
+        p.stats().reset();
+        let _ = p.page(ids[4]).unwrap();
+        assert_eq!(p.stats().snapshot().physical_reads, 0);
+    }
+
+    #[test]
+    fn heavy_random_access_is_consistent() {
+        // Randomised smoke test of the shards' intrusive lists under churn,
+        // at a capacity that leaves fewer shards than the default.
+        let p = pool(7);
+        let ids = fill(&p, 30);
+        p.clear_cache();
+        let mut state = 0x1234_5678_u64;
+        for _ in 0..5000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let idx = (state >> 33) as usize % ids.len();
+            assert_eq!(p.page(ids[idx]).unwrap()[0], idx as u8);
+            assert!(p.cached_pages() <= 7);
+        }
     }
 
     #[test]
@@ -559,7 +601,7 @@ mod tests {
 
     #[test]
     fn handles_survive_eviction() {
-        let p = pool(SHARD_COUNT);
+        let p = pool(16);
         let ids = fill(&p, 64);
         p.clear_cache();
         let handle = p.page(ids[0]).unwrap();
@@ -569,10 +611,22 @@ mod tests {
         assert_eq!(handle[0], 0, "Arc handle must outlive eviction");
     }
 
-    /// A `MemStore` whose next `fail_reads` reads fail as I/O errors.
+    /// A `MemStore` whose next `fail_reads` reads fail as I/O errors, and
+    /// whose page writes fail once `writes_left` reaches zero.
     struct FlakyStore {
         inner: MemStore,
         fail_reads: usize,
+        writes_left: Option<usize>,
+    }
+
+    impl FlakyStore {
+        fn new() -> Self {
+            Self {
+                inner: MemStore::new(64),
+                fail_reads: 0,
+                writes_left: None,
+            }
+        }
     }
 
     impl PageStore for FlakyStore {
@@ -595,17 +649,36 @@ mod tests {
             self.inner.read_page(id, buf)
         }
         fn write_page(&mut self, id: PageId, buf: &[u8]) -> Result<(), StoreError> {
-            self.inner.write_page(id, buf)
+            match &mut self.writes_left {
+                Some(0) => {
+                    // A torn write: the first half lands, then the error.
+                    let mut torn = vec![0u8; buf.len()];
+                    self.inner.read_page(id, &mut torn)?;
+                    torn[..buf.len() / 2].copy_from_slice(&buf[..buf.len() / 2]);
+                    self.inner.write_page(id, &torn)?;
+                    Err(StoreError::Io(std::io::Error::other(
+                        "injected write fault",
+                    )))
+                }
+                Some(n) => {
+                    *n -= 1;
+                    self.inner.write_page(id, buf)
+                }
+                None => self.inner.write_page(id, buf),
+            }
         }
+    }
+
+    /// What the store behind `p` holds for `id`, read around the cache.
+    fn stored(p: &SharedBufferPool<FlakyStore>, id: PageId) -> Vec<u8> {
+        let mut buf = vec![0u8; 64];
+        p.store.lock().inner.read_page(id, &mut buf).unwrap();
+        buf
     }
 
     #[test]
     fn a_failed_store_read_installs_no_frame() {
-        let store = FlakyStore {
-            inner: MemStore::new(64),
-            fail_reads: 0,
-        };
-        let p = SharedBufferPool::new(store, 64, AccessStats::new_shared());
+        let p = SharedBufferPool::new(FlakyStore::new(), 64, AccessStats::new_shared());
         let ids: Vec<PageId> = (0..4u8)
             .map(|i| {
                 let id = p.allocate().unwrap();
@@ -641,6 +714,48 @@ mod tests {
         // And from then on it is a hit.
         assert_eq!(&p.page(ids[1]).unwrap()[..], &[2u8; 64]);
         assert_eq!(p.stats().snapshot().physical_reads, after.physical_reads);
+    }
+
+    #[test]
+    fn a_failed_batch_run_leaves_no_stale_frame() {
+        let p = SharedBufferPool::new(FlakyStore::new(), 64, AccessStats::new_shared());
+        let _ = p.allocate_many(6).unwrap();
+        // Cache the old image of a page in each run: 1 in [1, 2], 4 in [4, 5].
+        for id in [PageId(1), PageId(4)] {
+            p.write(id, &[7u8; 64]).unwrap();
+            assert_eq!(&p.page(id).unwrap()[..], &[7u8; 64]);
+        }
+        let mut batch = WriteBatch::new();
+        for id in [1u64, 2, 4, 5] {
+            batch.put(PageId(id), &[id as u8; 64]);
+        }
+        // The first run lands, the second tears on its first page.
+        p.store.lock().writes_left = Some(2);
+        assert!(p.write_batch(&mut batch).is_err());
+        p.store.lock().writes_left = None;
+        for id in [1u64, 2, 4, 5] {
+            let id = PageId(id);
+            assert_eq!(
+                &p.page(id).unwrap()[..],
+                &stored(&p, id)[..],
+                "page {id:?}: the cache serves what the store holds"
+            );
+        }
+        assert_eq!(&p.page(PageId(1)).unwrap()[..], &[1u8; 64]);
+        assert_ne!(&p.page(PageId(4)).unwrap()[..], &[7u8; 64], "torn, not old");
+    }
+
+    #[test]
+    fn a_failed_write_drops_the_cached_frame() {
+        let p = SharedBufferPool::new(FlakyStore::new(), 64, AccessStats::new_shared());
+        let id = p.allocate().unwrap();
+        p.write(id, &[7u8; 64]).unwrap();
+        assert_eq!(&p.page(id).unwrap()[..], &[7u8; 64]);
+        p.store.lock().writes_left = Some(0);
+        assert!(p.write(id, &[9u8; 64]).is_err());
+        p.store.lock().writes_left = None;
+        assert_eq!(&p.page(id).unwrap()[..], &stored(&p, id)[..]);
+        assert_ne!(&p.page(id).unwrap()[..], &[7u8; 64], "torn, not old");
     }
 
     #[test]

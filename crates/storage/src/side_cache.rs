@@ -1,21 +1,25 @@
-//! A sharded side cache for per-page derived values.
+//! The workspace's one sharded `PageId → Arc<T>` LRU cache.
 //!
-//! The buffer pools cache raw page *bytes*; index layers above frequently
-//! derive an expensive in-memory representation from those bytes (a decoded
-//! node, a columnar leaf) and want to reuse it across reads without
-//! re-parsing. [`SideCache`] is that companion structure: a sharded,
-//! `&self` LRU map from [`PageId`] to `Arc<T>`, running the same
-//! crate-internal LRU core (and the same Fibonacci-hash shard selection)
-//! as [`crate::SharedBufferPool`], so the two caches never diverge in
-//! replacement behaviour. Shards are [`TrackedMutex`]es at rank
-//! [`LockRank::SideCache`] — above the pool's store and shard locks in the
-//! workspace lock hierarchy, though no current path nests them.
+//! [`SideCache`] is a sharded, `&self` LRU map from [`PageId`] to `Arc<T>`:
+//! up to 16 [`TrackedMutex`]-guarded shards (fewer when the capacity is
+//! smaller, so every shard holds a frame), each running the crate-internal
+//! LRU core over `capacity / shards` entries and selected by a Fibonacci
+//! hash of the page id. It holds two kinds of value:
 //!
-//! The cache is deliberately *passive*: it does not watch the pool for
-//! writes. The owner of the derived values is responsible for calling
-//! [`SideCache::remove`] when it rewrites a page (the Gauss-tree does this
-//! in its single-writer mutation path) and [`SideCache::clear`] on cold
-//! starts. Reads never touch the backing store, so a side-cache hit or miss
+//! * page *bytes* — [`crate::SharedBufferPool`] keeps its frames in a
+//!   `SideCache<[u8]>` whose shards rank as [`LockRank::Shard`], below the
+//!   pool's store lock;
+//! * values *derived* from page bytes (a decoded node, a columnar leaf),
+//!   which index layers reuse across reads without re-parsing. Such a cache
+//!   is built by [`SideCache::new`]; its shards rank as
+//!   [`LockRank::SideCache`], the innermost rank of the workspace lock
+//!   hierarchy, though no current path nests them under another lock.
+//!
+//! A derived-value cache is deliberately *passive*: it does not watch the
+//! pool for writes. The owner of the derived values is responsible for
+//! calling [`SideCache::remove`] when it rewrites a page (the in-memory
+//! Gauss-tree does this on every node write) and [`SideCache::clear`] on
+//! cold starts. Its reads never touch the backing store, so a hit or miss
 //! has no effect on the pool's logical/physical access accounting.
 
 use crate::lru::LruCache;
@@ -23,45 +27,58 @@ use crate::page::PageId;
 use crate::sync::{LockRank, TrackedMutex};
 use std::sync::Arc;
 
-/// Number of independently locked shards (matches the shared pool).
+/// Largest number of independently locked shards (a power of two).
 const SHARD_COUNT: usize = 16;
 
-/// Sharded `PageId → Arc<T>` LRU cache for values derived from page bytes.
+/// One shard. `Option` payloads so eager removal can `mem::take` the `Arc`
+/// out of its slot (the LRU core hands freed slots back by index, not by
+/// value).
+type Shard<T> = LruCache<Option<Arc<T>>>;
+
+/// Sharded `PageId → Arc<T>` LRU cache.
 ///
 /// All operations take `&self`; see the [module docs](self) for the
 /// invalidation contract.
 #[derive(Debug)]
-pub struct SideCache<T> {
-    // `Option` payloads so eager removal can `mem::take` the `Arc` out of
-    // its slot (the LRU core hands freed slots back by index, not by value).
-    shards: Vec<TrackedMutex<LruCache<Option<Arc<T>>>>>,
+pub struct SideCache<T: ?Sized> {
+    shards: Vec<TrackedMutex<Shard<T>>>,
     shard_cap: usize,
 }
 
-impl<T> SideCache<T> {
-    /// Creates a cache holding at most (approximately) `capacity` values,
-    /// split across up to 16 shards (fewer for tiny capacities).
+impl<T: ?Sized> SideCache<T> {
+    /// Creates a cache of derived values holding at most (approximately)
+    /// `capacity` values, split across up to 16 shards (fewer for tiny
+    /// capacities).
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "side cache capacity must be positive");
+        Self::with_rank(capacity, LockRank::SideCache, "side-cache-shard")
+    }
+
+    /// [`SideCache::new`] with the shards at lock rank `rank`, named `name`
+    /// in lock-order panics.
+    pub(crate) fn with_rank(capacity: usize, rank: LockRank, name: &'static str) -> Self {
+        assert!(capacity > 0, "cache capacity must be positive");
+        // Halve the shard count (keeping it a power of two) until every
+        // shard holds at least one entry, so a deliberately tiny capacity —
+        // eviction-stress tests, paper configurations — is still honoured.
         let mut shard_count = SHARD_COUNT;
         while shard_count > capacity {
             shard_count /= 2;
         }
         Self {
             shards: (0..shard_count)
-                .map(|i| {
-                    TrackedMutex::new(LruCache::new(), LockRank::SideCache, i, "side-cache-shard")
-                })
+                .map(|i| TrackedMutex::new(LruCache::new(), rank, i, name))
                 .collect(),
             shard_cap: capacity / shard_count,
         }
     }
 
-    /// Maximum number of cached values across all shards.
+    /// Maximum number of cached values across all shards (never above the
+    /// requested capacity; at most `shards − 1` below it when the capacity
+    /// does not divide evenly).
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.shard_cap * self.shards.len()
@@ -79,7 +96,8 @@ impl<T> SideCache<T> {
         self.len() == 0
     }
 
-    fn shard_of(&self, id: PageId) -> &TrackedMutex<LruCache<Option<Arc<T>>>> {
+    fn shard_of(&self, id: PageId) -> &TrackedMutex<Shard<T>> {
+        // Fibonacci hash of the page id; the top bits select the shard.
         let h = id.index().wrapping_mul(0x9E37_79B9_7F4A_7C15);
         &self.shards[(h >> 60) as usize & (self.shards.len() - 1)]
     }
@@ -92,10 +110,11 @@ impl<T> SideCache<T> {
     }
 
     /// Installs (or replaces) the value for `id`, evicting the least
-    /// recently used entry of the owning shard when full.
-    pub fn insert(&self, id: PageId, value: Arc<T>) {
+    /// recently used entry of the owning shard when full. Returns `true`
+    /// iff an entry was evicted.
+    pub fn insert(&self, id: PageId, value: Arc<T>) -> bool {
         let mut shard = self.shard_of(id).lock();
-        let _ = shard.insert(id, Some(value), self.shard_cap);
+        shard.insert(id, Some(value), self.shard_cap)
     }
 
     /// Drops the value for `id`, if cached — the write-invalidation hook.

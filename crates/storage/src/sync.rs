@@ -1,27 +1,27 @@
 //! Rank-checked mutexes: the workspace's only sanctioned lock primitive.
 //!
-//! The concurrent core of this repo — the sharded [`crate::SharedBufferPool`],
-//! the [`crate::SideCache`], the bulk-load work queue and the batch executor's
-//! result slots — grew one mutex at a time, and nothing enforced a consistent
-//! acquisition order between them. [`TrackedMutex`] fixes that with a *static
-//! lock hierarchy*:
+//! Every lock the workspace takes is a storage lock — the page store behind
+//! a [`crate::SharedBufferPool`] or a forest backend, and the shards of a
+//! [`crate::SideCache`] (the pool keeps its frames in one). Threads that
+//! fan work out (the batch executor, the parallel bulk partitioner) hand
+//! results back through scoped join handles, not locks. [`TrackedMutex`]
+//! orders these locks with a *static lock hierarchy*:
 //!
 //! | rank | [`LockRank`]  | guards                                            |
 //! |-----:|---------------|---------------------------------------------------|
 //! | 0    | `Store`       | the backing [`crate::store::PageStore`]           |
-//! | 1    | `Shard`       | one buffer-pool cache shard (`seq` = shard index) |
+//! | 1    | `Shard`       | one buffer-pool frame shard (`seq` = shard index) |
 //! | 2    | `SideCache`   | one side-cache shard (`seq` = shard index)        |
-//! | 3    | `WorkQueue`   | the bulk-load partition queue                     |
-//! | 4    | `ResultSlot`  | executor/bulk-load output slots (`seq` = slot)    |
 //!
 //! A thread may only acquire a lock whose `(rank, seq)` pair is **strictly
 //! greater** than every lock it already holds. Equal ranks are ordered by
-//! `seq`, so a writer may hold many pool shards at once — but only by taking
-//! them in ascending shard order, and never after the side cache. Acquiring
-//! out of order (the classic shard-then-store inversion) panics immediately
-//! under `debug_assertions` or the `lock-tracking` feature, naming both
-//! acquisition sites; in release builds without the feature every check
-//! compiles away and [`TrackedMutex::lock`] is a plain `Mutex::lock`.
+//! `seq`, so a thread may hold many shards at once — but only by taking
+//! them in ascending shard order, and never a pool shard after a side-cache
+//! shard. Acquiring out of order (the classic shard-then-store inversion)
+//! panics immediately under `debug_assertions` or the `lock-tracking`
+//! feature, naming both acquisition sites; in release builds without the
+//! feature every check compiles away and [`TrackedMutex::lock`] is a plain
+//! `Mutex::lock`.
 //!
 //! Beyond the per-thread rank check, every nested acquisition feeds a global
 //! *lock-order graph* keyed by `(rank, seq, name)`: observing edge `A → B`
@@ -29,12 +29,13 @@
 //! if the two threads never actually deadlock in this run — the detector
 //! turns a probabilistic hang into a deterministic failure.
 //!
-//! Poisoning: every lock here guards either a pure cache (dropping the
-//! protected state is always safe) or scoped-thread state whose owning scope
-//! re-raises the worker's panic anyway, so [`TrackedMutex::lock`] recovers
-//! from [`PoisonError`](std::sync::PoisonError) instead of cascading a second panic out of every
-//! subsequent reader. A panicking query thread therefore cannot wedge the
-//! queries that follow it.
+//! Poisoning: every lock here guards either a cache (dropping or keeping
+//! its frames is always safe — a frame is installed whole or not at all) or
+//! a page store, whose operations report their own failures, so
+//! [`TrackedMutex::lock`] recovers from
+//! [`PoisonError`](std::sync::PoisonError) instead of cascading a second
+//! panic out of every subsequent reader. A panicking query thread
+//! therefore cannot wedge the queries that follow it.
 
 #[cfg(any(debug_assertions, feature = "lock-tracking"))]
 use std::cell::RefCell;
@@ -46,7 +47,7 @@ use std::ops::{Deref, DerefMut};
 use std::panic::Location;
 #[cfg(any(debug_assertions, feature = "lock-tracking"))]
 use std::sync::OnceLock;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Whether lock-order tracking is compiled into this build.
 ///
@@ -65,19 +66,15 @@ pub const LOCK_TRACKING: bool = cfg!(any(debug_assertions, feature = "lock-track
 pub enum LockRank {
     /// The backing page store — the outermost lock.
     Store = 0,
-    /// A buffer-pool cache shard.
+    /// A buffer-pool frame shard.
     Shard = 1,
-    /// A side-cache shard.
+    /// A side-cache shard — the innermost lock.
     SideCache = 2,
-    /// A work-distribution queue (bulk-load partitioning).
-    WorkQueue = 3,
-    /// A per-result output slot — the innermost lock.
-    ResultSlot = 4,
 }
 
 impl LockRank {
     fn as_u8(self) -> u8 {
-        // lint: allow(cast-truncation) -- discriminants are 0..=4, the cast is lossless
+        // lint: allow(cast-truncation) -- discriminants are 0..=2, the cast is lossless
         self as u8
     }
 }
@@ -88,8 +85,6 @@ impl fmt::Display for LockRank {
             LockRank::Store => "store",
             LockRank::Shard => "shard",
             LockRank::SideCache => "side-cache",
-            LockRank::WorkQueue => "work-queue",
-            LockRank::ResultSlot => "result-slot",
         };
         f.write_str(name)
     }
@@ -254,7 +249,7 @@ impl<T> TrackedMutex<T> {
         };
         let guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         TrackedGuard {
-            inner: Some(guard),
+            inner: guard,
             #[cfg(any(debug_assertions, feature = "lock-tracking"))]
             token,
         }
@@ -286,9 +281,7 @@ impl<T: fmt::Debug> fmt::Debug for TrackedMutex<T> {
 /// RAII guard returned by [`TrackedMutex::lock`]; releases the thread's
 /// hierarchy slot on drop. Guards may be dropped in any order.
 pub struct TrackedGuard<'a, T> {
-    // `Option` so `TrackedCondvar::wait` can move the raw guard out without
-    // running the release bookkeeping (the lock is re-acquired on wake).
-    inner: Option<MutexGuard<'a, T>>,
+    inner: MutexGuard<'a, T>,
     #[cfg(any(debug_assertions, feature = "lock-tracking"))]
     token: u64,
 }
@@ -297,85 +290,26 @@ impl<T> Deref for TrackedGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        self.inner
-            .as_ref()
-            .unwrap_or_else(|| unreachable!("guard taken only by TrackedCondvar::wait"))
+        &self.inner
     }
 }
 
 impl<T> DerefMut for TrackedGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner
-            .as_mut()
-            .unwrap_or_else(|| unreachable!("guard taken only by TrackedCondvar::wait"))
+        &mut self.inner
     }
 }
 
 impl<T> Drop for TrackedGuard<'_, T> {
     fn drop(&mut self) {
         #[cfg(any(debug_assertions, feature = "lock-tracking"))]
-        if self.inner.is_some() {
-            tracking::record_release(self.token);
-        }
+        tracking::record_release(self.token);
     }
 }
 
 impl<T: fmt::Debug> fmt::Debug for TrackedGuard<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_tuple("TrackedGuard").field(&self.inner).finish()
-    }
-}
-
-/// Companion condition variable for [`TrackedMutex`].
-///
-/// While a thread is parked in [`TrackedCondvar::wait`] the mutex is
-/// released by the OS but the thread's hierarchy slot is deliberately kept:
-/// on wake the lock is re-acquired at the same position, and a parked
-/// thread acquires nothing else in between, so the conservative accounting
-/// can never produce a false pass.
-#[derive(Debug, Default)]
-pub struct TrackedCondvar {
-    inner: Condvar,
-}
-
-impl TrackedCondvar {
-    /// A fresh condition variable.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Blocks until notified, atomically releasing and re-acquiring the
-    /// tracked lock; recovers from poison exactly like
-    /// [`TrackedMutex::lock`].
-    pub fn wait<'a, T>(&self, mut guard: TrackedGuard<'a, T>) -> TrackedGuard<'a, T> {
-        let raw = guard
-            .inner
-            .take()
-            .unwrap_or_else(|| unreachable!("wait consumes a live guard"));
-        #[cfg(any(debug_assertions, feature = "lock-tracking"))]
-        let token = guard.token;
-        // `guard.inner` is now `None`, so dropping it releases nothing and
-        // keeps the hierarchy slot for the re-acquired lock below. The
-        // workspace denies mem_forget; this is the one sanctioned use.
-        #[allow(clippy::mem_forget)]
-        std::mem::forget(guard);
-        let raw = self.inner.wait(raw).unwrap_or_else(PoisonError::into_inner);
-        TrackedGuard {
-            inner: Some(raw),
-            #[cfg(any(debug_assertions, feature = "lock-tracking"))]
-            token,
-        }
-    }
-
-    /// Wakes one waiter ([`Condvar::notify_one`]).
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wakes every waiter ([`Condvar::notify_all`]).
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
     }
 }
 
@@ -463,7 +397,7 @@ mod tests {
 
         #[test]
         fn self_reentry_panics_instead_of_deadlocking() {
-            let q = TrackedMutex::new(0u32, LockRank::WorkQueue, 0, "test-queue");
+            let q = TrackedMutex::new(0u32, LockRank::SideCache, 0, "test-cache");
             let msg = panic_message(|| {
                 let _a = q.lock();
                 let _b = q.lock();
@@ -503,33 +437,5 @@ mod tests {
         assert_eq!(*m.lock(), 7, "poison must not cascade");
         let m = std::sync::Arc::try_unwrap(m).expect("thread joined, sole owner");
         assert_eq!(m.into_inner(), 7, "into_inner recovers from poison too");
-    }
-
-    #[test]
-    fn condvar_roundtrip_keeps_tracking_consistent() {
-        use std::sync::Arc;
-        let pair = Arc::new((
-            TrackedMutex::new(false, LockRank::WorkQueue, 1, "test-cv-queue"),
-            TrackedCondvar::new(),
-        ));
-        let pair2 = Arc::clone(&pair);
-        let waiter = std::thread::spawn(move || {
-            let (lock, cv) = &*pair2;
-            let mut ready = lock.lock();
-            while !*ready {
-                ready = cv.wait(ready);
-            }
-            drop(ready);
-            // After the wait the stack must be balanced: an innermost lock
-            // is still acquirable.
-            let slot = TrackedMutex::new(1u32, LockRank::ResultSlot, 0, "test-cv-slot");
-            assert_eq!(*slot.lock(), 1);
-        });
-        {
-            let (lock, cv) = &*pair;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
-        waiter.join().expect("waiter must not panic");
     }
 }

@@ -11,7 +11,7 @@
 //! Run: `cargo run --release --example deduplication`
 
 use gausstree::pfv::Pfv;
-use gausstree::storage::{AccessStats, BufferPool, MemStore, DEFAULT_PAGE_SIZE};
+use gausstree::storage::{AccessStats, MemStore, SharedBufferPool, DEFAULT_PAGE_SIZE};
 use gausstree::tree::ReadView;
 use gausstree::tree::{GaussTree, TreeConfig};
 use gausstree::workloads::dataset::sample_standard_normal;
@@ -53,7 +53,7 @@ fn main() {
         .collect();
 
     // Each entity was ingested once through a random source system.
-    let pool = BufferPool::new(
+    let pool = SharedBufferPool::new(
         MemStore::new(DEFAULT_PAGE_SIZE),
         4096,
         AccessStats::new_shared(),

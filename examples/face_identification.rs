@@ -12,7 +12,7 @@
 
 use gausstree::baselines::euclidean_knn;
 use gausstree::pfv::Pfv;
-use gausstree::storage::{AccessStats, BufferPool, MemStore, DEFAULT_PAGE_SIZE};
+use gausstree::storage::{AccessStats, MemStore, SharedBufferPool, DEFAULT_PAGE_SIZE};
 use gausstree::tree::ReadView;
 use gausstree::tree::{GaussTree, TreeConfig};
 use gausstree::workloads::dataset::sample_standard_normal;
@@ -47,7 +47,7 @@ fn main() {
         })
         .collect();
 
-    let pool = BufferPool::new(
+    let pool = SharedBufferPool::new(
         MemStore::new(DEFAULT_PAGE_SIZE),
         4096,
         AccessStats::new_shared(),

@@ -4,7 +4,7 @@
 //! Run: `cargo run --release --example quickstart`
 
 use gausstree::pfv::Pfv;
-use gausstree::storage::{AccessStats, BufferPool, MemStore, DEFAULT_PAGE_SIZE};
+use gausstree::storage::{AccessStats, MemStore, SharedBufferPool, DEFAULT_PAGE_SIZE};
 use gausstree::tree::ReadView;
 use gausstree::tree::{GaussTree, TreeConfig};
 
@@ -22,7 +22,7 @@ fn main() {
 
     // The tree lives in fixed-size pages behind a buffer pool, so page
     // accesses can be measured exactly like in the paper's evaluation.
-    let pool = BufferPool::new(
+    let pool = SharedBufferPool::new(
         MemStore::new(DEFAULT_PAGE_SIZE),
         256,
         AccessStats::new_shared(),

@@ -14,7 +14,7 @@
 //! Run: `cargo run --release --example sensor_fusion`
 
 use gausstree::pfv::Pfv;
-use gausstree::storage::{AccessStats, BufferPool, FileStore, DEFAULT_PAGE_SIZE};
+use gausstree::storage::{AccessStats, FileStore, SharedBufferPool, DEFAULT_PAGE_SIZE};
 use gausstree::tree::ReadView;
 use gausstree::tree::{GaussTree, TreeConfig};
 use gausstree::workloads::dataset::sample_standard_normal;
@@ -51,7 +51,7 @@ fn main() {
             stations.push((id as u64, Pfv::new(means, sigmas).unwrap()));
         }
         let store = FileStore::create(&path, DEFAULT_PAGE_SIZE).unwrap();
-        let pool = BufferPool::new(store, 1024, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(store, 1024, AccessStats::new_shared());
         let tree = GaussTree::bulk_load(pool, TreeConfig::new(DIMS), stations).unwrap();
         println!(
             "persisted {} stations into {} ({} pages)",
@@ -64,7 +64,7 @@ fn main() {
     // Reopen from disk and identify an anonymous reading.
     {
         let store = FileStore::open(&path, DEFAULT_PAGE_SIZE).unwrap();
-        let pool = BufferPool::new(store, 1024, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(store, 1024, AccessStats::new_shared());
         let tree = GaussTree::open(pool).unwrap();
         println!(
             "reopened: {} stations, height {}, dims {}",

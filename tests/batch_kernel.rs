@@ -23,7 +23,7 @@ use gausstree::pfv::batch::{
     log_densities, log_densities_upper, screen_densities, ColumnarLeaf, FastScratch, LANE_WIDTH,
 };
 use gausstree::pfv::{combine, ColumnarRects, CombineMode, DimBounds, ParamRect, Pfv};
-use gausstree::storage::{AccessStats, BufferPool, MemStore, DEFAULT_PAGE_SIZE};
+use gausstree::storage::{AccessStats, MemStore, SharedBufferPool, DEFAULT_PAGE_SIZE};
 use gausstree::tree::ReadView;
 use gausstree::tree::{GaussTree, TreeConfig};
 use gausstree::workloads::{generate_queries, uniform_dataset, SigmaSpec};
@@ -381,7 +381,7 @@ fn tree_k_mliq_bit_identical_to_brute_force() {
     let dataset = uniform_dataset(5000, 10, sigma, 2006);
     let queries = generate_queries(&dataset, 24, SigmaSpec::uniform(0.01, 0.02), 14);
     for mode in MODES {
-        let pool = BufferPool::new(
+        let pool = SharedBufferPool::new(
             MemStore::new(DEFAULT_PAGE_SIZE),
             4096,
             AccessStats::new_shared(),
@@ -486,7 +486,7 @@ proptest! {
             let config = TreeConfig::new(db[0].dims())
                 .with_capacities(4, 3)
                 .with_combine(mode);
-            let pool = BufferPool::new(MemStore::new(4096), 4096, AccessStats::new_shared());
+            let pool = SharedBufferPool::new(MemStore::new(4096), 4096, AccessStats::new_shared());
             let mut tree = GaussTree::create(pool, config).unwrap();
             for (i, v) in db.iter().enumerate() {
                 tree.insert(i as u64, v).unwrap();

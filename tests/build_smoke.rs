@@ -7,7 +7,7 @@
 //! public surface would only be caught by `cargo build --examples`.
 
 use gausstree::pfv::Pfv;
-use gausstree::storage::{AccessStats, BufferPool, MemStore, DEFAULT_PAGE_SIZE};
+use gausstree::storage::{AccessStats, MemStore, SharedBufferPool, DEFAULT_PAGE_SIZE};
 use gausstree::tree::ReadView;
 use gausstree::tree::{GaussTree, TreeConfig};
 
@@ -27,7 +27,7 @@ fn quickstart_database() -> Vec<Pfv> {
 fn quickstart_flow_works_through_the_umbrella_crate() {
     let database = quickstart_database();
 
-    let pool = BufferPool::new(
+    let pool = SharedBufferPool::new(
         MemStore::new(DEFAULT_PAGE_SIZE),
         256,
         AccessStats::new_shared(),

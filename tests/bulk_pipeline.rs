@@ -10,14 +10,14 @@
 //! batch merges.
 
 use gausstree::pfv::Pfv;
-use gausstree::storage::{AccessStats, BufferPool, MemStore, PageId, PageStore};
+use gausstree::storage::{AccessStats, MemStore, PageId, PageStore, SharedBufferPool};
 use gausstree::tree::ReadView;
 use gausstree::tree::{BulkLoadOptions, GaussTree, SpillKind, TreeConfig};
 use gausstree::workloads::{uniform_dataset, SigmaSpec};
 use proptest::prelude::*;
 
-fn pool_with(page_size: usize) -> BufferPool<MemStore> {
-    BufferPool::new(MemStore::new(page_size), 4096, AccessStats::new_shared())
+fn pool_with(page_size: usize) -> SharedBufferPool<MemStore> {
+    SharedBufferPool::new(MemStore::new(page_size), 4096, AccessStats::new_shared())
 }
 
 /// Full byte image of a tree's store (every page, in order).

@@ -3,7 +3,7 @@
 //! and probability bounds — and the shared buffer pool's accounting must be
 //! independent of the thread count when the cache holds the whole tree.
 
-use gausstree::storage::{AccessStats, BufferPool, MemStore, DEFAULT_PAGE_SIZE};
+use gausstree::storage::{AccessStats, MemStore, SharedBufferPool, DEFAULT_PAGE_SIZE};
 use gausstree::tree::ReadView;
 use gausstree::tree::{GaussTree, TreeConfig};
 use gausstree::workloads::{generate_query_batch, uniform_dataset, SigmaSpec};
@@ -14,7 +14,7 @@ const THREADS: usize = 4;
 fn build_shared_tree(n: usize) -> (GaussTree<MemStore>, Vec<Pfv>) {
     let sigma = SigmaSpec::uniform(0.05, 0.3);
     let dataset = uniform_dataset(n, 3, sigma, 4242);
-    let pool = BufferPool::new(
+    let pool = SharedBufferPool::new(
         MemStore::new(DEFAULT_PAGE_SIZE),
         4096, // far larger than the tree: no evictions
         AccessStats::new_shared(),

@@ -21,8 +21,8 @@
 
 use gausstree::pfv::Pfv;
 use gausstree::storage::{
-    AccessStats, BufferPool, Durability, FaultStore, FileStore, KillMode, MemStore, PageId,
-    PageStore, StoreError,
+    AccessStats, Durability, FaultStore, FileStore, KillMode, MemStore, PageId, PageStore,
+    SharedBufferPool, StoreError,
 };
 use gausstree::tree::{
     BulkLoadOptions, GaussTree, LeafFormat, MliqResult, ReadView, SpillKind, TiqResult, TreeConfig,
@@ -128,7 +128,7 @@ impl Load {
     }
 
     fn run<S: PageStore>(&self, store: S) -> Result<GaussTree<S>, TreeError> {
-        let pool = BufferPool::new(store, 4096, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(store, 4096, AccessStats::new_shared());
         GaussTree::bulk_load_with(pool, self.config, self.data.clone(), &self.opts).map(|(t, _)| t)
     }
 }
@@ -151,7 +151,7 @@ fn kill_sweep(load: &Load, mode: KillMode) -> (u64, u64) {
     for n in 0..=total {
         let disk = SharedMem::new(load.page_size);
         drop(load.run(FaultStore::new(disk.clone(), n, mode)));
-        let pool = BufferPool::new(disk, 4096, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(disk, 4096, AccessStats::new_shared());
         match GaussTree::open(pool) {
             Ok(tree) => {
                 // The slot write is the load's last write: only a load that
@@ -227,7 +227,7 @@ fn file_backed_crashes_recover_through_real_reopen() {
         let store = FileStore::create(&path, 1024).unwrap();
         drop(load.run(FaultStore::new(store, n, KillMode::Tear)));
         let store = FileStore::open(&path, 1024).expect("crash file must reopen");
-        let pool = BufferPool::new(store, 4096, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(store, 4096, AccessStats::new_shared());
         match GaussTree::open(pool) {
             Err(TreeError::NotAGaussTree) => assert!(n < total, "the full load was refused"),
             Err(e) => panic!("file kill at {n}: {e}"),

@@ -3,14 +3,14 @@
 
 use gausstree::baselines::{euclidean_knn, PfvFile, Rect, XTree, XTreeConfig};
 use gausstree::pfv::{CombineMode, Pfv};
-use gausstree::storage::{AccessStats, BufferPool, MemStore, DEFAULT_PAGE_SIZE};
+use gausstree::storage::{AccessStats, MemStore, SharedBufferPool, DEFAULT_PAGE_SIZE};
 use gausstree::tree::ReadView;
 use gausstree::tree::{GaussTree, TreeConfig};
 use gausstree::workloads::metrics::{precision_recall_sweep, rank_of};
 use gausstree::workloads::{generate_queries, histogram_dataset, uniform_dataset, SigmaSpec};
 
-fn mem_pool(cap: usize) -> BufferPool<MemStore> {
-    BufferPool::new(
+fn mem_pool(cap: usize) -> SharedBufferPool<MemStore> {
+    SharedBufferPool::new(
         MemStore::new(DEFAULT_PAGE_SIZE),
         cap,
         AccessStats::new_shared(),

@@ -2,12 +2,14 @@
 //! must surface as typed errors, never as panics or silent wrong answers.
 
 use gausstree::pfv::Pfv;
-use gausstree::storage::{AccessStats, BufferPool, MemStore, PageId, PageStore, DEFAULT_PAGE_SIZE};
+use gausstree::storage::{
+    AccessStats, MemStore, PageId, PageStore, SharedBufferPool, DEFAULT_PAGE_SIZE,
+};
 use gausstree::tree::ReadView;
 use gausstree::tree::{GaussTree, TreeConfig, TreeError};
 
 fn build_small_tree() -> GaussTree<MemStore> {
-    let pool = BufferPool::new(
+    let pool = SharedBufferPool::new(
         MemStore::new(DEFAULT_PAGE_SIZE),
         256,
         AccessStats::new_shared(),
@@ -28,13 +30,17 @@ fn build_small_tree() -> GaussTree<MemStore> {
 fn corrupt_node_page_is_reported_not_panicked() {
     let tree = build_small_tree();
     let root = tree.root_page();
+    let q = Pfv::new(vec![1.0, 1.0], vec![0.2, 0.2]).unwrap();
+    // Warm both caches: the pool's frames and the decoded-node cache.
+    assert_eq!(tree.k_mliq(&q, 1).unwrap().len(), 1);
 
-    // Smash the root page with garbage through the raw store.
+    // Smash the root page with garbage through the raw store, then cold
+    // start. Clearing the pool alone would leave the decoded root warm and
+    // the query would never see the garbage.
     let garbage = vec![0xFFu8; DEFAULT_PAGE_SIZE];
     tree.pool().write(root, &garbage).unwrap();
-    tree.pool().clear_cache();
+    tree.cold_start();
 
-    let q = Pfv::new(vec![1.0, 1.0], vec![0.2, 0.2]).unwrap();
     match tree.k_mliq(&q, 1) {
         Err(TreeError::Codec(_)) | Err(TreeError::Corrupt(_)) => {}
         other => panic!("expected codec/corrupt error, got {other:?}"),
@@ -43,14 +49,9 @@ fn corrupt_node_page_is_reported_not_panicked() {
 
 #[test]
 fn zeroed_meta_page_rejected_on_open() {
-    let tree = build_small_tree();
-    let mut store = {
-        let GaussTree { .. } = &tree;
-        // Rebuild a store with a zeroed first page.
-        MemStore::new(DEFAULT_PAGE_SIZE)
-    };
+    let mut store = MemStore::new(DEFAULT_PAGE_SIZE);
     store.allocate().unwrap(); // page 0 stays zeroed
-    let pool = BufferPool::new(store, 16, AccessStats::new_shared());
+    let pool = SharedBufferPool::new(store, 16, AccessStats::new_shared());
     assert!(matches!(
         GaussTree::open(pool),
         Err(TreeError::NotAGaussTree)
@@ -86,7 +87,7 @@ fn nan_query_is_rejected_at_construction() {
 
 #[test]
 fn extreme_but_valid_values_do_not_break_queries() {
-    let pool = BufferPool::new(
+    let pool = SharedBufferPool::new(
         MemStore::new(DEFAULT_PAGE_SIZE),
         256,
         AccessStats::new_shared(),
@@ -123,7 +124,7 @@ fn page_id_out_of_range_from_raw_store() {
 #[test]
 fn stats_survive_heavy_churn() {
     let stats = AccessStats::new_shared();
-    let mut pool = BufferPool::new(MemStore::new(128), 2, stats.clone());
+    let pool = SharedBufferPool::new(MemStore::new(128), 2, stats.clone());
     let ids: Vec<PageId> = (0..20).map(|_| pool.allocate().unwrap()).collect();
     let buf = vec![7u8; 128];
     for &id in &ids {

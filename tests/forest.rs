@@ -26,7 +26,7 @@
 
 use gausstree::pfv::Pfv;
 use gausstree::storage::MemComponentStores;
-use gausstree::storage::{AccessStats, BufferPool, MemStore, PageStore};
+use gausstree::storage::{AccessStats, MemStore, PageStore, SharedBufferPool};
 use gausstree::tree::{ForestOptions, GaussForest, GaussTree, LeafFormat, ReadView, TreeConfig};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -97,7 +97,7 @@ fn run_ops(
 /// Bulk-loads the model's live set into a fresh single tree.
 fn reference_tree(model: &BTreeMap<u64, Pfv>, config: TreeConfig) -> GaussTree<MemStore> {
     let items: Vec<(u64, Pfv)> = model.iter().map(|(id, v)| (*id, v.clone())).collect();
-    let pool = BufferPool::new(MemStore::new(4096), 256, AccessStats::new_shared());
+    let pool = SharedBufferPool::new(MemStore::new(4096), 256, AccessStats::new_shared());
     GaussTree::bulk_load(pool, config, items).expect("reference bulk load")
 }
 

@@ -11,7 +11,7 @@
 
 use gausstree::pfv::Pfv;
 use gausstree::storage::{
-    AccessStats, BufferPool, Durability, MemComponentStores, MemStore, PageStore,
+    AccessStats, Durability, MemComponentStores, MemStore, PageStore, SharedBufferPool,
 };
 use gausstree::tree::{
     ForestOptions, ForestSnapshot, GaussForest, GaussTree, ReadView, TreeConfig,
@@ -165,7 +165,7 @@ fn snapshot_matches_quiesced_tree_bit_for_bit_under_racing_writer() {
         let mut items: Vec<(u64, Pfv)> = Vec::new();
         snap.for_each_entry(|id, v| items.push((id, v.clone())))
             .unwrap();
-        let pool = BufferPool::new(MemStore::new(1024), 1024, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(1024), 1024, AccessStats::new_shared());
         let reference = GaussTree::bulk_load(pool, *snap.config(), items).unwrap();
         assert!(reference.check_invariants(true).unwrap().is_empty());
         assert_eq!(reference.k_mliq(&q, 5).unwrap(), serial);

@@ -3,7 +3,9 @@
 //! query results.
 
 use gausstree::pfv::Pfv;
-use gausstree::storage::{AccessStats, BufferPool, FileStore, MemStore, PageId, DEFAULT_PAGE_SIZE};
+use gausstree::storage::{
+    AccessStats, FileStore, MemStore, PageId, SharedBufferPool, DEFAULT_PAGE_SIZE,
+};
 use gausstree::tree::ReadView;
 use gausstree::tree::{GaussTree, TreeConfig};
 
@@ -48,13 +50,13 @@ fn sample_items(n: u64, dims: usize) -> Vec<(u64, Pfv)> {
 /// Bulk-loads `items` into a fresh page file at `path`.
 fn build_file(path: &std::path::Path, items: Vec<(u64, Pfv)>, dims: usize) -> GaussTree<FileStore> {
     let store = FileStore::create(path, DEFAULT_PAGE_SIZE).unwrap();
-    let pool = BufferPool::new(store, 256, AccessStats::new_shared());
+    let pool = SharedBufferPool::new(store, 256, AccessStats::new_shared());
     GaussTree::bulk_load(pool, TreeConfig::new(dims), items).unwrap()
 }
 
 fn reopen(path: &std::path::Path) -> GaussTree<FileStore> {
     let store = FileStore::open(path, DEFAULT_PAGE_SIZE).unwrap();
-    let pool = BufferPool::new(store, 256, AccessStats::new_shared());
+    let pool = SharedBufferPool::new(store, 256, AccessStats::new_shared());
     GaussTree::open(pool).unwrap()
 }
 
@@ -117,7 +119,7 @@ fn mem_and_file_trees_agree() {
     let items = sample_items(300, 2);
     let q = Pfv::new(vec![0.5, 0.5], vec![0.3, 0.3]).unwrap();
 
-    let pool = BufferPool::new(
+    let pool = SharedBufferPool::new(
         MemStore::new(DEFAULT_PAGE_SIZE),
         256,
         AccessStats::new_shared(),
@@ -149,13 +151,13 @@ fn tiny_cache_still_correct() {
     let items = sample_items(500, 2);
     let q = Pfv::new(vec![3.0, -3.0], vec![0.2, 0.2]).unwrap();
 
-    let pool = BufferPool::new(
+    let pool = SharedBufferPool::new(
         MemStore::new(DEFAULT_PAGE_SIZE),
         4096,
         AccessStats::new_shared(),
     );
     let mut big = GaussTree::create(pool, TreeConfig::new(2)).unwrap();
-    let pool = BufferPool::new(
+    let pool = SharedBufferPool::new(
         MemStore::new(DEFAULT_PAGE_SIZE),
         2,
         AccessStats::new_shared(),

@@ -18,7 +18,7 @@
 //!   always brackets the original pre-rounding value.
 
 use gausstree::pfv::{combine, quant, CombineMode, Pfv};
-use gausstree::storage::{AccessStats, BufferPool, MemStore};
+use gausstree::storage::{AccessStats, MemStore, SharedBufferPool};
 use gausstree::tree::{GaussTree, LeafFormat, ReadView, TreeConfig};
 use gausstree::workloads::{generate_query_batch, uniform_dataset, SigmaSpec};
 use proptest::prelude::*;
@@ -89,7 +89,7 @@ fn build_tree(db: &[Pfv], mode: CombineMode, format: LeafFormat) -> GaussTree<Me
         .with_capacities(4, 3)
         .with_combine(mode)
         .with_leaf_format(format);
-    let pool = BufferPool::new(MemStore::new(4096), 4096, AccessStats::new_shared());
+    let pool = SharedBufferPool::new(MemStore::new(4096), 4096, AccessStats::new_shared());
     let mut tree = GaussTree::create(pool, config).unwrap();
     for (i, v) in db.iter().enumerate() {
         tree.insert(i as u64, v).unwrap();
@@ -167,7 +167,7 @@ fn quantised_format_reads_fewer_pages_for_identical_answers() {
     // Per format: pages allocated, physical reads of the cold workload,
     // and every answer as (id, density bits) / sorted TIQ ids.
     let run = |format: LeafFormat| {
-        let pool = BufferPool::new(MemStore::new(8192), 32, AccessStats::new_shared());
+        let pool = SharedBufferPool::new(MemStore::new(8192), 32, AccessStats::new_shared());
         let config = TreeConfig::new(dims).with_leaf_format(format);
         let tree = GaussTree::bulk_load(pool, config, stored.iter().cloned()).unwrap();
         tree.cold_start();

@@ -3,7 +3,7 @@
 //! arbitrary databases, queries, thresholds and combine modes.
 
 use gausstree::pfv::{self, CombineMode, Pfv};
-use gausstree::storage::{AccessStats, BufferPool, MemStore};
+use gausstree::storage::{AccessStats, MemStore, SharedBufferPool};
 use gausstree::tree::ReadView;
 use gausstree::tree::{GaussTree, TreeConfig};
 use proptest::prelude::*;
@@ -37,7 +37,7 @@ fn build_tree(db: &[Pfv], mode: CombineMode) -> GaussTree<MemStore> {
     let config = TreeConfig::new(db[0].dims())
         .with_capacities(4, 3)
         .with_combine(mode);
-    let pool = BufferPool::new(MemStore::new(4096), 4096, AccessStats::new_shared());
+    let pool = SharedBufferPool::new(MemStore::new(4096), 4096, AccessStats::new_shared());
     let mut tree = GaussTree::create(pool, config).unwrap();
     for (i, v) in db.iter().enumerate() {
         tree.insert(i as u64, v).unwrap();
