@@ -12,6 +12,9 @@
 //!   effectiveness experiment (Figure 6).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
 
 pub mod knn;
 pub mod rect;

@@ -79,6 +79,7 @@ impl<S: PageStore> PfvFile<S> {
     ///
     /// # Errors
     /// Storage errors, or a dimensionality mismatch between items.
+    #[expect(clippy::expect_used, reason = "in_page is far below u16::MAX")]
     pub fn build(
         pool: SharedBufferPool<S>,
         dims: usize,
@@ -103,7 +104,6 @@ impl<S: PageStore> PfvFile<S> {
                      pages: &mut Vec<PageId>|
          -> Result<(), ScanError> {
             let id = pool.allocate()?;
-            // lint: allow(no-panic) -- in_page is capped by the per-page entry capacity, far below u16::MAX
             buf[0..2].copy_from_slice(&u16::try_from(in_page).expect("fits").to_le_bytes());
             pool.write(id, buf)?;
             pages.push(id);
@@ -271,6 +271,7 @@ impl<S: PageStore> PfvFile<S> {
     ///
     /// # Errors
     /// Storage errors or dimensionality mismatch.
+    #[expect(clippy::expect_used, reason = "reached only with best.len() >= k > 0")]
     pub fn k_mliq(
         &mut self,
         q: &Pfv,
@@ -288,7 +289,6 @@ impl<S: PageStore> PfvFile<S> {
             let key = (FloatOrd(ld), Reverse(id));
             if best.len() < k {
                 best.push(Reverse(key));
-            // lint: allow(no-panic) -- the else branch runs only when best.len() >= k > 0
             } else if key > best.peek().expect("non-empty").0 {
                 best.pop();
                 best.push(Reverse(key));
@@ -308,6 +308,7 @@ impl<S: PageStore> PfvFile<S> {
     ///
     /// # Errors
     /// Storage errors or dimensionality mismatch.
+    #[expect(clippy::expect_used, reason = "reached only with best.len() >= k > 0")]
     pub fn k_mliq_with_probability(
         &mut self,
         q: &Pfv,
@@ -323,7 +324,6 @@ impl<S: PageStore> PfvFile<S> {
             let key = (FloatOrd(ld), Reverse(id));
             if best.len() < k {
                 best.push(Reverse(key));
-            // lint: allow(no-panic) -- guarded by k > 0 and best.len() >= k in the condition chain
             } else if k > 0 && key > best.peek().expect("non-empty").0 {
                 best.pop();
                 best.push(Reverse(key));

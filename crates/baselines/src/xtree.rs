@@ -350,6 +350,7 @@ impl<S: PageStore> XTree<S> {
     }
 
     /// Serialises `node` into the run (the run must be large enough).
+    #[expect(clippy::expect_used, reason = "run entry counts are below u16::MAX")]
     fn write_node(&mut self, run: RunRef, node: &XNode) -> Result<(), XTreeError> {
         let ps = self.pool.page_size();
         let mut bytes = vec![0u8; ps * run.pages as usize];
@@ -361,7 +362,6 @@ impl<S: PageStore> XTree<S> {
             };
             w.put_u8(kind);
             w.put_u16(run.pages);
-            // lint: allow(no-panic) -- entry counts are capped by the supernode run capacity, below u16::MAX
             w.put_u16(u16::try_from(count).expect("entry count fits u16"));
             for _ in 0..(RUN_HEADER - 5) {
                 w.put_u8(0);
@@ -543,12 +543,12 @@ impl<S: PageStore> XTree<S> {
         }
     }
 
+    #[expect(clippy::expect_used, reason = "page runs are far below u16::MAX")]
     fn pages_needed(&self, node: &XNode) -> u16 {
         let per = match node {
             XNode::Leaf(_) => self.leaf_per_page,
             XNode::Dir(_) => self.dir_per_page,
         };
-        // lint: allow(no-panic) -- page runs are capped by the supernode limit, far below u16::MAX
         u16::try_from(node.len().div_ceil(per).max(1)).expect("page run fits u16")
     }
 

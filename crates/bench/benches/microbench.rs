@@ -3,7 +3,6 @@
 //! Lemma-1 combination, node splits and the split objective's per-node
 //! cost, incremental insert, page decode (row form then transpose against
 //! straight to columns), and end-to-end k-MLIQ / TIQ on a mid-sized tree.
-#![allow(missing_docs)]
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use gauss_baselines::PfvFile;

@@ -29,7 +29,6 @@
 use gauss_bench::has_flag;
 use gauss_storage::{
     AccessStats, MemComponentStores, MemStore, PageStore, SharedBufferPool, DEFAULT_PAGE_SIZE,
-    LOCK_TRACKING,
 };
 use gauss_tree::{
     ForestOptions, GaussForest, GaussTree, LeafFormat, ReadView, TreeConfig, TreeOptions,
@@ -245,14 +244,6 @@ fn dump<S: PageStore>(
 }
 
 fn main() -> std::io::Result<()> {
-    // A release binary with the lock-order detector compiled in is not what
-    // anyone ships or times; refuse to stand in for one.
-    if LOCK_TRACKING && !cfg!(debug_assertions) {
-        return Err(std::io::Error::other(
-            "lock-order tracking is compiled into a build without debug_assertions \
-             (gauss_storage feature `lock-tracking`); rebuild without it",
-        ));
-    }
     let args: Vec<String> = std::env::args().collect();
     let quick = has_flag(&args, "--quick");
     let stdout = std::io::stdout();

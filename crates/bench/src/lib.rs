@@ -8,6 +8,9 @@
 //! including modelled I/O).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
 
 use gauss_baselines::{PfvFile, XTree, XTreeConfig};
 use gauss_storage::{AccessStats, DiskModel, MemStore, SharedBufferPool, DEFAULT_PAGE_SIZE};
@@ -96,13 +99,13 @@ pub const CACHE_BYTES: usize = 50 * 1024 * 1024;
 /// # Panics
 /// Panics on builder errors (in-memory store cannot fail).
 #[must_use]
+#[expect(clippy::expect_used, reason = "a broken fixture must abort loudly")]
 pub fn build_pfv_file(dataset: &Dataset) -> PfvFile<MemStore> {
     let pool = SharedBufferPool::with_byte_budget(
         MemStore::new(DEFAULT_PAGE_SIZE),
         CACHE_BYTES,
         AccessStats::new_shared(),
     );
-    // lint: allow(no-panic) -- bench fixture setup; a broken build must abort the benchmark loudly
     PfvFile::build(pool, dataset.dims(), dataset.items()).expect("pfv file build")
 }
 
@@ -111,13 +114,13 @@ pub fn build_pfv_file(dataset: &Dataset) -> PfvFile<MemStore> {
 /// # Panics
 /// Panics on builder errors.
 #[must_use]
+#[expect(clippy::expect_used, reason = "a broken fixture must abort loudly")]
 pub fn build_gauss_tree(dataset: &Dataset, config: TreeConfig) -> GaussTree<MemStore> {
     let pool = SharedBufferPool::with_byte_budget(
         MemStore::new(DEFAULT_PAGE_SIZE),
         CACHE_BYTES,
         AccessStats::new_shared(),
     );
-    // lint: allow(no-panic) -- bench fixture setup; a broken build must abort the benchmark loudly
     GaussTree::bulk_load(pool, config, dataset.items()).expect("gauss tree build")
 }
 
@@ -126,13 +129,13 @@ pub fn build_gauss_tree(dataset: &Dataset, config: TreeConfig) -> GaussTree<MemS
 /// # Panics
 /// Panics on builder errors.
 #[must_use]
+#[expect(clippy::expect_used, reason = "a broken fixture must abort loudly")]
 pub fn build_xtree(dataset: &Dataset, file: &mut PfvFile<MemStore>) -> XTree<MemStore> {
     let pool = SharedBufferPool::with_byte_budget(
         MemStore::new(DEFAULT_PAGE_SIZE),
         CACHE_BYTES,
         AccessStats::new_shared(),
     );
-    // lint: allow(no-panic) -- bench fixture setup; a broken build must abort the benchmark loudly
     XTree::build_from_file(pool, XTreeConfig::new(dataset.dims()), file).expect("xtree build")
 }
 

@@ -19,6 +19,9 @@
 //! Queries are written `means;sigmas` with comma-separated components.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
 
 mod args;
 mod commands;

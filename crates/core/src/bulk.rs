@@ -228,6 +228,7 @@ impl LeafCtx {
 /// every split is priced at the input's typical σ (see [`crate::split`]);
 /// without it at σ_q = 0, the baseline the page-count tests compare
 /// against.
+#[expect(clippy::expect_used, reason = "each builder thread filled its slot")]
 pub(crate) fn run<S: PageStore>(
     tree: &GaussTree<S>,
     items: impl IntoIterator<Item = (u64, Pfv)>,
@@ -299,7 +300,7 @@ pub(crate) fn run<S: PageStore>(
 
     // Stage 2+3: leaf level, allocated in one consecutive run up front, so
     // page ids do not depend on write order.
-    // lint: allow(no-panic) -- u64 entry count to usize; the documented assumption is a 64-bit build
+    #[expect(clippy::expect_used, reason = "a 64-bit build is assumed")]
     let n = usize::try_from(total).expect("entry count fits usize");
     // Packed: the fewest leaves that hold `n`, sized within one entry of
     // each other, so each is at least half full.
@@ -337,7 +338,6 @@ pub(crate) fn run<S: PageStore>(
     }
     let level: Vec<InnerEntry> = slots
         .into_iter()
-        // lint: allow(no-panic) -- the scope above joined every builder thread and each filled its own slot
         .map(|s| s.expect("every leaf slot filled"))
         .collect();
 
@@ -348,7 +348,7 @@ pub(crate) fn run<S: PageStore>(
 
 /// Partitions an in-memory range into its `n_groups` leaf groups (fanned
 /// across workers) and emits each group to its preassigned page.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the leaf recursion's state")]
 fn emit_leaf_groups<S: PageStore>(
     tree: &GaussTree<S>,
     emitter: &mut NodeEmitter,
@@ -377,7 +377,7 @@ fn emit_leaf_groups<S: PageStore>(
 
 /// The out-of-core leaf recursion: ranges within the budget load and run
 /// the (parallel) in-memory partitioner; larger ranges split externally.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the leaf recursion's state")]
 fn build_leaves_external<S: PageStore>(
     tree: &GaussTree<S>,
     emitter: &mut NodeEmitter,
@@ -389,7 +389,7 @@ fn build_leaves_external<S: PageStore>(
     slots: &mut [Option<InnerEntry>],
     report: &mut BulkLoadReport,
 ) -> Result<(), TreeError> {
-    // lint: allow(no-panic) -- u64 range length to usize; the documented assumption is a 64-bit build
+    #[expect(clippy::expect_used, reason = "a 64-bit build is assumed")]
     let len = usize::try_from(range.end - range.start).expect("range fits usize");
     if n_groups <= 1 || len <= ctx.budget {
         let entries = sp.decode_range(range)?;
@@ -443,7 +443,7 @@ fn external_split(
     split_at: usize,
     report: &mut BulkLoadReport,
 ) -> Result<(Range<u64>, Range<u64>), TreeError> {
-    // lint: allow(no-panic) -- u64 range length to usize; the documented assumption is a 64-bit build
+    #[expect(clippy::expect_used, reason = "a 64-bit build is assumed")]
     let n = usize::try_from(range.end - range.start).expect("range fits usize");
     assert!(
         u32::try_from(n).is_ok(),
@@ -496,7 +496,7 @@ fn external_split(
             best = Some((cost, a));
         }
     }
-    // lint: allow(no-panic) -- dims >= 1 is a TreeConfig invariant, so the candidate loop ran at least once
+    #[expect(clippy::expect_used, reason = "dims >= 1, so the loop ran once")]
     let (_, winner) = best.expect("at least one candidate axis");
 
     // Redistribute along the winning axis in stable sorted order.
@@ -544,7 +544,7 @@ fn build_upper_levels<S: PageStore>(
 
 /// Stable argsort: the permutation that stable-sorts `keys` ascending.
 fn stable_argsort(keys: &[f64]) -> Vec<u32> {
-    // lint: allow(no-panic) -- node fan-out is capped far below u32::MAX
+    #[expect(clippy::expect_used, reason = "node fan-out is far below u32::MAX")]
     let mut perm: Vec<u32> = (0..u32::try_from(keys.len()).expect("fits u32")).collect();
     perm.sort_by(|&a, &b| keys[a as usize].total_cmp(&keys[b as usize]));
     perm
@@ -610,13 +610,13 @@ impl SideRects {
         }
     }
 
+    #[expect(clippy::expect_used, reason = "the splitter never leaves it empty")]
     fn left_rect(&self) -> ParamRect {
-        // lint: allow(no-panic) -- the splitter only builds states with a non-empty left side
         ParamRect::from_dims(self.left.clone().expect("left side non-empty"))
     }
 
+    #[expect(clippy::expect_used, reason = "the splitter never leaves it empty")]
     fn right_rect(&self) -> ParamRect {
-        // lint: allow(no-panic) -- the splitter only builds states with a non-empty right side
         ParamRect::from_dims(self.right.clone().expect("right side non-empty"))
     }
 }
@@ -728,7 +728,7 @@ impl SpillFile {
     fn entry_bytes(&mut self, idx: u64) -> Result<&[u8], TreeError> {
         debug_assert!(idx < self.len);
         let pid = idx / self.per_page as u64;
-        // lint: allow(no-panic) -- idx % per_page < per_page which is a small usize
+        #[expect(clippy::expect_used, reason = "idx % per_page < per_page, a usize")]
         let off = usize::try_from(idx % self.per_page as u64).expect("offset fits") * self.stride;
         if pid == self.full_pages {
             return Ok(&self.tail[off..off + self.stride]);
@@ -743,6 +743,7 @@ impl SpillFile {
     }
 
     /// Copies entry `idx`'s feature columns into the scratch slices.
+    #[expect(clippy::expect_used, reason = "an 8-byte slice converts infallibly")]
     fn read_components(
         &mut self,
         idx: u64,
@@ -753,30 +754,27 @@ impl SpillFile {
         let bytes = self.entry_bytes(idx)?;
         for d in 0..dims {
             means[d] =
-                // lint: allow(no-panic) -- the 8-byte subslice makes the array conversion infallible
                 f64::from_le_bytes(bytes[8 + d * 8..16 + d * 8].try_into().expect("8 bytes"));
             let sb = 8 + dims * 8 + d * 8;
-            // lint: allow(no-panic) -- the 8-byte subslice makes the array conversion infallible
             sigmas[d] = f64::from_le_bytes(bytes[sb..sb + 8].try_into().expect("8 bytes"));
         }
         Ok(())
     }
 
+    #[expect(clippy::expect_used, reason = "an 8-byte slice converts infallibly")]
     fn decode_entry(&mut self, idx: u64) -> Result<LeafEntry, TreeError> {
         let dims = self.dims;
         let bytes = self.entry_bytes(idx)?;
-        // lint: allow(no-panic) -- the 8-byte subslice makes the array conversion infallible
+        #[expect(clippy::expect_used, reason = "an 8-byte slice converts infallibly")]
         let id = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
         let mut means = Vec::with_capacity(dims);
         let mut sigmas = Vec::with_capacity(dims);
         for d in 0..dims {
             means.push(f64::from_le_bytes(
-                // lint: allow(no-panic) -- the 8-byte subslice makes the array conversion infallible
                 bytes[8 + d * 8..16 + d * 8].try_into().expect("8 bytes"),
             ));
             let sb = 8 + dims * 8 + d * 8;
             sigmas.push(f64::from_le_bytes(
-                // lint: allow(no-panic) -- the 8-byte subslice makes the array conversion infallible
                 bytes[sb..sb + 8].try_into().expect("8 bytes"),
             ));
         }
@@ -784,9 +782,9 @@ impl SpillFile {
         Ok(LeafEntry { id, pfv })
     }
 
+    #[expect(clippy::expect_used, reason = "a 64-bit build is assumed")]
     fn decode_range(&mut self, range: Range<u64>) -> Result<Vec<LeafEntry>, TreeError> {
         let mut out =
-            // lint: allow(no-panic) -- u64 range length to usize; the documented assumption is a 64-bit build
             Vec::with_capacity(usize::try_from(range.end - range.start).expect("fits usize"));
         for idx in range {
             out.push(self.decode_entry(idx)?);
@@ -795,18 +793,17 @@ impl SpillFile {
     }
 
     /// The axis keys of a range, in run order — one sequential pass.
+    #[expect(clippy::expect_used, reason = "64-bit build; 8-byte slices convert")]
     fn axis_keys(&mut self, range: Range<u64>, axis: Axis) -> Result<Vec<f64>, TreeError> {
         let off = match axis {
             Axis::Mu(i) => 8 + i * 8,
             Axis::Sigma(i) => 8 + (self.dims + i) * 8,
         };
         let mut keys =
-            // lint: allow(no-panic) -- u64 range length to usize; the documented assumption is a 64-bit build
             Vec::with_capacity(usize::try_from(range.end - range.start).expect("fits usize"));
         for idx in range {
             let bytes = self.entry_bytes(idx)?;
             keys.push(f64::from_le_bytes(
-                // lint: allow(no-panic) -- the 8-byte subslice makes the array conversion infallible
                 bytes[off..off + 8].try_into().expect("8 bytes"),
             ));
         }
@@ -815,6 +812,7 @@ impl SpillFile {
 
     /// Covering rectangle of a range (for the widest-μ baseline's axis
     /// choice), folded in run order like `group_rect`.
+    #[expect(clippy::expect_used, reason = "the caller's range is non-empty")]
     fn range_rect(&mut self, range: Range<u64>) -> Result<ParamRect, TreeError> {
         let dims = self.dims;
         let mut means = vec![0.0f64; dims];
@@ -839,7 +837,6 @@ impl SpillFile {
                 }
             }
         }
-        // lint: allow(no-panic) -- the caller checked the range is non-empty, so ds was set in the loop
         Ok(ParamRect::from_dims(ds.expect("non-empty range")))
     }
 
@@ -847,6 +844,7 @@ impl SpillFile {
     /// run, gathering at most `window` entries at a time (each window's
     /// sources are visited in ascending index order, so the one-page cache
     /// turns the gather into near-sequential reads).
+    #[expect(clippy::expect_used, reason = "the gather loop filled every rank")]
     fn rewrite(
         &mut self,
         base: u64,
@@ -871,7 +869,6 @@ impl SpillFile {
             }
             report.observe_resident(chunk.len());
             for e in buf.drain(..) {
-                // lint: allow(no-panic) -- the gather loop above stored a value for every rank in the chunk
                 self.append(&e.expect("every rank gathered"))?;
             }
         }

@@ -255,7 +255,7 @@ impl<S: PageStore> Plane<'_, S> {
     }
 
     /// Returns `(subtree count, subtree rect)`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the recursion's state")]
     fn check_node(
         &self,
         page: PageId,

@@ -164,8 +164,8 @@ impl TreeConfig {
     /// Writes the persisted part of the configuration — dims, combine
     /// mode, split strategy, leaf format — as both commit payloads (tree
     /// meta, forest manifest) carry it. Capacities are not part of it.
+    #[expect(clippy::expect_used, reason = "dims are far below u32::MAX")]
     pub(crate) fn write_tags(&self, w: &mut Writer<'_>) {
-        // lint: allow(no-panic) -- dims are bounded by the page capacity asserts, far below u32::MAX
         w.put_u32(u32::try_from(self.dims).expect("dims fit u32"));
         w.put_u8(match self.combine {
             CombineMode::Convolution => 0,

@@ -247,7 +247,7 @@ impl<B: ComponentStores> GaussForest<B> {
             if tree.len() != mc.len || tree.config().dims != m.config.dims {
                 return Err(TreeError::Corrupt("component disagrees with manifest"));
             }
-            let mut ids = HashSet::with_capacity(mc.len as usize);
+            let mut ids = HashSet::with_capacity(usize::try_from(mc.len).unwrap_or(0));
             tree.for_each_entry(|id, _| {
                 ids.insert(id);
             })?;
@@ -275,7 +275,7 @@ impl<B: ComponentStores> GaussForest<B> {
             epoch: m.epoch,
             next_component_id: m.next_component_id,
             live,
-            memtable_capacity: m.memtable_capacity as usize,
+            memtable_capacity: usize::try_from(m.memtable_capacity).unwrap_or(usize::MAX),
             merge_factor: m.merge_factor as usize,
             durability: opts.durability,
             pool_frames: opts.pool_frames,
@@ -728,7 +728,7 @@ impl<S: PageStore> ForestSnapshot<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gauss_storage::MemComponentStores;
+    use gauss_storage::{MemComponentStores, PageId};
 
     fn v(seed: u64) -> Pfv {
         let x = (seed as f64 * 0.731).sin() * 10.0;
@@ -847,6 +847,39 @@ mod tests {
         // Manifest-persisted knobs survive the reopen.
         assert_eq!(f.memtable_capacity(), 8);
         assert_eq!(f.merge_factor(), 2);
+    }
+
+    #[test]
+    fn a_huge_len_the_manifest_agrees_with_is_refused() {
+        let disk = MemComponentStores::new(4096);
+        let config = TreeConfig::new(2).with_capacities(6, 4);
+        let opts = ForestOptions::new().memtable_capacity(8);
+        let mut f = GaussForest::create(disk.clone(), config, opts).unwrap();
+        for i in 0..8u64 {
+            f.insert(i, &v(i)).unwrap(); // the eighth insert flushes
+        }
+        drop(f);
+        let huge = 1u64 << 62;
+        // The component's one commit (epoch 1, slot page 1) and the
+        // manifest both claim `huge` entries, each behind a valid checksum.
+        let mut m = GaussForest::committed_manifest(&disk).unwrap().unwrap();
+        let mut store = disk.open_component(m.components[0].id).unwrap();
+        let mut slot = vec![0u8; 4096];
+        store.read_page(PageId(1), &mut slot).unwrap();
+        let len_at = commit::HEADER_BYTES + 8 + TreeConfig::TAG_BYTES + 4 + 4 + 8 + 4;
+        assert_eq!(slot[len_at..len_at + 8], 8u64.to_le_bytes());
+        slot[len_at..len_at + 8].copy_from_slice(&huge.to_le_bytes());
+        commit::seal(crate::tree::META_KIND, 1, &mut slot);
+        store.write_page(PageId(1), &slot).unwrap();
+        m.components[0].len = huge;
+        let mut image = m.encode();
+        commit::seal(MANIFEST_KIND, m.epoch, &mut image);
+        disk.write_manifest_slot(commit::slot_of(m.epoch), &image)
+            .unwrap();
+        assert!(matches!(
+            GaussForest::open(disk, ForestOptions::new()),
+            Err(TreeError::NotAGaussTree)
+        ));
     }
 
     #[test]

@@ -84,6 +84,10 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 /// Parallel out-of-core bulk loading.
 pub mod bulk;

@@ -260,12 +260,12 @@ impl Node {
     /// [`LeafFormat::Quantised`] — if a leaf value is not exactly
     /// `f32`-representable (ingest quantises every stored parameter, so
     /// this indicates in-memory corruption, not a data error).
+    #[expect(clippy::expect_used, reason = "entry counts are far below u16::MAX")]
     pub fn write_to(&self, dims: usize, format: LeafFormat, page: &mut [u8]) {
         let mut w = Writer::new(page);
         match self {
             Node::Leaf(es) if format == LeafFormat::Quantised => {
                 w.put_u8(KIND_LEAF_Q);
-                // lint: allow(no-panic) -- entry counts are capped by the node capacity, far below u16::MAX
                 w.put_u16(u16::try_from(es.len()).expect("node entry count fits u16"));
                 for _ in 0..(NODE_HEADER_BYTES - 3) {
                     w.put_u8(0);
@@ -283,7 +283,6 @@ impl Node {
             }
             Node::Leaf(es) => {
                 w.put_u8(KIND_LEAF);
-                // lint: allow(no-panic) -- entry counts are capped by the node capacity, far below u16::MAX
                 w.put_u16(u16::try_from(es.len()).expect("node entry count fits u16"));
                 for _ in 0..(NODE_HEADER_BYTES - 3) {
                     w.put_u8(0);
@@ -297,7 +296,6 @@ impl Node {
             }
             Node::Inner(es) => {
                 w.put_u8(KIND_INNER);
-                // lint: allow(no-panic) -- entry counts are capped by the node capacity, far below u16::MAX
                 w.put_u16(u16::try_from(es.len()).expect("node entry count fits u16"));
                 for _ in 0..(NODE_HEADER_BYTES - 3) {
                     w.put_u8(0);

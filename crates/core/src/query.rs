@@ -552,9 +552,10 @@ impl Frontier {
     /// `worst` (`NO_FLOOR` keeps everything). Unpriced children met on
     /// the way are priced exactly, and dropped below `worst`, by rules 1–3
     /// of the module docs.
-    // The negated tests are the rules as written: a NaN fails them and is
-    // priced, or kept.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    #[expect(
+        clippy::neg_cmp_op_on_partial_ord,
+        reason = "the negated tests are the rules as written: a NaN fails them and is priced, or kept"
+    )]
     pub(crate) fn next(&mut self, q: &Pfv, mode: CombineMode, worst: f64) -> Option<Pending> {
         while let Some(top) = self.heap.pop() {
             if worst > top.key {
@@ -872,7 +873,7 @@ impl<'a, S: PageStore> ViewPlane<'a, S> {
         if k == 0 || self.is_empty() {
             return Ok(Vec::new());
         }
-        let target = k.min(self.len() as usize);
+        let target = k.min(usize::try_from(self.len()).unwrap_or(usize::MAX));
         // Min-heap keeping the k best candidates.
         let mut best: BinaryHeap<Reverse<Candidate>> = BinaryHeap::new();
         for c in self.mem_objects(q) {
@@ -903,7 +904,7 @@ impl<'a, S: PageStore> ViewPlane<'a, S> {
         if k == 0 || self.is_empty() {
             return Ok(Vec::new());
         }
-        let target = k.min(self.len() as usize);
+        let target = k.min(usize::try_from(self.len()).unwrap_or(usize::MAX));
         let (mut search, objects) = DenomSearch::start(*self, q)?;
         let mut best: BinaryHeap<Reverse<Candidate>> = BinaryHeap::new();
         let mut best_ld = f64::NEG_INFINITY;

@@ -306,7 +306,7 @@ pub fn split_items<T: Splittable + Clone>(cost: &SplitCost, items: Vec<T>) -> Sp
             best = Some((c, axis, left, right));
         }
     }
-    // lint: allow(no-panic) -- the axis loop above ran at least once (dims >= 1)
+    #[expect(clippy::expect_used, reason = "the axis loop ran at least once")]
     let (_, axis, left, right) = best.expect("at least one candidate axis");
     SplitOutcome { axis, left, right }
 }
@@ -315,6 +315,7 @@ pub fn split_items<T: Splittable + Clone>(cost: &SplitCost, items: Vec<T>) -> Sp
 /// partitioner (in-memory, parallel, external) must share: all `2·dims`
 /// parameter axes for the cost-driven strategies, the single widest-μ axis
 /// (computed lazily from the covering rectangle) for the baseline.
+#[expect(clippy::expect_used, reason = "dims >= 1, so max_by sees an axis")]
 pub(crate) fn candidate_axes(
     strategy: SplitStrategy,
     dims: usize,
@@ -325,7 +326,6 @@ pub(crate) fn candidate_axes(
             let rect = whole_rect();
             let best = (0..dims)
                 .max_by(|&a, &b| rect.dim(a).mu_extent().total_cmp(&rect.dim(b).mu_extent()))
-                // lint: allow(no-panic) -- dims >= 1 is a TreeConfig invariant, so max_by sees at least one axis
                 .expect("dims >= 1");
             vec![Axis::Mu(best)]
         }
@@ -373,7 +373,7 @@ fn choose_partition_split<T: Splittable + Clone>(
     let mut best: Option<(f64, Vec<u32>)> = None;
     for axis in axes {
         let keys: Vec<f64> = items.iter().map(|it| it.axis_key(axis)).collect();
-        // lint: allow(no-panic) -- split groups are capped by node capacity, far below u32::MAX
+        #[expect(clippy::expect_used, reason = "groups are capped far below u32::MAX")]
         let mut perm: Vec<u32> = (0..u32::try_from(n).expect("group fits u32")).collect();
         // Stable argsort == stable sort of the items themselves.
         perm.sort_by(|&a, &b| keys[a as usize].total_cmp(&keys[b as usize]));
@@ -385,7 +385,7 @@ fn choose_partition_split<T: Splittable + Clone>(
             best = Some((c, perm));
         }
     }
-    // lint: allow(no-panic) -- the axis loop above ran at least once (dims >= 1)
+    #[expect(clippy::expect_used, reason = "the axis loop ran at least once")]
     let (_, perm) = best.expect("at least one candidate axis");
 
     // Move the items into the winning order (no clones).
@@ -393,7 +393,7 @@ fn choose_partition_split<T: Splittable + Clone>(
     let mut left = Vec::with_capacity(split_at);
     let mut right = Vec::with_capacity(n - split_at);
     for (i, &p) in perm.iter().enumerate() {
-        // lint: allow(no-panic) -- perm is a permutation, so each slot index occurs exactly once
+        #[expect(clippy::expect_used, reason = "perm moves each slot exactly once")]
         let it = slots[p as usize].take().expect("each index moved once");
         if i < split_at {
             left.push(it);

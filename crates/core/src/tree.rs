@@ -42,7 +42,7 @@ use std::collections::{BTreeMap, HashSet};
 /// A tree meta slot: magic "GTRE", format version 3 — the only version
 /// read or written. Versions 1 (a single unchecksummed meta page) and 2
 /// (no leaf-format byte) are refused like any other foreign header.
-const META_KIND: SlotKind = SlotKind {
+pub(crate) const META_KIND: SlotKind = SlotKind {
     magic: 0x4754_5245,
     version: 3,
 };
@@ -265,12 +265,17 @@ fn parse_meta(
     // Every referenced id must be in bounds *of the committed allocation*,
     // which itself must fit the store — a truncated file fails here with a
     // clean rejection instead of a decode error deep inside `read_node`.
-    if leaf_cap < 2
-        || inner_cap < 2
+    // The caps must fit a page of this store, and `len` the leaves the
+    // allocation could hold: both size allocations further on.
+    if !(2..=config.leaf_capacity(page_size)).contains(&leaf_cap)
+        || !(2..=config.inner_capacity(page_size)).contains(&inner_cap)
         || allocated <= META_PAGES
         || allocated > allocated_now
         || root.index() < META_PAGES
         || root.index() >= allocated
+        || (allocated - META_PAGES)
+            .checked_mul(leaf_cap as u64)
+            .is_none_or(|most| len > most)
     {
         return None;
     }
@@ -321,7 +326,7 @@ pub(crate) fn quantise_for(format: LeafFormat, v: &Pfv) -> Result<Option<Pfv>, T
         means.push(f64::from(mq));
         sigmas.push(f64::from(sq));
     }
-    // lint: allow(no-panic) -- quantised parameters are finite with σ at or above the floor
+    #[expect(clippy::expect_used, reason = "quantised parameters are valid pfv")]
     let q = Pfv::new(means, sigmas).expect("quantised parameters are valid");
     Ok(Some(q))
 }
@@ -514,15 +519,14 @@ impl<S: PageStore> GaussTree<S> {
     /// data barrier at `durability` over every node page, the slot write,
     /// a commit barrier. The free list is empty and no overflow chain is
     /// named, as meta format v3 spells it.
+    #[expect(clippy::expect_used, reason = "capacities are far below u32::MAX")]
     fn commit(&mut self, durability: Durability) -> Result<(), TreeError> {
         let epoch = self.epoch + 1;
         let mut page = vec![0u8; self.pool.page_size()];
         let mut w = Writer::new(&mut page[HEADER_BYTES..]);
         w.put_u64(self.pool.num_pages());
         self.config.write_tags(&mut w);
-        // lint: allow(no-panic) -- leaf capacity derives from the page size, far below u32::MAX
         w.put_u32(u32::try_from(self.leaf_cap).expect("leaf cap fits u32"));
-        // lint: allow(no-panic) -- node capacities derive from the page size, far below u32::MAX
         w.put_u32(u32::try_from(self.inner_cap).expect("inner cap fits u32"));
         w.put_u64(self.root.index());
         w.put_u32(self.height);
@@ -917,6 +921,7 @@ mod tests {
     const DIMS_AT: usize = ALLOCATED_AT + 8;
     const LEAF_CAP_AT: usize = DIMS_AT + TreeConfig::TAG_BYTES;
     const ROOT_AT: usize = LEAF_CAP_AT + 4 + 4;
+    const LEN_AT: usize = ROOT_AT + 8 + 4;
     const FREE_COUNT_AT: usize = META_BASE_BYTES - 8 - 4;
     const CHAIN_AT: usize = META_BASE_BYTES - 8;
 
@@ -1582,12 +1587,13 @@ mod tests {
             /// checking what it opened does not panic either.
             #[test]
             fn mutated_meta_slot_is_refused_or_equal(
-                (mutation, a, b, flips) in (0usize..5, 0usize..4096, 0u64..u64::MAX, 1usize..9)
+                (mutation, a, b, flips) in (0usize..6, 0usize..4096, 0u64..u64::MAX, 1usize..9)
             ) {
                 let clean = two_epoch_pages();
                 let mut pages = clean.clone();
                 let slot = &mut pages[0];
                 let mut names_chain = false;
+                let mut over_bound = false;
                 match mutation {
                     // 1–8 bit flips anywhere in the slot page.
                     0 => for k in 0..flips {
@@ -1607,10 +1613,36 @@ mod tests {
                         slot[FREE_COUNT_AT..FREE_COUNT_AT + 4].copy_from_slice(&count.to_le_bytes());
                         commit::seal(META_KIND, 2, slot);
                     }
+                    // A length or a capacity on either side of its bound,
+                    // checksum valid: `len` is bounded by the leaves the
+                    // allocation could hold, a capacity by one page.
+                    5 => {
+                        over_bound = b % 2 == 0;
+                        let step = 1 + (b >> 1) % 1000;
+                        if a % 3 == 0 {
+                            let allocated = u64::from_le_bytes(slot[ALLOCATED_AT..ALLOCATED_AT + 8].try_into().unwrap());
+                            let leaf_cap = u32::from_le_bytes(slot[LEAF_CAP_AT..LEAF_CAP_AT + 4].try_into().unwrap());
+                            let most = (allocated - META_PAGES) * u64::from(leaf_cap);
+                            let len = if over_bound { [most + step, 1 << 62, u64::MAX][a % 9 / 3] } else { most - step % (most + 1) };
+                            slot[LEN_AT..LEN_AT + 8].copy_from_slice(&len.to_le_bytes());
+                        } else {
+                            let config = TreeConfig::new(1);
+                            let (at, most) = if a % 3 == 1 {
+                                (LEAF_CAP_AT, config.leaf_capacity(1024))
+                            } else {
+                                (LEAF_CAP_AT + 4, config.inner_capacity(1024))
+                            };
+                            let most = u32::try_from(most).unwrap();
+                            let step = u32::try_from(step).unwrap();
+                            let cap = if over_bound { most + step } else { 2 + step % (most - 1) };
+                            slot[at..at + 4].copy_from_slice(&cap.to_le_bytes());
+                        }
+                        commit::seal(META_KIND, 2, slot);
+                    }
                     // Any other number of the payload, checksum valid.
                     _ => {
                         let at = [ALLOCATED_AT, DIMS_AT, LEAF_CAP_AT, LEAF_CAP_AT + 4, ROOT_AT,
-                            ROOT_AT + 8, ROOT_AT + 12, CHAIN_AT][a % 8];
+                            ROOT_AT + 8, LEN_AT, CHAIN_AT][a % 8];
                         let v = [u64::MAX, u64::from(u32::MAX), 0, b][b as usize % 4];
                         let width = if at == DIMS_AT || at == LEAF_CAP_AT || at == LEAF_CAP_AT + 4 { 4 } else { 8 };
                         names_chain = at == CHAIN_AT && v != u64::MAX;
@@ -1630,10 +1662,11 @@ mod tests {
                     }
                     Ok(t) => {
                         prop_assert_eq!(t.epoch(), 2);
+                        prop_assert!(!over_bound, "a number past its bound was taken");
                         // Only a resealed payload can differ and still be
                         // taken at its word.
-                        prop_assert!(!damaged || mutation == 4);
-                        prop_assert!(mutation == 4 || t.len() == 30);
+                        prop_assert!(!damaged || mutation >= 4);
+                        prop_assert!(mutation >= 4 || t.len() == 30);
                         // What it says may be wrong, but checking it must
                         // not panic; the intact commit checks clean.
                         let checked = t.check_invariants(false);

@@ -176,7 +176,6 @@ impl LnFold {
     #[inline]
     pub(crate) fn ln(&self, l: usize) -> f64 {
         // Both operands are integers far below 2⁵³: the difference is exact.
-        #[allow(clippy::cast_precision_loss)]
         let exp = self.exp[l] as f64 - (1023 * self.folded) as f64;
         self.mant[l].ln() + LN_2 * exp
     }
@@ -271,7 +270,6 @@ impl ColumnarLeaf {
         }
         // Peak bounds, a lane block at a time: Σ_d ln σ through one `ln`
         // per entry.
-        #[allow(clippy::cast_precision_loss)] // dims is a small page fan-in
         let norm_base = dims as f64 * (PEAK_SLACK_PER_DIM - LN_SQRT_2PI);
         for (base, norm) in (0..stride)
             .step_by(LANE_WIDTH)
@@ -392,6 +390,7 @@ impl ColumnarLeaf {
     /// # Panics
     /// Panics if `e >= self.len()`.
     #[must_use]
+    #[expect(clippy::expect_used, reason = "the leaf holds only validated pfv")]
     pub fn pfv(&self, e: usize) -> Pfv {
         assert!(e < self.len, "entry index out of range");
         let means: Vec<f64> = (0..self.dims)
@@ -400,7 +399,6 @@ impl ColumnarLeaf {
         let sigmas: Vec<f64> = (0..self.dims)
             .map(|d| self.sigma()[d * self.stride + e])
             .collect();
-        // lint: allow(no-panic) -- the columnar leaf was built from Pfvs validated at insertion
         Pfv::new(means, sigmas).expect("columnar leaf holds valid pfv")
     }
 }
@@ -556,7 +554,6 @@ impl Slack {
 
     /// `ρ = (d + c)·2u`.
     fn with_roundings(dims: usize, c: f64) -> Self {
-        #[allow(clippy::cast_precision_loss)] // dims is a small page fan-in
         let d = dims as f64;
         let rel = (d + c) * f64::EPSILON;
         Self {
@@ -661,7 +658,6 @@ fn screen<const CONVOLUTION: bool>(
         leaf.sigma()
     };
     let ln_scale = if CONVOLUTION { 0.5 } else { 1.0 };
-    #[allow(clippy::cast_precision_loss)] // dims is a small page fan-in
     let norm_base = -(leaf.dims as f64) * LN_SQRT_2PI;
     let slack = Slack::new(leaf.dims);
     let mut all_below = true;

@@ -273,7 +273,7 @@ impl ParamRect {
     /// Panics if `vs` is empty or dimensionalities differ.
     #[must_use]
     pub fn covering<'a>(mut vs: impl Iterator<Item = &'a Pfv>) -> Self {
-        // lint: allow(no-panic) -- documented # Panics contract: covering() requires a non-empty iterator
+        #[expect(clippy::expect_used, reason = "documented: needs a non-empty iterator")]
         let first = vs.next().expect("covering() needs at least one pfv");
         let mut rect = Self::from_pfv(first);
         for v in vs {

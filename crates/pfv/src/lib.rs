@@ -39,6 +39,11 @@
 //! for small dimensionalities.
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 /// Columnar leaf layout with batched density kernels.
 pub mod batch;

@@ -187,7 +187,7 @@ impl ScaledSum {
 
     /// Adds `count · exp(l)` (log value `l`, multiplicity `count`).
     pub fn add(&mut self, l: f64, count: f64) {
-        // lint: allow(float-eq) -- exact sentinel (-inf = empty term) and exact zero count
+        // Exact sentinel (-inf = empty term) and exact zero count.
         if l == f64::NEG_INFINITY || count == 0.0 {
             return;
         }
@@ -199,7 +199,7 @@ impl ScaledSum {
 
     /// Subtracts `count · exp(l)`.
     pub fn sub(&mut self, l: f64, count: f64) {
-        // lint: allow(float-eq) -- exact sentinel (-inf = empty term) and exact zero count
+        // Exact sentinel (-inf = empty term) and exact zero count.
         if l == f64::NEG_INFINITY || count == 0.0 {
             return;
         }
@@ -220,7 +220,7 @@ impl ScaledSum {
     #[must_use]
     pub fn log_value(&self) -> f64 {
         let s = self.scaled_value();
-        // lint: allow(float-eq) -- scaled_value clamps at exactly 0.0; this tests the clamp
+        // scaled_value clamps at exactly 0.0; this tests the clamp.
         if s == 0.0 {
             f64::NEG_INFINITY
         } else {
@@ -242,7 +242,7 @@ impl ScaledSum {
             return f64::NEG_INFINITY;
         }
         let s = (self.sum + self.comp + Self::ERR_COEFF * self.mag).max(0.0);
-        // lint: allow(float-eq) -- the max(0.0) clamp yields exactly 0.0
+        // The max(0.0) clamp yields exactly 0.0.
         if s == 0.0 {
             f64::NEG_INFINITY
         } else {
@@ -258,7 +258,7 @@ impl ScaledSum {
             return f64::NEG_INFINITY;
         }
         let s = (self.sum + self.comp - Self::ERR_COEFF * self.mag).max(0.0);
-        // lint: allow(float-eq) -- the max(0.0) clamp yields exactly 0.0
+        // The max(0.0) clamp yields exactly 0.0.
         if s == 0.0 {
             f64::NEG_INFINITY
         } else {

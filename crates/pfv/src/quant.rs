@@ -17,10 +17,9 @@
 //! from below — the property test `quantised leaves never prune a true
 //! result` is stated against exactly these bounds.
 //!
-//! Every `as f32` cast in the workspace lives in this module; the
-//! helpers validate their result (`None` on overflow, σ bumped back above
-//! [`MIN_SIGMA`]) so gauss-lint's `cast-truncation` rule can exempt this
-//! file instead of requiring per-site allows.
+//! Every `as f32` cast in the workspace lives in this module, each one
+//! expecting `clippy::cast_possible_truncation`; the helpers validate
+//! their result (`None` on overflow, σ bumped back above [`MIN_SIGMA`]).
 
 use crate::hull::DimBounds;
 use crate::MIN_SIGMA;
@@ -32,6 +31,7 @@ use crate::MIN_SIGMA;
 /// as a range error rather than storing an unusable parameter.
 #[must_use]
 pub fn quantise_mu(m: f64) -> Option<f32> {
+    #[expect(clippy::cast_possible_truncation, reason = "quantising is the point")]
     let q = m as f32;
     q.is_finite().then_some(q)
 }
@@ -46,6 +46,7 @@ pub fn quantise_mu(m: f64) -> Option<f32> {
 /// below the floor's half-ulp deficit).
 #[must_use]
 pub fn quantise_sigma(s: f64) -> Option<f32> {
+    #[expect(clippy::cast_possible_truncation, reason = "quantising is the point")]
     let mut q = s as f32;
     if !q.is_finite() {
         return None;
@@ -64,6 +65,7 @@ pub fn quantise_sigma(s: f64) -> Option<f32> {
 /// indicates a corrupted in-memory node, not a data error.
 #[must_use]
 pub fn to_f32_exact(x: f64) -> f32 {
+    #[expect(clippy::cast_possible_truncation, reason = "quantising is the point")]
     let q = x as f32;
     assert!(
         f64::from(q).to_bits() == x.to_bits(),
@@ -78,6 +80,7 @@ pub fn to_f32_exact(x: f64) -> f32 {
 /// satisfy this; the invariant checker verifies it leaf by leaf.
 #[must_use]
 pub fn is_f32_exact(x: f64) -> bool {
+    #[expect(clippy::cast_possible_truncation, reason = "quantising is the point")]
     let q = x as f32;
     f64::from(q).to_bits() == x.to_bits()
 }

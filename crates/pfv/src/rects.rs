@@ -310,7 +310,6 @@ impl ColumnarRects {
             (blocks(SIGMA_LO), blocks(SIGMA_HI))
         };
         let ln_scale = if CONVOLUTION { 0.5 } else { 1.0 };
-        #[allow(clippy::cast_precision_loss)] // dims is a small page fan-in
         let norm_base = -(self.dims as f64) * LN_SQRT_2PI;
         let slack = Slack::hull(self.dims);
         let per_dim = self.stride / LANE_WIDTH;

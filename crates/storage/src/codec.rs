@@ -149,6 +149,12 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes as an array.
+    #[expect(clippy::expect_used, reason = "take(N) returns exactly N bytes")]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ShortBuffer> {
+        Ok(self.take(N)?.try_into().expect("N bytes"))
+    }
+
     /// Reads a `u8`.
     ///
     /// # Errors
@@ -162,8 +168,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     /// [`ShortBuffer`] if the buffer is exhausted.
     pub fn get_u16(&mut self) -> Result<u16, ShortBuffer> {
-        // lint: allow(no-panic) -- take(2) returned exactly 2 bytes; the array conversion is infallible
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        self.array().map(u16::from_le_bytes)
     }
 
     /// Reads a `u32`.
@@ -171,8 +176,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     /// [`ShortBuffer`] if the buffer is exhausted.
     pub fn get_u32(&mut self) -> Result<u32, ShortBuffer> {
-        // lint: allow(no-panic) -- take(4) returned exactly 4 bytes; the array conversion is infallible
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Reads a `u64`.
@@ -180,8 +184,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     /// [`ShortBuffer`] if the buffer is exhausted.
     pub fn get_u64(&mut self) -> Result<u64, ShortBuffer> {
-        // lint: allow(no-panic) -- take(8) returned exactly 8 bytes; the array conversion is infallible
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Reads an `f64`.
@@ -189,8 +192,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     /// [`ShortBuffer`] if the buffer is exhausted.
     pub fn get_f64(&mut self) -> Result<f64, ShortBuffer> {
-        // lint: allow(no-panic) -- take(8) returned exactly 8 bytes; the array conversion is infallible
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(f64::from_le_bytes)
     }
 
     /// Reads `n` `f64`s into a fresh vector.

@@ -146,7 +146,7 @@ impl SharedMemStore {
     }
 
     fn check(pages: &[Box<[u8]>], id: PageId) -> Result<usize, StoreError> {
-        let idx = id.index() as usize;
+        let idx = usize::try_from(id.index()).unwrap_or(usize::MAX);
         if !id.is_valid() || idx >= pages.len() {
             return Err(StoreError::PageOutOfRange {
                 page: id,

@@ -35,12 +35,15 @@
 //!
 //! Concurrency discipline: every mutex in the workspace is a storage lock —
 //! a page store or a cache shard — and a [`sync::TrackedMutex`] carrying a
-//! static [`sync::LockRank`]; under
-//! `debug_assertions` or the `lock-tracking` feature a rank inversion or
+//! static [`sync::LockRank`]; under `debug_assertions` a rank inversion or
 //! lock-order cycle panics immediately with both acquisition sites named,
-//! and in plain release builds the checks compile away (see [`sync`]).
+//! and in release builds the checks compile away (see [`sync`]).
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 /// Little-endian page (de)serialization primitives.
 pub mod codec;

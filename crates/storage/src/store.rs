@@ -171,7 +171,7 @@ impl MemStore {
     }
 
     fn check(&self, id: PageId) -> Result<usize, StoreError> {
-        let idx = id.index() as usize;
+        let idx = usize::try_from(id.index()).unwrap_or(usize::MAX);
         if !id.is_valid() || idx >= self.pages.len() {
             return Err(StoreError::PageOutOfRange {
                 page: id,
@@ -311,12 +311,12 @@ impl PageStore for FileStore {
         // loader's memory budget).
         const ZERO_CHUNK_BYTES: usize = 1 << 20;
         let pages_per_chunk = (ZERO_CHUNK_BYTES / self.page_size).max(1) as u64;
-        // lint: allow(no-panic) -- chunk_pages <= pages_per_chunk <= 2^20, well inside usize
+        #[expect(clippy::expect_used, reason = "a chunk is at most 2^20 pages")]
         let chunk_pages = usize::try_from(pages_per_chunk.min(n)).expect("chunk fits usize");
         let zeros = vec![0u8; self.page_size * chunk_pages];
         let mut remaining = n;
         while remaining > 0 {
-            // lint: allow(no-panic) -- bounded by pages_per_chunk <= 2^20, well inside usize
+            #[expect(clippy::expect_used, reason = "a chunk is at most 2^20 pages")]
             let k = usize::try_from(remaining.min(pages_per_chunk)).expect("chunk fits usize");
             self.file.write_all(&zeros[..self.page_size * k])?;
             remaining -= k as u64;

@@ -18,10 +18,9 @@
 //! `seq`, so a thread may hold many shards at once — but only by taking
 //! them in ascending shard order, and never a pool shard after a side-cache
 //! shard. Acquiring out of order (the classic shard-then-store inversion)
-//! panics immediately under `debug_assertions` or the `lock-tracking`
-//! feature, naming both acquisition sites; in release builds without the
-//! feature every check compiles away and [`TrackedMutex::lock`] is a plain
-//! `Mutex::lock`.
+//! panics immediately under `debug_assertions`, naming both acquisition
+//! sites; in release builds every check compiles away and
+//! [`TrackedMutex::lock`] is a plain `Mutex::lock`.
 //!
 //! Beyond the per-thread rank check, every nested acquisition feeds a global
 //! *lock-order graph* keyed by `(rank, seq, name)`: observing edge `A → B`
@@ -37,24 +36,24 @@
 //! panic out of every subsequent reader. A panicking query thread
 //! therefore cannot wedge the queries that follow it.
 
-#[cfg(any(debug_assertions, feature = "lock-tracking"))]
+#![expect(clippy::disallowed_types, reason = "this module wraps std's Mutex")]
+
+#[cfg(debug_assertions)]
 use std::cell::RefCell;
-#[cfg(any(debug_assertions, feature = "lock-tracking"))]
+#[cfg(debug_assertions)]
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-#[cfg(any(debug_assertions, feature = "lock-tracking"))]
+#[cfg(debug_assertions)]
 use std::panic::Location;
-#[cfg(any(debug_assertions, feature = "lock-tracking"))]
+#[cfg(debug_assertions)]
 use std::sync::OnceLock;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Whether lock-order tracking is compiled into this build.
 ///
-/// `true` under `debug_assertions` or the `lock-tracking` feature; release
-/// builds must report `false` (the `answer_bits` binary CI runs refuses to
-/// start otherwise).
-pub const LOCK_TRACKING: bool = cfg!(any(debug_assertions, feature = "lock-tracking"));
+/// `true` exactly when `debug_assertions` are on.
+pub const LOCK_TRACKING: bool = cfg!(debug_assertions);
 
 /// Static acquisition rank of a [`TrackedMutex`], outermost first.
 ///
@@ -74,7 +73,6 @@ pub enum LockRank {
 
 impl LockRank {
     fn as_u8(self) -> u8 {
-        // lint: allow(cast-truncation) -- discriminants are 0..=2, the cast is lossless
         self as u8
     }
 }
@@ -108,7 +106,7 @@ impl fmt::Display for LockKey {
     }
 }
 
-#[cfg(any(debug_assertions, feature = "lock-tracking"))]
+#[cfg(debug_assertions)]
 mod tracking {
     use super::{HashMap, Location, LockKey, Mutex, OnceLock, RefCell};
 
@@ -140,12 +138,12 @@ mod tracking {
     /// Panics (the whole point) when `key` is not strictly above every lock
     /// this thread already holds, or when the global graph has already seen
     /// the opposite ordering of the same pair on any thread.
+    #[expect(clippy::panic, reason = "the detector panics on inversion or cycle")]
     pub(super) fn check_acquire(key: LockKey, site: &'static Location<'static>) {
         HELD.with(|held| {
             let held = held.borrow();
             for h in held.iter() {
                 if (key.rank, key.seq) <= (h.key.rank, h.key.seq) {
-                    // lint: allow(no-panic) -- the detector's contract is to panic on inversion
                     panic!(
                         "lock-order violation: acquiring {key} at {site} while \
                          holding {held_key} acquired at {held_site}; locks must be \
@@ -164,7 +162,6 @@ mod tracking {
                     .lock()
                     .unwrap_or_else(super::PoisonError::into_inner);
                 if let Some(&(rev_held_site, rev_acq_site)) = graph.get(&(key, innermost.key)) {
-                    // lint: allow(no-panic) -- the detector's contract is to panic on a cycle
                     panic!(
                         "lock-order cycle: acquiring {key} at {site} while holding \
                          {held_key} (acquired at {held_site}), but the opposite \
@@ -238,7 +235,7 @@ impl<T> TrackedMutex<T> {
     /// hierarchy — the message names this site and the conflicting one.
     #[track_caller]
     pub fn lock(&self) -> TrackedGuard<'_, T> {
-        #[cfg(any(debug_assertions, feature = "lock-tracking"))]
+        #[cfg(debug_assertions)]
         let token = {
             let site = Location::caller();
             tracking::check_acquire(self.key, site);
@@ -250,7 +247,7 @@ impl<T> TrackedMutex<T> {
         let guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         TrackedGuard {
             inner: guard,
-            #[cfg(any(debug_assertions, feature = "lock-tracking"))]
+            #[cfg(debug_assertions)]
             token,
         }
     }
@@ -282,7 +279,7 @@ impl<T: fmt::Debug> fmt::Debug for TrackedMutex<T> {
 /// hierarchy slot on drop. Guards may be dropped in any order.
 pub struct TrackedGuard<'a, T> {
     inner: MutexGuard<'a, T>,
-    #[cfg(any(debug_assertions, feature = "lock-tracking"))]
+    #[cfg(debug_assertions)]
     token: u64,
 }
 
@@ -302,7 +299,7 @@ impl<T> DerefMut for TrackedGuard<'_, T> {
 
 impl<T> Drop for TrackedGuard<'_, T> {
     fn drop(&mut self) {
-        #[cfg(any(debug_assertions, feature = "lock-tracking"))]
+        #[cfg(debug_assertions)]
         tracking::record_release(self.token);
     }
 }
@@ -356,7 +353,7 @@ mod tests {
         drop(shard.lock());
     }
 
-    #[cfg(any(debug_assertions, feature = "lock-tracking"))]
+    #[cfg(debug_assertions)]
     mod tracking_on {
         use super::*;
         use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -1,8 +1,8 @@
 //! Integration tests for the lock-order detector and poison recovery.
 //!
 //! The inversion tests only observe panics when tracking is compiled in
-//! (`debug_assertions` or the `lock-tracking` feature); they are no-ops in
-//! a plain release build, where the detector is a zero-cost passthrough.
+//! (`debug_assertions`); they are no-ops in a release build, where the
+//! detector is a zero-cost passthrough.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};

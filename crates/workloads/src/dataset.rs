@@ -210,6 +210,7 @@ impl Dataset {
 /// σ values are drawn from `sigma` independently per object and dimension,
 /// exactly as the paper attaches "randomly generated standard deviations".
 #[must_use]
+#[expect(clippy::expect_used, reason = "the generator draws positive sigmas")]
 pub fn histogram_dataset(n: usize, dims: usize, sigma: SigmaSpec, seed: u64) -> Dataset {
     assert!(dims >= 2, "histograms need at least 2 bins");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -253,7 +254,6 @@ pub fn histogram_dataset(n: usize, dims: usize, sigma: SigmaSpec, seed: u64) -> 
             let total: f64 = means.iter().sum();
             means.iter_mut().for_each(|m| *m /= total);
             let sigmas = sigma.draw_object_for(&mut rng, &means);
-            // lint: allow(no-panic) -- the generator draws strictly positive sigmas, so Pfv::new accepts
             Pfv::new(means, sigmas).expect("generated pfv is valid")
         })
         .collect();
@@ -266,13 +266,13 @@ pub fn histogram_dataset(n: usize, dims: usize, sigma: SigmaSpec, seed: u64) -> 
 /// Data set 2: `n` uniformly distributed vectors in `[0, 1]^dims` with
 /// random σ.
 #[must_use]
+#[expect(clippy::expect_used, reason = "the generator draws positive sigmas")]
 pub fn uniform_dataset(n: usize, dims: usize, sigma: SigmaSpec, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
     let objects = (0..n)
         .map(|_| {
             let means: Vec<f64> = (0..dims).map(|_| rng.random::<f64>()).collect();
             let sigmas = sigma.draw_object_for(&mut rng, &means);
-            // lint: allow(no-panic) -- the generator draws strictly positive sigmas, so Pfv::new accepts
             Pfv::new(means, sigmas).expect("generated pfv is valid")
         })
         .collect();

@@ -169,7 +169,7 @@ impl DriftStream {
         debug_assert_eq!(means.len(), dims);
         let id = self.sensors[idx].0;
         self.sensors[idx].1 = center;
-        // lint: allow(no-panic) -- sigma.draw_object_for yields strictly positive finite sigmas and means are clamped finite
+        #[expect(clippy::expect_used, reason = "draw_object_for yields valid sigmas")]
         let pfv = Pfv::new(means, sigmas).expect("drift stream sigmas are positive and finite");
         StreamOp::Upsert(id, pfv)
     }

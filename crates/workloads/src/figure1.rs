@@ -25,16 +25,14 @@ pub const OBJECT_NAMES: [&str; 3] = ["O1", "O2", "O3"];
 
 /// The three database pfv of Figure 1 (ids 0, 1, 2 = O1, O2, O3).
 #[must_use]
+#[expect(clippy::expect_used, reason = "paper constants with positive sigmas")]
 pub fn database() -> Vec<Pfv> {
     vec![
         // O1: both features accurate.
-        // lint: allow(no-panic) -- hard-coded paper constants with positive sigmas
         Pfv::new(vec![1.05, 1.113], vec![0.3, 0.3]).expect("valid"),
         // O2: both features uncertain.
-        // lint: allow(no-panic) -- hard-coded paper constants with positive sigmas
         Pfv::new(vec![1.85, 0.677], vec![0.8, 2.8]).expect("valid"),
         // O3: rotation (F1) uncertain, illumination (F2) accurate.
-        // lint: allow(no-panic) -- hard-coded paper constants with positive sigmas
         Pfv::new(vec![1.6, 0.684], vec![2.5, 0.3]).expect("valid"),
     ]
 }
@@ -42,8 +40,8 @@ pub fn database() -> Vec<Pfv> {
 /// The query pfv: rotation good (accurate F1), illumination bad
 /// (uncertain F2).
 #[must_use]
+#[expect(clippy::expect_used, reason = "paper constants with positive sigmas")]
 pub fn query() -> Pfv {
-    // lint: allow(no-panic) -- hard-coded paper constants with positive sigmas
     Pfv::new(vec![0.0, 0.0], vec![0.2, 2.0]).expect("valid")
 }
 

@@ -19,6 +19,9 @@
 //!   the Gaussian uncertainty model identifies O3 with ≈77 %.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
 
 pub mod dataset;
 /// Drifting-sensor streams for sustained-ingest workloads.

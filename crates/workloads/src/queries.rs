@@ -57,6 +57,7 @@ pub fn generate_queries(
 
 /// Re-observes object `truth` through its own Gaussians with fresh
 /// uncertainties from `query_sigma` (the §6 protocol for one query).
+#[expect(clippy::expect_used, reason = "the generator draws positive sigmas")]
 fn observe(dataset: &Dataset, truth: usize, query_sigma: SigmaSpec, rng: &mut StdRng) -> Pfv {
     let v = &dataset.objects[truth];
     let means: Vec<f64> = v
@@ -66,7 +67,6 @@ fn observe(dataset: &Dataset, truth: usize, query_sigma: SigmaSpec, rng: &mut St
         .map(|(&m, &s)| m + s * sample_standard_normal(rng))
         .collect();
     let sigmas = query_sigma.draw_object_for(rng, &means);
-    // lint: allow(no-panic) -- the generator draws strictly positive sigmas, so Pfv::new accepts
     Pfv::new(means, sigmas).expect("generated query is valid")
 }
 

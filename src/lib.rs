@@ -14,9 +14,15 @@
 //! reproduction methodology.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
 
 pub use gauss_baselines as baselines;
 pub use gauss_storage as storage;
 pub use gauss_tree as tree;
 pub use gauss_workloads as workloads;
 pub use pfv;
+
+#[cfg(test)]
+mod rules;

@@ -19,6 +19,8 @@
 //! forest's write path — flushes, merges and manifest commits — has its own
 //! sweep in `tests/forest_crash.rs`.
 
+#![expect(clippy::disallowed_types, reason = "the fake disk is a plain Mutex")]
+
 use gausstree::pfv::Pfv;
 use gausstree::storage::{
     AccessStats, Durability, FaultStore, FileStore, KillMode, MemStore, PageId, PageStore,
