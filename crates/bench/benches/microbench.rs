@@ -52,10 +52,11 @@ fn bench_hull(c: &mut Criterion) {
         bench.iter(|| rect.log_upper_for_query(black_box(&q), CombineMode::Convolution))
     });
 
-    // The children of one d27 inner node (capacity 9) as the read path
-    // holds them: the screen's bracket for all nine in one call, against
-    // nine times `hull/27d_query_upper` for the exact bounds.
-    let children: Vec<ParamRect> = (0..9)
+    // The children of one d27 inner node (capacity 18 on 8 KiB pages) as
+    // the read path holds them: the screen's bracket for all eighteen in
+    // one call, against eighteen times `hull/27d_query_upper` for the exact
+    // bounds.
+    let children: Vec<ParamRect> = (0..18)
         .map(|c| {
             let shift = f64::from(c) * 0.25;
             ParamRect::from_dims(

@@ -6,7 +6,9 @@
 //! * fanout bounds: inner nodes hold between `⌈M/2⌉` and `M` entries and
 //!   leaves between `M` and `2M` (the root is exempt from the lower bounds);
 //! * parent rectangles contain their children's rectangles / pfv and are
-//!   **tight** (equal to the union of the children);
+//!   **tight**: equal to the outward `f32` rounding
+//!   ([`pfv::quant::rounded_outward`]) of the exact union of everything
+//!   below them, as an inner page stores it (see [`crate::node`]);
 //! * subtree counts add up and match the tree's `len()`.
 //!
 //! Incremental insertion keeps these exactly; the bulk loader packs its
@@ -49,7 +51,8 @@ pub enum InvariantError {
         /// Child page.
         child: u64,
     },
-    /// A parent entry's rectangle is bigger than the union of its child.
+    /// A parent entry's rectangle is bigger than the outward rounding of
+    /// the union of its child.
     RectNotTight {
         /// Parent page.
         parent: u64,
@@ -254,7 +257,8 @@ impl<S: PageStore> Plane<'_, S> {
         Ok((errors, reachable))
     }
 
-    /// Returns `(subtree count, subtree rect)`.
+    /// Returns `(subtree count, subtree rect)`, the rect being the exact
+    /// union of every pfv below `page`.
     #[expect(clippy::too_many_arguments, reason = "the recursion's state")]
     fn check_node(
         &self,
@@ -358,8 +362,13 @@ impl<S: PageStore> Plane<'_, S> {
                             parent: page.index(),
                             child: e.child.index(),
                         });
-                    } else if !child_rect.contains_rect(&e.rect) {
-                        // contained but strictly larger => not tight
+                    } else if e.rect.as_slice().iter().copied().ne(child_rect
+                        .as_slice()
+                        .iter()
+                        .map(pfv::quant::rounded_outward))
+                    {
+                        // contained but larger than the stored form of the
+                        // exact union => not tight
                         errors.push(InvariantError::RectNotTight {
                             parent: page.index(),
                             child: e.child.index(),

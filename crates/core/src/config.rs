@@ -255,11 +255,11 @@ mod tests {
         let leaf = c.leaf_capacity(8192);
         assert_eq!(leaf, (8192 - crate::node::NODE_HEADER_BYTES) / 440);
         assert!(leaf >= 18);
-        // inner: 16 + 32*27 = 880 bytes
+        // inner: 16 + 16*27 = 448 bytes (f32 bounds)
         let inner = c.inner_capacity(8192);
-        assert_eq!(inner, (8192 - crate::node::NODE_HEADER_BYTES) / 880);
-        // The paper's M / 2M relation holds approximately by construction.
-        assert!(leaf >= 2 * inner - 1);
+        assert_eq!(inner, (8192 - crate::node::NODE_HEADER_BYTES) / 448);
+        // Half-size inner entries double the inner fan-out: 18, not 9.
+        assert_eq!((leaf, inner), (18, 18));
     }
 
     #[test]

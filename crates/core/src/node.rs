@@ -7,7 +7,7 @@
 //! leaf entry   := [id: u64] [means: d × f64] [sigmas: d × f64]
 //! leaf-q entry := [id: u64] [means: d × f32] [sigmas: d × f32]
 //! inner entry  := [child: u64] [subtree count: u64]
-//!                 [per dim: mu_lo, mu_hi, sigma_lo, sigma_hi : f64]
+//!                 [per dim: mu_lo, mu_hi, sigma_lo, sigma_hi : f32]
 //! ```
 //!
 //! Which leaf layout a tree uses is fixed at creation by
@@ -17,6 +17,31 @@
 //! narrow with [`pfv::quant::to_f32_exact`] — ingest already stored the
 //! widened `f32` value, so encoding is lossless and a decoded node
 //! compares equal to the staged one.
+//!
+//! # Inner rectangles are `f32`, rounded outward
+//!
+//! An inner entry is `16 + 16·d` bytes, half of what `f64` bounds take, so
+//! an inner page holds twice the children (d = 27 on 8 KiB: 18, not 9) and
+//! a query reads fewer inner pages. Every leaf format shares it. The
+//! encoder rounds each bound away from the rectangle's inside
+//! ([`pfv::quant::round_outward`]): `μ̌` and `σ̌` down, `μ̂` and `σ̂` up to
+//! the nearest `f32`. The stored rectangle therefore contains the exact
+//! union of its child, the Lemma-2 bound over it can only rise and the
+//! Lemma-3 bound only fall, and pruning stays conservative; what a
+//! rectangle loses is tightness, by at most one `f32` step per bound.
+//! Rounding is idempotent, so a decoded rectangle that is written again
+//! (the batch insert rewrites its parents) is stored unchanged, and
+//! `check.rs` holds every stored rectangle to the outward rounding of its
+//! child's exact union.
+//!
+//! A bound beyond the `f32` range (`|μ| > 3.4e38`, `σ > 3.4e38`, which an
+//! exact leaf stores as it is) rounds to `±∞` on its **outer** side: `μ̌`
+//! to `−∞`, `μ̂` or `σ̂` to `+∞`. Lemmas 2–3 over such a rectangle are
+//! still bounds (the plateau and ridge cases take over), and the split
+//! cost of a rectangle with an infinite bound is `+∞`, never NaN. The
+//! decoder accepts infinity there and nowhere else: NaN, `μ̌ = +∞`,
+//! `μ̂ = −∞`, a non-finite `σ̌`, a `σ` bound below 0 and reversed bounds
+//! are refused, as the leaf decoder refuses a negative `σ`.
 //!
 //! # Decoding: one parser, two sinks
 //!
@@ -29,7 +54,8 @@
 //! a slice into values with fixed-width little-endian loads and apply the
 //! value rules: those of [`Pfv::new`](pfv::Pfv::new) for a leaf (finite `μ`
 //! and `σ`, `σ ≥ 0`, `σ` raised to `MIN_SIGMA`), a valid child pointer and
-//! finite, ordered bounds for an inner entry. Two sinks receive the values:
+//! bounds the encoder can write (above) for an inner entry. Two sinks
+//! receive the values:
 //!
 //! * [`Node::read_from`](crate::node::Node::read_from) — the **row form**,
 //!   a `Vec` of [`LeafEntry`](crate::node::LeafEntry) or
@@ -252,7 +278,8 @@ impl Node {
     }
 
     /// Serialises the node into a page buffer using the tree's leaf
-    /// `format`.
+    /// `format`; inner rectangles are rounded outward to `f32` (see the
+    /// [module docs](self)).
     ///
     /// # Panics
     /// Panics if the node does not fit the page (capacity violations are
@@ -305,10 +332,9 @@ impl Node {
                     w.put_u64(e.child.index());
                     w.put_u64(e.count);
                     for d in e.rect.as_slice() {
-                        w.put_f64(d.mu_lo);
-                        w.put_f64(d.mu_hi);
-                        w.put_f64(d.sigma_lo);
-                        w.put_f64(d.sigma_hi);
+                        for bound in quant::round_outward(d) {
+                            w.put_f32(bound);
+                        }
                     }
                 }
             }
@@ -408,10 +434,10 @@ pub(crate) const fn leaf_entry_bytes(dims: usize, format: LeafFormat) -> usize {
     }
 }
 
-/// Bytes of one inner entry: child pointer, subtree count and four `f64`
+/// Bytes of one inner entry: child pointer, subtree count and four `f32`
 /// bounds per dimension.
 pub(crate) const fn inner_entry_bytes(dims: usize) -> usize {
-    16 + 32 * dims
+    16 + 16 * dims
 }
 
 /// The one page parser: a node page whose header, kind byte and length
@@ -518,7 +544,7 @@ fn leaf_params<const W: usize>(
 fn inner_entries(entries: ChunksExact<'_, u8>) -> Result<Vec<InnerEntry>, NodeCodecError> {
     let mut es = Vec::with_capacity(entries.len());
     for entry in entries {
-        let mut ds = Vec::with_capacity(entry.len() / 32);
+        let mut ds = Vec::with_capacity(entry.len() / 16);
         let (child, count) = inner_entry(entry, |_, [mu_lo, mu_hi, sigma_lo, sigma_hi]| {
             ds.push(DimBounds::new(mu_lo, mu_hi, sigma_lo, sigma_hi));
         })?;
@@ -532,25 +558,35 @@ fn inner_entries(entries: ChunksExact<'_, u8>) -> Result<Vec<InnerEntry>, NodeCo
 }
 
 /// Decodes one inner entry: returns its child page and subtree count and
-/// hands `put` each dimension's `(d, [μ̌, μ̂, σ̌, σ̂])` once it has checked
-/// what [`DimBounds::new`] asserts — finite and ordered bounds. On an error
-/// `put` may have seen some of the entry's dimensions; the caller discards
-/// what it built.
+/// hands `put` each dimension's `(d, [μ̌, μ̂, σ̌, σ̂])`, widened to `f64`,
+/// once it has checked that the encoder could have written them — what
+/// [`DimBounds::new`] asserts (no NaN, infinite on the outer side only,
+/// ordered) and no `σ` below 0. On an error `put` may have seen some of the
+/// entry's dimensions; the caller discards what it built.
 fn inner_entry(
     entry: &[u8],
     mut put: impl FnMut(usize, [f64; 4]),
 ) -> Result<(PageId, u64), NodeCodecError> {
     // `entry` is one whole entry (`Entries::parse`): both words are there.
-    let ([child, count, bounds @ ..], _) = entry.as_chunks::<8>() else {
+    let ([child, count, ..], _) = entry.as_chunks::<8>() else {
         return Err(NodeCodecError::Corrupt("invalid bounds"));
     };
     let child = PageId(u64::from_le_bytes(*child));
     if !child.is_valid() {
         return Err(NodeCodecError::Corrupt("invalid child pointer"));
     }
-    for (d, dim) in bounds.as_chunks::<4>().0.iter().enumerate() {
-        let bounds @ [mu_lo, mu_hi, sigma_lo, sigma_hi] = dim.map(f64::from_le_bytes);
-        if !bounds.iter().all(|b| b.is_finite()) || mu_lo > mu_hi || sigma_lo > sigma_hi {
+    let words = entry[16..].as_chunks::<4>().0;
+    for (d, dim) in words.as_chunks::<4>().0.iter().enumerate() {
+        let bounds @ [mu_lo, mu_hi, sigma_lo, sigma_hi] =
+            dim.map(|w| f64::from(f32::from_le_bytes(w)));
+        // Each comparison is false on a NaN, so a NaN anywhere fails one.
+        let valid = mu_lo < f64::INFINITY
+            && mu_hi > f64::NEG_INFINITY
+            && mu_lo <= mu_hi
+            && sigma_lo.is_finite()
+            && 0.0 <= sigma_lo
+            && sigma_lo <= sigma_hi;
+        if !valid {
             return Err(NodeCodecError::Corrupt("invalid bounds"));
         }
         put(d, bounds);
@@ -575,22 +611,24 @@ mod tests {
         ])
     }
 
+    /// An inner node whose bounds are all exactly f32-representable, as
+    /// every decoded rectangle is.
     fn sample_inner() -> Node {
         Node::Inner(vec![
             InnerEntry {
                 child: PageId(3),
                 count: 10,
                 rect: ParamRect::from_dims(vec![
-                    DimBounds::new(0.0, 1.0, 0.1, 0.2),
-                    DimBounds::new(-1.0, 2.0, 0.3, 0.9),
+                    DimBounds::new(0.0, 1.0, 0.125, 0.25),
+                    DimBounds::new(-1.0, 2.0, 0.375, 0.875),
                 ]),
             },
             InnerEntry {
                 child: PageId(9),
                 count: 4,
                 rect: ParamRect::from_dims(vec![
-                    DimBounds::new(5.0, 6.0, 0.1, 0.1),
-                    DimBounds::new(5.0, 5.0, 0.2, 0.4),
+                    DimBounds::new(5.0, 6.0, 0.125, 0.125),
+                    DimBounds::new(5.0, 5.0, 0.25, 0.5),
                 ]),
             },
         ])
@@ -696,6 +734,41 @@ mod tests {
     }
 
     #[test]
+    fn inner_rectangles_are_stored_rounded_outward() {
+        let exact = ParamRect::from_dims(vec![
+            DimBounds::new(-0.1, 0.3, MIN_SIGMA, 0.7),
+            DimBounds::new(-1e200, 1e200, 0.2, 1e300),
+        ]);
+        let node = Node::Inner(vec![InnerEntry {
+            child: PageId(3),
+            count: 2,
+            rect: exact.clone(),
+        }]);
+        let mut page = vec![0u8; 4096];
+        node.write_to(2, LeafFormat::Exact, &mut page);
+        assert!(page[NODE_HEADER_BYTES + inner_entry_bytes(2)..]
+            .iter()
+            .all(|&b| b == 0));
+        let Node::Inner(back) = Node::read_from(2, LeafFormat::Exact, &page).unwrap() else {
+            panic!("an inner page decodes as inner");
+        };
+        let stored = &back[0].rect;
+        assert!(stored.contains_rect(&exact));
+        for (s, e) in stored.as_slice().iter().zip(exact.as_slice()) {
+            assert_eq!(*s, quant::rounded_outward(e));
+        }
+        // Beyond the f32 range a bound goes infinite on its outer side.
+        let far = stored.dim(1);
+        assert_eq!((far.mu_lo, far.mu_hi), (f64::NEG_INFINITY, f64::INFINITY));
+        assert_eq!(far.sigma_hi, f64::INFINITY);
+        assert!(far.sigma_lo.is_finite());
+        // Writing the decoded node again stores the same bytes.
+        let mut again = vec![0u8; 4096];
+        Node::Inner(back).write_to(2, LeafFormat::Exact, &mut again);
+        assert_eq!(again, page);
+    }
+
+    #[test]
     fn subtree_counts() {
         assert_eq!(sample_leaf().subtree_count(), 2);
         assert_eq!(sample_inner().subtree_count(), 14);
@@ -741,11 +814,10 @@ mod tests {
         let mut page = vec![0u8; 4096];
         node.write_to(2, LeafFormat::Exact, &mut page);
         // Swap mu_lo/mu_hi of the first dim of the first entry:
-        // header(8) + child(8) + count(8) = offset 24 for mu_lo.
-        let mu_lo = f64::from_le_bytes(page[24..32].try_into().unwrap());
-        let mu_hi = f64::from_le_bytes(page[32..40].try_into().unwrap());
-        page[24..32].copy_from_slice(&mu_hi.to_le_bytes());
-        page[32..40].copy_from_slice(&mu_lo.to_le_bytes());
+        // header(8) + child(8) + count(8) = offset 24 for mu_lo (f32).
+        let (mu_lo, mu_hi) = (page[24..28].to_vec(), page[28..32].to_vec());
+        page[24..28].copy_from_slice(&mu_hi);
+        page[28..32].copy_from_slice(&mu_lo);
         assert!(Node::read_from(2, LeafFormat::Exact, &page).is_err());
     }
 
@@ -888,6 +960,8 @@ mod decoder_props {
         page
     }
 
+    /// An inner page of random rectangles as the encoder stores them, one
+    /// dimension in eight beyond the `f32` range, so infinite outer bounds.
     fn inner_page(dims: usize, count: usize, seed: u64) -> Vec<u8> {
         let mut next = uniform(seed);
         let mut page = vec![0u8; PAGE];
@@ -897,7 +971,14 @@ mod decoder_props {
             w.put_u64((next() * 1e6) as u64);
             for _ in 0..dims {
                 let (mu, sigma) = (next() * 200.0 - 100.0, next());
-                w.put_f64_slice(&[mu, mu + next(), sigma, sigma + next()]);
+                let b = if next() < 0.125 {
+                    DimBounds::new(-1e200 * next(), 1e200 * next(), sigma, 1e300 * next())
+                } else {
+                    DimBounds::new(mu, mu + next(), sigma, sigma + next())
+                };
+                for bound in quant::round_outward(&b) {
+                    w.put_f32(bound);
+                }
             }
         }
         page
@@ -988,7 +1069,7 @@ mod decoder_props {
             let format = FORMATS[kind % 2];
             let (mut page, entry_bytes, words) = if kind == 2 {
                 let bytes = inner_entry_bytes(dims);
-                (inner_page(dims, count_for(5, bytes), seed), bytes, 8)
+                (inner_page(dims, count_for(5, bytes), seed), bytes, 4)
             } else {
                 let bytes = leaf_entry_bytes(dims, format);
                 let width = if format == LeafFormat::Exact { 8 } else { 4 };
@@ -1030,6 +1111,50 @@ mod decoder_props {
             if mutation == 4 {
                 prop_assert!(!decoded, "an oversized count must be refused");
             }
+        }
+
+        /// Hostile inner bounds: a value the encoder never writes, planted
+        /// in its slot of any entry and dimension — NaN anywhere, `μ̌ = +∞`,
+        /// `μ̂ = −∞`, a non-finite `σ̌`, a `σ` below 0 (among them
+        /// `σ̌ = σ̂ = −1`, which σ's clamp would otherwise turn into a point
+        /// at `MIN_SIGMA`) — is refused by both decoders, and neither
+        /// panics. Infinity on the outer side is what rounding writes, and
+        /// decodes.
+        #[test]
+        fn inner_bounds_the_encoder_never_writes_are_refused(
+            (dims, seed, slot, pick) in (0usize..5, 0u64..u64::MAX, 0usize..5, 0usize..5)
+        ) {
+            const NAN: f32 = f32::NAN;
+            const INF: f32 = f32::INFINITY;
+            const NEG_INF: f32 = f32::NEG_INFINITY;
+            let (dims, below_zero) = (DIMS[dims], -f32::MIN_POSITIVE);
+            let count = count_for(5, inner_entry_bytes(dims));
+            let mut next = uniform(seed ^ 0x5DEE_CE66_D1CE_4E5B);
+            let (e, d) = ((next() * count as f64) as usize, (next() * dims as f64) as usize);
+            let at = NODE_HEADER_BYTES + e * inner_entry_bytes(dims) + 16 + d * 16;
+            let plant = |values: &[(usize, f32)]| {
+                let mut page = inner_page(dims, count, seed);
+                for &(slot, v) in values {
+                    page[at + 4 * slot..at + 4 * slot + 4].copy_from_slice(&v.to_le_bytes());
+                }
+                decoders_agree(dims, LeafFormat::Exact, &page)
+            };
+            let refused: [&[(usize, f32)]; 5] = [
+                &[(0, [NAN, INF, NAN, INF, NAN][pick])],
+                &[(1, [NAN, NEG_INF, NAN, NEG_INF, NAN][pick])],
+                &[(2, [NAN, INF, NEG_INF, -1.0, below_zero][pick])],
+                &[(3, [NAN, NEG_INF, -1.0, below_zero, NAN][pick])],
+                &[(2, -1.0), (3, -1.0)],
+            ];
+            prop_assert!(!plant(refused[slot]), "slot {slot}: {:?}", refused[slot]);
+            let outer: [&[(usize, f32)]; 5] = [
+                &[(0, NEG_INF)],
+                &[(1, INF)],
+                &[(3, INF)],
+                &[(0, NEG_INF), (1, INF), (3, INF)],
+                &[(2, 0.0), (3, 0.0)],
+            ];
+            prop_assert!(plant(outer[slot]), "slot {slot}: {:?}", outer[slot]);
         }
     }
 

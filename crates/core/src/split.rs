@@ -234,8 +234,10 @@ impl SplitCost {
                     .map(|(d, &s)| {
                         let folded = d.with_query_sigma(s, self.mode).hull_integral();
                         // Under Convolution σ² overflows beyond σ ≈ 1.3e154
-                        // (σ is any finite value); the σ_q = 0 integral stays
-                        // finite there, and a NaN would win no comparison.
+                        // (σ is any finite value), and an inner page's
+                        // rectangle may hold an infinite bound; the σ_q = 0
+                        // integral is then finite or +∞, never the NaN of
+                        // `∞ / ∞`, which would win no comparison.
                         if folded.is_finite() {
                             folded
                         } else {
@@ -255,9 +257,11 @@ impl SplitCost {
 }
 
 /// `ln(exp(a) + exp(b))` — combines the two child costs for comparison.
+/// An infinite cost (a rectangle with an infinite bound, see
+/// [`pfv::quant::round_outward`]) makes the sum infinite, not NaN.
 pub(crate) fn log_add(a: f64, b: f64) -> f64 {
     let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
-    if lo == f64::NEG_INFINITY {
+    if lo == f64::NEG_INFINITY || hi == f64::INFINITY {
         hi
     } else {
         hi + (lo - hi).exp().ln_1p()
@@ -881,5 +885,17 @@ mod tests {
                 assert_eq!(groups.len(), 1);
             }
         }
+    }
+
+    #[test]
+    fn infinite_costs_add_to_infinity_not_nan() {
+        assert_eq!(log_add(f64::INFINITY, f64::INFINITY), f64::INFINITY);
+        assert_eq!(log_add(f64::INFINITY, 3.0), f64::INFINITY);
+        assert_eq!(log_add(3.0, f64::INFINITY), f64::INFINITY);
+        assert_eq!(
+            log_add(f64::NEG_INFINITY, f64::NEG_INFINITY),
+            f64::NEG_INFINITY
+        );
+        assert_eq!(log_add(0.0, 0.0).to_bits(), 2f64.ln().to_bits());
     }
 }

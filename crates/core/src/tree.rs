@@ -19,14 +19,16 @@
 //! [`gauss_storage::commit`], which owns the slot header, the checksum,
 //! the choice of the newest valid slot and the barrier → slot write →
 //! barrier order. This module owns what a tree commits — the *payload*
-//! (meta format v3: the store size, configuration, capacities, root /
+//! (meta format v4: the store size, configuration, capacities, root /
 //! height / length and a free-id list) — and its validation: every page id
 //! is bounds-checked against the store before anything is read through it.
-//! A bulk load commits an empty free list. Files of earlier versions, whose
-//! in-place writer kept a free list, open unchanged: their free ids are
-//! read, bounds-checked and counted as dead pages (so are pages past the
-//! committed allocation); a store whose newest commit names an overflow
-//! chain, which only that writer produced, is refused.
+//! A bulk load commits an empty free list. v4 is v3's payload; the version
+//! marks the `f32` inner pages of [`crate::node`], so a v3 file (including
+//! every file the earlier in-place writer left with a free list) is refused
+//! as [`TreeError::NotAGaussTree`]. The reader still reads, bounds-checks
+//! and counts a slot's free ids as dead pages (so are pages past the
+//! committed allocation), and refuses a commit that names an overflow
+//! chain.
 
 use crate::bulk::{BulkLoadOptions, BulkLoadReport};
 use crate::config::{LeafFormat, TreeConfig};
@@ -39,12 +41,14 @@ use gauss_storage::{MemStore, PageId, Reader, SharedBufferPool, SideCache, Write
 use pfv::{quant, Pfv};
 use std::collections::{BTreeMap, HashSet};
 
-/// A tree meta slot: magic "GTRE", format version 3 — the only version
-/// read or written. Versions 1 (a single unchecksummed meta page) and 2
-/// (no leaf-format byte) are refused like any other foreign header.
+/// A tree meta slot: magic "GTRE", format version 4 — the only version
+/// read or written. Versions 1 (a single unchecksummed meta page), 2 (no
+/// leaf-format byte) and 3 (the v4 payload over `f64` inner rectangles,
+/// which would parse as `f32` entries; see [`crate::node`]) are refused
+/// like any other foreign header.
 pub(crate) const META_KIND: SlotKind = SlotKind {
     magic: 0x4754_5245,
-    version: 3,
+    version: 4,
 };
 
 /// Pages 0 and 1 hold commit slots 0 and 1; node pages start behind them.
@@ -518,7 +522,7 @@ impl<S: PageStore> GaussTree<S> {
     /// Commits the tree as the next epoch through [`commit::commit`]: a
     /// data barrier at `durability` over every node page, the slot write,
     /// a commit barrier. The free list is empty and no overflow chain is
-    /// named, as meta format v3 spells it.
+    /// named, as meta format v4 spells it.
     #[expect(clippy::expect_used, reason = "capacities are far below u32::MAX")]
     fn commit(&mut self, durability: Durability) -> Result<(), TreeError> {
         let epoch = self.epoch + 1;
@@ -626,9 +630,9 @@ impl<S: PageStore> GaussTree<S> {
     /// Cold start for measurement loops: drops the buffer pool's cached
     /// frames, zeroes the access counters, **and** clears the decoded-node
     /// cache. `pool().clear_cache_and_stats()` alone leaves the decoded
-    /// nodes warm — physical-read counts would still be cold-accurate, but
-    /// CPU timings would silently skip the decode work and depend on what
-    /// ran before.
+    /// nodes warm — a node still decoded is read without its page, so
+    /// physical-read counts and CPU timings would both skip work and depend
+    /// on what ran before.
     pub fn cold_start(&self) {
         self.pool.clear_cache_and_stats();
         self.node_cache.clear();
@@ -884,7 +888,10 @@ fn choose_subtree(objective: &SplitCost, entries: &[InnerEntry], v: &Pfv) -> usi
         let before = objective.node(&e.rect);
         let mut extended = e.rect.clone();
         extended.extend_pfv(v);
-        let delta = objective.node(&extended) - before;
+        let after = objective.node(&extended);
+        // A decoded rectangle may hold an infinite bound, and then both
+        // costs are +∞: no growth to price, and `∞ − ∞` would be NaN.
+        let delta = if after == before { 0.0 } else { after - before };
         if delta < best.0 || (delta == best.0 && before < best.1) {
             best = (delta, before, i);
         }
@@ -1131,7 +1138,7 @@ mod tests {
 
     #[test]
     fn node_cache_accounting_matches_plain_reads() {
-        // The cached read path must request the page from the pool exactly
+        // The cached read path must count every read as logical exactly
         // like the uncached one, so the paper's page-access metrics are
         // unchanged by the decode cache.
         let mut t = mem_tree(1, 4, 4);
@@ -1145,6 +1152,104 @@ mod tests {
         let snap = t.stats().snapshot();
         assert_eq!(snap.logical_reads, 2, "every cached read stays logical");
         assert_eq!(snap.physical_reads, 1, "first read faults, second hits");
+    }
+
+    #[test]
+    fn bounds_beyond_the_f32_range_keep_the_tree_sound_and_exact() {
+        // Means at ±1e200 and σ at 1e300 sit in exact leaves as they are;
+        // the inner rectangles above them round to ±∞ on their outer sides.
+        // Inserts (splits, subtree choices over decoded rectangles) keep the
+        // tree tight, and queries still return the brute-force answer.
+        let far = |i: u64| match i % 10 {
+            0 => (1e200, 0.5),
+            1 => (-1e200, 0.5),
+            2 => ((i as f64).sin() * 10.0, 1e300),
+            _ => ((i as f64 * 0.37).sin() * 10.0, 0.05 + (i % 7) as f64 * 0.1),
+        };
+        for mode in [
+            pfv::CombineMode::Convolution,
+            pfv::CombineMode::AdditiveSigma,
+        ] {
+            let config = TreeConfig::new(2).with_capacities(6, 4).with_combine(mode);
+            let pool = SharedBufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
+            let mut t = GaussTree::create(pool, config).unwrap();
+            let mut items = Vec::new();
+            for i in 0..300u64 {
+                let (mu, sigma) = far(i);
+                let v =
+                    Pfv::new(vec![mu, (i as f64 * 0.11).cos() * 5.0], vec![sigma, 0.2]).unwrap();
+                t.insert(i, &v).unwrap();
+                items.push(v);
+            }
+            assert!(t.check_invariants(true).unwrap().is_empty());
+            let root = t.read_node(t.root_page()).unwrap();
+            assert!(!root.is_leaf(), "300 entries make an inner root");
+            let top = root.bounding_rect();
+            let d = top.dim(0);
+            assert_eq!(
+                (d.mu_lo, d.mu_hi, d.sigma_hi),
+                (f64::NEG_INFINITY, f64::INFINITY, f64::INFINITY)
+            );
+            for x in [0.0, 3.0, 1e200, -1e200] {
+                let q = Pfv::new(vec![x, 1.0], vec![0.3, 0.3]).unwrap();
+                let mut want: Vec<(f64, u64)> = items
+                    .iter()
+                    .enumerate()
+                    .map(|(i, v)| (pfv::combine::log_joint(mode, v, &q), i as u64))
+                    .collect();
+                want.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+                let got = t.k_mliq(&q, 3).unwrap();
+                for (hit, (density, _)) in got.iter().zip(&want) {
+                    assert_eq!(
+                        hit.log_density.to_bits(),
+                        density.to_bits(),
+                        "x = {x}, {mode:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn node_cache_hits_read_no_page() {
+        // A 1-frame pool under a node cache that holds the whole tree: once
+        // the first pass has decoded every node it reads, the same queries
+        // again make no physical read — the pool's one frame was evicted
+        // long ago — and count the same logical reads.
+        let items: Vec<(u64, Pfv)> = (0..600u64)
+            .map(|i| {
+                (
+                    i,
+                    pfv1((i as f64 * 0.37).sin() * 40.0, 0.05 + (i % 7) as f64 * 0.05),
+                )
+            })
+            .collect();
+        let config = TreeConfig::new(1).with_capacities(8, 4);
+        let pool = SharedBufferPool::new(MemStore::new(1024), 64, AccessStats::new_shared());
+        let store = GaussTree::bulk_load(pool, config, items)
+            .unwrap()
+            .into_store();
+        let pool = SharedBufferPool::new(store, 1, AccessStats::new_shared());
+        let t = GaussTree::open_with(pool, &TreeOptions::new().node_cache_capacity(4096)).unwrap();
+        assert!(t.height() >= 2);
+        let queries: Vec<Pfv> = (0..20).map(|i| pfv1(i as f64 * 4.0 - 40.0, 0.2)).collect();
+        let pass = || {
+            t.stats().reset();
+            let answers: Vec<_> = queries
+                .iter()
+                .map(|q| (t.k_mliq(q, 3).unwrap(), t.tiq(q, 0.2, 1e-3).unwrap()))
+                .collect();
+            (t.stats().snapshot(), format!("{answers:?}"))
+        };
+        let (cold, cold_answers) = pass();
+        let (warm, warm_answers) = pass();
+        assert!(cold.physical_reads > 0);
+        assert_eq!(
+            warm.physical_reads, 0,
+            "every node comes from the node cache"
+        );
+        assert_eq!(warm.logical_reads, cold.logical_reads);
+        assert_eq!(warm_answers, cold_answers);
     }
 
     #[test]
@@ -1327,7 +1432,7 @@ mod tests {
             "every node page once and one slot"
         );
         // Slot 0 is never written; slot 1 holds epoch 1 with no free ids
-        // and no overflow chain, exactly as meta format v3 spells them.
+        // and no overflow chain, exactly as meta format v4 spells them.
         let pages = pages_of(t);
         assert!(pages[0].iter().all(|&b| b == 0));
         let (epoch, payload) = commit::open(META_KIND, &pages[1]).unwrap();
@@ -1527,10 +1632,11 @@ mod tests {
             Err(TreeError::NotAGaussTree)
         ));
 
-        // A current slot relabelled as version 2, 1 or 4 under a checksum
-        // that is valid for that label: not a commit this code reads.
+        // A current slot relabelled as version 1, 2, 3 or 5 under a
+        // checksum that is valid for that label: not a commit this code
+        // reads. Version 3 is the same payload over f64 inner pages.
         let clean = two_epoch_pages();
-        for version in [1, 2, 4] {
+        for version in [1, 2, 3, 5] {
             let mut pages = clean.clone();
             let other = SlotKind {
                 version,

@@ -98,17 +98,22 @@ impl<'a, S: PageStore> Plane<'a, S> {
 
     /// Reads the node stored at `page` in query-ready cached form — what
     /// every query (k-MLIQ, the denominator searches, the cursor, the box
-    /// query) reads nodes through. The page is *always* requested from the
-    /// buffer pool first — access accounting is identical to
-    /// [`Plane::read_node`] — and only the decode step is skipped on a
-    /// node-cache hit. A miss decodes the page bytes straight into the
-    /// cached form ([`CachedNode::read_from`]); the row form
+    /// query) reads nodes through. The node cache is asked first: a hit
+    /// records one logical read on the pool's [`AccessStats`] and touches
+    /// nothing else — no pool shard lock, no frame, no physical read when
+    /// the pool has evicted the bytes of a node still cached — so logical
+    /// reads (pages per query) are those of [`Plane::read_node`]. A miss
+    /// reads the page through the pool and decodes its bytes straight into
+    /// the cached form ([`CachedNode::read_from`]); the row form
     /// ([`Node::read_from`]) is for callers that edit or walk entries.
+    ///
+    /// [`AccessStats`]: gauss_storage::AccessStats
     pub(crate) fn read_node_cached(&self, page: PageId) -> Result<Arc<CachedNode>, TreeError> {
-        let bytes = self.pool.page(page)?;
         if let Some(cached) = self.node_cache.get(page) {
+            self.pool.stats().record_logical_read();
             return Ok(cached);
         }
+        let bytes = self.pool.page(page)?;
         let cached = Arc::new(CachedNode::read_from(
             self.config.dims,
             self.config.leaf_format,

@@ -57,16 +57,23 @@ impl DimBounds {
         }
     }
 
-    /// Explicit bounds.
+    /// Explicit bounds, each `σ` raised to [`MIN_SIGMA`].
+    ///
+    /// A bound may be infinite on its outer side only — `μ̌ = −∞`,
+    /// `μ̂ = +∞`, `σ̂ = +∞` — where rounding an inner node's rectangle
+    /// outward to `f32` puts a bound beyond the `f32` range
+    /// ([`crate::quant::round_outward`]). The Lemma-2/3 bounds, the hull
+    /// integral and the query adjustment take such a rectangle without a NaN.
     ///
     /// # Panics
-    /// Panics if any bound is non-finite, reversed, or `sigma_lo <= 0` after
-    /// clamping.
+    /// Panics if a bound is NaN or infinite on its inner side (`μ̌ = +∞`,
+    /// `μ̂ = −∞`, `σ̌` infinite), or if the bounds are reversed.
     #[must_use]
     pub fn new(mu_lo: f64, mu_hi: f64, sigma_lo: f64, sigma_hi: f64) -> Self {
         assert!(
-            mu_lo.is_finite() && mu_hi.is_finite() && sigma_lo.is_finite() && sigma_hi.is_finite(),
-            "bounds must be finite"
+            mu_lo < f64::INFINITY && mu_hi > f64::NEG_INFINITY && sigma_lo.is_finite(),
+            "bounds must be finite on their inner side: \
+             [{mu_lo}, {mu_hi}] × [{sigma_lo}, {sigma_hi}]"
         );
         assert!(mu_lo <= mu_hi, "reversed mu bounds: {mu_lo} > {mu_hi}");
         assert!(

@@ -17,12 +17,63 @@
 //! from below — the property test `quantised leaves never prune a true
 //! result` is stated against exactly these bounds.
 //!
-//! Every `as f32` cast in the workspace lives in this module, each one
-//! expecting `clippy::cast_possible_truncation`; the helpers validate
-//! their result (`None` on overflow, σ bumped back above [`MIN_SIGMA`]).
+//! Inner pages store their rectangles in `f32` too, but not by rounding to
+//! nearest: [`round_outward`](crate::quant::round_outward) rounds each
+//! bound away from the rectangle's inside, so the stored rectangle contains
+//! the exact one and Lemmas 2–3 over it stay conservative for every member.
+//! A bound beyond the `f32` range becomes `±∞` on its outer side.
+//!
+//! The one `as f32` cast in the workspace is this module's private
+//! `nearest`, expecting `clippy::cast_possible_truncation`; the helpers
+//! validate its result (`None` on overflow, σ bumped back above
+//! [`MIN_SIGMA`], a bound moved to the outer side).
 
 use crate::hull::DimBounds;
 use crate::MIN_SIGMA;
+
+/// Round-to-nearest `f64 → f32`; beyond the `f32` range it gives `±∞`.
+#[expect(clippy::cast_possible_truncation, reason = "quantising is the point")]
+fn nearest(x: f64) -> f32 {
+    x as f32
+}
+
+/// The `f32` bounds an inner page stores for `b`, in the order
+/// `[μ̌, μ̂, σ̌, σ̂]`: `μ̌` and `σ̌` rounded down to the nearest `f32` at or
+/// below them, `μ̂` and `σ̂` rounded up. Widened back to `f64` they contain
+/// `b`; a bound beyond the `f32` range becomes `±∞` on its outer side
+/// (`μ̌ = −∞`, `μ̂ = +∞`, `σ̂ = +∞`), and an inner-side bound beyond it
+/// becomes `±f32::MAX`. `σ̌` may come out below [`MIN_SIGMA`]; the decoder
+/// raises it back, as [`DimBounds::new`] does. Widening and rounding again
+/// is the identity, so a decoded rectangle is stored unchanged.
+#[must_use]
+pub fn round_outward(b: &DimBounds) -> [f32; 4] {
+    let down = |x: f64| {
+        let q = nearest(x);
+        if f64::from(q) > x {
+            q.next_down()
+        } else {
+            q
+        }
+    };
+    let up = |x: f64| {
+        let q = nearest(x);
+        if f64::from(q) < x {
+            q.next_up()
+        } else {
+            q
+        }
+    };
+    [down(b.mu_lo), up(b.mu_hi), down(b.sigma_lo), up(b.sigma_hi)]
+}
+
+/// `b` as an inner page holds it: [`round_outward`] widened back to `f64`,
+/// with `σ` raised to [`MIN_SIGMA`] — bit for bit what the node decoder
+/// returns for a rectangle written from `b`.
+#[must_use]
+pub fn rounded_outward(b: &DimBounds) -> DimBounds {
+    let [mu_lo, mu_hi, sigma_lo, sigma_hi] = round_outward(b).map(f64::from);
+    DimBounds::new(mu_lo, mu_hi, sigma_lo, sigma_hi)
+}
 
 /// Quantises a mean to `f32` (round-to-nearest-even).
 ///
@@ -31,8 +82,7 @@ use crate::MIN_SIGMA;
 /// as a range error rather than storing an unusable parameter.
 #[must_use]
 pub fn quantise_mu(m: f64) -> Option<f32> {
-    #[expect(clippy::cast_possible_truncation, reason = "quantising is the point")]
-    let q = m as f32;
+    let q = nearest(m);
     q.is_finite().then_some(q)
 }
 
@@ -46,8 +96,7 @@ pub fn quantise_mu(m: f64) -> Option<f32> {
 /// below the floor's half-ulp deficit).
 #[must_use]
 pub fn quantise_sigma(s: f64) -> Option<f32> {
-    #[expect(clippy::cast_possible_truncation, reason = "quantising is the point")]
-    let mut q = s as f32;
+    let mut q = nearest(s);
     if !q.is_finite() {
         return None;
     }
@@ -65,8 +114,7 @@ pub fn quantise_sigma(s: f64) -> Option<f32> {
 /// indicates a corrupted in-memory node, not a data error.
 #[must_use]
 pub fn to_f32_exact(x: f64) -> f32 {
-    #[expect(clippy::cast_possible_truncation, reason = "quantising is the point")]
-    let q = x as f32;
+    let q = nearest(x);
     assert!(
         f64::from(q).to_bits() == x.to_bits(),
         "value {x:e} is not exactly f32-representable"
@@ -80,9 +128,7 @@ pub fn to_f32_exact(x: f64) -> f32 {
 /// satisfy this; the invariant checker verifies it leaf by leaf.
 #[must_use]
 pub fn is_f32_exact(x: f64) -> bool {
-    #[expect(clippy::cast_possible_truncation, reason = "quantising is the point")]
-    let q = x as f32;
-    f64::from(q).to_bits() == x.to_bits()
+    f64::from(nearest(x)).to_bits() == x.to_bits()
 }
 
 /// The closed `f64` interval certainly containing every `f64` that
@@ -228,6 +274,55 @@ mod tests {
                     "lower hull above original density at x = {x}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn inner_bounds_round_away_from_the_inside() {
+        let b = DimBounds::new(-0.1, 0.3, 0.2, 0.7);
+        let [mu_lo, mu_hi, sigma_lo, sigma_hi] = round_outward(&b).map(f64::from);
+        assert!(mu_lo < -0.1 && mu_hi > 0.3 && sigma_lo < 0.2 && sigma_hi > 0.7);
+        // One f32 step at most: the next f32 inward is inside the exact bound.
+        let q = round_outward(&b);
+        assert!(f64::from(q[0].next_up()) > -0.1 && f64::from(q[1].next_down()) < 0.3);
+        assert!(f64::from(q[2].next_up()) > 0.2 && f64::from(q[3].next_down()) < 0.7);
+        // f32-exact bounds are stored as they are.
+        let exact = DimBounds::new(-1.5, 2.25, 0.125, 3.0);
+        assert_eq!(rounded_outward(&exact), exact);
+        assert_eq!(round_outward(&exact), [-1.5, 2.25, 0.125, 3.0]);
+    }
+
+    #[test]
+    fn inner_bounds_beyond_the_f32_range_go_infinite_on_the_outer_side_only() {
+        let b = DimBounds::new(-1e200, 1e200, 1e100, 1e300);
+        assert_eq!(
+            round_outward(&b),
+            [f32::NEG_INFINITY, f32::INFINITY, f32::MAX, f32::INFINITY]
+        );
+        // Inner sides saturate at the largest finite f32.
+        let far = DimBounds::new(1e200, 1e201, 1.0, 2.0);
+        assert_eq!(round_outward(&far)[..2], [f32::MAX, f32::INFINITY]);
+        let far = DimBounds::new(-1e201, -1e200, 1.0, 2.0);
+        assert_eq!(round_outward(&far)[..2], [f32::NEG_INFINITY, -f32::MAX]);
+        // Tiny means round to zero on one side and to the least subnormal on
+        // the other.
+        let tiny = DimBounds::new(1e-60, 1e-60, 1.0, 1.0);
+        assert_eq!(round_outward(&tiny)[..2], [0.0, f32::from_bits(1)]);
+    }
+
+    #[test]
+    fn rounding_outward_is_idempotent_and_keeps_the_sigma_floor() {
+        for b in [
+            DimBounds::new(-0.1, 0.3, MIN_SIGMA, MIN_SIGMA),
+            DimBounds::new(3.0, 3.0, MIN_SIGMA, 0.3),
+            DimBounds::new(-1e200, 1e200, 1e100, 1e300),
+            DimBounds::point(7.7, 0.01),
+        ] {
+            let once = rounded_outward(&b);
+            assert!(once.contains_bounds(&b), "{once:?} misses {b:?}");
+            assert!(once.sigma_lo >= MIN_SIGMA);
+            assert_eq!(rounded_outward(&once), once);
+            assert_eq!(round_outward(&once), round_outward(&b));
         }
     }
 }

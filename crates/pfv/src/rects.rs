@@ -71,7 +71,8 @@ const COLUMNS: usize = 6;
 /// `cols[(c·dims + d)·stride ..][.. stride]` with
 /// `stride = len.next_multiple_of(LANE_WIDTH)`; entries `len..stride`
 /// repeat the last rectangle. `σ̌` and `σ̂` are at least [`MIN_SIGMA`], as
-/// [`DimBounds::new`] leaves them.
+/// [`DimBounds::new`] leaves them; `μ̌`, `μ̂` and `σ̂` may be infinite on
+/// their outer side.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarRects {
     len: usize,
@@ -95,8 +96,9 @@ pub struct RectFill<'a> {
 impl RectFill<'_> {
     /// Stores rectangle `e`'s bounds `[μ̌, μ̂, σ̌, σ̂]` in dimension `d`,
     /// each `σ` raised to [`MIN_SIGMA`] as [`DimBounds::new`] raises it.
-    /// The caller has checked what `DimBounds::new` asserts: finite bounds,
-    /// `μ̌ ≤ μ̂`, `σ̌ ≤ σ̂`.
+    /// The caller has checked what `DimBounds::new` asserts: no NaN, a bound
+    /// infinite only on its outer side (`μ̌ = −∞`, `μ̂ = +∞`, `σ̂ = +∞`, as
+    /// an inner page may store them), `μ̌ ≤ μ̂`, `σ̌ ≤ σ̂`.
     #[inline]
     pub fn put(&mut self, e: usize, d: usize, bounds: [f64; 4]) {
         let [mu_lo, mu_hi, sigma_lo, sigma_hi] = bounds;

@@ -17,15 +17,20 @@
 //! from columns, bit-identical to `ParamRect`'s, and a screen whose
 //! bracket `(low, key)` must hold the exact upper hull between its ends —
 //! tested on every Lemma-2 case boundary, where the seven cases meet, and
-//! where `σ²`, `dist²` or `Σ z²` overflow.
+//! where `σ²`, `dist²` or `Σ z²` overflow. An inner page stores its
+//! rectangles rounded outward to `f32` (`pfv::quant::round_outward`), with
+//! `±∞` beyond the `f32` range; both bounds, the bracket and the split
+//! costs must hold on such rectangles too.
 
 use gausstree::pfv::batch::{
     log_densities, log_densities_upper, screen_densities, ColumnarLeaf, FastScratch, LANE_WIDTH,
 };
-use gausstree::pfv::{combine, ColumnarRects, CombineMode, DimBounds, ParamRect, Pfv};
-use gausstree::storage::{AccessStats, MemStore, SharedBufferPool, DEFAULT_PAGE_SIZE};
+use gausstree::pfv::{combine, quant, ColumnarRects, CombineMode, DimBounds, ParamRect, Pfv};
+use gausstree::storage::{AccessStats, MemStore, PageId, SharedBufferPool, DEFAULT_PAGE_SIZE};
+use gausstree::tree::node::InnerEntry;
+use gausstree::tree::split::{group_rect, split_items, SplitCost};
 use gausstree::tree::ReadView;
-use gausstree::tree::{GaussTree, TreeConfig};
+use gausstree::tree::{GaussTree, SplitStrategy, TreeConfig};
 use gausstree::workloads::{generate_queries, uniform_dataset, SigmaSpec};
 use proptest::prelude::*;
 
@@ -319,6 +324,135 @@ proptest! {
                 prop_assert!(!key.is_nan(), "NaN key (child {e}, {mode:?})");
                 prop_assert!(never_below(key, exact), "key {key} under exact {exact} (child {e}, {mode:?})");
                 prop_assert!(never_below(exact, low), "low {low} over exact {exact} (child {e}, {mode:?})");
+            }
+        }
+    }
+}
+
+/// Members of a few inner entries and the queries to price them for: `dims`
+/// from 1 to the paper's two and beyond, μ on a scale of 1, 1e4, 1e155 or
+/// 1e200 (past `f32::MAX`, so rounded μ bounds go `±∞`), σ log-uniform
+/// over a slice of `[1e-9, 1e150]` with a share at the `MIN_SIGMA` clamp
+/// (past `f32::MAX`, so rounded `σ̂` goes `+∞`). Queries sit on a member,
+/// anywhere on the scale, or at `±1e200`.
+fn rounding_case() -> impl Strategy<Value = (Vec<Vec<Pfv>>, Vec<Pfv>)> {
+    const DIMS: [usize; 5] = [1, 2, 10, 27, 64];
+    const SIGMA_DECADES: [(f64, f64); 4] =
+        [(-9.0, 150.0), (-2.5, 0.5), (-9.0, -6.0), (30.0, 150.0)];
+    const MEAN_SCALES: [f64; 4] = [1.0, 1e4, 1e155, 1e200];
+    (0usize..5, 0usize..4, 0usize..4, 1usize..=6, 0u64..u64::MAX).prop_map(
+        |(dims, sigmas, scale, n, seed)| {
+            let (dims, (lo, hi), scale) = (DIMS[dims], SIGMA_DECADES[sigmas], MEAN_SCALES[scale]);
+            let mut next = uniform(seed);
+            let pfv = |next: &mut dyn FnMut() -> f64| {
+                let means: Vec<f64> = (0..dims).map(|_| scale * (2.0 * next() - 1.0)).collect();
+                let sigmas: Vec<f64> = (0..dims)
+                    .map(|_| {
+                        if next() < 0.2 {
+                            1e-9
+                        } else {
+                            10f64.powf(lo + (hi - lo) * next())
+                        }
+                    })
+                    .collect();
+                Pfv::new(means, sigmas).unwrap()
+            };
+            let groups: Vec<Vec<Pfv>> = (0..3)
+                .map(|_| (0..n).map(|_| pfv(&mut next)).collect())
+                .collect();
+            let mut queries: Vec<Pfv> = (0..2).map(|_| pfv(&mut next)).collect();
+            let member = &groups[(next() * 3.0) as usize][(next() * n as f64) as usize];
+            queries.push(Pfv::new(member.means().to_vec(), queries[0].sigmas().to_vec()).unwrap());
+            let far = if next() < 0.5 { 1e200 } else { -1e200 };
+            queries.push(Pfv::new(vec![far; dims], queries[1].sigmas().to_vec()).unwrap());
+            (groups, queries)
+        },
+    )
+}
+
+/// `rect` as an inner page stores it.
+fn rounded(rect: &ParamRect) -> ParamRect {
+    ParamRect::from_dims(rect.as_slice().iter().map(quant::rounded_outward).collect())
+}
+
+/// `ln p(q|v)` and the sum of its per-dimension terms' magnitudes: what
+/// rounding can move a sum of them by is a small share of the latter.
+fn joint_and_scale(mode: CombineMode, v: &Pfv, q: &Pfv) -> (f64, f64) {
+    let scale: f64 = (0..v.dims())
+        .map(|i| {
+            let ((mv, sv), (mq, sq)) = (v.component(i), q.component(i));
+            combine::log_joint_1d(mode, mv, sv, mq, sq).abs()
+        })
+        .filter(|t| t.is_finite())
+        .sum();
+    (combine::log_joint(mode, v, q), scale)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Outward rounding keeps Lemmas 2–3 conservative: the rounded
+    /// rectangle contains the exact one; its `ln N̂` is at or above, and its
+    /// `ln Ň` at or below, the density of every member (up to the rounding
+    /// of the sums, and a member at `−∞` has a lower bound at `−∞`); the
+    /// screen's bracket holds its exact bound on rounded columns; and no
+    /// bound and no split cost is NaN — with bounds at `±∞`.
+    #[test]
+    fn outward_rounding_keeps_lemmas_2_and_3_conservative((groups, queries) in rounding_case()) {
+        let dims = queries[0].dims();
+        let exact: Vec<ParamRect> = groups.iter().map(|g| ParamRect::covering(g.iter())).collect();
+        let stored: Vec<ParamRect> = exact.iter().map(rounded).collect();
+        for (e, s) in exact.iter().zip(&stored) {
+            prop_assert!(s.contains_rect(e), "{s:?} misses {e:?}");
+            prop_assert_eq!(&rounded(s), s, "rounding is idempotent");
+        }
+        let cols = ColumnarRects::from_rects(dims, stored.iter());
+        let mut brackets = Vec::new();
+        for mode in MODES {
+            for q in &queries {
+                cols.screen_upper_for_query(q, mode, &mut brackets);
+                for (e, (rect, members)) in stored.iter().zip(&groups).enumerate() {
+                    let (up, lo) = rect.log_bounds_for_query(q, mode);
+                    prop_assert!(!up.is_nan() && !lo.is_nan(), "NaN bound ({mode:?}): {up} {lo}");
+                    prop_assert_eq!(cols.log_upper_for_query(e, q, mode).to_bits(), up.to_bits());
+                    let (low, key) = brackets[e];
+                    prop_assert!(!key.is_nan(), "NaN key (child {e}, {mode:?})");
+                    prop_assert!(never_below(key, up) && never_below(up, low), "{low} {up} {key}");
+                    for v in members {
+                        let (j, scale) = joint_and_scale(mode, v, q);
+                        let slack = 1e-12 * (1.0 + scale);
+                        prop_assert!(
+                            j == f64::NEG_INFINITY || up >= j - slack,
+                            "ln N̂ {up} under member {j} ({mode:?})"
+                        );
+                        prop_assert!(
+                            lo == f64::NEG_INFINITY || (j > f64::NEG_INFINITY && lo <= j + slack),
+                            "ln Ň {lo} over member {j} ({mode:?})"
+                        );
+                    }
+                }
+            }
+            // Split costs of stored rectangles, of their union and of the
+            // objective a node split takes from stored entries.
+            let entries: Vec<InnerEntry> = stored
+                .iter()
+                .enumerate()
+                .map(|(i, rect)| InnerEntry { child: PageId(i as u64 + 2), count: 1, rect: rect.clone() })
+                .collect();
+            let costs = [
+                SplitCost::from_items(SplitStrategy::HullIntegral, mode, &entries),
+                SplitCost::at_spread(SplitStrategy::HullIntegral, mode, &vec![0.0; dims]),
+                SplitCost::at_spread(SplitStrategy::HullIntegral, mode, queries[0].sigmas()),
+                SplitCost::from_items(SplitStrategy::MinVolume, mode, &entries),
+                SplitCost::from_items(SplitStrategy::WidestMu, mode, &entries),
+            ];
+            for cost in &costs {
+                for rect in stored.iter().chain([&group_rect(&entries)]) {
+                    let c = cost.node(rect);
+                    prop_assert!(!c.is_nan(), "NaN split cost {cost:?} of {rect:?}");
+                }
+                let out = split_items(cost, entries.clone());
+                prop_assert_eq!(out.left.len() + out.right.len(), entries.len());
             }
         }
     }

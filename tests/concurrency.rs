@@ -109,10 +109,11 @@ fn read_totals_are_thread_count_independent() {
 fn cold_physical_reads_are_deterministic_across_thread_counts() {
     // Misses are resolved under the owning shard's lock, so even a cold
     // cache faults each page exactly once no matter the interleaving.
+    // Cold means both caches: a node still decoded is read without its page.
     let (tree, queries) = build_shared_tree(3000);
     let mut faults = Vec::new();
     for threads in [1usize, 4] {
-        tree.pool().clear_cache_and_stats();
+        tree.cold_start();
         let _ = tree.batch(threads).k_mliq(&queries, 3).unwrap();
         faults.push(tree.stats().snapshot().physical_reads);
     }
