@@ -12,8 +12,19 @@
 //!    builds), so peak decoded residency is bounded by the budget, not the
 //!    input size.
 //! 2. **Partitioning** — the STR-style recursion of
-//!    [`crate::split::partition_groups`] descends into *independent*
-//!    sub-ranges after every split, so in-memory ranges fork-join across
+//!    [`crate::split::partition_groups`] splits a range of `n_groups` groups
+//!    into `⌊n_groups / 2⌋` and the rest, at the median of the cheapest
+//!    candidate axis's stable sort. An in-memory range lays its axis keys
+//!    out as flat columns and sorts each column **once**, by (key, input
+//!    position); every split then prices both halves of every candidate
+//!    from those orders (a half's bounds are the first of its members met
+//!    scanning an order from either end) and filters the orders stably
+//!    into the two children. A stable sort puts equal keys in the order of
+//!    the node's own sequence, the parent's winning order, so the filter
+//!    reorders each run of equal keys by rank in that order: every split
+//!    and every group's order is the one a stable sort at each split would
+//!    make, ties included. The recursion descends into *independent*
+//!    sub-ranges after every split, so it fork-joins across
 //!    [`std::thread::scope`] threads: each split hands its right half to a
 //!    fresh thread with half the thread budget and descends into the left.
 //!    Ranges larger than the budget are split
@@ -33,17 +44,17 @@
 //! Every stage is deterministic: the produced tree is **byte-identical**
 //! to the serial, fully-resident build for any thread count, chunk size
 //! and memory budget. (The only theoretical exception is inputs containing
-//! IEEE negative zero, where min/max union order could differ; finite
-//! datasets in practice never hit it.)
+//! IEEE negative zero: the in-memory partitioner takes the least of `±0.0`
+//! under [`f64::total_cmp`], so `−0.0`, while the external split's
+//! [`f64::min`] fold may take either; finite datasets in practice never
+//! hit it.)
 //!
 //! [`SharedBufferPool::write_batch`]: gauss_storage::SharedBufferPool::write_batch
 //! [`AccessStats::write_calls`]: gauss_storage::StatsSnapshot
 
 use crate::config::SplitStrategy;
 use crate::node::{InnerEntry, LeafEntry, Node};
-use crate::split::{
-    candidate_axes, group_rect, log_add, partition_into_n_parallel, Axis, SplitCost,
-};
+use crate::split::{candidate_axes, group_rect, log_add, partition, Axis, SplitCost};
 use crate::tree::{GaussTree, TreeError};
 use gauss_storage::store::{Durability, PageStore};
 use gauss_storage::{FileStore, MemStore, PageId, WriteBatch};
@@ -67,14 +78,19 @@ pub fn entry_stride_bytes(dims: usize) -> usize {
     8 + 16 * dims
 }
 
-/// Approximate resident bytes of one *decoded* entry: the encoded stride
-/// plus `LeafEntry`/`Pfv` container overhead (two boxed slices and an id).
+/// Approximate resident bytes of one entry while a range is partitioned in
+/// memory: the decoded entry (the encoded stride plus `LeafEntry`/`Pfv`
+/// container overhead: two boxed slices and an id) and the partitioner's
+/// scratch ([`crate::split::partition_groups`]): `2d` `f64` key columns,
+/// `2d` `u32` orders, and 16 bytes for the largest of the sort's
+/// (key, id) pairs and a worker's rank word and half-order buffer. Each
+/// partition thread past the first adds another 8 bytes per entry.
 /// The single conversion factor between a byte budget and
 /// [`BulkLoadOptions::mem_budget_entries`] — keep every byte→entries
 /// translation (CLI `--mem-budget`, bench scenarios) on this helper.
 #[must_use]
 pub fn resident_entry_footprint_bytes(dims: usize) -> usize {
-    entry_stride_bytes(dims) + 64
+    entry_stride_bytes(dims) + 64 + 24 * dims + 16
 }
 
 /// Entries a byte budget affords (at least 1).
@@ -360,7 +376,7 @@ fn emit_leaf_groups<S: PageStore>(
     report: &mut BulkLoadReport,
 ) -> Result<(), TreeError> {
     report.observe_resident(entries.len());
-    let groups = partition_into_n_parallel(&ctx.cost, entries, n_groups, ctx.threads);
+    let (groups, _) = partition(&ctx.cost, entries, n_groups, ctx.threads);
     for (i, g) in groups.into_iter().enumerate() {
         let page = ctx.page_for(group_offset + i);
         let rect = group_rect(&g);
@@ -524,7 +540,7 @@ fn build_upper_levels<S: PageStore>(
         height += 1;
         let n_groups = level.len().div_ceil(tree.inner_capacity());
         let base = tree.pool().allocate_many(n_groups as u64)?;
-        let groups = partition_into_n_parallel(cost, level, n_groups, threads);
+        let (groups, _) = partition(cost, level, n_groups, threads);
         let mut next = Vec::with_capacity(groups.len());
         for (i, g) in groups.into_iter().enumerate() {
             let page = PageId(base.index() + i as u64);

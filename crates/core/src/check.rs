@@ -78,21 +78,20 @@ pub enum InvariantError {
         actual: u64,
     },
     /// Allocated pages are neither reachable from the root, nor metadata
-    /// pages, nor dead pages an earlier version's slot lists as free — the
-    /// store is leaking pages.
+    /// pages, nor dead pages past the committed allocation — the store is
+    /// leaking pages.
     PageLeak {
         /// Pages allocated in the store.
         allocated: u64,
         /// Node pages reachable from the root (excluding metadata pages).
         reachable: u64,
-        /// Dead pages: the committed slot's free ids and pages past its
-        /// allocation.
+        /// Dead pages: pages past the committed allocation.
         freed: u64,
         /// Pages owned by the tree's metadata (the two commit slots).
         meta: u64,
     },
-    /// A page the committed slot lists as free is still reachable from the
-    /// root.
+    /// A dead page (past the committed allocation) is reachable from the
+    /// root: a child id points beyond what the slot committed.
     FreedPageReachable {
         /// The doubly-owned page.
         page: u64,
@@ -154,7 +153,7 @@ impl std::fmt::Display for InvariantError {
                 "page leak: {allocated} allocated, {reachable} reachable + {meta} meta + {freed} freed"
             ),
             InvariantError::FreedPageReachable { page } => {
-                write!(f, "freed page {page} is still reachable from the root")
+                write!(f, "dead page {page} is reachable from the root")
             }
             InvariantError::UnquantisedLeafValue { page, id, dim } => {
                 write!(
@@ -185,9 +184,9 @@ impl<S: PageStore> GaussTree<S> {
 
     /// Allocation-leak assertion: every page of the store is a meta slot,
     /// reachable from the root, or dead — nothing more, nothing less. Bulk
-    /// loading and in-memory insertion leave no dead page; a file of an
-    /// earlier version may list some. A violation means some code path
-    /// dropped or double-owned a page.
+    /// loading and in-memory insertion leave no dead page; a store that
+    /// grew after its commit (pages appended to a written file) has some. A
+    /// violation means some code path dropped or double-owned a page.
     fn check_page_accounting(&self, reachable: &[u64], errors: &mut Vec<InvariantError>) {
         let reachable_set: std::collections::HashSet<u64> = reachable.iter().copied().collect();
         let freed = self.dead_pages();

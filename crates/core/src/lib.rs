@@ -28,8 +28,8 @@
 //!   into an in-memory tree (one descent per batch);
 //! * [structural invariant checking](GaussTree::check_invariants),
 //!   including exact page accounting: every allocated page is a commit
-//!   slot or reachable from the root (files of earlier versions may also
-//!   list dead pages);
+//!   slot, reachable from the root, or dead past the committed allocation
+//!   (pages appended to a file after its commit);
 //! * a columnar read hot path: decoded nodes are cached next to their pages
 //!   ([`CachedNode`] behind a [`gauss_storage::SideCache`]), leaves are
 //!   materialized struct-of-arrays and evaluated with the batched Lemma-1

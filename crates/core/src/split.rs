@@ -84,6 +84,11 @@ pub enum Axis {
 /// Items a node split can operate on (leaf pfv entries or inner child
 /// entries).
 pub trait Splittable {
+    /// Whether an item's bounds are the point of its keys
+    /// (`dim_bounds(i)` is `DimBounds::point` of its μ and σ keys, as for a
+    /// leaf entry), so the partitioner reads them from the key columns.
+    const POINT_BOUNDS: bool = false;
+
     /// Dimensionality.
     fn dims(&self) -> usize;
     /// Sort key along `axis` (centre of the item's extent on that axis).
@@ -93,6 +98,10 @@ pub trait Splittable {
 }
 
 impl Splittable for LeafEntry {
+    // A stored σ is already clamped to `MIN_SIGMA`, so `DimBounds::point`
+    // keeps it as it is.
+    const POINT_BOUNDS: bool = true;
+
     fn dims(&self) -> usize {
         self.pfv.dims()
     }
@@ -224,12 +233,16 @@ impl SplitCost {
     /// dimensionality.
     #[must_use]
     pub fn node(&self, rect: &ParamRect) -> f64 {
+        self.dims_cost(rect.as_slice())
+    }
+
+    /// [`SplitCost::node`] of the rectangle with these dimensions.
+    pub(crate) fn dims_cost(&self, dims: &[DimBounds]) -> f64 {
         const EPS: f64 = 1e-12;
         match self.strategy {
             SplitStrategy::HullIntegral => {
-                assert_eq!(rect.dims(), self.sigma_bar.len(), "dimensionality mismatch");
-                rect.as_slice()
-                    .iter()
+                assert_eq!(dims.len(), self.sigma_bar.len(), "dimensionality mismatch");
+                dims.iter()
                     .zip(self.sigma_bar.iter())
                     .map(|(d, &s)| {
                         let folded = d.with_query_sigma(s, self.mode).hull_integral();
@@ -247,8 +260,7 @@ impl SplitCost {
                     })
                     .sum()
             }
-            SplitStrategy::WidestMu | SplitStrategy::MinVolume => rect
-                .as_slice()
+            SplitStrategy::WidestMu | SplitStrategy::MinVolume => dims
                 .iter()
                 .map(|d| (d.mu_extent() + EPS).ln() + (d.sigma_extent() + EPS).ln())
                 .sum(),
@@ -283,36 +295,23 @@ pub struct SplitOutcome<T> {
 ///
 /// Every candidate axis receives a median split (so both halves satisfy the
 /// minimum fanout by construction); the strategy's cost function picks the
-/// winner.
+/// winner. This is one split of the bulk partitioner ([`partition_groups`]
+/// with two groups), so no item is cloned.
 ///
 /// # Panics
 /// Panics if fewer than two items are supplied.
 #[must_use]
-pub fn split_items<T: Splittable + Clone>(cost: &SplitCost, items: Vec<T>) -> SplitOutcome<T> {
+#[expect(clippy::expect_used, reason = "two groups come back from one split")]
+pub fn split_items<T: Splittable>(cost: &SplitCost, items: Vec<T>) -> SplitOutcome<T> {
     assert!(items.len() >= 2, "cannot split fewer than two items");
-    let axes = candidate_axes(cost.strategy, items[0].dims(), || group_rect(&items));
-    let mid = items.len() / 2;
-    let mut best: Option<(f64, Axis, Vec<T>, Vec<T>)> = None;
-    for axis in axes {
-        let mut sorted = items.clone();
-        sorted.sort_by(|a, b| a.axis_key(axis).total_cmp(&b.axis_key(axis)));
-        let right = sorted.split_off(mid);
-        let left = sorted;
-        let c = log_add(
-            cost.node(&group_rect(&left)),
-            cost.node(&group_rect(&right)),
-        );
-        let better = match &best {
-            None => true,
-            Some((b, ..)) => c < *b,
-        };
-        if better {
-            best = Some((c, axis, left, right));
-        }
+    let (mut groups, axis) = partition(cost, items, 2, 1);
+    let right = groups.pop().expect("two groups");
+    let left = groups.pop().expect("two groups");
+    SplitOutcome {
+        axis: axis.expect("two groups take one split"),
+        left,
+        right,
     }
-    #[expect(clippy::expect_used, reason = "the axis loop ran at least once")]
-    let (_, axis, left, right) = best.expect("at least one candidate axis");
-    SplitOutcome { axis, left, right }
 }
 
 /// The candidate split axes of a strategy, in the canonical order every
@@ -339,110 +338,55 @@ pub(crate) fn candidate_axes(
     }
 }
 
-/// MBR of the items selected by `idxs`, unioned in index order — the same
-/// fold [`group_rect`] performs over a materialised group.
-///
-/// # Panics
-/// Panics if `idxs` is empty.
-pub(crate) fn rect_of_indices<T: Splittable>(items: &[T], idxs: &[u32]) -> ParamRect {
-    assert!(!idxs.is_empty(), "empty group has no bounds");
-    let first = &items[idxs[0] as usize];
-    let dims = first.dims();
-    let mut ds: Vec<DimBounds> = (0..dims).map(|d| first.dim_bounds(d)).collect();
-    for &i in &idxs[1..] {
-        let it = &items[i as usize];
-        for (d, b) in ds.iter_mut().enumerate() {
-            *b = b.union(&it.dim_bounds(d));
-        }
-    }
-    ParamRect::from_dims(ds)
-}
-
-/// Splits `items` at `split_at` along the cheapest candidate axis and
-/// returns the two halves in the stable sort order of that axis.
-///
-/// Semantically identical to the original clone-sort-per-axis
-/// implementation, but candidate axes are evaluated on a stable **argsort**
-/// (one `Vec<f64>` of keys and one index permutation per axis) and only the
-/// winning permutation materialises the items — no per-axis full clones.
-fn choose_partition_split<T: Splittable + Clone>(
-    cost: &SplitCost,
-    items: Vec<T>,
-    split_at: usize,
-) -> (Vec<T>, Vec<T>) {
-    let dims = items[0].dims();
-    let n = items.len();
-    let axes = candidate_axes(cost.strategy, dims, || group_rect(&items));
-
-    let mut best: Option<(f64, Vec<u32>)> = None;
-    for axis in axes {
-        let keys: Vec<f64> = items.iter().map(|it| it.axis_key(axis)).collect();
-        #[expect(clippy::expect_used, reason = "groups are capped far below u32::MAX")]
-        let mut perm: Vec<u32> = (0..u32::try_from(n).expect("group fits u32")).collect();
-        // Stable argsort == stable sort of the items themselves.
-        perm.sort_by(|&a, &b| keys[a as usize].total_cmp(&keys[b as usize]));
-        let c = log_add(
-            cost.node(&rect_of_indices(&items, &perm[..split_at])),
-            cost.node(&rect_of_indices(&items, &perm[split_at..])),
-        );
-        if best.as_ref().is_none_or(|(b, _)| c < *b) {
-            best = Some((c, perm));
-        }
-    }
-    #[expect(clippy::expect_used, reason = "the axis loop ran at least once")]
-    let (_, perm) = best.expect("at least one candidate axis");
-
-    // Move the items into the winning order (no clones).
-    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let mut left = Vec::with_capacity(split_at);
-    let mut right = Vec::with_capacity(n - split_at);
-    for (i, &p) in perm.iter().enumerate() {
-        #[expect(clippy::expect_used, reason = "perm moves each slot exactly once")]
-        let it = slots[p as usize].take().expect("each index moved once");
-        if i < split_at {
-            left.push(it);
-        } else {
-            right.push(it);
-        }
-    }
-    (left, right)
-}
-
 /// Recursively partitions `items` into `⌈n / cap⌉` groups of at most `cap`
 /// items each, choosing split axes with the same cost objective as node
 /// splits. Used by the bulk loader.
 ///
+/// # The presorted partitioner
+///
+/// The recursion splits `n_groups` groups into `⌊n_groups / 2⌋` on the left
+/// and the rest on the right, at `split_at = n·⌊n_groups / 2⌋ / n_groups`
+/// items of the cheapest candidate axis's stable sort. A stable sort
+/// orders equal keys by their position in the node's own sequence, which
+/// is the parent's winning order. Instead of sorting every axis again at
+/// every split, one call lays out the axis keys as flat columns and sorts
+/// each column once, by (key, input position). Each node then holds, for
+/// every column, its items in that column's order, and a split works on
+/// these orders alone:
+///
+/// * a candidate axis's left half is the prefix of its order, so it needs
+///   no sort: an item is in it if it sorts before the first item of the
+///   right half by (key, rank in the node's sequence);
+/// * a half's least value in a column is that of the first member of the
+///   half met scanning the column's order from the front, and its greatest
+///   that of the first met from the back; the scan stops at once unless
+///   the column follows the candidate axis, so pricing both halves costs a
+///   few reads per column instead of a gather of every item;
+/// * a leaf entry's bounds are its keys; an inner entry's `μ̌`, `μ̂`, `σ̌`
+///   and `σ̂` get columns (and orders) of their own beside its centres;
+/// * the winner's order is cut at `split_at` into the two children, and
+///   every other order is filtered stably into them. Within each run of
+///   equal values the filtered ids are then put in their rank in the
+///   winner's order — the child's sequence — which is where the stable
+///   sort of the recursion this replaced put them. Columns without equal
+///   values skip that step; a run longer than a sixteenth of the child (a
+///   histogram's empty bins) is read off the winner's order in one pass
+///   instead of sorted.
+///
+/// So every split, and every group's order, is the one the per-split
+/// stable argsort made, and the trees are byte-identical to it (negative
+/// zero aside: a scan under [`f64::total_cmp`] takes `−0.0` as the least
+/// of `±0.0`, where an [`f64::min`] fold may take either). The work per
+/// split is one pass over each order, O(n·d) per level, against
+/// O(n·d·(log n + d)) for the sorts and the gathers. Per item a call holds
+/// `2d` `f64` keys and `2d` `u32` orders (`6d` of each for inner entries)
+/// and, per worker, one rank and one buffer word.
+///
 /// # Panics
 /// Panics if `cap < 1` or `items` is empty.
 #[must_use]
-pub fn partition_groups<T: Splittable + Clone>(
-    cost: &SplitCost,
-    items: Vec<T>,
-    cap: usize,
-) -> Vec<Vec<T>> {
-    assert!(cap >= 1, "group capacity must be positive");
-    assert!(!items.is_empty(), "cannot partition zero items");
-    let n_groups = items.len().div_ceil(cap);
-    let mut out = Vec::with_capacity(n_groups);
-    partition_rec(cost, items, n_groups, &mut out);
-    out
-}
-
-fn partition_rec<T: Splittable + Clone>(
-    cost: &SplitCost,
-    items: Vec<T>,
-    n_groups: usize,
-    out: &mut Vec<Vec<T>>,
-) {
-    if n_groups <= 1 {
-        out.push(items);
-        return;
-    }
-    let g_left = n_groups / 2;
-    let split_at = items.len() * g_left / n_groups;
-    let (left, right) = choose_partition_split(cost, items, split_at);
-    partition_rec(cost, left, g_left, out);
-    partition_rec(cost, right, n_groups - g_left, out);
+pub fn partition_groups<T: Splittable>(cost: &SplitCost, items: Vec<T>, cap: usize) -> Vec<Vec<T>> {
+    partition_groups_parallel(cost, items, cap, 1)
 }
 
 /// Subtrees below this size are partitioned serially by one worker instead
@@ -452,74 +396,450 @@ const PARALLEL_TASK_FLOOR: usize = 2048;
 
 /// [`partition_groups`] fanned across `threads` scoped workers.
 ///
-/// The recursion of [`partition_groups`] descends into two *independent*
-/// sub-ranges after every split, so the parallel form is a fork-join over
-/// the same recursion: the right half goes to a fresh scoped thread with
-/// half the thread budget while the splitting thread keeps descending into
-/// the left with the rest, and the right's groups are appended after the
-/// left's when its join handle returns. Every split is the one the serial
-/// recursion makes (`n_groups` splits deterministically) and groups come
-/// back in recursion order, so the result is **identical** to the serial
-/// partitioning for any thread count.
+/// The recursion descends into two *independent* sub-ranges after every
+/// split, so the parallel form is a fork-join over the same recursion: the
+/// right half goes to a fresh scoped thread with half the thread budget
+/// while the splitting thread keeps descending into the left with the
+/// rest, and the right's groups are appended after the left's when its
+/// join handle returns. Every split is the one the serial recursion makes
+/// and groups come back in recursion order, so the result is **identical**
+/// to the serial partitioning for any thread count.
 ///
 /// # Panics
 /// Panics if `cap < 1` or `items` is empty.
 #[must_use]
-pub fn partition_groups_parallel<T: Splittable + Clone + Send>(
+pub fn partition_groups_parallel<T: Splittable>(
     cost: &SplitCost,
     items: Vec<T>,
     cap: usize,
     threads: usize,
 ) -> Vec<Vec<T>> {
     assert!(cap >= 1, "group capacity must be positive");
-    assert!(!items.is_empty(), "cannot partition zero items");
     let total = items.len().div_ceil(cap);
-    partition_into_n_parallel(cost, items, total, threads)
+    partition(cost, items, total, threads).0
 }
 
 /// [`partition_groups_parallel`] with an explicit group count — the form
 /// the bulk loader's recursion needs, because a sub-range's group count is
-/// fixed by the parent split, not recomputed from the capacity.
-pub(crate) fn partition_into_n_parallel<T: Splittable + Clone + Send>(
-    cost: &SplitCost,
-    items: Vec<T>,
-    total: usize,
-    threads: usize,
-) -> Vec<Vec<T>> {
-    assert!(!items.is_empty(), "cannot partition zero items");
-    let mut out = Vec::with_capacity(total);
-    partition_fork_join(cost, items, total, threads.max(1), &mut out);
-    out
-}
-
-/// [`partition_rec`] with the right half of every split above
-/// [`PARALLEL_TASK_FLOOR`] handed to its own scoped thread, `threads`
-/// being this call's budget (itself included).
-fn partition_fork_join<T: Splittable + Clone + Send>(
+/// fixed by the parent split, not recomputed from the capacity — returning
+/// the groups in recursion order with the axis of the first split (`None`
+/// when one group takes everything, in input order).
+#[expect(clippy::expect_used, reason = "the groups cover every item once")]
+pub(crate) fn partition<T: Splittable>(
     cost: &SplitCost,
     items: Vec<T>,
     n_groups: usize,
     threads: usize,
-    out: &mut Vec<Vec<T>>,
-) {
-    if threads == 1 || n_groups <= 1 || items.len() <= PARALLEL_TASK_FLOOR {
-        partition_rec(cost, items, n_groups, out);
-        return;
+) -> (Vec<Vec<T>>, Option<Axis>) {
+    assert!(!items.is_empty(), "cannot partition zero items");
+    if n_groups <= 1 {
+        return (vec![items], None);
     }
-    let g_left = n_groups / 2;
-    let split_at = items.len() * g_left / n_groups;
-    let (left, right) = choose_partition_split(cost, items, split_at);
-    let right_threads = threads / 2;
-    let right_groups = std::thread::scope(|scope| {
-        let right = scope.spawn(|| {
-            let mut groups = Vec::with_capacity(n_groups - g_left);
-            partition_fork_join(cost, right, n_groups - g_left, right_threads, &mut groups);
-            groups
+    assert!(n_groups <= items.len(), "more groups than items");
+    let n = items.len();
+    let (cols, mut ord) = Columns::new(&items);
+    let mut groups = Vec::with_capacity(n_groups);
+    let root = Node {
+        ords: ord.chunks_exact_mut(n).collect(),
+        start: 0,
+        n_groups,
+        seq: 0,
+    };
+    let mut scratch = Scratch::new(n, cols.dims);
+    let first = cols.descend(cost, root, threads.max(1), &mut scratch, &mut groups);
+    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
+    let groups = groups
+        .into_iter()
+        .map(|g| {
+            ord[g.column * n + g.start..][..g.len]
+                .iter()
+                .map(|&id| slots[id as usize].take().expect("each item in one group"))
+                .collect()
+        })
+        .collect();
+    (groups, first.map(axis_of))
+}
+
+/// The candidate axis whose keys column `c` holds: `2i` is μ and `2i + 1`
+/// is σ of dimension `i`, the order of [`candidate_axes`].
+fn axis_of(c: usize) -> Axis {
+    if c.is_multiple_of(2) {
+        Axis::Mu(c / 2)
+    } else {
+        Axis::Sigma(c / 2)
+    }
+}
+
+fn column_of(axis: Axis) -> usize {
+    match axis {
+        Axis::Mu(i) => 2 * i,
+        Axis::Sigma(i) => 2 * i + 1,
+    }
+}
+
+/// The bits of `x` as an integer that orders like [`f64::total_cmp`].
+fn total_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// A node of the recursion: its orders (the same items in every column,
+/// at `start`), the number of groups to cut it into and the column whose
+/// order is its sequence (unused at the root, which always splits).
+struct Node<'o> {
+    ords: Vec<&'o mut [u32]>,
+    start: usize,
+    n_groups: usize,
+    seq: usize,
+}
+
+/// A finished group: `len` items at `start` of the order of `column`.
+struct Group {
+    column: usize,
+    start: usize,
+    len: usize,
+}
+
+/// One worker's scratch: item ranks, a buffer for the right half of a
+/// filtered order, and both halves' bounds.
+struct Scratch {
+    /// `rank[id]`, for each item of the node being split: a number that
+    /// orders the node's items as its sequence does (the input position at
+    /// the root, the rank in the parent's winning order below it). Indexed
+    /// by the id, so every worker holds one for all `n` items.
+    rank: Vec<u32>,
+    right: Vec<u32>,
+    left_dims: Vec<DimBounds>,
+    right_dims: Vec<DimBounds>,
+}
+
+impl Scratch {
+    /// Scratch whose ranks are the input positions, as at the root.
+    fn new(n: usize, dims: usize) -> Self {
+        Self {
+            rank: (0u32..).take(n).collect(),
+            right: Vec::new(),
+            left_dims: vec![DimBounds::point(0.0, 1.0); dims],
+            right_dims: vec![DimBounds::point(0.0, 1.0); dims],
+        }
+    }
+
+    fn rank_by(&mut self, order: &[u32]) {
+        for (r, &id) in (0u32..).zip(order) {
+            self.rank[id as usize] = r;
+        }
+    }
+}
+
+/// The items of one partition call as flat columns, each sorted once.
+struct Columns {
+    n: usize,
+    dims: usize,
+    /// `vals[c * n + id]`: item `id`'s value in column `c`. Columns `0..2d`
+    /// are the candidate axes' keys ([`axis_of`]); an inner entry adds
+    /// `μ̌, μ̂, σ̌, σ̂` of dimension `i` at `2d + 4i ..`.
+    vals: Vec<f64>,
+    /// Per dimension, the columns holding `μ̌, μ̂, σ̌, σ̂`.
+    bounds: Vec<[usize; 4]>,
+    /// Whether a column holds two equal values, so that filtering it into
+    /// the children needs the tie reorder.
+    ties: Vec<bool>,
+}
+
+impl Columns {
+    /// Lays out `items` and returns the columns with every column's order
+    /// (`order[c * n ..][..n]`), sorted by (value, input position).
+    fn new<T: Splittable>(items: &[T]) -> (Self, Vec<u32>) {
+        let n = items.len();
+        assert!(u32::try_from(n).is_ok(), "partition exceeds u32 indices");
+        let dims = items[0].dims();
+        let n_cols = if T::POINT_BOUNDS { 2 * dims } else { 6 * dims };
+        let mut vals = vec![0.0; n_cols * n];
+        for (id, it) in items.iter().enumerate() {
+            for i in 0..dims {
+                vals[2 * i * n + id] = it.axis_key(Axis::Mu(i));
+                vals[(2 * i + 1) * n + id] = it.axis_key(Axis::Sigma(i));
+                if !T::POINT_BOUNDS {
+                    let b = it.dim_bounds(i);
+                    let at = 2 * dims + 4 * i;
+                    for (k, v) in [b.mu_lo, b.mu_hi, b.sigma_lo, b.sigma_hi]
+                        .into_iter()
+                        .enumerate()
+                    {
+                        vals[(at + k) * n + id] = v;
+                    }
+                }
+            }
+        }
+        let bounds = (0..dims)
+            .map(|i| {
+                if T::POINT_BOUNDS {
+                    [2 * i, 2 * i, 2 * i + 1, 2 * i + 1]
+                } else {
+                    let at = 2 * dims + 4 * i;
+                    [at, at + 1, at + 2, at + 3]
+                }
+            })
+            .collect();
+        let mut order = vec![0u32; n_cols * n];
+        let mut ties = vec![false; n_cols];
+        let mut keyed: Vec<(i64, u32)> = Vec::with_capacity(n);
+        for (c, (col, ord)) in vals
+            .chunks_exact(n)
+            .zip(order.chunks_exact_mut(n))
+            .enumerate()
+        {
+            keyed.clear();
+            keyed.extend((0u32..).zip(col).map(|(id, &v)| (total_key(v), id)));
+            keyed.sort_unstable();
+            ties[c] = keyed.windows(2).any(|w| w[0].0 == w[1].0);
+            for (o, &(_, id)) in ord.iter_mut().zip(&keyed) {
+                *o = id;
+            }
+        }
+        let cols = Self {
+            n,
+            dims,
+            vals,
+            bounds,
+            ties,
+        };
+        (cols, order)
+    }
+
+    fn val(&self, c: usize, id: u32) -> f64 {
+        self.vals[c * self.n + id as usize]
+    }
+
+    /// Splits `node`, recursing into both halves; appends the finished
+    /// groups to `out` in recursion order and returns the column the node
+    /// split on.
+    fn descend(
+        &self,
+        cost: &SplitCost,
+        mut node: Node<'_>,
+        threads: usize,
+        scratch: &mut Scratch,
+        out: &mut Vec<Group>,
+    ) -> Option<usize> {
+        let m = node.ords[0].len();
+        if node.n_groups <= 1 {
+            out.push(Group {
+                column: node.seq,
+                start: node.start,
+                len: m,
+            });
+            return None;
+        }
+        let g_left = node.n_groups / 2;
+        let split_at = m * g_left / node.n_groups;
+        let w = self.choose(cost, &node.ords, split_at, scratch);
+        if node.n_groups > 2 {
+            // The halves split again: filter every order into them, and
+            // leave their ranks, the winning order's, in the scratch.
+            scratch.rank_by(&node.ords[w][..]);
+            let winner = std::mem::take(&mut node.ords[w]);
+            for (c, ord) in node.ords.iter_mut().enumerate() {
+                if c != w {
+                    self.divide(c, ord, split_at, winner, scratch);
+                }
+            }
+            node.ords[w] = winner;
+        }
+        let (left, right): (Vec<_>, Vec<_>) = node
+            .ords
+            .into_iter()
+            .map(|o| o.split_at_mut(split_at))
+            .unzip();
+        let left = Node {
+            ords: left,
+            start: node.start,
+            n_groups: g_left,
+            seq: w,
+        };
+        let right = Node {
+            ords: right,
+            start: node.start + split_at,
+            n_groups: node.n_groups - g_left,
+            seq: w,
+        };
+        if threads == 1 || m <= PARALLEL_TASK_FLOOR {
+            self.descend(cost, left, 1, scratch, out);
+            self.descend(cost, right, 1, scratch, out);
+            return Some(w);
+        }
+        let right_threads = threads / 2;
+        let right_groups = std::thread::scope(|scope| {
+            let right = scope.spawn(move || {
+                let mut scratch = Scratch::new(self.n, self.dims);
+                scratch.rank_by(&right.ords[w][..]);
+                let mut groups = Vec::new();
+                self.descend(cost, right, right_threads, &mut scratch, &mut groups);
+                groups
+            });
+            self.descend(cost, left, threads - right_threads, scratch, out);
+            right.join()
         });
-        partition_fork_join(cost, left, g_left, threads - right_threads, out);
-        right.join()
-    });
-    out.extend(right_groups.unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        out.extend(right_groups.unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        Some(w)
+    }
+
+    /// The column of the cheapest candidate split at `split_at`.
+    #[expect(clippy::expect_used, reason = "there is at least one candidate axis")]
+    fn choose(
+        &self,
+        cost: &SplitCost,
+        ords: &[&mut [u32]],
+        split_at: usize,
+        s: &mut Scratch,
+    ) -> usize {
+        let candidates: Vec<usize> =
+            candidate_axes(cost.strategy, self.dims, || self.whole_rect(ords))
+                .into_iter()
+                .map(column_of)
+                .collect();
+        if let [only] = candidates[..] {
+            return only;
+        }
+        let mut best: Option<(f64, usize)> = None;
+        for &a in &candidates {
+            self.halves(ords, a, split_at, s);
+            let c = log_add(cost.dims_cost(&s.left_dims), cost.dims_cost(&s.right_dims));
+            if best.is_none_or(|(b, _)| c < b) {
+                best = Some((c, a));
+            }
+        }
+        best.expect("at least one candidate axis").1
+    }
+
+    /// The node's covering rectangle, from the ends of its bound orders.
+    fn whole_rect(&self, ords: &[&mut [u32]]) -> ParamRect {
+        let m = ords[0].len();
+        ParamRect::from_dims(
+            self.bounds
+                .iter()
+                .map(|&[mu_lo, mu_hi, sigma_lo, sigma_hi]| DimBounds {
+                    mu_lo: self.val(mu_lo, ords[mu_lo][0]),
+                    mu_hi: self.val(mu_hi, ords[mu_hi][m - 1]),
+                    sigma_lo: self.val(sigma_lo, ords[sigma_lo][0]),
+                    sigma_hi: self.val(sigma_hi, ords[sigma_hi][m - 1]),
+                })
+                .collect(),
+        )
+    }
+
+    /// Both halves' bounds of the candidate split along column `a`, whose
+    /// left half is the first `split_at` ids of `a`'s order, into
+    /// `s.left_dims` and `s.right_dims`.
+    fn halves(&self, ords: &[&mut [u32]], a: usize, split_at: usize, s: &mut Scratch) {
+        let rank = &s.rank;
+        // `a`'s order is sorted by (value, rank): an id is left of the
+        // split's first right id, `pivot`, if it sorts before it.
+        let pivot = ords[a][split_at];
+        let (pivot_key, pivot_rank) = (total_key(self.val(a, pivot)), rank[pivot as usize]);
+        let in_left = |id: u32| {
+            let key = total_key(self.val(a, id));
+            key < pivot_key || (key == pivot_key && rank[id as usize] < pivot_rank)
+        };
+        // The first id of each half scanning `order` from the front, or
+        // from the back when `from_back`.
+        let ends = |c: usize, from_back: bool| -> (f64, f64) {
+            let order = &ords[c][..];
+            let (l, r) = match (c == a, from_back) {
+                (true, false) => (order[0], order[split_at]),
+                (true, true) => (order[split_at - 1], order[order.len() - 1]),
+                (false, false) => first_of_each(order.iter().copied(), in_left),
+                (false, true) => first_of_each(order.iter().rev().copied(), in_left),
+            };
+            (self.val(c, l), self.val(c, r))
+        };
+        for (i, &[mu_lo, mu_hi, sigma_lo, sigma_hi]) in self.bounds.iter().enumerate() {
+            let (l_mu_lo, r_mu_lo) = ends(mu_lo, false);
+            let (l_mu_hi, r_mu_hi) = ends(mu_hi, true);
+            let (l_sigma_lo, r_sigma_lo) = ends(sigma_lo, false);
+            let (l_sigma_hi, r_sigma_hi) = ends(sigma_hi, true);
+            s.left_dims[i] = DimBounds {
+                mu_lo: l_mu_lo,
+                mu_hi: l_mu_hi,
+                sigma_lo: l_sigma_lo,
+                sigma_hi: l_sigma_hi,
+            };
+            s.right_dims[i] = DimBounds {
+                mu_lo: r_mu_lo,
+                mu_hi: r_mu_hi,
+                sigma_lo: r_sigma_lo,
+                sigma_hi: r_sigma_hi,
+            };
+        }
+    }
+
+    /// Filters column `c`'s order stably into the two children of a split
+    /// whose left half is the ids ranked below `split_at`, then puts each
+    /// run of equal values in rank order, that of `winner` (the winning
+    /// column's order, already cut at `split_at`).
+    fn divide(&self, c: usize, ord: &mut [u32], split_at: usize, winner: &[u32], s: &mut Scratch) {
+        s.right.clear();
+        let mut l = 0;
+        for j in 0..ord.len() {
+            let id = ord[j];
+            if (s.rank[id as usize] as usize) < split_at {
+                ord[l] = id;
+                l += 1;
+            } else {
+                s.right.push(id);
+            }
+        }
+        debug_assert_eq!(l, split_at, "the left half holds split_at items");
+        ord[split_at..].copy_from_slice(&s.right);
+        if self.ties[c] {
+            let (left, right) = ord.split_at_mut(split_at);
+            let (w_left, w_right) = winner.split_at(split_at);
+            self.rank_ties(c, left, w_left, &s.rank);
+            self.rank_ties(c, right, w_right, &s.rank);
+        }
+    }
+
+    /// Puts every run of equal values of column `c` in one child's order
+    /// `ord` in `rank` order, which is the order of `winner`, the child's
+    /// sequence. A short run is sorted; a long one (a histogram's empty
+    /// bins) is read off `winner` in one pass.
+    fn rank_ties(&self, c: usize, ord: &mut [u32], winner: &[u32], rank: &[u32]) {
+        let mut i = 0;
+        while i < ord.len() {
+            let bits = self.val(c, ord[i]).to_bits();
+            let mut j = i + 1;
+            while j < ord.len() && self.val(c, ord[j]).to_bits() == bits {
+                j += 1;
+            }
+            if 16 * (j - i) > ord.len() {
+                let run = winner
+                    .iter()
+                    .copied()
+                    .filter(|&id| self.val(c, id).to_bits() == bits);
+                for (slot, id) in ord[i..j].iter_mut().zip(run) {
+                    *slot = id;
+                }
+            } else if j - i > 1 {
+                ord[i..j].sort_unstable_by_key(|&id| rank[id as usize]);
+            }
+            i = j;
+        }
+    }
+}
+
+/// The first id of each half met in `ids`: `(left, right)`.
+#[expect(clippy::expect_used, reason = "both halves of a split are non-empty")]
+fn first_of_each(mut ids: impl Iterator<Item = u32>, in_left: impl Fn(u32) -> bool) -> (u32, u32) {
+    let first = ids.next().expect("a non-empty order");
+    let first_left = in_left(first);
+    let other = ids
+        .find(|&id| in_left(id) != first_left)
+        .expect("both halves are non-empty");
+    if first_left {
+        (first, other)
+    } else {
+        (other, first)
+    }
 }
 
 /// Splits a set into as many groups of at most `cap` items as the
@@ -545,10 +865,84 @@ pub fn split_many<T: Splittable + Clone>(
     groups
 }
 
+/// The per-split argsort recursion the presorted partitioner replaced: at
+/// every split each candidate axis is argsorted afresh (stably) and both
+/// halves' rectangles are gathered item by item. Kept as the oracle the
+/// presorted partitioner must reproduce group for group.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// MBR of the items selected by `idxs`, unioned in index order.
+    fn rect_of_indices<T: Splittable>(items: &[T], idxs: &[u32]) -> ParamRect {
+        let first = &items[idxs[0] as usize];
+        let mut ds: Vec<DimBounds> = (0..first.dims()).map(|d| first.dim_bounds(d)).collect();
+        for &i in &idxs[1..] {
+            for (d, b) in ds.iter_mut().enumerate() {
+                *b = b.union(&items[i as usize].dim_bounds(d));
+            }
+        }
+        ParamRect::from_dims(ds)
+    }
+
+    /// Splits `items` at `split_at` along the cheapest candidate axis and
+    /// returns the axis and the two halves in its stable sort order.
+    fn choose_split<T: Splittable + Clone>(
+        cost: &SplitCost,
+        items: &[T],
+        split_at: usize,
+    ) -> (Axis, Vec<T>, Vec<T>) {
+        let axes = candidate_axes(cost.strategy, items[0].dims(), || group_rect(items));
+        let mut best: Option<(f64, Axis, Vec<u32>)> = None;
+        for axis in axes {
+            let keys: Vec<f64> = items.iter().map(|it| it.axis_key(axis)).collect();
+            let mut perm: Vec<u32> = (0..items.len() as u32).collect();
+            perm.sort_by(|&a, &b| keys[a as usize].total_cmp(&keys[b as usize]));
+            let c = log_add(
+                cost.node(&rect_of_indices(items, &perm[..split_at])),
+                cost.node(&rect_of_indices(items, &perm[split_at..])),
+            );
+            if best.as_ref().is_none_or(|(b, ..)| c < *b) {
+                best = Some((c, axis, perm));
+            }
+        }
+        let (_, axis, perm) = best.unwrap();
+        let pick = |ids: &[u32]| ids.iter().map(|&i| items[i as usize].clone()).collect();
+        (axis, pick(&perm[..split_at]), pick(&perm[split_at..]))
+    }
+
+    /// The groups of the recursion, in recursion order.
+    pub(super) fn partition<T: Splittable + Clone>(
+        cost: &SplitCost,
+        items: Vec<T>,
+        n_groups: usize,
+        out: &mut Vec<Vec<T>>,
+    ) {
+        if n_groups <= 1 {
+            out.push(items);
+            return;
+        }
+        let g_left = n_groups / 2;
+        let (_, left, right) = choose_split(cost, &items, items.len() * g_left / n_groups);
+        partition(cost, left, g_left, out);
+        partition(cost, right, n_groups - g_left, out);
+    }
+
+    /// One node split, as `insert` made it.
+    pub(super) fn split_items<T: Splittable + Clone>(
+        cost: &SplitCost,
+        items: &[T],
+    ) -> SplitOutcome<T> {
+        let (axis, left, right) = choose_split(cost, items, items.len() / 2);
+        SplitOutcome { axis, left, right }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pfv::Pfv;
+    use proptest::prelude::*;
 
     fn leaf(id: u64, mu: f64, sigma: f64) -> LeafEntry {
         LeafEntry {
@@ -883,6 +1277,146 @@ mod tests {
             }
             if cap >= 80 {
                 assert_eq!(groups.len(), 1);
+            }
+        }
+    }
+
+    /// The next value of a splitmix64 stream.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform draw from `[0, 1)`.
+    fn unit(state: &mut u64) -> f64 {
+        (mix(state) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// `n` leaf entries of one of three shapes: tie-heavy (every μ and σ
+    /// drawn from two or three values, one to three dimensions), d27
+    /// histograms shaped like data set 1, or distinct keys.
+    fn shaped_leaves(shape: usize, n: usize, seed: u64) -> Vec<LeafEntry> {
+        let mut state = seed;
+        match shape {
+            0 => {
+                let dims = 1 + (seed % 3) as usize;
+                let values = 2 + (seed / 3 % 2) as usize;
+                let pick = |state: &mut u64, from: &[f64]| from[mix(state) as usize % values];
+                (0..n as u64)
+                    .map(|id| {
+                        let means: Vec<f64> = (0..dims)
+                            .map(|_| pick(&mut state, &[0.0, 1.0, 2.5]))
+                            .collect();
+                        let sigmas: Vec<f64> = (0..dims)
+                            .map(|_| pick(&mut state, &[0.1, 0.4, 0.2]))
+                            .collect();
+                        LeafEntry {
+                            id,
+                            pfv: Pfv::new(means, sigmas).unwrap(),
+                        }
+                    })
+                    .collect()
+            }
+            1 => {
+                let sigma = gauss_workloads::SigmaSpec::log_uniform(0.05, 0.9)
+                    .relative_to_value(0.01)
+                    .with_object_scale(0.5, 2.0);
+                gauss_workloads::histogram_dataset(n, 27, sigma, seed)
+                    .items()
+                    .into_iter()
+                    .map(|(id, pfv)| LeafEntry { id, pfv })
+                    .collect()
+            }
+            _ => {
+                let dims = 1 + (seed % 4) as usize;
+                (0..n as u64)
+                    .map(|id| {
+                        let means: Vec<f64> =
+                            (0..dims).map(|_| unit(&mut state) * 20.0 - 10.0).collect();
+                        let sigmas: Vec<f64> = (0..dims).map(|_| 0.01 + unit(&mut state)).collect();
+                        LeafEntry {
+                            id,
+                            pfv: Pfv::new(means, sigmas).unwrap(),
+                        }
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    /// Inner entries over pairs of `leaves`: each rectangle covers leaf `i`
+    /// and another one, so equal leaf keys make equal centres and bounds.
+    fn inner_over(leaves: &[LeafEntry]) -> Vec<InnerEntry> {
+        let n = leaves.len();
+        (0..n)
+            .map(|i| InnerEntry {
+                child: gauss_storage::PageId(i as u64),
+                count: 1 + i as u64 % 5,
+                rect: group_rect(&[leaves[i].clone(), leaves[(i * 7 + 3) % n].clone()]),
+            })
+            .collect()
+    }
+
+    /// The presorted partitioner's groups (on 1, 2 and 3 threads) and node
+    /// split against the reference recursion's.
+    fn assert_matches_reference<T>(cost: &SplitCost, items: &[T], cap: usize)
+    where
+        T: Splittable + Clone + PartialEq + std::fmt::Debug,
+    {
+        let mut want = Vec::new();
+        reference::partition(cost, items.to_vec(), items.len().div_ceil(cap), &mut want);
+        for threads in [1, 2, 3] {
+            let got = partition_groups_parallel(cost, items.to_vec(), cap, threads);
+            let first_diff = got.iter().zip(&want).position(|(g, w)| g != w);
+            assert!(
+                got.len() == want.len() && first_diff.is_none(),
+                "{cost:?}, n {}, cap {cap}, threads {threads}: {} groups against {}, \
+                 first differing group {first_diff:?}",
+                items.len(),
+                got.len(),
+                want.len(),
+            );
+        }
+        let node = &items[..items.len().min(cap + 1)];
+        if node.len() >= 2 {
+            let got = split_items(cost, node.to_vec());
+            let want = reference::split_items(cost, node);
+            assert_eq!(got.axis, want.axis, "{cost:?}, node of {}", node.len());
+            assert!(got.left == want.left && got.right == want.right, "{cost:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn presorted_partition_matches_the_per_split_argsort(
+            (inner, strategy, shape, size, cap, seed) in
+                (0usize..2, 0usize..3, 0usize..3, 1usize..3001, 2usize..61, 0u64..u64::MAX)
+        ) {
+            // One case in four takes the full size; the rest stay below 300.
+            let n = if seed % 4 == 0 { size } else { 1 + size % 300 };
+            let strategy = [
+                SplitStrategy::HullIntegral,
+                SplitStrategy::WidestMu,
+                SplitStrategy::MinVolume,
+            ][strategy];
+            let mode = if seed % 8 < 4 {
+                CombineMode::Convolution
+            } else {
+                CombineMode::AdditiveSigma
+            };
+            let leaves = shaped_leaves(shape, n, seed);
+            if inner == 0 {
+                let cost = SplitCost::from_items(strategy, mode, &leaves);
+                assert_matches_reference(&cost, &leaves, cap);
+            } else {
+                let entries = inner_over(&leaves);
+                let cost = SplitCost::from_items(strategy, mode, &entries);
+                assert_matches_reference(&cost, &entries, cap);
             }
         }
     }

@@ -25,10 +25,9 @@
 //! A bulk load commits an empty free list. v4 is v3's payload; the version
 //! marks the `f32` inner pages of [`crate::node`], so a v3 file (including
 //! every file the earlier in-place writer left with a free list) is refused
-//! as [`TreeError::NotAGaussTree`]. The reader still reads, bounds-checks
-//! and counts a slot's free ids as dead pages (so are pages past the
-//! committed allocation), and refuses a commit that names an overflow
-//! chain.
+//! as [`TreeError::NotAGaussTree`]. So is a slot that lists a free id or
+//! names an overflow chain: no writer of v4 makes one. Pages past the
+//! committed allocation are counted as dead.
 
 use crate::bulk::{BulkLoadOptions, BulkLoadReport};
 use crate::config::{LeafFormat, TreeConfig};
@@ -39,7 +38,7 @@ use gauss_storage::commit::{self, SlotKind, HEADER_BYTES};
 use gauss_storage::store::{Durability, PageStore, StoreError};
 use gauss_storage::{MemStore, PageId, Reader, SharedBufferPool, SideCache, WriteBatch, Writer};
 use pfv::{quant, Pfv};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// A tree meta slot: magic "GTRE", format version 4 — the only version
 /// read or written. Versions 1 (a single unchecksummed meta page), 2 (no
@@ -165,9 +164,8 @@ pub struct GaussTree<S: PageStore> {
     root: PageId,
     height: u32,
     len: u64,
-    /// Allocated node pages the tree does not reach: the free ids an
-    /// earlier version's slot lists and pages past its committed
-    /// allocation. Empty for every tree this version writes.
+    /// Allocated node pages the tree does not reach: pages past the
+    /// committed allocation. Empty for every tree this version writes.
     dead: Vec<PageId>,
 }
 
@@ -236,22 +234,22 @@ struct ParsedMeta {
     root: PageId,
     height: u32,
     len: u64,
-    free_ids: Vec<PageId>,
-    /// Whether the slot names a chain of carrier pages holding the free
-    /// ids that overflowed it.
-    chained: bool,
 }
 
 /// Parses the payload of a meta slot that is a valid commit of `epoch`
-/// and checks it against the store; `None` if this store cannot be the one
-/// it was committed on (truncated, out of bounds, a bad tag, a free id
-/// that is not a node page of the allocation).
+/// and checks it against the store: `None` if this store cannot be the one
+/// it was committed on (truncated, out of bounds, a bad tag), so an older
+/// slot may still be read, and [`TreeError::NotAGaussTree`] for a slot that
+/// lists free ids or names a chain of carrier pages holding more. Only the
+/// in-place writer of earlier versions left either, and the older slot of
+/// its file may name pages it has since overwritten in place — so the
+/// store is refused, not read at a stale epoch.
 fn parse_meta(
     page_size: usize,
     epoch: u64,
     payload: &[u8],
     allocated_now: u64,
-) -> Option<ParsedMeta> {
+) -> Option<Result<ParsedMeta, TreeError>> {
     let mut r = Reader::new(payload);
     let allocated = r.get_u64().ok()?;
     let mut config = TreeConfig::read_tags(&mut r)?;
@@ -283,34 +281,21 @@ fn parse_meta(
     {
         return None;
     }
-    let free_count = r.get_u32().ok()? as usize;
-    let chained = PageId(r.get_u64().ok()?).is_valid();
-    // The count sizes an allocation: refuse one the slot cannot hold (a
-    // valid checksum does not make a number plausible).
-    if free_count > r.remaining() / 8 {
-        return None;
-    }
-    let mut seen = HashSet::with_capacity(free_count);
-    let mut free_ids = Vec::with_capacity(free_count);
-    for _ in 0..free_count {
-        let id = r.get_u64().ok()?;
-        if id < META_PAGES || id >= allocated || !seen.insert(id) {
-            return None;
-        }
-        free_ids.push(PageId(id));
+    let free_count = r.get_u32().ok()?;
+    let chain = PageId(r.get_u64().ok()?);
+    if free_count != 0 || chain.is_valid() {
+        return Some(Err(TreeError::NotAGaussTree));
     }
     config.max_leaf_entries = Some(leaf_cap);
     config.max_inner_entries = Some(inner_cap);
-    Some(ParsedMeta {
+    Some(Ok(ParsedMeta {
         epoch,
         allocated,
         config,
         root,
         height,
         len,
-        free_ids,
-        chained,
-    })
+    }))
 }
 
 /// Quantises an ingested pfv to the stored representation of a
@@ -398,17 +383,8 @@ impl<S: PageStore> GaussTree<S> {
             .find_map(|(epoch, payload)| {
                 parse_meta(pool.page_size(), epoch, payload, allocated_now)
             })
-            .ok_or(TreeError::NotAGaussTree)?;
-        // Free ids that overflowed a slot went to a chain of carrier pages
-        // outside the checksum, which this reader does not follow. Only the
-        // in-place writer of earlier versions started one, and the older
-        // slot of its file may name pages it has since overwritten in
-        // place — so the store is refused, not read at a stale epoch.
-        if meta.chained {
-            return Err(TreeError::NotAGaussTree);
-        }
-        let mut dead = meta.free_ids;
-        dead.extend((meta.allocated..allocated_now).map(PageId));
+            .ok_or(TreeError::NotAGaussTree)??;
+        let dead = (meta.allocated..allocated_now).map(PageId).collect();
         let page_size = pool.page_size();
         Ok(Self {
             node_cache: SideCache::new(opts.cache_cap(pool.capacity())),
@@ -955,38 +931,22 @@ mod tests {
         SharedBufferPool::new(store, 64, AccessStats::new_shared())
     }
 
-    /// Writes `ids` as the free list of the slot image `slot` and reseals
-    /// it as `epoch` — the slot an earlier version's writer would have
-    /// committed.
-    fn plant_free_ids(slot: &mut [u8], epoch: u64, ids: &[u64]) {
-        let count = u32::try_from(ids.len()).unwrap();
-        slot[FREE_COUNT_AT..FREE_COUNT_AT + 4].copy_from_slice(&count.to_le_bytes());
-        for (i, id) in ids.iter().enumerate() {
-            let at = META_BASE_BYTES + 8 * i;
-            slot[at..at + 8].copy_from_slice(&id.to_le_bytes());
-        }
-        commit::seal(META_KIND, epoch, slot);
-    }
-
     /// A store on 1 KiB pages with two commits to fall between, shaped like
-    /// a file the in-place writer of earlier versions left: epoch 1 (slot
-    /// page 1) holds ids 0..60; epoch 2 (slot page 0, the newest) holds ids
-    /// 30..60 on fresh pages and lists epoch 1's pages as free.
+    /// a file the in-place writer of earlier versions left (less its free
+    /// list): epoch 1 (slot page 1) holds ids 0..60; epoch 2 (slot page 0,
+    /// the newest) holds ids 30..60 on fresh pages.
     fn two_epoch_pages() -> Vec<Vec<u8>> {
         let config = TreeConfig::new(1).with_capacities(4, 4);
         let pool = SharedBufferPool::new(MemStore::new(1024), 1024, AccessStats::new_shared());
         let items: Vec<(u64, Pfv)> = (0..60u64).map(|i| (i, pfv1(i as f64, 0.15))).collect();
         let mut t = GaussTree::bulk_load(pool, config, items.clone()).unwrap();
-        let epoch1_pages: Vec<u64> = (META_PAGES..t.pool().num_pages()).collect();
         let opts = BulkLoadOptions::default();
         let (report, root, height) =
             crate::bulk::run(&t, items[30..].to_vec(), &opts, true).unwrap();
         (t.root, t.height, t.len) = (root, height, report.total_entries);
         t.commit(Durability::None).unwrap();
         assert_eq!(t.epoch(), 2);
-        let mut pages = pages_of(t);
-        plant_free_ids(&mut pages[0], 2, &epoch1_pages);
-        pages
+        pages_of(t)
     }
 
     fn sorted_ids<S: PageStore>(t: &GaussTree<S>) -> Vec<u64> {
@@ -1320,37 +1280,55 @@ mod tests {
     }
 
     #[test]
-    fn parent_free_ids_and_orphans_count_as_dead_pages() {
-        let pages = two_epoch_pages();
+    fn a_slot_listing_free_ids_is_refused_and_orphans_count_as_dead_pages() {
+        // The newest slot lists epoch 1's first node page as free, the way
+        // the in-place writer of earlier versions listed the pages it had
+        // replaced. No writer of this format makes such a slot, and the
+        // older slot of such a file may name pages overwritten since: the
+        // store is refused, not read at either epoch.
+        let mut pages = two_epoch_pages();
+        pages[0][FREE_COUNT_AT..FREE_COUNT_AT + 4].copy_from_slice(&1u32.to_le_bytes());
+        pages[0][META_BASE_BYTES..META_BASE_BYTES + 8].copy_from_slice(&META_PAGES.to_le_bytes());
+        commit::seal(META_KIND, 2, &mut pages[0]);
+        assert!(matches!(
+            GaussTree::open(pool_of(&pages)),
+            Err(TreeError::NotAGaussTree)
+        ));
+
+        // Pages past the committed allocation (appended to the file after
+        // its commit) are dead; nothing is reused or rewritten.
+        let config = TreeConfig::new(1).with_capacities(4, 4);
+        let pool = SharedBufferPool::new(MemStore::new(1024), 1024, AccessStats::new_shared());
+        let items: Vec<(u64, Pfv)> = (0..40u64).map(|i| (i, pfv1(i as f64, 0.15))).collect();
+        let t = GaussTree::bulk_load(pool, config, items).unwrap();
+        let root = t.root_page();
+        let mut pages = pages_of(t);
+        let allocated = pages.len() as u64;
+        pages.extend([vec![0u8; 1024], vec![0u8; 1024], vec![0u8; 1024]]);
         let t = GaussTree::open(pool_of(&pages)).unwrap();
-        assert_eq!((t.epoch(), t.len()), (2, 30));
-        assert!(!t.dead_pages().is_empty(), "epoch 2 lists epoch 1's pages");
+        assert_eq!(t.dead_pages().len(), 3);
         assert!(t.check_invariants(true).unwrap().is_empty());
-        assert_eq!(sorted_ids(&t), (30..60).collect::<Vec<_>>());
-        let dead = t.dead_pages().len();
-        let root = t.root_page().index();
+        assert_eq!(sorted_ids(&t), (0..40).collect::<Vec<_>>());
 
-        // Pages past the committed allocation — an interrupted in-place
-        // mutation's — are dead too; nothing is reused or rewritten.
-        let mut grown = pages.clone();
-        grown.extend([vec![0u8; 1024], vec![0u8; 1024], vec![0u8; 1024]]);
-        let t = GaussTree::open(pool_of(&grown)).unwrap();
-        assert_eq!(t.dead_pages().len(), dead + 3);
-        assert!(t.check_invariants(true).unwrap().is_empty());
-
-        // A free id the tree still reaches is a violation, not a leak.
-        let mut shared = pages.clone();
-        plant_free_ids(&mut shared[0], 2, &[root]);
-        let errs = GaussTree::open(pool_of(&shared))
+        // A dead page the tree reaches is a violation, not a leak: copy the
+        // root's first child to the first dead page and point the root at
+        // the copy, so the tree and the page count stay whole.
+        let Node::Inner(mut entries) =
+            Node::read_from(1, LeafFormat::Exact, &pages[root.index() as usize]).unwrap()
+        else {
+            panic!("a tree of 40 entries in leaves of 4 has an inner root");
+        };
+        let child = std::mem::replace(&mut entries[0].child, PageId(allocated));
+        pages[allocated as usize] = pages[child.index() as usize].clone();
+        Node::Inner(entries).write_to(1, LeafFormat::Exact, &mut pages[root.index() as usize]);
+        let errs = GaussTree::open(pool_of(&pages))
             .unwrap()
             .check_invariants(false)
             .unwrap();
-        assert!(errs.contains(&InvariantError::FreedPageReachable { page: root }));
-
-        // A repeated free id is refused at open: the older commit wins.
-        let mut repeated = pages.clone();
-        plant_free_ids(&mut repeated[0], 2, &[META_PAGES, META_PAGES]);
-        assert_eq!(GaussTree::open(pool_of(&repeated)).unwrap().epoch(), 1);
+        assert_eq!(
+            errs,
+            vec![InvariantError::FreedPageReachable { page: allocated }]
+        );
     }
 
     #[test]
@@ -1660,23 +1638,28 @@ mod tests {
             page[FREE_COUNT_AT..FREE_COUNT_AT + 4].copy_from_slice(&count.to_le_bytes());
             commit::seal(META_KIND, epoch, page);
         };
+        // No count is read as a size: any free list refuses the store.
         let fits = u32::try_from((1024 - META_BASE_BYTES) / 8).unwrap();
-        for count in [u32::MAX, u32::MAX / 8, fits + 1] {
+        for count in [u32::MAX, u32::MAX / 8, fits + 1, fits, 1] {
             let mut pages = clean.clone();
             plant(&mut pages[0], 2, count);
-            let t = GaussTree::open(pool_of(&pages)).unwrap();
-            assert_eq!((t.epoch(), t.len()), (1, 60), "count {count}");
-            plant(&mut pages[1], 1, count);
-            assert!(matches!(
-                GaussTree::open(pool_of(&pages)),
-                Err(TreeError::NotAGaussTree)
-            ));
+            assert!(
+                matches!(
+                    GaussTree::open(pool_of(&pages)),
+                    Err(TreeError::NotAGaussTree)
+                ),
+                "count {count}"
+            );
         }
-        // The largest count the slot can hold is read (and then refused
-        // for what it lists: page 0 is not a node page).
+        // An older slot that lists one is only reached when the newest is
+        // unreadable, and refused the same way.
         let mut pages = clean.clone();
-        plant(&mut pages[0], 2, fits);
-        assert_eq!(GaussTree::open(pool_of(&pages)).unwrap().epoch(), 1);
+        pages[0].fill(0xAA);
+        plant(&mut pages[1], 1, 1);
+        assert!(matches!(
+            GaussTree::open(pool_of(&pages)),
+            Err(TreeError::NotAGaussTree)
+        ));
     }
 
     mod meta_slot_props {
@@ -1698,7 +1681,8 @@ mod tests {
                 let clean = two_epoch_pages();
                 let mut pages = clean.clone();
                 let slot = &mut pages[0];
-                let mut names_chain = false;
+                // Whether the slot lists free ids or names an overflow chain.
+                let mut legacy = false;
                 let mut over_bound = false;
                 match mutation {
                     // 1–8 bit flips anywhere in the slot page.
@@ -1712,10 +1696,12 @@ mod tests {
                     }
                     // The store cut short, slot pages included.
                     2 => pages.truncate(a % clean.len()),
-                    // A free count the slot cannot hold, checksum valid.
+                    // A free count, checksum valid, whether the slot could
+                    // hold the ids or not.
                     3 => {
+                        legacy = true;
                         let fits = (1024 - META_BASE_BYTES) / 8;
-                        let count = [u32::MAX, (fits + 1 + a) as u32][b as usize % 2];
+                        let count = [u32::MAX, (fits + 1 + a) as u32, 1 + (a % fits) as u32][b as usize % 3];
                         slot[FREE_COUNT_AT..FREE_COUNT_AT + 4].copy_from_slice(&count.to_le_bytes());
                         commit::seal(META_KIND, 2, slot);
                     }
@@ -1751,15 +1737,16 @@ mod tests {
                             ROOT_AT + 8, LEN_AT, CHAIN_AT][a % 8];
                         let v = [u64::MAX, u64::from(u32::MAX), 0, b][b as usize % 4];
                         let width = if at == DIMS_AT || at == LEAF_CAP_AT || at == LEAF_CAP_AT + 4 { 4 } else { 8 };
-                        names_chain = at == CHAIN_AT && v != u64::MAX;
+                        legacy = at == CHAIN_AT && v != u64::MAX;
                         slot[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
                         commit::seal(META_KIND, 2, slot);
                     }
                 }
                 let damaged = pages != clean;
                 match GaussTree::open(pool_of(&pages)) {
-                    // A commit that names an overflow chain refuses the store.
-                    Err(TreeError::NotAGaussTree) => prop_assert!(mutation == 2 || names_chain, "epoch 1 was intact"),
+                    // A commit that lists free ids or names an overflow
+                    // chain refuses the store.
+                    Err(TreeError::NotAGaussTree) => prop_assert!(mutation == 2 || legacy, "epoch 1 was intact"),
                     Err(e) => prop_assert!(false, "untyped failure: {e}"),
                     Ok(t) if t.epoch() == 1 => {
                         prop_assert!(damaged);
@@ -1774,10 +1761,16 @@ mod tests {
                         prop_assert!(!damaged || mutation >= 4);
                         prop_assert!(mutation >= 4 || t.len() == 30);
                         // What it says may be wrong, but checking it must
-                        // not panic; the intact commit checks clean.
+                        // not panic; the intact commit checks clean but for
+                        // epoch 1's pages, which it no longer reaches and,
+                        // listing no free ids, leaks.
                         let checked = t.check_invariants(false);
                         if !damaged {
-                            prop_assert!(checked.unwrap().is_empty());
+                            let errs = checked.unwrap();
+                            prop_assert!(
+                                matches!(errs[..], [InvariantError::PageLeak { freed: 0, .. }]),
+                                "{errs:?}"
+                            );
                         }
                     }
                 }
