@@ -5,8 +5,8 @@ use crate::csvio;
 use gauss_storage::forest::DirComponentStores;
 use gauss_storage::{AccessStats, Durability, FileStore, SharedBufferPool, DEFAULT_PAGE_SIZE};
 use gauss_tree::{
-    BulkLoadOptions, ForestOptions, GaussForest, GaussTree, LeafFormat, ReadView, SpillKind,
-    SplitStrategy, TreeConfig,
+    BulkLoadOptions, ForestOptions, GaussForest, GaussTree, LeafFormat, ReadView, SplitStrategy,
+    TreeConfig,
 };
 use gauss_workloads::{
     histogram_dataset, uniform_dataset, DriftConfig, DriftStream, SigmaSpec, StreamOp,
@@ -230,7 +230,6 @@ fn build(args: &Args) -> Result<(), ArgError> {
     let t0 = std::time::Instant::now();
     let mut opts = BulkLoadOptions::default()
         .with_threads(threads)
-        .with_spill(SpillKind::TempFile)
         .with_durability(durability);
     if mem_budget > 0 {
         opts = opts.with_mem_budget(gauss_tree::bulk::entries_for_byte_budget(mem_budget, dims));

@@ -3,37 +3,42 @@
 //!
 //! Ingestion runs in three stages:
 //!
-//! 1. **Streaming front end** — the item iterator is consumed in bounded
-//!    chunks. While the resident buffer stays within
-//!    [`BulkLoadOptions::mem_budget_entries`] nothing touches disk; the
-//!    moment the budget is exceeded, buffered runs are encoded and spilled
-//!    through a [`gauss_storage::PageStore`]-backed spill file
-//!    (an in-memory store for tests, an unlinked-on-drop temp file for real
-//!    builds), so peak decoded residency is bounded by the budget, not the
-//!    input size.
-//! 2. **Partitioning** — the STR-style recursion of
-//!    [`crate::split::partition_groups`] splits a range of `n_groups` groups
-//!    into `⌊n_groups / 2⌋` and the rest, at the median of the cheapest
-//!    candidate axis's stable sort. An in-memory range lays its axis keys
-//!    out as flat columns and sorts each column **once**, by (key, input
-//!    position); every split then prices both halves of every candidate
-//!    from those orders (a half's bounds are the first of its members met
-//!    scanning an order from either end) and filters the orders stably
-//!    into the two children. A stable sort puts equal keys in the order of
-//!    the node's own sequence, the parent's winning order, so the filter
-//!    reorders each run of equal keys by rank in that order: every split
-//!    and every group's order is the one a stable sort at each split would
-//!    make, ties included. The recursion descends into *independent*
-//!    sub-ranges after every split, so it fork-joins across
-//!    [`std::thread::scope`] threads: each split hands its right half to a
-//!    fresh thread with half the thread budget and descends into the left.
-//!    Ranges larger than the budget are split
-//!    **externally**: per candidate axis, one streaming pass extracts the
-//!    axis keys (a plain `Vec<f64>` — the only thing held in memory), a
-//!    stable argsort fixes the exact same stable-median split the
-//!    in-memory recursion would take, one more streaming pass prices both
-//!    sides' parameter rectangles, and the winning axis redistributes the
-//!    range into two sorted child runs with budget-sized gather windows.
+//! 1. **Streaming front end** — items are buffered in memory, and nothing
+//!    touches disk, while the buffer stays below
+//!    [`BulkLoadOptions::mem_budget_entries`]. Once it reaches the budget,
+//!    the buffer and then every later item are appended to one spill file:
+//!    an unlinked-on-drop temp file of [`LeafFormat::Exact`] leaf pages,
+//!    written with [`Node::write_to`] and read back with
+//!    [`Node::read_from`], so a spilled page is validated like a tree page.
+//!    Peak decoded residency is bounded by the budget (plus the spill
+//!    file's page being filled and its one decoded page), not the input
+//!    size.
+//! 2. **Partitioning** — the STR-style recursion of the presorted
+//!    partitioner (`split::partition`, see [`crate::split`]) splits a range
+//!    of `n_groups` groups into `⌊n_groups / 2⌋` and the rest, at the
+//!    median of the cheapest candidate axis's stable sort. An in-memory
+//!    range lays its axis keys out as flat columns and sorts each column
+//!    **once**, by (key, input position); every split then prices both
+//!    halves of every candidate from those orders (a half's bounds are the
+//!    first of its members met scanning an order from either end) and
+//!    filters the orders stably into the two children. A stable sort puts
+//!    equal keys in the order of the node's own sequence, the parent's
+//!    winning order, so the filter reorders each run of equal keys by rank
+//!    in that order: every split and every group's order is the one a
+//!    stable sort at each split would make, ties included. The recursion
+//!    descends into *independent* sub-ranges after every split, so it
+//!    fork-joins across [`std::thread::scope`] threads: each split hands
+//!    its right half to a fresh thread with half the thread budget and
+//!    descends into the left. Ranges larger than the budget are split
+//!    **externally**: streaming passes extract each candidate axis's keys
+//!    (plain `Vec<f64>` columns, as many per pass as the budget's bytes
+//!    hold — the only thing held in memory), a stable argsort per axis
+//!    fixes the exact same stable-median split the in-memory recursion
+//!    would take, one more streaming pass prices both sides' parameter
+//!    rectangles, and the winning axis redistributes the range into two
+//!    sorted child runs with budget-sized gather windows. Both recursions
+//!    emit the left half's leaves before the right's, so the leaf level
+//!    comes out in page order.
 //! 3. **Batched page writes** — node pages are staged in a
 //!    [`gauss_storage::WriteBatch`] and group-committed as coalesced runs
 //!    of consecutive pages ([`SharedBufferPool::write_batch`]), collapsing
@@ -42,22 +47,20 @@
 //!    coalescing factor).
 //!
 //! Every stage is deterministic: the produced tree is **byte-identical**
-//! to the serial, fully-resident build for any thread count, chunk size
-//! and memory budget. (The only theoretical exception is inputs containing
-//! IEEE negative zero: the in-memory partitioner takes the least of `±0.0`
-//! under [`f64::total_cmp`], so `−0.0`, while the external split's
-//! [`f64::min`] fold may take either; finite datasets in practice never
-//! hit it.)
+//! to the serial, fully-resident build for any thread count and memory
+//! budget.
 //!
+//! [`Node::write_to`]: crate::node::Node::write_to
+//! [`Node::read_from`]: crate::node::Node::read_from
 //! [`SharedBufferPool::write_batch`]: gauss_storage::SharedBufferPool::write_batch
 //! [`AccessStats::write_calls`]: gauss_storage::StatsSnapshot
 
-use crate::config::SplitStrategy;
-use crate::node::{InnerEntry, LeafEntry, Node};
-use crate::split::{candidate_axes, group_rect, log_add, partition, Axis, SplitCost};
+use crate::config::{LeafFormat, SplitStrategy};
+use crate::node::{leaf_entry_bytes, InnerEntry, LeafEntry, Node, NODE_HEADER_BYTES};
+use crate::split::{candidate_axes, group_rect, log_add, partition, Axis, SplitCost, Splittable};
 use crate::tree::{GaussTree, TreeError};
 use gauss_storage::store::{Durability, PageStore};
-use gauss_storage::{FileStore, MemStore, PageId, WriteBatch};
+use gauss_storage::{FileStore, PageId, WriteBatch};
 use pfv::{DimBounds, ParamRect, Pfv};
 use std::ops::Range;
 use std::path::PathBuf;
@@ -67,30 +70,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// a huge level does not buffer the whole tree in memory.
 const FLUSH_PAGES: usize = 256;
 
-/// Spill page size: big pages amortise positioning, and entries are packed
-/// with a fixed stride so single entries are addressable without decoding
-/// their page.
+/// Spill page size: big pages amortise positioning.
 const SPILL_PAGE_BYTES: usize = 64 * 1024;
 
-/// Encoded bytes of one spilled entry: `id` (u64) plus the μ and σ columns.
-#[must_use]
-pub fn entry_stride_bytes(dims: usize) -> usize {
-    8 + 16 * dims
-}
-
 /// Approximate resident bytes of one entry while a range is partitioned in
-/// memory: the decoded entry (the encoded stride plus `LeafEntry`/`Pfv`
+/// memory: the decoded entry (its exact leaf encoding plus `LeafEntry`/`Pfv`
 /// container overhead: two boxed slices and an id) and the partitioner's
-/// scratch ([`crate::split::partition_groups`]): `2d` `f64` key columns,
-/// `2d` `u32` orders, and 16 bytes for the largest of the sort's
-/// (key, id) pairs and a worker's rank word and half-order buffer. Each
-/// partition thread past the first adds another 8 bytes per entry.
+/// scratch (`split::partition`): `2d` `f64` key columns, `2d` `u32`
+/// orders, and 16 bytes for the largest of the sort's (key, id) pairs and a
+/// worker's rank word and half-order buffer. Each partition thread past the
+/// first adds another 8 bytes per entry.
 /// The single conversion factor between a byte budget and
 /// [`BulkLoadOptions::mem_budget_entries`] — keep every byte→entries
 /// translation (CLI `--mem-budget`, bench scenarios) on this helper.
 #[must_use]
 pub fn resident_entry_footprint_bytes(dims: usize) -> usize {
-    entry_stride_bytes(dims) + 64 + 24 * dims + 16
+    leaf_entry_bytes(dims, LeafFormat::Exact) + 64 + 24 * dims + 16
 }
 
 /// Entries a byte budget affords (at least 1).
@@ -101,18 +96,10 @@ pub fn entries_for_byte_budget(bytes: u64, dims: usize) -> usize {
         .max(1)
 }
 
-/// Where spilled runs live when the memory budget overflows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpillKind {
-    /// A heap-backed page store — deterministic tests, no filesystem.
-    Memory,
-    /// A temp file (removed on drop) — the actual out-of-core mode.
-    #[default]
-    TempFile,
-}
-
 /// Knobs of the bulk-load pipeline. All combinations produce byte-identical
-/// trees; they only trade memory and parallelism.
+/// trees; they only trade memory and parallelism. Items past the memory
+/// budget spill to one temp file as exact leaf pages (see the
+/// [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct BulkLoadOptions {
     /// Worker threads for the partitioning fan-out (clamped to ≥ 1).
@@ -120,10 +107,6 @@ pub struct BulkLoadOptions {
     /// Maximum decoded entries resident at once; `None` keeps everything
     /// in memory. Clamped upward so a single leaf group always fits.
     pub mem_budget_entries: Option<usize>,
-    /// Streaming ingest granularity once spilling has started.
-    pub chunk_entries: usize,
-    /// Spill backend used when the budget overflows.
-    pub spill: SpillKind,
     /// Barrier level of the load's one commit (see
     /// [`GaussTree::bulk_load_with`]): under `Flush`/`Fsync` every node page
     /// is durable before the slot that names it, and the slot before the
@@ -136,8 +119,6 @@ impl Default for BulkLoadOptions {
         Self {
             threads: 1,
             mem_budget_entries: None,
-            chunk_entries: 8192,
-            spill: SpillKind::TempFile,
             durability: Durability::None,
         }
     }
@@ -155,13 +136,6 @@ impl BulkLoadOptions {
     #[must_use]
     pub fn with_mem_budget(mut self, entries: usize) -> Self {
         self.mem_budget_entries = Some(entries);
-        self
-    }
-
-    /// Sets the spill backend.
-    #[must_use]
-    pub fn with_spill(mut self, spill: SpillKind) -> Self {
-        self.spill = spill;
         self
     }
 
@@ -222,7 +196,8 @@ impl NodeEmitter {
 }
 
 /// Immutable context of the leaf-level build.
-struct LeafCtx {
+struct LeafCtx<'t, S: PageStore> {
+    tree: &'t GaussTree<S>,
     cost: SplitCost,
     dims: usize,
     threads: usize,
@@ -232,7 +207,7 @@ struct LeafCtx {
     base: PageId,
 }
 
-impl LeafCtx {
+impl<S: PageStore> LeafCtx<'_, S> {
     fn page_for(&self, group: usize) -> PageId {
         PageId(self.base.index() + group as u64)
     }
@@ -244,7 +219,6 @@ impl LeafCtx {
 /// every split is priced at the input's typical σ (see [`crate::split`]);
 /// without it at σ_q = 0, the baseline the page-count tests compare
 /// against.
-#[expect(clippy::expect_used, reason = "each builder thread filled its slot")]
 pub(crate) fn run<S: PageStore>(
     tree: &GaussTree<S>,
     items: impl IntoIterator<Item = (u64, Pfv)>,
@@ -255,7 +229,9 @@ pub(crate) fn run<S: PageStore>(
     let leaf_cap = tree.leaf_capacity();
     let threads = opts.threads.max(1);
     // A budget below one leaf group could never materialise a group.
-    let budget = opts.mem_budget_entries.map(|b| b.max(leaf_cap).max(16));
+    let budget = opts
+        .mem_budget_entries
+        .map_or(usize::MAX, |b| b.max(leaf_cap).max(16));
     let mut report = BulkLoadReport::default();
 
     // Stage 1: streaming ingest under the budget. Σ ln σ per dimension is
@@ -264,8 +240,6 @@ pub(crate) fn run<S: PageStore>(
     let mut log_sigma = vec![0.0f64; dims];
     let mut resident: Vec<LeafEntry> = Vec::new();
     let mut spill: Option<SpillFile> = None;
-    let chunk = opts.chunk_entries.max(1);
-    let mut flush_at = budget.unwrap_or(usize::MAX);
     for (id, pfv) in items {
         if pfv.dims() != dims {
             return Err(TreeError::DimMismatch {
@@ -276,27 +250,23 @@ pub(crate) fn run<S: PageStore>(
         for (acc, s) in log_sigma.iter_mut().zip(pfv.sigmas()) {
             *acc += s.ln();
         }
-        resident.push(LeafEntry { id, pfv });
+        let entry = LeafEntry { id, pfv };
+        if let Some(sp) = spill.as_mut() {
+            sp.append(entry)?;
+            continue;
+        }
+        resident.push(entry);
         report.observe_resident(resident.len());
-        if resident.len() >= flush_at {
-            let sp = match spill.as_mut() {
-                Some(sp) => sp,
-                None => spill.insert(SpillFile::new(opts.spill, dims)?),
-            };
-            for e in resident.drain(..) {
-                sp.append(&e)?;
+        if resident.len() >= budget {
+            let sp = spill.insert(SpillFile::new(dims)?);
+            for e in std::mem::take(&mut resident) {
+                sp.append(e)?;
             }
-            flush_at = chunk.min(budget.unwrap_or(usize::MAX));
         }
     }
-    if let Some(sp) = spill.as_mut() {
-        for e in resident.drain(..) {
-            sp.append(&e)?;
-        }
-        report.spilled_entries = sp.len();
-    }
+    let total = spill.as_ref().map_or(resident.len(), SpillFile::len);
+    report.spilled_entries = spill.as_ref().map_or(0, |sp| sp.len() as u64);
 
-    let total = spill.as_ref().map_or(resident.len() as u64, SpillFile::len);
     let mut emitter = NodeEmitter::default();
     if total == 0 {
         // The empty tree still owns its root: one empty leaf.
@@ -305,7 +275,7 @@ pub(crate) fn run<S: PageStore>(
         emitter.finish(tree)?;
         return Ok((report, root, 0));
     }
-    report.total_entries = total;
+    report.total_entries = total as u64;
     // σ̄: the geometric mean of the input's σ per dimension, or 0.
     let sigma_bar: Vec<f64> = if at_input_spread {
         log_sigma.iter().map(|l| (l / total as f64).exp()).collect()
@@ -315,47 +285,38 @@ pub(crate) fn run<S: PageStore>(
     let cost = SplitCost::at_spread(tree.config().split, tree.config().combine, &sigma_bar);
 
     // Stage 2+3: leaf level, allocated in one consecutive run up front, so
-    // page ids do not depend on write order.
-    #[expect(clippy::expect_used, reason = "a 64-bit build is assumed")]
-    let n = usize::try_from(total).expect("entry count fits usize");
-    // Packed: the fewest leaves that hold `n`, sized within one entry of
-    // each other, so each is at least half full.
-    let n_groups = n.div_ceil(leaf_cap);
+    // page ids do not depend on write order. Packed: the fewest leaves that
+    // hold `total`, sized within one entry of each other, so each is at
+    // least half full.
+    let n_groups = total.div_ceil(leaf_cap);
     let ctx = LeafCtx {
+        tree,
         cost,
         dims,
         threads,
-        budget: budget.unwrap_or(usize::MAX),
+        budget,
         base: tree.pool().allocate_many(n_groups as u64)?,
     };
-    let mut slots: Vec<Option<InnerEntry>> = (0..n_groups).map(|_| None).collect();
+    let mut level = Vec::with_capacity(n_groups);
     match spill {
         None => emit_leaf_groups(
-            tree,
-            &mut emitter,
             &ctx,
+            &mut emitter,
             resident,
             n_groups,
-            0,
-            &mut slots,
+            &mut level,
             &mut report,
         )?,
         Some(mut sp) => build_leaves_external(
-            tree,
-            &mut emitter,
             &ctx,
+            &mut emitter,
             &mut sp,
             0..total,
             n_groups,
-            0,
-            &mut slots,
+            &mut level,
             &mut report,
         )?,
     }
-    let level: Vec<InnerEntry> = slots
-        .into_iter()
-        .map(|s| s.expect("every leaf slot filled"))
-        .collect();
 
     let (root, height) = build_upper_levels(tree, &mut emitter, &ctx.cost, threads, level)?;
     emitter.finish(tree)?;
@@ -363,26 +324,24 @@ pub(crate) fn run<S: PageStore>(
 }
 
 /// Partitions an in-memory range into its `n_groups` leaf groups (fanned
-/// across workers) and emits each group to its preassigned page.
-#[expect(clippy::too_many_arguments, reason = "the leaf recursion's state")]
+/// across workers), emits each to the next leaf page and appends its entry
+/// to `level`.
 fn emit_leaf_groups<S: PageStore>(
-    tree: &GaussTree<S>,
+    ctx: &LeafCtx<'_, S>,
     emitter: &mut NodeEmitter,
-    ctx: &LeafCtx,
     entries: Vec<LeafEntry>,
     n_groups: usize,
-    group_offset: usize,
-    slots: &mut [Option<InnerEntry>],
+    level: &mut Vec<InnerEntry>,
     report: &mut BulkLoadReport,
 ) -> Result<(), TreeError> {
     report.observe_resident(entries.len());
     let (groups, _) = partition(&ctx.cost, entries, n_groups, ctx.threads);
-    for (i, g) in groups.into_iter().enumerate() {
-        let page = ctx.page_for(group_offset + i);
+    for g in groups {
+        let page = ctx.page_for(level.len());
         let rect = group_rect(&g);
         let count = g.len() as u64;
-        emitter.emit(tree, page, &Node::Leaf(g))?;
-        slots[group_offset + i] = Some(InnerEntry {
+        emitter.emit(ctx.tree, page, &Node::Leaf(g))?;
+        level.push(InnerEntry {
             child: page,
             count,
             rect,
@@ -393,74 +352,40 @@ fn emit_leaf_groups<S: PageStore>(
 
 /// The out-of-core leaf recursion: ranges within the budget load and run
 /// the (parallel) in-memory partitioner; larger ranges split externally.
-#[expect(clippy::too_many_arguments, reason = "the leaf recursion's state")]
 fn build_leaves_external<S: PageStore>(
-    tree: &GaussTree<S>,
+    ctx: &LeafCtx<'_, S>,
     emitter: &mut NodeEmitter,
-    ctx: &LeafCtx,
     sp: &mut SpillFile,
-    range: Range<u64>,
+    range: Range<usize>,
     n_groups: usize,
-    group_offset: usize,
-    slots: &mut [Option<InnerEntry>],
+    level: &mut Vec<InnerEntry>,
     report: &mut BulkLoadReport,
 ) -> Result<(), TreeError> {
-    #[expect(clippy::expect_used, reason = "a 64-bit build is assumed")]
-    let len = usize::try_from(range.end - range.start).expect("range fits usize");
+    let len = range.len();
     if n_groups <= 1 || len <= ctx.budget {
-        let entries = sp.decode_range(range)?;
-        return emit_leaf_groups(
-            tree,
-            emitter,
-            ctx,
-            entries,
-            n_groups,
-            group_offset,
-            slots,
-            report,
-        );
+        let entries = sp.read_range(range)?;
+        return emit_leaf_groups(ctx, emitter, entries, n_groups, level, report);
     }
     report.external_splits += 1;
     let g_left = n_groups / 2;
     let split_at = len * g_left / n_groups;
     let (left, right) = external_split(sp, ctx, range, split_at, report)?;
-    build_leaves_external(
-        tree,
-        emitter,
-        ctx,
-        sp,
-        left,
-        g_left,
-        group_offset,
-        slots,
-        report,
-    )?;
-    build_leaves_external(
-        tree,
-        emitter,
-        ctx,
-        sp,
-        right,
-        n_groups - g_left,
-        group_offset + g_left,
-        slots,
-        report,
-    )
+    build_leaves_external(ctx, emitter, sp, left, g_left, level, report)?;
+    build_leaves_external(ctx, emitter, sp, right, n_groups - g_left, level, report)
 }
 
 /// One external split: reproduce exactly the stable-median axis decision of
 /// the in-memory recursion, holding only axis keys, index permutations and
 /// side bitmaps in memory, then rewrite the range into two sorted child
 /// runs with budget-sized gather windows.
-fn external_split(
+fn external_split<S: PageStore>(
     sp: &mut SpillFile,
-    ctx: &LeafCtx,
-    range: Range<u64>,
+    ctx: &LeafCtx<'_, S>,
+    range: Range<usize>,
     split_at: usize,
     report: &mut BulkLoadReport,
-) -> Result<(Range<u64>, Range<u64>), TreeError> {
-    #[expect(clippy::expect_used, reason = "a 64-bit build is assumed")]
-    let n = usize::try_from(range.end - range.start).expect("range fits usize");
+) -> Result<(Range<usize>, Range<usize>), TreeError> {
+    let n = range.len();
     assert!(
         u32::try_from(n).is_ok(),
         "external range exceeds u32 indices"
@@ -476,38 +401,40 @@ fn external_split(
         }),
     };
 
-    // Pass 1 per axis: stable argsort of the keys fixes which entries land
-    // left of the split (ties broken by current run order, exactly like
-    // the stable in-memory sort).
+    // Pass 1: the stable argsort of each candidate axis's keys fixes which
+    // entries land left of the split (ties broken by current run order,
+    // exactly like the stable in-memory sort). One sweep reads the keys of
+    // as many axes as the budget's bytes hold.
+    let budget_bytes = ctx
+        .budget
+        .saturating_mul(resident_entry_footprint_bytes(ctx.dims));
+    let per_sweep = (budget_bytes / (8 * n)).max(1);
     let mut bitmaps: Vec<Bitmap> = Vec::with_capacity(axes.len());
-    for &axis in &axes {
-        let keys = sp.axis_keys(range.clone(), axis)?;
-        let perm = stable_argsort(&keys);
-        let mut bm = Bitmap::new(n);
-        for &i in &perm[..split_at] {
-            bm.set(i as usize);
+    for batch in axes.chunks(per_sweep) {
+        for keys in sp.axis_keys(range.clone(), batch)? {
+            let perm = stable_argsort(&keys);
+            let mut bm = Bitmap::new(n);
+            for &i in &perm[..split_at] {
+                bm.set(i as usize);
+            }
+            bitmaps.push(bm);
         }
-        bitmaps.push(bm);
     }
 
     // Pass 2 (one streaming sweep): both sides' parameter rectangles for
     // every candidate axis at once.
-    let mut sides: Vec<SideRects> = (0..axes.len()).map(|_| SideRects::new(ctx.dims)).collect();
-    let mut means = vec![0.0f64; ctx.dims];
-    let mut sigmas = vec![0.0f64; ctx.dims];
-    for i in 0..n {
-        sp.read_components(range.start + i as u64, &mut means, &mut sigmas)?;
-        for (bm, side) in bitmaps.iter().zip(sides.iter_mut()) {
-            side.extend(bm.get(i), &means, &sigmas);
+    let mut sides: Vec<[RectFold; 2]> = axes.iter().map(|_| Default::default()).collect();
+    for (i, idx) in range.clone().enumerate() {
+        let e = sp.entry(idx)?;
+        for (bm, [left, right]) in bitmaps.iter().zip(sides.iter_mut()) {
+            let side = if bm.get(i) { left } else { right };
+            side.add(e);
         }
     }
 
     let mut best: Option<(f64, usize)> = None;
-    for (a, side) in sides.iter().enumerate() {
-        let cost = log_add(
-            ctx.cost.node(&side.left_rect()),
-            ctx.cost.node(&side.right_rect()),
-        );
+    for (a, [left, right]) in sides.iter().enumerate() {
+        let cost = log_add(ctx.cost.dims_cost(&left.0), ctx.cost.dims_cost(&right.0));
         if best.is_none_or(|(c, _)| cost < c) {
             best = Some((cost, a));
         }
@@ -516,8 +443,8 @@ fn external_split(
     let (_, winner) = best.expect("at least one candidate axis");
 
     // Redistribute along the winning axis in stable sorted order.
-    let keys = sp.axis_keys(range.clone(), axes[winner])?;
-    let perm = stable_argsort(&keys);
+    let keys = sp.axis_keys(range.clone(), &axes[winner..=winner])?;
+    let perm = stable_argsort(&keys[0]);
     let left = sp.rewrite(range.start, &perm[..split_at], ctx.budget, report)?;
     let right = sp.rewrite(range.start, &perm[split_at..], ctx.budget, report)?;
     Ok((left, right))
@@ -587,309 +514,174 @@ impl Bitmap {
     }
 }
 
-/// Streaming accumulator of the left/right parameter rectangles of one
-/// candidate split.
-struct SideRects {
-    left: Option<Vec<DimBounds>>,
-    right: Option<Vec<DimBounds>>,
-}
+/// The covering bounds of the entries folded in so far, folded in run
+/// order like [`group_rect`]; empty before the first entry.
+#[derive(Default)]
+struct RectFold(Vec<DimBounds>);
 
-impl SideRects {
-    fn new(_dims: usize) -> Self {
-        Self {
-            left: None,
-            right: None,
-        }
-    }
-
-    fn extend(&mut self, left_side: bool, means: &[f64], sigmas: &[f64]) {
-        let acc = if left_side {
-            &mut self.left
+impl RectFold {
+    fn add(&mut self, e: &LeafEntry) {
+        if self.0.is_empty() {
+            self.0 = (0..e.dims()).map(|d| e.dim_bounds(d)).collect();
         } else {
-            &mut self.right
-        };
-        match acc {
-            None => {
-                *acc = Some(
-                    means
-                        .iter()
-                        .zip(sigmas)
-                        .map(|(&m, &s)| DimBounds::point(m, s))
-                        .collect(),
-                );
-            }
-            Some(ds) => {
-                for (d, b) in ds.iter_mut().enumerate() {
-                    *b = b.union(&DimBounds::point(means[d], sigmas[d]));
-                }
+            for (d, b) in self.0.iter_mut().enumerate() {
+                *b = b.union(&e.dim_bounds(d));
             }
         }
     }
-
-    #[expect(clippy::expect_used, reason = "the splitter never leaves it empty")]
-    fn left_rect(&self) -> ParamRect {
-        ParamRect::from_dims(self.left.clone().expect("left side non-empty"))
-    }
-
-    #[expect(clippy::expect_used, reason = "the splitter never leaves it empty")]
-    fn right_rect(&self) -> ParamRect {
-        ParamRect::from_dims(self.right.clone().expect("right side non-empty"))
-    }
 }
 
-/// Fixed-stride encoded `(id, μ*, σ*)` runs packed into the pages of a
-/// private [`PageStore`] — the spill area of the streaming front end.
-/// Child runs produced by redistribution are appended after their parent
-/// range (the parent's pages become garbage; the spill area is transient
-/// and dropped whole after the build).
+/// The spill area of the streaming front end: runs of entries stored as
+/// [`LeafFormat::Exact`] leaf pages of an unlinked-on-drop temp file,
+/// written with [`Node::write_to`] and read back with [`Node::read_from`],
+/// so a corrupt page fails the same validated decoder as a tree page. Entry
+/// `i` is slot `i % per_page` of page `i / per_page`. Child runs produced
+/// by redistribution are appended after their parent range (the parent's
+/// pages become garbage; the file is dropped whole after the build).
 struct SpillFile {
-    backend: SpillBackend,
+    store: FileStore,
+    path: PathBuf,
     dims: usize,
-    stride: usize,
     per_page: usize,
-    /// Entries ever appended (global index space; ranges address into it).
-    len: u64,
-    full_pages: u64,
-    tail: Vec<u8>,
-    tail_count: usize,
-    cache_page: Option<u64>,
-    cache_buf: Vec<u8>,
-}
-
-enum SpillBackend {
-    Mem(MemStore),
-    File { store: FileStore, path: PathBuf },
-}
-
-impl SpillBackend {
-    fn store_mut(&mut self) -> &mut dyn PageStore {
-        match self {
-            SpillBackend::Mem(s) => s,
-            SpillBackend::File { store, .. } => store,
-        }
-    }
+    /// Pages written; the page being filled is the next one.
+    full_pages: usize,
+    /// The entries of the page being filled.
+    tail: Vec<LeafEntry>,
+    /// The last page read and its entries, decoded (`usize::MAX` before
+    /// the first read); sequential and sorted access patterns hit it almost
+    /// always.
+    cache: (usize, Vec<LeafEntry>),
+    /// One page of bytes.
+    buf: Vec<u8>,
 }
 
 impl Drop for SpillFile {
     fn drop(&mut self) {
-        if let SpillBackend::File { path, .. } = &self.backend {
-            std::fs::remove_file(path).ok();
-        }
+        std::fs::remove_file(&self.path).ok();
     }
 }
 
 static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl SpillFile {
-    fn new(kind: SpillKind, dims: usize) -> Result<Self, TreeError> {
-        let stride = entry_stride_bytes(dims);
-        let page_size = SPILL_PAGE_BYTES.max(stride);
-        let backend = match kind {
-            SpillKind::Memory => SpillBackend::Mem(MemStore::new(page_size)),
-            SpillKind::TempFile => {
-                let path = std::env::temp_dir().join(format!(
-                    "gauss-bulk-spill-{}-{}.run",
-                    std::process::id(),
-                    SPILL_COUNTER.fetch_add(1, Ordering::Relaxed)
-                ));
-                let store = FileStore::create(&path, page_size)?;
-                SpillBackend::File { store, path }
-            }
-        };
+    fn new(dims: usize) -> Result<Self, TreeError> {
+        let entry_bytes = leaf_entry_bytes(dims, LeafFormat::Exact);
+        let page_size = SPILL_PAGE_BYTES.max(NODE_HEADER_BYTES + entry_bytes);
+        let path = std::env::temp_dir().join(format!(
+            "gauss-bulk-spill-{}-{}.run",
+            std::process::id(),
+            SPILL_COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
         Ok(Self {
-            backend,
+            store: FileStore::create(&path, page_size)?,
+            path,
             dims,
-            stride,
-            per_page: page_size / stride,
-            len: 0,
+            per_page: (page_size - NODE_HEADER_BYTES) / entry_bytes,
             full_pages: 0,
-            tail: vec![0u8; page_size],
-            tail_count: 0,
-            cache_page: None,
-            cache_buf: vec![0u8; page_size],
+            tail: Vec::new(),
+            cache: (usize::MAX, Vec::new()),
+            buf: vec![0; page_size],
         })
     }
 
-    fn len(&self) -> u64 {
-        self.len
+    /// Entries ever appended (the global index space ranges address).
+    fn len(&self) -> usize {
+        self.full_pages * self.per_page + self.tail.len()
     }
 
-    fn append(&mut self, e: &LeafEntry) -> Result<(), TreeError> {
-        let off = self.tail_count * self.stride;
-        let buf = &mut self.tail[off..off + self.stride];
-        buf[..8].copy_from_slice(&e.id.to_le_bytes());
-        for (d, &m) in e.pfv.means().iter().enumerate() {
-            buf[8 + d * 8..16 + d * 8].copy_from_slice(&m.to_le_bytes());
-        }
-        let sig_base = 8 + self.dims * 8;
-        for (d, &s) in e.pfv.sigmas().iter().enumerate() {
-            buf[sig_base + d * 8..sig_base + 8 + d * 8].copy_from_slice(&s.to_le_bytes());
-        }
-        self.tail_count += 1;
-        self.len += 1;
-        if self.tail_count == self.per_page {
-            let id = self.backend.store_mut().allocate()?;
-            debug_assert_eq!(id.index(), self.full_pages);
-            self.backend.store_mut().write_page(id, &self.tail)?;
+    fn append(&mut self, e: LeafEntry) -> Result<(), TreeError> {
+        self.tail.push(e);
+        if self.tail.len() == self.per_page {
+            let page = Node::Leaf(std::mem::take(&mut self.tail));
+            page.write_to(self.dims, LeafFormat::Exact, &mut self.buf);
+            let id = self.store.allocate()?;
+            self.store.write_page(id, &self.buf)?;
             self.full_pages += 1;
-            self.tail_count = 0;
-            self.tail.fill(0);
         }
         Ok(())
     }
 
-    /// Raw bytes of entry `idx`, served from the tail buffer or a one-page
-    /// read cache (sequential and sorted access patterns hit it almost
-    /// always).
-    fn entry_bytes(&mut self, idx: u64) -> Result<&[u8], TreeError> {
-        debug_assert!(idx < self.len);
-        let pid = idx / self.per_page as u64;
-        #[expect(clippy::expect_used, reason = "idx % per_page < per_page, a usize")]
-        let off = usize::try_from(idx % self.per_page as u64).expect("offset fits") * self.stride;
-        if pid == self.full_pages {
-            return Ok(&self.tail[off..off + self.stride]);
+    /// Entry `idx`, from the page being filled or the decoded page.
+    fn entry(&mut self, idx: usize) -> Result<&LeafEntry, TreeError> {
+        let (page, slot) = (idx / self.per_page, idx % self.per_page);
+        if page == self.full_pages {
+            return Ok(&self.tail[slot]);
         }
-        if self.cache_page != Some(pid) {
-            self.backend
-                .store_mut()
-                .read_page(PageId(pid), &mut self.cache_buf)?;
-            self.cache_page = Some(pid);
+        if self.cache.0 != page {
+            self.store.read_page(PageId(page as u64), &mut self.buf)?;
+            let Node::Leaf(entries) = Node::read_from(self.dims, LeafFormat::Exact, &self.buf)?
+            else {
+                return Err(TreeError::Corrupt("a spill page holds no leaf"));
+            };
+            self.cache = (page, entries);
         }
-        Ok(&self.cache_buf[off..off + self.stride])
+        self.cache
+            .1
+            .get(slot)
+            .ok_or(TreeError::Corrupt("a spill page is short"))
     }
 
-    /// Copies entry `idx`'s feature columns into the scratch slices.
-    #[expect(clippy::expect_used, reason = "an 8-byte slice converts infallibly")]
-    fn read_components(
+    fn read_range(&mut self, range: Range<usize>) -> Result<Vec<LeafEntry>, TreeError> {
+        range.map(|idx| self.entry(idx).cloned()).collect()
+    }
+
+    /// The keys of a range along each of `axes`, one column per axis in
+    /// run order — one sequential pass.
+    fn axis_keys(
         &mut self,
-        idx: u64,
-        means: &mut [f64],
-        sigmas: &mut [f64],
-    ) -> Result<(), TreeError> {
-        let dims = self.dims;
-        let bytes = self.entry_bytes(idx)?;
-        for d in 0..dims {
-            means[d] =
-                f64::from_le_bytes(bytes[8 + d * 8..16 + d * 8].try_into().expect("8 bytes"));
-            let sb = 8 + dims * 8 + d * 8;
-            sigmas[d] = f64::from_le_bytes(bytes[sb..sb + 8].try_into().expect("8 bytes"));
-        }
-        Ok(())
-    }
-
-    #[expect(clippy::expect_used, reason = "an 8-byte slice converts infallibly")]
-    fn decode_entry(&mut self, idx: u64) -> Result<LeafEntry, TreeError> {
-        let dims = self.dims;
-        let bytes = self.entry_bytes(idx)?;
-        #[expect(clippy::expect_used, reason = "an 8-byte slice converts infallibly")]
-        let id = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
-        let mut means = Vec::with_capacity(dims);
-        let mut sigmas = Vec::with_capacity(dims);
-        for d in 0..dims {
-            means.push(f64::from_le_bytes(
-                bytes[8 + d * 8..16 + d * 8].try_into().expect("8 bytes"),
-            ));
-            let sb = 8 + dims * 8 + d * 8;
-            sigmas.push(f64::from_le_bytes(
-                bytes[sb..sb + 8].try_into().expect("8 bytes"),
-            ));
-        }
-        let pfv = Pfv::new(means, sigmas).map_err(|_| TreeError::Corrupt("invalid spilled pfv"))?;
-        Ok(LeafEntry { id, pfv })
-    }
-
-    #[expect(clippy::expect_used, reason = "a 64-bit build is assumed")]
-    fn decode_range(&mut self, range: Range<u64>) -> Result<Vec<LeafEntry>, TreeError> {
-        let mut out =
-            Vec::with_capacity(usize::try_from(range.end - range.start).expect("fits usize"));
+        range: Range<usize>,
+        axes: &[Axis],
+    ) -> Result<Vec<Vec<f64>>, TreeError> {
+        let mut cols: Vec<Vec<f64>> = axes
+            .iter()
+            .map(|_| Vec::with_capacity(range.len()))
+            .collect();
         for idx in range {
-            out.push(self.decode_entry(idx)?);
+            let e = self.entry(idx)?;
+            for (col, &axis) in cols.iter_mut().zip(axes) {
+                col.push(e.axis_key(axis));
+            }
         }
-        Ok(out)
-    }
-
-    /// The axis keys of a range, in run order — one sequential pass.
-    #[expect(clippy::expect_used, reason = "64-bit build; 8-byte slices convert")]
-    fn axis_keys(&mut self, range: Range<u64>, axis: Axis) -> Result<Vec<f64>, TreeError> {
-        let off = match axis {
-            Axis::Mu(i) => 8 + i * 8,
-            Axis::Sigma(i) => 8 + (self.dims + i) * 8,
-        };
-        let mut keys =
-            Vec::with_capacity(usize::try_from(range.end - range.start).expect("fits usize"));
-        for idx in range {
-            let bytes = self.entry_bytes(idx)?;
-            keys.push(f64::from_le_bytes(
-                bytes[off..off + 8].try_into().expect("8 bytes"),
-            ));
-        }
-        Ok(keys)
+        Ok(cols)
     }
 
     /// Covering rectangle of a range (for the widest-μ baseline's axis
-    /// choice), folded in run order like `group_rect`.
-    #[expect(clippy::expect_used, reason = "the caller's range is non-empty")]
-    fn range_rect(&mut self, range: Range<u64>) -> Result<ParamRect, TreeError> {
-        let dims = self.dims;
-        let mut means = vec![0.0f64; dims];
-        let mut sigmas = vec![0.0f64; dims];
-        let mut ds: Option<Vec<DimBounds>> = None;
+    /// choice).
+    fn range_rect(&mut self, range: Range<usize>) -> Result<ParamRect, TreeError> {
+        let mut fold = RectFold::default();
         for idx in range {
-            self.read_components(idx, &mut means, &mut sigmas)?;
-            match &mut ds {
-                None => {
-                    ds = Some(
-                        means
-                            .iter()
-                            .zip(&sigmas)
-                            .map(|(&m, &s)| DimBounds::point(m, s))
-                            .collect(),
-                    );
-                }
-                Some(ds) => {
-                    for (d, b) in ds.iter_mut().enumerate() {
-                        *b = b.union(&DimBounds::point(means[d], sigmas[d]));
-                    }
-                }
-            }
+            fold.add(self.entry(idx)?);
         }
-        Ok(ParamRect::from_dims(ds.expect("non-empty range")))
+        Ok(ParamRect::from_dims(fold.0))
     }
 
     /// Appends the entries `base + perm[..]` in permutation order as a new
     /// run, gathering at most `window` entries at a time (each window's
-    /// sources are visited in ascending index order, so the one-page cache
+    /// sources are visited in ascending index order, so the decoded page
     /// turns the gather into near-sequential reads).
-    #[expect(clippy::expect_used, reason = "the gather loop filled every rank")]
     fn rewrite(
         &mut self,
-        base: u64,
+        base: usize,
         perm: &[u32],
         window: usize,
         report: &mut BulkLoadReport,
-    ) -> Result<Range<u64>, TreeError> {
-        let start = self.len;
-        let window = window.max(1);
-        let mut buf: Vec<Option<LeafEntry>> = Vec::new();
-        for chunk in perm.chunks(window) {
-            let mut order: Vec<(u32, usize)> = chunk
-                .iter()
-                .enumerate()
-                .map(|(rank, &src)| (src, rank))
-                .collect();
-            order.sort_unstable_by_key(|&(src, _)| src);
-            buf.clear();
-            buf.resize_with(chunk.len(), || None);
-            for (src, rank) in order {
-                buf[rank] = Some(self.decode_entry(base + u64::from(src))?);
+    ) -> Result<Range<usize>, TreeError> {
+        let start = self.len();
+        for srcs in perm.chunks(window.max(1)) {
+            let mut ranks: Vec<usize> = (0..srcs.len()).collect();
+            ranks.sort_unstable_by_key(|&rank| srcs[rank]);
+            let mut gathered = Vec::with_capacity(srcs.len());
+            for rank in ranks {
+                gathered.push((rank, self.entry(base + srcs[rank] as usize)?.clone()));
             }
-            report.observe_resident(chunk.len());
-            for e in buf.drain(..) {
-                self.append(&e.expect("every rank gathered"))?;
+            gathered.sort_unstable_by_key(|&(rank, _)| rank);
+            report.observe_resident(srcs.len());
+            for (_, e) in gathered {
+                self.append(e)?;
             }
         }
         report.rewritten_entries += perm.len() as u64;
-        Ok(start..self.len)
+        Ok(start..self.len())
     }
 }
 
@@ -898,7 +690,7 @@ mod tests {
     use super::*;
     use crate::config::TreeConfig;
     use crate::ReadView;
-    use gauss_storage::{AccessStats, SharedBufferPool, DEFAULT_PAGE_SIZE};
+    use gauss_storage::{AccessStats, MemStore, SharedBufferPool, DEFAULT_PAGE_SIZE};
     use gauss_workloads::{
         generate_queries, histogram_dataset, uniform_dataset, Dataset, IdentificationQuery,
         SigmaSpec,
@@ -934,28 +726,56 @@ mod tests {
 
     #[test]
     fn spill_file_round_trips_entries() {
-        let data = items(500, 3);
-        let mut sp = SpillFile::new(SpillKind::Memory, 3).unwrap();
+        let data = items(2600, 3);
+        let mut sp = SpillFile::new(3).unwrap();
         for (id, pfv) in &data {
-            sp.append(&LeafEntry {
+            sp.append(LeafEntry {
                 id: *id,
                 pfv: pfv.clone(),
             })
             .unwrap();
         }
-        assert_eq!(sp.len(), 500);
-        // Random-access decode agrees with the source, including entries
-        // still in the tail buffer.
-        for idx in [0u64, 1, 17, 250, 499] {
-            let e = sp.decode_entry(idx).unwrap();
-            assert_eq!(e.id, data[idx as usize].0);
-            assert_eq!(e.pfv, data[idx as usize].1);
+        assert_eq!(sp.len(), 2600);
+        assert!(sp.full_pages >= 2 && !sp.tail.is_empty());
+        // Random-access reads agree with the source, on written pages and
+        // in the page still being filled.
+        let last_page = sp.full_pages * sp.per_page;
+        for idx in [
+            0,
+            1,
+            17,
+            sp.per_page - 1,
+            sp.per_page,
+            last_page - 1,
+            last_page,
+            2599,
+        ] {
+            let e = sp.entry(idx).unwrap();
+            assert_eq!(e.id, data[idx].0);
+            assert_eq!(e.pfv, data[idx].1);
         }
-        // Axis keys match the decoded components.
-        let keys = sp.axis_keys(0..500, Axis::Sigma(2)).unwrap();
-        for (idx, k) in keys.iter().enumerate() {
-            assert_eq!(*k, data[idx].1.sigmas()[2]);
+        // Axis keys match the source components.
+        let keys = sp
+            .axis_keys(0..2600, &[Axis::Mu(0), Axis::Sigma(2)])
+            .unwrap();
+        for (idx, (_, v)) in data.iter().enumerate() {
+            assert_eq!(keys[0][idx], v.means()[0], "{idx}");
+            assert_eq!(keys[1][idx], v.sigmas()[2], "{idx}");
         }
+    }
+
+    #[test]
+    fn corrupt_spill_page_fails_the_node_decoder() {
+        let mut sp = SpillFile::new(1).unwrap();
+        for (id, pfv) in items(sp.per_page as u64 + 1, 1) {
+            sp.append(LeafEntry { id, pfv }).unwrap();
+        }
+        // A negative σ in the first entry of page 0: `[id][μ][σ]`.
+        let mut page = sp.buf.clone();
+        sp.store.read_page(PageId(0), &mut page).unwrap();
+        page[NODE_HEADER_BYTES + 16..][..8].copy_from_slice(&(-1.0f64).to_le_bytes());
+        sp.store.write_page(PageId(0), &page).unwrap();
+        assert!(matches!(sp.entry(0), Err(TreeError::Codec(_))));
     }
 
     #[test]
@@ -966,9 +786,7 @@ mod tests {
         let ref_image = store_image(&reference);
 
         for budget in [40usize, 97, 300, 5000] {
-            let opts = BulkLoadOptions::default()
-                .with_mem_budget(budget)
-                .with_spill(SpillKind::Memory);
+            let opts = BulkLoadOptions::default().with_mem_budget(budget);
             let (tree, report) =
                 GaussTree::bulk_load_with(pool(), config, data.clone(), &opts).unwrap();
             assert_eq!(store_image(&tree), ref_image, "budget {budget}");
@@ -1002,9 +820,7 @@ mod tests {
         let data = items(800, 2);
         let config = TreeConfig::new(2).with_capacities(8, 6);
         let reference = GaussTree::bulk_load(pool(), config, data.clone()).unwrap();
-        let opts = BulkLoadOptions::default()
-            .with_mem_budget(100)
-            .with_spill(SpillKind::TempFile);
+        let opts = BulkLoadOptions::default().with_mem_budget(100);
         let (tree, report) = GaussTree::bulk_load_with(pool(), config, data, &opts).unwrap();
         assert_eq!(store_image(&tree), store_image(&reference));
         assert!(report.spilled_entries > 0);
@@ -1099,8 +915,7 @@ mod tests {
         let config = TreeConfig::new(1).with_capacities(8, 6);
         let opts = BulkLoadOptions::default()
             .with_threads(4)
-            .with_mem_budget(16)
-            .with_spill(SpillKind::Memory);
+            .with_mem_budget(16);
         let (tree, report) = GaussTree::bulk_load_with(pool(), config, Vec::new(), &opts).unwrap();
         assert!(tree.is_empty());
         assert_eq!(report.total_entries, 0);

@@ -114,7 +114,7 @@ pub mod tree;
 /// The shared read-plane: the [`ReadView`] query trait and its substrate.
 pub mod view;
 
-pub use bulk::{BulkLoadOptions, BulkLoadReport, SpillKind};
+pub use bulk::{BulkLoadOptions, BulkLoadReport};
 pub use check::InvariantError;
 pub use config::{LeafFormat, SplitStrategy, TreeConfig};
 pub use cursor::RankingCursor;

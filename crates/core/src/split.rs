@@ -295,8 +295,8 @@ pub struct SplitOutcome<T> {
 ///
 /// Every candidate axis receives a median split (so both halves satisfy the
 /// minimum fanout by construction); the strategy's cost function picks the
-/// winner. This is one split of the bulk partitioner ([`partition_groups`]
-/// with two groups), so no item is cloned.
+/// winner. This is one split of the bulk partitioner (`partition` with
+/// two groups), so no item is cloned.
 ///
 /// # Panics
 /// Panics if fewer than two items are supplied.
@@ -338,9 +338,17 @@ pub(crate) fn candidate_axes(
     }
 }
 
-/// Recursively partitions `items` into `⌈n / cap⌉` groups of at most `cap`
-/// items each, choosing split axes with the same cost objective as node
-/// splits. Used by the bulk loader.
+/// Subtrees below this size are partitioned serially by one worker instead
+/// of being split across threads — a thread spawn would cost more than the
+/// parallelism buys.
+const PARALLEL_TASK_FLOOR: usize = 2048;
+
+/// Recursively partitions `items` into `n_groups` groups, choosing split
+/// axes with the same cost objective as node splits, and returns them in
+/// recursion order with the axis of the first split (`None` when one group
+/// takes everything, in input order). The bulk loader calls it with the
+/// group count its own recursion fixed (`⌈n / capacity⌉` at the top, the
+/// parent split's share below), [`split_items`] with two.
 ///
 /// # The presorted partitioner
 ///
@@ -374,56 +382,26 @@ pub(crate) fn candidate_axes(
 ///   instead of sorted.
 ///
 /// So every split, and every group's order, is the one the per-split
-/// stable argsort made, and the trees are byte-identical to it (negative
-/// zero aside: a scan under [`f64::total_cmp`] takes `−0.0` as the least
-/// of `±0.0`, where an [`f64::min`] fold may take either). The work per
-/// split is one pass over each order, O(n·d) per level, against
+/// stable argsort made, and the trees are byte-identical to it. The work
+/// per split is one pass over each order, O(n·d) per level, against
 /// O(n·d·(log n + d)) for the sorts and the gathers. Per item a call holds
 /// `2d` `f64` keys and `2d` `u32` orders (`6d` of each for inner entries)
 /// and, per worker, one rank and one buffer word.
 ///
-/// # Panics
-/// Panics if `cap < 1` or `items` is empty.
-#[must_use]
-pub fn partition_groups<T: Splittable>(cost: &SplitCost, items: Vec<T>, cap: usize) -> Vec<Vec<T>> {
-    partition_groups_parallel(cost, items, cap, 1)
-}
-
-/// Subtrees below this size are partitioned serially by one worker instead
-/// of being split across threads — a thread spawn would cost more than the
-/// parallelism buys.
-const PARALLEL_TASK_FLOOR: usize = 2048;
-
-/// [`partition_groups`] fanned across `threads` scoped workers.
+/// # Threads
 ///
 /// The recursion descends into two *independent* sub-ranges after every
-/// split, so the parallel form is a fork-join over the same recursion: the
-/// right half goes to a fresh scoped thread with half the thread budget
-/// while the splitting thread keeps descending into the left with the
-/// rest, and the right's groups are appended after the left's when its
-/// join handle returns. Every split is the one the serial recursion makes
-/// and groups come back in recursion order, so the result is **identical**
-/// to the serial partitioning for any thread count.
+/// split, so it fans out across `threads` scoped workers as a fork-join
+/// over the same recursion: the right half goes to a fresh scoped thread
+/// with half the thread budget while the splitting thread keeps descending
+/// into the left with the rest, and the right's groups are appended after
+/// the left's when its join handle returns. Every split is the one the
+/// serial recursion makes and groups come back in recursion order, so the
+/// result is **identical** to the serial partitioning for any thread
+/// count.
 ///
 /// # Panics
-/// Panics if `cap < 1` or `items` is empty.
-#[must_use]
-pub fn partition_groups_parallel<T: Splittable>(
-    cost: &SplitCost,
-    items: Vec<T>,
-    cap: usize,
-    threads: usize,
-) -> Vec<Vec<T>> {
-    assert!(cap >= 1, "group capacity must be positive");
-    let total = items.len().div_ceil(cap);
-    partition(cost, items, total, threads).0
-}
-
-/// [`partition_groups_parallel`] with an explicit group count — the form
-/// the bulk loader's recursion needs, because a sub-range's group count is
-/// fixed by the parent split, not recomputed from the capacity — returning
-/// the groups in recursion order with the axis of the first split (`None`
-/// when one group takes everything, in input order).
+/// Panics if `items` is empty or `n_groups` exceeds its length.
 #[expect(clippy::expect_used, reason = "the groups cover every item once")]
 pub(crate) fn partition<T: Splittable>(
     cost: &SplitCost,
@@ -1208,7 +1186,14 @@ mod tests {
             .map(|i| leaf(i, (i as f64).sin() * 10.0, 0.1 + (i % 4) as f64 * 0.2))
             .collect();
         for cap in [2, 5, 7, 16, 200] {
-            let groups = partition_groups(&point(SplitStrategy::HullIntegral), items.clone(), cap);
+            let n_groups = items.len().div_ceil(cap);
+            let groups = partition(
+                &point(SplitStrategy::HullIntegral),
+                items.clone(),
+                n_groups,
+                1,
+            )
+            .0;
             assert_eq!(groups.len(), 103usize.div_ceil(cap));
             let total: usize = groups.iter().map(Vec::len).sum();
             assert_eq!(total, 103);
@@ -1222,7 +1207,13 @@ mod tests {
     #[test]
     fn partition_keeps_every_item_exactly_once() {
         let items: Vec<LeafEntry> = (0..50).map(|i| leaf(i, i as f64, 0.3)).collect();
-        let groups = partition_groups(&point(SplitStrategy::MinVolume), items, 8);
+        let groups = partition(
+            &point(SplitStrategy::MinVolume),
+            items,
+            50usize.div_ceil(8),
+            1,
+        )
+        .0;
         let mut ids: Vec<u64> = groups.iter().flatten().map(|e| e.id).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..50).collect::<Vec<_>>());
@@ -1231,7 +1222,13 @@ mod tests {
     #[test]
     fn partition_single_group() {
         let items: Vec<LeafEntry> = (0..5).map(|i| leaf(i, i as f64, 0.3)).collect();
-        let groups = partition_groups(&point(SplitStrategy::HullIntegral), items, 10);
+        let groups = partition(
+            &point(SplitStrategy::HullIntegral),
+            items,
+            5usize.div_ceil(10),
+            1,
+        )
+        .0;
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].len(), 5);
     }
@@ -1254,9 +1251,10 @@ mod tests {
             point(SplitStrategy::WidestMu),
         ]);
         for cost in costs {
-            let serial = partition_groups(&cost, items.clone(), 24);
+            let n_groups = items.len().div_ceil(24);
+            let serial = partition(&cost, items.clone(), n_groups, 1).0;
             for threads in [1, 2, 3, 8] {
-                let par = partition_groups_parallel(&cost, items.clone(), 24, threads);
+                let par = partition(&cost, items.clone(), n_groups, threads).0;
                 assert_eq!(par, serial, "{cost:?}, threads {threads}");
             }
         }
@@ -1369,7 +1367,7 @@ mod tests {
         let mut want = Vec::new();
         reference::partition(cost, items.to_vec(), items.len().div_ceil(cap), &mut want);
         for threads in [1, 2, 3] {
-            let got = partition_groups_parallel(cost, items.to_vec(), cap, threads);
+            let got = partition(cost, items.to_vec(), items.len().div_ceil(cap), threads).0;
             let first_diff = got.iter().zip(&want).position(|(g, w)| g != w);
             assert!(
                 got.len() == want.len() && first_diff.is_none(),

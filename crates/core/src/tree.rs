@@ -170,21 +170,19 @@ pub struct GaussTree<S: PageStore> {
 }
 
 /// Builder-style options for [`GaussTree::open_with`] and
-/// [`GaussTree::create_with`]: the decoded-node cache size and, for a new
-/// in-memory tree, the leaf format.
+/// [`GaussTree::create_with`]: the decoded-node cache size. A new tree's
+/// leaf format is its [`TreeConfig`]'s
+/// ([`TreeConfig::with_leaf_format`]).
 ///
 /// ```
-/// use gauss_tree::{LeafFormat, TreeOptions};
+/// use gauss_tree::TreeOptions;
 ///
-/// let opts = TreeOptions::new()
-///     .node_cache_capacity(4096)
-///     .leaf_format(LeafFormat::Quantised);
+/// let opts = TreeOptions::new().node_cache_capacity(4096);
 /// # let _ = opts;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TreeOptions {
     node_cache_capacity: Option<usize>,
-    leaf_format: Option<LeafFormat>,
 }
 
 impl TreeOptions {
@@ -208,15 +206,6 @@ impl TreeOptions {
     #[must_use]
     pub fn node_cache_capacity(mut self, nodes: usize) -> Self {
         self.node_cache_capacity = Some(nodes);
-        self
-    }
-
-    /// On-disk leaf entry representation for trees *created* with these
-    /// options (overrides the [`TreeConfig`]'s format). Ignored on open —
-    /// an existing tree's format is part of its persisted metadata.
-    #[must_use]
-    pub fn leaf_format(mut self, format: LeafFormat) -> Self {
-        self.leaf_format = Some(format);
         self
     }
 
@@ -331,9 +320,6 @@ impl<S: PageStore> GaussTree<S> {
         if pool.num_pages() != 0 {
             return Err(TreeError::Corrupt("a tree is built on an empty store"));
         }
-        let config = opts
-            .leaf_format
-            .map_or(config, |f| config.with_leaf_format(f));
         let page_size = pool.page_size();
         let slots = (pool.allocate()?, pool.allocate()?);
         debug_assert_eq!(slots, (PageId(0), PageId(1)));
@@ -432,10 +418,10 @@ impl<S: PageStore> GaussTree<S> {
     }
 
     /// Bulk-loads a tree through the full ingest pipeline (see
-    /// [`crate::bulk`]): streaming chunked consumption of `items` under an
-    /// optional memory budget with runs spilled through a page store,
-    /// partitioning fanned across worker threads, and node pages written in
-    /// coalesced batches. Pages are packed as in
+    /// [`crate::bulk`]): streaming consumption of `items` under an
+    /// optional memory budget, past which items spill to one temp file as
+    /// exact leaf pages, partitioning fanned across worker threads, and
+    /// node pages written in coalesced batches. Pages are packed as in
     /// [`bulk_load`](Self::bulk_load). The produced tree is
     /// **byte-identical** to the serial fully-resident build for every
     /// thread count and memory budget.
@@ -1450,14 +1436,11 @@ mod tests {
     }
 
     fn quantised_mem_tree(dims: usize, leaf: usize, inner: usize) -> GaussTree<MemStore> {
-        let config = TreeConfig::new(dims).with_capacities(leaf, inner);
+        let config = TreeConfig::new(dims)
+            .with_capacities(leaf, inner)
+            .with_leaf_format(LeafFormat::Quantised);
         let pool = SharedBufferPool::new(MemStore::new(8192), 1024, AccessStats::new_shared());
-        GaussTree::create_with(
-            pool,
-            config,
-            &TreeOptions::new().leaf_format(LeafFormat::Quantised),
-        )
-        .unwrap()
+        GaussTree::create(pool, config).unwrap()
     }
 
     #[test]

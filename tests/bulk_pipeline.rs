@@ -1,18 +1,22 @@
 //! Property and integration tests of the parallel out-of-core bulk-load
 //! pipeline.
 //!
-//! The pipeline's contract is determinism: for any thread count, chunk
-//! size, memory budget, spill backend and write mode, `bulk_load_with`
-//! must produce a store **byte-identical** to the serial fully-resident
-//! build — and every produced tree must satisfy the full structural
-//! invariants (including exact page accounting) across page sizes, then
-//! keep behaving like a normal in-memory tree under later inserts and
-//! batch merges.
+//! The pipeline's contract is determinism: for any thread count, memory
+//! budget and write mode, `bulk_load_with` must produce a store
+//! **byte-identical** to the serial fully-resident build. Past the budget,
+//! every item goes straight to one temp spill file of exact leaf pages, so
+//! a spilling budget also drives that file's round trip. Every produced
+//! tree must satisfy the full structural invariants (including exact page
+//! accounting) across page sizes, then keep behaving like a normal
+//! in-memory tree under later inserts and batch merges. A malformed item
+//! in the spilled stream fails the load before anything is committed.
 
 use gausstree::pfv::Pfv;
-use gausstree::storage::{AccessStats, MemStore, PageId, PageStore, SharedBufferPool};
+use gausstree::storage::{
+    AccessStats, MemStore, PageId, PageStore, SharedBufferPool, SharedMemStore,
+};
 use gausstree::tree::ReadView;
-use gausstree::tree::{BulkLoadOptions, GaussTree, SpillKind, TreeConfig};
+use gausstree::tree::{BulkLoadOptions, GaussTree, SplitStrategy, TreeConfig, TreeError};
 use gausstree::workloads::{uniform_dataset, SigmaSpec};
 use proptest::prelude::*;
 
@@ -72,16 +76,12 @@ proptest! {
         salt in 0u64..1000,
     ) {
         let config = TreeConfig::new(dims).with_capacities(leaf_cap, inner_cap);
-        let mut opts = BulkLoadOptions::default()
-            .with_threads(threads)
-            .with_spill(SpillKind::Memory);
+        let mut opts = BulkLoadOptions::default().with_threads(threads);
         // budget_raw below 8 means "unbounded" (the shim has no option-of
         // strategy); anything else is a real, often spill-forcing budget.
         if budget_raw >= 8 {
             opts = opts.with_mem_budget(budget_raw);
         }
-        // Odd chunk sizes must not matter either.
-        opts.chunk_entries = 1 + (salt as usize % 61);
         for items in [synth_items(n, dims, salt), relative_sigma_items(n, dims, salt)] {
             let reference =
                 GaussTree::bulk_load(pool_with(2048), config, items.clone()).unwrap();
@@ -109,8 +109,7 @@ proptest! {
         let config = TreeConfig::new(dims);
         let opts = BulkLoadOptions::default()
             .with_threads(4)
-            .with_mem_budget(budget)
-            .with_spill(SpillKind::Memory);
+            .with_mem_budget(budget);
         let (tree, _) =
             GaussTree::bulk_load_with(pool_with(page_size), config, items, &opts).unwrap();
         let errs = tree.check_invariants(false).unwrap();
@@ -130,8 +129,7 @@ proptest! {
         let config = TreeConfig::new(2).with_capacities(6, 4);
         let opts = BulkLoadOptions::default()
             .with_threads(threads)
-            .with_mem_budget(32)
-            .with_spill(SpillKind::Memory);
+            .with_mem_budget(32);
         let (mut tree, _) =
             GaussTree::bulk_load_with(pool_with(2048), config, items, &opts).unwrap();
         let height_before = tree.height();
@@ -157,8 +155,7 @@ fn extend_after_parallel_bulk_load_keeps_queries_exact() {
     let config = TreeConfig::new(2).with_capacities(8, 6);
     let opts = BulkLoadOptions::default()
         .with_threads(4)
-        .with_mem_budget(64)
-        .with_spill(SpillKind::Memory);
+        .with_mem_budget(64);
     let (mut tree, _) =
         GaussTree::bulk_load_with(pool_with(2048), config, items.clone(), &opts).unwrap();
 
@@ -195,8 +192,7 @@ fn big_parallel_spilled_build_matches_serial_and_answers_queries() {
     let reference = GaussTree::bulk_load(pool_with(4096), config, items.clone()).unwrap();
     let opts = BulkLoadOptions::default()
         .with_threads(4)
-        .with_mem_budget(256)
-        .with_spill(SpillKind::Memory);
+        .with_mem_budget(256);
     let (tree, report) = GaussTree::bulk_load_with(pool_with(4096), config, items, &opts).unwrap();
     assert_eq!(store_image(&tree), store_image(&reference));
     assert!(
@@ -211,6 +207,90 @@ fn big_parallel_spilled_build_matches_serial_and_answers_queries() {
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.id, y.id);
             assert_eq!(x.log_density.to_bits(), y.log_density.to_bits());
+        }
+    }
+}
+
+#[test]
+fn wrong_dimensionality_in_the_spilled_stream_fails_cleanly() {
+    // Budget 40: spilling starts at item 40, so item 200 arrives while the
+    // stream is being appended to the spill file.
+    let mut items = synth_items(300, 3, 5);
+    items[199].1 = Pfv::new(vec![0.5, 1.5], vec![0.1, 0.2]).unwrap();
+    let disk = SharedMemStore::new(2048);
+    let pool = SharedBufferPool::new(disk.clone(), 4096, AccessStats::new_shared());
+    let opts = BulkLoadOptions::default().with_mem_budget(40);
+    let err = GaussTree::bulk_load_with(pool, TreeConfig::new(3), items, &opts)
+        .map(|_| ())
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            TreeError::DimMismatch {
+                expected: 3,
+                got: 2
+            }
+        ),
+        "{err}"
+    );
+    // Nothing was committed: the store reopens as no tree at all.
+    let pool = SharedBufferPool::new(disk, 4096, AccessStats::new_shared());
+    assert!(matches!(
+        GaussTree::open(pool).map(|_| ()),
+        Err(TreeError::NotAGaussTree)
+    ));
+}
+
+/// Items whose μ in dimensions 0 and 1 are `+0.0` or `−0.0` (two sign
+/// patterns), so every range's μ extent there is zero, and, with `dims`
+/// 3, a third dimension mixing signed zeros with small lattice values.
+fn signed_zero_items(n: u64, dims: usize) -> Vec<(u64, Pfv)> {
+    let signed_zero = |negative: bool| if negative { -0.0 } else { 0.0 };
+    (0..n)
+        .map(|i| {
+            let mut means = vec![
+                signed_zero((i * 7 + i / 5) % 3 == 0),
+                signed_zero((i * 5 + i / 3) % 4 < 2),
+                match (i * 11 + 3) % 5 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    k => (k as f64 - 3.0) * 0.25,
+                },
+            ];
+            means.truncate(dims);
+            let sigmas: Vec<f64> = (0..dims as u64)
+                .map(|d| 0.05 + ((i + d) % 7) as f64 * 0.1)
+                .collect();
+            (i, Pfv::new(means, sigmas).unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn signed_zero_means_build_the_same_bytes_spilled_and_resident() {
+    // The widest-μ baseline sees only the two all-zero dimensions, so its
+    // axis choice rests on the sign of two zero extents.
+    for (split, dims) in [
+        (SplitStrategy::HullIntegral, 3),
+        (SplitStrategy::MinVolume, 3),
+        (SplitStrategy::WidestMu, 2),
+    ] {
+        let items = signed_zero_items(700, dims);
+        let config = TreeConfig::new(dims)
+            .with_capacities(6, 4)
+            .with_split(split);
+        let reference = GaussTree::bulk_load(pool_with(2048), config, items.clone()).unwrap();
+        for (budget, threads) in [(40, 1), (97, 2)] {
+            let opts = BulkLoadOptions::default()
+                .with_threads(threads)
+                .with_mem_budget(budget);
+            let (tree, report) =
+                GaussTree::bulk_load_with(pool_with(2048), config, items.clone(), &opts).unwrap();
+            assert!(report.external_splits > 0, "{split:?}: no external split");
+            assert!(
+                store_image(&tree) == store_image(&reference),
+                "{split:?}, budget {budget}: spilled build differs"
+            );
         }
     }
 }

@@ -19,47 +19,14 @@
 //! forest's write path — flushes, merges and manifest commits — has its own
 //! sweep in `tests/forest_crash.rs`.
 
-#![expect(clippy::disallowed_types, reason = "the fake disk is a plain Mutex")]
-
 use gausstree::pfv::Pfv;
 use gausstree::storage::{
-    AccessStats, Durability, FaultStore, FileStore, KillMode, MemStore, PageId, PageStore,
-    SharedBufferPool, StoreError,
+    AccessStats, Durability, FaultStore, FileStore, KillMode, PageStore, SharedBufferPool,
+    SharedMemStore,
 };
 use gausstree::tree::{
-    BulkLoadOptions, GaussTree, LeafFormat, MliqResult, ReadView, SpillKind, TiqResult, TreeConfig,
-    TreeError,
+    BulkLoadOptions, GaussTree, LeafFormat, MliqResult, ReadView, TiqResult, TreeConfig, TreeError,
 };
-use std::sync::{Arc, Mutex};
-
-/// A heap store whose pages outlive the tree that wrote them — the "disk"
-/// a crashed process leaves behind for recovery to inspect.
-#[derive(Clone)]
-struct SharedMem(Arc<Mutex<MemStore>>);
-
-impl SharedMem {
-    fn new(page_size: usize) -> Self {
-        Self(Arc::new(Mutex::new(MemStore::new(page_size))))
-    }
-}
-
-impl PageStore for SharedMem {
-    fn page_size(&self) -> usize {
-        self.0.lock().unwrap().page_size()
-    }
-    fn num_pages(&self) -> u64 {
-        self.0.lock().unwrap().num_pages()
-    }
-    fn allocate(&mut self) -> Result<PageId, StoreError> {
-        self.0.lock().unwrap().allocate()
-    }
-    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<(), StoreError> {
-        self.0.lock().unwrap().read_page(id, buf)
-    }
-    fn write_page(&mut self, id: PageId, buf: &[u8]) -> Result<(), StoreError> {
-        self.0.lock().unwrap().write_page(id, buf)
-    }
-}
 
 /// Order-independent logical content of a tree: `(len, sorted entries)`
 /// with floats captured bit-exactly.
@@ -123,9 +90,7 @@ impl Load {
             data: items(n, 2, n + page_size as u64),
             config: TreeConfig::new(2).with_capacities(4, 4),
             page_size,
-            opts: BulkLoadOptions::default()
-                .with_spill(SpillKind::Memory)
-                .with_durability(durability),
+            opts: BulkLoadOptions::default().with_durability(durability),
         }
     }
 
@@ -142,7 +107,7 @@ impl Load {
 fn kill_sweep(load: &Load, mode: KillMode) -> (u64, u64) {
     let queries: Vec<Pfv> = items(6, 2, 777).into_iter().map(|(_, q)| q).collect();
     let reference = load
-        .run(FaultStore::unlimited(SharedMem::new(load.page_size)))
+        .run(FaultStore::unlimited(SharedMemStore::new(load.page_size)))
         .expect("unkilled load");
     let full = logical_state(&reference);
     let want = answers(&reference, &queries);
@@ -151,7 +116,9 @@ fn kill_sweep(load: &Load, mode: KillMode) -> (u64, u64) {
     let total = reference.stats().snapshot().physical_writes;
     let (mut opened, mut refused) = (0, 0);
     for n in 0..=total {
-        let disk = SharedMem::new(load.page_size);
+        // The clone shares the page array: what the killed load leaves on
+        // this "disk" is what recovery reads.
+        let disk = SharedMemStore::new(load.page_size);
         drop(load.run(FaultStore::new(disk.clone(), n, mode)));
         let pool = SharedBufferPool::new(disk, 4096, AccessStats::new_shared());
         match GaussTree::open(pool) {
