@@ -38,7 +38,9 @@
 //!    rectangles, and the winning axis redistributes the range into two
 //!    sorted child runs with budget-sized gather windows. Both recursions
 //!    emit the left half's leaves before the right's, so the leaf level
-//!    comes out in page order.
+//!    comes out in page order. Only the leaf level is partitioned: each
+//!    level above is the level below cut, in that order, into consecutive
+//!    runs within one entry of each other (see `build_upper_levels`).
 //! 3. **Batched page writes** — node pages are staged in a
 //!    [`gauss_storage::WriteBatch`] and group-committed as coalesced runs
 //!    of consecutive pages ([`SharedBufferPool::write_batch`]), collapsing
@@ -102,7 +104,7 @@ pub fn entries_for_byte_budget(bytes: u64, dims: usize) -> usize {
 /// [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct BulkLoadOptions {
-    /// Worker threads for the partitioning fan-out (clamped to ≥ 1).
+    /// Worker threads for the leaf partitioning fan-out (clamped to ≥ 1).
     pub threads: usize,
     /// Maximum decoded entries resident at once; `None` keeps everything
     /// in memory. Clamped upward so a single leaf group always fits.
@@ -318,7 +320,7 @@ pub(crate) fn run<S: PageStore>(
         )?,
     }
 
-    let (root, height) = build_upper_levels(tree, &mut emitter, &ctx.cost, threads, level)?;
+    let (root, height) = build_upper_levels(tree, &mut emitter, level)?;
     emitter.finish(tree)?;
     Ok((report, root, height))
 }
@@ -452,24 +454,26 @@ fn external_split<S: PageStore>(
 
 /// Builds the inner levels bottom-up until one root remains; returns
 /// `(root page, height)`. Each level is packed into `⌈len / inner
-/// capacity⌉` nodes. Identical page-id sequence to the serial loader:
-/// every level's pages are allocated in group order before the next
-/// level's.
+/// capacity⌉` nodes by position, not by cost: the level below is cut, in
+/// emission order, into that many consecutive runs within one entry of
+/// each other, and run `i` goes to page `i` of the level's block, so each
+/// inner node's children occupy one range of consecutive page ids.
 fn build_upper_levels<S: PageStore>(
     tree: &GaussTree<S>,
     emitter: &mut NodeEmitter,
-    cost: &SplitCost,
-    threads: usize,
     mut level: Vec<InnerEntry>,
 ) -> Result<(PageId, u32), TreeError> {
     let mut height = 0u32;
     while level.len() > 1 {
         height += 1;
-        let n_groups = level.len().div_ceil(tree.inner_capacity());
+        let len = level.len();
+        let n_groups = len.div_ceil(tree.inner_capacity());
         let base = tree.pool().allocate_many(n_groups as u64)?;
-        let (groups, _) = partition(cost, level, n_groups, threads);
-        let mut next = Vec::with_capacity(groups.len());
-        for (i, g) in groups.into_iter().enumerate() {
+        let mut below = level.into_iter();
+        let mut next = Vec::with_capacity(n_groups);
+        for i in 0..n_groups {
+            let size = (i + 1) * len / n_groups - i * len / n_groups;
+            let g: Vec<InnerEntry> = below.by_ref().take(size).collect();
             let page = PageId(base.index() + i as u64);
             let rect = group_rect(&g);
             let count = g.iter().map(|e| e.count).sum();
@@ -907,6 +911,65 @@ mod tests {
                 "{}: {folded} pages per 1-MLIQ at the input's σ̄, {point} at σ_q = 0",
                 data.name
             );
+        }
+    }
+
+    /// The page ids of every level, root level first, and the entry count
+    /// of every node, read page by page through the node codec.
+    fn levels_of<S: PageStore>(tree: &GaussTree<S>) -> Vec<Vec<(PageId, usize)>> {
+        let read = |page: PageId| {
+            let bytes = tree.pool().page(page).unwrap();
+            Node::read_from(tree.dims(), tree.config().leaf_format, &bytes).unwrap()
+        };
+        let mut pages = vec![tree.root_page()];
+        let mut levels = Vec::new();
+        while !pages.is_empty() {
+            let mut below = Vec::new();
+            let mut level = Vec::new();
+            for page in pages {
+                let node = read(page);
+                level.push((page, node.len()));
+                if let Node::Inner(children) = node {
+                    below.extend(children.iter().map(|c| c.child));
+                }
+            }
+            levels.push(level);
+            pages = below;
+        }
+        levels
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn upper_levels_are_consecutive_chunks_of_the_level_below(
+            (n, leaf, inner, threads, budget) in
+                (1u64..1500, 2usize..40, 2usize..24, 1usize..5, 0usize..1600)
+        ) {
+            let config = TreeConfig::new(2).with_capacities(leaf, inner);
+            // A budget below `n` spills; one of `n` or more stays resident.
+            let mut opts = BulkLoadOptions::default().with_threads(threads);
+            if budget < n as usize {
+                opts = opts.with_mem_budget(budget);
+            }
+            let (tree, _) = GaussTree::bulk_load_with(pool(), config, items(n, 2), &opts).unwrap();
+            let levels = levels_of(&tree);
+            assert_eq!(levels.len() as u32, tree.height() + 1);
+            for pair in levels.windows(2) {
+                let (level, below) = (&pair[0], &pair[1]);
+                assert_eq!(level.len(), below.len().div_ceil(inner), "n {n}");
+                // Read in level order, the children are the level below in
+                // order, and its pages ascend one id at a time: every node's
+                // children start right after its previous sibling's last.
+                let first = below[0].0.index();
+                for (i, &(page, _)) in below.iter().enumerate() {
+                    assert_eq!(page.index(), first + i as u64, "n {n}: child {i}");
+                }
+                let sizes = level.iter().map(|&(_, len)| len);
+                let (lo, hi) = (sizes.clone().min().unwrap(), sizes.max().unwrap());
+                assert!(hi - lo <= 1, "n {n}: sibling sizes {lo}..={hi}");
+            }
         }
     }
 

@@ -20,12 +20,13 @@
 //! * a parallel, out-of-core STR-style [bulk loader](GaussTree::bulk_load)
 //!   (an extension — the paper only describes incremental insertion) whose
 //!   pipeline runs in three stages (see [`bulk`]): a streaming front end
-//!   that spills runs past a configurable memory budget, partitioning
+//!   that spills runs past a configurable memory budget, leaf partitioning
 //!   fanned across scoped worker threads (the recursion's sub-ranges are
-//!   independent), and batched page writes group-committed as coalesced
-//!   sequential runs — every combination byte-identical to the serial
-//!   resident build; plus [`GaussTree::extend`], the batched merge of a run
-//!   into an in-memory tree (one descent per batch);
+//!   independent) with the levels above chunked in leaf order, and batched
+//!   page writes group-committed as coalesced sequential runs — every
+//!   combination byte-identical to the serial resident build; plus
+//!   [`GaussTree::extend`], the batched merge of a run into an in-memory
+//!   tree (one descent per batch);
 //! * [structural invariant checking](GaussTree::check_invariants),
 //!   including exact page accounting: every allocated page is a commit
 //!   slot, reachable from the root, or dead past the committed allocation

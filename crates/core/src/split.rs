@@ -346,9 +346,11 @@ const PARALLEL_TASK_FLOOR: usize = 2048;
 /// Recursively partitions `items` into `n_groups` groups, choosing split
 /// axes with the same cost objective as node splits, and returns them in
 /// recursion order with the axis of the first split (`None` when one group
-/// takes everything, in input order). The bulk loader calls it with the
-/// group count its own recursion fixed (`⌈n / capacity⌉` at the top, the
-/// parent split's share below), [`split_items`] with two.
+/// takes everything, in input order). Its callers: the bulk loader's leaf
+/// level, with the group count its own recursion fixed (`⌈n / leaf
+/// capacity⌉` at the top, an external split's share below); an overflowing
+/// node on the insert path, with `⌈len / capacity⌉`; [`split_items`], with
+/// two. The bulk-built levels above the leaves are chunked, not partitioned.
 ///
 /// # The presorted partitioner
 ///
@@ -820,29 +822,6 @@ fn first_of_each(mut ids: impl Iterator<Item = u32>, in_left: impl Fn(u32) -> bo
     }
 }
 
-/// Splits a set into as many groups of at most `cap` items as the
-/// recursive median splits produce — one group, untouched, if it already
-/// fits; exactly one [`split_items`] at `cap + 1` items (a single insert's
-/// overflow); more when a batch insert overfills a node further.
-///
-/// # Panics
-/// Panics if `cap < 2`.
-#[must_use]
-pub fn split_many<T: Splittable + Clone>(
-    cost: &SplitCost,
-    items: Vec<T>,
-    cap: usize,
-) -> Vec<Vec<T>> {
-    assert!(cap >= 2, "capacity below two cannot hold a split result");
-    if items.len() <= cap {
-        return vec![items];
-    }
-    let out = split_items(cost, items);
-    let mut groups = split_many(cost, out.left, cap);
-    groups.extend(split_many(cost, out.right, cap));
-    groups
-}
-
 /// The per-split argsort recursion the presorted partitioner replaced: at
 /// every split each candidate axis is argsorted afresh (stably) and both
 /// halves' rectangles are gathered item by item. Kept as the oracle the
@@ -1256,25 +1235,6 @@ mod tests {
             for threads in [1, 2, 3, 8] {
                 let par = partition(&cost, items.clone(), n_groups, threads).0;
                 assert_eq!(par, serial, "{cost:?}, threads {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn split_many_respects_capacity_and_keeps_items() {
-        let items: Vec<LeafEntry> = (0..77)
-            .map(|i| leaf(i, (i as f64 * 1.3).cos() * 15.0, 0.1 + (i % 6) as f64 * 0.1))
-            .collect();
-        for cap in [4, 8, 80] {
-            let groups = split_many(&point(SplitStrategy::HullIntegral), items.clone(), cap);
-            let mut ids: Vec<u64> = groups.iter().flatten().map(|e| e.id).collect();
-            ids.sort_unstable();
-            assert_eq!(ids, (0..77).collect::<Vec<_>>());
-            for g in &groups {
-                assert!(!g.is_empty() && g.len() <= cap);
-            }
-            if cap >= 80 {
-                assert_eq!(groups.len(), 1);
             }
         }
     }

@@ -32,7 +32,7 @@
 use crate::bulk::{BulkLoadOptions, BulkLoadReport};
 use crate::config::{LeafFormat, TreeConfig};
 use crate::node::{CachedNode, InnerEntry, LeafEntry, Node, NodeCodecError};
-use crate::split::{group_rect, split_many, SplitCost, Splittable};
+use crate::split::{group_rect, partition, SplitCost, Splittable};
 use crate::view::Plane;
 use gauss_storage::commit::{self, SlotKind, HEADER_BYTES};
 use gauss_storage::store::{Durability, PageStore, StoreError};
@@ -397,10 +397,10 @@ impl<S: PageStore> GaussTree<S> {
     /// the paper's incremental insertion) into an empty store, and commits
     /// it once.
     ///
-    /// Pages are packed: `⌈n / leaf_capacity⌉` leaves and `⌈len /
-    /// inner_capacity⌉` nodes per level above, so a later in-memory
-    /// [`insert`](Self::insert) or [`extend`](Self::extend) splits a full
-    /// leaf on its first touch.
+    /// Pages are packed: `⌈n / leaf_capacity⌉` leaves and, per level above,
+    /// `⌈len / inner_capacity⌉` consecutive runs of the level below, so a
+    /// later in-memory [`insert`](Self::insert) or [`extend`](Self::extend)
+    /// splits a full leaf on its first touch.
     ///
     /// Runs the pipeline of [`GaussTree::bulk_load_with`] with
     /// [`BulkLoadOptions::default`]: single-threaded, fully resident,
@@ -420,9 +420,9 @@ impl<S: PageStore> GaussTree<S> {
     /// Bulk-loads a tree through the full ingest pipeline (see
     /// [`crate::bulk`]): streaming consumption of `items` under an
     /// optional memory budget, past which items spill to one temp file as
-    /// exact leaf pages, partitioning fanned across worker threads, and
-    /// node pages written in coalesced batches. Pages are packed as in
-    /// [`bulk_load`](Self::bulk_load). The produced tree is
+    /// exact leaf pages, the leaf partitioning fanned across worker
+    /// threads, and node pages written in coalesced batches. Pages are
+    /// packed as in [`bulk_load`](Self::bulk_load). The produced tree is
     /// **byte-identical** to the serial fully-resident build for every
     /// thread count and memory budget.
     ///
@@ -694,8 +694,9 @@ impl GaussTree<MemStore> {
     /// tree **once**: at every inner node the batch is routed to child
     /// subtrees with the §5.3 subtree-selection rule and merged group-wise,
     /// so each touched node is rewritten a single time per batch instead of
-    /// once per item, and overflowing nodes are split multi-way in one go
-    /// ([`split_many`]). Returns the number of items added.
+    /// once per item, and a node overfilled to `n` entries is written as
+    /// `⌈n / capacity⌉` packed groups in one go. Returns the number of
+    /// items added.
     ///
     /// # Errors
     /// [`TreeError::DimMismatch`] for wrong dimensionality; store errors.
@@ -777,12 +778,14 @@ impl GaussTree<MemStore> {
         self.write_groups(Some(page), entries, self.inner_cap, Node::Inner)
     }
 
-    /// Writes `entries` as one node if they fit `cap`, split multi-way
-    /// ([`split_many`], priced at the entries' own σ̄) otherwise, and returns
-    /// the parent's entry for each node written. The first overwrites the
-    /// node at `page`; the others — all of them for `None`, a new level
-    /// above the old root — go to fresh pages.
-    fn write_groups<T: Splittable + Clone>(
+    /// Writes `entries` as one node if they fit `cap`, and otherwise as the
+    /// `⌈len / cap⌉` packed groups of `split::partition` (priced at the
+    /// entries' own σ̄), the bulk loader's leaf grouping; a single insert's
+    /// overflow is one two-way split. Returns the parent's entry for each
+    /// node written. The first overwrites the node at `page`; the others —
+    /// all of them for `None`, a new level above the old root — go to fresh
+    /// pages.
+    fn write_groups<T: Splittable>(
         &mut self,
         page: Option<PageId>,
         entries: Vec<T>,
@@ -793,7 +796,8 @@ impl GaussTree<MemStore> {
             vec![entries]
         } else {
             let cost = SplitCost::from_items(self.config.split, self.config.combine, &entries);
-            split_many(&cost, entries, cap)
+            let n_groups = entries.len().div_ceil(cap);
+            partition(&cost, entries, n_groups, 1).0
         };
         let mut written = Vec::with_capacity(groups.len());
         for (i, group) in groups.into_iter().enumerate() {
@@ -1241,6 +1245,60 @@ mod tests {
         }
         assert_eq!(t.len(), 60);
         assert!(t.check_invariants(false).unwrap().is_empty());
+    }
+
+    /// The leaves of a tree of height 1, in the root's child order.
+    fn leaves_under_root(t: &GaussTree<MemStore>) -> Vec<Vec<LeafEntry>> {
+        let Node::Inner(children) = t.read_node(t.root).unwrap() else {
+            panic!("the root is a leaf");
+        };
+        children
+            .iter()
+            .map(|c| match t.read_node(c.child).unwrap() {
+                Node::Leaf(entries) => entries,
+                Node::Inner(_) => panic!("an inner node below the root"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_overfilled_node_is_written_as_packed_groups() {
+        let item = |i: u64| {
+            let mu = (i as f64 * 0.61).sin() * 9.0;
+            (i, pfv1(mu, 0.1 + (i % 4) as f64 * 0.05))
+        };
+        for cap in [2usize, 4, 6, 9] {
+            // A batch that overfills the root leaf to 2·cap + 1 … 3·cap
+            // entries becomes three leaves, within one entry of each other.
+            for n in 2 * cap as u64 + 1..=3 * cap as u64 {
+                let mut t = mem_tree(1, cap, 4);
+                t.extend((0..n).map(item)).unwrap();
+                let sizes: Vec<usize> = leaves_under_root(&t).iter().map(Vec::len).collect();
+                assert_eq!(sizes.len(), 3, "cap {cap}, n {n}: {sizes:?}");
+                let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(hi - lo <= 1, "cap {cap}, n {n}: {sizes:?}");
+                assert_eq!(sorted_ids(&t), (0..n).collect::<Vec<_>>());
+                let errs = t.check_invariants(true).unwrap();
+                assert!(errs.is_empty(), "cap {cap}, n {n}: {errs:?}");
+            }
+            // A single insert's overflow, `cap + 1` entries, is the two
+            // groups of one node split.
+            let mut t = mem_tree(1, cap, 4);
+            t.extend((0..cap as u64).map(item)).unwrap();
+            let (id, v) = item(cap as u64);
+            t.insert(id, &v).unwrap();
+            let entries: Vec<LeafEntry> = (0..=cap as u64)
+                .map(item)
+                .map(|(id, pfv)| LeafEntry { id, pfv })
+                .collect();
+            let cost = SplitCost::from_items(t.config.split, t.config.combine, &entries);
+            let want = crate::split::split_items(&cost, entries);
+            assert_eq!(
+                leaves_under_root(&t),
+                vec![want.left, want.right],
+                "cap {cap}"
+            );
+        }
     }
 
     #[test]

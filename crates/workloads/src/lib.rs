@@ -4,8 +4,8 @@
 //! * [`dataset`] — the two evaluation data sets:
 //!   *data set 1*: 27-dimensional colour histograms (10 987 objects in the
 //!   paper; we synthesise histogram-like vectors since the original image
-//!   database is not available — see DESIGN.md for the substitution
-//!   argument) and *data set 2*: 100 000 uniformly distributed
+//!   database is not available — [`histogram_dataset`]'s docs give the
+//!   substitution argument) and *data set 2*: 100 000 uniformly distributed
 //!   10-dimensional vectors. Both get per-dimension random standard
 //!   deviations exactly as the paper describes;
 //! * [`queries`] — the query protocol of §6: select database objects,

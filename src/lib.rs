@@ -10,8 +10,8 @@
 //! * [`baselines`] — sequential scan, X-tree, Euclidean NN;
 //! * [`workloads`] — data/query generators, ground truth, metrics.
 //!
-//! See `README.md` for a tour and `DESIGN.md`/`EXPERIMENTS.md` for the
-//! reproduction methodology.
+//! See `README.md` for a tour, and its "Benchmarks and figure
+//! reproduction" section for the reproduction methodology.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
