@@ -106,8 +106,11 @@ pub fn entries_for_byte_budget(bytes: u64, dims: usize) -> usize {
 pub struct BulkLoadOptions {
     /// Worker threads for the leaf partitioning fan-out (clamped to ≥ 1).
     pub threads: usize,
-    /// Maximum decoded entries resident at once; `None` keeps everything
-    /// in memory. Clamped upward so a single leaf group always fits.
+    /// Maximum decoded entries an in-memory range or a gather window holds;
+    /// `None` keeps everything in memory. Clamped upward so a single leaf
+    /// group always fits. Once items spill, the spill file's page being
+    /// filled and its one decoded page come on top: up to two spill pages
+    /// of entries (see [`BulkLoadReport::peak_resident_entries`]).
     pub mem_budget_entries: Option<usize>,
     /// Barrier level of the load's one commit (see
     /// [`GaussTree::bulk_load_with`]): under `Flush`/`Fsync` every node page
@@ -154,7 +157,8 @@ impl BulkLoadOptions {
 pub struct BulkLoadReport {
     /// Items loaded into the tree.
     pub total_entries: u64,
-    /// High-water mark of decoded entries resident at once.
+    /// High-water mark of decoded entries resident at once, counting the
+    /// spill file's page being filled and its decoded page.
     pub peak_resident_entries: usize,
     /// Entries spilled by the streaming front end (0 = fully resident).
     pub spilled_entries: u64,
@@ -255,6 +259,7 @@ pub(crate) fn run<S: PageStore>(
         let entry = LeafEntry { id, pfv };
         if let Some(sp) = spill.as_mut() {
             sp.append(entry)?;
+            report.observe_resident(sp.resident());
             continue;
         }
         resident.push(entry);
@@ -366,6 +371,7 @@ fn build_leaves_external<S: PageStore>(
     let len = range.len();
     if n_groups <= 1 || len <= ctx.budget {
         let entries = sp.read_range(range)?;
+        report.observe_resident(entries.len() + sp.resident());
         return emit_leaf_groups(ctx, emitter, entries, n_groups, level, report);
     }
     report.external_splits += 1;
@@ -593,6 +599,12 @@ impl SpillFile {
         self.full_pages * self.per_page + self.tail.len()
     }
 
+    /// Decoded entries the file holds in memory: the page being filled and
+    /// the decoded page.
+    fn resident(&self) -> usize {
+        self.tail.len() + self.cache.1.len()
+    }
+
     fn append(&mut self, e: LeafEntry) -> Result<(), TreeError> {
         self.tail.push(e);
         if self.tail.len() == self.per_page {
@@ -679,7 +691,7 @@ impl SpillFile {
                 gathered.push((rank, self.entry(base + srcs[rank] as usize)?.clone()));
             }
             gathered.sort_unstable_by_key(|&(rank, _)| rank);
-            report.observe_resident(srcs.len());
+            report.observe_resident(srcs.len() + self.resident());
             for (_, e) in gathered {
                 self.append(e)?;
             }
@@ -788,6 +800,7 @@ mod tests {
         let config = TreeConfig::new(2).with_capacities(8, 6);
         let reference = GaussTree::bulk_load(pool(), config, data.clone()).unwrap();
         let ref_image = store_image(&reference);
+        let spill_page = SpillFile::new(2).unwrap().per_page;
 
         for budget in [40usize, 97, 300, 5000] {
             let opts = BulkLoadOptions::default().with_mem_budget(budget);
@@ -797,13 +810,40 @@ mod tests {
             assert_eq!(report.total_entries, 1200);
             if budget < 1200 {
                 assert_eq!(report.spilled_entries, 1200, "budget {budget}");
+                // A window or range within the budget, plus the spill
+                // file's page being filled and its decoded page.
                 assert!(
-                    report.peak_resident_entries <= budget.max(tree.leaf_capacity()).max(16),
+                    report.peak_resident_entries
+                        <= budget.max(tree.leaf_capacity()).max(16) + 2 * spill_page,
                     "budget {budget}: peak {}",
                     report.peak_resident_entries
                 );
             }
         }
+    }
+
+    #[test]
+    fn peak_resident_counts_the_spill_files_pages() {
+        let per_page = SpillFile::new(1).unwrap().per_page;
+        let budget = 100;
+        let data = items(2 * per_page as u64 + 50, 1);
+        let config = TreeConfig::new(1).with_capacities(8, 6);
+        let opts = BulkLoadOptions::default().with_mem_budget(budget);
+        let (_, report) = GaussTree::bulk_load_with(pool(), config, data, &opts).unwrap();
+        assert!(report.external_splits > 0);
+        // The first gather window holds `budget` entries while the spill
+        // file holds the 50 entries of its page being filled and one decoded
+        // page. Without that page no moment holds more than a window and a
+        // page being filled, `budget + per_page - 1` entries.
+        let peak = report.peak_resident_entries;
+        assert!(
+            peak >= budget + 50 + per_page,
+            "peak {peak}, page {per_page}"
+        );
+        assert!(
+            peak <= budget + 2 * per_page,
+            "peak {peak}, page {per_page}"
+        );
     }
 
     #[test]

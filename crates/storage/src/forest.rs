@@ -8,16 +8,15 @@
 //! * [`ComponentStores`] — the backend abstraction: create / open / remove
 //!   component page stores by numeric id, plus blob IO for the two
 //!   manifest slots of [`crate::commit`] (what pages 0–1 are to a tree);
-//! * [`SharedMemStore`] — a heap page store whose clones share one page
-//!   array, so an in-memory component can be "reopened" after the writer
-//!   handle is dropped (crash-recovery tests need exactly this);
-//! * [`MemComponentStores`] — the heap backend; clones share one "disk";
+//! * [`MemComponentStores`] — the heap backend; clones share one "disk",
+//!   and its components are [`MemStore`]s, whose clones share their pages,
+//!   so a component can be reopened after the writer handle is dropped;
 //! * [`DirComponentStores`] — the on-disk backend: one directory holding
 //!   `c<id>.gtree` component files and two manifest slot files;
-//! * [`FaultComponentStores`] — a [`MemComponentStores`] wrapper with one
-//!   *shared* write budget across every component and the manifest, so a
-//!   kill point can land anywhere inside a multi-file flush or merge —
-//!   the forest counterpart of [`crate::FaultStore`].
+//! * [`FaultComponentStores`] — [`MemComponentStores`] behind a
+//!   [`FaultStore`]: one write budget, dropping or tearing the killing
+//!   write, across every component and the manifest, so a kill point can
+//!   land anywhere inside a multi-file flush or merge.
 //!
 //! Crash-safety contract: the forest core writes manifest slots only
 //! through [`crate::commit::commit`], which makes component data durable
@@ -26,13 +25,12 @@
 //! image, so a torn slot write is detected at open and the previous slot
 //! wins.
 
-use crate::page::PageId;
-use crate::store::{Durability, FileStore, PageStore, StoreError};
+use crate::fault::FaultStore;
+use crate::store::{next_store_seq, Durability, FileStore, MemStore, PageStore, StoreError};
 use crate::sync::{LockRank, TrackedMutex};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Number of manifest slots (the dual-slot commit protocol).
@@ -103,107 +101,10 @@ pub trait ComponentStores {
     fn sync_manifest(&self, durability: Durability) -> Result<(), StoreError>;
 }
 
-/// Sequence numbers for [`LockRank::Store`]-ranked locks created here.
-///
-/// The shared buffer pool wraps its store in a `(Store, 0)` lock and calls
-/// [`PageStore`] methods while holding it, so every lock a store takes
-/// internally must order strictly *after* `(Store, 0)` — starting the
-/// counter at 1 guarantees that.
-fn next_store_seq() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-/// A heap-backed page store whose clones share one page array.
-///
-/// Functionally a shareable [`crate::MemStore`]: dropping the writer's
-/// buffer pool does not lose the pages, so [`MemComponentStores`] can hand
-/// the *same* component back out from [`ComponentStores::open_component`] —
-/// the property crash-recovery tests rely on to "reopen the disk".
-#[derive(Debug, Clone)]
-pub struct SharedMemStore {
-    page_size: usize,
-    pages: Arc<TrackedMutex<Vec<Box<[u8]>>>>,
-}
-
-impl SharedMemStore {
-    /// Creates an empty store with the given page size.
-    ///
-    /// # Panics
-    /// Panics if `page_size == 0`.
-    #[must_use]
-    pub fn new(page_size: usize) -> Self {
-        assert!(page_size > 0, "page size must be positive");
-        Self {
-            page_size,
-            pages: Arc::new(TrackedMutex::new(
-                Vec::new(),
-                LockRank::Store,
-                next_store_seq(),
-                "shared-mem-store",
-            )),
-        }
-    }
-
-    fn check(pages: &[Box<[u8]>], id: PageId) -> Result<usize, StoreError> {
-        let idx = usize::try_from(id.index()).unwrap_or(usize::MAX);
-        if !id.is_valid() || idx >= pages.len() {
-            return Err(StoreError::PageOutOfRange {
-                page: id,
-                allocated: pages.len() as u64,
-            });
-        }
-        Ok(idx)
-    }
-}
-
-impl PageStore for SharedMemStore {
-    fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    fn num_pages(&self) -> u64 {
-        self.pages.lock().len() as u64
-    }
-
-    fn allocate(&mut self) -> Result<PageId, StoreError> {
-        let mut pages = self.pages.lock();
-        let id = PageId(pages.len() as u64);
-        pages.push(vec![0u8; self.page_size].into_boxed_slice());
-        Ok(id)
-    }
-
-    fn allocate_many(&mut self, n: u64) -> Result<PageId, StoreError> {
-        if n == 0 {
-            return Ok(PageId::INVALID);
-        }
-        let mut pages = self.pages.lock();
-        let first = PageId(pages.len() as u64);
-        for _ in 0..n {
-            pages.push(vec![0u8; self.page_size].into_boxed_slice());
-        }
-        Ok(first)
-    }
-
-    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<(), StoreError> {
-        let pages = self.pages.lock();
-        let idx = Self::check(&pages, id)?;
-        buf.copy_from_slice(&pages[idx]);
-        Ok(())
-    }
-
-    fn write_page(&mut self, id: PageId, buf: &[u8]) -> Result<(), StoreError> {
-        let mut pages = self.pages.lock();
-        let idx = Self::check(&pages, id)?;
-        pages[idx].copy_from_slice(buf);
-        Ok(())
-    }
-}
-
 /// Shared heap state of a [`MemComponentStores`] "disk".
 #[derive(Debug, Default)]
 struct MemForestState {
-    components: BTreeMap<u64, SharedMemStore>,
+    components: BTreeMap<u64, MemStore>,
     manifest: [Option<Vec<u8>>; MANIFEST_SLOTS],
 }
 
@@ -249,7 +150,7 @@ impl MemComponentStores {
 }
 
 impl ComponentStores for MemComponentStores {
-    type Store = SharedMemStore;
+    type Store = MemStore;
 
     fn page_size(&self) -> usize {
         self.page_size
@@ -260,7 +161,7 @@ impl ComponentStores for MemComponentStores {
         if state.components.contains_key(&id) {
             return Err(Self::duplicate(id));
         }
-        let store = SharedMemStore::new(self.page_size);
+        let store = MemStore::new(self.page_size);
         state.components.insert(id, store.clone());
         Ok(store)
     }
@@ -415,230 +316,20 @@ impl ComponentStores for DirComponentStores {
     }
 }
 
-/// Shared kill switch of a [`FaultComponentStores`] — one budget across
-/// every component store *and* the manifest, so the kill point sweeps the
-/// whole multi-file commit protocol, not one file at a time.
-#[derive(Debug)]
-struct FaultControl {
-    /// Remaining page-granular writes + 1, or 0 for unlimited — encoded so
-    /// a plain `fetch_sub` can both count down and detect exhaustion.
-    remaining: AtomicU64,
-    killed: AtomicU64,
-    write_ops: AtomicU64,
-}
-
-const UNLIMITED: u64 = 0;
-
-impl FaultControl {
-    /// Charges one write unit; `Err` means this write must be dropped (the
-    /// store was just killed or already was).
-    fn charge(&self) -> Result<(), StoreError> {
-        if self.killed.load(Ordering::Relaxed) != 0 {
-            return Err(Self::injected());
-        }
-        self.write_ops.fetch_add(1, Ordering::Relaxed);
-        if self.remaining.load(Ordering::Relaxed) == UNLIMITED {
-            return Ok(());
-        }
-        let before = self.remaining.fetch_sub(1, Ordering::Relaxed);
-        if before <= 1 {
-            self.killed.store(1, Ordering::Relaxed);
-            self.remaining.store(1, Ordering::Relaxed);
-            return Err(Self::injected());
-        }
-        Ok(())
-    }
-
-    fn check_alive(&self) -> Result<(), StoreError> {
-        if self.killed.load(Ordering::Relaxed) != 0 {
-            return Err(Self::injected());
-        }
-        Ok(())
-    }
-
-    fn injected() -> StoreError {
-        StoreError::Io(std::io::Error::other(
-            "injected crash: forest write budget exhausted",
-        ))
-    }
-}
-
-/// A [`SharedMemStore`] charged against a forest-wide write budget.
-#[derive(Debug, Clone)]
-pub struct FaultSharedStore {
-    inner: SharedMemStore,
-    ctl: Arc<FaultControl>,
-}
-
-impl PageStore for FaultSharedStore {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
-    }
-
-    fn allocate(&mut self) -> Result<PageId, StoreError> {
-        // Allocation is free, as in `FaultStore`: zero-extension never
-        // touches committed data.
-        self.ctl.check_alive()?;
-        self.inner.allocate()
-    }
-
-    fn allocate_many(&mut self, n: u64) -> Result<PageId, StoreError> {
-        self.ctl.check_alive()?;
-        self.inner.allocate_many(n)
-    }
-
-    fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<(), StoreError> {
-        // Reads survive the kill: recovery inspects the post-crash disk.
-        self.inner.read_page(id, buf)
-    }
-
-    fn write_page(&mut self, id: PageId, buf: &[u8]) -> Result<(), StoreError> {
-        self.ctl.charge()?;
-        self.inner.write_page(id, buf)
-    }
-
-    fn write_pages(&mut self, first: PageId, pages: &[&[u8]]) -> Result<(), StoreError> {
-        // Per-page so a kill point can land mid-run.
-        for (i, buf) in pages.iter().enumerate() {
-            self.write_page(PageId(first.index() + i as u64), buf)?;
-        }
-        Ok(())
-    }
-
-    fn sync(&mut self, durability: Durability) -> Result<(), StoreError> {
-        self.ctl.check_alive()?;
-        self.inner.sync(durability)
-    }
-}
-
-/// Crash-injecting forest backend: a [`MemComponentStores`] whose page
-/// writes and manifest-slot writes all draw from one shared budget.
+/// Crash-injecting forest backend: a [`MemComponentStores`] whose
+/// component page writes and manifest-slot writes all draw from one
+/// budget; the stores it hands out are [`FaultStore`]s over [`MemStore`]s.
 ///
-/// The write that exhausts the budget is dropped whole and kills the
-/// backend; afterwards every mutation fails but reads keep working, so a
-/// test can reopen the forest "as the crash left it". Clones share the
-/// disk *and* the budget.
-#[derive(Debug, Clone)]
-pub struct FaultComponentStores {
-    inner: MemComponentStores,
-    ctl: Arc<FaultControl>,
-}
-
-impl FaultComponentStores {
-    /// Wraps a fresh in-memory disk; the first `budget` writes succeed and
-    /// the next one kills the backend (budget 0 kills the very first).
-    #[must_use]
-    pub fn new(page_size: usize, budget: u64) -> Self {
-        Self {
-            inner: MemComponentStores::new(page_size),
-            ctl: Arc::new(FaultControl {
-                remaining: AtomicU64::new(budget.saturating_add(1)),
-                killed: AtomicU64::new(0),
-                write_ops: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// Wraps a fresh in-memory disk with no kill point — used to count how
-    /// many writes a scenario performs before replaying it with budgets.
-    #[must_use]
-    pub fn unlimited(page_size: usize) -> Self {
-        Self {
-            inner: MemComponentStores::new(page_size),
-            ctl: Arc::new(FaultControl {
-                remaining: AtomicU64::new(UNLIMITED),
-                killed: AtomicU64::new(0),
-                write_ops: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// Whether the kill point has fired.
-    #[must_use]
-    pub fn killed(&self) -> bool {
-        self.ctl.killed.load(Ordering::Relaxed) != 0
-    }
-
-    /// Write operations attempted so far (including the killing one).
-    #[must_use]
-    pub fn write_ops(&self) -> u64 {
-        self.ctl.write_ops.load(Ordering::Relaxed)
-    }
-
-    /// The post-crash disk, reopenable without any fault injection.
-    #[must_use]
-    pub fn into_disk(self) -> MemComponentStores {
-        self.inner
-    }
-}
-
-impl ComponentStores for FaultComponentStores {
-    type Store = FaultSharedStore;
-
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn create_component(&self, id: u64) -> Result<Self::Store, StoreError> {
-        self.ctl.check_alive()?;
-        Ok(FaultSharedStore {
-            inner: self.inner.create_component(id)?,
-            ctl: Arc::clone(&self.ctl),
-        })
-    }
-
-    fn open_component(&self, id: u64) -> Result<Self::Store, StoreError> {
-        Ok(FaultSharedStore {
-            inner: self.inner.open_component(id)?,
-            ctl: Arc::clone(&self.ctl),
-        })
-    }
-
-    fn remove_component(&self, id: u64) -> Result<(), StoreError> {
-        // Removal after a kill must fail (the process is "dead"), but it
-        // costs no budget: unlink is a directory operation whose loss the
-        // manifest protocol already tolerates.
-        self.ctl.check_alive()?;
-        self.inner.remove_component(id)
-    }
-
-    fn list_components(&self) -> Result<Vec<u64>, StoreError> {
-        self.inner.list_components()
-    }
-
-    fn read_manifest_slot(&self, slot: usize) -> Result<Option<Vec<u8>>, StoreError> {
-        self.inner.read_manifest_slot(slot)
-    }
-
-    fn write_manifest_slot(&self, slot: usize, bytes: &[u8]) -> Result<(), StoreError> {
-        self.ctl.charge()?;
-        self.inner.write_manifest_slot(slot, bytes)
-    }
-
-    fn sync_manifest(&self, durability: Durability) -> Result<(), StoreError> {
-        self.ctl.check_alive()?;
-        self.inner.sync_manifest(durability)
-    }
-}
+/// The write that exhausts the budget kills the backend; afterwards every
+/// mutation fails but reads keep working, so a test can reopen the forest
+/// from [`FaultStore::into_inner`] "as the crash left it". Clones share
+/// the disk *and* the budget.
+pub type FaultComponentStores = FaultStore<MemComponentStores>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shared_mem_store_clones_share_pages() {
-        let mut a = SharedMemStore::new(64);
-        let mut b = a.clone();
-        let id = a.allocate().unwrap();
-        a.write_page(id, &[7u8; 64]).unwrap();
-        let mut buf = [0u8; 64];
-        b.read_page(id, &mut buf).unwrap();
-        assert!(buf.iter().all(|&x| x == 7));
-    }
+    use crate::fault::KillMode;
 
     #[test]
     fn mem_backend_reopens_components_and_slots() {
@@ -668,7 +359,7 @@ mod tests {
 
     #[test]
     fn fault_backend_kills_across_files() {
-        let backend = FaultComponentStores::new(64, 3);
+        let backend = FaultComponentStores::new(MemComponentStores::new(64), 3, KillMode::Drop);
         let mut a = backend.create_component(0).unwrap();
         let pa = a.allocate().unwrap();
         a.write_page(pa, &[1u8; 64]).unwrap();
@@ -683,7 +374,7 @@ mod tests {
         assert!(b.write_page(pb, &[3u8; 64]).is_err());
         assert!(backend.sync_manifest(Durability::Fsync).is_err());
         // Reads survive; the post-crash disk is intact.
-        let disk = backend.into_disk();
+        let disk = backend.into_inner();
         assert_eq!(
             disk.read_manifest_slot(0).unwrap().as_deref(),
             Some(&b"m"[..])
@@ -699,12 +390,40 @@ mod tests {
 
     #[test]
     fn fault_budget_zero_kills_first_write() {
-        let backend = FaultComponentStores::new(64, 0);
+        let backend = FaultComponentStores::new(MemComponentStores::new(64), 0, KillMode::Drop);
         let mut s = backend.create_component(0).unwrap();
         let p = s.allocate().unwrap();
         assert!(s.write_page(p, &[1u8; 64]).is_err());
         assert!(backend.killed());
         assert_eq!(backend.write_ops(), 1);
+    }
+
+    #[test]
+    fn a_torn_manifest_write_lands_half_the_new_bytes() {
+        let backend = FaultComponentStores::new(MemComponentStores::new(64), 2, KillMode::Tear);
+        backend.write_manifest_slot(0, b"old-slot-bytes").unwrap();
+        let mut s = backend.create_component(0).unwrap();
+        let p = s.allocate().unwrap();
+        s.write_page(p, &[1u8; 64]).unwrap();
+        assert!(backend.write_manifest_slot(0, b"NEW-SLOT-BYTES").is_err());
+        assert!(backend.write_manifest_slot(1, b"never").is_err());
+        let disk = backend.into_inner();
+        assert_eq!(
+            disk.read_manifest_slot(0).unwrap().as_deref(),
+            Some(&b"NEW-SLOt-bytes"[..])
+        );
+        assert_eq!(disk.read_manifest_slot(1).unwrap(), None);
+        // A never-written slot torn by the kill holds the first half only.
+        let backend = FaultComponentStores::new(disk, 0, KillMode::Tear);
+        assert!(backend.write_manifest_slot(1, b"abcdef").is_err());
+        assert_eq!(
+            backend
+                .into_inner()
+                .read_manifest_slot(1)
+                .unwrap()
+                .as_deref(),
+            Some(&b"abc"[..])
+        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * [`page`] — fixed-size pages and identifiers;
 //! * [`codec`] — little-endian serialisation helpers for node layouts;
-//! * [`store`] — the [`PageStore`] abstraction with an in-memory and an
-//!   on-disk implementation;
+//! * [`store`] — the [`PageStore`] abstraction with an in-memory
+//!   implementation, whose clones share their pages, and an on-disk one;
 //! * [`shared`] — the buffer pool: a sharded, `&self` LRU page cache that
 //!   counts logical and physical page accesses (the paper's "page
 //!   accesses" are the physical ones that miss the cache), so many threads
@@ -24,8 +24,11 @@
 //! * [`disk`] — a disk cost model (seek + transfer) used to
 //!   translate page accesses into the paper's "overall time" on hardware
 //!   we do not have;
-//! * [`fault`] — a kill-after-N-writes / torn-page [`PageStore`] wrapper
-//!   for crash-recovery testing.
+//! * [`forest`] — the component stores and dual-slot manifest of the
+//!   Gauss-forest: a heap, a directory and a crash-injecting backend;
+//! * [`fault`] — the one kill-after-N-writes / torn-page wrapper for
+//!   crash-recovery testing, over a [`PageStore`] or a whole forest
+//!   backend, with one budget its clones share.
 //!
 //! Crash safety: stores expose a [`store::Durability`] policy and a
 //! [`PageStore::sync`] barrier, plumbed through the buffer pool and
@@ -73,8 +76,7 @@ pub use codec::{fnv1a64, Reader, Writer};
 pub use disk::DiskModel;
 pub use fault::{FaultStore, KillMode};
 pub use forest::{
-    ComponentStores, DirComponentStores, FaultComponentStores, MemComponentStores, SharedMemStore,
-    MANIFEST_SLOTS,
+    ComponentStores, DirComponentStores, FaultComponentStores, MemComponentStores, MANIFEST_SLOTS,
 };
 pub use page::{PageId, DEFAULT_PAGE_SIZE};
 pub use shared::{SharedBufferPool, WriteBatch};

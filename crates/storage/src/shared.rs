@@ -246,11 +246,11 @@ impl<S: PageStore> SharedBufferPool<S> {
         }
         // Miss path, in rank order: store first, then the shard for a
         // re-check, released again before the store read so that stores
-        // with their own Store-ranked internals (e.g. `SharedMemStore`)
-        // are never entered with a higher-ranked shard lock held. Holding
-        // the pool's store lock across the whole miss means two threads
-        // can never both read the same page — the loser of the store-lock
-        // race re-checks and finds the winner's frame, keeping
+        // with their own Store-ranked internals (e.g. `MemStore`'s page
+        // array) are never entered with a higher-ranked shard lock held.
+        // Holding the pool's store lock across the whole miss means two
+        // threads can never both read the same page — the loser of the
+        // store-lock race re-checks and finds the winner's frame, keeping
         // physical-read counts deterministic (eviction pressure aside) —
         // and no frame for `id` can be installed between the re-check and
         // the install below, because every install path takes this lock.
@@ -361,6 +361,7 @@ impl<S: PageStore> SharedBufferPool<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultStore, KillMode};
     use crate::store::MemStore;
 
     fn pool(cap: usize) -> SharedBufferPool<MemStore> {
@@ -612,32 +613,39 @@ mod tests {
     }
 
     /// A `MemStore` whose next `fail_reads` reads fail as I/O errors, and
-    /// whose page writes fail once `writes_left` reaches zero.
+    /// whose writes go through a [`FaultStore`] that
+    /// [`FlakyStore::fail_writes_after`] arms.
     struct FlakyStore {
-        inner: MemStore,
+        disk: MemStore,
+        writes: FaultStore<MemStore>,
         fail_reads: usize,
-        writes_left: Option<usize>,
     }
 
     impl FlakyStore {
         fn new() -> Self {
+            let disk = MemStore::new(64);
             Self {
-                inner: MemStore::new(64),
+                writes: FaultStore::unlimited(disk.clone()),
+                disk,
                 fail_reads: 0,
-                writes_left: None,
             }
+        }
+
+        /// The next `n` page writes land; the one after tears and fails.
+        fn fail_writes_after(&mut self, n: u64) {
+            self.writes = FaultStore::new(self.disk.clone(), n, KillMode::Tear);
         }
     }
 
     impl PageStore for FlakyStore {
         fn page_size(&self) -> usize {
-            self.inner.page_size()
+            self.disk.page_size()
         }
         fn num_pages(&self) -> u64 {
-            self.inner.num_pages()
+            self.disk.num_pages()
         }
         fn allocate(&mut self) -> Result<PageId, StoreError> {
-            self.inner.allocate()
+            self.writes.allocate()
         }
         fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<(), StoreError> {
             if self.fail_reads > 0 {
@@ -646,33 +654,17 @@ mod tests {
                 buf.fill(0xEE);
                 return Err(StoreError::Io(std::io::Error::other("injected read fault")));
             }
-            self.inner.read_page(id, buf)
+            self.disk.read_page(id, buf)
         }
         fn write_page(&mut self, id: PageId, buf: &[u8]) -> Result<(), StoreError> {
-            match &mut self.writes_left {
-                Some(0) => {
-                    // A torn write: the first half lands, then the error.
-                    let mut torn = vec![0u8; buf.len()];
-                    self.inner.read_page(id, &mut torn)?;
-                    torn[..buf.len() / 2].copy_from_slice(&buf[..buf.len() / 2]);
-                    self.inner.write_page(id, &torn)?;
-                    Err(StoreError::Io(std::io::Error::other(
-                        "injected write fault",
-                    )))
-                }
-                Some(n) => {
-                    *n -= 1;
-                    self.inner.write_page(id, buf)
-                }
-                None => self.inner.write_page(id, buf),
-            }
+            self.writes.write_page(id, buf)
         }
     }
 
     /// What the store behind `p` holds for `id`, read around the cache.
     fn stored(p: &SharedBufferPool<FlakyStore>, id: PageId) -> Vec<u8> {
         let mut buf = vec![0u8; 64];
-        p.store.lock().inner.read_page(id, &mut buf).unwrap();
+        p.store.lock().disk.read_page(id, &mut buf).unwrap();
         buf
     }
 
@@ -730,9 +722,8 @@ mod tests {
             batch.put(PageId(id), &[id as u8; 64]);
         }
         // The first run lands, the second tears on its first page.
-        p.store.lock().writes_left = Some(2);
+        p.store.lock().fail_writes_after(2);
         assert!(p.write_batch(&mut batch).is_err());
-        p.store.lock().writes_left = None;
         for id in [1u64, 2, 4, 5] {
             let id = PageId(id);
             assert_eq!(
@@ -751,9 +742,8 @@ mod tests {
         let id = p.allocate().unwrap();
         p.write(id, &[7u8; 64]).unwrap();
         assert_eq!(&p.page(id).unwrap()[..], &[7u8; 64]);
-        p.store.lock().writes_left = Some(0);
+        p.store.lock().fail_writes_after(0);
         assert!(p.write(id, &[9u8; 64]).is_err());
-        p.store.lock().writes_left = None;
         assert_eq!(&p.page(id).unwrap()[..], &stored(&p, id)[..]);
         assert_ne!(&p.page(id).unwrap()[..], &[7u8; 64], "torn, not old");
     }

@@ -1,11 +1,14 @@
 //! The [`PageStore`] abstraction and its in-memory / on-disk backends.
 
 use crate::page::PageId;
+use crate::sync::{LockRank, TrackedMutex};
 use std::fs::{File, OpenOptions};
 #[cfg(not(unix))]
 use std::io::Read;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Errors surfaced by page stores.
 #[derive(Debug)]
@@ -149,11 +152,27 @@ pub trait PageStore {
     }
 }
 
-/// Heap-backed page store.
-#[derive(Debug)]
+/// Sequence numbers for [`LockRank::Store`]-ranked locks inside stores.
+///
+/// The shared buffer pool wraps its store in a `(Store, 0)` lock and calls
+/// [`PageStore`] methods while holding it, so every lock a store takes
+/// internally must order strictly *after* `(Store, 0)` — starting the
+/// counter at 1 guarantees that.
+pub(crate) fn next_store_seq() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Heap-backed page store whose clones share one page array.
+///
+/// Dropping the writer's buffer pool does not lose the pages: a clone kept
+/// aside reads what was written, which is how a forest component is
+/// reopened from a [`crate::MemComponentStores`] and how a crash test
+/// reopens "the disk as the crash left it".
+#[derive(Debug, Clone)]
 pub struct MemStore {
     page_size: usize,
-    pages: Vec<Box<[u8]>>,
+    pages: Arc<TrackedMutex<Vec<Box<[u8]>>>>,
 }
 
 impl MemStore {
@@ -166,16 +185,21 @@ impl MemStore {
         assert!(page_size > 0, "page size must be positive");
         Self {
             page_size,
-            pages: Vec::new(),
+            pages: Arc::new(TrackedMutex::new(
+                Vec::new(),
+                LockRank::Store,
+                next_store_seq(),
+                "mem-store",
+            )),
         }
     }
 
-    fn check(&self, id: PageId) -> Result<usize, StoreError> {
+    fn check(pages: &[Box<[u8]>], id: PageId) -> Result<usize, StoreError> {
         let idx = usize::try_from(id.index()).unwrap_or(usize::MAX);
-        if !id.is_valid() || idx >= self.pages.len() {
+        if !id.is_valid() || idx >= pages.len() {
             return Err(StoreError::PageOutOfRange {
                 page: id,
-                allocated: self.pages.len() as u64,
+                allocated: pages.len() as u64,
             });
         }
         Ok(idx)
@@ -188,25 +212,36 @@ impl PageStore for MemStore {
     }
 
     fn num_pages(&self) -> u64 {
-        self.pages.len() as u64
+        self.pages.lock().len() as u64
     }
 
     fn allocate(&mut self) -> Result<PageId, StoreError> {
-        let id = PageId(self.pages.len() as u64);
-        self.pages
-            .push(vec![0u8; self.page_size].into_boxed_slice());
-        Ok(id)
+        self.allocate_many(1)
+    }
+
+    fn allocate_many(&mut self, n: u64) -> Result<PageId, StoreError> {
+        if n == 0 {
+            return Ok(PageId::INVALID);
+        }
+        let mut pages = self.pages.lock();
+        let first = PageId(pages.len() as u64);
+        for _ in 0..n {
+            pages.push(vec![0u8; self.page_size].into_boxed_slice());
+        }
+        Ok(first)
     }
 
     fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<(), StoreError> {
-        let idx = self.check(id)?;
-        buf.copy_from_slice(&self.pages[idx]);
+        let pages = self.pages.lock();
+        let idx = Self::check(&pages, id)?;
+        buf.copy_from_slice(&pages[idx]);
         Ok(())
     }
 
     fn write_page(&mut self, id: PageId, buf: &[u8]) -> Result<(), StoreError> {
-        let idx = self.check(id)?;
-        self.pages[idx].copy_from_slice(buf);
+        let mut pages = self.pages.lock();
+        let idx = Self::check(&pages, id)?;
+        pages[idx].copy_from_slice(buf);
         Ok(())
     }
 }
@@ -441,6 +476,17 @@ mod tests {
     fn mem_store_round_trip() {
         let mut s = MemStore::new(256);
         exercise(&mut s);
+    }
+
+    #[test]
+    fn mem_store_clones_share_pages() {
+        let mut a = MemStore::new(64);
+        let mut b = a.clone();
+        let id = a.allocate().unwrap();
+        a.write_page(id, &[7u8; 64]).unwrap();
+        let mut buf = [0u8; 64];
+        b.read_page(id, &mut buf).unwrap();
+        assert!(buf.iter().all(|&x| x == 7));
     }
 
     #[test]

@@ -123,3 +123,51 @@ fn panicking_reader_does_not_wedge_subsequent_queries() {
         .iter()
         .all(|&b| b == 9));
 }
+
+/// `MemStore` keeps its pages behind a `Store`-ranked lock of its own, taken
+/// under the pool's `(Store, 0)` lock on every miss and write-through. Two
+/// threads drive both paths on a pool too small to hold the pages, and a
+/// clone of the store is read directly beside them: in a debug build the
+/// detector checks every one of those nestings, and the clone sees every
+/// page the pool wrote.
+#[test]
+fn mem_store_lock_nests_under_the_pool_lock_from_two_threads() {
+    let disk = MemStore::new(64);
+    let pool = SharedBufferPool::new(disk.clone(), 4, AccessStats::new_shared());
+    let first = pool.allocate_many(16).expect("allocate").index();
+    let image = |page: u64, round: u8| [round.wrapping_mul(16).wrapping_add(page as u8); 64];
+    std::thread::scope(|scope| {
+        for t in 0..2u64 {
+            let pool = &pool;
+            scope.spawn(move || {
+                for round in 1..=20u8 {
+                    // Thread t writes the pages of its parity, and reads all.
+                    for page in (t..16).step_by(2) {
+                        pool.write(PageId(first + page), &image(page, round))
+                            .expect("write-through");
+                    }
+                    for page in 0..16 {
+                        let _ = pool.page(PageId(first + page)).expect("miss");
+                    }
+                }
+            });
+        }
+        let mut clone = disk.clone();
+        let mut buf = [0u8; 64];
+        for page in 0..16 {
+            clone
+                .read_page(PageId(first + page), &mut buf)
+                .expect("direct read");
+        }
+    });
+    assert!(pool.stats().snapshot().physical_reads > 0, "misses ran");
+    let mut clone = disk.clone();
+    let mut buf = [0u8; 64];
+    for page in 0..16 {
+        clone
+            .read_page(PageId(first + page), &mut buf)
+            .expect("direct read");
+        assert_eq!(buf, image(page, 20), "page {page}");
+        assert_eq!(&pool.page(PageId(first + page)).expect("read")[..], &buf);
+    }
+}

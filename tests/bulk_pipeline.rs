@@ -12,9 +12,7 @@
 //! in the spilled stream fails the load before anything is committed.
 
 use gausstree::pfv::Pfv;
-use gausstree::storage::{
-    AccessStats, MemStore, PageId, PageStore, SharedBufferPool, SharedMemStore,
-};
+use gausstree::storage::{AccessStats, MemStore, PageId, PageStore, SharedBufferPool};
 use gausstree::tree::ReadView;
 use gausstree::tree::{BulkLoadOptions, GaussTree, SplitStrategy, TreeConfig, TreeError};
 use gausstree::workloads::{uniform_dataset, SigmaSpec};
@@ -217,7 +215,7 @@ fn wrong_dimensionality_in_the_spilled_stream_fails_cleanly() {
     // stream is being appended to the spill file.
     let mut items = synth_items(300, 3, 5);
     items[199].1 = Pfv::new(vec![0.5, 1.5], vec![0.1, 0.2]).unwrap();
-    let disk = SharedMemStore::new(2048);
+    let disk = MemStore::new(2048);
     let pool = SharedBufferPool::new(disk.clone(), 4096, AccessStats::new_shared());
     let opts = BulkLoadOptions::default().with_mem_budget(40);
     let err = GaussTree::bulk_load_with(pool, TreeConfig::new(3), items, &opts)

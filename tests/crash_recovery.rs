@@ -21,8 +21,7 @@
 
 use gausstree::pfv::Pfv;
 use gausstree::storage::{
-    AccessStats, Durability, FaultStore, FileStore, KillMode, PageStore, SharedBufferPool,
-    SharedMemStore,
+    AccessStats, Durability, FaultStore, FileStore, KillMode, MemStore, PageStore, SharedBufferPool,
 };
 use gausstree::tree::{
     BulkLoadOptions, GaussTree, LeafFormat, MliqResult, ReadView, TiqResult, TreeConfig, TreeError,
@@ -107,7 +106,7 @@ impl Load {
 fn kill_sweep(load: &Load, mode: KillMode) -> (u64, u64) {
     let queries: Vec<Pfv> = items(6, 2, 777).into_iter().map(|(_, q)| q).collect();
     let reference = load
-        .run(FaultStore::unlimited(SharedMemStore::new(load.page_size)))
+        .run(FaultStore::unlimited(MemStore::new(load.page_size)))
         .expect("unkilled load");
     let full = logical_state(&reference);
     let want = answers(&reference, &queries);
@@ -118,7 +117,7 @@ fn kill_sweep(load: &Load, mode: KillMode) -> (u64, u64) {
     for n in 0..=total {
         // The clone shares the page array: what the killed load leaves on
         // this "disk" is what recovery reads.
-        let disk = SharedMemStore::new(load.page_size);
+        let disk = MemStore::new(load.page_size);
         drop(load.run(FaultStore::new(disk.clone(), n, mode)));
         let pool = SharedBufferPool::new(disk, 4096, AccessStats::new_shared());
         match GaussTree::open(pool) {

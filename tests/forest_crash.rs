@@ -2,9 +2,10 @@
 //!
 //! A [`FaultComponentStores`] backend charges every component page write
 //! and every manifest-slot write against one shared budget; the write
-//! that exhausts it is dropped whole and the backend "dies" (all later
-//! mutations fail, reads survive). Sweeping the budget over a scripted
-//! insert/delete/flush/maintain workload therefore lands a kill point on
+//! that exhausts it is dropped whole or torn (its first half lands over
+//! the old bytes), and the backend "dies" (all later mutations fail, reads
+//! survive). Sweeping the budget over a scripted insert/delete/flush/
+//! maintain workload, in both kill modes, therefore lands a kill point on
 //! every write of the multi-file commit protocol — mid component build,
 //! between the data barrier and the manifest slot, mid merge cascade,
 //! before and after the post-commit component unlink.
@@ -19,6 +20,7 @@
 
 use gausstree::pfv::Pfv;
 use gausstree::storage::forest::FaultComponentStores;
+use gausstree::storage::{KillMode, MemComponentStores};
 use gausstree::tree::{ForestOptions, GaussForest, ReadView, TreeConfig};
 use std::collections::BTreeMap;
 
@@ -142,7 +144,7 @@ fn run_script(faults: &FaultComponentStores) -> Outcome {
 }
 
 /// The live `(id, value)` map visible in a forest.
-fn live_map(forest: &GaussForest<gausstree::storage::MemComponentStores>) -> BTreeMap<u64, Pfv> {
+fn live_map(forest: &GaussForest<MemComponentStores>) -> BTreeMap<u64, Pfv> {
     let snap = forest.snapshot().expect("snapshot");
     let mut out = BTreeMap::new();
     snap.for_each_entry(|id, value| {
@@ -156,7 +158,7 @@ fn live_map(forest: &GaussForest<gausstree::storage::MemComponentStores>) -> BTr
 #[test]
 fn kill_sweep_recovers_a_committed_state() {
     // Pass 1: count the writes of a clean run.
-    let probe = FaultComponentStores::unlimited(PAGE_SIZE);
+    let probe = FaultComponentStores::unlimited(MemComponentStores::new(PAGE_SIZE));
     let clean = run_script(&probe);
     assert!(clean.created && clean.completed, "clean run must finish");
     let total_writes = probe.write_ops();
@@ -166,30 +168,45 @@ fn kill_sweep_recovers_a_committed_state() {
     );
 
     // The clean disk must reopen to exactly the final committed state.
-    let reopened = GaussForest::open(probe.into_disk(), forest_opts()).expect("clean reopen");
+    let reopened = GaussForest::open(probe.into_inner(), forest_opts()).expect("clean reopen");
     assert_eq!(live_map(&reopened), clean.last_flush);
 
-    // Pass 2: kill at every write of the protocol.
+    // Pass 2: kill at every write of the protocol, dropping or tearing it.
+    for mode in [KillMode::Drop, KillMode::Tear] {
+        let (opened, refused) = kill_sweep(total_writes, mode);
+        println!("{mode:?}: {total_writes} writes swept, {opened} reopened, {refused} refused");
+        assert!(opened > 0, "{mode:?}: no kill point reopened");
+    }
+}
+
+/// Kills the script at each of its `total_writes` writes and checks what
+/// recovery finds. Returns how many kill points reopened a forest and how
+/// many were refused because `create` never committed.
+fn kill_sweep(total_writes: u64, mode: KillMode) -> (u64, u64) {
+    let (mut opened, mut refused) = (0, 0);
     for budget in 0..total_writes {
-        let faults = FaultComponentStores::new(PAGE_SIZE, budget);
+        let faults = FaultComponentStores::new(MemComponentStores::new(PAGE_SIZE), budget, mode);
         let outcome = run_script(&faults);
         assert!(
             !outcome.completed,
-            "budget {budget} of {total_writes} did not kill"
+            "budget {budget} of {total_writes} ({mode:?}) did not kill"
         );
-        assert!(faults.killed(), "budget {budget}: backend not killed");
+        assert!(
+            faults.killed(),
+            "budget {budget} ({mode:?}): backend not killed"
+        );
 
-        let disk = faults.into_disk();
+        let disk = faults.into_inner();
         match GaussForest::open(disk, forest_opts()) {
             Ok(mut recovered) => {
                 assert!(
                     outcome.created,
-                    "budget {budget}: opened a forest whose create never committed"
+                    "budget {budget} ({mode:?}): opened a forest whose create never committed"
                 );
                 let got = live_map(&recovered);
                 assert!(
                     got == outcome.last_flush || got == outcome.pending,
-                    "budget {budget}: recovered state is not a committed state\n\
+                    "budget {budget} ({mode:?}): recovered state is not a committed state\n\
                      got        {:?}\nlast flush {:?}\npending    {:?}",
                     got.keys().collect::<Vec<_>>(),
                     outcome.last_flush.keys().collect::<Vec<_>>(),
@@ -204,13 +221,16 @@ fn kill_sweep_recovers_a_committed_state() {
                 recovered.flush().expect("post-recovery flush");
                 recovered.maintain().expect("post-recovery maintain");
                 assert!(recovered.contains(99));
+                opened += 1;
             }
             Err(e) => {
                 assert!(
                     !outcome.created,
-                    "budget {budget}: reopen failed after create committed: {e:?}"
+                    "budget {budget} ({mode:?}): reopen failed after create committed: {e:?}"
                 );
+                refused += 1;
             }
         }
     }
+    (opened, refused)
 }
