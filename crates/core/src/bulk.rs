@@ -18,16 +18,20 @@
 //!    of `n_groups` groups into `⌊n_groups / 2⌋` and the rest, at the
 //!    median of the cheapest candidate axis's stable sort. An in-memory
 //!    range lays its axis keys out as flat columns and sorts each column
-//!    **once**, by (key, input position); every split then prices both
-//!    halves of every candidate from those orders (a half's bounds are the
-//!    first of its members met scanning an order from either end) and
-//!    filters the orders stably into the two children. A stable sort puts
-//!    equal keys in the order of the node's own sequence, the parent's
-//!    winning order, so the filter reorders each run of equal keys by rank
-//!    in that order: every split and every group's order is the one a
-//!    stable sort at each split would make, ties included. The recursion
-//!    descends into *independent* sub-ranges after every split, so it
-//!    fork-joins across [`std::thread::scope`] threads: each split hands
+//!    **once**, by (key, input position), the columns spread over the load's
+//!    threads. Each node of the recursion numbers its items `0..m` in its
+//!    own sequence and owns contiguous slices of every column, every
+//!    column's order and the items' input positions, so a split deep in
+//!    the recursion reads only its own few cache lines. Every split prices
+//!    both halves of every candidate from those orders (a half's bounds are
+//!    the first of its members met scanning an order from either end),
+//!    renumbers the two children in the winning order, permutes the
+//!    columns to match and filters the other orders stably into the
+//!    children, sorting each run of equal keys by the new ids: every split
+//!    and every group's order is the one a stable sort at each split would
+//!    make, ties included. The recursion descends into *independent*
+//!    sub-ranges after every split, so it fork-joins across
+//!    [`std::thread::scope`] threads: each split hands
 //!    its right half to a fresh thread with half the thread budget and
 //!    descends into the left. Ranges larger than the budget are split
 //!    **externally**: streaming passes extract each candidate axis's keys
@@ -78,16 +82,25 @@ const SPILL_PAGE_BYTES: usize = 64 * 1024;
 /// Approximate resident bytes of one entry while a range is partitioned in
 /// memory: the decoded entry (its exact leaf encoding plus `LeafEntry`/`Pfv`
 /// container overhead: two boxed slices and an id) and the partitioner's
-/// scratch (`split::partition`): `2d` `f64` key columns, `2d` `u32`
-/// orders, and 16 bytes for the largest of the sort's (key, id) pairs and a
-/// worker's rank word and half-order buffer. Each partition thread past the
-/// first adds another 8 bytes per entry.
+/// state (`split::partition`) at its one-thread peak, the recursion:
+///
+/// * `2d` `f64` value columns and `2d` `u32` orders: `24d`;
+/// * the item's input position, `orig`: 4;
+/// * the scratch of the worker that splits the whole range, sized to it: a
+///   `u32` rank, a `u32` id and an `f64` value per item: 16.
+///
+/// So `24d + 20`. The column sorts before the recursion hold the columns,
+/// the orders and one 16-byte (key, id) pair per item, `24d + 16`; the
+/// groups are gathered after the columns and the scratch are freed. Each
+/// thread past the first sorts columns of its own, 16 more bytes per entry
+/// while the sorts run, and then splits at most half of its parent's node,
+/// at most 8 more bytes per entry; neither is charged.
 /// The single conversion factor between a byte budget and
 /// [`BulkLoadOptions::mem_budget_entries`] — keep every byte→entries
 /// translation (CLI `--mem-budget`, bench scenarios) on this helper.
 #[must_use]
 pub fn resident_entry_footprint_bytes(dims: usize) -> usize {
-    leaf_entry_bytes(dims, LeafFormat::Exact) + 64 + 24 * dims + 16
+    leaf_entry_bytes(dims, LeafFormat::Exact) + 64 + 24 * dims + 20
 }
 
 /// Entries a byte budget affords (at least 1).

@@ -355,18 +355,20 @@ const PARALLEL_TASK_FLOOR: usize = 2048;
 /// # The presorted partitioner
 ///
 /// The recursion splits `n_groups` groups into `⌊n_groups / 2⌋` on the left
-/// and the rest on the right, at `split_at = n·⌊n_groups / 2⌋ / n_groups`
-/// items of the cheapest candidate axis's stable sort. A stable sort
-/// orders equal keys by their position in the node's own sequence, which
-/// is the parent's winning order. Instead of sorting every axis again at
-/// every split, one call lays out the axis keys as flat columns and sorts
-/// each column once, by (key, input position). Each node then holds, for
-/// every column, its items in that column's order, and a split works on
-/// these orders alone:
+/// and the rest on the right, at `split_at = m·⌊n_groups / 2⌋ / n_groups`
+/// of a node's `m` items in the cheapest candidate axis's stable sort. A
+/// stable sort orders equal keys by their position in the node's own
+/// sequence, which is the parent's winning order. Instead of sorting every
+/// axis again at every split, one call lays out the axis keys as flat
+/// columns and sorts each column once, by (key, input position). A node
+/// numbers its items `0..m` in its sequence, so an item's id is its rank,
+/// and it owns one contiguous slice of every column (indexed by id), of
+/// every column's order (its ids sorted by (value, id)) and of `orig` (each
+/// id's input position). A split reads and writes these slices alone:
 ///
 /// * a candidate axis's left half is the prefix of its order, so it needs
 ///   no sort: an item is in it if it sorts before the first item of the
-///   right half by (key, rank in the node's sequence);
+///   right half by (key, id);
 /// * a half's least value in a column is that of the first member of the
 ///   half met scanning the column's order from the front, and its greatest
 ///   that of the first met from the back; the scan stops at once unless
@@ -374,33 +376,42 @@ const PARALLEL_TASK_FLOOR: usize = 2048;
 ///   few reads per column instead of a gather of every item;
 /// * a leaf entry's bounds are its keys; an inner entry's `μ̌`, `μ̂`, `σ̌`
 ///   and `σ̂` get columns (and orders) of their own beside its centres;
-/// * the winner's order is cut at `split_at` into the two children, and
-///   every other order is filtered stably into them. Within each run of
-///   equal values the filtered ids are then put in their rank in the
-///   winner's order — the child's sequence — which is where the stable
-///   sort of the recursion this replaced put them. Columns without equal
-///   values skip that step; a run longer than a sixteenth of the child (a
-///   histogram's empty bins) is read off the winner's order in one pass
-///   instead of sorted.
+/// * the winner's order is the two children's sequences, so it renumbers
+///   them: the item at position `r` becomes id `r` of the left child, or
+///   `r − split_at` of the right. Every column and `orig` are permuted into
+///   the new ids, the winner's order becomes `0..` in each child, and
+///   every other order is filtered stably into the children under the new
+///   ids. Within each run of equal values the filtered ids are then sorted
+///   — the child's sequence — which is where the stable sort of the
+///   recursion this replaced put them. Columns without equal values skip
+///   that step; a run longer than a sixteenth of the child (a histogram's
+///   empty bins) is read off the child's column in one pass instead of
+///   sorted. A split into two single groups permutes `orig` alone.
 ///
 /// So every split, and every group's order, is the one the per-split
 /// stable argsort made, and the trees are byte-identical to it. The work
-/// per split is one pass over each order, O(n·d) per level, against
-/// O(n·d·(log n + d)) for the sorts and the gathers. Per item a call holds
+/// per split is one pass over each of the node's orders and columns,
+/// O(n·d) per level, against O(n·d·(log n + d)) for the sorts and the
+/// gathers, and a node deep in the recursion touches only its own few
+/// cache lines of each column. The recursion's leaves own consecutive
+/// slices of `orig`, so when it ends `orig` lists every group's input
+/// positions, group after group in recursion order. Per item a call holds
 /// `2d` `f64` keys and `2d` `u32` orders (`6d` of each for inner entries)
-/// and, per worker, one rank and one buffer word.
+/// and its `orig` word; a worker's scratch holds a rank word, an id word
+/// and a value per item of the largest node it splits, and a column sort
+/// one (key, id) pair per item.
 ///
 /// # Threads
 ///
-/// The recursion descends into two *independent* sub-ranges after every
-/// split, so it fans out across `threads` scoped workers as a fork-join
-/// over the same recursion: the right half goes to a fresh scoped thread
-/// with half the thread budget while the splitting thread keeps descending
-/// into the left with the rest, and the right's groups are appended after
-/// the left's when its join handle returns. Every split is the one the
-/// serial recursion makes and groups come back in recursion order, so the
-/// result is **identical** to the serial partitioning for any thread
-/// count.
+/// The column sorts are independent, so `threads` scoped workers sort
+/// disjoint ranges of columns. The recursion descends into two
+/// *independent* nodes after every split, each owning its own slices, so
+/// it fans out as a fork-join over the same recursion: the right half goes
+/// to a fresh scoped thread with half the thread budget and a scratch of
+/// its own while the splitting thread keeps descending into the left with
+/// the rest. Every split is the one the serial recursion makes and groups
+/// come back in recursion order, so the result is **identical** to the
+/// serial partitioning for any thread count.
 ///
 /// # Panics
 /// Panics if `items` is empty or `n_groups` exceeds its length.
@@ -417,23 +428,27 @@ pub(crate) fn partition<T: Splittable>(
     }
     assert!(n_groups <= items.len(), "more groups than items");
     let n = items.len();
-    let (cols, mut ord) = Columns::new(&items);
-    let mut groups = Vec::with_capacity(n_groups);
+    let threads = threads.max(1);
+    let (cols, mut vals, mut ord) = Columns::new(&items, threads);
+    let mut orig: Vec<u32> = (0u32..).take(n).collect();
     let root = Node {
+        vals: vals.chunks_exact_mut(n).collect(),
         ords: ord.chunks_exact_mut(n).collect(),
-        start: 0,
+        orig: &mut orig,
         n_groups,
-        seq: 0,
     };
-    let mut scratch = Scratch::new(n, cols.dims);
-    let first = cols.descend(cost, root, threads.max(1), &mut scratch, &mut groups);
+    let mut lens = Vec::with_capacity(n_groups);
+    let first = cols.descend(cost, root, threads, &mut Scratch::default(), &mut lens);
+    drop((vals, ord));
     let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let groups = groups
+    let mut positions = orig.into_iter();
+    let groups = lens
         .into_iter()
-        .map(|g| {
-            ord[g.column * n + g.start..][..g.len]
-                .iter()
-                .map(|&id| slots[id as usize].take().expect("each item in one group"))
+        .map(|len| {
+            positions
+                .by_ref()
+                .take(len)
+                .map(|pos| slots[pos as usize].take().expect("each item in one group"))
                 .collect()
         })
         .collect();
@@ -463,63 +478,38 @@ fn total_key(x: f64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// A node of the recursion: its orders (the same items in every column,
-/// at `start`), the number of groups to cut it into and the column whose
-/// order is its sequence (unused at the root, which always splits).
-struct Node<'o> {
-    ords: Vec<&'o mut [u32]>,
-    start: usize,
+/// A node of the recursion: its `m` items, numbered `0..m` in its
+/// sequence, and the number of groups to cut it into.
+struct Node<'a> {
+    /// `vals[c][id]`: item `id`'s value in column `c`.
+    vals: Vec<&'a mut [f64]>,
+    /// `ords[c]`: the ids in column `c`'s order, by (value, id).
+    ords: Vec<&'a mut [u32]>,
+    /// `orig[id]`: item `id`'s position in the call's input.
+    orig: &'a mut [u32],
     n_groups: usize,
-    seq: usize,
 }
 
-/// A finished group: `len` items at `start` of the order of `column`.
-struct Group {
-    column: usize,
-    start: usize,
-    len: usize,
-}
-
-/// One worker's scratch: item ranks, a buffer for the right half of a
-/// filtered order, and both halves' bounds.
+/// One worker's scratch: the new ids of a split, and buffers for a
+/// permuted column, a permuted `orig` and the right half of a filtered
+/// order. The buffers grow to the largest node the worker splits.
+#[derive(Default)]
 struct Scratch {
-    /// `rank[id]`, for each item of the node being split: a number that
-    /// orders the node's items as its sequence does (the input position at
-    /// the root, the rank in the parent's winning order below it). Indexed
-    /// by the id, so every worker holds one for all `n` items.
+    /// `rank[id]`: the position of the node's item `id` in the winning
+    /// order, which is its id in the left child, or that plus `split_at`
+    /// in the right.
     rank: Vec<u32>,
-    right: Vec<u32>,
-    left_dims: Vec<DimBounds>,
-    right_dims: Vec<DimBounds>,
+    ids: Vec<u32>,
+    vals: Vec<f64>,
 }
 
-impl Scratch {
-    /// Scratch whose ranks are the input positions, as at the root.
-    fn new(n: usize, dims: usize) -> Self {
-        Self {
-            rank: (0u32..).take(n).collect(),
-            right: Vec::new(),
-            left_dims: vec![DimBounds::point(0.0, 1.0); dims],
-            right_dims: vec![DimBounds::point(0.0, 1.0); dims],
-        }
-    }
-
-    fn rank_by(&mut self, order: &[u32]) {
-        for (r, &id) in (0u32..).zip(order) {
-            self.rank[id as usize] = r;
-        }
-    }
-}
-
-/// The items of one partition call as flat columns, each sorted once.
+/// The shape of one partition call's columns: which hold each dimension's
+/// bounds, and which hold equal values.
 struct Columns {
-    n: usize,
     dims: usize,
-    /// `vals[c * n + id]`: item `id`'s value in column `c`. Columns `0..2d`
+    /// Per dimension, the columns holding `μ̌, μ̂, σ̌, σ̂`. Columns `0..2d`
     /// are the candidate axes' keys ([`axis_of`]); an inner entry adds
     /// `μ̌, μ̂, σ̌, σ̂` of dimension `i` at `2d + 4i ..`.
-    vals: Vec<f64>,
-    /// Per dimension, the columns holding `μ̌, μ̂, σ̌, σ̂`.
     bounds: Vec<[usize; 4]>,
     /// Whether a column holds two equal values, so that filtering it into
     /// the children needs the tie reorder.
@@ -527,9 +517,11 @@ struct Columns {
 }
 
 impl Columns {
-    /// Lays out `items` and returns the columns with every column's order
-    /// (`order[c * n ..][..n]`), sorted by (value, input position).
-    fn new<T: Splittable>(items: &[T]) -> (Self, Vec<u32>) {
+    /// Lays out `items` as columns (`vals[c * n + id]`, `id` the input
+    /// position) and returns them with every column's order
+    /// (`order[c * n ..][..n]`), sorted by (value, input position) on
+    /// `threads` workers (one below the fork floor).
+    fn new<T: Splittable>(items: &[T], threads: usize) -> (Self, Vec<f64>, Vec<u32>) {
         let n = items.len();
         assert!(u32::try_from(n).is_ok(), "partition exceeds u32 indices");
         let dims = items[0].dims();
@@ -563,86 +555,44 @@ impl Columns {
             .collect();
         let mut order = vec![0u32; n_cols * n];
         let mut ties = vec![false; n_cols];
-        let mut keyed: Vec<(i64, u32)> = Vec::with_capacity(n);
-        for (c, (col, ord)) in vals
-            .chunks_exact(n)
-            .zip(order.chunks_exact_mut(n))
-            .enumerate()
-        {
-            keyed.clear();
-            keyed.extend((0u32..).zip(col).map(|(id, &v)| (total_key(v), id)));
-            keyed.sort_unstable();
-            ties[c] = keyed.windows(2).any(|w| w[0].0 == w[1].0);
-            for (o, &(_, id)) in ord.iter_mut().zip(&keyed) {
-                *o = id;
+        let workers = if n > PARALLEL_TASK_FLOOR { threads } else { 1 };
+        let per_worker = n_cols.div_ceil(workers);
+        std::thread::scope(|scope| {
+            let mut jobs = vals
+                .chunks(per_worker * n)
+                .zip(order.chunks_mut(per_worker * n))
+                .zip(ties.chunks_mut(per_worker));
+            let first = jobs.next();
+            for ((vals, order), ties) in jobs {
+                scope.spawn(move || sort_columns(n, vals, order, ties));
             }
-        }
-        let cols = Self {
-            n,
-            dims,
-            vals,
-            bounds,
-            ties,
-        };
-        (cols, order)
+            if let Some(((vals, order), ties)) = first {
+                sort_columns(n, vals, order, ties);
+            }
+        });
+        let cols = Self { dims, bounds, ties };
+        (cols, vals, order)
     }
 
-    fn val(&self, c: usize, id: u32) -> f64 {
-        self.vals[c * self.n + id as usize]
-    }
-
-    /// Splits `node`, recursing into both halves; appends the finished
-    /// groups to `out` in recursion order and returns the column the node
-    /// split on.
+    /// Splits `node`, recursing into both halves; appends the sizes of the
+    /// finished groups to `out` in recursion order and returns the column
+    /// the node split on.
     fn descend(
         &self,
         cost: &SplitCost,
-        mut node: Node<'_>,
+        node: Node<'_>,
         threads: usize,
         scratch: &mut Scratch,
-        out: &mut Vec<Group>,
+        out: &mut Vec<usize>,
     ) -> Option<usize> {
-        let m = node.ords[0].len();
+        let m = node.orig.len();
         if node.n_groups <= 1 {
-            out.push(Group {
-                column: node.seq,
-                start: node.start,
-                len: m,
-            });
+            out.push(m);
             return None;
         }
-        let g_left = node.n_groups / 2;
-        let split_at = m * g_left / node.n_groups;
-        let w = self.choose(cost, &node.ords, split_at, scratch);
-        if node.n_groups > 2 {
-            // The halves split again: filter every order into them, and
-            // leave their ranks, the winning order's, in the scratch.
-            scratch.rank_by(&node.ords[w][..]);
-            let winner = std::mem::take(&mut node.ords[w]);
-            for (c, ord) in node.ords.iter_mut().enumerate() {
-                if c != w {
-                    self.divide(c, ord, split_at, winner, scratch);
-                }
-            }
-            node.ords[w] = winner;
-        }
-        let (left, right): (Vec<_>, Vec<_>) = node
-            .ords
-            .into_iter()
-            .map(|o| o.split_at_mut(split_at))
-            .unzip();
-        let left = Node {
-            ords: left,
-            start: node.start,
-            n_groups: g_left,
-            seq: w,
-        };
-        let right = Node {
-            ords: right,
-            start: node.start + split_at,
-            n_groups: node.n_groups - g_left,
-            seq: w,
-        };
+        let split_at = m * (node.n_groups / 2) / node.n_groups;
+        let w = self.choose(cost, &node, split_at);
+        let (left, right) = self.split(node, w, split_at, scratch);
         if threads == 1 || m <= PARALLEL_TASK_FLOOR {
             self.descend(cost, left, 1, scratch, out);
             self.descend(cost, right, 1, scratch, out);
@@ -651,9 +601,8 @@ impl Columns {
         let right_threads = threads / 2;
         let right_groups = std::thread::scope(|scope| {
             let right = scope.spawn(move || {
-                let mut scratch = Scratch::new(self.n, self.dims);
-                scratch.rank_by(&right.ords[w][..]);
                 let mut groups = Vec::new();
+                let mut scratch = Scratch::default();
                 self.descend(cost, right, right_threads, &mut scratch, &mut groups);
                 groups
             });
@@ -666,15 +615,9 @@ impl Columns {
 
     /// The column of the cheapest candidate split at `split_at`.
     #[expect(clippy::expect_used, reason = "there is at least one candidate axis")]
-    fn choose(
-        &self,
-        cost: &SplitCost,
-        ords: &[&mut [u32]],
-        split_at: usize,
-        s: &mut Scratch,
-    ) -> usize {
+    fn choose(&self, cost: &SplitCost, node: &Node<'_>, split_at: usize) -> usize {
         let candidates: Vec<usize> =
-            candidate_axes(cost.strategy, self.dims, || self.whole_rect(ords))
+            candidate_axes(cost.strategy, self.dims, || self.whole_rect(node))
                 .into_iter()
                 .map(column_of)
                 .collect();
@@ -682,9 +625,10 @@ impl Columns {
             return only;
         }
         let mut best: Option<(f64, usize)> = None;
+        let (mut left, mut right) = (Vec::new(), Vec::new());
         for &a in &candidates {
-            self.halves(ords, a, split_at, s);
-            let c = log_add(cost.dims_cost(&s.left_dims), cost.dims_cost(&s.right_dims));
+            self.halves(node, a, split_at, &mut left, &mut right);
+            let c = log_add(cost.dims_cost(&left), cost.dims_cost(&right));
             if best.is_none_or(|(b, _)| c < b) {
                 best = Some((c, a));
             }
@@ -693,16 +637,17 @@ impl Columns {
     }
 
     /// The node's covering rectangle, from the ends of its bound orders.
-    fn whole_rect(&self, ords: &[&mut [u32]]) -> ParamRect {
-        let m = ords[0].len();
+    fn whole_rect(&self, node: &Node<'_>) -> ParamRect {
+        let first = |c: usize| node.vals[c][node.ords[c][0] as usize];
+        let last = |c: usize| node.vals[c][node.ords[c][node.ords[c].len() - 1] as usize];
         ParamRect::from_dims(
             self.bounds
                 .iter()
                 .map(|&[mu_lo, mu_hi, sigma_lo, sigma_hi]| DimBounds {
-                    mu_lo: self.val(mu_lo, ords[mu_lo][0]),
-                    mu_hi: self.val(mu_hi, ords[mu_hi][m - 1]),
-                    sigma_lo: self.val(sigma_lo, ords[sigma_lo][0]),
-                    sigma_hi: self.val(sigma_hi, ords[sigma_hi][m - 1]),
+                    mu_lo: first(mu_lo),
+                    mu_hi: last(mu_hi),
+                    sigma_lo: first(sigma_lo),
+                    sigma_hi: last(sigma_hi),
                 })
                 .collect(),
         )
@@ -710,16 +655,24 @@ impl Columns {
 
     /// Both halves' bounds of the candidate split along column `a`, whose
     /// left half is the first `split_at` ids of `a`'s order, into
-    /// `s.left_dims` and `s.right_dims`.
-    fn halves(&self, ords: &[&mut [u32]], a: usize, split_at: usize, s: &mut Scratch) {
-        let rank = &s.rank;
-        // `a`'s order is sorted by (value, rank): an id is left of the
+    /// `left` and `right`.
+    fn halves(
+        &self,
+        node: &Node<'_>,
+        a: usize,
+        split_at: usize,
+        left: &mut Vec<DimBounds>,
+        right: &mut Vec<DimBounds>,
+    ) {
+        let (vals, ords) = (&node.vals, &node.ords);
+        // `a`'s order is sorted by (value, id): an id is left of the
         // split's first right id, `pivot`, if it sorts before it.
+        let key = |id: u32| total_key(vals[a][id as usize]);
         let pivot = ords[a][split_at];
-        let (pivot_key, pivot_rank) = (total_key(self.val(a, pivot)), rank[pivot as usize]);
+        let pivot_key = key(pivot);
         let in_left = |id: u32| {
-            let key = total_key(self.val(a, id));
-            key < pivot_key || (key == pivot_key && rank[id as usize] < pivot_rank)
+            let k = key(id);
+            k < pivot_key || (k == pivot_key && id < pivot)
         };
         // The first id of each half scanning `order` from the front, or
         // from the back when `from_back`.
@@ -731,79 +684,152 @@ impl Columns {
                 (false, false) => first_of_each(order.iter().copied(), in_left),
                 (false, true) => first_of_each(order.iter().rev().copied(), in_left),
             };
-            (self.val(c, l), self.val(c, r))
+            (vals[c][l as usize], vals[c][r as usize])
         };
-        for (i, &[mu_lo, mu_hi, sigma_lo, sigma_hi]) in self.bounds.iter().enumerate() {
+        left.clear();
+        right.clear();
+        for &[mu_lo, mu_hi, sigma_lo, sigma_hi] in &self.bounds {
             let (l_mu_lo, r_mu_lo) = ends(mu_lo, false);
             let (l_mu_hi, r_mu_hi) = ends(mu_hi, true);
             let (l_sigma_lo, r_sigma_lo) = ends(sigma_lo, false);
             let (l_sigma_hi, r_sigma_hi) = ends(sigma_hi, true);
-            s.left_dims[i] = DimBounds {
+            left.push(DimBounds {
                 mu_lo: l_mu_lo,
                 mu_hi: l_mu_hi,
                 sigma_lo: l_sigma_lo,
                 sigma_hi: l_sigma_hi,
-            };
-            s.right_dims[i] = DimBounds {
+            });
+            right.push(DimBounds {
                 mu_lo: r_mu_lo,
                 mu_hi: r_mu_hi,
                 sigma_lo: r_sigma_lo,
                 sigma_hi: r_sigma_hi,
-            };
+            });
         }
+    }
+
+    /// Cuts `node` at `split_at` of column `w`'s order into its two
+    /// children, renumbering each child's items in that order, its
+    /// sequence. Children that split no further get their `orig` alone.
+    fn split<'a>(
+        &self,
+        mut node: Node<'a>,
+        w: usize,
+        split_at: usize,
+        s: &mut Scratch,
+    ) -> (Node<'a>, Node<'a>) {
+        let winner = &node.ords[w][..];
+        s.ids.clear();
+        s.ids
+            .extend(winner.iter().map(|&id| node.orig[id as usize]));
+        node.orig.copy_from_slice(&s.ids);
+        if node.n_groups > 2 {
+            s.rank.resize(winner.len(), 0);
+            for (r, &id) in (0u32..).zip(winner) {
+                s.rank[id as usize] = r;
+            }
+            for col in &mut node.vals {
+                s.vals.clear();
+                s.vals.extend(winner.iter().map(|&id| col[id as usize]));
+                col.copy_from_slice(&s.vals);
+            }
+            // The winner's own order comes out as `0..` in each child.
+            for (c, ord) in node.ords.iter_mut().enumerate() {
+                self.divide(c, ord, split_at, node.vals[c], s);
+            }
+        }
+        let (vals, ords) = (node.vals, node.ords);
+        let (left_vals, right_vals) = vals.into_iter().map(|v| v.split_at_mut(split_at)).unzip();
+        let (left_ords, right_ords) = ords.into_iter().map(|o| o.split_at_mut(split_at)).unzip();
+        let (left_orig, right_orig) = node.orig.split_at_mut(split_at);
+        let g_left = node.n_groups / 2;
+        let left = Node {
+            vals: left_vals,
+            ords: left_ords,
+            orig: left_orig,
+            n_groups: g_left,
+        };
+        let right = Node {
+            vals: right_vals,
+            ords: right_ords,
+            orig: right_orig,
+            n_groups: node.n_groups - g_left,
+        };
+        (left, right)
     }
 
     /// Filters column `c`'s order stably into the two children of a split
-    /// whose left half is the ids ranked below `split_at`, then puts each
-    /// run of equal values in rank order, that of `winner` (the winning
-    /// column's order, already cut at `split_at`).
-    fn divide(&self, c: usize, ord: &mut [u32], split_at: usize, winner: &[u32], s: &mut Scratch) {
-        s.right.clear();
-        let mut l = 0;
+    /// at `split_at`, under their new ids (`s.rank`), then sorts each run
+    /// of equal values of the column, `col` in the new ids.
+    #[expect(clippy::expect_used, reason = "ids fit u32, as `Columns::new` checks")]
+    fn divide(&self, c: usize, ord: &mut [u32], split_at: usize, col: &[f64], s: &mut Scratch) {
+        let cut = u32::try_from(split_at).expect("ids fit u32");
+        let right_len = ord.len() - split_at;
+        // Branch-free: every id is written to both the left front of `ord`
+        // (never past the slot just read) and the right buffer, and only
+        // its own side's cursor moves, so a coin-flip side costs no
+        // mispredicted branch.
+        s.ids.resize(right_len + 1, 0);
+        let (mut l, mut r) = (0, 0);
         for j in 0..ord.len() {
-            let id = ord[j];
-            if (s.rank[id as usize] as usize) < split_at {
-                ord[l] = id;
-                l += 1;
-            } else {
-                s.right.push(id);
-            }
+            let id = s.rank[ord[j] as usize];
+            let left = id < cut;
+            ord[l] = id;
+            s.ids[r] = id.wrapping_sub(cut);
+            l += usize::from(left);
+            r += usize::from(!left);
         }
         debug_assert_eq!(l, split_at, "the left half holds split_at items");
-        ord[split_at..].copy_from_slice(&s.right);
+        ord[split_at..].copy_from_slice(&s.ids[..right_len]);
         if self.ties[c] {
             let (left, right) = ord.split_at_mut(split_at);
-            let (w_left, w_right) = winner.split_at(split_at);
-            self.rank_ties(c, left, w_left, &s.rank);
-            self.rank_ties(c, right, w_right, &s.rank);
+            let (left_col, right_col) = col.split_at(split_at);
+            sort_ties(left, left_col);
+            sort_ties(right, right_col);
         }
     }
+}
 
-    /// Puts every run of equal values of column `c` in one child's order
-    /// `ord` in `rank` order, which is the order of `winner`, the child's
-    /// sequence. A short run is sorted; a long one (a histogram's empty
-    /// bins) is read off `winner` in one pass.
-    fn rank_ties(&self, c: usize, ord: &mut [u32], winner: &[u32], rank: &[u32]) {
-        let mut i = 0;
-        while i < ord.len() {
-            let bits = self.val(c, ord[i]).to_bits();
-            let mut j = i + 1;
-            while j < ord.len() && self.val(c, ord[j]).to_bits() == bits {
-                j += 1;
-            }
-            if 16 * (j - i) > ord.len() {
-                let run = winner
-                    .iter()
-                    .copied()
-                    .filter(|&id| self.val(c, id).to_bits() == bits);
-                for (slot, id) in ord[i..j].iter_mut().zip(run) {
-                    *slot = id;
-                }
-            } else if j - i > 1 {
-                ord[i..j].sort_unstable_by_key(|&id| rank[id as usize]);
-            }
-            i = j;
+/// Sorts the `n`-item columns of `vals` into `order` by (value, id), and
+/// flags in `ties` the columns holding two equal values.
+fn sort_columns(n: usize, vals: &[f64], order: &mut [u32], ties: &mut [bool]) {
+    let mut keyed: Vec<(i64, u32)> = Vec::with_capacity(n);
+    for ((col, ord), tie) in vals
+        .chunks_exact(n)
+        .zip(order.chunks_exact_mut(n))
+        .zip(ties)
+    {
+        keyed.clear();
+        keyed.extend((0u32..).zip(col).map(|(id, &v)| (total_key(v), id)));
+        keyed.sort_unstable();
+        *tie = keyed.windows(2).any(|w| w[0].0 == w[1].0);
+        for (o, &(_, id)) in ord.iter_mut().zip(&keyed) {
+            *o = id;
         }
+    }
+}
+
+/// Sorts every run of equal values of a child's column `col` in its order
+/// `ord` by id, the child's sequence. A short run is sorted; a long one (a
+/// histogram's empty bins) is read off `col` in one pass.
+fn sort_ties(ord: &mut [u32], col: &[f64]) {
+    let bits_of = |id: u32| col[id as usize].to_bits();
+    let mut i = 0;
+    while i < ord.len() {
+        let bits = bits_of(ord[i]);
+        let mut j = i + 1;
+        while j < ord.len() && bits_of(ord[j]) == bits {
+            j += 1;
+        }
+        if 16 * (j - i) > ord.len() {
+            let run = (0u32..).zip(col).filter(|&(_, v)| v.to_bits() == bits);
+            for (slot, (id, _)) in ord[i..j].iter_mut().zip(run) {
+                *slot = id;
+            }
+        } else if j - i > 1 {
+            ord[i..j].sort_unstable();
+        }
+        i = j;
     }
 }
 
@@ -1318,15 +1344,15 @@ mod tests {
             .collect()
     }
 
-    /// The presorted partitioner's groups (on 1, 2 and 3 threads) and node
+    /// The presorted partitioner's groups (on each of `threads`) and node
     /// split against the reference recursion's.
-    fn assert_matches_reference<T>(cost: &SplitCost, items: &[T], cap: usize)
+    fn assert_matches_reference<T>(cost: &SplitCost, items: &[T], cap: usize, threads: &[usize])
     where
         T: Splittable + Clone + PartialEq + std::fmt::Debug,
     {
         let mut want = Vec::new();
         reference::partition(cost, items.to_vec(), items.len().div_ceil(cap), &mut want);
-        for threads in [1, 2, 3] {
+        for &threads in threads {
             let got = partition(cost, items.to_vec(), items.len().div_ceil(cap), threads).0;
             let first_diff = got.iter().zip(&want).position(|(g, w)| g != w);
             assert!(
@@ -1370,12 +1396,30 @@ mod tests {
             let leaves = shaped_leaves(shape, n, seed);
             if inner == 0 {
                 let cost = SplitCost::from_items(strategy, mode, &leaves);
-                assert_matches_reference(&cost, &leaves, cap);
+                assert_matches_reference(&cost, &leaves, cap, &[1, 2, 3]);
             } else {
                 let entries = inner_over(&leaves);
                 let cost = SplitCost::from_items(strategy, mode, &entries);
-                assert_matches_reference(&cost, &entries, cap);
+                assert_matches_reference(&cost, &entries, cap, &[1, 2, 3]);
             }
+        }
+    }
+
+    #[test]
+    fn forked_partition_matches_the_per_split_argsort() {
+        // Three times the fork floor, so 2, 3 and 8 threads fork at the
+        // first splits and sort the columns on several workers, on every
+        // shape (ties, d27 histograms with their long runs of empty bins,
+        // distinct keys), as leaf entries and as inner entries.
+        let n = 3 * PARALLEL_TASK_FLOOR + 5;
+        for shape in 0..3 {
+            let leaves = shaped_leaves(shape, n, 11);
+            let entries = inner_over(&leaves);
+            let mode = CombineMode::Convolution;
+            let cost = SplitCost::from_items(SplitStrategy::HullIntegral, mode, &leaves);
+            assert_matches_reference(&cost, &leaves, 60, &[1, 2, 3, 8]);
+            let cost = SplitCost::from_items(SplitStrategy::HullIntegral, mode, &entries);
+            assert_matches_reference(&cost, &entries, 60, &[1, 2, 3, 8]);
         }
     }
 
